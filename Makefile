@@ -120,7 +120,10 @@ bench-serve:
 	$(GO) test -run xxx -bench 'Decide|ClientLoopback|ClientWire' -benchmem ./internal/autotune/ ./internal/serve/
 	$(GO) run ./cmd/hanbench -serve -clients 8 -duration 2s -machine mini
 
-# Trimmed paper-scale wall-clock benchmark (4096 ranks); compare against
-# BENCH_allocator.json.
+# The repository's one performance yardstick (benchmark/BENCHMARK.md):
+# every workload three times, each run in its own child process, medians
+# and the spread table in benchmark/out/results.json. Compare two result
+# files with `go run -C benchmark . -compare A.json B.json`. The four
+# bench-* targets above predate it and stay for now.
 bench:
-	$(GO) test -run xxx -bench 'Fig10Scale4096' -benchtime 1x -benchmem .
+	$(GO) run -C benchmark . -runs 3

@@ -53,7 +53,16 @@ func main() {
 	duration := flag.Duration("duration", 2*time.Second, "with -serve: load run length")
 	addr := flag.String("addr", "", "with -serve: dial a running hand server at this TCP address instead of benchmarking an in-process loopback server")
 	serveOut := flag.String("serve-out", "", "with -serve: also write the report as JSON to this file (BENCH_serve.json format)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (the simulator's host cost, not simulated time) to this file; read it with go tool pprof")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken at the end of the run, to this file")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hanbench:", err)
+		os.Exit(2)
+	}
+	defer stopProfiles()
 
 	if *refAlloc {
 		flow.DefaultAllocator = flow.Reference

@@ -217,3 +217,122 @@ func TestPooledP2PSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state p2p averages %.2f mallocs per ping-pong round (%d total), want < 1", perRound, mallocs)
 	}
 }
+
+// waitPairRounds runs the dissemination-barrier step between ranks 0 and 1:
+// post a one-byte send and receive as Comm.Barrier does, wait for both in
+// one call. Rank 1 runs `rounds` of them; rank 0 hands its round to each,
+// which must run it as many times — from a benchmark loop or
+// testing.AllocsPerRun, inside the simulation.
+func waitPairRounds(tb testing.TB, rounds int, each func(round func())) {
+	tb.Helper()
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 1)), OpenMPI())
+	if !w.Pooling() {
+		tb.Skip("arena pooling disabled in this build")
+	}
+	w.Start(func(p *Proc) {
+		c := p.W.World()
+		peer := 1 - c.Rank(p)
+		round := func() {
+			sreq := c.Isend(p, Phantom(1), peer, 7)
+			rreq := c.Irecv(p, Phantom(1), peer, 7)
+			p.Wait(sreq, rreq)
+		}
+		if peer == 1 {
+			each(round)
+			return
+		}
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	})
+	if err := eng.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// A two-request Wait — one park, two pooled requests armed and released —
+// must not allocate once the pools and waiter slices are warm. The count is
+// process-wide, so it covers the peer rank and the engine goroutine too.
+func TestWaitPairSteadyStateAllocs(t *testing.T) {
+	const warmup, measured = 200, 200
+	allocs := -1.0
+	// AllocsPerRun calls its function once to warm up, then `measured` times.
+	waitPairRounds(t, warmup+1+measured, func(round func()) {
+		for i := 0; i < warmup; i++ {
+			round()
+		}
+		allocs = testing.AllocsPerRun(measured, round)
+	})
+	if allocs != 0 {
+		t.Fatalf("two-request Wait round averages %v allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkWaitPair is one barrier-step round per iteration: the host cost
+// of Isend + Irecv + a two-request Wait on each of two ranks.
+func BenchmarkWaitPair(b *testing.B) {
+	b.ReportAllocs()
+	waitPairRounds(b, b.N, func(round func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+}
+
+// A process killed while parked on pooled requests must stay dead to them:
+// the requests complete later and skip it, and once they are recycled —
+// doneSig Reset, slot reused by a new operation — the new waiter is woken
+// alone and the victim is never resumed a second time.
+func TestKillThenLateFireOnRecycledRequest(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 2)), OpenMPI())
+	if !w.Pooling() {
+		t.Skip("arena pooling disabled in this build")
+	}
+	a, b := w.reqPool.Get(), w.reqPool.Get()
+	unwound, ranPastWait, succeeded := 0, false, false
+	victim := eng.Spawn("victim", func(sp *sim.Proc) {
+		defer func() { unwound++ }()
+		(&Proc{Sim: sp, W: w}).Wait(a, b)
+		ranPastWait = true
+	})
+	eng.At(1, func() { a.Complete(eng) })
+	eng.At(2, func() { eng.Kill(victim) })
+	eng.At(3, func() { b.Complete(eng) }) // late fire: the only waiter is dying
+	var reused [2]*Request
+	eng.At(4, func() {
+		// The victim never reached Wait's release; whoever cleans up after a
+		// dead rank does it instead.
+		w.release(a)
+		w.release(b)
+		reused[0], reused[1] = w.reqPool.Get(), w.reqPool.Get()
+		if !(reused[0] == a || reused[0] == b) || !(reused[1] == a || reused[1] == b) {
+			t.Error("pool did not hand the recycled requests out again")
+		}
+		for _, r := range reused {
+			if r.Test() {
+				t.Error("recycled request is still fired")
+			}
+		}
+		eng.Spawn("successor", func(sp *sim.Proc) {
+			(&Proc{Sim: sp, W: w}).Wait(reused[0], reused[1])
+			if sp.Now() != 6 {
+				t.Errorf("successor woke at %v, want 6", sp.Now())
+			}
+			succeeded = true
+		})
+	})
+	eng.At(5, func() { reused[1].Complete(eng) })
+	eng.At(6, func() { reused[0].Complete(eng) })
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if unwound != 1 || ranPastWait {
+		t.Fatalf("victim: unwound %d times, ranPastWait=%v; want exactly one unwind", unwound, ranPastWait)
+	}
+	if !succeeded {
+		t.Fatal("successor never completed its wait on the recycled requests")
+	}
+}

@@ -221,12 +221,19 @@ func (p *Proc) Now() sim.Time { return p.Sim.Now() }
 func (p *Proc) Node() int { return p.W.Mach.NodeOf(p.Rank) }
 
 // Wait blocks until all given requests complete. Nil requests are skipped.
-// While blocked on a labelled request (a send or receive), the process's
-// park site names the peer, tag, and comm for deadlock/watchdog reports.
+// The process parks at most once, whatever the number of requests. While it
+// is blocked, its park site is the first labelled request (a send or
+// receive) still incomplete, naming the peer, tag, and comm for
+// deadlock/watchdog reports.
 func (p *Proc) Wait(reqs ...*Request) {
 	for _, r := range reqs {
 		if r != nil {
-			p.Sim.WaitAt(&r.doneSig, &r.site)
+			p.Sim.Arm(&r.doneSig, &r.site)
+		}
+	}
+	p.Sim.WaitArmed()
+	for _, r := range reqs {
+		if r != nil {
 			// A waited request is finished business: recycle pooled ones.
 			// The wait-once discipline (hanlint reqwait) makes this safe.
 			p.W.release(r)

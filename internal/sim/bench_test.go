@@ -2,33 +2,49 @@ package sim
 
 import "testing"
 
-// BenchmarkEventDispatch measures raw scheduler throughput: one callback
-// event per iteration.
+// benchDepth is the queue depth and process count of the micro-benchmarks:
+// one event or one parked process per rank of the 4096-rank headline run.
+const benchDepth = 4096
+
+// BenchmarkEventDispatch measures the event heap under load: benchDepth
+// callbacks stay pending and each dispatch schedules its successor at a
+// pseudo-random later time, so every iteration is one pop and one push
+// through a heap twelve levels deep.
 func BenchmarkEventDispatch(b *testing.B) {
 	e := New()
-	var tick func()
-	n := 0
-	tick = func() {
-		n++
-		if n < b.N {
-			e.After(1e-9, tick)
+	fired := 0
+	for i := 0; i < benchDepth; i++ {
+		state := uint64(i)
+		var self func()
+		self = func() {
+			fired++
+			if fired+benchDepth <= b.N {
+				state = state*6364136223846793005 + 1442695040888963407
+				e.Schedule(Time(1+state>>54)*1e-9, self)
+			}
 		}
+		e.Schedule(Time(i+1)*1e-9, self)
 	}
-	e.After(1e-9, tick)
+	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkProcHandoff measures the coroutine baton-passing cost: one
-// Sleep (park + resume) per iteration.
+// BenchmarkProcHandoff measures the process-to-process baton: benchDepth
+// sleepers with co-prime-ish steps, so every event is a resume that parks
+// one process and wakes another (one Sleep per iteration overall).
 func BenchmarkProcHandoff(b *testing.B) {
 	e := New()
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1e-9)
-		}
-	})
+	loops := b.N/benchDepth + 1
+	for i := 0; i < benchDepth; i++ {
+		step := Time(1+i%7) * 1e-9
+		e.Spawn("sleeper", func(p *Proc) {
+			for k := 0; k < loops; k++ {
+				p.Sleep(step)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

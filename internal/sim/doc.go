@@ -11,6 +11,32 @@
 // Processes block with Proc.Sleep and Proc.Wait; other code wakes them by
 // firing Signals or scheduling callbacks with Engine.At / Engine.After.
 //
+// # Dispatch
+//
+// Four invariants hold on the dispatch path, and everything built on the
+// engine (bit-identical replay, the parallel engine's oracle) leans on
+// them:
+//
+//   - Dispatch order is (t, seq) and nothing else. The queue is a binary
+//     heap written out over []*event; sequence numbers are unique, so the
+//     order is total and independent of the heap's layout. Which goroutine
+//     pops an event never changes which event is popped.
+//   - Callbacks (At, After, Schedule) and process starts run only on the
+//     engine goroutine — the one inside Run or RunUntil.
+//   - A process that parks or exits may dispatch the next event itself
+//     when, and only when, it is a resume the run in progress would
+//     dispatch next: inside the RunUntil limit and the MaxEvents budget,
+//     with no Stop or panic pending. It then wakes the target directly
+//     (or just keeps running, if the resume is its own). It never
+//     dispatches a callback; anything else goes back to the engine
+//     goroutine. A wake-up therefore costs one goroutine switch, not two,
+//     and process stacks never carry callback frames.
+//   - A blocking call parks once. WaitAll — and mpi.Proc.Wait over several
+//     requests — registers on every unfired signal (Arm), then parks
+//     (WaitArmed); each firing signal counts the process down and the last
+//     one schedules its single resume. Kill clears the count and pushes the
+//     one unwind resume; Signal.Fire skips dying waiters.
+//
 // Event records are pooled: large simulations (the 4096-rank HAN runs
 // schedule tens of millions of events) recycle event structs instead of
 // churning the garbage collector. Timer handles stay safe across recycling

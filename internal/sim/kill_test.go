@@ -148,3 +148,64 @@ func TestFireSkipsDyingWaiters(t *testing.T) {
 		t.Fatal("live waiter was not resumed")
 	}
 }
+
+// A process killed while registered on several signals gets exactly one
+// unwind resume, has its pending count cleared, and is skipped by every
+// signal that fires afterwards — whether the kill lands before any of them
+// fired, between two fires, or in the same instant as the last one.
+func TestKillWhileArmedOnSeveralSignals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		killAt Time
+	}{
+		{"before any fire", 0.5},
+		{"between fires", 1.5},
+		{"with the last fire", 3},
+		{"after the last fire", 3.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			sigs := []*Signal{NewSignal(), NewSignal(), NewSignal()}
+			var unwound, ranPastWait, survivorDone int
+			victim := e.Spawn("victim", func(p *Proc) {
+				defer func() { unwound++ }()
+				p.WaitAll(sigs...)
+				ranPastWait++
+			})
+			// A bystander on the same signals must be unaffected.
+			e.Spawn("survivor", func(p *Proc) {
+				p.WaitAll(sigs...)
+				survivorDone++
+			})
+			for i, s := range sigs {
+				s := s
+				e.At(Time(i+1), func() { s.Fire(e) })
+			}
+			e.At(tc.killAt, func() { e.Kill(victim) })
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			killedInTime := tc.killAt <= 3 // at t=3 the kill callback was scheduled after the fire's, but runs before the resume
+			if unwound != 1 {
+				t.Fatalf("victim unwound %d times, want 1", unwound)
+			}
+			if killedInTime && ranPastWait != 0 {
+				t.Fatal("killed victim executed code past its wait")
+			}
+			if !killedInTime && ranPastWait != 1 {
+				t.Fatal("victim killed after completing should have run to the end")
+			}
+			if survivorDone != 1 {
+				t.Fatalf("survivor completed %d times, want 1", survivorDone)
+			}
+			if victim.pending != 0 || victim.parked {
+				t.Fatalf("victim left pending=%d parked=%v", victim.pending, victim.parked)
+			}
+			// 2 starts + 3 fires + 1 kill + one resume per process: a second
+			// resume for the victim would show here (and wedge the baton).
+			if e.dispatched != 8 {
+				t.Fatalf("dispatched %d events, want 8", e.dispatched)
+			}
+		})
+	}
+}

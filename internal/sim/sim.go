@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,8 +12,8 @@ type Time float64
 // Event kinds.
 const (
 	evCallback = iota // run fn inline in the engine goroutine
-	evStart           // start a process goroutine and wait for it to yield
-	evResume          // resume a parked process and wait for it to yield
+	evStart           // start a process goroutine and wait for the baton
+	evResume          // hand the baton to a parked process
 )
 
 type event struct {
@@ -25,7 +25,7 @@ type event struct {
 	body      func(*Proc)
 	cancelled bool
 	// idx is the event's position in the heap (-1 once popped), maintained
-	// so a pending timer can be rearmed in place with heap.Fix instead of
+	// so a pending timer can be rearmed in place with fix instead of
 	// leaving a lazily-cancelled tombstone behind.
 	idx int
 	// gen increments every time the struct is returned to the pool, so a
@@ -34,33 +34,92 @@ type event struct {
 	gen uint64
 }
 
+// before is the dispatch order: virtual time, then scheduling sequence.
+// Sequence numbers are unique, so the order is total and the heap's pop
+// order does not depend on its internal layout.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before, written out
+// over the concrete type because the dispatch loop spends its time here:
+// no interface calls, no boxing, and sifts that move a hole instead of
+// swapping. container/heap is the oracle it is tested against
+// (heap_test.go).
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x interface{}) {
-	ev := x.(*event)
+func (h *eventHeap) push(ev *event) {
 	ev.idx = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.idx)
 }
-func (h *eventHeap) Pop() interface{} {
+
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	n := len(old) - 1
+	top := old[0]
+	last := old[n]
+	old[n] = nil
+	*h = old[:n]
+	if n > 0 {
+		old[0] = last
+		last.idx = 0
+		h.down(0)
+	}
+	top.idx = -1
+	return top
+}
+
+// fix restores heap order after the event at i changed its key.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h eventHeap) up(i int) {
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		pe := h[parent]
+		if !ev.before(pe) {
+			break
+		}
+		h[i] = pe
+		pe.idx = i
+		i = parent
+	}
+	h[i] = ev
+	ev.idx = i
+}
+
+// down sifts the event at i towards the leaves and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev := h[i]
+	start, n := i, len(h)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		ce := h[child]
+		if r := child + 1; r < n && h[r].before(ce) {
+			child, ce = r, h[r]
+		}
+		if !ce.before(ev) {
+			break
+		}
+		h[i] = ce
+		ce.idx = i
+		i = child
+	}
+	h[i] = ev
+	ev.idx = i
+	return i > start
 }
 
 // Timer is a handle to a scheduled callback that can be cancelled before it
@@ -102,10 +161,10 @@ type Engine struct {
 	now    Time
 	events eventHeap
 	seq    uint64
-	live   int            // processes started and not yet finished
-	parked map[*Proc]bool // processes waiting on a Signal
-	yield  chan struct{}  // baton: process -> engine
-	free   []*event       // recycled event structs
+	live   int           // processes started and not yet finished
+	procs  []*Proc       // every spawned process, in spawn order
+	yield  chan struct{} // baton: process -> engine
+	free   []*event      // recycled event structs
 	// panicVal carries a panic out of a process goroutine so that Run can
 	// re-panic in the caller's goroutine with useful context.
 	panicVal interface{}
@@ -123,14 +182,16 @@ type Engine struct {
 	// so a racy read only affects how reliably the violation is reported,
 	// never a correct program.
 	running bool
+	// limit and bounded are the window of the run in progress (see run),
+	// kept here so a parking process dispatches under the same limit as
+	// the engine goroutine.
+	limit   Time
+	bounded bool
 }
 
 // New returns a ready-to-use Engine with the clock at zero.
 func New() *Engine {
-	return &Engine{
-		parked: make(map[*Proc]bool),
-		yield:  make(chan struct{}),
-	}
+	return &Engine{yield: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -156,15 +217,18 @@ type ParkedProc struct {
 // with its park-site label, sorted by name. It allocates and is meant for
 // report construction, not hot paths.
 func (e *Engine) ParkedSites() []ParkedProc {
-	out := make([]ParkedProc, 0, len(e.parked))
-	for p := range e.parked {
+	var out []ParkedProc
+	for _, p := range e.procs {
+		if !p.parked {
+			continue
+		}
 		pp := ParkedProc{Name: p.name}
-		if p.site != nil {
-			pp.Site = p.site.String()
+		if site := p.parkSite(); site != nil {
+			pp.Site = site.String()
 		}
 		out = append(out, pp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -191,7 +255,7 @@ func (e *Engine) release(ev *event) {
 func (e *Engine) push(ev *event) {
 	ev.seq = e.seq
 	e.seq++
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 func (e *Engine) schedule(t Time, fn func()) *event {
@@ -233,7 +297,7 @@ func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
 		ev.cancelled = false
 		ev.seq = e.seq
 		e.seq++
-		heap.Fix(&e.events, ev.idx)
+		e.events.fix(ev.idx)
 		tm.at = t
 		return
 	}
@@ -257,17 +321,36 @@ type Proc struct {
 	e      *Engine
 	name   string
 	resume chan struct{}
-	// site describes what the process is currently blocked on (set by
-	// WaitAt), so deadlock and watchdog reports can say *why* a process is
-	// parked, not just that it is. Formatting is deferred to report time so
-	// the hot path never allocates a string.
-	site fmt.Stringer
+	// armed lists the signals the process registered on for its current
+	// blocking call, each with its park-site label; pending counts those
+	// that have not fired yet. Signal.Fire decrements pending and resumes
+	// the process only at zero, so a wait on N signals parks once. The
+	// list stays intact until the process runs again, so deadlock and
+	// watchdog reports can name the first signal still outstanding — what
+	// the process would be parked on had it waited for them one by one.
+	// Formatting is deferred to report time so the hot path never
+	// allocates a string. armBuf backs the list for the common one- and
+	// two-signal waits; longer waits grow it once per process.
+	armed   []armedSignal
+	armBuf  [2]armedSignal
+	pending int
+	// parked marks a process blocked on signals (not sleeping): it holds no
+	// queued resume, so Kill must push one and a drained queue with parked
+	// processes is a deadlock.
+	parked bool
 	// dying marks a process killed by Kill (or one that called Exit): its
 	// goroutine unwinds at the next scheduling point and never runs again.
 	dying bool
 	// finished is set once the process goroutine has returned, so Kill on a
 	// completed process is a no-op instead of a hang.
 	finished bool
+}
+
+// armedSignal is one registration of a blocking call: the signal and what
+// reports should call it.
+type armedSignal struct {
+	s    *Signal
+	site fmt.Stringer
 }
 
 // Engine returns the engine this process belongs to.
@@ -291,6 +374,8 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) is in the past (now=%v)", t, e.now))
 	}
 	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p.armed = p.armBuf[:0]
+	e.track(p)
 	e.live++
 	ev := e.alloc()
 	ev.t = t
@@ -299,6 +384,17 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 	ev.body = fn
 	e.push(ev)
 	return p
+}
+
+// track appends p to the spawn-ordered process list ParkedSites reads.
+// Finished processes are dropped once they are at least half of the list,
+// so an engine that keeps spawning short-lived helpers stays bounded by its
+// live processes.
+func (e *Engine) track(p *Proc) {
+	if n := len(e.procs); n >= 64 && n >= 2*e.live {
+		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.finished })
+	}
+	e.procs = append(e.procs, p)
 }
 
 // procExit is the panic sentinel that unwinds a killed process goroutine at
@@ -322,8 +418,9 @@ func (p *Proc) Dying() bool { return p.dying }
 // The victim's goroutine unwinds — running deferred functions — at its next
 // scheduling point and never executes user code again:
 //
-//   - signal-parked victims get exactly one unwind resume here (Signal.Fire
-//     skips dying waiters, so a later fire cannot double-resume them);
+//   - signal-parked victims get exactly one unwind resume here, however many
+//     signals they are registered on: the pending count is cleared, and
+//     Signal.Fire skips dying waiters, so no later fire can resume them again;
 //   - sleeping, pending-start, and mid-dispatch victims already hold a queued
 //     start/resume event and unwind when it fires;
 //   - a process killing itself unwinds at its next Sleep/Wait.
@@ -334,19 +431,64 @@ func (e *Engine) Kill(p *Proc) {
 		return
 	}
 	p.dying = true
-	if e.parked[p] {
-		delete(e.parked, p)
+	if p.parked {
+		p.parked = false
+		p.pending = 0
 		e.resumeAt(e.now, p)
 	}
 }
 
-// park hands the baton back to the engine and blocks until resumed.
+// park gives up the baton and blocks until the process is resumed.
 func (p *Proc) park() {
-	p.e.yield <- struct{}{}
-	<-p.resume
+	p.e.passBaton(p)
 	if p.dying {
 		panic(procExit{})
 	}
+}
+
+// passBaton is called by a process that parks (from != nil) or has exited
+// (from == nil) and must hand the baton on. If the next event in (t, seq)
+// order is a resume the run in progress may dispatch, the process
+// dispatches it itself and wakes the target directly — one goroutine
+// switch instead of two through the engine goroutine, or none when the
+// event is its own resume. Anything else (a callback, a process start, a
+// cancelled top, the window limit, the event budget, a Stop or a panic)
+// goes back to the engine goroutine, so callbacks run only there and
+// process stacks stay shallow. A parking process then blocks until its own
+// resume is dispatched.
+func (e *Engine) passBaton(from *Proc) {
+	switch next := e.popResume(); next {
+	case nil:
+		e.yield <- struct{}{}
+	case from:
+		return // its own resume was next: keep running
+	default:
+		next.resume <- struct{}{}
+	}
+	if from != nil {
+		<-from.resume
+	}
+}
+
+// popResume dispatches the top event if the engine loop would dispatch it
+// next and it is a resume, and returns the process to wake; nil otherwise.
+// The conditions mirror the head of the loop in run.
+func (e *Engine) popResume() *Proc {
+	if len(e.events) == 0 || e.stopErr != nil || e.panicVal != nil {
+		return nil
+	}
+	top := e.events[0]
+	if top.kind != evResume || top.cancelled ||
+		(e.bounded && top.t >= e.limit) ||
+		(e.MaxEvents != 0 && e.dispatched >= e.MaxEvents) {
+		return nil
+	}
+	e.events.pop()
+	e.dispatched++
+	e.now = top.t
+	p := top.p
+	e.release(top)
+	return p
 }
 
 // resumeAt schedules an evResume for p at time t.
@@ -375,41 +517,74 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Wait blocks the process until the signal fires. It returns immediately if
 // the signal has already fired.
-func (p *Proc) Wait(s *Signal) {
-	p.site = nil
-	p.wait(s)
-}
+func (p *Proc) Wait(s *Signal) { p.WaitAt(s, nil) }
 
 // WaitAt is Wait with a park-site label: while the process is blocked, site
 // describes what it is waiting on (a receive, a collective stage, ...), and
 // deadlock/watchdog reports include it. site.String() is only called at
 // report time.
 func (p *Proc) WaitAt(s *Signal, site fmt.Stringer) {
-	p.site = site
-	p.wait(s)
-	p.site = nil
+	p.Arm(s, site)
+	p.WaitArmed()
 }
 
-func (p *Proc) wait(s *Signal) {
-	if p.dying {
-		// Killed while running (self-Kill or a fired-signal fast path kept
-		// it going): unwind now rather than parking on a signal whose Fire
-		// would skip us forever.
-		panic(procExit{})
+// WaitAll blocks until every given signal has fired. The process parks at
+// most once, whatever the number of signals.
+func (p *Proc) WaitAll(sigs ...*Signal) {
+	for _, s := range sigs {
+		p.Arm(s, nil)
 	}
-	if s.fired {
+	p.WaitArmed()
+}
+
+// Arm registers the process on s for its next WaitArmed, labelled site for
+// deadlock/watchdog reports (nil for none). A signal that has already fired
+// is skipped. Arm and WaitArmed are WaitAll taken apart, for callers whose
+// signals sit inside other records (mpi.Proc.Wait over its requests): no
+// slice of signals has to be built.
+func (p *Proc) Arm(s *Signal, site fmt.Stringer) {
+	if s.fired || p.dying {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.e.parked[p] = true
-	p.park()
+	p.armed = append(p.armed, armedSignal{s, site})
+	p.pending++
 }
 
-// WaitAll blocks until every given signal has fired.
-func (p *Proc) WaitAll(sigs ...*Signal) {
-	for _, s := range sigs {
-		p.Wait(s)
+// WaitArmed blocks until every signal armed since the last wait has fired.
+// It parks once: each firing signal counts the process down, and the last
+// one to fire schedules its resume.
+func (p *Proc) WaitArmed() {
+	if p.dying {
+		// Killed while running (self-Kill or a fired-signal fast path kept
+		// it going): unwind now rather than parking on signals whose Fire
+		// would skip us forever.
+		panic(procExit{})
 	}
+	if p.pending > 0 {
+		p.parked = true
+		p.park()
+	}
+	p.disarm()
+}
+
+// disarm drops the registrations of a completed wait. A killed process
+// unwinds out of park without it: it never waits again, and only parked
+// processes are reported.
+func (p *Proc) disarm() {
+	clear(p.armed)
+	p.armed = p.armed[:0]
+}
+
+// parkSite returns the label of the first armed signal still unfired: what
+// a parked process is waiting on.
+func (p *Proc) parkSite() fmt.Stringer {
+	for _, a := range p.armed {
+		if !a.s.fired {
+			return a.site
+		}
+	}
+	return nil
 }
 
 // WaitAny blocks until at least one of the given signals has fired and
@@ -509,8 +684,10 @@ func (s *Signal) Fire(e *Engine) {
 			// unwind resume; a second resume would wedge the baton.
 			continue
 		}
-		delete(e.parked, p)
-		e.resumeAt(e.now, p)
+		if p.pending--; p.pending == 0 && p.parked {
+			p.parked = false
+			e.resumeAt(e.now, p)
+		}
 	}
 	for i := range waiters {
 		waiters[i] = nil
@@ -718,8 +895,7 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.cancelled {
-			heap.Pop(&e.events)
-			e.release(ev)
+			e.release(e.events.pop())
 			continue
 		}
 		return ev.t, true
@@ -744,6 +920,7 @@ func (e *Engine) run(limit Time, bounded bool) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
+	e.limit, e.bounded = limit, bounded
 	for len(e.events) > 0 {
 		if e.MaxEvents != 0 && e.dispatched >= e.MaxEvents {
 			return &ErrEventBudget{Dispatched: e.dispatched}
@@ -753,13 +930,12 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		// sequence number and reorder it after same-instant peers it
 		// originally preceded, breaking replay identity).
 		if top := e.events[0]; top.cancelled {
-			heap.Pop(&e.events)
-			e.release(top)
+			e.release(e.events.pop())
 			continue
-		} else if bounded && top.t >= limit {
+		} else if e.bounded && top.t >= e.limit {
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		e.dispatched++
 		e.now = ev.t
 		switch ev.kind {
@@ -780,7 +956,7 @@ func (e *Engine) run(limit Time, bounded bool) error {
 						}
 					}
 					e.live--
-					e.yield <- struct{}{}
+					e.passBaton(nil)
 				}()
 				if !p.dying {
 					body(p)
