@@ -39,8 +39,9 @@ race:
 	$(GO) test -race ./...
 
 ci: build lint race
-	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic' ./internal/flow/ ./internal/mpi/ .
+	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden' ./internal/flow/ ./internal/mpi/ ./internal/han/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI
 # fault-matrix job runs, one cell per runner), plus the crash matrix over

@@ -5,93 +5,58 @@ import (
 	"github.com/hanrepro/han/internal/mpi"
 )
 
+// The allreduces mirror the broadcasts (bcast.go): every segment climbs
+// the levels through a reduce each and descends through a broadcast each;
+// the inter-node reduce and broadcast share root and algorithm so their
+// traffic overlaps on the full-duplex fabric (section III-B1). The
+// operation must be commutative; results land in rbuf on every rank.
+// Mismatched buffers return a *BufferSizeError; notes and the failure
+// policy are as for the broadcasts.
+
 // Allreduce performs the hierarchical allreduce of Fig 5 on the world
-// communicator. Each segment passes four stages — intra-node reduce (sr),
-// inter-node reduce (ir), inter-node broadcast (ib), intra-node broadcast
-// (sb) — and the stages of consecutive segments overlap, which is exactly
-// the paper's task schedule: on node leaders
+// communicator: four stages per segment — sr, ir, ib, sb — overlapped
+// across consecutive segments, which is exactly the paper's task schedule:
+// on node leaders
 //
 //	sr(0), irsr(1), ibirsr(2), sbibirsr(3) … sbibirsr(u-1),
 //	sbibir, sbib, sb
 //
-// and on the other ranks sr(0..2), sbsr(3..u-1), sb(u-3..u-1). The
-// inter-node reduce and broadcast use the same root and algorithm so their
-// traffic can overlap on the full-duplex fabric (section III-B1). The
-// operation must be commutative. Results land in rbuf on every rank.
+// and on the other ranks sr(0..2), sbsr(3..u-1), sb(u-3..u-1). On a
+// single-node world the segments go through the intra-node allreduce
+// alone, with a note.
+func (h *HAN) Allreduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
+	return h.collective(p, &call{span: "han.Allreduce", kind: coll.Allreduce, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
+}
+
+// AllreduceComm allreduces over communicator c with Allreduce's pipeline
+// when c's member placement is regular, and the flat `tuned` allreduce —
+// with a *FallbackError note — when it is not.
+func (h *HAN) AllreduceComm(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
+	if c == h.W.World() {
+		return h.Allreduce(p, sbuf, rbuf, op, dt, cfg)
+	}
+	return h.collective(p, &call{span: "han.AllreduceComm", kind: coll.Allreduce, comm: c, src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
+}
+
+// Allreduce3 is the three-level allreduce (socket, node, inter-node; see
+// Bcast3) with a six-stage pipeline:
 //
-// A *BufferSizeError is returned on mismatched buffers; a *FallbackError
-// notes a degraded (flat) path that still completed correctly. When ranks
-// have died, the OnFailure policy applies: Abort returns a
-// *RankFailedError, Shrink completes on the survivor communicator.
-func (h *HAN) Allreduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) (err error) {
-	w := h.W
-	if sbuf.N != rbuf.N {
-		return &BufferSizeError{Op: "Allreduce", Got: rbuf.N, Want: sbuf.N}
-	}
-	if sbuf.N == 0 {
-		return nil
-	}
-	if w.Size() == 1 {
-		rbuf.CopyFrom(sbuf)
-		return nil
-	}
-	if sc, eerr := h.enterWorld("Allreduce"); eerr != nil {
-		return eerr
-	} else if sc != nil {
-		return h.recovered(p, "Allreduce", sc, h.allreduceComm(p, sc, sbuf, rbuf, op, dt, cfg, true))
-	}
-	cfg, err = h.resolve(coll.Allreduce, sbuf.N, cfg)
-	if err != nil {
-		return err
-	}
-	if w.CrashArmed() {
-		epoch0 := w.DeathEpoch()
-		defer func() { err = h.exitCheck("Allreduce", epoch0, err) }()
-	}
-	defer h.span(p, w.World(), "han.Allreduce", sbuf.N)()
-	node, leaders := h.comms(p)
-	mach := w.Mach
-	iAmLeader := mach.IsNodeLeader(p.Rank)
-	segs := segments(sbuf.N, cfg.FS)
-	h.m.segsPerColl.Observe(float64(len(segs)))
-	u := len(segs)
+//	step t:  sr(t), nr(t-1), ir(t-2), ib(t-3), nb(t-4), sb(t-5)
+//
+// On a single-socket machine it is Allreduce.
+func (h *HAN) Allreduce3(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
+	return h.collective(p, &call{span: "han.Allreduce3", kind: coll.Allreduce, shape: threeLevel, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
+}
 
-	// Single-node world: no inter-node level exists, so run the intra-node
-	// flat path and note the degradation.
-	if mach.Spec.Nodes == 1 {
-		mod := h.Mods.intraMod(cfg.SMod)
-		for _, s := range segs {
-			p.Wait(mod.Iallreduce(p, node, sbuf.Slice(s.Lo, s.Hi), rbuf.Slice(s.Lo, s.Hi), op, dt, coll.Params{}))
-		}
-		return h.fallback(p, "Allreduce", "intra-node "+cfg.SMod,
-			&HierarchyError{Op: "Allreduce", Reason: "single-node world"})
-	}
-
-	// Four-stage pipeline: at step t, segment t enters sr while segments
-	// t-1, t-2, t-3 are in ir, ib, sb. Waiting on all stage requests at the
-	// end of each step reproduces the task barriers of Fig 5.
-	for t := 0; t < u+3; t++ {
-		var reqs []*mpi.Request
-		if t < u {
-			s := segs[t]
-			reqs = append(reqs, h.SR(p, node, sbuf.Slice(s.Lo, s.Hi), rbuf.Slice(s.Lo, s.Hi), op, dt, cfg))
-		}
-		if iAmLeader {
-			if j := t - 1; j >= 0 && j < u {
-				s := segs[j]
-				seg := rbuf.Slice(s.Lo, s.Hi)
-				reqs = append(reqs, h.IR(p, leaders, seg, seg, op, dt, 0, cfg))
-			}
-			if j := t - 2; j >= 0 && j < u {
-				s := segs[j]
-				reqs = append(reqs, h.IB(p, leaders, rbuf.Slice(s.Lo, s.Hi), 0, cfg))
-			}
-		}
-		if j := t - 3; j >= 0 && j < u {
-			s := segs[j]
-			reqs = append(reqs, h.SB(p, node, rbuf.Slice(s.Lo, s.Hi), cfg))
-		}
-		p.Wait(reqs...)
-	}
-	return nil
+// AllreduceGPU reduces GPU-resident buffers across the whole world (see
+// BcastGPU): an NVLink reduction per node, host staging on the leaders,
+// the split ir/ib inter-node exchange, and an NVLink broadcast — six
+// pipelined stages per segment:
+//
+//	step t:  gr(t), d2h(t-1), ir(t-2), ib(t-3), h2d(t-4), gb(t-5)
+//
+// On a machine without GPUs it degrades to Allreduce and returns a
+// *FallbackError note.
+func (h *HAN) AllreduceGPU(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
+	return h.collective(p, &call{span: "han.AllreduceGPU", kind: coll.Allreduce, shape: gpuLevel, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
 }

@@ -3,17 +3,17 @@ package han
 import (
 	"fmt"
 
-	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/mpi"
 )
 
-// This file makes HAN communicator-aware: BcastComm and AllreduceComm run
-// the two-level task pipeline on arbitrary sub-communicators when the
-// member placement supports it, and degrade to the flat `tuned` module —
-// with a typed *FallbackError note — when it does not (single node-group,
-// non-uniform processes per node, root not a node leader). This mirrors
-// real HAN, which checks the communicator topology at module selection
-// time and lets a flat component take over on irregular placements.
+// This file makes HAN communicator-aware: the two-level decomposition of an
+// arbitrary communicator, which BcastComm and AllreduceComm pipeline over
+// when the member placement supports it. When it does not (single
+// node-group, non-uniform processes per node, root not a node leader) they
+// degrade to the flat `tuned` module with a typed *FallbackError note. This
+// mirrors real HAN, which checks the communicator topology at module
+// selection time and lets a flat component take over on irregular
+// placements.
 
 // hier is the per-communicator two-level decomposition: the caller's node
 // sub-communicator (node-leader first) and the leader sub-communicator
@@ -22,7 +22,6 @@ type hier struct {
 	node     *mpi.Comm
 	leaders  *mpi.Comm
 	isLeader bool
-	nodes    int // number of node groups in the communicator
 }
 
 // analyze decomposes communicator c for rank p. A *HierarchyError reports
@@ -31,20 +30,17 @@ type hier struct {
 // recovery uses it so a survivor communicator missing single ranks still
 // runs hierarchically, with each node group led by its first surviving
 // member (the leader re-election of the recovery design).
-func (h *HAN) analyze(p *mpi.Proc, c *mpi.Comm, op string, relaxed bool) (*hier, error) {
+func (h *HAN) analyze(p *mpi.Proc, c *mpi.Comm, op string, relaxed bool) (hier, error) {
 	w := h.W
 	if c == w.World() {
 		// Fast path: the world communicator is regular by construction and
-		// its node/leader comms are already cached.
+		// its node/leader comms are already cached. A single-node world
+		// still reports its node communicator beside the error.
+		hr := hier{node: w.NodeComm(p.Node()), leaders: w.LeaderComm(), isLeader: w.Mach.IsNodeLeader(p.Rank)}
 		if w.Mach.Spec.Nodes == 1 {
-			return nil, &HierarchyError{Op: op, Reason: "single-node world"}
+			return hr, &HierarchyError{Op: op, Reason: "single-node world"}
 		}
-		return &hier{
-			node:     w.NodeComm(p.Node()),
-			leaders:  w.LeaderComm(),
-			isLeader: w.Mach.IsNodeLeader(p.Rank),
-			nodes:    w.Mach.Spec.Nodes,
-		}, nil
+		return hr, nil
 	}
 
 	// Group the communicator's members by machine node, in comm-rank order.
@@ -60,13 +56,13 @@ func (h *HAN) analyze(p *mpi.Proc, c *mpi.Comm, op string, relaxed bool) (*hier,
 		groups[n] = append(groups[n], cr)
 	}
 	if len(nodeOrder) == 1 {
-		return nil, &HierarchyError{Op: op, Reason: fmt.Sprintf("all %d ranks on one node", c.Size())}
+		return hier{}, &HierarchyError{Op: op, Reason: fmt.Sprintf("all %d ranks on one node", c.Size())}
 	}
 	if !relaxed {
 		per := len(groups[nodeOrder[0]])
 		for _, n := range nodeOrder {
 			if len(groups[n]) != per {
-				return nil, &HierarchyError{Op: op, Reason: fmt.Sprintf(
+				return hier{}, &HierarchyError{Op: op, Reason: fmt.Sprintf(
 					"non-uniform ppn: node %d has %d ranks, node %d has %d",
 					nodeOrder[0], per, n, len(groups[n]))}
 			}
@@ -80,12 +76,7 @@ func (h *HAN) analyze(p *mpi.Proc, c *mpi.Comm, op string, relaxed bool) (*hier,
 	}
 	node := c.Sub(fmt.Sprintf("han:node%d", myNode), groups[myNode])
 	leaders := c.Sub("han:leaders", leaderRanks)
-	return &hier{
-		node:     node,
-		leaders:  leaders,
-		isLeader: c.Rank(p) == groups[myNode][0],
-		nodes:    len(nodeOrder),
-	}, nil
+	return hier{node: node, leaders: leaders, isLeader: c.Rank(p) == groups[myNode][0]}, nil
 }
 
 // commRanks returns the communicator's world ranks indexed by comm rank.
@@ -95,144 +86,4 @@ func commRanks(c *mpi.Comm) []int {
 		out[i] = c.WorldRank(i)
 	}
 	return out
-}
-
-// BcastComm broadcasts buf from comm rank root over communicator c using
-// the two-level task pipeline when c's member placement is regular, and
-// the flat `tuned` broadcast — with a *FallbackError note — when it is
-// not. The broadcast completes correctly either way.
-func (h *HAN) BcastComm(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, cfg Config) error {
-	if c == h.W.World() {
-		return h.Bcast(p, buf, c.WorldRank(root), cfg)
-	}
-	if sc, err := h.enterComm(c, "BcastComm"); err != nil {
-		return err
-	} else if sc != nil {
-		cr := sc.RankOfWorld(c.WorldRank(root))
-		if cr < 0 {
-			return h.rankFailed("BcastComm") // the root itself died
-		}
-		return h.recovered(p, "BcastComm", sc, h.bcastComm(p, sc, buf, cr, cfg, true))
-	}
-	return h.bcastComm(p, c, buf, root, cfg, false)
-}
-
-// bcastComm is BcastComm after failure-policy resolution: c is the
-// communicator to actually broadcast over, relaxed is true on survivor
-// communicators (waiving the uniform-ppn hierarchy check).
-func (h *HAN) bcastComm(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, cfg Config, relaxed bool) (err error) {
-	if c.Size() == 1 || buf.N == 0 {
-		return nil
-	}
-	cfg, err = h.resolve(coll.Bcast, buf.N, cfg)
-	if err != nil {
-		return err
-	}
-	if h.W.CrashArmed() {
-		epoch0 := h.W.DeathEpoch()
-		defer func() { err = h.exitCheck("BcastComm", epoch0, err) }()
-	}
-	defer h.span(p, c, "han.BcastComm", buf.N)()
-
-	hr, herr := h.analyze(p, c, "BcastComm", relaxed)
-	if herr == nil && hr.leaders.RankOfWorld(c.WorldRank(root)) < 0 {
-		herr = &HierarchyError{Op: "BcastComm",
-			Reason: fmt.Sprintf("root %d is not a node leader within the communicator", root)}
-	}
-	if herr != nil {
-		p.Wait(h.Mods.Tuned.Ibcast(p, c, buf, root, coll.Params{}))
-		return h.fallback(p, "BcastComm", "flat tuned", herr)
-	}
-
-	rootLeader := hr.leaders.RankOfWorld(c.WorldRank(root))
-	segs := segments(buf.N, cfg.FS)
-	h.m.segsPerColl.Observe(float64(len(segs)))
-	if hr.isLeader {
-		var prevSB *mpi.Request
-		for _, s := range segs {
-			ib := h.IB(p, hr.leaders, buf.Slice(s.Lo, s.Hi), rootLeader, cfg)
-			p.Wait(ib, prevSB)
-			prevSB = h.SB(p, hr.node, buf.Slice(s.Lo, s.Hi), cfg)
-		}
-		p.Wait(prevSB)
-		return nil
-	}
-	for _, s := range segs {
-		p.Wait(h.SB(p, hr.node, buf.Slice(s.Lo, s.Hi), cfg))
-	}
-	return nil
-}
-
-// AllreduceComm allreduces over communicator c with the four-stage segment
-// pipeline (sr, ir, ib, sb) when c's member placement is regular, and the
-// flat `tuned` allreduce — with a *FallbackError note — when it is not.
-// The operation must be commutative; results land in rbuf on every member.
-func (h *HAN) AllreduceComm(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
-	if c == h.W.World() {
-		return h.Allreduce(p, sbuf, rbuf, op, dt, cfg)
-	}
-	if sbuf.N != rbuf.N {
-		return &BufferSizeError{Op: "AllreduceComm", Got: rbuf.N, Want: sbuf.N}
-	}
-	if sc, err := h.enterComm(c, "AllreduceComm"); err != nil {
-		return err
-	} else if sc != nil {
-		return h.recovered(p, "AllreduceComm", sc, h.allreduceComm(p, sc, sbuf, rbuf, op, dt, cfg, true))
-	}
-	return h.allreduceComm(p, c, sbuf, rbuf, op, dt, cfg, false)
-}
-
-// allreduceComm is AllreduceComm after failure-policy resolution; see
-// bcastComm.
-func (h *HAN) allreduceComm(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config, relaxed bool) (err error) {
-	if sbuf.N == 0 {
-		return nil
-	}
-	if c.Size() == 1 {
-		rbuf.CopyFrom(sbuf)
-		return nil
-	}
-	cfg, err = h.resolve(coll.Allreduce, sbuf.N, cfg)
-	if err != nil {
-		return err
-	}
-	if h.W.CrashArmed() {
-		epoch0 := h.W.DeathEpoch()
-		defer func() { err = h.exitCheck("AllreduceComm", epoch0, err) }()
-	}
-	defer h.span(p, c, "han.AllreduceComm", sbuf.N)()
-
-	hr, herr := h.analyze(p, c, "AllreduceComm", relaxed)
-	if herr != nil {
-		p.Wait(h.Mods.Tuned.Iallreduce(p, c, sbuf, rbuf, op, dt, coll.Params{}))
-		return h.fallback(p, "AllreduceComm", "flat tuned", herr)
-	}
-
-	segs := segments(sbuf.N, cfg.FS)
-	h.m.segsPerColl.Observe(float64(len(segs)))
-	u := len(segs)
-	for t := 0; t < u+3; t++ {
-		var reqs []*mpi.Request
-		if t < u {
-			s := segs[t]
-			reqs = append(reqs, h.SR(p, hr.node, sbuf.Slice(s.Lo, s.Hi), rbuf.Slice(s.Lo, s.Hi), op, dt, cfg))
-		}
-		if hr.isLeader {
-			if j := t - 1; j >= 0 && j < u {
-				s := segs[j]
-				seg := rbuf.Slice(s.Lo, s.Hi)
-				reqs = append(reqs, h.IR(p, hr.leaders, seg, seg, op, dt, 0, cfg))
-			}
-			if j := t - 2; j >= 0 && j < u {
-				s := segs[j]
-				reqs = append(reqs, h.IB(p, hr.leaders, rbuf.Slice(s.Lo, s.Hi), 0, cfg))
-			}
-		}
-		if j := t - 3; j >= 0 && j < u {
-			s := segs[j]
-			reqs = append(reqs, h.SB(p, hr.node, rbuf.Slice(s.Lo, s.Hi), cfg))
-		}
-		p.Wait(reqs...)
-	}
-	return nil
 }

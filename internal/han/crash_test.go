@@ -303,6 +303,87 @@ func TestCrashRecoveryReplayIdentical(t *testing.T) {
 	}
 }
 
+// Every entry point applies the failure policy, not only Bcast/Allreduce
+// and their Comm forms: entered after rank 5 died (the crash-rank plan),
+// Abort fails each of them fast with a *RankFailedError naming it, and
+// Shrink completes each on the 11 survivors with a note — except Reduce,
+// which has no survivor form and fails under either policy.
+func TestEveryEntryPointAppliesFailurePolicy(t *testing.T) {
+	plan, err := fault.Builtin("crash-rank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := numaSpec(3, 4) // Bcast3/Allreduce3 run three levels here
+	for _, policy := range []FailPolicy{Abort, Shrink} {
+		for _, ep := range entryPoints {
+			t.Run(policy.String()+"/"+ep.name, func(t *testing.T) {
+				got := make([]error, spec.Ranks())
+				_, _, err := runCrashHAN(t, spec, 1, plan, policy, func(h *HAN, p *mpi.Proc) {
+					p.Sim.Sleep(settleTime)
+					got[p.Rank] = ep.call(h, p, 4<<10, 0)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, e := range got {
+					if r == 5 {
+						continue
+					}
+					var rf *RankFailedError
+					var fb *FallbackError
+					switch {
+					case policy == Abort || ep.name == "Reduce":
+						if !errors.As(e, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 5 {
+							t.Errorf("rank %d: %v, want *RankFailedError naming rank 5", r, e)
+						}
+					case !errors.As(e, &fb):
+						t.Errorf("rank %d: %v, want a shrink note", r, e)
+					}
+				}
+			})
+		}
+	}
+}
+
+// A rank dying while a collective runs voids its result: the exit half of
+// the policy turns the return of every survivor still inside when the
+// death is declared into a *RankFailedError (a rank whose part ended
+// earlier — a Reduce contributor — has legitimately returned nil by
+// then). Reduce and Bcast3 used to return nil to everyone.
+func TestMidCollectiveDeathFailsReduceAndBcast3(t *testing.T) {
+	plan, err := fault.Builtin("crash-rank") // rank 5 dies at 50µs
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := numaSpec(3, 4)
+	const n = 4 << 20 // milliseconds of pipeline: the death lands inside
+	for _, ep := range entryPoints {
+		if ep.name != "Reduce" && ep.name != "Bcast3" {
+			continue
+		}
+		t.Run(ep.name, func(t *testing.T) {
+			got := make([]error, spec.Ranks())
+			epochAtReturn := make([]int, spec.Ranks())
+			_, _, err := runCrashHAN(t, spec, 1, plan, Abort, func(h *HAN, p *mpi.Proc) {
+				got[p.Rank] = ep.call(h, p, n, 0)
+				epochAtReturn[p.Rank] = h.W.DeathEpoch()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, e := range got {
+				var rf *RankFailedError
+				if r != 5 && epochAtReturn[r] > 0 && !errors.As(e, &rf) {
+					t.Errorf("rank %d returned %v after the death was declared, want *RankFailedError", r, e)
+				}
+			}
+			if epochAtReturn[0] == 0 {
+				t.Error("the root returned before the death was declared: the test does not reach the exit check")
+			}
+		})
+	}
+}
+
 // TestCrashMatrix is the CI entry point for the crash suite: HAN_CRASH_PLAN
 // and HAN_FAULT_SEED select one cell. Each cell completes a shrink-recovery
 // collective pair on the survivors and checks (seed, plan) determinism.

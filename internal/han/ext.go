@@ -21,82 +21,18 @@ func (h *HAN) interFor(k coll.Kind, cfg Config) coll.Module {
 	return h.Mods.Libnbc
 }
 
-// Reduce performs a hierarchical reduction to the world rank root: sr per
-// node, ir across leaders (pipelined over segments), and a final intra-node
-// hop when the root is not a node leader. A non-nil *FallbackError return
-// notes a degraded (flat) path that still completed correctly.
+// Reduce performs a hierarchical reduction to the world rank root: the
+// upward half of Allreduce's pipeline,
+//
+//	step t:  sr(t) on the node,  ir(t-1) on the leaders
+//
+// rooted at the root's node leader, and a final intra-node hop when the
+// root is not a node leader. rbuf matters on the root only. A non-nil
+// *FallbackError return notes a degraded path (single-node world) that
+// still completed correctly. Reduce has no survivor form: once a rank has
+// died it returns a *RankFailedError under either OnFailure policy.
 func (h *HAN) Reduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, cfg Config) error {
-	w := h.W
-	if p.Rank == root && rbuf.N != sbuf.N {
-		return &BufferSizeError{Op: "Reduce", Got: rbuf.N, Want: sbuf.N}
-	}
-	if sbuf.N == 0 {
-		return nil
-	}
-	if w.Size() == 1 {
-		rbuf.CopyFrom(sbuf)
-		return nil
-	}
-	cfg, err := h.resolve(coll.Reduce, sbuf.N, cfg)
-	if err != nil {
-		return err
-	}
-	defer h.span(p, w.World(), "han.Reduce", sbuf.N)()
-	node, leaders := h.comms(p)
-	mach := w.Mach
-	rootNode := mach.NodeOf(root)
-	rootIsLeader := mach.IsNodeLeader(root)
-	iAmLeader := mach.IsNodeLeader(p.Rank)
-	segs := segments(sbuf.N, cfg.FS)
-	h.m.segsPerColl.Observe(float64(len(segs)))
-	u := len(segs)
-
-	if mach.Spec.Nodes == 1 {
-		mod := h.Mods.intraMod(cfg.SMod)
-		rootLocal := node.RankOfWorld(root)
-		for _, s := range segs {
-			p.Wait(mod.Ireduce(p, node, sbuf.Slice(s.Lo, s.Hi), rbuf.Slice(s.Lo, s.Hi), op, dt, rootLocal, coll.Params{}))
-		}
-		return h.fallback(p, "Reduce", "intra-node "+cfg.SMod,
-			&HierarchyError{Op: "Reduce", Reason: "single-node world"})
-	}
-
-	// Leaders accumulate node partials into a scratch that doubles as the
-	// inter-node contribution; the root leader accumulates into acc and
-	// forwards to a non-leader root if needed.
-	const fwdTag = 2
-	acc := rbuf
-	if !(p.Rank == root && rootIsLeader) {
-		acc = allocLike(sbuf)
-	}
-
-	// Two-stage pipeline: sr(t) with ir(t-1).
-	for t := 0; t < u+1; t++ {
-		var reqs []*mpi.Request
-		if t < u {
-			s := segs[t]
-			reqs = append(reqs, h.SR(p, node, sbuf.Slice(s.Lo, s.Hi), acc.Slice(s.Lo, s.Hi), op, dt, cfg))
-		}
-		if iAmLeader {
-			if j := t - 1; j >= 0 && j < u {
-				s := segs[j]
-				seg := acc.Slice(s.Lo, s.Hi)
-				reqs = append(reqs, h.IR(p, leaders, seg, seg, op, dt, rootNode, cfg))
-			}
-		}
-		p.Wait(reqs...)
-	}
-
-	// Final hop to a non-leader root.
-	if !rootIsLeader {
-		if iAmLeader && p.Node() == rootNode {
-			node.Send(p, acc, node.RankOfWorld(root), fwdTag)
-		}
-		if p.Rank == root {
-			node.Recv(p, rbuf, 0, fwdTag)
-		}
-	}
-	return nil
+	return h.collective(p, &call{span: "han.Reduce", kind: coll.Reduce, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt, root: root}, &cfg)
 }
 
 // Gather collects each rank's sbuf block into rbuf at world rank root
@@ -109,8 +45,7 @@ func (h *HAN) Gather(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int, cfg Config) erro
 		rbuf.CopyFrom(sbuf)
 		return nil
 	}
-	cfg, err := h.resolve(coll.Gather, sbuf.N, cfg)
-	if err != nil {
+	if err := h.resolve(coll.Gather, sbuf.N, &cfg); err != nil {
 		return err
 	}
 	defer h.span(p, w.World(), "han.Gather", sbuf.N)()
@@ -173,8 +108,7 @@ func (h *HAN) Scatter(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int, cfg Config) err
 		rbuf.CopyFrom(sbuf)
 		return nil
 	}
-	cfg, err := h.resolve(coll.Scatter, rbuf.N, cfg)
-	if err != nil {
+	if err := h.resolve(coll.Scatter, rbuf.N, &cfg); err != nil {
 		return err
 	}
 	defer h.span(p, w.World(), "han.Scatter", rbuf.N)()
@@ -231,8 +165,7 @@ func (h *HAN) Allgather(p *mpi.Proc, sbuf, rbuf mpi.Buf, cfg Config) error {
 		rbuf.CopyFrom(sbuf)
 		return nil
 	}
-	cfg, err := h.resolve(coll.Allgather, sbuf.N, cfg)
-	if err != nil {
+	if err := h.resolve(coll.Allgather, sbuf.N, &cfg); err != nil {
 		return err
 	}
 	defer h.span(p, w.World(), "han.Allgather", sbuf.N)()

@@ -13,6 +13,48 @@
 //   - MPI_Allreduce (Fig 5): tasks sr, irsr, ibirsr, sbibirsr, sbibir,
 //     sbib, sb on leaders and sr/sbsr/sb on the other ranks.
 //
+// # One pipeline
+//
+// That idea is stated once (pipeline.go). A collective call is described,
+// per rank, by a level list — the hierarchy from the innermost level out;
+// each level holds its communicator (nil when the rank is not a member),
+// its submodule, its root, and through its kind its task names: sb/sr on a
+// node or socket, nb/nr among a node's socket leaders, gb/gr on a node's
+// GPUs, ib/ir among the node leaders. From the list a stage table {task,
+// level, step offset} is derived: a sweep of reduces up the levels (Reduce,
+// Allreduce), then a sweep of broadcasts down them (Bcast, Allreduce), one
+// offset per stage, with a PCIe staging (d2h, h2d) where a sweep crosses
+// between a GPU level and the level above. One step loop runs the table:
+// at step t each stage takes segment t-offset, the stages are issued in
+// table order, and the step ends when all have completed — the task
+// barrier of the figures. The tables, in issue order (a rank's own holds
+// the rows of the levels it is a member of):
+//
+//	Bcast, BcastComm            sb@1  ib@0
+//	Bcast3                      ib@0  nb@1  sb@2
+//	BcastGPU                    d2h@0 (root)  ib@1  gb@2 (h2d first on the other leaders)
+//	Reduce                      sr@0  ir@1
+//	Allreduce, AllreduceComm    sr@0  ir@1  ib@2  sb@3
+//	Allreduce3                  sr@0  nr@1  ir@2  ib@3  nb@4  sb@5
+//	AllreduceGPU                gr@0  d2h@1  ir@2  ib@3  h2d@4  gb@5
+//	single-node world           sb@0 | sr@0 | sa@0 (one level, with a note)
+//
+// Two rules about order are load-bearing, because tasks issued at the same
+// instant enter the simulated network in issue order: issue order is table
+// order, never offset order — the two-level Bcast lists sb before ib,
+// Fig 1's sbib, while the wider broadcasts run outermost level first — and
+// a non-leader root's data reaches its node leader through a wait inside
+// the leader's ib issue, not through a stage of its own, so sb(i-1) is in
+// flight while the leader waits for segment i. golden_test.go pins both.
+//
+// The entry points differ in what they decompose (the world or a
+// communicator, host or device buffers, two levels or three), not in how
+// they pipeline: each names its hierarchy and goes through one prologue
+// (collective.go). The autotuner's measurements (steps.go) run the same
+// loop: BcastSteps and AllreduceSteps are the derived tables with step
+// timing on, and a Time* timer is a one-segment table with every offset 0,
+// synchronised on the communicator its stages span.
+//
 // The task structure is what the autotuning component (package autotune)
 // benchmarks and what its cost model composes; the Config type is exactly
 // the output schema of Table II.
@@ -226,17 +268,17 @@ func New(w *mpi.World) *HAN {
 }
 
 // resolve fills a zero Config from the decision function, applies
-// defaults to partially-specified ones, and validates the submodule
-// names. Every public entry point calls it before issuing tasks, so a bad
-// tuning table or caller typo surfaces as a returned *ConfigError instead
-// of a panic deep inside the pipeline.
-func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg Config) (Config, error) {
-	if cfg == (Config{}) {
+// defaults to a partially-specified one, and validates the submodule
+// names, in place. Every public entry point calls it before issuing tasks,
+// so a bad tuning table or caller typo surfaces as a returned *ConfigError
+// instead of a panic deep inside the pipeline.
+func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg *Config) error {
+	if *cfg == (Config{}) {
 		d := h.Decide
 		if d == nil {
 			d = DefaultDecision
 		}
-		cfg = d(kind, msgBytes)
+		*cfg = d(kind, msgBytes)
 	}
 	if cfg.FS <= 0 {
 		cfg.FS = msgBytes
@@ -248,10 +290,10 @@ func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg Config) (Config, error) 
 		cfg.SMod = "sm"
 	}
 	if _, err := h.Mods.Inter(cfg.IMod); err != nil {
-		return cfg, err
+		return err
 	}
 	if _, err := h.Mods.Intra(cfg.SMod); err != nil {
-		return cfg, err
+		return err
 	}
 	if cfg.IBAlg == coll.AlgDefault {
 		if cfg.IMod == "adapt" {
@@ -263,7 +305,7 @@ func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg Config) (Config, error) 
 	if cfg.IRAlg == coll.AlgDefault {
 		cfg.IRAlg = cfg.IBAlg
 	}
-	return cfg, nil
+	return nil
 }
 
 // comms returns the node communicator of p's node and the leader
@@ -275,13 +317,14 @@ func (h *HAN) comms(p *mpi.Proc) (node, leaders *mpi.Comm) {
 // traced brackets a task request with trace events (when the world has a
 // tracer attached) and task metrics (when EnableMetrics installed them);
 // with neither it returns the request untouched.
-func (h *HAN) traced(p *mpi.Proc, name string, size int, req *mpi.Request) *mpi.Request {
+func (h *HAN) traced(p *mpi.Proc, op stageOp, kind levelKind, size int, req *mpi.Request) *mpi.Request {
 	rec := h.W.Tracer
-	h.m.taskCounter(name).Inc()
+	h.m.taskCounter(op, kind).Inc()
 	hist := h.m.taskSeconds
 	if rec == nil && hist == nil {
 		return req
 	}
+	name := taskNames[op][kind]
 	begin := p.Now()
 	if rec != nil {
 		rec.Record(trace.Event{T: float64(begin), Rank: p.Rank, Kind: trace.KindTaskBegin, Name: name, Size: size, Peer: -1})
@@ -321,31 +364,18 @@ func (h *HAN) span(p *mpi.Proc, c *mpi.Comm, name string, size int) func() {
 	}
 }
 
-// Task wrappers: the fine-grained operations HAN composes. They are
-// exported so the autotuner can benchmark tasks in isolation exactly as the
-// paper does (sections III-A2 and III-B2).
-
-// IB issues the inter-node broadcast of one segment on the leader
-// communicator (task "ib").
-func (h *HAN) IB(p *mpi.Proc, leaders *mpi.Comm, seg mpi.Buf, rootLeader int, cfg Config) *mpi.Request {
-	return h.traced(p, "ib", seg.N, h.Mods.interMod(cfg.IMod).Ibcast(p, leaders, seg, rootLeader, coll.Params{Alg: cfg.IBAlg, Seg: cfg.IBS}))
-}
+// Task wrappers: the two intra-node tasks as standalone operations, for
+// experiments that compose their own schedule around them (hanexp's fused
+// inter-node ablation), traced and counted like the pipeline's.
 
 // SB issues the intra-node broadcast of one segment from the node leader
 // (task "sb").
 func (h *HAN) SB(p *mpi.Proc, node *mpi.Comm, seg mpi.Buf, cfg Config) *mpi.Request {
-	return h.traced(p, "sb", seg.N, h.Mods.intraMod(cfg.SMod).Ibcast(p, node, seg, 0, coll.Params{}))
+	return h.traced(p, opDown, lvIntra, seg.N, h.Mods.intraMod(cfg.SMod).Ibcast(p, node, seg, 0, coll.Params{}))
 }
 
 // SR issues the intra-node reduction of one segment to the node leader
 // (task "sr").
 func (h *HAN) SR(p *mpi.Proc, node *mpi.Comm, sseg, rseg mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) *mpi.Request {
-	return h.traced(p, "sr", sseg.N, h.Mods.intraMod(cfg.SMod).Ireduce(p, node, sseg, rseg, op, dt, 0, coll.Params{}))
-}
-
-// IR issues the inter-node reduction of one segment to leader 0 (task
-// "ir"). The same root and algorithm as IB maximises full-duplex overlap
-// (paper section III-B1).
-func (h *HAN) IR(p *mpi.Proc, leaders *mpi.Comm, sseg, rseg mpi.Buf, op mpi.Op, dt mpi.Datatype, rootLeader int, cfg Config) *mpi.Request {
-	return h.traced(p, "ir", sseg.N, h.Mods.interMod(cfg.IMod).Ireduce(p, leaders, sseg, rseg, op, dt, rootLeader, coll.Params{Alg: cfg.IRAlg, Seg: cfg.IRS}))
+	return h.traced(p, opUp, lvIntra, sseg.N, h.Mods.intraMod(cfg.SMod).Ireduce(p, node, sseg, rseg, op, dt, 0, coll.Params{}))
 }

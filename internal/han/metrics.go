@@ -10,9 +10,12 @@ import "github.com/hanrepro/han/internal/metrics"
 type hanMetrics struct {
 	reg *metrics.Registry
 
-	taskIB, taskSB, taskSR, taskIR *metrics.Counter
-	taskSeconds                    *metrics.Histogram
-	segsPerColl                    *metrics.Histogram
+	// tasks caches the han_tasks series per (task, level). The four
+	// two-level ones are registered up front; the others on first use, so a
+	// two-level run exports exactly the series it always did.
+	tasks       [numStageOps][numLevelKinds]*metrics.Counter
+	taskSeconds *metrics.Histogram
+	segsPerColl *metrics.Histogram
 }
 
 // EnableMetrics registers HAN's metric families with reg and starts
@@ -20,18 +23,8 @@ type hanMetrics struct {
 // segments per collective call, collectives entered, and fallbacks taken.
 // Observation-only; a nil registry leaves metrics disabled.
 func (h *HAN) EnableMetrics(reg *metrics.Registry) {
-	task := func(name, level string) *metrics.Counter {
-		return reg.Counter(metrics.Opts{
-			Name: "han_tasks", Help: "HAN tasks issued, by task kind and hierarchy level.",
-			Labels: map[string]string{"task": name, "level": level},
-		})
-	}
 	h.m = &hanMetrics{
-		reg:    reg,
-		taskIB: task("ib", "inter"),
-		taskSB: task("sb", "intra"),
-		taskSR: task("sr", "intra"),
-		taskIR: task("ir", "inter"),
+		reg: reg,
 		taskSeconds: reg.Histogram(metrics.Opts{
 			Name: "han_task_seconds", Help: "Virtual-time duration of HAN tasks.", Unit: "seconds",
 		}, metrics.ExpBuckets(1e-6, 4, 12)),
@@ -39,21 +32,24 @@ func (h *HAN) EnableMetrics(reg *metrics.Registry) {
 			Name: "han_segments_per_collective", Help: "Pipeline segments per collective call (one observation per rank).",
 		}, metrics.ExpBuckets(1, 2, 8)),
 	}
+	for _, op := range []stageOp{opDown, opUp} {
+		for _, kind := range []levelKind{lvIntra, lvInter} {
+			h.m.taskCounter(op, kind)
+		}
+	}
 }
 
-// taskCounter maps a task name to its pre-registered counter.
-func (m *hanMetrics) taskCounter(name string) *metrics.Counter {
-	switch name {
-	case "ib":
-		return m.taskIB
-	case "sb":
-		return m.taskSB
-	case "sr":
-		return m.taskSR
-	case "ir":
-		return m.taskIR
+// taskCounter returns the han_tasks series of one task on one level kind,
+// registering it on first use; nil with metrics off.
+func (m *hanMetrics) taskCounter(op stageOp, kind levelKind) *metrics.Counter {
+	c := &m.tasks[op][kind]
+	if *c == nil && m.reg != nil {
+		*c = m.reg.Counter(metrics.Opts{
+			Name: "han_tasks", Help: "HAN tasks issued, by task kind and hierarchy level.",
+			Labels: map[string]string{"task": taskNames[op][kind], "level": levelLabels[kind]},
+		})
 	}
-	return nil
+	return *c
 }
 
 // collEntered counts one rank entering the named collective.

@@ -2,6 +2,7 @@ package han
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,32 +10,20 @@ import (
 	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
+	"github.com/hanrepro/han/internal/trace"
 )
 
 // metricsBcast runs one 64 KB Bcast on Mini(2,2) with metrics enabled and
 // returns the OpenMetrics export.
 func metricsBcast(t *testing.T) string {
 	t.Helper()
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), mpi.OpenMPI())
-	reg := metrics.New()
-	w.EnableMetrics(reg)
-	h := New(w)
-	h.EnableMetrics(reg)
-	w.Start(func(p *mpi.Proc) {
+	out, _ := observed(t, cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) {
 		buf := make([]byte, 64<<10)
 		if err := h.Bcast(p, mpi.Bytes(buf), 0, Config{}); err != nil {
 			t.Errorf("rank %d: %v", p.Rank, err)
 		}
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := reg.WriteOpenMetrics(&out, float64(eng.Now())); err != nil {
-		t.Fatal(err)
-	}
-	return out.String()
+	return out
 }
 
 func TestMetricsCountBcastActivity(t *testing.T) {
@@ -88,5 +77,92 @@ func TestMetricsDisabledIsFree(t *testing.T) {
 	}
 	if a, b := run(false), run(true); a != b {
 		t.Fatalf("metrics changed the simulation: %v vs %v", a, b)
+	}
+}
+
+// observed runs body on every rank of a world on spec with metrics and a
+// tracer attached and returns the OpenMetrics export and the recorder.
+func observed(t *testing.T, spec cluster.Spec, body func(h *HAN, p *mpi.Proc)) (string, *trace.Recorder) {
+	t.Helper()
+	eng := sim.New()
+	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+	reg := metrics.New()
+	w.EnableMetrics(reg)
+	w.Tracer = trace.New()
+	h := New(w)
+	w.Start(func(p *mpi.Proc) { body(h, p) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := reg.WriteOpenMetrics(&out, float64(eng.Now())); err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), w.Tracer
+}
+
+// Every task of the three-level and GPU pipelines is counted and traced,
+// not only the four of the two-level design: nb/nr used to bypass the
+// traced issue point, and gb, gr and the PCIe stagings had no counter.
+func TestMetricsCountEveryLevelsTasks(t *testing.T) {
+	const n, fs = 4 << 10, 2 << 10 // 2 segments
+	cases := []struct {
+		name string
+		spec cluster.Spec
+		body func(h *HAN, p *mpi.Proc) error
+		want map[string]int // `level,task` -> count
+	}{
+		// 2 nodes x 2 sockets x 2 ranks.
+		{"Allreduce3", numaSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
+			return h.Allreduce3(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
+		}, map[string]int{"socket,sr": 16, "node,nr": 8, "inter,ir": 4, "inter,ib": 4, "node,nb": 8, "socket,sb": 16}},
+		{"AllreduceGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
+			return h.AllreduceGPU(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
+		}, map[string]int{"gpu,gr": 16, "pcie,d2h": 4, "inter,ir": 4, "inter,ib": 4, "pcie,h2d": 4, "gpu,gb": 16}},
+		// Only the root stages down; the other leader's upload is the
+		// first half of its gb.
+		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
+			return h.BcastGPU(p, mpi.Phantom(n), 0, Config{FS: fs})
+		}, map[string]int{"pcie,d2h": 2, "inter,ib": 4, "gpu,gb": 16}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out, rec := observed(t, c.spec, func(h *HAN, p *mpi.Proc) {
+				if err := c.body(h, p); err != nil {
+					t.Errorf("rank %d: %v", p.Rank, err)
+				}
+			})
+			begun := map[string]int{}
+			for _, e := range rec.Filter(trace.KindTaskBegin) {
+				begun[e.Name]++
+			}
+			total := 0
+			for key, want := range c.want {
+				level, task, _ := strings.Cut(key, ",")
+				series := fmt.Sprintf("han_tasks_total{level=%q,task=%q} %d ", level, task, want)
+				if !strings.Contains(out, series) {
+					t.Errorf("export missing %q", series)
+				}
+				if begun[task] != want {
+					t.Errorf("%d task-begin events for %s, want %d", begun[task], task, want)
+				}
+				total += want
+			}
+			if hist := fmt.Sprintf("han_task_seconds_count %d ", total); !strings.Contains(out, hist) {
+				t.Errorf("export missing %q", hist)
+			}
+			if t.Failed() {
+				t.Log(out)
+			}
+		})
+	}
+}
+
+// A two-level run exports the four two-level task series and no other:
+// the wider hierarchies' series appear on first use, so the observability
+// goldens of two-level runs do not grow rows.
+func TestMetricsTwoLevelRunExportsFourTaskSeries(t *testing.T) {
+	if got := strings.Count(metricsBcast(t), "han_tasks_total{"); got != 4 {
+		t.Errorf("%d han_tasks series in a two-level export, want 4", got)
 	}
 }

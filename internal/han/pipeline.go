@@ -1,0 +1,271 @@
+package han
+
+import (
+	"github.com/hanrepro/han/internal/coll"
+	"github.com/hanrepro/han/internal/mpi"
+	"github.com/hanrepro/han/internal/sim"
+)
+
+// The one task pipeline every HAN collective runs on (see the package
+// comment): level list -> derive -> stage table -> run. Everything here is
+// fixed-size and lives on the caller's stack: at 4096 ranks a handful of
+// per-call allocations would show up in the benchmark.
+
+const (
+	maxLevels = 3
+	maxStages = 6
+)
+
+// levelKind names a hierarchy level. It fixes the level's task names and
+// the level label of han_tasks.
+type levelKind uint8
+
+const (
+	lvIntra  levelKind = iota // a whole node over shared memory
+	lvSocket                  // one NUMA socket of a node
+	lvNode                    // a node's socket leaders
+	lvGPU                     // a node's GPUs over NVLink
+	lvInter                   // the node leaders over the network
+	lvPCIe                    // no level of its own: labels the d2h/h2d boundary stages
+	numLevelKinds
+)
+
+var levelLabels = [numLevelKinds]string{"intra", "socket", "node", "gpu", "inter", "pcie"}
+
+// level is one hierarchy level as the calling rank sees it.
+type level struct {
+	comm *mpi.Comm // nil when this rank is not a member
+	mod  coll.Module
+	root int // root within comm, for both directions
+	kind levelKind
+}
+
+// stageOp is what a stage does with its segment.
+type stageOp uint8
+
+const (
+	opDown    stageOp = iota // broadcast on the level from its root (sb, nb, gb, ib)
+	opUp                     // reduce on the level to its root (sr, nr, gr, ir)
+	opAll                    // allreduce on the level (flat single-node path)
+	opD2H                    // stage the segment device -> host over PCIe
+	opH2D                    // stage the segment host -> device over PCIe
+	opH2DDown                // opH2D then opDown, chained so they complete as one task
+	numStageOps
+)
+
+// taskNames maps a stage to the paper's task vocabulary.
+var taskNames = [numStageOps][numLevelKinds]string{
+	opDown: {lvIntra: "sb", lvSocket: "sb", lvNode: "nb", lvGPU: "gb", lvInter: "ib"},
+	opUp:   {lvIntra: "sr", lvSocket: "sr", lvNode: "nr", lvGPU: "gr", lvInter: "ir"},
+	opAll:  {lvIntra: "sa"},
+	opD2H:  {lvPCIe: "d2h"},
+	opH2D:  {lvPCIe: "h2d"},
+}
+
+// stage is one row of the stage table: at step t, do op on segment t-off
+// at level lv.
+type stage struct {
+	op      stageOp
+	lv, off uint8
+}
+
+// pipeline is one collective call on one rank: level list, stage table,
+// buffers and segment size.
+type pipeline struct {
+	lv  [maxLevels]level
+	nlv int
+	st  [maxStages]stage
+	nst int
+	// depth is the largest stage offset over all ranks' tables, so every
+	// rank runs segs()+depth steps.
+	depth int
+	// leafFirst lists a broadcast's stages innermost level first; see
+	// derive.
+	leafFirst bool
+
+	// The innermost level's reduce reads src; every other stage works in
+	// place on dst. n is their common length, fs the segment size.
+	src, dst mpi.Buf
+	n, fs    int
+	op       mpi.Op
+	dt       mpi.Datatype
+	// ib and ir parametrise the inter-node level's broadcast and reduce
+	// (algorithm and internal segment size); the other levels take their
+	// module's defaults.
+	ib, ir coll.Params
+
+	// feed holds, on the root-node leader of a broadcast whose root is not
+	// a leader, the per-segment receives of the root's data; the outermost
+	// broadcast waits for segment j's before it is issued.
+	feed []*mpi.Request
+}
+
+// init sets the buffers and clamps the segment size to [1, n].
+func (pl *pipeline) init(src, dst mpi.Buf, n int, op mpi.Op, dt mpi.Datatype, fs int) {
+	pl.src, pl.dst, pl.n, pl.op, pl.dt = src, dst, n, op, dt
+	if fs <= 0 || fs > n {
+		fs = n
+	}
+	pl.fs = fs
+}
+
+// segs is u = ceil(n/fs).
+func (pl *pipeline) segs() int { return (pl.n + pl.fs - 1) / pl.fs }
+
+// seg returns segment j of b.
+func (pl *pipeline) seg(b mpi.Buf, j int) mpi.Buf {
+	lo := j * pl.fs
+	return b.Slice(lo, min(lo+pl.fs, pl.n))
+}
+
+// add appends a stage at the current depth if this rank is a member of the
+// stage's level, and advances the depth either way: offsets are global, the
+// table is per rank.
+func (pl *pipeline) add(op stageOp, lv int) {
+	if pl.lv[lv].comm != nil {
+		pl.st[pl.nst] = stage{op, uint8(lv), uint8(pl.depth)}
+		pl.nst++
+	}
+	pl.depth++
+}
+
+// isRoot reports whether this rank is the root of level lv.
+func (pl *pipeline) isRoot(p *mpi.Proc, lv int) bool {
+	l := &pl.lv[lv]
+	return l.comm != nil && l.comm.Rank(p) == l.root
+}
+
+// derive builds the stage table of a Bcast, Reduce or Allreduce from the
+// level list: an upward sweep of reduces from the innermost level out
+// (Reduce, Allreduce), then a downward sweep of broadcasts from the
+// outermost level in (Bcast, Allreduce), one step offset per stage. Where
+// the sweep crosses from a device-resident level (lvGPU) to the level above
+// it, a PCIe staging is inserted as a stage of the upper level's members:
+// a reduction stages every partial down and every result up (d2h, h2d); a
+// broadcast only has the root stage down, and folds the upload into the
+// receiving leaders' device broadcast (opH2DDown) — the root's device copy
+// is already in place.
+//
+// Table order is issue order within a step, and simulated time depends on
+// it: tasks issued at the same instant enter the network in issue order.
+// The sweeps list stages in offset order except for leafFirst, the order
+// of the original two-level Bcast (Fig 1's sbib issues sb(i-1), then
+// ib(i)), which its sim bits are recorded with.
+func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
+	top := pl.nlv - 1
+	pl.nst, pl.depth = 0, 0
+	if kind != coll.Bcast {
+		for l := 0; l <= top; l++ {
+			if l > 0 && pl.lv[l-1].kind == lvGPU {
+				pl.add(opD2H, l)
+			}
+			pl.add(opUp, l)
+		}
+	} else if top > 0 && pl.lv[top-1].kind == lvGPU {
+		if pl.isRoot(p, top) {
+			pl.add(opD2H, top)
+		} else {
+			pl.depth++
+		}
+	}
+	if kind != coll.Reduce {
+		for l := top; l >= 0; l-- {
+			op := opDown
+			if l < top && pl.lv[l].kind == lvGPU {
+				if kind != coll.Bcast {
+					pl.add(opH2D, l+1)
+				} else if pl.lv[l+1].comm != nil && !pl.isRoot(p, l+1) {
+					op = opH2DDown
+				}
+			}
+			pl.add(op, l)
+		}
+	}
+	pl.depth-- // from stage count to largest offset
+	if pl.leafFirst && kind == coll.Bcast {
+		for i, j := 0, pl.nst-1; i < j; i, j = i+1, j-1 {
+			pl.st[i], pl.st[j] = pl.st[j], pl.st[i]
+		}
+	}
+}
+
+// run is the step loop — the only one in the package. At step t it issues
+// every stage whose segment t-off exists, in table order, then waits for
+// all of them: the task barrier of Figs 1 and 5. With a non-nil steps
+// (length segs()+depth) it records each step's duration.
+func (h *HAN) run(p *mpi.Proc, pl *pipeline, steps []sim.Time) {
+	u := pl.segs()
+	var reqs [maxStages]*mpi.Request
+	for t := 0; t < u+pl.depth; t++ {
+		t0 := p.Now()
+		k := 0
+		for _, st := range pl.st[:pl.nst] {
+			j := t - int(st.off)
+			if j < 0 || j >= u {
+				continue
+			}
+			if pl.feed != nil && st.op == opDown && int(st.lv) == pl.nlv-1 {
+				p.Wait(pl.feed[j])
+			}
+			reqs[k] = h.issue(p, pl, st, j)
+			k++
+		}
+		p.Wait(reqs[:k]...)
+		if steps != nil {
+			steps[t] = p.Now() - t0
+		}
+	}
+}
+
+// issue starts one task — stage st of pl on segment j — and is the single
+// point every task passes through, so each is traced and counted.
+func (h *HAN) issue(p *mpi.Proc, pl *pipeline, st stage, j int) *mpi.Request {
+	lv := &pl.lv[st.lv]
+	op, kind := st.op, lv.kind
+	dst := pl.seg(pl.dst, j)
+	src := dst
+	if st.lv == 0 && (op == opUp || op == opAll) {
+		src = pl.seg(pl.src, j)
+	}
+	var down, up coll.Params
+	if kind == lvInter {
+		down, up = pl.ib, pl.ir
+	}
+	var req *mpi.Request
+	switch op {
+	case opDown:
+		req = lv.mod.Ibcast(p, lv.comm, dst, lv.root, down)
+	case opUp:
+		req = lv.mod.Ireduce(p, lv.comm, src, dst, pl.op, pl.dt, lv.root, up)
+	case opAll:
+		req = lv.mod.Iallreduce(p, lv.comm, src, dst, pl.op, pl.dt, up)
+	case opD2H, opH2D:
+		req, kind = h.pcie(p, op, lv, dst), lvPCIe
+	case opH2DDown:
+		// Counted as the level's broadcast; its duration includes the upload.
+		req, op = h.pcie(p, op, lv, dst), opDown
+	}
+	return h.traced(p, op, kind, dst.N, req)
+}
+
+// pcie runs a PCIe staging of seg in a helper process — so it overlaps the
+// step's other tasks — followed, for opH2DDown, by lv's broadcast of the
+// uploaded segment.
+func (h *HAN) pcie(p *mpi.Proc, op stageOp, lv *level, seg mpi.Buf) *mpi.Request {
+	req := mpi.NewRequest()
+	cuda := h.Mods.CUDA
+	name := [...]string{opD2H: "d2h", opH2D: "h2d", opH2DDown: "h2d-gb"}[op]
+	comm, mod, root := lv.comm, lv.mod, lv.root
+	p.SpawnHelper(name, func(hp *mpi.Proc) {
+		if op == opD2H {
+			cuda.D2H(hp, seg.N)
+		} else {
+			cuda.H2D(hp, seg.N)
+		}
+		if op == opH2DDown {
+			hp.Wait(mod.Ibcast(hp, comm, seg, root, coll.Params{}))
+		}
+		req.Complete(hp.W.Eng())
+	})
+	return req
+}

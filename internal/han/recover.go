@@ -81,20 +81,39 @@ func (h *HAN) deadSet() []bool {
 	return set
 }
 
-// enterWorld applies the failure policy at a world collective's entry.
-// It returns (nil, nil) when no rank is dead (the normal path), (nil, err)
-// when the policy is Abort, and (survivors, nil) when the policy is Shrink
-// — the caller then runs the collective on the survivor communicator.
-func (h *HAN) enterWorld(op string) (*mpi.Comm, error) {
+// enter applies the failure policy at a collective's entry on communicator
+// c. It returns (nil, nil) when no member of c is dead (the normal path),
+// (nil, err) with a *RankFailedError when the policy is Abort or the
+// collective has no survivor form (canShrink false), and (survivors, nil)
+// under Shrink — the caller then runs the collective on the survivor
+// communicator: World.Shrink for the world, the live subset of c otherwise
+// (cached per death epoch so all members agree on the matching context).
+func (h *HAN) enter(c *mpi.Comm, op string, canShrink bool) (*mpi.Comm, error) {
 	w := h.W
 	if !w.CrashArmed() || w.DeathEpoch() == 0 {
 		return nil, nil
 	}
-	if h.OnFailure != Shrink {
+	world := c == w.World()
+	var live []int
+	if !world {
+		set := h.deadSet()
+		for cr := 0; cr < c.Size(); cr++ {
+			if !set[c.WorldRank(cr)] {
+				live = append(live, cr)
+			}
+		}
+		if len(live) == c.Size() {
+			return nil, nil
+		}
+	}
+	if h.OnFailure != Shrink || !canShrink {
 		h.m.recovery("abort")
 		return nil, h.rankFailed(op)
 	}
 	h.m.recovery("shrink")
+	if !world {
+		return c.Sub(fmt.Sprintf("han:shrink:%d", w.DeathEpoch()), live), nil
+	}
 	h.countReelections()
 	return w.Shrink(), nil
 }
@@ -120,33 +139,6 @@ func (h *HAN) countReelections() {
 			}
 		}
 	}
-}
-
-// enterComm is enterWorld for explicit sub-communicators: with dead
-// members under Shrink it returns the survivor subset of c (cached per
-// death epoch so all members agree on the matching context); under Abort,
-// a *RankFailedError. (nil, nil) means c has no dead members.
-func (h *HAN) enterComm(c *mpi.Comm, op string) (*mpi.Comm, error) {
-	w := h.W
-	if !w.CrashArmed() || w.DeathEpoch() == 0 {
-		return nil, nil
-	}
-	set := h.deadSet()
-	live := make([]int, 0, c.Size())
-	for cr := 0; cr < c.Size(); cr++ {
-		if !set[c.WorldRank(cr)] {
-			live = append(live, cr)
-		}
-	}
-	if len(live) == c.Size() {
-		return nil, nil
-	}
-	if h.OnFailure != Shrink {
-		h.m.recovery("abort")
-		return nil, h.rankFailed(op)
-	}
-	h.m.recovery("shrink")
-	return c.Sub(fmt.Sprintf("han:shrink:%d", w.DeathEpoch()), live), nil
 }
 
 // exitCheck turns a mid-collective death into a *RankFailedError: if the

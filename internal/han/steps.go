@@ -8,51 +8,60 @@ import (
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// This file provides instrumented variants of the Bcast and Allreduce task
-// pipelines. They run the exact task schedules of Figs 1 and 5 over phantom
-// segments and report the duration of every task step on the calling rank —
-// the measurements the task-based autotuner feeds its cost model with
-// (sections III-A2 and III-B2 of the paper).
+// This file provides the measurements the task-based autotuner feeds its
+// cost model with (sections III-A2 and III-B2 of the paper): instrumented
+// runs of the Bcast and Allreduce task pipelines that report the duration
+// of every step on the calling rank, and timers of lone or concurrent
+// tasks. All of them are the two-level world pipeline of pipeline.go over
+// phantom segments: the step schedules run the derived stage table with
+// step timing on; a timer is a one-segment table with every offset 0.
 
-// TimeIB measures a lone ib task (inter-node broadcast of one fs-sized
-// segment, leaders only). Non-leaders return 0 immediately.
-func (h *HAN) TimeIB(p *mpi.Proc, cfg Config) sim.Time {
-	if !h.W.Mach.IsNodeLeader(p.Rank) {
-		return 0
+// timed runs a stage table on the two-level world hierarchy over u phantom
+// segments of cfg.FS bytes, after a barrier, and returns the calling
+// rank's per-step durations. A nil table means the derived schedule of
+// kind, synchronised on the world and reported on leaders; an explicit
+// table synchronises on the communicator its stages span — the level's
+// when they share one, where non-members return nil without taking part —
+// else the world.
+func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, dt mpi.Datatype, cfg Config, table []stage) ([]sim.Time, error) {
+	if cfg.FS <= 0 {
+		return nil, &ConfigError{Op: who, Param: "fs",
+			Value: fmt.Sprintf("%d (steps need an explicit segment size)", cfg.FS)}
 	}
-	leaders := h.W.LeaderComm()
-	leaders.Barrier(p)
-	t0 := p.Now()
-	p.Wait(h.IB(p, leaders, mpi.Phantom(cfg.FS), 0, cfg))
-	return p.Now() - t0
-}
-
-// TimeSB measures a lone sb task (intra-node broadcast of one fs-sized
-// segment). Every rank participates; the returned duration is the cost on
-// the calling rank (the leader's value enters equation 3).
-func (h *HAN) TimeSB(p *mpi.Proc, cfg Config) sim.Time {
-	node := h.W.NodeComm(p.Node())
-	node.Barrier(p)
-	t0 := p.Now()
-	p.Wait(h.SB(p, node, mpi.Phantom(cfg.FS), cfg))
-	return p.Now() - t0
-}
-
-// TimeConcurrentSBIB measures an sb and an ib issued simultaneously with no
-// preceding task history (the green bars of Fig 2: the naive measurement
-// that misses the staggered starting times the real pipeline produces).
-func (h *HAN) TimeConcurrentSBIB(p *mpi.Proc, cfg Config) sim.Time {
-	w := h.W
-	node, leaders := h.comms(p)
-	w.World().Barrier(p)
-	t0 := p.Now()
-	var reqs []*mpi.Request
-	if w.Mach.IsNodeLeader(p.Rank) {
-		reqs = append(reqs, h.IB(p, leaders, mpi.Phantom(cfg.FS), 0, cfg))
+	if err := h.resolve(kind, u*cfg.FS, &cfg); err != nil {
+		return nil, err
 	}
-	reqs = append(reqs, h.SB(p, node, mpi.Phantom(cfg.FS), cfg))
-	p.Wait(reqs...)
-	return p.Now() - t0
+	bar := h.W.World()
+	buf := mpi.Phantom(u * cfg.FS)
+	var pl pipeline
+	pl.init(buf, buf, buf.N, op, dt, cfg.FS)
+	hr, _ := h.analyze(p, bar, who, false) // a one-node world still has both comms
+	h.twoLevels(&pl, &hr, &cfg)
+
+	if table == nil {
+		pl.derive(p, kind)
+	} else {
+		oneLevel := true
+		for _, st := range table {
+			oneLevel = oneLevel && st.lv == table[0].lv
+			if pl.lv[st.lv].comm != nil {
+				pl.st[pl.nst] = st
+				pl.nst++
+			}
+		}
+		if oneLevel {
+			if bar = pl.lv[table[0].lv].comm; bar == nil {
+				return nil, nil
+			}
+		}
+	}
+	bar.Barrier(p)
+	steps := make([]sim.Time, u+pl.depth)
+	h.run(p, &pl, steps)
+	if table == nil && !hr.isLeader {
+		return nil, nil // the schedules report the leaders' view
+	}
+	return steps, nil
 }
 
 // BcastSteps runs the Fig 1 leader schedule over u phantom segments and
@@ -65,39 +74,7 @@ func (h *HAN) TimeConcurrentSBIB(p *mpi.Proc, cfg Config) sim.Time {
 // Fig 3. A configuration without an explicit segment size (or with an
 // unknown submodule name) is rejected with a *ConfigError.
 func (h *HAN) BcastSteps(p *mpi.Proc, u int, cfg Config) ([]sim.Time, error) {
-	w := h.W
-	if cfg.FS <= 0 {
-		return nil, &ConfigError{Op: "BcastSteps", Param: "fs",
-			Value: fmt.Sprintf("%d (steps need an explicit segment size)", cfg.FS)}
-	}
-	cfg, err := h.resolve(coll.Bcast, u*cfg.FS, cfg)
-	if err != nil {
-		return nil, err
-	}
-	node, leaders := h.comms(p)
-	buf := mpi.Phantom(u * cfg.FS)
-	segs := segments(buf.N, cfg.FS)
-	w.World().Barrier(p)
-
-	if !w.Mach.IsNodeLeader(p.Rank) {
-		for _, s := range segs {
-			p.Wait(h.SB(p, node, buf.Slice(s.Lo, s.Hi), cfg))
-		}
-		return nil, nil
-	}
-	steps := make([]sim.Time, 0, u+1)
-	var prevSB *mpi.Request
-	for _, s := range segs {
-		t0 := p.Now()
-		ib := h.IB(p, leaders, buf.Slice(s.Lo, s.Hi), 0, cfg)
-		p.Wait(ib, prevSB)
-		steps = append(steps, p.Now()-t0)
-		prevSB = h.SB(p, node, buf.Slice(s.Lo, s.Hi), cfg)
-	}
-	t0 := p.Now()
-	p.Wait(prevSB)
-	steps = append(steps, p.Now()-t0)
-	return steps, nil
+	return h.timed(p, "BcastSteps", coll.Bcast, u, mpi.OpSum, mpi.Byte, cfg, nil)
 }
 
 // AllreduceSteps runs the Fig 5 pipeline over u phantom segments and
@@ -109,81 +86,59 @@ func (h *HAN) BcastSteps(p *mpi.Proc, u int, cfg Config) ([]sim.Time, error) {
 // A configuration without an explicit segment size (or with an unknown
 // submodule name) is rejected with a *ConfigError.
 func (h *HAN) AllreduceSteps(p *mpi.Proc, u int, op mpi.Op, dt mpi.Datatype, cfg Config) ([]sim.Time, error) {
-	w := h.W
-	if cfg.FS <= 0 {
-		return nil, &ConfigError{Op: "AllreduceSteps", Param: "fs",
-			Value: fmt.Sprintf("%d (steps need an explicit segment size)", cfg.FS)}
-	}
-	cfg, err := h.resolve(coll.Allreduce, u*cfg.FS, cfg)
-	if err != nil {
-		return nil, err
-	}
-	node, leaders := h.comms(p)
-	sbuf := mpi.Phantom(u * cfg.FS)
-	rbuf := mpi.Phantom(u * cfg.FS)
-	segs := segments(sbuf.N, cfg.FS)
-	iAmLeader := w.Mach.IsNodeLeader(p.Rank)
-	w.World().Barrier(p)
+	return h.timed(p, "AllreduceSteps", coll.Allreduce, u, op, dt, cfg, nil)
+}
 
-	steps := make([]sim.Time, 0, u+3)
-	for t := 0; t < u+3; t++ {
-		t0 := p.Now()
-		var reqs []*mpi.Request
-		if t < u {
-			s := segs[t]
-			reqs = append(reqs, h.SR(p, node, sbuf.Slice(s.Lo, s.Hi), rbuf.Slice(s.Lo, s.Hi), op, dt, cfg))
-		}
-		if iAmLeader {
-			if j := t - 1; j >= 0 && j < u {
-				s := segs[j]
-				seg := rbuf.Slice(s.Lo, s.Hi)
-				reqs = append(reqs, h.IR(p, leaders, seg, seg, op, dt, 0, cfg))
-			}
-			if j := t - 2; j >= 0 && j < u {
-				s := segs[j]
-				reqs = append(reqs, h.IB(p, leaders, rbuf.Slice(s.Lo, s.Hi), 0, cfg))
-			}
-		}
-		if j := t - 3; j >= 0 && j < u {
-			s := segs[j]
-			reqs = append(reqs, h.SB(p, node, rbuf.Slice(s.Lo, s.Hi), cfg))
-		}
-		p.Wait(reqs...)
-		steps = append(steps, p.Now()-t0)
+// timeTasks measures the given tasks issued together, with no preceding
+// task history, on one fs-sized segment. The task benchmarks enumerate
+// configurations from the tuner's own search space, so a rejected one is a
+// programming error.
+func (h *HAN) timeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...stage) sim.Time {
+	steps, err := h.timed(p, "timeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
+	if err != nil {
+		panic(err)
 	}
-	if !iAmLeader {
-		return nil, nil
+	if steps == nil {
+		return 0
 	}
-	return steps, nil
+	return steps[0]
+}
+
+// The two-level tasks, as rows of a timer's stage table.
+var (
+	taskSB = stage{op: opDown, lv: 0}
+	taskIB = stage{op: opDown, lv: 1}
+	taskIR = stage{op: opUp, lv: 1}
+)
+
+// TimeIB measures a lone ib task (inter-node broadcast of one fs-sized
+// segment, leaders only). Non-leaders return 0 immediately.
+func (h *HAN) TimeIB(p *mpi.Proc, cfg Config) sim.Time {
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskIB)
+}
+
+// TimeSB measures a lone sb task (intra-node broadcast of one fs-sized
+// segment). Every rank participates; the returned duration is the cost on
+// the calling rank (the leader's value enters equation 3).
+func (h *HAN) TimeSB(p *mpi.Proc, cfg Config) sim.Time {
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskSB)
+}
+
+// TimeConcurrentSBIB measures an sb and an ib issued simultaneously with no
+// preceding task history (the green bars of Fig 2: the naive measurement
+// that misses the staggered starting times the real pipeline produces).
+func (h *HAN) TimeConcurrentSBIB(p *mpi.Proc, cfg Config) sim.Time {
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskIB, taskSB)
 }
 
 // TimeConcurrentIBIR measures an ib and an ir issued simultaneously on
 // leaders (Fig 6: the full-duplex overlap between the inter-node broadcast
 // and reduction). Non-leaders return 0.
 func (h *HAN) TimeConcurrentIBIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	if !h.W.Mach.IsNodeLeader(p.Rank) {
-		return 0
-	}
-	leaders := h.W.LeaderComm()
-	bbuf := mpi.Phantom(cfg.FS)
-	rIn, rOut := mpi.Phantom(cfg.FS), mpi.Phantom(cfg.FS)
-	leaders.Barrier(p)
-	t0 := p.Now()
-	ib := h.IB(p, leaders, bbuf, 0, cfg)
-	ir := h.IR(p, leaders, rIn, rOut, op, dt, 0, cfg)
-	p.Wait(ib, ir)
-	return p.Now() - t0
+	return h.timeTasks(p, op, dt, cfg, taskIB, taskIR)
 }
 
 // TimeIR measures a lone ir task on leaders; non-leaders return 0.
 func (h *HAN) TimeIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	if !h.W.Mach.IsNodeLeader(p.Rank) {
-		return 0
-	}
-	leaders := h.W.LeaderComm()
-	rIn, rOut := mpi.Phantom(cfg.FS), mpi.Phantom(cfg.FS)
-	leaders.Barrier(p)
-	t0 := p.Now()
-	p.Wait(h.IR(p, leaders, rIn, rOut, op, dt, 0, cfg))
-	return p.Now() - t0
+	return h.timeTasks(p, op, dt, cfg, taskIR)
 }

@@ -2,6 +2,7 @@ package han
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/hanrepro/han/internal/cluster"
@@ -86,5 +87,43 @@ func TestTracedBcastTimeline(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Fatal("empty chrome trace")
+	}
+}
+
+// Within a step, tasks are issued in stage-table order, not offset order:
+// the two-level Bcast leader issues sb(i-1) before ib(i) (Fig 1's sbib, the
+// order its sim bits are recorded with), while the three-level and GPU
+// tables run outermost level first.
+func TestIssueOrderIsTableOrder(t *testing.T) {
+	const fs, n = 1 << 10, 4 << 10 // 4 segments
+	cases := []struct {
+		name string
+		spec cluster.Spec
+		call func(h *HAN, p *mpi.Proc)
+		want string // rank 0's task-begin sequence
+	}{
+		{"Bcast", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) { h.Bcast(p, mpi.Phantom(n), 0, Config{FS: fs}) },
+			"ib sb ib sb ib sb ib sb"},
+		{"Bcast3", numaSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.Bcast3(p, mpi.Phantom(n), 0, Config{FS: fs}) },
+			"ib ib nb ib nb sb ib nb sb nb sb sb"},
+		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.BcastGPU(p, mpi.Phantom(n), 0, Config{FS: fs}) },
+			"d2h d2h ib d2h ib gb d2h ib gb ib gb gb"},
+		{"Allreduce", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) {
+			h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
+		}, "sr sr ir sr ir ib sr ir ib sb ir ib sb ib sb sb"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, rec := observed(t, c.spec, c.call)
+			var got []string
+			for _, e := range rec.Filter(trace.KindTaskBegin) {
+				if e.Rank == 0 {
+					got = append(got, e.Name)
+				}
+			}
+			if s := strings.Join(got, " "); s != c.want {
+				t.Errorf("rank 0 issued\n\t%s\nwant\n\t%s", s, c.want)
+			}
+		})
 	}
 }

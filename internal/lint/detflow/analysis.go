@@ -794,8 +794,13 @@ func (fc *fnCtx) sinkHit(pos token.Pos, ts set, sink string, via []string, repor
 				m = make(map[string]SinkRef)
 				fc.paramSinks[tk.param] = m
 			}
-			ref := SinkRef{Sink: sink, Via: via}
-			m[sink+"|"+strings.Join(via, "→")] = ref
+			// One representative chain per sink — the shortest, ties broken
+			// lexically so the choice is independent of visit order. Keeping
+			// every chain makes summaries grow with the number of call paths
+			// to the sink, which multiplies at each layer of helpers.
+			if old, ok := m[sink]; !ok || viaLess(via, old.Via) {
+				m[sink] = SinkRef{Sink: sink, Via: via}
+			}
 			continue
 		}
 		if !report {
@@ -811,6 +816,14 @@ func (fc *fnCtx) sinkHit(pos token.Pos, ts set, sink string, via []string, repor
 		}
 		fc.an.report(pos, tk.t, sink, via)
 	}
+}
+
+// viaLess orders call chains by length, then lexically.
+func viaLess(a, b []string) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	return strings.Join(a, "→") < strings.Join(b, "→")
 }
 
 func (an *analyzer) report(pos token.Pos, t Taint, sink string, sinkVia []string) {
