@@ -7,19 +7,24 @@ import (
 
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
+	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// runCrash builds a world on spec, attaches plan, runs fn on every rank,
-// and returns the world plus the finish time. Crash plans wedge the ranks
-// they kill, so runs are bounded by a generous event budget instead of
-// relying on a clean drain.
-func runCrash(t *testing.T, spec cluster.Spec, seed int64, plan fault.Plan, fn func(p *Proc)) (*World, sim.Time) {
+// runCrash builds a world on spec, attaches plan, applies any setup to the
+// world, runs fn on every rank, and returns the world plus the finish time.
+// Metrics are on (observation-only) so golden_test.go can read the
+// retransmit and dead-letter counts off the returned world.
+func runCrash(t *testing.T, spec cluster.Spec, seed int64, plan fault.Plan, fn func(p *Proc), setup ...func(*World)) (*World, sim.Time) {
 	t.Helper()
 	eng := sim.New()
 	w := NewWorld(cluster.NewMachine(eng, spec), OpenMPI())
 	w.Seed(seed)
+	w.EnableMetrics(metrics.New())
 	w.AttachFaults(plan)
+	for _, f := range setup {
+		f(w)
+	}
 	w.Start(fn)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -31,18 +36,8 @@ func crashAt(rank int, at float64) fault.Plan {
 	return fault.Plan{Crashes: []fault.CrashSpec{{Rank: rank, At: at}}}
 }
 
-// With the heartbeat disabled, a sender hammering a crashed peer must
-// exhaust its bounded retransmit attempts, fail the send request with a
-// *PeerUnreachableError carrying the RTO history, and escalate to a
-// peer-dead verdict via the retransmit path.
-func TestRetransmitEscalation(t *testing.T) {
-	eng := sim.New()
-	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), OpenMPI())
-	w.Seed(1)
-	w.AttachFaults(crashAt(3, 20e-6))
-	w.SetFailureDetection(0, 0) // retransmit is the only detection path
-	var sendErr error
-	w.Start(func(p *Proc) {
+func retransmitEscalation(t *testing.T, seed int64) (w *World, end sim.Time, sendErr error) {
+	w, end = runCrash(t, cluster.Mini(2, 2), seed, crashAt(3, 20e-6), func(p *Proc) {
 		if p.Rank != 0 {
 			return
 		}
@@ -51,10 +46,18 @@ func TestRetransmitEscalation(t *testing.T) {
 		req := c.Isend(p, Bytes(pattern(256, 0)), 3, 9)
 		p.Wait(req)
 		sendErr = req.Err()
+	}, func(w *World) {
+		w.SetFailureDetection(0, 0) // retransmit is the only detection path
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	return w, end, sendErr
+}
+
+// With the heartbeat disabled, a sender hammering a crashed peer must
+// exhaust its bounded retransmit attempts, fail the send request with a
+// *PeerUnreachableError carrying the RTO history, and escalate to a
+// peer-dead verdict via the retransmit path.
+func TestRetransmitEscalation(t *testing.T) {
+	w, _, sendErr := retransmitEscalation(t, 1)
 	var unreachable *PeerUnreachableError
 	if !errors.As(sendErr, &unreachable) {
 		t.Fatalf("send to crashed rank returned %v, want *PeerUnreachableError", sendErr)
@@ -76,15 +79,8 @@ func TestRetransmitEscalation(t *testing.T) {
 	}
 }
 
-// The heartbeat path declares a crashed rank dead at the first sweep tick
-// after the suspicion interval — deterministically, with no sender traffic
-// involved.
-func TestHeartbeatDeclares(t *testing.T) {
-	var (
-		epochAtWake int
-		deadAtWake  []int
-	)
-	w, _ := runCrash(t, cluster.Mini(2, 2), 1, crashAt(2, 50e-6), func(p *Proc) {
+func heartbeatDeclares(t *testing.T, seed int64) (w *World, end sim.Time, epochAtWake int, deadAtWake []int) {
+	w, end = runCrash(t, cluster.Mini(2, 2), seed, crashAt(2, 50e-6), func(p *Proc) {
 		if p.Rank != 0 {
 			return
 		}
@@ -92,6 +88,14 @@ func TestHeartbeatDeclares(t *testing.T) {
 		epochAtWake = p.W.DeathEpoch()
 		deadAtWake = p.W.DeadRanks()
 	})
+	return w, end, epochAtWake, deadAtWake
+}
+
+// The heartbeat path declares a crashed rank dead at the first sweep tick
+// after the suspicion interval — deterministically, with no sender traffic
+// involved.
+func TestHeartbeatDeclares(t *testing.T) {
+	w, _, epochAtWake, deadAtWake := heartbeatDeclares(t, 1)
 	if epochAtWake != 1 {
 		t.Errorf("death epoch = %d, want 1", epochAtWake)
 	}
@@ -110,13 +114,10 @@ func TestHeartbeatDeclares(t *testing.T) {
 	}
 }
 
-// A whole-node crash takes down every rank of the node; sends addressed at
-// any of them fast-fail with *PeerDeadError once the batch is declared.
-func TestNodeCrashTeardown(t *testing.T) {
+func nodeCrashTeardown(t *testing.T, seed int64) (w *World, end sim.Time, errs [2]error) {
 	spec := cluster.Mini(3, 4) // ranks 4..7 = node 1
 	plan := fault.Plan{Crashes: []fault.CrashSpec{{Rank: 5, Node: true, At: 30e-6}}}
-	var errs [2]error
-	w, _ := runCrash(t, spec, 1, plan, func(p *Proc) {
+	w, end = runCrash(t, spec, seed, plan, func(p *Proc) {
 		if p.Rank != 0 {
 			return
 		}
@@ -128,6 +129,13 @@ func TestNodeCrashTeardown(t *testing.T) {
 			errs[i] = req.Err()
 		}
 	})
+	return w, end, errs
+}
+
+// A whole-node crash takes down every rank of the node; sends addressed at
+// any of them fast-fail with *PeerDeadError once the batch is declared.
+func TestNodeCrashTeardown(t *testing.T) {
+	w, _, errs := nodeCrashTeardown(t, 1)
 	if got := w.DeadRanks(); len(got) != 4 || got[0] != 4 || got[3] != 7 {
 		t.Fatalf("DeadRanks = %v, want [4 5 6 7]", got)
 	}
@@ -251,20 +259,24 @@ func TestBarrierAndTrafficOnShrunkComm(t *testing.T) {
 	}
 }
 
+func crashReplay(t *testing.T, seed int64) (*World, sim.Time) {
+	return runCrash(t, cluster.Mini(3, 4), seed,
+		fault.Plan{Crashes: []fault.CrashSpec{{Rank: 4, Node: true, At: 50e-6}}},
+		func(p *Proc) {
+			p.Sim.Sleep(1e-3)
+			if p.Sim.Dying() {
+				p.Sim.Exit()
+			}
+			c := p.W.Shrink()
+			c.Barrier(p)
+		})
+}
+
 // Two runs of the same (seed, plan) must finish at the same simulated time
 // with the same verdicts — crashes replay byte-identically.
 func TestCrashReplayDeterministic(t *testing.T) {
 	run := func() (sim.Time, []DeadRank) {
-		w, end := runCrash(t, cluster.Mini(3, 4), 42,
-			fault.Plan{Crashes: []fault.CrashSpec{{Rank: 4, Node: true, At: 50e-6}}},
-			func(p *Proc) {
-				p.Sim.Sleep(1e-3)
-				if p.Sim.Dying() {
-					p.Sim.Exit()
-				}
-				c := p.W.Shrink()
-				c.Barrier(p)
-			})
+		w, end := crashReplay(t, 42)
 		return end, w.DeadReports()
 	}
 	t1, r1 := run()

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -19,8 +21,8 @@ import (
 // eager/rendezvous sizes, wildcard receives, out-of-order tags (so both
 // the posted and the unexpected queue are exercised), zero-size
 // messages, and SendRecv exchanges — and returns the exact final-clock
-// bits.
-func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitter float64) uint64 {
+// bits plus a hash over every rank's own finish time.
+func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitter float64) churnBits {
 	t.Helper()
 	eng := sim.New()
 	spec := cluster.Mini(4, 4) // 16 ranks, 4 nodes: intra- and inter-node traffic
@@ -34,6 +36,7 @@ func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitte
 	}
 	n := w.Size()
 	rounds := 8
+	done := make([]sim.Time, n)
 	w.Start(func(p *Proc) {
 		c := p.W.World()
 		me := c.Rank(p)
@@ -75,12 +78,25 @@ func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitte
 				c.SendRecv(p, Phantom(size), right, round, Phantom(3*pers.EagerThreshold), left, round)
 			}
 		}
+		done[me] = p.Now()
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatalf("pooled=%v seed=%d: %v", pooled, seedv, err)
 	}
-	return math.Float64bits(float64(eng.Now()))
+	hash := fnv.New64a()
+	var b [8]byte
+	for _, d := range done {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(d)))
+		hash.Write(b[:])
+	}
+	return churnBits{math.Float64bits(float64(eng.Now())), hash.Sum64()}
 }
+
+// churnBits is what a churn run is compared by: the engine clock when the
+// queue drained (under a fault plan that is the plan's last window edge,
+// whatever the traffic did) and an FNV-1a hash over the ranks' finish times
+// in rank order, which moves when any rank finishes earlier or later.
+type churnBits struct{ end, ranks uint64 }
 
 // The pooled P2P path must reproduce the reference path to the bit
 // across seeds and jittered latencies (which pins the RNG draw points).
@@ -90,7 +106,7 @@ func TestDifferentialPooledVsReferenceP2P(t *testing.T) {
 			pooled := runP2PChurn(t, true, seedv, nil, jitter)
 			ref := runP2PChurn(t, false, seedv, nil, jitter)
 			if pooled != ref {
-				t.Fatalf("seed %d jitter %v: final clock differs: pooled %016x vs reference %016x",
+				t.Fatalf("seed %d jitter %v: run differs: pooled %#x vs reference %#x",
 					seedv, jitter, pooled, ref)
 			}
 		}
@@ -111,7 +127,7 @@ func TestDifferentialPooledVsReferenceP2PFaults(t *testing.T) {
 			pooled := runP2PChurn(t, true, seedv, &plan, 0.05)
 			ref := runP2PChurn(t, false, seedv, &plan, 0.05)
 			if pooled != ref {
-				t.Fatalf("plan %s seed %d: final clock differs: pooled %016x vs reference %016x",
+				t.Fatalf("plan %s seed %d: run differs: pooled %#x vs reference %#x",
 					name, seedv, pooled, ref)
 			}
 		}
