@@ -74,11 +74,24 @@ var goldenChurnFaults = []struct {
 	}},
 }
 
+// goldenOnReference makes every world the golden tests build run the
+// signal-chain reference path, so the tables hold both implementations to
+// the same bits for as long as both exist.
+var goldenOnReference bool
+
+func TestGoldensOnReferencePath(t *testing.T) {
+	goldenOnReference = true
+	defer func() { goldenOnReference = false }()
+	t.Run("Churn", TestGoldenChurnBits)
+	t.Run("ChurnFaults", TestGoldenChurnFaultBits)
+	t.Run("Crash", TestGoldenCrashScenarios)
+}
+
 func TestGoldenChurnBits(t *testing.T) {
 	for i, want := range goldenChurn {
 		var got [2]churnBits
 		for j, jitter := range []float64{0, 0.1} {
-			got[j] = runP2PChurn(t, true, int64(i+1), nil, jitter)
+			got[j] = runP2PChurn(t, !goldenOnReference, int64(i+1), nil, jitter)
 		}
 		if got != want {
 			t.Errorf("seed %d changed bits; row is now\n\t{%s},", i+1, rowList(got[:]))
@@ -94,7 +107,7 @@ func TestGoldenChurnFaultBits(t *testing.T) {
 		}
 		var got [5]churnBits
 		for i := range got {
-			got[i] = runP2PChurn(t, true, int64(i+1), &plan, 0.05)
+			got[i] = runP2PChurn(t, !goldenOnReference, int64(i+1), &plan, 0.05)
 		}
 		if got != row.bits {
 			t.Errorf("plan changed bits; row is now\n\t{%q, [5]churnBits{\n\t\t%s}},", row.plan, rowList(got[:]))
@@ -146,6 +159,7 @@ func crashMidBurst(t *testing.T, seed int64) (*World, sim.Time) {
 	pers := OpenMPI()
 	pers.Jitter = 0.05
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(3, 4)), pers)
+	w.SetPooling(!goldenOnReference)
 	w.Seed(seed)
 	w.EnableMetrics(metrics.New())
 	w.AttachFaults(fault.Plan{

@@ -49,6 +49,10 @@ type sendOp struct {
 
 	dataSig sim.Signal // backs msg.dataArrived
 
+	// rel is the retransmission state of an eager send whose envelope went
+	// out under a drop or crash plan; nil otherwise.
+	rel *retx
+
 	// Persistent closures, created once in the pool's Init hook.
 	onSendOvDone func() // send-side progression work finished
 	onEnvLat     func() // envelope latency elapsed
@@ -110,11 +114,7 @@ func (w *World) pair(srcW, dstW int) *pairState {
 // configuration is final.
 func (w *World) p2pPooled() bool {
 	if w.p2pMode == p2pUndecided {
-		// Drop plans force the reference path (per-attempt retransmission
-		// state), and so do crash plans: the watch registry and declaration
-		// machinery hold *Request pointers across collective boundaries,
-		// which pooled recycling would turn into stale slots.
-		if w.pooling && !w.faults.DropsEnabled() && w.crash == nil {
+		if w.pooling {
 			w.p2pMode = p2pPooledMode
 		} else {
 			w.p2pMode = p2pReferenceMode
@@ -171,6 +171,7 @@ func (w *World) initPools() {
 			op.bytes = 0
 			op.envReady = false
 			op.refs = 0
+			op.rel = nil
 		},
 		Slot: func(op *sendOp) *arena.Slot { return &op.slot },
 	})
@@ -230,6 +231,18 @@ func (c *Comm) isendPooled(p *Proc, buf Buf, dst, tag int, me int) *Request {
 	req := w.reqPool.Get()
 	req.site = WaitSite{Op: "send", Peer: dst, Tag: tag, Ctx: c.ctx}
 	srcW, dstW := p.Rank, c.ranks[dst]
+	if cs := w.crash; cs != nil {
+		if cs.dead[dstW] {
+			// The peer has already been declared dead: fail fast instead of
+			// spending attempts against a rank every survivor knows is gone.
+			w.m.deadLetters.Inc()
+			req.fail(w.Eng(), &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
+			return req
+		}
+		if cs.isTarget[dstW] {
+			cs.watch[dstW] = append(cs.watch[dstW], watchEntry{req: req})
+		}
+	}
 
 	// Snapshot real payloads so the sender may reuse its buffer as soon as
 	// the request completes, regardless of when the receiver copies.
@@ -298,12 +311,124 @@ func (w *World) drainEnv(ps *pairState) {
 // eager sends the wire is engaged before delivery, exactly as the
 // reference does.
 func (w *World) envelopeArrived(op *sendOp) {
-	if op.msg.eager {
-		op.pair.startData(w, op)
-	} else {
+	switch {
+	case !op.msg.eager:
 		op.msg.onMatch = op.onMatchFn
+	case w.faults.DropsEnabled() || w.crash != nil:
+		w.startReliable(op)
+	default:
+		op.pair.startData(w, op)
 	}
 	w.deliver(op.ctx, op.dstW, &op.msg)
+}
+
+// retx is the retransmission state of one eager send under a drop or crash
+// plan: each transmission attempt may be lost (the injector decides, drawing
+// from the world's seeded RNG, or the receiver has crashed), so the sender
+// arms a retransmission timeout with exponential backoff and keeps
+// resending until one attempt drains intact, at which point an ack travels
+// back and completes the send request. Dropped payloads still charge the
+// wire — the bytes moved before vanishing. The injector caps consecutive
+// drops per message, bounding worst-case latency.
+//
+// Every attempt is one more entry of the op in its pair's wire FIFO, holding
+// one of the op's refs until it drains; the FIFO drains a message's attempts
+// in the order they were queued, so their outcomes are a queue too. The
+// state is heap-allocated per send, and only when a plan calls for it.
+type retx struct {
+	w       *World
+	op      *sendOp
+	attempt int
+	acked   bool
+	rto     sim.Timer
+	dropped []bool // outcome of each attempt on or queued for the wire, oldest at head
+	head    int
+
+	onRTO func() // retransmission timeout expired
+	onAck func() // ack arrived back at the sender
+}
+
+func (w *World) startReliable(op *sendOp) {
+	r := &retx{w: w, op: op}
+	r.onRTO = func() {
+		if !r.acked {
+			r.try()
+		}
+	}
+	r.onAck = func() {
+		op.req.Complete(w.Eng())
+		w.decref(op) // the sender's own ref; the attempts released theirs as they drained
+	}
+	op.rel = r
+	r.try()
+}
+
+// try transmits the next attempt, or gives the message up.
+func (r *retx) try() {
+	w, op := r.w, r.op
+	eng := w.Eng()
+	if r.acked || op.req.err != nil {
+		return
+	}
+	cs := w.crash
+	if cs != nil && cs.dead[op.dstW] {
+		// Declared dead while we were retransmitting: stop resending.
+		op.req.fail(eng, &PeerDeadError{Rank: op.dstW, Via: cs.deadVia(op.dstW)})
+		return
+	}
+	a := r.attempt
+	r.attempt++
+	if cs != nil && a >= w.sendAttemptCap() {
+		// Retransmit escalation: every bounded attempt went unacked, so
+		// the sender renders its own peer-dead verdict (crash.go).
+		rtos := make([]float64, a)
+		for k := range rtos {
+			rtos[k] = w.faults.RTO(k)
+		}
+		op.req.fail(eng, &PeerUnreachableError{Rank: op.dstW, Attempts: a, RTOs: rtos})
+		w.declareDead(op.dstW, "retransmit")
+		return
+	}
+	if a > 0 {
+		w.m.retransmits.Inc()
+	}
+	var dropped bool
+	if cs != nil && cs.crashed[op.dstW] {
+		// The receiver's NIC is gone: the payload vanishes unacked,
+		// without drawing plan randomness.
+		dropped = true
+	} else if dropped = w.faults.DropEager(float64(eng.Now()), a); dropped {
+		w.m.dropsInjected.Inc()
+		w.Tracer.Record(trace.Event{
+			T: float64(eng.Now()), Rank: op.srcW, Kind: trace.KindDrop,
+			Name: "drop", Size: op.msg.size, Peer: op.dstW,
+		})
+	}
+	r.dropped = append(r.dropped, dropped)
+	op.refs++
+	op.pair.startData(w, op)
+	// Arm the retransmission timeout for this attempt. If it fires before
+	// an intact payload drained, resend. A retransmit issued while an
+	// earlier intact attempt is still queued is spurious but harmless: the
+	// late duplicate sees acked and is ignored.
+	eng.AfterInto(&r.rto, sim.Time(w.faults.RTO(a)), r.onRTO)
+}
+
+// drained retires the oldest attempt on the wire: the first one to arrive
+// intact delivers the payload and sends the ack back.
+func (r *retx) drained() {
+	dropped := r.dropped[r.head]
+	r.head++
+	if r.acked || dropped {
+		return
+	}
+	r.acked = true
+	r.rto.Cancel()
+	w, op := r.w, r.op
+	op.msg.dataArrived.Fire(w.Eng())
+	// The ack travels back one envelope latency; only then may the sender
+	// retire the message.
+	w.Eng().Schedule(sim.Time(w.latency(op.dstW, op.srcW)), r.onAck)
 }
 
 // startData engages the pair's wire for op's payload, or queues it FIFO
@@ -334,17 +459,23 @@ func (w *World) wireDrained(op *sendOp) {
 	} else {
 		ps.wireBusy = false
 	}
-	eng := w.Eng()
-	op.msg.dataArrived.Fire(eng)
-	op.req.Complete(eng)
+	if op.rel != nil {
+		op.rel.drained()
+	} else {
+		eng := w.Eng()
+		op.msg.dataArrived.Fire(eng)
+		op.req.Complete(eng)
+	}
 	w.decref(op)
 }
 
 // release returns a pooled request once its completion has been
 // observed by Proc.Wait. Heap requests (NewRequest) pass through
-// untouched.
+// untouched, and while a crash plan is armed so does everything else: the
+// watch registry holds requests until their peer is declared dead, and
+// callers read Err after Wait returns.
 func (w *World) release(r *Request) {
-	if r.pooled {
+	if r.pooled && w.crash == nil {
 		w.reqPool.Put(r)
 	}
 }

@@ -113,12 +113,11 @@ func TestDifferentialPooledVsReferenceP2P(t *testing.T) {
 	}
 }
 
-// Same differential under fault plans. Stragglers scale overheads on the
-// pooled path directly; drop plans force the world onto the reference
-// path, which must be indistinguishable from explicitly disabling
-// pooling.
+// Same differential under fault plans: stragglers scale overheads, flaps
+// cut link capacity, drops put eager sends through retransmission on both
+// paths.
 func TestDifferentialPooledVsReferenceP2PFaults(t *testing.T) {
-	for _, name := range []string{"stragglers", "flaps", "drops"} {
+	for _, name := range []string{"stragglers", "flaps", "drops", "combined"} {
 		plan, err := fault.Builtin(name)
 		if err != nil {
 			t.Fatal(err)
