@@ -41,6 +41,7 @@ race:
 ci: build lint race
 	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden' ./internal/flow/ ./internal/mpi/ ./internal/han/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos' ./internal/flow/ ./internal/mpi/ ./internal/han/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI
@@ -91,8 +92,8 @@ docs:
 
 # Allocator benchmarks, micro to macro: the flow-level rebalance
 # micro-benchmarks (incremental vs reference), the paper-scale 4096-rank
-# wall-clock point on both allocation paths, and the 98304-rank phantom
-# scale tier with its memory accounting. Compare against
+# wall-clock point, and the 98304-rank phantom scale tier with its memory
+# accounting. Compare against
 # BENCH_allocator.json; regenerate that baseline from this output.
 bench-alloc:
 	$(GO) test -run xxx -bench Rebalance -benchmem ./internal/flow/

@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"github.com/hanrepro/han/internal/apps"
-	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/autotune"
 	"github.com/hanrepro/han/internal/bench"
 	"github.com/hanrepro/han/internal/cluster"
@@ -196,34 +195,8 @@ func BenchmarkFig10BcastShaheen(b *testing.B) {
 // one HAN broadcast on the full ShaheenII machine (128 nodes x 32 ranks =
 // 4096 processes, the scale of Figs 10/13), at a 256KB point so a single
 // iteration stays in seconds. It exists to measure the *simulator's own*
-// cost at headline scale; BENCH_allocator.json records its baseline. The
-// RefAlloc variant runs the same workload on the from-scratch reference
-// allocator for an A/B comparison — both must report byte-identical sim-us.
+// cost at headline scale; BENCH_allocator.json records its baseline.
 func BenchmarkFig10Scale4096(b *testing.B) {
-	spec := cluster.ShaheenII()
-	var hanT float64
-	for i := 0; i < b.N; i++ {
-		hanT = imbPoint(spec, bench.HANSystem(nil), coll.Bcast, 256<<10)
-	}
-	b.ReportMetric(hanT*1e6, "sim-us/HAN")
-}
-
-func BenchmarkFig10Scale4096RefPool(b *testing.B) {
-	prev := arena.Default
-	arena.Default = false
-	defer func() { arena.Default = prev }()
-	spec := cluster.ShaheenII()
-	var hanT float64
-	for i := 0; i < b.N; i++ {
-		hanT = imbPoint(spec, bench.HANSystem(nil), coll.Bcast, 256<<10)
-	}
-	b.ReportMetric(hanT*1e6, "sim-us/HAN")
-}
-
-func BenchmarkFig10Scale4096RefAlloc(b *testing.B) {
-	prev := flow.DefaultAllocator
-	flow.DefaultAllocator = flow.Reference
-	defer func() { flow.DefaultAllocator = prev }()
 	spec := cluster.ShaheenII()
 	var hanT float64
 	for i := 0; i < b.N; i++ {
@@ -321,32 +294,26 @@ func TestScaleSmoke(t *testing.T) {
 	t.Log(r)
 }
 
-// TestPoolingParityEndToEnd runs a full HAN broadcast through the whole
-// MPI stack with arena pooling on and off and requires bit-identical
-// virtual times — the end-to-end form of internal/mpi's and
-// internal/flow's pooled-vs-reference differential suites.
-func TestPoolingParityEndToEnd(t *testing.T) {
-	measure := func(pooled bool) uint64 {
-		prev := arena.Default
-		arena.Default = pooled
-		defer func() { arena.Default = prev }()
-		return math.Float64bits(imbPoint(shaheenSmall(), bench.HANSystem(nil), coll.Bcast, 4<<20))
-	}
-	pooled, ref := measure(true), measure(false)
-	if pooled != ref {
-		t.Fatalf("pooling changes end-to-end time: pooled %016x vs reference %016x", pooled, ref)
-	}
-}
-
 // TestAllocatorParityEndToEnd runs a full HAN broadcast through the whole
-// MPI stack under both allocators and requires bit-identical virtual times
-// — the end-to-end form of internal/flow's differential tests.
+// MPI stack on the incremental allocator and on the from-scratch reference
+// one (selected on the test's own machine) and requires bit-identical
+// virtual times — the end-to-end form of internal/flow's differential tests.
 func TestAllocatorParityEndToEnd(t *testing.T) {
 	measure := func(a flow.Allocator) uint64 {
-		prev := flow.DefaultAllocator
-		flow.DefaultAllocator = a
-		defer func() { flow.DefaultAllocator = prev }()
-		return math.Float64bits(imbPoint(shaheenSmall(), bench.HANSystem(nil), coll.Bcast, 4<<20))
+		eng := sim.New()
+		mach := cluster.NewMachine(eng, shaheenSmall())
+		mach.Net.SetAllocator(a)
+		w := mpi.NewWorld(mach, mpi.OpenMPI())
+		h := han.New(w)
+		w.Start(func(p *mpi.Proc) {
+			if err := h.Bcast(p, mpi.Phantom(4<<20), 0, han.Config{}); err != nil {
+				t.Errorf("rank %d: %v", p.Rank, err)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64bits(float64(eng.Now()))
 	}
 	inc, ref := measure(flow.Incremental), measure(flow.Reference)
 	if inc != ref {

@@ -17,13 +17,11 @@ import (
 	"strings"
 	"time"
 
-	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/autotune"
 	"github.com/hanrepro/han/internal/bench"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/fault"
-	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/rivals"
@@ -38,8 +36,6 @@ func main() {
 	systemsFlag := flag.String("systems", "HAN,OpenMPI-default", "comma-separated systems: HAN, OpenMPI-default, CrayMPI, IntelMPI, MVAPICH2")
 	sizesFlag := flag.String("sizes", "", "comma-separated message sizes in bytes (default: IMB small+large sweep)")
 	tablePath := flag.String("table", "", "autotuning lookup table (JSON) to drive HAN's decisions")
-	refAlloc := flag.Bool("refalloc", false, "use the from-scratch reference rate allocator instead of the incremental one (A/B debugging; results are bit-identical, only wall-clock differs)")
-	refPool := flag.Bool("refpool", false, "disable arena pooling of flows and P2P records (A/B debugging; results are bit-identical, only wall-clock and allocation volume differ)")
 	scaleTier := flag.Bool("scale", false, "run the payload-free phantom scale tier instead of the IMB sweep: one HAN broadcast of the first size, no barriers, with memory accounting (use -nodes/-ppn to set the world; default 3072x32 = 98304 ranks)")
 	groups := flag.Int("groups", 0, "partition the -scale run into this many node groups for the parallel engine (must divide the node count; 0 = unpartitioned serial scale tier)")
 	parallelSim := flag.String("parallel-sim", "oracle", "engine for the partitioned -scale run: 'oracle' (all partitions on one shared serial engine, the bit-identical reference) or a host worker count for the windowed parallel engine (0 = GOMAXPROCS); sim results are identical for every value")
@@ -63,13 +59,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopProfiles()
-
-	if *refAlloc {
-		flow.DefaultAllocator = flow.Reference
-	}
-	if *refPool {
-		arena.Default = false
-	}
 
 	spec, err := cluster.ByName(*machine)
 	if err != nil {

@@ -5,13 +5,6 @@ import (
 	"os"
 )
 
-// Default controls whether newly constructed networks and worlds run their
-// hot paths on arena pools (true) or on the original from-scratch
-// allocation path kept as the behavioural oracle (false). Tools and
-// differential tests flip it (cmd/hanbench -refpool); like
-// flow.DefaultAllocator it is read at construction time only.
-var Default = true
-
 // Debug enables use-after-free checking: Put quarantines slots instead of
 // recycling them, so any stale pointer dereference hits a slot whose
 // generation has moved on and whose contents are reset. It defaults to the

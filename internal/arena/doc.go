@@ -24,6 +24,5 @@
 // own pools on construction, so a pool is only ever touched by the
 // goroutine-group of the one engine it serves — partition migration
 // between host workers is safe because the coordinator's round barrier
-// orders each partition's windows. The package-level Default flag (the
-// -refpool A/B switch) is read at construction time only.
+// orders each partition's windows.
 package arena

@@ -16,14 +16,10 @@ const (
 	// plus compacted progressive filling, allocation-free on the rebalance
 	// hot path.
 	Incremental Allocator = iota
-	// Reference is the original from-scratch progressive filler. It is kept
-	// as the oracle for differential tests and for A/B benchmarking.
+	// Reference is the original from-scratch progressive filler, kept as
+	// the oracle the differential tests select with Network.SetAllocator.
 	Reference
 )
-
-// DefaultAllocator is the allocator new networks start with. Tools flip it
-// to Reference for A/B runs (see cmd/hanbench -refalloc).
-var DefaultAllocator = Incremental
 
 // Resource is a capacity-limited element of the platform.
 type Resource struct {
@@ -135,10 +131,10 @@ type Network struct {
 	mon       *Monitor
 }
 
-// NewNetwork returns a flow network bound to the given engine, using
-// DefaultAllocator and arena.Default pooling.
+// NewNetwork returns a flow network bound to the given engine, on the
+// incremental allocator with flow recycling on.
 func NewNetwork(e *sim.Engine) *Network {
-	n := &Network{e: e, mode: DefaultAllocator, pooling: arena.Default}
+	n := &Network{e: e, mode: Incremental, pooling: true}
 	n.pool = arena.NewPool(arena.Options[Flow]{
 		Name: "flow.Flow",
 		Init: func(f *Flow) {
@@ -174,16 +170,10 @@ func resetFlow(f *Flow) {
 // state and produce identical results).
 func (n *Network) SetAllocator(a Allocator) { n.mode = a }
 
-// AllocatorMode returns the active allocator implementation.
-func (n *Network) AllocatorMode() Allocator { return n.mode }
-
 // SetPooling switches flow recycling on or off for subsequently started
-// flows. Like SetAllocator it exists for differential tests and A/B runs;
-// flows already in flight keep the lifecycle they were started with.
+// flows. Like SetAllocator it exists for differential tests; flows already
+// in flight keep the lifecycle they were started with.
 func (n *Network) SetPooling(on bool) { n.pooling = on }
-
-// Pooling reports whether started flows are arena-recycled on completion.
-func (n *Network) Pooling() bool { return n.pooling }
 
 // NewResource creates a resource with the given capacity in bytes/s.
 func (n *Network) NewResource(name string, capacity float64) *Resource {

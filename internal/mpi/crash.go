@@ -122,8 +122,9 @@ type crashState struct {
 
 // armCrashes wires the injector's crash schedule into the world: timed
 // crashes become engine callbacks, crash-on-Nth-collective triggers are
-// recorded for CollBegin, and from here on P2P traffic runs the reference
-// path with reliable eager delivery and per-target request watching.
+// recorded for CollBegin, and from here on eager sends are retransmitted
+// until acknowledged, requests addressed at a crash target are watched, and
+// no request is recycled (p2p.go reads all three off w.crash).
 func (w *World) armCrashes() {
 	n := w.Size()
 	cs := &crashState{

@@ -19,7 +19,6 @@ func runCrash(t *testing.T, spec cluster.Spec, seed int64, plan fault.Plan, fn f
 	t.Helper()
 	eng := sim.New()
 	w := NewWorld(cluster.NewMachine(eng, spec), OpenMPI())
-	w.SetPooling(!goldenOnReference)
 	w.Seed(seed)
 	w.EnableMetrics(metrics.New())
 	w.AttachFaults(plan)

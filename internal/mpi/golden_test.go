@@ -15,13 +15,13 @@ import (
 // This file pins the P2P layer's simulated timing bit for bit: the churn
 // workload with and without fault plans, and the crash scenarios of
 // crash_test.go with their verdicts and counters. The values were recorded
-// while the tree still had two P2P implementations — fault-free rows on the
-// pooled path, drop and crash rows on the signal-chain path that then ran
-// under those plans — so they are the contract the one remaining state
-// machine holds. CI runs them a second time under HAN_ARENA_DEBUG=1, where
-// no pool slot is ever reused: equal bits there are the recycling-on versus
-// recycling-off differential. On a mismatch the failure prints the row in
-// table syntax.
+// while the tree had two P2P implementations — fault-free rows on the
+// pooled path, drop and crash rows on the per-send signal-chain path that
+// ran under those plans — and held on both before the second was deleted,
+// so they are the contract the one state machine keeps. CI runs them a
+// second time under HAN_ARENA_DEBUG=1, where no pool slot is ever reused:
+// equal bits there are the recycling-on versus recycling-off differential.
+// On a mismatch the failure prints the row in table syntax.
 
 // goldenChurn holds runP2PChurn's outcome without a plan: seeds 1..10,
 // jitter 0 then 0.1.
@@ -74,24 +74,11 @@ var goldenChurnFaults = []struct {
 	}},
 }
 
-// goldenOnReference makes every world the golden tests build run the
-// signal-chain reference path, so the tables hold both implementations to
-// the same bits for as long as both exist.
-var goldenOnReference bool
-
-func TestGoldensOnReferencePath(t *testing.T) {
-	goldenOnReference = true
-	defer func() { goldenOnReference = false }()
-	t.Run("Churn", TestGoldenChurnBits)
-	t.Run("ChurnFaults", TestGoldenChurnFaultBits)
-	t.Run("Crash", TestGoldenCrashScenarios)
-}
-
 func TestGoldenChurnBits(t *testing.T) {
 	for i, want := range goldenChurn {
 		var got [2]churnBits
 		for j, jitter := range []float64{0, 0.1} {
-			got[j] = runP2PChurn(t, !goldenOnReference, int64(i+1), nil, jitter)
+			_, got[j] = runP2PChurn(t, int64(i+1), nil, jitter)
 		}
 		if got != want {
 			t.Errorf("seed %d changed bits; row is now\n\t{%s},", i+1, rowList(got[:]))
@@ -107,7 +94,7 @@ func TestGoldenChurnFaultBits(t *testing.T) {
 		}
 		var got [5]churnBits
 		for i := range got {
-			got[i] = runP2PChurn(t, !goldenOnReference, int64(i+1), &plan, 0.05)
+			_, got[i] = runP2PChurn(t, int64(i+1), &plan, 0.05)
 		}
 		if got != row.bits {
 			t.Errorf("plan changed bits; row is now\n\t{%q, [5]churnBits{\n\t\t%s}},", row.plan, rowList(got[:]))
@@ -159,7 +146,6 @@ func crashMidBurst(t *testing.T, seed int64) (*World, sim.Time) {
 	pers := OpenMPI()
 	pers.Jitter = 0.05
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(3, 4)), pers)
-	w.SetPooling(!goldenOnReference)
 	w.Seed(seed)
 	w.EnableMetrics(metrics.New())
 	w.AttachFaults(fault.Plan{

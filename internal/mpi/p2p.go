@@ -4,9 +4,22 @@ import (
 	"fmt"
 
 	"github.com/hanrepro/han/internal/arena"
+	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
 )
+
+// This file is the point-to-point layer: one state machine per directed
+// (sender, receiver) pair, driven by arena-pooled records. A send is a
+// sendOp that walks send overhead -> envelope latency -> the pair's
+// envelope FIFO (MPI's non-overtaking guarantee) -> matching at the
+// receiver, and moves its payload through the pair's wire FIFO (one payload
+// on the wire at a time, as on a real per-peer connection) either right
+// away (eager) or after a clear-to-send (rendezvous). Under a drop or crash
+// plan an eager payload is retransmitted until acknowledged (retx). The
+// protocol steps are persistent closures created once per pool slot, so the
+// steady state allocates nothing; golden_test.go pins the resulting timing
+// bit for bit, with and without fault plans.
 
 // Wildcards for Irecv.
 const (
@@ -32,16 +45,13 @@ type message struct {
 	size int
 	data Buf
 
-	eager       bool
-	dataArrived *sim.Signal // payload fully at the receiver
-	onMatch     func()      // rendezvous only: start the clear-to-send
-	op          *sendOp     // owning pooled record; nil on the reference path
+	eager bool
+	op    *sendOp // owning record
 }
 
-// recvReq is a posted receive awaiting a matching message. Pooled
-// receives (pool.go) carry persistent completion closures and are
-// recycled once the payload has been copied out; reference receives are
-// heap-allocated per call.
+// recvReq is a posted receive awaiting a matching message. It carries
+// persistent completion closures and is recycled once the payload has been
+// copied out.
 type recvReq struct {
 	src, tag int
 	buf      Buf
@@ -49,8 +59,7 @@ type recvReq struct {
 	comm     *Comm
 	dstWorld int
 
-	pooled   bool
-	m        *message // matched message (pooled path)
+	m        *message // matched message
 	onData   func()   // payload arrived: start receive-side overhead
 	onOvDone func()   // overhead done: copy out and complete
 	slot     arena.Slot
@@ -98,6 +107,180 @@ func removeMsgAt(s []*message, i int) []*message {
 	return s[:last]
 }
 
+// sendOp is the per-send record: the message, the wire/envelope queue
+// linkage, and the persistent closures that drive the protocol. It is
+// created by Isend and released once the sender's side (payload drained,
+// send request completed), the receive side (payload copied out) and, under
+// retransmission, every attempt still queued for the wire are done with it
+// — refs counts those.
+type sendOp struct {
+	w    *World
+	msg  message
+	req  *Request
+	pair *pairState
+
+	srcW, dstW int
+	ctx        int
+	bytes      float64 // wire bytes (size / protocol efficiency)
+	envReady   bool    // own envelope latency has elapsed
+	refs       int
+
+	dataSig sim.Signal // payload fully at the receiver
+
+	// rel is the retransmission state of an eager send whose envelope went
+	// out under a drop or crash plan; nil otherwise.
+	rel *retx
+
+	// Persistent closures, created once in the pool's Init hook.
+	onSendOvDone func() // send-side progression work finished
+	onEnvLat     func() // envelope latency elapsed
+	onMatch      func() // rendezvous matched: issue the clear-to-send
+	onCTS        func() // clear-to-send arrived back at the sender
+	onWireDone   func() // payload drained from the wire
+
+	slot arena.Slot
+}
+
+// opQueue is a FIFO of sendOps with O(1) push/pop and a reusable backing
+// array: a head index avoids shifting, and the array rewinds once
+// drained, so a steady-state queue never reallocates or pins a released
+// op.
+type opQueue struct {
+	q    []*sendOp
+	head int
+}
+
+func (q *opQueue) empty() bool    { return q.head == len(q.q) }
+func (q *opQueue) push(o *sendOp) { q.q = append(q.q, o) }
+func (q *opQueue) peek() *sendOp  { return q.q[q.head] }
+
+func (q *opQueue) pop() *sendOp {
+	o := q.q[q.head]
+	q.q[q.head] = nil
+	q.head++
+	if q.head == len(q.q) {
+		q.q = q.q[:0]
+		q.head = 0
+	}
+	return o
+}
+
+// pairState is the persistent per-directed-pair state: the cached data
+// path, the wire FIFO (one payload on the wire at a time, program order),
+// and the envelope FIFO (MPI's non-overtaking guarantee).
+type pairState struct {
+	path     []*flow.Resource // cached dataPath(src, dst)
+	wireBusy bool             // a payload is on the wire
+	wireQ    opQueue          // payloads waiting for the wire
+	envQ     opQueue          // sends in issue order, delivered FIFO
+}
+
+func (w *World) pair(srcW, dstW int) *pairState {
+	k := pairKey{srcW, dstW}
+	ps := w.pairs[k]
+	if ps == nil {
+		ps = &pairState{path: w.dataPath(srcW, dstW)}
+		w.pairs[k] = ps
+	}
+	return ps
+}
+
+func (w *World) initPools() {
+	eng := w.Eng()
+	w.pairs = make(map[pairKey]*pairState)
+	w.reqPool = arena.NewPool(arena.Options[Request]{
+		Name: "mpi.request",
+		Init: func(r *Request) { r.pooled = true },
+		Reset: func(r *Request) {
+			r.doneSig.Reset()
+			r.site = WaitSite{}
+			r.err = nil
+		},
+		Slot: func(r *Request) *arena.Slot { return &r.slot },
+	})
+	w.sendPool = arena.NewPool(arena.Options[sendOp]{
+		Name: "mpi.sendOp",
+		Init: func(op *sendOp) {
+			op.w = w
+			op.msg.op = op
+			op.onSendOvDone = func() {
+				// Envelope latency (and its jitter, if any) is sampled when
+				// the send-side progression work finishes.
+				eng.Schedule(sim.Time(w.latency(op.srcW, op.dstW)), op.onEnvLat)
+			}
+			op.onEnvLat = func() {
+				op.envReady = true
+				w.drainEnv(op.pair)
+			}
+			op.onMatch = func() {
+				// Clear-to-send travels back, then the payload moves.
+				eng.Schedule(sim.Time(w.latency(op.dstW, op.srcW)), op.onCTS)
+			}
+			op.onCTS = func() { op.pair.startData(w, op) }
+			op.onWireDone = func() { w.wireDrained(op) }
+		},
+		Reset: func(op *sendOp) {
+			op.msg.src, op.msg.tag, op.msg.size = 0, 0, 0
+			op.msg.data = Buf{}
+			op.msg.eager = false
+			op.dataSig.Reset()
+			op.req = nil
+			op.pair = nil
+			op.srcW, op.dstW, op.ctx = 0, 0, 0
+			op.bytes = 0
+			op.envReady = false
+			op.refs = 0
+			op.rel = nil
+		},
+		Slot: func(op *sendOp) *arena.Slot { return &op.slot },
+	})
+	w.recvPool = arena.NewPool(arena.Options[recvReq]{
+		Name: "mpi.recvReq",
+		Init: func(r *recvReq) {
+			r.onData = func() {
+				ro := w.Pers.RecvOverhead
+				if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
+					ro *= s
+				}
+				ov := w.Mach.CPUWork(r.dstWorld, ro)
+				ov.Done().OnFire(r.onOvDone)
+			}
+			r.onOvDone = func() {
+				m := r.m
+				r.buf.Slice(0, m.size).CopyFrom(m.data)
+				w.Tracer.Record(trace.Event{
+					T: float64(eng.Now()), Rank: r.dstWorld, Kind: trace.KindDeliver,
+					Name: "deliver", Size: m.size, Peer: r.comm.ranks[m.src],
+				})
+				w.m.delivered.Inc()
+				w.m.deliveredBytes.Add(float64(m.size))
+				r.req.Complete(eng)
+				// r is dead from here on: nothing holds it (it left the
+				// posted list at match time) and its request has fired.
+				op := m.op
+				w.recvPool.Put(r)
+				w.decref(op)
+			}
+		},
+		Reset: func(r *recvReq) {
+			r.src, r.tag = 0, 0
+			r.buf = Buf{}
+			r.req = nil
+			r.comm = nil
+			r.dstWorld = 0
+			r.m = nil
+		},
+		Slot: func(r *recvReq) *arena.Slot { return &r.slot },
+	})
+}
+
+func (w *World) decref(op *sendOp) {
+	op.refs--
+	if op.refs == 0 {
+		w.sendPool.Put(op)
+	}
+}
+
 // Isend starts a non-blocking send of buf to comm rank dst with the given
 // tag. The returned request completes when the sender's buffer may be
 // reused (eager: payload drained into the network; rendezvous: transfer
@@ -111,19 +294,15 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	if me < 0 {
 		panic("mpi: Isend by non-member rank")
 	}
-	if w.p2pPooled() {
-		return c.isendPooled(p, buf, dst, tag, me)
-	}
-	req := NewRequest()
+	req := w.reqPool.Get()
 	req.site = WaitSite{Op: "send", Peer: dst, Tag: tag, Ctx: c.ctx}
 	srcW, dstW := p.Rank, c.ranks[dst]
-	eng := w.Eng()
 	if cs := w.crash; cs != nil {
 		if cs.dead[dstW] {
 			// The peer has already been declared dead: fail fast instead of
 			// spending attempts against a rank every survivor knows is gone.
 			w.m.deadLetters.Inc()
-			req.fail(eng, &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
+			req.fail(w.Eng(), &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
 			return req
 		}
 		if cs.isTarget[dstW] {
@@ -140,19 +319,21 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 		data = Bytes(cp)
 	}
 
-	msg := &message{
-		src:         me,
-		tag:         tag,
-		size:        buf.Len(),
-		data:        data,
-		eager:       buf.Len() <= w.Pers.EagerThreshold,
-		dataArrived: sim.NewSignal(),
-	}
+	op := w.sendPool.Get()
+	op.req = req
+	op.srcW, op.dstW, op.ctx = srcW, dstW, c.ctx
+	op.refs = 2 // wire side + receive side
+	op.msg.src, op.msg.tag, op.msg.size = me, tag, buf.Len()
+	op.msg.data = data
+	op.msg.eager = buf.Len() <= w.Pers.EagerThreshold
+	op.bytes = float64(op.msg.size) / w.Pers.Eff(max(op.msg.size, 1))
+	op.pair = w.pair(srcW, dstW)
+
 	w.Tracer.Record(trace.Event{
 		T: float64(p.Now()), Rank: srcW, Kind: trace.KindSend,
 		Name: "send", Size: buf.Len(), Peer: dstW,
 	})
-	if msg.eager {
+	if op.msg.eager {
 		w.m.sendsEager.Inc()
 	} else {
 		w.m.sendsRdv.Inc()
@@ -160,163 +341,198 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	w.m.sentBytes.Add(float64(buf.Len()))
 	w.m.msgSize.Observe(float64(buf.Len()))
 
-	// Data flows between one (src, dst) pair are serialised FIFO, as on a
-	// real per-peer connection: message k's payload enters the wire only
-	// after message k-1's has drained. Without this, concurrent pipelined
-	// segments would fair-share the link and all complete simultaneously,
-	// which no MPI transport does.
-	startData := func(done func()) {
-		eff := w.Pers.Eff(max(msg.size, 1))
-		bytes := float64(msg.size) / eff
-		key := pairKey{srcW, dstW}
-		prev := w.pairTail[key]
-		mine := sim.NewSignal()
-		w.pairTail[key] = mine
-		run := func() {
-			f := w.Mach.Net.Start(bytes, w.dataPath(srcW, dstW)...)
-			f.Done().OnFire(func() {
-				mine.Fire(eng)
-				done()
-			})
-		}
-		if prev == nil {
-			run()
-		} else {
-			prev.OnFire(run)
-		}
-	}
+	// Enqueue in issue order now; the envelope is delivered by drainEnv
+	// once the send overhead + latency have elapsed AND every earlier
+	// envelope of the pair is out (non-overtaking).
+	op.pair.envQ.push(op)
 
-	// Per-message send-side progression work, then envelope latency, then
-	// protocol-specific data movement. An active straggler burst on the
-	// sender scales the progression work.
-	ready := sim.NewSignal()
 	so := w.Pers.SendOverhead
 	if s := w.faults.OverheadScale(srcW); s != 1 {
 		so *= s
 	}
 	ov := w.Mach.CPUWork(srcW, so)
-	ov.Done().OnFire(func() {
-		eng.Schedule(sim.Time(w.latency(srcW, dstW)), func() { ready.Fire(eng) })
-	})
-
-	// Envelopes between one (src, dst) pair are delivered in issue order —
-	// MPI's non-overtaking guarantee. Without this, concurrent send
-	// overhead flows of back-to-back Isends complete together and could
-	// hand envelopes to the matching engine out of program order.
-	key := pairKey{srcW, dstW}
-	prevEnv := w.envTail[key]
-	mine := sim.NewSignal()
-	w.envTail[key] = mine
-	gate := sim.NewCounter(eng, 2)
-	ready.OnFire(gate.Done)
-	if prevEnv == nil {
-		gate.Done()
-	} else {
-		prevEnv.OnFire(gate.Done)
-	}
-	gate.Signal().OnFire(func() {
-		if msg.eager {
-			if w.faults.DropsEnabled() || w.crash != nil {
-				w.startEagerReliable(msg, req, startData, srcW, dstW)
-			} else {
-				startData(func() {
-					msg.dataArrived.Fire(eng)
-					req.Complete(eng)
-				})
-			}
-		} else {
-			msg.onMatch = func() {
-				// Clear-to-send travels back, then the payload moves.
-				eng.Schedule(sim.Time(w.latency(dstW, srcW)), func() {
-					startData(func() {
-						msg.dataArrived.Fire(eng)
-						req.Complete(eng)
-					})
-				})
-			}
-		}
-		w.deliver(c.ctx, dstW, msg)
-		mine.Fire(eng)
-	})
+	ov.Done().OnFire(op.onSendOvDone)
 	return req
 }
 
-// startEagerReliable moves an eager payload under an active drop plan:
-// each transmission attempt may be lost (the injector decides, drawing
-// from the world's seeded RNG), so the sender arms a retransmission
-// timeout with exponential backoff and keeps resending until one attempt
-// drains intact, at which point an ack travels back and completes the send
-// request. Dropped payloads still charge the wire — the bytes moved before
-// vanishing. The injector caps consecutive drops per message, bounding
-// worst-case latency.
-func (w *World) startEagerReliable(msg *message, req *Request, startData func(func()), srcW, dstW int) {
+// drainEnv delivers every head-of-queue envelope whose latency has
+// elapsed: a delivery unblocks the next envelope, which (if its latency
+// already elapsed) is delivered immediately after, at the same instant.
+// Without this, concurrent send overhead flows of back-to-back Isends
+// complete together and could hand envelopes to the matching engine out of
+// program order.
+func (w *World) drainEnv(ps *pairState) {
+	for !ps.envQ.empty() {
+		op := ps.envQ.peek()
+		if !op.envReady {
+			return
+		}
+		ps.envQ.pop()
+		w.envelopeArrived(op)
+	}
+}
+
+// envelopeArrived starts an eager payload moving, then hands the envelope
+// to the matching engine (a rendezvous payload waits for the match).
+// Whether an eager payload needs retransmission is read off the attached
+// plan here, per send.
+func (w *World) envelopeArrived(op *sendOp) {
+	if op.msg.eager {
+		if w.faults.DropsEnabled() || w.crash != nil {
+			w.startReliable(op)
+		} else {
+			op.pair.startData(w, op)
+		}
+	}
+	w.deliver(op.ctx, op.dstW, &op.msg)
+}
+
+// retx is the retransmission state of one eager send under a drop or crash
+// plan: each transmission attempt may be lost (the injector decides, drawing
+// from the world's seeded RNG, or the receiver has crashed), so the sender
+// arms a retransmission timeout with exponential backoff and keeps
+// resending until one attempt drains intact, at which point an ack travels
+// back and completes the send request. Dropped payloads still charge the
+// wire — the bytes moved before vanishing. The injector caps consecutive
+// drops per message, bounding worst-case latency.
+//
+// Every attempt is one more entry of the op in its pair's wire FIFO, holding
+// one of the op's refs until it drains; the FIFO drains a message's attempts
+// in the order they were queued, so their outcomes are a queue too. The
+// state is heap-allocated per send, and only when a plan calls for it.
+type retx struct {
+	w       *World
+	op      *sendOp
+	attempt int
+	acked   bool
+	rto     sim.Timer
+	dropped []bool // outcome of each attempt on or queued for the wire, oldest at head
+	head    int
+
+	onRTO func() // retransmission timeout expired
+	onAck func() // ack arrived back at the sender
+}
+
+func (w *World) startReliable(op *sendOp) {
+	r := &retx{w: w, op: op}
+	r.onRTO = func() {
+		if !r.acked {
+			r.try()
+		}
+	}
+	r.onAck = func() {
+		op.req.Complete(w.Eng())
+		w.decref(op) // the sender's own ref; the attempts released theirs as they drained
+	}
+	op.rel = r
+	r.try()
+}
+
+// try transmits the next attempt, or gives the message up.
+func (r *retx) try() {
+	w, op := r.w, r.op
 	eng := w.Eng()
-	attempt := 0
-	acked := false
-	var rto sim.Timer
-	var try func()
-	try = func() {
-		if acked || req.err != nil {
-			return
+	if r.acked || op.req.err != nil {
+		return
+	}
+	cs := w.crash
+	if cs != nil && cs.dead[op.dstW] {
+		// Declared dead while we were retransmitting: stop resending.
+		op.req.fail(eng, &PeerDeadError{Rank: op.dstW, Via: cs.deadVia(op.dstW)})
+		return
+	}
+	a := r.attempt
+	r.attempt++
+	if cs != nil && a >= w.sendAttemptCap() {
+		// Retransmit escalation: every bounded attempt went unacked, so
+		// the sender renders its own peer-dead verdict (crash.go).
+		rtos := make([]float64, a)
+		for k := range rtos {
+			rtos[k] = w.faults.RTO(k)
 		}
-		cs := w.crash
-		if cs != nil && cs.dead[dstW] {
-			// Declared dead while we were retransmitting: stop resending.
-			rto.Cancel()
-			req.fail(eng, &PeerDeadError{Rank: dstW, Via: cs.deadVia(dstW)})
-			return
-		}
-		a := attempt
-		attempt++
-		if cs != nil && a >= w.sendAttemptCap() {
-			// Retransmit escalation: every bounded attempt went unacked, so
-			// the sender renders its own peer-dead verdict (crash.go).
-			rto.Cancel()
-			rtos := make([]float64, a)
-			for k := range rtos {
-				rtos[k] = w.faults.RTO(k)
-			}
-			req.fail(eng, &PeerUnreachableError{Rank: dstW, Attempts: a, RTOs: rtos})
-			w.declareDead(dstW, "retransmit")
-			return
-		}
-		if a > 0 {
-			w.m.retransmits.Inc()
-		}
-		var dropped bool
-		if cs != nil && cs.crashed[dstW] {
-			// The receiver's NIC is gone: the payload vanishes unacked,
-			// without drawing plan randomness.
-			dropped = true
-		} else if dropped = w.faults.DropEager(float64(eng.Now()), a); dropped {
-			w.m.dropsInjected.Inc()
-			w.Tracer.Record(trace.Event{
-				T: float64(eng.Now()), Rank: srcW, Kind: trace.KindDrop,
-				Name: "drop", Size: msg.size, Peer: dstW,
-			})
-		}
-		startData(func() {
-			if acked || dropped {
-				return
-			}
-			acked = true
-			rto.Cancel()
-			msg.dataArrived.Fire(eng)
-			// The ack travels back one envelope latency; only then may the
-			// sender retire the message.
-			eng.Schedule(sim.Time(w.latency(dstW, srcW)), func() { req.Complete(eng) })
-		})
-		// Arm the retransmission timeout for this attempt. If it fires
-		// before an intact payload drained, resend. A retransmit issued
-		// while an earlier intact attempt is still queued is spurious but
-		// harmless: the late duplicate sees acked and is ignored.
-		eng.AfterInto(&rto, sim.Time(w.faults.RTO(a)), func() {
-			if !acked {
-				try()
-			}
+		op.req.fail(eng, &PeerUnreachableError{Rank: op.dstW, Attempts: a, RTOs: rtos})
+		w.declareDead(op.dstW, "retransmit")
+		return
+	}
+	if a > 0 {
+		w.m.retransmits.Inc()
+	}
+	var dropped bool
+	if cs != nil && cs.crashed[op.dstW] {
+		// The receiver's NIC is gone: the payload vanishes unacked,
+		// without drawing plan randomness.
+		dropped = true
+	} else if dropped = w.faults.DropEager(float64(eng.Now()), a); dropped {
+		w.m.dropsInjected.Inc()
+		w.Tracer.Record(trace.Event{
+			T: float64(eng.Now()), Rank: op.srcW, Kind: trace.KindDrop,
+			Name: "drop", Size: op.msg.size, Peer: op.dstW,
 		})
 	}
-	try()
+	r.dropped = append(r.dropped, dropped)
+	op.refs++
+	op.pair.startData(w, op)
+	// Arm the retransmission timeout for this attempt. If it fires before
+	// an intact payload drained, resend. A retransmit issued while an
+	// earlier intact attempt is still queued is spurious but harmless: the
+	// late duplicate sees acked and is ignored.
+	eng.AfterInto(&r.rto, sim.Time(w.faults.RTO(a)), r.onRTO)
+}
+
+// drained retires the oldest attempt on the wire: the first one to arrive
+// intact delivers the payload and sends the ack back.
+func (r *retx) drained() {
+	dropped := r.dropped[r.head]
+	r.head++
+	if r.acked || dropped {
+		return
+	}
+	r.acked = true
+	r.rto.Cancel()
+	w, op := r.w, r.op
+	op.dataSig.Fire(w.Eng())
+	// The ack travels back one envelope latency; only then may the sender
+	// retire the message.
+	w.Eng().Schedule(sim.Time(w.latency(op.dstW, op.srcW)), r.onAck)
+}
+
+// startData engages the pair's wire for op's payload, or queues it FIFO
+// behind the payload currently draining: message k's payload enters the
+// wire only after message k-1's has drained. Without this, concurrent
+// pipelined segments would fair-share the link and all complete
+// simultaneously, which no MPI transport does.
+func (ps *pairState) startData(w *World, op *sendOp) {
+	if ps.wireBusy {
+		ps.wireQ.push(op)
+		return
+	}
+	ps.wireBusy = true
+	w.runWire(op)
+}
+
+func (w *World) runWire(op *sendOp) {
+	f := w.Mach.Net.StartOn(op.bytes, op.pair.path)
+	f.Done().OnFire(op.onWireDone)
+}
+
+// wireDrained retires a drained payload: start the next queued payload
+// first (the goldens pin this event creation order), then mark the payload
+// arrived and complete the send request.
+func (w *World) wireDrained(op *sendOp) {
+	ps := op.pair
+	if !ps.wireQ.empty() {
+		w.runWire(ps.wireQ.pop())
+	} else {
+		ps.wireBusy = false
+	}
+	if op.rel != nil {
+		op.rel.drained()
+	} else {
+		eng := w.Eng()
+		op.dataSig.Fire(eng)
+		op.req.Complete(eng)
+	}
+	w.decref(op)
 }
 
 // Irecv posts a non-blocking receive into buf from comm rank src (or
@@ -334,21 +550,16 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 		if srcW := c.ranks[src]; cs.dead[srcW] {
 			// Nothing will ever arrive from a declared-dead peer.
 			w.m.deadLetters.Inc()
-			req := NewRequest()
+			req := w.reqPool.Get()
 			req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
 			req.fail(w.Eng(), &PeerDeadError{Rank: srcW, Via: cs.deadVia(srcW)})
 			return req
 		}
 	}
 	w.m.recvsPosted.Inc()
-	var r *recvReq
-	if w.p2pPooled() {
-		r = w.recvPool.Get()
-		r.src, r.tag, r.buf, r.comm, r.dstWorld = src, tag, buf, c, p.Rank
-		r.req = w.reqPool.Get()
-	} else {
-		r = &recvReq{src: src, tag: tag, buf: buf, req: NewRequest(), comm: c, dstWorld: p.Rank}
-	}
+	r := w.recvPool.Get()
+	r.src, r.tag, r.buf, r.comm, r.dstWorld = src, tag, buf, c, p.Rank
+	r.req = w.reqPool.Get()
 	r.req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
 	ep := w.endpoint(c.ctx, p.Rank)
 	for i, m := range ep.unexpected {
@@ -371,6 +582,10 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 func (w *World) deliver(ctx, dstWorld int, m *message) {
 	if cs := w.crash; cs != nil && cs.crashed[dstWorld] {
 		// Dead letter: the receiver crashed before this envelope arrived.
+		// Nothing will ever copy the payload out, so the sendOp keeps its
+		// receive-side ref and stays checked out of its pool for the rest
+		// of the run, as does one whose message is dropped with a crashed
+		// rank's queues (clearEndpoints).
 		w.m.deadLetters.Inc()
 		return
 	}
@@ -391,40 +606,29 @@ func (w *World) deliver(ctx, dstWorld int, m *message) {
 	}
 }
 
-// match binds a posted receive to a message and finishes the receive once
-// the payload has arrived and the receive-side progression work is done.
+// match binds a posted receive to a message; the receive's persistent
+// closures finish it once the payload has arrived and the receive-side
+// progression work is done.
 func (w *World) match(r *recvReq, m *message) {
 	if m.size > r.buf.N {
 		panic(fmt.Sprintf("mpi: message of %d bytes overflows %d-byte receive buffer (src=%d tag=%d)", m.size, r.buf.N, m.src, m.tag))
 	}
-	if !m.eager && m.onMatch != nil {
-		m.onMatch()
+	if !m.eager {
+		m.op.onMatch()
 	}
-	if r.pooled {
-		// Pooled receives complete through their persistent closures
-		// (pool.go); the inline registration below is the reference path.
-		r.m = m
-		m.dataArrived.OnFire(r.onData)
-		return
+	r.m = m
+	m.op.dataSig.OnFire(r.onData)
+}
+
+// release returns a pooled request once its completion has been
+// observed by Proc.Wait. Heap requests (NewRequest) pass through
+// untouched, and while a crash plan is armed so does everything else: the
+// watch registry holds requests until their peer is declared dead, and
+// callers read Err after Wait returns.
+func (w *World) release(r *Request) {
+	if r.pooled && w.crash == nil {
+		w.reqPool.Put(r)
 	}
-	eng := w.Eng()
-	m.dataArrived.OnFire(func() {
-		ro := w.Pers.RecvOverhead
-		if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
-			ro *= s
-		}
-		ov := w.Mach.CPUWork(r.dstWorld, ro)
-		ov.Done().OnFire(func() {
-			r.buf.Slice(0, m.size).CopyFrom(m.data)
-			w.Tracer.Record(trace.Event{
-				T: float64(eng.Now()), Rank: r.dstWorld, Kind: trace.KindDeliver,
-				Name: "deliver", Size: m.size, Peer: r.comm.ranks[m.src],
-			})
-			w.m.delivered.Inc()
-			w.m.deliveredBytes.Add(float64(m.size))
-			r.req.Complete(eng)
-		})
-	})
 }
 
 // Send is the blocking form of Isend.

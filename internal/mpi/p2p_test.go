@@ -10,27 +10,29 @@ import (
 
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
+	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// This file holds the pooled-P2P differential and allocation-regression
-// suites: the arena path (pool.go) must reproduce the reference path
-// bit-for-bit, and its steady state must not allocate.
+// This file holds the P2P churn workload golden_test.go pins, and the pool
+// accounting and allocation-regression suites: every pooled record goes
+// back exactly once, and the steady state does not allocate.
 
 // runP2PChurn drives a seeded randomized P2P workload — mixed
 // eager/rendezvous sizes, wildcard receives, out-of-order tags (so both
 // the posted and the unexpected queue are exercised), zero-size
 // messages, and SendRecv exchanges — and returns the exact final-clock
-// bits plus a hash over every rank's own finish time.
-func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitter float64) churnBits {
+// bits plus a hash over every rank's own finish time, and the world for
+// inspection.
+func runP2PChurn(t *testing.T, seedv int64, plan *fault.Plan, jitter float64) (*World, churnBits) {
 	t.Helper()
 	eng := sim.New()
 	spec := cluster.Mini(4, 4) // 16 ranks, 4 nodes: intra- and inter-node traffic
 	pers := OpenMPI()
 	pers.Jitter = jitter // nonzero forces RNG draws at every latency sample
 	w := NewWorld(cluster.NewMachine(eng, spec), pers)
-	w.SetPooling(pooled)
 	w.Seed(seedv)
+	w.EnableMetrics(metrics.New()) // observation-only: the goldens hold with it on
 	if plan != nil {
 		w.AttachFaults(*plan)
 	}
@@ -81,7 +83,7 @@ func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitte
 		done[me] = p.Now()
 	})
 	if err := eng.Run(); err != nil {
-		t.Fatalf("pooled=%v seed=%d: %v", pooled, seedv, err)
+		t.Fatalf("seed=%d: %v", seedv, err)
 	}
 	hash := fnv.New64a()
 	var b [8]byte
@@ -89,7 +91,7 @@ func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitte
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(d)))
 		hash.Write(b[:])
 	}
-	return churnBits{math.Float64bits(float64(eng.Now())), hash.Sum64()}
+	return w, churnBits{math.Float64bits(float64(eng.Now())), hash.Sum64()}
 }
 
 // churnBits is what a churn run is compared by: the engine clock when the
@@ -98,51 +100,70 @@ func runP2PChurn(t *testing.T, pooled bool, seedv int64, plan *fault.Plan, jitte
 // in rank order, which moves when any rank finishes earlier or later.
 type churnBits struct{ end, ranks uint64 }
 
-// The pooled P2P path must reproduce the reference path to the bit
-// across seeds and jittered latencies (which pins the RNG draw points).
-func TestDifferentialPooledVsReferenceP2P(t *testing.T) {
-	for seedv := int64(1); seedv <= 10; seedv++ {
-		for _, jitter := range []float64{0, 0.1} {
-			pooled := runP2PChurn(t, true, seedv, nil, jitter)
-			ref := runP2PChurn(t, false, seedv, nil, jitter)
-			if pooled != ref {
-				t.Fatalf("seed %d jitter %v: run differs: pooled %#x vs reference %#x",
-					seedv, jitter, pooled, ref)
-			}
+// Every pooled record is returned exactly once: after a churn run nothing is
+// checked out. Under drops a retransmitted op sits in its pair's wire FIFO
+// once per attempt and goes back only after its last queued duplicate has
+// drained — a double Put panics, a missed one shows up here.
+func TestChurnPoolAccounting(t *testing.T) {
+	drops, err := fault.Builtin("drops")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*fault.Plan{nil, &drops} {
+		w, _ := runP2PChurn(t, 1, plan, 0.05)
+		if plan != nil && w.m.retransmits.Value() == 0 {
+			t.Fatal("drops churn retransmitted nothing; the run does not cover the retransmission path")
+		}
+		if req, send, recv := w.reqPool.Live(), w.sendPool.Live(), w.recvPool.Live(); req != 0 || send != 0 || recv != 0 {
+			t.Errorf("plan %v: records still checked out after the run: %d requests, %d sendOps, %d recvReqs",
+				plan != nil, req, send, recv)
 		}
 	}
 }
 
-// Same differential under fault plans: stragglers scale overheads, flaps
-// cut link capacity, drops put eager sends through retransmission on both
-// paths.
-func TestDifferentialPooledVsReferenceP2PFaults(t *testing.T) {
-	for _, name := range []string{"stragglers", "flaps", "drops", "combined"} {
-		plan, err := fault.Builtin(name)
-		if err != nil {
-			t.Fatal(err)
+// A drop plan attached while the engine runs applies from the next envelope
+// on: rank 0's first send goes out clean, a plan that drops nine attempts in
+// ten is attached from an engine callback, and the later eager sends
+// retransmit.
+func TestFaultPlanAttachedMidRun(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), OpenMPI())
+	w.EnableMetrics(metrics.New())
+	eng.At(50e-6, func() {
+		if got := w.m.retransmits.Value(); got != 0 {
+			t.Errorf("%v retransmits before any plan was attached", got)
 		}
-		for seedv := int64(1); seedv <= 5; seedv++ {
-			pooled := runP2PChurn(t, true, seedv, &plan, 0.05)
-			ref := runP2PChurn(t, false, seedv, &plan, 0.05)
-			if pooled != ref {
-				t.Fatalf("plan %s seed %d: run differs: pooled %#x vs reference %#x",
-					name, seedv, pooled, ref)
+		w.AttachFaults(fault.Plan{Drops: fault.DropSpec{Prob: 0.9}})
+	})
+	w.Start(func(p *Proc) {
+		c := p.W.World()
+		switch p.Rank {
+		case 0:
+			c.Send(p, Phantom(64), 3, 0)
+			p.Sim.Sleep(100e-6)
+			for tag := 1; tag <= 4; tag++ {
+				c.Send(p, Phantom(64), 3, tag)
+			}
+		case 3:
+			for tag := 0; tag <= 4; tag++ {
+				c.Recv(p, Phantom(64), 0, tag)
 			}
 		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w.m.retransmits.Value() == 0 {
+		t.Fatal("sends issued after the drop plan was attached were not retransmitted: the plan was ignored")
 	}
 }
 
-// Payload correctness through the pooled path: real buffers must arrive
-// byte-for-byte, in both protocols, including through the unexpected
-// queue.
-func TestPooledP2PDeliversRealPayloads(t *testing.T) {
+// Payload correctness: real buffers must arrive byte-for-byte, in both
+// protocols, including through the unexpected queue.
+func TestP2PDeliversRealPayloads(t *testing.T) {
 	eng := sim.New()
 	pers := OpenMPI()
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), pers)
-	if !w.Pooling() {
-		t.Skip("arena pooling disabled in this build")
-	}
 	sizes := []int{1, pers.EagerThreshold, pers.EagerThreshold + 1, 64 << 10}
 	got := make([][]byte, len(sizes))
 	w.Start(func(p *Proc) {
@@ -182,16 +203,13 @@ func TestPooledP2PDeliversRealPayloads(t *testing.T) {
 	}
 }
 
-// Steady-state pooled P2P must not allocate: after a warmup that carves
+// Steady-state P2P must not allocate: after a warmup that carves
 // the slabs and grows every scratch slice, whole ping-pong rounds run
 // allocation-free. Measured with the runtime's exact malloc counter from
 // inside the simulation.
 func TestPooledP2PSteadyStateAllocs(t *testing.T) {
 	eng := sim.New()
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), OpenMPI())
-	if !w.Pooling() {
-		t.Skip("arena pooling disabled in this build")
-	}
 	const warmup, measured = 200, 200
 	var mallocs uint64
 	w.Start(func(p *Proc) {
@@ -242,9 +260,6 @@ func waitPairRounds(tb testing.TB, rounds int, each func(round func())) {
 	tb.Helper()
 	eng := sim.New()
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 1)), OpenMPI())
-	if !w.Pooling() {
-		tb.Skip("arena pooling disabled in this build")
-	}
 	w.Start(func(p *Proc) {
 		c := p.W.World()
 		peer := 1 - c.Rank(p)
@@ -303,9 +318,6 @@ func BenchmarkWaitPair(b *testing.B) {
 func TestKillThenLateFireOnRecycledRequest(t *testing.T) {
 	eng := sim.New()
 	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 2)), OpenMPI())
-	if !w.Pooling() {
-		t.Skip("arena pooling disabled in this build")
-	}
 	a, b := w.reqPool.Get(), w.reqPool.Get()
 	unwound, ranPastWait, succeeded := 0, false, false
 	victim := eng.Spawn("victim", func(sp *sim.Proc) {

@@ -28,11 +28,11 @@ func (s *WaitSite) String() string {
 // Request is the handle of a non-blocking operation (point-to-point or
 // collective). It completes exactly once.
 //
-// Requests handed out by the pooled P2P path are recycled through the
-// world's arena the moment Proc.Wait observes their completion: a waited
-// request must not be touched again (the wait-once discipline hanlint's
-// reqwait pass enforces). Requests from NewRequest are heap-allocated and
-// never recycled.
+// Requests handed out by Isend and Irecv are recycled through the world's
+// arena the moment Proc.Wait observes their completion: a waited request
+// must not be touched again (the wait-once discipline hanlint's reqwait
+// pass enforces), except to read Err under a crash plan (see there).
+// Requests from NewRequest are heap-allocated and never recycled.
 type Request struct {
 	doneSig sim.Signal
 	site    WaitSite
@@ -63,10 +63,10 @@ func (r *Request) Complete(e *sim.Engine) { r.doneSig.Fire(e) }
 
 // Err returns the failure recorded on the request: a *PeerDeadError or
 // *PeerUnreachableError when the operation's peer died, nil for a normal
-// (or still pending) completion. Valid only on heap requests — pooled
-// requests are recycled the moment their Wait returns, but the crash
-// machinery forces the reference (heap) P2P path whenever crashes are
-// armed, so every request that can fail is inspectable.
+// (or still pending) completion. A request can only fail while a crash plan
+// is armed, and for as long as one is the world recycles no request
+// (World.release), so Err stays readable after Wait returns on every
+// request that can fail.
 func (r *Request) Err() error { return r.err }
 
 // fail completes the request with an error. First failure wins; failing an

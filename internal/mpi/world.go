@@ -38,17 +38,11 @@ type World struct {
 	// (package trace). A nil tracer costs nothing.
 	Tracer *trace.Recorder
 
-	nextCtx  int
-	eps      map[epKey]*endpoint
-	pairTail map[pairKey]*sim.Signal
-	envTail  map[pairKey]*sim.Signal
-	rng      *rand.Rand
+	nextCtx int
+	eps     map[epKey]*endpoint
+	rng     *rand.Rand
 
-	// Arena state for the pooled P2P path (pool.go). pooling is read from
-	// arena.Default at construction; p2pMode is resolved lazily at the
-	// first Isend/Irecv and is world-wide for the rest of the run.
-	pooling  bool
-	p2pMode  int
+	// P2P state (p2p.go): the per-pair FIFOs and the record pools.
 	pairs    map[pairKey]*pairState
 	reqPool  *arena.Pool[Request]
 	sendPool *arena.Pool[sendOp]
@@ -98,12 +92,9 @@ func NewWorld(m *cluster.Machine, pers *Personality) *World {
 		Mach:        m,
 		Pers:        pers,
 		eps:         make(map[epKey]*endpoint),
-		pairTail:    make(map[pairKey]*sim.Signal),
-		envTail:     make(map[pairKey]*sim.Signal),
 		cachedComms: make(map[string]*Comm),
 		rng:         rand.New(rand.NewSource(1)),
 		m:           &worldMetrics{},
-		pooling:     arena.Default,
 		procs:       make([][]*sim.Proc, m.Spec.Ranks()),
 	}
 	w.initPools()
@@ -315,7 +306,9 @@ func (e *RankError) Unwrap() error { return e.Err }
 // injector draws from the world's seeded RNG (lazily, so Seed may be
 // called before or after), making (seed, plan) fully determine the run.
 // Attaching an all-zero plan schedules nothing and perturbs nothing.
-// AttachFaults must be called before the engine runs and at most once.
+// AttachFaults must be called at most once, normally before the engine
+// runs; a plan attached later applies to the sends whose envelope has not
+// gone out yet.
 func (w *World) AttachFaults(plan fault.Plan) {
 	if w.faults != nil {
 		panic("mpi: AttachFaults called twice")
@@ -329,21 +322,6 @@ func (w *World) AttachFaults(plan fault.Plan) {
 
 // Faults returns the attached fault injector, or nil.
 func (w *World) Faults() *fault.Injector { return w.faults }
-
-// SetPooling overrides whether P2P traffic runs on the arena-pooled path
-// (the default follows arena.Default at construction). It must be called
-// before any send or receive — the mode is fixed world-wide at the first
-// one. Differential tests use this to pit the two paths against each
-// other.
-func (w *World) SetPooling(on bool) {
-	if w.p2pMode != p2pUndecided {
-		panic("mpi: SetPooling after P2P traffic started")
-	}
-	w.pooling = on
-}
-
-// Pooling reports whether the pooled P2P path is (or would be) active.
-func (w *World) Pooling() bool { return w.pooling }
 
 // dataPath returns the resources an s->d payload crosses.
 func (w *World) dataPath(srcWorld, dstWorld int) []*flow.Resource {
