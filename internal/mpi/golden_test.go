@@ -8,7 +8,6 @@ import (
 
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
-	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/sim"
 )
 
@@ -142,18 +141,12 @@ func crashOutcome(w *World, end sim.Time) crashGolden {
 // the watch registry fails requests whose payload is still in flight.
 func crashMidBurst(t *testing.T, seed int64) (*World, sim.Time) {
 	t.Helper()
-	eng := sim.New()
-	pers := OpenMPI()
-	pers.Jitter = 0.05
-	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(3, 4)), pers)
-	w.Seed(seed)
-	w.EnableMetrics(metrics.New())
-	w.AttachFaults(fault.Plan{
+	plan := fault.Plan{
 		Drops:   fault.DropSpec{Prob: 0.2},
 		Crashes: []fault.CrashSpec{{Rank: 5, At: 150e-6}},
-	})
-	w.Start(func(p *Proc) {
-		c := p.W.World()
+	}
+	return runCrash(t, cluster.Mini(3, 4), seed, plan, func(p *Proc) {
+		c, pers := p.W.World(), p.W.Pers
 		if p.Rank == 5 {
 			for { // until killed
 				c.Recv(p, Phantom(2*pers.EagerThreshold), AnySource, AnyTag)
@@ -171,11 +164,7 @@ func crashMidBurst(t *testing.T, seed int64) (*World, sim.Time) {
 			}
 		}
 		p.W.Shrink().Barrier(p)
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	return w, eng.Now()
+	}, func(w *World) { w.Pers.Jitter = 0.05 })
 }
 
 // goldenCrash pins the crash_test.go scenarios and crashMidBurst, seeds 1..3.

@@ -401,20 +401,18 @@ func (w *World) envelopeArrived(op *sendOp) {
 // in the order they were queued, so their outcomes are a queue too. The
 // state is heap-allocated per send, and only when a plan calls for it.
 type retx struct {
-	w       *World
 	op      *sendOp
 	attempt int
 	acked   bool
 	rto     sim.Timer
-	dropped []bool // outcome of each attempt on or queued for the wire, oldest at head
-	head    int
+	dropped []bool // outcome of each attempt on or queued for the wire, oldest first
 
 	onRTO func() // retransmission timeout expired
 	onAck func() // ack arrived back at the sender
 }
 
 func (w *World) startReliable(op *sendOp) {
-	r := &retx{w: w, op: op}
+	r := &retx{op: op}
 	r.onRTO = func() {
 		if !r.acked {
 			r.try()
@@ -430,7 +428,8 @@ func (w *World) startReliable(op *sendOp) {
 
 // try transmits the next attempt, or gives the message up.
 func (r *retx) try() {
-	w, op := r.w, r.op
+	op := r.op
+	w := op.w
 	eng := w.Eng()
 	if r.acked || op.req.err != nil {
 		return
@@ -482,14 +481,15 @@ func (r *retx) try() {
 // drained retires the oldest attempt on the wire: the first one to arrive
 // intact delivers the payload and sends the ack back.
 func (r *retx) drained() {
-	dropped := r.dropped[r.head]
-	r.head++
+	dropped := r.dropped[0]
+	r.dropped = r.dropped[1:]
 	if r.acked || dropped {
 		return
 	}
 	r.acked = true
 	r.rto.Cancel()
-	w, op := r.w, r.op
+	op := r.op
+	w := op.w
 	op.dataSig.Fire(w.Eng())
 	// The ack travels back one envelope latency; only then may the sender
 	// retire the message.
