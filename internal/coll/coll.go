@@ -13,14 +13,19 @@
 //     function — the "default Open MPI" baseline of the evaluation.
 //
 // All modules expose non-blocking operations returning *mpi.Request; HAN
-// overlaps tasks by issuing these concurrently.
+// overlaps tasks by issuing these concurrently. Each operation is progressed
+// by a helper process of the calling rank. The tree and ring algorithms over
+// point-to-point messages (algos.go) are straight-line goroutine code; the
+// shared-memory operations of sm and solo, whose helpers never branch on
+// what they learn while running, are flat sequences of six blocking
+// primitives built at issue time and walked by one interpreter on the engine
+// goroutine (seq.go) — no goroutine per task.
 package coll
 
 import (
 	"fmt"
 
 	"github.com/hanrepro/han/internal/mpi"
-	"github.com/hanrepro/han/internal/trace"
 )
 
 // Kind enumerates collective operation types (the "t" input of the
@@ -113,9 +118,9 @@ type Params struct {
 // Module is a collective communication component. Operations are
 // non-blocking: they return immediately with a request that completes when
 // the collective has finished on the calling rank. Modules progress their
-// operations with helper processes that share the rank's CPU resource, so
-// concurrent collectives contend for progression exactly as in
-// single-threaded MPI.
+// operations with helper processes (goroutine or step-driven) that share
+// the rank's CPU resource, so concurrent collectives contend for
+// progression exactly as in single-threaded MPI.
 type Module interface {
 	Name() string
 	// Supports reports whether the module implements the given collective.
@@ -188,41 +193,6 @@ func cpuWait(p *mpi.Proc, seconds float64) {
 	p.Sim.Wait(f.Done())
 }
 
-// memCopy models an n-byte copy by rank p over its local memory bus (the
-// node bus, or p's socket bus on NUMA machines) and blocks until it
-// completes.
-func memCopy(p *mpi.Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	f := p.W.Mach.Net.Start(float64(n), p.W.Mach.InboundBus(p.Rank))
-	p.Sim.Wait(f.Done())
-}
-
-// memCopyBetween models an n-byte shared-memory copy whose source buffer
-// lives with world rank src and destination with world rank dst: on NUMA
-// machines a cross-socket copy also crosses the UPI link, which is exactly
-// the cost a three-level hierarchy avoids.
-func memCopyBetween(p *mpi.Proc, n, srcWorld, dstWorld int) {
-	if n <= 0 {
-		return
-	}
-	// A cross-rank copy is a data dependency just like a network message,
-	// so it is traced as a send/deliver pair — without it the critical-path
-	// analyzer could not walk from a non-leader rank back to the leader
-	// whose inter-node receive produced the data.
-	p.W.Tracer.Record(trace.Event{
-		T: float64(p.Now()), Rank: srcWorld, Kind: trace.KindSend,
-		Name: "copy", Size: n, Peer: dstWorld,
-	})
-	f := p.W.Mach.Net.Start(float64(n), p.W.Mach.IntraPath(srcWorld, dstWorld)...)
-	p.Sim.Wait(f.Done())
-	p.W.Tracer.Record(trace.Event{
-		T: float64(p.Now()), Rank: dstWorld, Kind: trace.KindDeliver,
-		Name: "copy", Size: n, Peer: srcWorld,
-	})
-}
-
 // reduceInto models the cost of reducing n bytes at `bps` bytes/s on p's
 // CPU and applies dst = dst (op) src to real buffers.
 func reduceInto(p *mpi.Proc, bps float64, op mpi.Op, dt mpi.Datatype, dst, src mpi.Buf) {
@@ -258,7 +228,7 @@ func segments(n, seg int) []struct{ Lo, Hi int } {
 		}
 		return []struct{ Lo, Hi int }{{0, n}}
 	}
-	var out []struct{ Lo, Hi int }
+	out := make([]struct{ Lo, Hi int }, 0, (n+seg-1)/seg)
 	for lo := 0; lo < n; lo += seg {
 		hi := lo + seg
 		if hi > n {

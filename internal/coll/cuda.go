@@ -22,11 +22,11 @@ import (
 // ranks of a world, and communicators must be single-node.
 type CUDA struct {
 	Base
-	ops map[opKey]*shmOp
+	ops shmOps
 }
 
 // NewCUDA returns a GPU collective module instance shared by all ranks.
-func NewCUDA() *CUDA { return &CUDA{Base: Base{ModName: "cuda"}, ops: make(map[opKey]*shmOp)} }
+func NewCUDA() *CUDA { return &CUDA{Base: Base{ModName: "cuda"}, ops: make(shmOps)} }
 
 const (
 	// cudaLaunch is the kernel-launch plus stream-synchronisation latency
@@ -35,8 +35,6 @@ const (
 	// cudaPerPeer is the per-peer copy bookkeeping.
 	cudaPerPeer = 0.5e-6
 )
-
-func (m *CUDA) shm() *shmOps { return &shmOps{ops: m.ops} }
 
 // Name returns "cuda".
 func (m *CUDA) Name() string { return "cuda" }
@@ -101,21 +99,20 @@ func (m *CUDA) H2D(p *mpi.Proc, n int) { m.D2H(p, n) } // symmetric path
 func (m *CUDA) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("cuda.Ibcast", p, c)
 	requireGPUs(p)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 1)
+	st := m.ops.get(c, c.NextSeq(p), 1, false)
 	me := c.Rank(p)
 	if me == root {
 		st.contribs[root] = snapshot(buf)
 	}
 	rootWorld := c.WorldRank(root)
 	return async(p, "cuda-ibcast", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
+		defer st.release()
 		cpuWait(hp, cudaLaunch)
 		if me == root {
-			st.ready[0].Fire(hp.W.Eng())
+			st.sig(st.ready(0)).Fire(hp.W.Eng())
 			return
 		}
-		hp.Sim.Wait(st.ready[0])
+		hp.Sim.Wait(st.sig(st.ready(0)))
 		cpuWait(hp, cudaPerPeer)
 		devCopy(hp, buf.N, rootWorld, hp.Rank)
 		if buf.Real() && st.contribs[root].Real() {
@@ -129,28 +126,27 @@ func (m *CUDA) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params
 func (m *CUDA) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	checkSingleNode("cuda.Ireduce", p, c)
 	requireGPUs(p)
-	seq := c.NextSeq(p)
 	n := c.Size()
 	rounds := 0
 	for 1<<rounds < n {
 		rounds++
 	}
-	st := m.shm().get(c, seq, n*(rounds+1))
+	st := m.ops.get(c, c.NextSeq(p), n*(rounds+1), false)
 	me := c.Rank(p)
 	v := vrank(me, root, n)
 	part := snapshot(sbuf)
 	return async(p, "cuda-ireduce", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
+		defer st.release()
 		cpuWait(hp, cudaLaunch)
 		st.contribs[v] = part
-		st.ready[v*(rounds+1)].Fire(hp.W.Eng())
+		st.sig(st.ready(v * (rounds + 1))).Fire(hp.W.Eng())
 		for k := 0; k < rounds; k++ {
 			if v&(1<<k) != 0 {
 				return // partial consumed in round k
 			}
 			peer := v | 1<<k
 			if peer < n {
-				hp.Sim.Wait(st.ready[peer*(rounds+1)+k])
+				hp.Sim.Wait(st.sig(st.ready(peer*(rounds+1) + k)))
 				cpuWait(hp, cudaPerPeer)
 				peerWorld := c.WorldRank(unvrank(peer, root, n))
 				devCopy(hp, sbuf.N, peerWorld, hp.Rank)
@@ -165,7 +161,7 @@ func (m *CUDA) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 				}
 			}
 			st.contribs[v] = part
-			st.ready[v*(rounds+1)+k+1].Fire(hp.W.Eng())
+			st.sig(st.ready(v*(rounds+1) + k + 1)).Fire(hp.W.Eng())
 		}
 		if rbuf.N == sbuf.N {
 			rbuf.CopyFrom(part)

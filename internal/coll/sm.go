@@ -21,14 +21,14 @@ import (
 // context and collective sequence number.
 type SM struct {
 	Base
-	ops map[opKey]*shmOp
+	ops shmOps
 	// AVX switches the reduction loop to the vectorised throughput (the
 	// real SM module is scalar; competitor personalities use this).
 	AVX bool
 }
 
 // NewSM returns a shared-memory module instance to be shared by all ranks.
-func NewSM() *SM { return &SM{Base: Base{ModName: "sm"}, ops: make(map[opKey]*shmOp)} }
+func NewSM() *SM { return &SM{Base: Base{ModName: "sm"}, ops: make(shmOps)} }
 
 const (
 	// smFragment is the CICO fragment size.
@@ -70,39 +70,51 @@ type opKey struct {
 }
 
 // shmOp is the rendezvous state of one in-flight shared-memory collective
-// (used by both SM and SOLO).
+// (used by both SM and SOLO). Its flags are one slab, sized by the first
+// rank to arrive: the ready flags — indexed by fragment (bcast), comm rank
+// (scatter) or tree round (solo reduce) — then, for the operations whose
+// root collects, one childOK flag per comm rank: that rank finished its
+// part.
 type shmOp struct {
-	ready    []*sim.Signal // indexed by fragment (bcast) or comm rank (scatter)
-	childOK  []*sim.Signal // per comm rank: that rank finished its part
-	contribs []mpi.Buf     // per comm rank: snapshotted payloads (data plane)
+	ops      shmOps // the table holding the operation, under key
+	key      opKey
+	sigs     []sim.Signal
+	nReady   int
+	contribs []mpi.Buf // per comm rank: snapshotted payloads (data plane)
 	users    int
 }
 
-type shmOps struct{ ops map[opKey]*shmOp }
+// flag names one of an operation's flags, by its index in the slab.
+type flag int32
 
-func (m *shmOps) get(c *mpi.Comm, seq, nReady int) *shmOp {
+func (st *shmOp) ready(i int) flag       { _ = st.sigs[:st.nReady][i]; return flag(i) }
+func (st *shmOp) childOK(r int) flag     { return flag(st.nReady + r) }
+func (st *shmOp) sig(f flag) *sim.Signal { return &st.sigs[f] }
+
+// shmOps holds a module's in-flight operations; every rank's helper holds
+// one use of its operation's entry, from get to release.
+type shmOps map[opKey]*shmOp
+
+func (m shmOps) get(c *mpi.Comm, seq, nReady int, children bool) *shmOp {
 	k := opKey{c.Ctx(), seq}
-	st := m.ops[k]
+	st := m[k]
 	if st == nil {
-		st = &shmOp{users: c.Size(), contribs: make([]mpi.Buf, c.Size())}
-		for i := 0; i < nReady; i++ {
-			st.ready = append(st.ready, sim.NewSignal())
+		n := nReady
+		if children {
+			n += c.Size()
 		}
-		for i := 0; i < c.Size(); i++ {
-			st.childOK = append(st.childOK, sim.NewSignal())
-		}
-		m.ops[k] = st
+		st = &shmOp{ops: m, key: k, sigs: make([]sim.Signal, n), nReady: nReady, users: c.Size(), contribs: make([]mpi.Buf, c.Size())}
+		m[k] = st
 	}
 	return st
 }
 
-func (m *shmOps) put(c *mpi.Comm, seq int) {
-	k := opKey{c.Ctx(), seq}
-	if st := m.ops[k]; st != nil {
-		st.users--
-		if st.users == 0 {
-			delete(m.ops, k)
-		}
+// release gives back one rank's use of the operation; the last one drops it
+// from its table.
+func (st *shmOp) release() {
+	st.users--
+	if st.users == 0 {
+		delete(st.ops, st.key)
 	}
 }
 
@@ -124,8 +136,6 @@ func checkSingleNode(name string, p *mpi.Proc, c *mpi.Comm) {
 		}
 	}
 }
-
-func (m *SM) shm() *shmOps { return &shmOps{ops: m.ops} }
 
 // Name returns "sm".
 func (m *SM) Name() string { return "sm" }
@@ -151,84 +161,88 @@ func (m *SM) Algs(k Kind) []Alg {
 // rank polls the fragment flag and copies it out. Fragments pipeline.
 func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Ibcast", p, c)
-	seq := c.NextSeq(p)
 	segs, perFrag := smFrags(buf.N)
-	st := m.shm().get(c, seq, len(segs))
-	me := c.Rank(p)
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-	if me == root {
+	st := m.ops.get(c, c.NextSeq(p), len(segs), false)
+	s := make(seq, 0, 2+4*len(segs))
+	s.cpu(smSetup)
+	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
-	}
-	return async(p, "sm-ibcast", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, smSetup)
-		if me == root {
-			for i := range segs {
-				cpuWait(hp, perFrag)
-				memCopy(hp, segs[i].Hi-segs[i].Lo) // copy-in
-				st.ready[i].Fire(hp.W.Eng())
-			}
-			return
+		for i, sg := range segs {
+			s.cpu(perFrag)
+			s.copyIn(sg.Hi - sg.Lo) // copy-in
+			s.fire(st.ready(i))
 		}
+	} else {
+		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
 		rootWorld := c.WorldRank(root)
-		for i, s := range segs {
-			hp.Sim.Wait(st.ready[i])
-			hp.Sim.Sleep(lat) // flag propagation
-			cpuWait(hp, perFrag)
-			memCopyBetween(hp, s.Hi-s.Lo, rootWorld, hp.Rank) // copy-out
+		for i, sg := range segs {
+			s.wait(st.ready(i))
+			s.sleep(lat) // flag propagation
+			s.cpu(perFrag)
+			s.copyFrom(sg.Hi-sg.Lo, rootWorld) // copy-out
 		}
-		if buf.Real() && st.contribs[root].Real() {
-			buf.CopyFrom(st.contribs[root])
+		if buf.Real() {
+			s.do(func() {
+				if src := st.contribs[root]; src.Real() {
+					buf.CopyFrom(src)
+				}
+			})
 		}
-	})
+	}
+	return s.start(p, "sm-ibcast", st)
 }
 
 // Ireduce: every non-root rank copies its contribution in; the root copies
 // each one out and folds it with the scalar reduction loop.
 func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Ireduce", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 0)
+	st := m.ops.get(c, c.NextSeq(p), 0, true)
 	me := c.Rank(p)
-	scalar := p.W.Mach.Spec.ReduceScalarBps
-	if m.AVX {
-		scalar = p.W.Mach.Spec.ReduceAVXBps
-	}
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	segs, perFrag := smFrags(sbuf.N)
+	var s seq
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-	}
-	return async(p, "sm-ireduce", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, smSetup)
-		segs, perFrag := smFrags(sbuf.N)
-		if me != root {
-			for _, s := range segs {
-				cpuWait(hp, perFrag)
-				memCopy(hp, s.Hi-s.Lo) // copy contribution in
+		s = make(seq, 0, 2+2*len(segs))
+		s.cpu(smSetup)
+		for _, sg := range segs {
+			s.cpu(perFrag)
+			s.copyIn(sg.Hi - sg.Lo) // copy contribution in
+		}
+		s.fire(st.childOK(me))
+	} else {
+		scalar := p.W.Mach.Spec.ReduceScalarBps
+		if m.AVX {
+			scalar = p.W.Mach.Spec.ReduceAVXBps
+		}
+		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+		s = make(seq, 0, 2+(4+2*len(segs))*(c.Size()-1))
+		s.cpu(smSetup)
+		s.do(func() {
+			if rbuf.N == sbuf.N {
+				rbuf.CopyFrom(sbuf)
 			}
-			st.childOK[me].Fire(hp.W.Eng())
-			return
-		}
-		if rbuf.N == sbuf.N {
-			rbuf.CopyFrom(sbuf)
-		}
+		})
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				continue
 			}
-			hp.Sim.Wait(st.childOK[r])
-			hp.Sim.Sleep(lat)
-			for _, s := range segs {
-				cpuWait(hp, perFrag)
-				memCopyBetween(hp, s.Hi-s.Lo, c.WorldRank(r), hp.Rank) // copy contribution out
+			s.wait(st.childOK(r))
+			s.sleep(lat)
+			for _, sg := range segs {
+				s.cpu(perFrag)
+				s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(r)) // copy contribution out
 			}
-			cpuWait(hp, float64(sbuf.N)/scalar) // scalar fold
-			if rbuf.Real() && st.contribs[r].Real() {
-				mpi.ReduceBuf(op, dt, rbuf, st.contribs[r])
+			s.cpu(float64(sbuf.N) / scalar) // scalar fold
+			if rbuf.Real() {
+				s.do(func() {
+					if src := st.contribs[r]; src.Real() {
+						mpi.ReduceBuf(op, dt, rbuf, src)
+					}
+				})
 			}
 		}
-	})
+	}
+	return s.start(p, "sm-ireduce", st)
 }
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
@@ -246,83 +260,88 @@ func (m *SM) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op,
 // Igather: each rank copies its block in; the root copies all blocks out.
 func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Igather", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 0)
+	st := m.ops.get(c, c.NextSeq(p), 0, true)
 	me := c.Rank(p)
 	blk := sbuf.N
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	var s seq
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-	}
-	return async(p, "sm-igather", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, smSetup)
-		if me != root {
-			cpuWait(hp, smPerFrag)
-			memCopy(hp, blk)
-			st.childOK[me].Fire(hp.W.Eng())
-			return
-		}
-		if rbuf.N != c.Size()*blk {
-			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-			panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
-		}
-		rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
+		s = make(seq, 0, 4)
+		s.cpu(smSetup)
+		s.cpu(smPerFrag)
+		s.copyIn(blk)
+		s.fire(st.childOK(me))
+	} else {
+		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+		s = make(seq, 0, 2+5*(c.Size()-1))
+		s.cpu(smSetup)
+		s.do(func() {
+			if rbuf.N != c.Size()*blk {
+				//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
+				panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
+			}
+			rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
+		})
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				continue
 			}
-			hp.Sim.Wait(st.childOK[r])
-			hp.Sim.Sleep(lat)
-			cpuWait(hp, smPerFrag)
-			memCopyBetween(hp, blk, c.WorldRank(r), hp.Rank)
-			if rbuf.Real() && st.contribs[r].Real() {
-				rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(st.contribs[r])
+			s.wait(st.childOK(r))
+			s.sleep(lat)
+			s.cpu(smPerFrag)
+			s.copyFrom(blk, c.WorldRank(r))
+			if rbuf.Real() {
+				s.do(func() {
+					if src := st.contribs[r]; src.Real() {
+						rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(src)
+					}
+				})
 			}
 		}
-	})
+	}
+	return s.start(p, "sm-igather", st)
 }
 
 // Iscatter: the root copies each block in; rank r copies block r out.
 func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Iscatter", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, c.Size())
+	st := m.ops.get(c, c.NextSeq(p), c.Size(), false)
 	me := c.Rank(p)
 	blk := rbuf.N
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	var s seq
 	if me == root {
 		if sbuf.N != c.Size()*blk {
 			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
 			panic(fmt.Sprintf("coll: sm scatter buffer %d bytes, want %d", sbuf.N, c.Size()*blk))
 		}
+		s = make(seq, 0, 2+3*(c.Size()-1))
+		s.cpu(smSetup)
 		for r := 0; r < c.Size(); r++ {
 			st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
+			if r == root {
+				s.do(func() { rbuf.CopyFrom(sbuf.Slice(r*blk, (r+1)*blk)) })
+				continue
+			}
+			s.cpu(smPerFrag)
+			s.copyIn(blk)
+			s.fire(st.ready(r))
+		}
+	} else {
+		s = make(seq, 0, 6)
+		s.cpu(smSetup)
+		s.wait(st.ready(me))
+		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+		s.cpu(smPerFrag)
+		s.copyFrom(blk, c.WorldRank(root))
+		if rbuf.Real() {
+			s.do(func() {
+				if src := st.contribs[me]; src.Real() {
+					rbuf.CopyFrom(src)
+				}
+			})
 		}
 	}
-	return async(p, "sm-iscatter", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, smSetup)
-		if me == root {
-			for r := 0; r < c.Size(); r++ {
-				if r == root {
-					rbuf.CopyFrom(sbuf.Slice(r*blk, (r+1)*blk))
-					continue
-				}
-				cpuWait(hp, smPerFrag)
-				memCopy(hp, blk)
-				st.ready[r].Fire(hp.W.Eng())
-			}
-			return
-		}
-		hp.Sim.Wait(st.ready[me])
-		hp.Sim.Sleep(lat)
-		cpuWait(hp, smPerFrag)
-		memCopyBetween(hp, blk, c.WorldRank(root), hp.Rank)
-		if rbuf.Real() && st.contribs[me].Real() {
-			rbuf.CopyFrom(st.contribs[me])
-		}
-	})
+	return s.start(p, "sm-iscatter", st)
 }
 
 // Iallgather composes Igather to rank 0 with Ibcast of the result.

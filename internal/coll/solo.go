@@ -19,12 +19,12 @@ import (
 // must be shared by all ranks of a world.
 type SOLO struct {
 	Base
-	ops map[opKey]*shmOp
+	ops shmOps
 }
 
 // NewSOLO returns a one-sided shared-memory module instance shared by all
 // ranks.
-func NewSOLO() *SOLO { return &SOLO{Base: Base{ModName: "solo"}, ops: make(map[opKey]*shmOp)} }
+func NewSOLO() *SOLO { return &SOLO{Base: Base{ModName: "solo"}, ops: make(shmOps)} }
 
 const (
 	// soloSetup is the per-operation window synchronisation cost paid by
@@ -33,8 +33,6 @@ const (
 	// soloPerPeer is the per-peer bookkeeping of one-sided transfers.
 	soloPerPeer = 0.2e-6
 )
-
-func (m *SOLO) shm() *shmOps { return &shmOps{ops: m.ops} }
 
 // Name returns "solo".
 func (m *SOLO) Name() string { return "solo" }
@@ -60,28 +58,26 @@ func (m *SOLO) Algs(k Kind) []Alg {
 // (one crossing, concurrent across readers).
 func (m *SOLO) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Ibcast", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 1)
-	me := c.Rank(p)
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-	if me == root {
+	st := m.ops.get(c, c.NextSeq(p), 1, false)
+	s := make(seq, 0, 6)
+	s.cpu(soloSetup)
+	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
+		s.fire(st.ready(0)) // window exposed
+	} else {
+		s.wait(st.ready(0))
+		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+		s.cpu(soloPerPeer)
+		s.copyFrom(buf.N, c.WorldRank(root)) // single direct read
+		if buf.Real() {
+			s.do(func() {
+				if src := st.contribs[root]; src.Real() {
+					buf.CopyFrom(src)
+				}
+			})
+		}
 	}
-	return async(p, "solo-ibcast", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, soloSetup)
-		if me == root {
-			st.ready[0].Fire(hp.W.Eng()) // window exposed
-			return
-		}
-		hp.Sim.Wait(st.ready[0])
-		hp.Sim.Sleep(lat)
-		cpuWait(hp, soloPerPeer)
-		memCopyBetween(hp, buf.N, c.WorldRank(root), hp.Rank) // single direct read
-		if buf.Real() && st.contribs[root].Real() {
-			buf.CopyFrom(st.contribs[root])
-		}
-	})
+	return s.start(p, "solo-ibcast", st)
 }
 
 // Ireduce: a tree-parallel one-sided reduction. Because every rank can
@@ -92,53 +88,52 @@ func (m *SOLO) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params
 // CICO leader must do — the main reason SOLO wins large reductions.
 func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Ireduce", p, c)
-	seq := c.NextSeq(p)
 	n := c.Size()
-	// ready[v*rounds+k] fires when virtual rank v's partial for round k is
-	// exposed.
+	// ready(v*(rounds+1)+k) fires when virtual rank v's partial for round k
+	// is exposed.
 	rounds := 0
 	for 1<<rounds < n {
 		rounds++
 	}
-	st := m.shm().get(c, seq, n*(rounds+1))
-	me := c.Rank(p)
-	v := vrank(me, root, n)
+	st := m.ops.get(c, c.NextSeq(p), n*(rounds+1), false)
+	v := vrank(c.Rank(p), root, n)
 	avx := p.W.Mach.Spec.ReduceAVXBps
 	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-	// Every rank exposes a private working copy of its contribution.
+	// Every rank exposes a private working copy of its contribution, and
+	// folds its peers' partials into it in place.
 	part := snapshot(sbuf)
-	return async(p, "solo-ireduce", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, soloSetup)
-		st.contribs[v] = part
-		st.ready[v*(rounds+1)].Fire(hp.W.Eng()) // round-0 partial exposed
-		for k := 0; k < rounds; k++ {
-			if v&(1<<k) != 0 {
-				// This rank's partial was consumed in round k; done.
-				return
-			}
-			peer := v | 1<<k
-			if peer < n {
-				hp.Sim.Wait(st.ready[peer*(rounds+1)+k])
-				hp.Sim.Sleep(lat)
-				cpuWait(hp, soloPerPeer)
-				peerWorld := c.WorldRank(unvrank(peer, root, n))
-				memCopyBetween(hp, sbuf.N, peerWorld, hp.Rank) // direct read of the peer partial
-				cpuWait(hp, float64(sbuf.N)/avx)               // AVX fold
-				if part.Real() {
+	st.contribs[v] = part
+	s := make(seq, 0, 3+7*rounds)
+	s.cpu(soloSetup)
+	s.fire(st.ready(v * (rounds + 1))) // round-0 partial exposed
+	for k := 0; k < rounds && v&(1<<k) == 0; k++ {
+		// (A rank whose bit k is set had its partial consumed in round k:
+		// done.)
+		if peer := v | 1<<k; peer < n {
+			s.wait(st.ready(peer*(rounds+1) + k))
+			s.sleep(lat)
+			s.cpu(soloPerPeer)
+			s.copyFrom(sbuf.N, c.WorldRank(unvrank(peer, root, n))) // direct read of the peer partial
+			s.cpu(float64(sbuf.N) / avx)                            // AVX fold
+			if part.Real() {
+				s.do(func() {
 					if pb := st.contribs[peer]; pb.Real() {
 						mpi.ReduceBuf(op, dt, part, pb)
 					}
-				}
+				})
 			}
-			st.contribs[v] = part
-			st.ready[v*(rounds+1)+k+1].Fire(hp.W.Eng())
 		}
-		// v == 0: hold the final result.
-		if rbuf.N == sbuf.N {
-			rbuf.CopyFrom(part)
-		}
-	})
+		s.fire(st.ready(v*(rounds+1) + k + 1))
+	}
+	if v == 0 {
+		// Hold the final result.
+		s.do(func() {
+			if rbuf.N == sbuf.N {
+				rbuf.CopyFrom(part)
+			}
+		})
+	}
+	return s.start(p, "solo-ireduce", st)
 }
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
@@ -156,49 +151,54 @@ func (m *SOLO) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.O
 // Igather: contributors expose their blocks; the root reads them all.
 func (m *SOLO) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Igather", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 0)
+	st := m.ops.get(c, c.NextSeq(p), 0, true)
 	me := c.Rank(p)
 	blk := sbuf.N
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	var s seq
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-	}
-	return async(p, "solo-igather", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, soloSetup)
-		if me != root {
-			st.childOK[me].Fire(hp.W.Eng())
-			return
-		}
-		if rbuf.N != c.Size()*blk {
-			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-			panic(fmt.Sprintf("coll: solo gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
-		}
-		rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
+		s = make(seq, 0, 2)
+		s.cpu(soloSetup)
+		s.fire(st.childOK(me))
+	} else {
+		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+		s = make(seq, 0, 2+5*(c.Size()-1))
+		s.cpu(soloSetup)
+		s.do(func() {
+			if rbuf.N != c.Size()*blk {
+				//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
+				panic(fmt.Sprintf("coll: solo gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
+			}
+			rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
+		})
 		for r := 0; r < c.Size(); r++ {
 			if r == root {
 				continue
 			}
-			hp.Sim.Wait(st.childOK[r])
-			hp.Sim.Sleep(lat)
-			cpuWait(hp, soloPerPeer)
-			memCopyBetween(hp, blk, c.WorldRank(r), hp.Rank)
-			if rbuf.Real() && st.contribs[r].Real() {
-				rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(st.contribs[r])
+			s.wait(st.childOK(r))
+			s.sleep(lat)
+			s.cpu(soloPerPeer)
+			s.copyFrom(blk, c.WorldRank(r))
+			if rbuf.Real() {
+				s.do(func() {
+					if src := st.contribs[r]; src.Real() {
+						rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(src)
+					}
+				})
 			}
 		}
-	})
+	}
+	return s.start(p, "solo-igather", st)
 }
 
 // Iscatter: the root exposes its buffer; rank r reads block r directly.
 func (m *SOLO) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Iscatter", p, c)
-	seq := c.NextSeq(p)
-	st := m.shm().get(c, seq, 1)
+	st := m.ops.get(c, c.NextSeq(p), 1, false)
 	me := c.Rank(p)
 	blk := rbuf.N
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	s := make(seq, 0, 6)
+	s.cpu(soloSetup)
 	if me == root {
 		if sbuf.N != c.Size()*blk {
 			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
@@ -207,21 +207,20 @@ func (m *SOLO) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, 
 		for r := 0; r < c.Size(); r++ {
 			st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
 		}
+		s.do(func() { rbuf.CopyFrom(sbuf.Slice(me*blk, (me+1)*blk)) })
+		s.fire(st.ready(0))
+	} else {
+		s.wait(st.ready(0))
+		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+		s.cpu(soloPerPeer)
+		s.copyFrom(blk, c.WorldRank(root))
+		if rbuf.Real() {
+			s.do(func() {
+				if src := st.contribs[me]; src.Real() {
+					rbuf.CopyFrom(src)
+				}
+			})
+		}
 	}
-	return async(p, "solo-iscatter", func(hp *mpi.Proc) {
-		defer m.shm().put(c, seq)
-		cpuWait(hp, soloSetup)
-		if me == root {
-			rbuf.CopyFrom(sbuf.Slice(me*blk, (me+1)*blk))
-			st.ready[0].Fire(hp.W.Eng())
-			return
-		}
-		hp.Sim.Wait(st.ready[0])
-		hp.Sim.Sleep(lat)
-		cpuWait(hp, soloPerPeer)
-		memCopyBetween(hp, blk, c.WorldRank(root), hp.Rank)
-		if rbuf.Real() && st.contribs[me].Real() {
-			rbuf.CopyFrom(st.contribs[me])
-		}
-	})
+	return s.start(p, "solo-iscatter", st)
 }

@@ -157,3 +157,31 @@ func TestIbIrOverlapOnDuplexFabric(t *testing.T) {
 		t.Errorf("conc (%v) below both parts (%v, %v): impossible", conc, ib, ir)
 	}
 }
+
+// A HAN collective's host cost in goroutines is its ranks plus the helpers
+// of the inter-node module: the shared-memory tasks are step-driven and
+// start none.
+func TestBcastStartsNoGoroutinePerSharedMemoryTask(t *testing.T) {
+	const segs = 4
+	spec := cluster.Mini(4, 4)
+	for _, smod := range []string{"sm", "solo"} {
+		cfg := stepCfg()
+		cfg.SMod = smod
+		eng := sim.New()
+		w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+		h := New(w)
+		w.Start(func(p *mpi.Proc) {
+			if err := h.Bcast(p, mpi.Phantom(segs*cfg.FS), 0, cfg); err != nil {
+				t.Errorf("rank %d: %v", p.Rank, err)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// One ib per segment on each node leader.
+		want := uint64(spec.Ranks() + segs*spec.Nodes)
+		if got := eng.Goroutines(); got != want {
+			t.Errorf("%s: Bcast started %d goroutines, want %d ranks + %d inter-node helpers", smod, got, spec.Ranks(), segs*spec.Nodes)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/hanrepro/han/internal/sim"
+)
 
 // Comm is a communicator: an ordered group of world ranks plus a matching
 // context that isolates its traffic from other communicators.
@@ -99,7 +103,9 @@ func (c *Comm) Sub(key string, commRanks []int) *Comm {
 }
 
 // Barrier blocks until every rank of the communicator has entered it
-// (dissemination algorithm over point-to-point messages).
+// (dissemination algorithm over point-to-point messages). The rounds are a
+// step-driven routine (sim.Proc.RunSteps): the first is issued inline, and
+// if it blocks the rank parks once while the engine issues the rest.
 func (c *Comm) Barrier(p *Proc) {
 	n := c.Size()
 	if n <= 1 {
@@ -109,15 +115,49 @@ func (c *Comm) Barrier(p *Proc) {
 	if me < 0 {
 		panic("mpi: Barrier by non-member rank")
 	}
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (me + dist) % n
-		from := (me - dist + n) % n
-		tag := tagBarrier + round
-		sreq := c.Isend(p, Phantom(1), to, tag)
-		rreq := c.Irecv(p, Phantom(1), from, tag)
-		p.Wait(sreq, rreq)
+	if p.bar == nil {
+		p.bar = new(barrierSteps)
+	}
+	*p.bar = barrierSteps{c: c, p: p, me: me, dist: 1}
+	p.Sim.RunSteps(p.bar)
+}
+
+// barrierSteps is one rank's walk through a barrier's rounds: in round k it
+// signals the rank 2^k ahead, hears from the rank 2^k behind, and waits for
+// both.
+type barrierSteps struct {
+	c           *Comm
+	p           *Proc
+	me          int
+	round, dist int
+	reqs        [2]*Request // the round in flight; nil before the first
+}
+
+// Step retires the round whose wait has just completed and issues the next.
+func (b *barrierSteps) Step(sp *sim.Proc) bool {
+	c, p, n := b.c, b.p, b.c.Size()
+	for {
+		if b.reqs[0] != nil {
+			p.release(b.reqs[:])
+		}
+		if b.dist >= n {
+			return true
+		}
+		to := (b.me + b.dist) % n
+		from := (b.me - b.dist + n) % n
+		tag := tagBarrier + b.round
+		b.reqs[0] = c.Isend(p, Phantom(1), to, tag)
+		b.reqs[1] = c.Irecv(p, Phantom(1), from, tag)
+		b.round, b.dist = b.round+1, b.dist*2
+		p.arm(b.reqs[:])
+		if sp.StepWait() {
+			return false
+		}
 	}
 }
+
+// Unwind has nothing to release: the rank's goroutine unwinds by itself.
+func (b *barrierSteps) Unwind(*sim.Proc) {}
 
 // Reserved tag bases. User tags must stay below tagReserved.
 const (

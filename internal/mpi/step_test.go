@@ -1,0 +1,112 @@
+package mpi
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"github.com/hanrepro/han/internal/cluster"
+	"github.com/hanrepro/han/internal/sim"
+)
+
+// A barrier costs each rank one park, whatever the number of rounds: the
+// rank issues the first round itself and lends its process to the rest.
+func TestBarrierParksOncePerRank(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(4, 4)), OpenMPI())
+	w.Start(func(p *Proc) { p.W.World().Barrier(p) }) // four rounds
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Goroutines() != 16 || eng.Parks() != 16 {
+		t.Errorf("%d goroutines and %d parks, want 16 and 16", eng.Goroutines(), eng.Parks())
+	}
+}
+
+// A rank killed while parked inside a barrier unwinds on its own stack —
+// deferred functions run, nothing after the barrier does — exactly once,
+// and the survivors get through once the detector fails their requests.
+func TestKillRankInsideBarrier(t *testing.T) {
+	unwound, past := 0, 0
+	var returned [4]bool
+	w, _ := runCrash(t, cluster.Mini(2, 2), 1, crashAt(1, 50e-6), func(p *Proc) {
+		if p.Rank == 1 {
+			defer func() { unwound++ }()
+		}
+		if p.Rank == 3 {
+			p.Sim.Sleep(1e-3) // holds everybody in the barrier past the crash
+		}
+		p.W.World().Barrier(p)
+		if p.Rank == 1 {
+			past++
+		}
+		returned[p.Rank] = true
+	})
+	if unwound != 1 || past != 0 {
+		t.Errorf("victim unwound %d times and ran past the barrier %d times, want 1 and 0", unwound, past)
+	}
+	if returned != [4]bool{true, false, true, true} {
+		t.Errorf("ranks out of the barrier: %v", returned)
+	}
+	if dead := w.DeadRanks(); len(dead) != 1 || dead[0] != 1 {
+		t.Errorf("dead ranks %v, want [1]", dead)
+	}
+}
+
+// A rank stuck in a barrier is reported at the request a blocking loop would
+// be parked on, and a stuck helper under its composed name.
+func TestDeadlockNamesBarrierRoundAndHelper(t *testing.T) {
+	_, err := Run(cluster.Mini(1, 2), OpenMPI(), func(p *Proc) {
+		if p.Rank == 0 {
+			p.SpawnHelper("stuck", func(hp *Proc) { hp.Wait(NewRequest()) })
+			p.W.World().Barrier(p)
+		}
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("run returned %v, want a deadlock", err)
+	}
+	const want = "[rank0 waiting on recv(peer=1, tag=1048576, ctx=0) rank0.stuck]"
+	if !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("deadlock report %q does not end in %q", err, want)
+	}
+}
+
+// A rank's process list holds its live processes, not every helper it ever
+// spawned.
+func TestFinishedHelpersArePruned(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 1)), OpenMPI())
+	w.Start(func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.SpawnHelper("short", func(hp *Proc) { hp.Sim.Sleep(1e-6) })
+			p.Sim.Sleep(2e-6)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(w.procs[0].procs); n > 16 {
+		t.Errorf("rank 0 still lists %d processes after its helpers finished", n)
+	}
+}
+
+// BenchmarkBarrier4096 is the host cost of one barrier (twelve rounds) on
+// the 4096 ranks of the headline run.
+func BenchmarkBarrier4096(b *testing.B) {
+	spec := cluster.ShaheenII()
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, spec), OpenMPI())
+	w.Start(func(p *Proc) {
+		c := p.W.World()
+		for i := 0; i < b.N; i++ {
+			c.Barrier(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(eng.Now())*1e6/float64(b.N), "sim-us/op")
+}

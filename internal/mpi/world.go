@@ -19,6 +19,7 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
@@ -64,11 +65,11 @@ type World struct {
 	// the attached plan contains CrashSpecs. Nil leaves every hot path
 	// crash-free.
 	crash *crashState
-	// procs registers every simulated process per rank (main bodies and
-	// helpers), so a crash can kill all of a rank's execution. Maintained
-	// unconditionally — a few appends per spawn — so AttachFaults and
-	// Start may come in either order.
-	procs [][]*sim.Proc
+	// procs registers the unfinished simulated processes per rank (main
+	// bodies and helpers), so a crash can kill all of a rank's execution.
+	// Maintained unconditionally — a few appends per spawn — so AttachFaults
+	// and Start may come in either order.
+	procs []rankProcs
 	// Failure-detection knobs; zero values mean the crash.go defaults.
 	maxSendAttempts int
 	hbPeriod        float64
@@ -95,7 +96,7 @@ func NewWorld(m *cluster.Machine, pers *Personality) *World {
 		cachedComms: make(map[string]*Comm),
 		rng:         rand.New(rand.NewSource(1)),
 		m:           &worldMetrics{},
-		procs:       make([][]*sim.Proc, m.Spec.Ranks()),
+		procs:       make([]rankProcs, m.Spec.Ranks()),
 	}
 	w.initPools()
 	all := make([]int, m.Spec.Ranks())
@@ -203,6 +204,35 @@ type Proc struct {
 	Sim  *sim.Proc
 	W    *World
 	Rank int // world rank
+
+	// helper is the name a helper process was spawned under.
+	helper string
+	// bar is the state of the barrier this process is blocked in, allocated
+	// by its first Barrier and reused by the rest: a process runs one
+	// blocking call at a time.
+	bar *barrierSteps
+}
+
+// helperName composes a helper's process name when a deadlock, watchdog or
+// panic report asks for it.
+type helperName Proc
+
+func (n *helperName) String() string { return fmt.Sprintf("rank%d.%s", n.Rank, n.helper) }
+
+// rankProcs is one rank's process list. Finished helpers are dropped once
+// the list has doubled since the last sweep (the rule of sim.Engine.track),
+// so a long run stays bounded by the rank's live processes.
+type rankProcs struct {
+	procs   []*sim.Proc
+	sweepAt int
+}
+
+func (rp *rankProcs) add(sp *sim.Proc) {
+	if n := len(rp.procs); n >= 8 && n >= rp.sweepAt {
+		rp.procs = slices.DeleteFunc(rp.procs, (*sim.Proc).Finished)
+		rp.sweepAt = 2 * len(rp.procs)
+	}
+	rp.procs = append(rp.procs, sp)
 }
 
 // Now returns the current virtual time.
@@ -217,12 +247,21 @@ func (p *Proc) Node() int { return p.W.Mach.NodeOf(p.Rank) }
 // receive) still incomplete, naming the peer, tag, and comm for
 // deadlock/watchdog reports.
 func (p *Proc) Wait(reqs ...*Request) {
+	p.arm(reqs)
+	p.Sim.WaitArmed()
+	p.release(reqs)
+}
+
+// arm and release are Wait's two halves, around the park.
+func (p *Proc) arm(reqs []*Request) {
 	for _, r := range reqs {
 		if r != nil {
 			p.Sim.Arm(&r.doneSig, &r.site)
 		}
 	}
-	p.Sim.WaitArmed()
+}
+
+func (p *Proc) release(reqs []*Request) {
 	for _, r := range reqs {
 		if r != nil {
 			// A waited request is finished business: recycle pooled ones.
@@ -236,11 +275,25 @@ func (p *Proc) Wait(reqs ...*Request) {
 // progress engine of a non-blocking collective). The helper shares the
 // rank's CPU resource with every other process of the rank.
 func (p *Proc) SpawnHelper(name string, fn func(*Proc)) {
-	w, rank := p.W, p.Rank
-	sp := p.Sim.Engine().Spawn(fmt.Sprintf("rank%d.%s", rank, name), func(sp *sim.Proc) {
-		fn(&Proc{Sim: sp, W: w, Rank: rank})
-	})
-	w.procs[rank] = append(w.procs[rank], sp)
+	hp := &Proc{W: p.W, Rank: p.Rank, helper: name}
+	hp.Sim = p.Sim.Engine().Spawn("", func(*sim.Proc) { fn(hp) })
+	hp.register()
+}
+
+// SpawnSteps starts a helper process that has no goroutine: the engine
+// advances s in place (sim.Stepper). It returns the helper's execution
+// context for s to act through.
+func (p *Proc) SpawnSteps(name string, s sim.Stepper) *Proc {
+	hp := &Proc{W: p.W, Rank: p.Rank, helper: name}
+	hp.Sim = p.Sim.Engine().SpawnStep("", s)
+	hp.register()
+	return hp
+}
+
+// register names a freshly spawned helper and lists it with its rank.
+func (hp *Proc) register() {
+	hp.Sim.SetNamer((*helperName)(hp))
+	hp.W.procs[hp.Rank].add(hp.Sim)
 }
 
 // Start spawns one simulated process per rank, each executing fn. The
@@ -251,7 +304,7 @@ func (w *World) Start(fn func(*Proc)) {
 		sp := w.Eng().Spawn(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
 			fn(&Proc{Sim: sp, W: w, Rank: r})
 		})
-		w.procs[r] = append(w.procs[r], sp)
+		w.procs[r].add(sp)
 	}
 }
 
@@ -266,7 +319,7 @@ func (w *World) StartE(fn func(*Proc) error) {
 				w.Eng().Stop(&RankError{Rank: r, Err: err})
 			}
 		})
-		w.procs[r] = append(w.procs[r], sp)
+		w.procs[r].add(sp)
 	}
 }
 

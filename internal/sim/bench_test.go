@@ -51,6 +51,21 @@ func BenchmarkProcHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkStepHandoff is BenchmarkProcHandoff with step-driven sleepers:
+// the same events, dispatched in place on the engine goroutine (one
+// StepSleep per iteration overall).
+func BenchmarkStepHandoff(b *testing.B) {
+	e := New()
+	loops := b.N/benchDepth + 1
+	for i := 0; i < benchDepth; i++ {
+		e.SpawnStep("sleeper", &sleepSteps{left: loops, d: Time(1+i%7) * 1e-9})
+	}
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkSignalFanout measures waking many waiters from one signal.
 func BenchmarkSignalFanout(b *testing.B) {
 	const waiters = 64

@@ -4,16 +4,18 @@
 // The engine owns a virtual clock and an event queue ordered by (time,
 // sequence number), so two runs of the same program observe identical event
 // orderings. Simulated processes are goroutines that cooperate with the
-// engine through a strict baton-passing protocol: at any instant at most one
+// engine through a strict baton-passing protocol — or Steppers, state
+// machines the engine advances in place: at any instant at most one
 // goroutine (either the engine or a single process) is running, which means
 // all engine and process state can be mutated without locks.
 //
-// Processes block with Proc.Sleep and Proc.Wait; other code wakes them by
-// firing Signals or scheduling callbacks with Engine.At / Engine.After.
+// Processes block with Proc.Sleep and Proc.Wait (a Stepper with
+// Proc.StepSleep and Proc.StepWait); other code wakes them by firing
+// Signals or scheduling callbacks with Engine.At / Engine.After.
 //
 // # Dispatch
 //
-// Four invariants hold on the dispatch path, and everything built on the
+// Five invariants hold on the dispatch path, and everything built on the
 // engine (bit-identical replay, the parallel engine's oracle) leans on
 // them:
 //
@@ -36,6 +38,27 @@
 //     (WaitArmed); each firing signal counts the process down and the last
 //     one schedules its single resume. Kill clears the count and pushes the
 //     one unwind resume; Signal.Fire skips dying waiters.
+//   - A step-driven process is dispatched by the same events as a goroutine
+//     one. SpawnStep queues the start event Spawn queues; StepSleep queues
+//     the resume Sleep queues; Arm registers on the same signals and
+//     StepWait parks on them or, all having fired, carries on without an
+//     event, as WaitArmed does — so a body rewritten as a Stepper moves no
+//     (t, seq), and the differential in step_test.go holds the two forms to
+//     the same dispatch log under Run, RunUntil, MaxEvents, Stop, Kill and
+//     a panic. What changes is who runs it: the engine goroutine calls
+//     Step in place at the start and resume events, and nobody else does. A
+//     parking process leaves a step-driven top-of-queue to the engine
+//     goroutine, so a Step never runs on another process's stack; the one
+//     exception is RunSteps, where a goroutine process runs the first Step
+//     of its own routine inline — it is that process's code, in its own
+//     dispatch slot — before lending its Proc and parking once for the
+//     rest; the engine hands the baton back in the dispatch slot of the
+//     Step that reports done. Kill is the same three cases: a parked
+//     Stepper gets the one unwind resume, a sleeping or unstarted one
+//     already holds its event, one killed while running unwinds at its
+//     next StepWait; at that event the engine calls Unwind instead of Step
+//     (a lent Proc goes back to its goroutine, which unwinds out of its
+//     park), and the process never runs again.
 //
 // Event records are pooled: large simulations (the 4096-rank HAN runs
 // schedule tens of millions of events) recycle event structs instead of

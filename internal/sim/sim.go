@@ -12,8 +12,8 @@ type Time float64
 // Event kinds.
 const (
 	evCallback = iota // run fn inline in the engine goroutine
-	evStart           // start a process goroutine and wait for the baton
-	evResume          // hand the baton to a parked process
+	evStart           // start a process: its goroutine, or its first Step
+	evResume          // hand the baton to a parked process, or run its next Step
 )
 
 type event struct {
@@ -187,6 +187,9 @@ type Engine struct {
 	// the engine goroutine.
 	limit   Time
 	bounded bool
+	// goroutines and parks count what the host pays for process-oriented
+	// code: goroutines started, and blocking calls that gave the baton up.
+	goroutines, parks uint64
 }
 
 // New returns a ready-to-use Engine with the clock at zero.
@@ -196,6 +199,15 @@ func New() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
+
+// Goroutines reports how many process goroutines the engine has started.
+// Step-driven processes (SpawnStep) start none.
+func (e *Engine) Goroutines() uint64 { return e.goroutines }
+
+// Parks reports how many times a goroutine process has parked — each one a
+// host context switch away from it and, later, back. Step-driven processes
+// never park, and one that lends its Proc (RunSteps) parks once per routine.
+func (e *Engine) Parks() uint64 { return e.parks }
 
 // Stop requests that Run return err after the event currently being
 // dispatched completes. The first Stop wins; later calls are no-ops.
@@ -222,7 +234,7 @@ func (e *Engine) ParkedSites() []ParkedProc {
 		if !p.parked {
 			continue
 		}
-		pp := ParkedProc{Name: p.name}
+		pp := ParkedProc{Name: p.Name()}
 		if site := p.parkSite(); site != nil {
 			pp.Site = site.String()
 		}
@@ -315,12 +327,22 @@ func (e *Engine) AfterInto(tm *Timer, d Time, fn func()) { e.AtInto(tm, e.now+d,
 // protocol continuations).
 func (e *Engine) Schedule(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
-// Proc is a simulated process. Each Proc runs in its own goroutine but
+// Proc is a simulated process. It runs either in its own goroutine (Spawn)
+// or as a Stepper the engine calls in place (SpawnStep); either way it
 // executes strictly interleaved with the engine and all other processes.
 type Proc struct {
-	e      *Engine
-	name   string
+	e    *Engine
+	name string
+	// namer, when set, composes the name at report time (SetNamer).
+	namer fmt.Stringer
+	// resume is the baton channel of a goroutine process; nil for a process
+	// that only ever runs as steps.
 	resume chan struct{}
+	// step, while non-nil, makes the process step-driven: its start and
+	// resume events call step.Step on the engine goroutine instead of waking
+	// a goroutine. SpawnStep sets it for the life of the process, RunSteps
+	// for one blocking routine of a goroutine process.
+	step Stepper
 	// armed lists the signals the process registered on for its current
 	// blocking call, each with its park-site label; pending counts those
 	// that have not fired yet. Signal.Fire decrements pending and resumes
@@ -356,8 +378,23 @@ type armedSignal struct {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Name returns the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name returns the name given at Spawn time, or composed by the namer.
+func (p *Proc) Name() string {
+	if p.namer != nil {
+		return p.namer.String()
+	}
+	return p.name
+}
+
+// SetNamer makes Name call n.String() instead of returning the Spawn-time
+// string. Names are read by deadlock, watchdog and panic reports only, so a
+// caller that spawns many short-lived processes passes "" to Spawn and
+// formats the name here, when somebody asks.
+func (p *Proc) SetNamer(n fmt.Stringer) { p.namer = n }
+
+// Finished reports whether the process has run to completion or finished
+// unwinding after a Kill.
+func (p *Proc) Finished() bool { return p.finished }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
@@ -370,10 +407,17 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt is like Spawn but delays the process start until virtual time t.
 func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
+	p := e.spawn(t, name, fn)
+	p.resume = make(chan struct{})
+	return p
+}
+
+// spawn registers a process and queues its start event.
+func (e *Engine) spawn(t Time, name string, fn func(*Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) is in the past (now=%v)", t, e.now))
 	}
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	p.armed = p.armBuf[:0]
 	e.track(p)
 	e.live++
@@ -384,6 +428,79 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
 	ev.body = fn
 	e.push(ev)
 	return p
+}
+
+// Stepper is the body of a step-driven process: a state machine the engine
+// advances in place, on the engine goroutine, at the process's start event
+// and at every resume event — the same events, queued at the same points,
+// that would start or wake a goroutine process, so replacing a goroutine
+// body by an equivalent Stepper moves no (t, seq) and no simulated bit. What
+// it saves is the goroutine: no stack, no channel, no host context switch
+// per blocking call.
+type Stepper interface {
+	// Step runs the process from where it last blocked until it blocks again
+	// or finishes, and reports whether it finished. It blocks by calling
+	// p.StepSleep, or p.Arm followed by p.StepWait, and returning false right
+	// after; it must not call the parking forms (Sleep, Wait, WaitArmed,
+	// WaitAny). Only the engine calls Step (and RunSteps, once, on the
+	// lending process's own goroutine).
+	Step(p *Proc) (done bool)
+	// Unwind is what a goroutine body would have deferred: the engine calls
+	// it instead of Step, once, at the event where a killed process would
+	// have unwound. A process that lent its Proc through RunSteps unwinds on
+	// its own stack instead, and Unwind is not called.
+	Unwind(p *Proc)
+}
+
+// SpawnStep registers a process that has no goroutine: the engine calls
+// s.Step at the process's start event (now) and at each of its resumes until
+// Step reports done.
+func (e *Engine) SpawnStep(name string, s Stepper) *Proc {
+	p := e.spawn(e.now, name, nil)
+	p.step = s
+	return p
+}
+
+// RunSteps runs s as one blocking routine of the calling goroutine process:
+// the first Step runs inline, in the caller's own dispatch slot as its
+// straight-line code would, and if it blocks the process lends its Proc to s
+// and parks once — the engine drives the remaining Steps from the process's
+// resume events and switches back to the goroutine, in the dispatch slot of
+// the Step that reports done. A routine of N blocking calls costs one
+// goroutine switch instead of N.
+func (p *Proc) RunSteps(s Stepper) {
+	if s.Step(p) {
+		return
+	}
+	p.step = s
+	p.park()
+}
+
+// StepSleep schedules the running step-driven process's next Step d seconds
+// from now: Sleep for a process without a stack. Negative durations are
+// treated as zero. The Step must return false right after.
+func (p *Proc) StepSleep(d Time) {
+	if d < 0 {
+		d = 0
+	}
+	p.e.resumeAt(p.e.now+d, p)
+}
+
+// StepWait is WaitArmed for a step-driven process. It reports whether the
+// process has to block on the signals armed since its last wait: if so the
+// Step must return false, and runs again once all of them have fired; if
+// every one had fired already the process carries on, and no event is
+// queued. A process killed while running unwinds here, as in WaitArmed.
+func (p *Proc) StepWait() (blocked bool) {
+	if p.dying {
+		panic(procExit{})
+	}
+	if p.pending > 0 {
+		p.parked = true
+		return true
+	}
+	p.disarm()
+	return false
 }
 
 // track appends p to the spawn-ordered process list ParkedSites reads.
@@ -440,6 +557,7 @@ func (e *Engine) Kill(p *Proc) {
 
 // park gives up the baton and blocks until the process is resumed.
 func (p *Proc) park() {
+	p.e.parks++
 	p.e.passBaton(p)
 	if p.dying {
 		panic(procExit{})
@@ -471,14 +589,16 @@ func (e *Engine) passBaton(from *Proc) {
 }
 
 // popResume dispatches the top event if the engine loop would dispatch it
-// next and it is a resume, and returns the process to wake; nil otherwise.
-// The conditions mirror the head of the loop in run.
+// next and it is the resume of a goroutine process, and returns the process
+// to wake; nil otherwise. A step-driven process's resume is left to the
+// engine goroutine, so a Step never runs on another process's stack. The
+// other conditions mirror the head of the loop in run.
 func (e *Engine) popResume() *Proc {
 	if len(e.events) == 0 || e.stopErr != nil || e.panicVal != nil {
 		return nil
 	}
 	top := e.events[0]
-	if top.kind != evResume || top.cancelled ||
+	if top.kind != evResume || top.cancelled || top.p.step != nil ||
 		(e.bounded && top.t >= e.limit) ||
 		(e.MaxEvents != 0 && e.dispatched >= e.MaxEvents) {
 		return nil
@@ -546,7 +666,11 @@ func (p *Proc) Arm(s *Signal, site fmt.Stringer) {
 	if s.fired || p.dying {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.waiters = append(s.waiters, p)
+	}
 	p.armed = append(p.armed, armedSignal{s, site})
 	p.pending++
 }
@@ -624,7 +748,11 @@ type sub struct{ cb func() }
 // Signal is a one-shot broadcast condition. Once fired it stays fired;
 // waiting on a fired signal returns immediately.
 type Signal struct {
-	fired   bool
+	fired bool
+	// first is the first process waiting, waiters the second onwards: most
+	// signals are waited on by one process, and a field costs no allocation
+	// where a one-element slice does.
+	first   *Proc
 	waiters []*Proc
 	cbs     []func() // permanent registrations (OnFire)
 	subs    []*sub   // cancellable registrations (Subscribe)
@@ -676,24 +804,33 @@ func (s *Signal) Fire(e *Engine) {
 	if s.subs == nil {
 		s.subs = subs[:0]
 	}
-	waiters := s.waiters
-	s.waiters = nil
+	first, waiters := s.first, s.waiters
+	s.first, s.waiters = nil, nil
+	if first != nil {
+		first.countDown(e)
+	}
 	for _, p := range waiters {
-		if p.dying {
-			// Killed while parked here: Kill already scheduled the one
-			// unwind resume; a second resume would wedge the baton.
-			continue
-		}
-		if p.pending--; p.pending == 0 && p.parked {
-			p.parked = false
-			e.resumeAt(e.now, p)
-		}
+		p.countDown(e)
 	}
 	for i := range waiters {
 		waiters[i] = nil
 	}
 	if s.waiters == nil {
 		s.waiters = waiters[:0]
+	}
+}
+
+// countDown counts one armed signal of p as fired, and queues p's resume when it
+// was the last one p is parked on.
+func (p *Proc) countDown(e *Engine) {
+	if p.dying {
+		// Killed while parked here: Kill already scheduled the one unwind
+		// resume; a second resume would wedge the baton.
+		return
+	}
+	if p.pending--; p.pending == 0 && p.parked {
+		p.parked = false
+		e.resumeAt(e.now, p)
 	}
 }
 
@@ -713,6 +850,7 @@ func (s *Signal) Reset() {
 		s.subs[i] = nil
 	}
 	s.subs = s.subs[:0]
+	s.first = nil
 	for i := range s.waiters {
 		s.waiters[i] = nil
 	}
@@ -946,13 +1084,18 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		case evStart:
 			p, body := ev.p, ev.body
 			e.release(ev)
+			if p.step != nil {
+				e.runStep(p)
+				break
+			}
+			e.goroutines++
 			//hanlint:allow simtime the one real goroutine per simulated process; the baton handoff below serialises it
 			go func() {
 				defer func() {
 					p.finished = true
 					if r := recover(); r != nil {
 						if _, killed := r.(procExit); !killed {
-							e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+							e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
 						}
 					}
 					e.live--
@@ -966,6 +1109,10 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		case evResume:
 			p := ev.p
 			e.release(ev)
+			if p.step != nil {
+				e.runStep(p)
+				break
+			}
 			p.resume <- struct{}{}
 			<-e.yield
 		}
@@ -977,4 +1124,44 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		}
 	}
 	return e.stopErr
+}
+
+// runStep dispatches the start or resume event of a step-driven process on
+// the engine goroutine: the next Step — or, for a killed process, its
+// unwinding. When the steps are done, a process that lent its Proc
+// (RunSteps) gets the baton back within this same dispatch; one without a
+// goroutine is finished.
+func (e *Engine) runStep(p *Proc) {
+	p.disarm()
+	if !p.dying && !e.callStep(p) {
+		return
+	}
+	if p.resume != nil {
+		// Lent: a killed process unwinds out of its park, on its own stack.
+		p.step = nil
+		p.resume <- struct{}{}
+		<-e.yield
+		return
+	}
+	if p.dying {
+		p.step.Unwind(p)
+	}
+	p.finished = true
+	e.live--
+}
+
+// callStep runs one Step and reports whether the process is done. A process
+// that called Exit, or was killed while running and reached its next wait, is
+// done; any other panic is re-raised naming the process, as a goroutine
+// process's is.
+func (e *Engine) callStep(p *Proc) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, killed := r.(procExit); !killed {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r))
+			}
+			done = true
+		}
+	}()
+	return p.step.Step(p)
 }
