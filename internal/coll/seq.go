@@ -38,13 +38,22 @@ type seqStep struct {
 	do   func()  // seqDo
 }
 
-// seq is a helper's program under construction. The cost steps drop
-// themselves when the cost is zero, as cpuWait does.
-type seq []seqStep
+// seq is a helper's program under construction, on the shared state of its
+// operation. The cost steps drop themselves when the cost is zero, as
+// cpuWait does.
+type seq struct {
+	st    *shmOp
+	steps []seqStep
+}
+
+// newSeq returns an empty program with room for n steps.
+func newSeq(st *shmOp, n int) seq { return seq{st, make([]seqStep, 0, n)} }
+
+func (s *seq) add(st seqStep) { s.steps = append(s.steps, st) }
 
 func (s *seq) cpu(sec float64) {
 	if sec > 0 {
-		*s = append(*s, seqStep{kind: seqCPU, amt: sec})
+		s.add(seqStep{kind: seqCPU, amt: sec})
 	}
 }
 
@@ -52,7 +61,7 @@ func (s *seq) cpu(sec float64) {
 // node bus, or its socket bus on NUMA machines).
 func (s *seq) copyIn(n int) {
 	if n > 0 {
-		*s = append(*s, seqStep{kind: seqCopy, amt: float64(n)})
+		s.add(seqStep{kind: seqCopy, amt: float64(n)})
 	}
 }
 
@@ -62,19 +71,47 @@ func (s *seq) copyIn(n int) {
 // hierarchy avoids.
 func (s *seq) copyFrom(n, src int) {
 	if n > 0 {
-		*s = append(*s, seqStep{kind: seqCopyFrom, amt: float64(n), arg: int32(src)})
+		s.add(seqStep{kind: seqCopyFrom, amt: float64(n), arg: int32(src)})
 	}
 }
 
-func (s *seq) wait(f flag)      { *s = append(*s, seqStep{kind: seqWait, arg: int32(f)}) }
-func (s *seq) sleep(d sim.Time) { *s = append(*s, seqStep{kind: seqSleep, amt: float64(d)}) }
-func (s *seq) fire(f flag)      { *s = append(*s, seqStep{kind: seqFire, arg: int32(f)}) }
-func (s *seq) do(fn func())     { *s = append(*s, seqStep{kind: seqDo, do: fn}) }
+// poll waits for a flag, then pays the latency of its propagation.
+func (s *seq) poll(f flag, lat sim.Time) {
+	s.add(seqStep{kind: seqWait, arg: int32(f)})
+	s.add(seqStep{kind: seqSleep, amt: float64(lat)})
+}
+
+func (s *seq) fire(f flag)  { s.add(seqStep{kind: seqFire, arg: int32(f)}) }
+func (s *seq) do(fn func()) { s.add(seqStep{kind: seqDo, do: fn}) }
+
+// payload is the data plane of a copy-out: dst takes comm rank i's
+// snapshot, in a world that carries real bytes.
+func (s *seq) payload(dst mpi.Buf, i int) {
+	if st := s.st; dst.Real() {
+		s.do(func() {
+			if src := st.contribs[i]; src.Real() {
+				dst.CopyFrom(src)
+			}
+		})
+	}
+}
+
+// fold is the data plane of a reduction step: comm rank i's snapshot is
+// folded into dst.
+func (s *seq) fold(op mpi.Op, dt mpi.Datatype, dst mpi.Buf, i int) {
+	if st := s.st; dst.Real() {
+		s.do(func() {
+			if src := st.contribs[i]; src.Real() {
+				mpi.ReduceBuf(op, dt, dst, src)
+			}
+		})
+	}
+}
 
 // seqRun is one helper executing a seq on behalf of a rank.
 type seqRun struct {
 	hp    *mpi.Proc
-	steps seq
+	steps []seqStep
 	pc    int
 	// copying is the seqCopyFrom step the helper is blocked in: its deliver
 	// record is due when the copy lands.
@@ -87,8 +124,8 @@ type seqRun struct {
 // start runs s in a step-driven helper of p's rank and returns the request
 // that completes when it has run to its end. The helper's use of the
 // operation's shared state is released when it ends or is killed.
-func (s seq) start(p *mpi.Proc, name string, st *shmOp) *mpi.Request {
-	r := &seqRun{steps: s, st: st}
+func (s seq) start(p *mpi.Proc, name string) *mpi.Request {
+	r := &seqRun{steps: s.steps, st: s.st}
 	r.hp = p.SpawnSteps(name, r)
 	return &r.req
 }

@@ -118,6 +118,10 @@ func (st *shmOp) release() {
 	}
 }
 
+// intraLatency is how long a raised flag takes to be seen by a polling rank
+// of the same node.
+func intraLatency(p *mpi.Proc) sim.Time { return sim.Time(p.W.Mach.Spec.IntraLatency) }
+
 // snapshot returns an immutable copy of b (phantoms are already immutable).
 func snapshot(b mpi.Buf) mpi.Buf {
 	if !b.Real() {
@@ -163,7 +167,7 @@ func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) 
 	checkSingleNode("sm.Ibcast", p, c)
 	segs, perFrag := smFrags(buf.N)
 	st := m.ops.get(c, c.NextSeq(p), len(segs), false)
-	s := make(seq, 0, 2+4*len(segs))
+	s := newSeq(st, 2+4*len(segs))
 	s.cpu(smSetup)
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
@@ -173,23 +177,15 @@ func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) 
 			s.fire(st.ready(i))
 		}
 	} else {
-		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-		rootWorld := c.WorldRank(root)
+		lat := intraLatency(p)
 		for i, sg := range segs {
-			s.wait(st.ready(i))
-			s.sleep(lat) // flag propagation
+			s.poll(st.ready(i), lat)
 			s.cpu(perFrag)
-			s.copyFrom(sg.Hi-sg.Lo, rootWorld) // copy-out
+			s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(root)) // copy-out
 		}
-		if buf.Real() {
-			s.do(func() {
-				if src := st.contribs[root]; src.Real() {
-					buf.CopyFrom(src)
-				}
-			})
-		}
+		s.payload(buf, root)
 	}
-	return s.start(p, "sm-ibcast", st)
+	return s.start(p, "sm-ibcast")
 }
 
 // Ireduce: every non-root rank copies its contribution in; the root copies
@@ -197,52 +193,44 @@ func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) 
 func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Ireduce", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 0, true)
-	me := c.Rank(p)
+	me, n := c.Rank(p), c.Size()
 	segs, perFrag := smFrags(sbuf.N)
-	var s seq
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s = make(seq, 0, 2+2*len(segs))
+		s := newSeq(st, 2+2*len(segs))
 		s.cpu(smSetup)
 		for _, sg := range segs {
 			s.cpu(perFrag)
 			s.copyIn(sg.Hi - sg.Lo) // copy contribution in
 		}
 		s.fire(st.childOK(me))
-	} else {
-		scalar := p.W.Mach.Spec.ReduceScalarBps
-		if m.AVX {
-			scalar = p.W.Mach.Spec.ReduceAVXBps
-		}
-		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-		s = make(seq, 0, 2+(4+2*len(segs))*(c.Size()-1))
-		s.cpu(smSetup)
-		s.do(func() {
-			if rbuf.N == sbuf.N {
-				rbuf.CopyFrom(sbuf)
-			}
-		})
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			s.wait(st.childOK(r))
-			s.sleep(lat)
-			for _, sg := range segs {
-				s.cpu(perFrag)
-				s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(r)) // copy contribution out
-			}
-			s.cpu(float64(sbuf.N) / scalar) // scalar fold
-			if rbuf.Real() {
-				s.do(func() {
-					if src := st.contribs[r]; src.Real() {
-						mpi.ReduceBuf(op, dt, rbuf, src)
-					}
-				})
-			}
-		}
+		return s.start(p, "sm-ireduce")
 	}
-	return s.start(p, "sm-ireduce", st)
+	scalar := p.W.Mach.Spec.ReduceScalarBps
+	if m.AVX {
+		scalar = p.W.Mach.Spec.ReduceAVXBps
+	}
+	lat := intraLatency(p)
+	s := newSeq(st, 2+(4+2*len(segs))*(n-1))
+	s.cpu(smSetup)
+	s.do(func() {
+		if rbuf.N == sbuf.N {
+			rbuf.CopyFrom(sbuf)
+		}
+	})
+	for r := 0; r < n; r++ {
+		if r == root {
+			continue
+		}
+		s.poll(st.childOK(r), lat)
+		for _, sg := range segs {
+			s.cpu(perFrag)
+			s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(r)) // copy contribution out
+		}
+		s.cpu(float64(sbuf.N) / scalar) // scalar fold
+		s.fold(op, dt, rbuf, r)
+	}
+	return s.start(p, "sm-ireduce")
 }
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
@@ -261,87 +249,68 @@ func (m *SM) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op,
 func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Igather", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 0, true)
-	me := c.Rank(p)
-	blk := sbuf.N
-	var s seq
+	me, n, blk := c.Rank(p), c.Size(), sbuf.N
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s = make(seq, 0, 4)
+		s := newSeq(st, 4)
 		s.cpu(smSetup)
 		s.cpu(smPerFrag)
 		s.copyIn(blk)
 		s.fire(st.childOK(me))
-	} else {
-		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-		s = make(seq, 0, 2+5*(c.Size()-1))
-		s.cpu(smSetup)
-		s.do(func() {
-			if rbuf.N != c.Size()*blk {
-				//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-				panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
-			}
-			rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
-		})
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			s.wait(st.childOK(r))
-			s.sleep(lat)
-			s.cpu(smPerFrag)
-			s.copyFrom(blk, c.WorldRank(r))
-			if rbuf.Real() {
-				s.do(func() {
-					if src := st.contribs[r]; src.Real() {
-						rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(src)
-					}
-				})
-			}
-		}
+		return s.start(p, "sm-igather")
 	}
-	return s.start(p, "sm-igather", st)
+	if rbuf.N != n*blk {
+		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
+		panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, n*blk))
+	}
+	lat := intraLatency(p)
+	s := newSeq(st, 2+5*(n-1))
+	s.cpu(smSetup)
+	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
+	for r := 0; r < n; r++ {
+		if r == root {
+			continue
+		}
+		s.poll(st.childOK(r), lat)
+		s.cpu(smPerFrag)
+		s.copyFrom(blk, c.WorldRank(r))
+		s.payload(rbuf.Slice(r*blk, (r+1)*blk), r)
+	}
+	return s.start(p, "sm-igather")
 }
 
 // Iscatter: the root copies each block in; rank r copies block r out.
 func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Iscatter", p, c)
-	st := m.ops.get(c, c.NextSeq(p), c.Size(), false)
-	me := c.Rank(p)
-	blk := rbuf.N
-	var s seq
-	if me == root {
-		if sbuf.N != c.Size()*blk {
-			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-			panic(fmt.Sprintf("coll: sm scatter buffer %d bytes, want %d", sbuf.N, c.Size()*blk))
-		}
-		s = make(seq, 0, 2+3*(c.Size()-1))
+	me, n, blk := c.Rank(p), c.Size(), rbuf.N
+	st := m.ops.get(c, c.NextSeq(p), n, false)
+	if me != root {
+		s := newSeq(st, 6)
 		s.cpu(smSetup)
-		for r := 0; r < c.Size(); r++ {
-			st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
-			if r == root {
-				s.do(func() { rbuf.CopyFrom(sbuf.Slice(r*blk, (r+1)*blk)) })
-				continue
-			}
-			s.cpu(smPerFrag)
-			s.copyIn(blk)
-			s.fire(st.ready(r))
-		}
-	} else {
-		s = make(seq, 0, 6)
-		s.cpu(smSetup)
-		s.wait(st.ready(me))
-		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+		s.poll(st.ready(me), intraLatency(p))
 		s.cpu(smPerFrag)
 		s.copyFrom(blk, c.WorldRank(root))
-		if rbuf.Real() {
-			s.do(func() {
-				if src := st.contribs[me]; src.Real() {
-					rbuf.CopyFrom(src)
-				}
-			})
-		}
+		s.payload(rbuf, me)
+		return s.start(p, "sm-iscatter")
 	}
-	return s.start(p, "sm-iscatter", st)
+	if sbuf.N != n*blk {
+		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
+		panic(fmt.Sprintf("coll: sm scatter buffer %d bytes, want %d", sbuf.N, n*blk))
+	}
+	s := newSeq(st, 2+3*(n-1))
+	s.cpu(smSetup)
+	for r := 0; r < n; r++ {
+		block := sbuf.Slice(r*blk, (r+1)*blk)
+		st.contribs[r] = snapshot(block)
+		if r == root {
+			s.do(func() { rbuf.CopyFrom(block) })
+			continue
+		}
+		s.cpu(smPerFrag)
+		s.copyIn(blk)
+		s.fire(st.ready(r))
+	}
+	return s.start(p, "sm-iscatter")
 }
 
 // Iallgather composes Igather to rank 0 with Ibcast of the result.

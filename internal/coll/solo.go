@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hanrepro/han/internal/mpi"
-	"github.com/hanrepro/han/internal/sim"
 )
 
 // SOLO models Open MPI's experimental one-sided shared-memory module: ranks
@@ -59,25 +58,18 @@ func (m *SOLO) Algs(k Kind) []Alg {
 func (m *SOLO) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Ibcast", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 1, false)
-	s := make(seq, 0, 6)
+	s := newSeq(st, 6)
 	s.cpu(soloSetup)
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
 		s.fire(st.ready(0)) // window exposed
 	} else {
-		s.wait(st.ready(0))
-		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+		s.poll(st.ready(0), intraLatency(p))
 		s.cpu(soloPerPeer)
 		s.copyFrom(buf.N, c.WorldRank(root)) // single direct read
-		if buf.Real() {
-			s.do(func() {
-				if src := st.contribs[root]; src.Real() {
-					buf.CopyFrom(src)
-				}
-			})
-		}
+		s.payload(buf, root)
 	}
-	return s.start(p, "solo-ibcast", st)
+	return s.start(p, "solo-ibcast")
 }
 
 // Ireduce: a tree-parallel one-sided reduction. Because every rank can
@@ -98,30 +90,23 @@ func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 	st := m.ops.get(c, c.NextSeq(p), n*(rounds+1), false)
 	v := vrank(c.Rank(p), root, n)
 	avx := p.W.Mach.Spec.ReduceAVXBps
-	lat := sim.Time(p.W.Mach.Spec.IntraLatency)
+	lat := intraLatency(p)
 	// Every rank exposes a private working copy of its contribution, and
 	// folds its peers' partials into it in place.
 	part := snapshot(sbuf)
 	st.contribs[v] = part
-	s := make(seq, 0, 3+7*rounds)
+	s := newSeq(st, 3+7*rounds)
 	s.cpu(soloSetup)
 	s.fire(st.ready(v * (rounds + 1))) // round-0 partial exposed
+	// A rank's partial is consumed in the round of its lowest set bit: it is
+	// done then.
 	for k := 0; k < rounds && v&(1<<k) == 0; k++ {
-		// (A rank whose bit k is set had its partial consumed in round k:
-		// done.)
 		if peer := v | 1<<k; peer < n {
-			s.wait(st.ready(peer*(rounds+1) + k))
-			s.sleep(lat)
+			s.poll(st.ready(peer*(rounds+1)+k), lat)
 			s.cpu(soloPerPeer)
 			s.copyFrom(sbuf.N, c.WorldRank(unvrank(peer, root, n))) // direct read of the peer partial
 			s.cpu(float64(sbuf.N) / avx)                            // AVX fold
-			if part.Real() {
-				s.do(func() {
-					if pb := st.contribs[peer]; pb.Real() {
-						mpi.ReduceBuf(op, dt, part, pb)
-					}
-				})
-			}
+			s.fold(op, dt, part, peer)
 		}
 		s.fire(st.ready(v*(rounds+1) + k + 1))
 	}
@@ -133,7 +118,7 @@ func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 			}
 		})
 	}
-	return s.start(p, "solo-ireduce", st)
+	return s.start(p, "solo-ireduce")
 }
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
@@ -152,75 +137,56 @@ func (m *SOLO) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.O
 func (m *SOLO) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Igather", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 0, true)
-	me := c.Rank(p)
-	blk := sbuf.N
-	var s seq
+	me, n, blk := c.Rank(p), c.Size(), sbuf.N
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s = make(seq, 0, 2)
+		s := newSeq(st, 2)
 		s.cpu(soloSetup)
 		s.fire(st.childOK(me))
-	} else {
-		lat := sim.Time(p.W.Mach.Spec.IntraLatency)
-		s = make(seq, 0, 2+5*(c.Size()-1))
-		s.cpu(soloSetup)
-		s.do(func() {
-			if rbuf.N != c.Size()*blk {
-				//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-				panic(fmt.Sprintf("coll: solo gather buffer %d bytes, want %d", rbuf.N, c.Size()*blk))
-			}
-			rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
-		})
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			s.wait(st.childOK(r))
-			s.sleep(lat)
-			s.cpu(soloPerPeer)
-			s.copyFrom(blk, c.WorldRank(r))
-			if rbuf.Real() {
-				s.do(func() {
-					if src := st.contribs[r]; src.Real() {
-						rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(src)
-					}
-				})
-			}
-		}
+		return s.start(p, "solo-igather")
 	}
-	return s.start(p, "solo-igather", st)
+	if rbuf.N != n*blk {
+		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
+		panic(fmt.Sprintf("coll: solo gather buffer %d bytes, want %d", rbuf.N, n*blk))
+	}
+	lat := intraLatency(p)
+	s := newSeq(st, 2+5*(n-1))
+	s.cpu(soloSetup)
+	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
+	for r := 0; r < n; r++ {
+		if r == root {
+			continue
+		}
+		s.poll(st.childOK(r), lat)
+		s.cpu(soloPerPeer)
+		s.copyFrom(blk, c.WorldRank(r))
+		s.payload(rbuf.Slice(r*blk, (r+1)*blk), r)
+	}
+	return s.start(p, "solo-igather")
 }
 
 // Iscatter: the root exposes its buffer; rank r reads block r directly.
 func (m *SOLO) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Iscatter", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 1, false)
-	me := c.Rank(p)
-	blk := rbuf.N
-	s := make(seq, 0, 6)
+	me, n, blk := c.Rank(p), c.Size(), rbuf.N
+	s := newSeq(st, 6)
 	s.cpu(soloSetup)
-	if me == root {
-		if sbuf.N != c.Size()*blk {
-			//hanlint:allow typederr closure runs inside the sim engine where the request API has no error channel yet; burn-down tracked in DESIGN.md
-			panic(fmt.Sprintf("coll: solo scatter buffer %d bytes, want %d", sbuf.N, c.Size()*blk))
-		}
-		for r := 0; r < c.Size(); r++ {
-			st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
-		}
-		s.do(func() { rbuf.CopyFrom(sbuf.Slice(me*blk, (me+1)*blk)) })
-		s.fire(st.ready(0))
-	} else {
-		s.wait(st.ready(0))
-		s.sleep(sim.Time(p.W.Mach.Spec.IntraLatency))
+	if me != root {
+		s.poll(st.ready(0), intraLatency(p))
 		s.cpu(soloPerPeer)
 		s.copyFrom(blk, c.WorldRank(root))
-		if rbuf.Real() {
-			s.do(func() {
-				if src := st.contribs[me]; src.Real() {
-					rbuf.CopyFrom(src)
-				}
-			})
-		}
+		s.payload(rbuf, me)
+		return s.start(p, "solo-iscatter")
 	}
-	return s.start(p, "solo-iscatter", st)
+	if sbuf.N != n*blk {
+		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
+		panic(fmt.Sprintf("coll: solo scatter buffer %d bytes, want %d", sbuf.N, n*blk))
+	}
+	for r := 0; r < n; r++ {
+		st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
+	}
+	s.do(func() { rbuf.CopyFrom(sbuf.Slice(me*blk, (me+1)*blk)) })
+	s.fire(st.ready(0))
+	return s.start(p, "solo-iscatter")
 }
