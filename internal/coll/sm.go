@@ -87,7 +87,10 @@ type shmOp struct {
 // flag names one of an operation's flags, by its index in the slab.
 type flag int32
 
-func (st *shmOp) ready(i int) flag       { _ = st.sigs[:st.nReady][i]; return flag(i) }
+func (st *shmOp) ready(i int) flag {
+	_ = st.sigs[:st.nReady][i] // a ready index past nReady must not alias a childOK flag
+	return flag(i)
+}
 func (st *shmOp) childOK(r int) flag     { return flag(st.nReady + r) }
 func (st *shmOp) sig(f flag) *sim.Signal { return &st.sigs[f] }
 

@@ -447,8 +447,10 @@ type Stepper interface {
 	Step(p *Proc) (done bool)
 	// Unwind is what a goroutine body would have deferred: the engine calls
 	// it instead of Step, once, at the event where a killed process would
-	// have unwound. A process that lent its Proc through RunSteps unwinds on
-	// its own stack instead, and Unwind is not called.
+	// have unwound — its start event included, so what the spawner acquired
+	// on the process's behalf is released even if it never ran. A process
+	// that lent its Proc through RunSteps unwinds on its own stack instead,
+	// and Unwind is not called.
 	Unwind(p *Proc)
 }
 
@@ -820,8 +822,8 @@ func (s *Signal) Fire(e *Engine) {
 	}
 }
 
-// countDown counts one armed signal of p as fired, and queues p's resume when it
-// was the last one p is parked on.
+// countDown counts one armed signal of p as fired, and queues p's resume
+// when it was the last one p is parked on.
 func (p *Proc) countDown(e *Engine) {
 	if p.dying {
 		// Killed while parked here: Kill already scheduled the one unwind
