@@ -19,6 +19,12 @@ func benchAllocators(b *testing.B, fn func(b *testing.B, alloc Allocator)) {
 	}
 }
 
+// perFlow adds the cost per flow to a benchmark whose op is k flows, so
+// shapes of different k read side by side.
+func perFlow(b *testing.B, k int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/flow")
+}
+
 // BenchmarkRebalanceFanIn stresses one hot resource: k concurrent flows
 // through a single link, arriving staggered so every arrival and departure
 // rebalances the whole k-flow component.
@@ -42,9 +48,35 @@ func BenchmarkRebalanceFanIn(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				perFlow(b, k)
 			})
 		})
 	}
+}
+
+// BenchmarkRebalanceSameInstant is the shape that dominates the 4096-rank
+// Bcast: the copies of one sm-ibcast fragment on a 32-rank node, equal flows
+// over one bus started at one instant, which therefore finish at one instant
+// too. Every start and every completion rebalances the whole component, and
+// every completion time ties.
+func BenchmarkRebalanceSameInstant(b *testing.B) {
+	const k = 32
+	benchAllocators(b, func(b *testing.B, alloc Allocator) {
+		b.ReportAllocs()
+		e := sim.New()
+		n := NewNetwork(e)
+		n.SetAllocator(alloc)
+		bus := n.NewResource("bus", 12.5e9)
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < k; j++ {
+				n.Start(8192, bus)
+			}
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perFlow(b, k)
+	})
 }
 
 // BenchmarkRebalanceChain models the HAN data path shape: flows crossing

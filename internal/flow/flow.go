@@ -31,7 +31,9 @@ type Resource struct {
 	flows []*Flow // active flows crossing this resource, insertion order
 
 	// Rebalance scratch, resident on the resource so a rebalance never
-	// allocates a map. Valid only while gen equals the network's visitGen.
+	// allocates a map. Valid only while gen equals the network's visitGen;
+	// gen is also collectComponent's mark that the resource's flow list has
+	// been walked in this rebalance.
 	gen      uint64
 	residual float64
 	count    int
@@ -72,7 +74,7 @@ type Flow struct {
 	bytes     float64   // original size, for monitor accounting
 	start     sim.Time  // time the flow was started
 	last      sim.Time  // time remaining was last brought up to date
-	timer     sim.Timer // completion timer, rearmed in place on rebalance
+	timer     sim.Timer // armed while the flow leads its component (rebalance)
 	doneSig   sim.Signal
 	finished  bool
 	onDone    func() // cached completion callback, one closure per flow
@@ -86,8 +88,7 @@ type Flow struct {
 
 	// scratch fields for rate computation
 	frozen bool
-	visit  uint64 // component DFS epoch mark
-	sweep  uint64 // completion-sweep epoch mark
+	visit  uint64 // epoch of the last rebalance that collected the flow
 }
 
 // Done returns the signal fired when the flow's last byte has been
@@ -115,14 +116,13 @@ type Network struct {
 	pool    *arena.Pool[Flow]
 
 	// Reusable scratch for rebalances, grown once and kept. comp holds the
-	// component of the most recent rebalance (complete's neighbour sweep
-	// reads it to mark whole components as rebalanced).
+	// component of the most recent rebalance; visitGen is its epoch, stamped
+	// on every flow and resource it collected.
 	comp     []*Flow
 	stack    []*Flow
 	res      []*Resource
 	active   []*Flow
 	visitGen uint64
-	sweepGen uint64
 
 	// resources lists every resource created on this network, in creation
 	// order; mon is the attached monitor, nil unless EnableMonitor was
@@ -149,9 +149,12 @@ func NewNetwork(e *sim.Engine) *Network {
 }
 
 // resetFlow clears a flow's per-use state in place. The identity fields
-// (net, pooled, onDone) and the timer handle persist: AtInto retargets the
-// slot's still-pending cancelled completion event on reuse instead of
-// tombstoning the heap.
+// (net, pooled, onDone) persist, and so does the timer handle. In flight, a
+// flow's timer is armed (it leads its component), zero or fired (it never
+// led, or handed its event over), or a cancelled event still queued, which
+// AtInto revives where it sits if the flow comes to lead. A flow finishes
+// only through its own armed event, so a pooled slot's timer has fired: the
+// engine released that event, and AtInto on reuse schedules afresh.
 func resetFlow(f *Flow) {
 	for i := range f.pathBuf {
 		f.pathBuf[i] = nil
@@ -162,7 +165,7 @@ func resetFlow(f *Flow) {
 	f.doneSig.Reset()
 	f.finished = false
 	f.frozen = false
-	f.visit, f.sweep = 0, 0
+	f.visit = 0
 }
 
 // SetAllocator selects the allocator implementation. Switching while flows
@@ -262,12 +265,14 @@ func (n *Network) StartOn(bytes float64, path []*Resource) *Flow {
 // seed into n.comp, and every resource they cross into n.res, initialising
 // the resources' resident scratch (residual = capacity, count = crossing
 // flows). Traversal order is deterministic: DFS in path/insertion order,
-// identical for both allocators.
+// identical for both allocators. A resource's flow list is walked once, the
+// first time a popped flow crosses it: after that walk the list holds no
+// unmarked flow, so later crossings would push nothing.
 func (n *Network) collectComponent(seed *Flow) {
 	prevComp, prevRes := len(n.comp), len(n.res)
 	n.visitGen++
 	vg := n.visitGen
-	comp := n.comp[:0]
+	comp, res := n.comp[:0], n.res[:0]
 	stack := append(n.stack[:0], seed)
 	seed.visit = vg
 	for len(stack) > 0 {
@@ -276,6 +281,16 @@ func (n *Network) collectComponent(seed *Flow) {
 		stack = stack[:len(stack)-1]
 		comp = append(comp, f)
 		for _, r := range f.path {
+			if r.gen == vg {
+				continue
+			}
+			// First touch, in (component × path) order: exactly the order
+			// the reference filler builds its map in. Every flow on r is in
+			// the component, once per time its path names r.
+			r.gen = vg
+			r.residual = r.Capacity
+			r.count = len(r.flows)
+			res = append(res, r)
 			for _, g := range r.flows {
 				if g.visit != vg {
 					g.visit = vg
@@ -284,35 +299,15 @@ func (n *Network) collectComponent(seed *Flow) {
 			}
 		}
 	}
-	// Resource scratch in first-touch (component × path) order, exactly the
-	// order the reference filler builds its map in.
-	res := n.res[:0]
-	for _, f := range comp {
-		for _, r := range f.path {
-			if r.gen != vg {
-				r.gen = vg
-				r.residual = r.Capacity
-				r.count = 0
-				res = append(res, r)
-			}
-			r.count++
-		}
-	}
 	// A component smaller than the previous one leaves stale pointers in
 	// the shared backing array's tail (same retention pattern as
 	// Resource.remove). A shrink implies the array was not regrown, so the
 	// old extent is addressable; zero it.
 	if len(comp) < prevComp {
-		tail := comp[len(comp):prevComp]
-		for i := range tail {
-			tail[i] = nil
-		}
+		clear(comp[len(comp):prevComp])
 	}
 	if len(res) < prevRes {
-		tail := res[len(res):prevRes]
-		for i := range tail {
-			tail[i] = nil
-		}
+		clear(res[len(res):prevRes])
 	}
 	n.comp, n.stack, n.res = comp, stack[:0], res
 }
@@ -333,8 +328,16 @@ func (n *Network) advance(now sim.Time) {
 }
 
 // rebalance brings every flow in seed's component up to date, re-runs
-// max-min fair allocation for the component, and reschedules completion
-// timers.
+// max-min fair allocation for the component, and arms its next completion.
+//
+// One completion is armed per component, not one per flow. Until the
+// component is rebalanced again its membership and rates are fixed, so only
+// its earliest completion can fire; complete then rebalances everything the
+// component leaves behind. The earliest is chosen by the time the engine
+// would dispatch at — the rounded now+eta, ties to component order, which is
+// the order per-flow timers would have drawn their sequence numbers in — so
+// the event that fires is the one that always fired, and it keeps its place
+// among the other queued events.
 func (n *Network) rebalance(seed *Flow) {
 	now := n.e.Now()
 	n.collectComponent(seed)
@@ -352,9 +355,11 @@ func (n *Network) rebalance(seed *Flow) {
 	if n.mon != nil {
 		n.mon.noteComponent(now)
 	}
-	// Reschedule completion timers under the new rates. AfterInto retargets
-	// a still-pending timer in place, so rebalancing does not tombstone the
-	// event heap.
+	// lead is the flow to arm; armed is the flow holding the component's
+	// pending event, if it has one. A merge of several components brings
+	// one pending event each: the first is kept, the surplus cancelled.
+	var lead, armed *Flow
+	var at sim.Time
 	for _, f := range n.comp {
 		eta := sim.Time(f.remaining / f.rate)
 		if f.rate <= 0 || math.IsInf(float64(eta), 0) || math.IsNaN(float64(eta)) {
@@ -362,8 +367,24 @@ func (n *Network) rebalance(seed *Flow) {
 				"flow: degenerate allocation: flow over %q got rate %v with %v bytes remaining (component of %d flows) — refusing to schedule eta %v",
 				f.path[0].Name, f.rate, f.remaining, len(n.comp), eta))
 		}
-		n.e.AfterInto(&f.timer, eta, f.onDone)
+		if t := now + eta; lead == nil || t < at {
+			lead, at = f, t
+		}
+		if f.timer.Active() {
+			if armed == nil {
+				armed = f
+			} else {
+				f.timer.Cancel()
+			}
+		}
 	}
+	if armed != nil && armed != lead {
+		// Hand the pending event over; AtInto retargets it where it sits in
+		// the heap. The old holder keeps whatever the new lead held — a
+		// cancelled event it may yet revive, or nothing live.
+		lead.timer, armed.timer = armed.timer, lead.timer
+	}
+	n.e.AtInto(&lead.timer, at, lead.onDone)
 }
 
 // fillIncremental runs progressive filling over n.comp using the resources'
@@ -524,7 +545,6 @@ func (n *Network) complete(f *Flow) {
 	}
 	f.finished = true
 	f.remaining = 0
-	f.timer.Cancel()
 	now := n.e.Now()
 	for _, r := range f.path {
 		r.remove(f)
@@ -539,17 +559,15 @@ func (n *Network) complete(f *Flow) {
 	}
 	f.doneSig.Fire(n.e)
 	// Freed capacity may speed up neighbours: rebalance each disjoint
-	// neighbourhood once. rebalance leaves the component it touched in
-	// n.comp; epoch marks replace the seen-set map.
-	n.sweepGen++
-	sg := n.sweepGen
+	// neighbourhood once. Together they are f's old component minus f, so
+	// every flow whose completion was not the armed one is looked at again
+	// here. A visit mark newer than the sweep's start means an earlier
+	// rebalance of this sweep already collected the flow.
+	swept := n.visitGen
 	for _, r := range f.path {
 		for _, g := range r.flows {
-			if g.sweep != sg {
+			if g.visit <= swept {
 				n.rebalance(g)
-				for _, h := range n.comp {
-					h.sweep = sg
-				}
 			}
 		}
 	}

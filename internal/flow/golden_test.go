@@ -36,6 +36,12 @@ type goldenRun struct {
 	n   *Network
 	h   hash.Hash64
 	cnt int
+	// check, when set, runs after every Start, completion and SetCapacity
+	// (arming_test.go's invariant walker). A completion's check is queued
+	// for the same instant rather than called from the done callback, which
+	// runs before complete has rebalanced what the flow leaves behind; the
+	// extra events change no recorded bit.
+	check func()
 }
 
 // markerBase offsets the ids of marker events away from flow indices.
@@ -53,7 +59,24 @@ func (g *goldenRun) note(id int) {
 // fires. The callback form keeps the recorder off the flow once it is done,
 // as the pooled lifecycle requires.
 func (g *goldenRun) start(id int, bytes float64, path ...*Resource) {
-	g.n.Start(bytes, path...).Done().OnFire(func() { g.note(id) })
+	g.n.Start(bytes, path...).Done().OnFire(func() {
+		g.note(id)
+		if g.check != nil {
+			g.e.Schedule(0, g.check)
+		}
+	})
+	g.checked()
+}
+
+func (g *goldenRun) setCapacity(r *Resource, capacity float64) {
+	g.n.SetCapacity(r, capacity)
+	g.checked()
+}
+
+func (g *goldenRun) checked() {
+	if g.check != nil {
+		g.check()
+	}
 }
 
 // startWaited is start with a parked process as the observer, so the
@@ -61,8 +84,10 @@ func (g *goldenRun) start(id int, bytes float64, path ...*Resource) {
 func (g *goldenRun) startWaited(id int, at sim.Time, bytes float64, path ...*Resource) {
 	g.e.SpawnAt(at, "w", func(p *sim.Proc) {
 		f := g.n.Start(bytes, path...)
+		g.checked()
 		p.Wait(f.Done())
 		g.note(id)
+		g.checked()
 	})
 }
 
@@ -72,10 +97,19 @@ func (g *goldenRun) mark(id int, t sim.Time) {
 }
 
 func runGolden(t *testing.T, alloc Allocator, workload func(g *goldenRun)) goldenBits {
+	return runGoldenChecked(t, alloc, workload, nil)
+}
+
+// runGoldenChecked is runGolden with a check hook built over the run's
+// network before the workload starts.
+func runGoldenChecked(t *testing.T, alloc Allocator, workload func(g *goldenRun), mkCheck func(n *Network) func()) goldenBits {
 	t.Helper()
 	e := sim.New()
 	g := &goldenRun{e: e, n: NewNetwork(e), h: fnv.New64a()}
 	g.n.SetAllocator(alloc)
+	if mkCheck != nil {
+		g.check = mkCheck(g.n)
+	}
 	workload(g)
 	if err := e.Run(); err != nil {
 		t.Fatalf("alloc %v: %v", alloc, err)
@@ -161,21 +195,21 @@ func goldenSetCapacity(g *goldenRun) {
 	g.start(2, 200, shared, side)
 	g.start(3, 60, side)
 	g.start(4, 100, lone)
-	g.e.At(0.25, func() { g.n.SetCapacity(shared, 75) })
+	g.e.At(0.25, func() { g.setCapacity(shared, 75) })
 	g.e.At(0.5, func() {
-		g.n.SetCapacity(lone, 10)
-		g.n.SetCapacity(lone, 400)
-		g.n.SetCapacity(idle, 50)
+		g.setCapacity(lone, 10)
+		g.setCapacity(lone, 400)
+		g.setCapacity(idle, 50)
 	})
-	g.e.At(1.25, func() { g.n.SetCapacity(shared, 2400) })
-	g.e.At(1.5, func() { g.n.SetCapacity(side, 1e-3) })
+	g.e.At(1.25, func() { g.setCapacity(shared, 2400) })
+	g.e.At(1.5, func() { g.setCapacity(side, 1e-3) })
 	g.e.At(2, func() {
-		g.n.SetCapacity(side, 1e6)
+		g.setCapacity(side, 1e6)
 		g.start(5, 10, idle)
 	})
 	// Flow 6 finishes at t=4 exactly; the capacity under its neighbour
 	// changes at that instant, from an event queued before it started.
-	g.e.At(4, func() { g.n.SetCapacity(lone, 1) })
+	g.e.At(4, func() { g.setCapacity(lone, 1) })
 	g.e.At(3, func() {
 		g.start(6, 200, lone)
 		g.start(7, 600, lone)
@@ -228,8 +262,8 @@ func goldenSlotReuse(g *goldenRun) {
 		})
 		g.e.At(base+1, func() { g.start(id+2, c, r1, r2) })
 		g.e.At(base+2, func() {
-			g.n.SetCapacity(r1, 1e7)
-			g.n.SetCapacity(r2, 1e7)
+			g.setCapacity(r1, 1e7)
+			g.setCapacity(r2, 1e7)
 		})
 		g.e.At(base+3, func() {
 			for i := 0; i < 4; i++ {
@@ -280,7 +314,7 @@ func goldenChurn(g *goldenRun) {
 		}
 		if i%40 == 0 {
 			r, c := res[rng.Intn(nRes)], 10+rng.Float64()*1000
-			g.e.At(sim.Time(rng.Intn(span)), func() { g.n.SetCapacity(r, c) })
+			g.e.At(sim.Time(rng.Intn(span)), func() { g.setCapacity(r, c) })
 		}
 	}
 	for i := 0; i < span; i += 400 {

@@ -185,3 +185,34 @@ func TestBcastStartsNoGoroutinePerSharedMemoryTask(t *testing.T) {
 		}
 	}
 }
+
+// The flow layer arms one completion per connected component, so a
+// rebalance retargets at most one pending event. Every positive-size flow
+// start is one rebalance (completions with neighbours left are more), so the
+// engine's in-place re-arms stay below the flows started. With a timer per
+// flow they were a multiple of the rebalances wherever components hold more
+// than a couple of flows: sixteen ranks on a node bus, not four.
+func TestBcastRearmsAtMostOncePerRebalance(t *testing.T) {
+	const segs = 4
+	for _, spec := range []cluster.Spec{cluster.Mini(4, 4), cluster.Mini(4, 16)} {
+		cfg := stepCfg()
+		eng := sim.New()
+		m := cluster.NewMachine(eng, spec)
+		mon := m.Net.EnableMonitor()
+		w := mpi.NewWorld(m, mpi.OpenMPI())
+		h := New(w)
+		w.Start(func(p *mpi.Proc) {
+			if err := h.Bcast(p, mpi.Phantom(segs*cfg.FS), 0, cfg); err != nil {
+				t.Errorf("rank %d: %v", p.Rank, err)
+			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		started := uint64(mon.Totals().Started)
+		if got := eng.Rearms(); got == 0 || got > started {
+			t.Errorf("%dx%d: Bcast re-armed %d pending timers over %d flow starts, want between 1 and the starts",
+				spec.Nodes, spec.PPN, got, started)
+		}
+	}
+}

@@ -188,8 +188,9 @@ type Engine struct {
 	limit   Time
 	bounded bool
 	// goroutines and parks count what the host pays for process-oriented
-	// code: goroutines started, and blocking calls that gave the baton up.
-	goroutines, parks uint64
+	// code: goroutines started, and blocking calls that gave the baton up;
+	// rearms counts pending timers retargeted where they sat in the queue.
+	goroutines, parks, rearms uint64
 }
 
 // New returns a ready-to-use Engine with the clock at zero.
@@ -208,6 +209,12 @@ func (e *Engine) Goroutines() uint64 { return e.goroutines }
 // host context switch away from it and, later, back. Step-driven processes
 // never park, and one that lends its Proc (RunSteps) parks once per routine.
 func (e *Engine) Parks() uint64 { return e.parks }
+
+// Rearms reports how many times AtInto found its timer still queued and
+// retargeted the event in place — a heap sift for an event that had not yet
+// fired. A caller that re-arms timers which could never have fired first
+// shows up here, not in the count of dispatched events.
+func (e *Engine) Rearms() uint64 { return e.rearms }
 
 // Stop requests that Run return err after the event currently being
 // dispatched completes. The first Stop wins; later calls are no-ops.
@@ -309,6 +316,7 @@ func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
 		ev.cancelled = false
 		ev.seq = e.seq
 		e.seq++
+		e.rearms++
 		e.events.fix(ev.idx)
 		tm.at = t
 		return
