@@ -203,6 +203,9 @@ type Machine struct {
 	memBus  []*flow.Resource
 	cpu     []*flow.Resource
 	cpuPath [][]*flow.Resource // [r] = {cpu[r]}, reused by CPUWork
+	// intraPath holds what IntraPath returns, built once: [node] on a
+	// single-socket machine, [(node*S+srcSocket)*S+dstSocket] in NUMA mode.
+	intraPath [][]*flow.Resource
 
 	// NUMA-level resources, only populated when Spec.MultiSocket().
 	sockBus [][]*flow.Resource // [node][socket]
@@ -282,6 +285,23 @@ func NewMachine(e *sim.Engine, spec Spec) *Machine {
 			m.upi = append(m.upi, net.NewResource(fmt.Sprintf("node%d.upi", n), upiBW))
 		}
 	}
+	// Like cpuPath: a copy between two ranks of a node is started once per
+	// shared-memory fragment per rank, and must not build its path each time.
+	for n := 0; n < spec.Nodes; n++ {
+		if !spec.MultiSocket() {
+			m.intraPath = append(m.intraPath, []*flow.Resource{m.memBus[n]})
+			continue
+		}
+		for ss, sb := range m.sockBus[n] {
+			for ds, db := range m.sockBus[n] {
+				if ss == ds {
+					m.intraPath = append(m.intraPath, []*flow.Resource{sb})
+				} else {
+					m.intraPath = append(m.intraPath, []*flow.Resource{sb, m.upi[n], db})
+				}
+			}
+		}
+	}
 	return m
 }
 
@@ -310,17 +330,16 @@ func (m *Machine) UPI(node int) *flow.Resource { return m.upi[node] }
 
 // IntraPath returns the resources an intra-node copy between two world
 // ranks crosses: the shared memory bus on a single-socket node, or the
-// per-socket buses plus the UPI link when the copy crosses sockets.
+// per-socket buses plus the UPI link when the copy crosses sockets. The
+// slice is the machine's own, shared by every caller: read it or hand it to
+// Network.StartOn (which copies it), never modify it.
 func (m *Machine) IntraPath(src, dst int) []*flow.Resource {
 	n := m.NodeOf(src)
 	if !m.Spec.MultiSocket() {
-		return []*flow.Resource{m.MemBus(n)}
+		return m.intraPath[n]
 	}
-	ss, ds := m.SocketOf(src), m.SocketOf(dst)
-	if ss == ds {
-		return []*flow.Resource{m.SocketBus(n, ss)}
-	}
-	return []*flow.Resource{m.SocketBus(n, ss), m.UPI(n), m.SocketBus(n, ds)}
+	s := m.Spec.SocketsPerNode
+	return m.intraPath[(n*s+m.SocketOf(src))*s+m.SocketOf(dst)]
 }
 
 // InboundBus returns the resource inbound NIC DMA writes through on rank

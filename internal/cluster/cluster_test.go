@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/sim"
 )
 
@@ -57,6 +59,44 @@ func TestMachineTopologyMapping(t *testing.T) {
 	}
 	if m.CPU(0) == m.CPU(1) {
 		t.Error("per-rank CPUs not distinct")
+	}
+}
+
+// IntraPath hands out paths built with the machine: the right resources for
+// every pair of ranks of a node, single-socket and NUMA, and no allocation
+// per call (it is asked once per shared-memory fragment per rank).
+func TestIntraPathPrebuilt(t *testing.T) {
+	same := func(got []*flow.Resource, want ...*flow.Resource) bool { return slices.Equal(got, want) }
+	flat := NewMachine(sim.New(), Mini(3, 4))
+	numa := Mini(2, 6)
+	numa.SocketsPerNode = 3
+	split := NewMachine(sim.New(), numa)
+	for src := 0; src < flat.Spec.Ranks(); src++ {
+		n := flat.NodeOf(src)
+		for dst := n * 4; dst < (n+1)*4; dst++ {
+			if !same(flat.IntraPath(src, dst), flat.MemBus(n)) {
+				t.Fatalf("flat IntraPath(%d,%d) is not node %d's memory bus", src, dst, n)
+			}
+		}
+	}
+	for src := 0; src < split.Spec.Ranks(); src++ {
+		n := split.NodeOf(src)
+		for dst := n * 6; dst < (n+1)*6; dst++ {
+			ss, ds := split.SocketOf(src), split.SocketOf(dst)
+			want := []*flow.Resource{split.SocketBus(n, ss), split.UPI(n), split.SocketBus(n, ds)}
+			if ss == ds {
+				want = want[:1]
+			}
+			if !same(split.IntraPath(src, dst), want...) {
+				t.Fatalf("NUMA IntraPath(%d,%d) wrong for sockets %d->%d of node %d", src, dst, ss, ds, n)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = flat.IntraPath(5, 6)
+		_ = split.IntraPath(7, 11)
+	}); n != 0 {
+		t.Errorf("IntraPath allocates %v times per call pair, want 0", n)
 	}
 }
 

@@ -4,11 +4,15 @@ import "github.com/hanrepro/han/internal/metrics"
 
 // hanMetrics holds the framework's instrument handles. Always non-nil on
 // a HAN instance; the zero value's nil handles no-op, so task hot paths
-// hook in unconditionally. Per-operation series (collectives entered,
-// fallbacks taken) are looked up through the registry on demand — those
-// paths run once per collective per rank, not per task.
+// hook in unconditionally. Every series is cached here after its first
+// lookup — the per-operation ones (collectives entered, fallbacks taken,
+// recovery actions) by label value — so with metrics off a hook is a nil
+// check, and with them on it builds no label set and asks the registry
+// nothing.
 type hanMetrics struct {
 	reg *metrics.Registry
+
+	colls, fallbacks, recoveries map[string]*metrics.Counter
 
 	// tasks caches the han_tasks series per (task, level). The four
 	// two-level ones are registered up front; the others on first use, so a
@@ -24,7 +28,10 @@ type hanMetrics struct {
 // Observation-only; a nil registry leaves metrics disabled.
 func (h *HAN) EnableMetrics(reg *metrics.Registry) {
 	h.m = &hanMetrics{
-		reg: reg,
+		reg:        reg,
+		colls:      make(map[string]*metrics.Counter),
+		fallbacks:  make(map[string]*metrics.Counter),
+		recoveries: make(map[string]*metrics.Counter),
 		taskSeconds: reg.Histogram(metrics.Opts{
 			Name: "han_task_seconds", Help: "Virtual-time duration of HAN tasks.", Unit: "seconds",
 		}, metrics.ExpBuckets(1e-6, 4, 12)),
@@ -54,10 +61,18 @@ func (m *hanMetrics) taskCounter(op stageOp, kind levelKind) *metrics.Counter {
 
 // collEntered counts one rank entering the named collective.
 func (m *hanMetrics) collEntered(op string) {
-	m.reg.Counter(metrics.Opts{
-		Name: "han_collectives", Help: "Collective entries, by operation (one per rank per call).",
-		Labels: map[string]string{"op": op},
-	}).Inc()
+	if m.reg == nil {
+		return
+	}
+	c := m.colls[op]
+	if c == nil {
+		c = m.reg.Counter(metrics.Opts{
+			Name: "han_collectives", Help: "Collective entries, by operation (one per rank per call).",
+			Labels: map[string]string{"op": op},
+		})
+		m.colls[op] = c
+	}
+	c.Inc()
 }
 
 // recovery counts one rank taking a crash-recovery action at a collective
@@ -65,17 +80,33 @@ func (m *hanMetrics) collEntered(op string) {
 // (failing fast with a *RankFailedError), or "reelect" (a node whose dead
 // group leader was replaced by its first surviving member).
 func (m *hanMetrics) recovery(action string) {
-	m.reg.Counter(metrics.Opts{
-		Name: "han_recovery", Help: "Crash-recovery actions at collective boundaries, by action.",
-		Labels: map[string]string{"action": action},
-	}).Inc()
+	if m.reg == nil {
+		return
+	}
+	c := m.recoveries[action]
+	if c == nil {
+		c = m.reg.Counter(metrics.Opts{
+			Name: "han_recovery", Help: "Crash-recovery actions at collective boundaries, by action.",
+			Labels: map[string]string{"action": action},
+		})
+		m.recoveries[action] = c
+	}
+	c.Inc()
 }
 
 // fallbackTaken counts one rank completing the named collective through a
 // degraded path.
 func (m *hanMetrics) fallbackTaken(op string) {
-	m.reg.Counter(metrics.Opts{
-		Name: "han_fallbacks", Help: "Collective completions through a degraded (fallback) path, by operation.",
-		Labels: map[string]string{"op": op},
-	}).Inc()
+	if m.reg == nil {
+		return
+	}
+	c := m.fallbacks[op]
+	if c == nil {
+		c = m.reg.Counter(metrics.Opts{
+			Name: "han_fallbacks", Help: "Collective completions through a degraded (fallback) path, by operation.",
+			Labels: map[string]string{"op": op},
+		})
+		m.fallbacks[op] = c
+	}
+	c.Inc()
 }

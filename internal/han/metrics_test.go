@@ -80,6 +80,37 @@ func TestMetricsDisabledIsFree(t *testing.T) {
 	}
 }
 
+// The per-operation hooks run once per rank per collective. With metrics
+// off they must not build a label set before finding the registry nil, and
+// with metrics on a series is looked up once and then counted through the
+// cached handle.
+func TestPerOperationHooksDoNotAllocate(t *testing.T) {
+	hooks := func(m *hanMetrics) func() {
+		return func() {
+			m.collEntered("han.Bcast")
+			m.fallbackTaken("han.Bcast")
+			m.recovery("shrink")
+		}
+	}
+	if n := testing.AllocsPerRun(100, hooks(&hanMetrics{})); n != 0 {
+		t.Errorf("metrics off: %v allocations per collective entry, want 0", n)
+	}
+	reg := metrics.New()
+	h := &HAN{}
+	h.EnableMetrics(reg)
+	if n := testing.AllocsPerRun(100, hooks(h.m)); n != 0 {
+		t.Errorf("metrics on: %v allocations per collective entry once the series exist, want 0", n)
+	}
+	// AllocsPerRun calls the function once to warm up, then 100 times.
+	for name, c := range map[string]*metrics.Counter{
+		"han_collectives": h.m.colls["han.Bcast"], "han_fallbacks": h.m.fallbacks["han.Bcast"], "han_recovery": h.m.recoveries["shrink"],
+	} {
+		if c == nil || c.Value() != 101 {
+			t.Errorf("%s: cached series counted %v, want 101", name, c.Value())
+		}
+	}
+}
+
 // observed runs body on every rank of a world on spec with metrics and a
 // tracer attached and returns the OpenMetrics export and the recorder.
 func observed(t *testing.T, spec cluster.Spec, body func(h *HAN, p *mpi.Proc)) (string, *trace.Recorder) {
