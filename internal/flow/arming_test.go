@@ -19,8 +19,8 @@ import (
 type armingWalker struct {
 	n      *Network
 	err    string
-	seen   map[*Flow]bool // every flow ever found on a resource
-	live   map[*Flow]bool // scratch of one check: flows on a resource now
+	live   map[*Flow]bool // flows on a resource at this check,
+	was    []*Flow        // and at the one before, in the order found
 	walked map[*Resource]bool
 	checks int
 	ties   int // components checked whose earliest completion was shared
@@ -40,6 +40,7 @@ func (w *armingWalker) check() {
 	live, walked := w.live, w.walked
 	clear(live)
 	clear(walked)
+	var now []*Flow
 	for _, seed := range w.n.resources {
 		if walked[seed] || len(seed.flows) == 0 {
 			continue
@@ -52,7 +53,7 @@ func (w *armingWalker) check() {
 				if live[f] {
 					continue
 				}
-				live[f], w.seen[f] = true, true
+				live[f] = true
 				members = append(members, f)
 				for _, r := range f.path {
 					if !walked[r] {
@@ -63,12 +64,17 @@ func (w *armingWalker) check() {
 			}
 		}
 		w.checkComponent(members)
+		now = append(now, members...)
 	}
-	for f := range w.seen {
+	// A flow off every resource list is out of rebalance's reach, so what
+	// its timer holds cannot change again: looking once, at the first check
+	// after it left, is looking always.
+	for _, f := range w.was {
 		if !live[f] && f.timer.Active() {
 			w.failf("a finished or recycled flow still owns an armed timer")
 		}
 	}
+	w.was = now
 }
 
 // completion is the sum rebalance compared: every member of a component was
@@ -136,7 +142,7 @@ func TestArmingInvariantGoldenWorkloads(t *testing.T) {
 		for _, alloc := range []Allocator{Incremental, Reference} {
 			var w *armingWalker
 			got := runGoldenChecked(t, alloc, row.workload, func(n *Network) func() {
-				w = &armingWalker{n: n, seen: make(map[*Flow]bool), live: make(map[*Flow]bool), walked: make(map[*Resource]bool)}
+				w = &armingWalker{n: n, live: make(map[*Flow]bool), walked: make(map[*Resource]bool)}
 				return w.check
 			})
 			if w.err != "" {

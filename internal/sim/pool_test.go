@@ -185,6 +185,43 @@ func TestRearmKeepsTieOrder(t *testing.T) {
 	}
 }
 
+// A Timer is a value: a pending event can be handed from one holder to
+// another and retargeted through the new holder, and a cancelled event that
+// is still queued is revived by AtInto where it sits. Rearms counts exactly
+// the retargets that found their event queued.
+func TestTimerHandOverAndRevive(t *testing.T) {
+	e := New()
+	var a, b Timer
+	var fired []string
+	e.AtInto(&a, 5, func() { fired = append(fired, "a") })
+	b, a = a, Timer{} // b now holds the pending event
+	if a.Active() || !b.Active() {
+		t.Fatalf("after hand-over: a active %v, b active %v", a.Active(), b.Active())
+	}
+	e.AtInto(&b, 3, func() { fired = append(fired, "b") }) // retargets a's old event
+	if got := e.Rearms(); got != 1 {
+		t.Fatalf("Rearms = %d after one retarget, want 1", got)
+	}
+	e.AtInto(&a, 4, func() { fired = append(fired, "a2") }) // nothing queued on a: fresh event
+	a.Cancel()
+	if a.Active() {
+		t.Fatal("cancelled timer reports active")
+	}
+	e.AtInto(&a, 6, func() { fired = append(fired, "a3") }) // revives the cancelled event
+	if got := e.Rearms(); got != 2 || !a.Active() {
+		t.Fatalf("Rearms = %d, a active %v after reviving a cancelled event; want 2 and true", got, a.Active())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[0] != "b" || fired[1] != "a3" {
+		t.Fatalf("fired %v, want [b a3]", fired)
+	}
+	if e.dispatched != 2 {
+		t.Fatalf("%d events dispatched, want 2: no tombstone should have been left", e.dispatched)
+	}
+}
+
 // The event pool must actually recycle: a long run should keep a bounded
 // free list rather than allocating one struct per event.
 func TestEventPoolRecycles(t *testing.T) {

@@ -301,11 +301,16 @@ func (e *Engine) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
 
 // AtInto schedules fn at virtual time t, rearming tm in place. It is the
 // allocation-free form of At for callers that keep a Timer embedded in a
-// long-lived struct (e.g. a flow's completion timer, rearmed on every
-// rebalance). A callback still pending on tm is replaced, not left behind:
-// the queued event is retargeted where it sits (same fresh sequence number
-// a new event would get, so dispatch order is unchanged) instead of
-// tombstoning the heap with a cancelled entry.
+// long-lived struct (e.g. the completion timer of the flow a component
+// finishes next, retargeted when a rebalance moves that time). A callback
+// still pending on tm is replaced, not left behind: the queued event is
+// retargeted where it sits (same fresh sequence number a new event would
+// get, so dispatch order is unchanged) instead of tombstoning the heap with
+// a cancelled entry — and that holds for a pending event that was cancelled,
+// which is revived with the new time and callback. A Timer is a value: a
+// caller may move one between its records (the flow layer hands a pending
+// event from one flow to another that way) as long as each handle lives in
+// one place.
 func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
