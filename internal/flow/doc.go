@@ -22,6 +22,18 @@
 // byte-identical virtual times by construction (identical traversal order
 // and identical floating-point operations; see DESIGN.md §4).
 //
+// A component has one completion armed on the engine, not one per flow.
+// Between two rebalances its membership and rates are fixed, so only its
+// earliest completion can be dispatched; a rebalance computes every flow's
+// time to completion but arms the event of the flow that finishes first
+// (rounded now+eta, ties to component order), hands the pending event from
+// flow to flow when that lead changes, and cancels only the surplus events
+// a merge of several components brings. When the lead completes, everything
+// its component leaves behind is rebalanced and armed afresh. The event that
+// fires is the one a timer per flow would have fired, with the same place
+// among the engine's other events (DESIGN.md §4 has the argument;
+// golden_test.go and arming_test.go hold it).
+//
 // This model is what makes the HAN reproduction honest: overlap between
 // inter-node and intra-node traffic emerges from resource sharing (memory
 // bus, CPU progress) instead of being asserted by a formula.
