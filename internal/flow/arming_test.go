@@ -141,7 +141,7 @@ func TestArmingInvariantGoldenWorkloads(t *testing.T) {
 	for _, row := range flowGoldens {
 		for _, alloc := range []Allocator{Incremental, Reference} {
 			var w *armingWalker
-			got := runGoldenChecked(t, alloc, row.workload, func(n *Network) func() {
+			got := runGolden(t, alloc, row.workload, func(n *Network) func() {
 				w = &armingWalker{n: n, live: make(map[*Flow]bool), walked: make(map[*Resource]bool)}
 				return w.check
 			})

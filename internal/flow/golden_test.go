@@ -96,13 +96,10 @@ func (g *goldenRun) mark(id int, t sim.Time) {
 	g.e.At(t, func() { g.note(markerBase + id) })
 }
 
-func runGolden(t *testing.T, alloc Allocator, workload func(g *goldenRun)) goldenBits {
-	return runGoldenChecked(t, alloc, workload, nil)
-}
-
-// runGoldenChecked is runGolden with a check hook built over the run's
-// network before the workload starts.
-func runGoldenChecked(t *testing.T, alloc Allocator, workload func(g *goldenRun), mkCheck func(n *Network) func()) goldenBits {
+// runGolden runs one workload to the end and returns what it left behind.
+// mkCheck, when not nil, builds the run's check hook over its network before
+// the workload starts.
+func runGolden(t *testing.T, alloc Allocator, workload func(g *goldenRun), mkCheck func(n *Network) func()) goldenBits {
 	t.Helper()
 	e := sim.New()
 	g := &goldenRun{e: e, n: NewNetwork(e), h: fnv.New64a()}
@@ -338,7 +335,7 @@ var flowGoldens = []struct {
 func TestGoldenFlowCompletionBits(t *testing.T) {
 	for _, row := range flowGoldens {
 		for _, alloc := range []Allocator{Incremental, Reference} {
-			if got := runGolden(t, alloc, row.workload); got != row.want {
+			if got := runGolden(t, alloc, row.workload, nil); got != row.want {
 				t.Errorf("%s (allocator %d) changed bits; row is now\n\tgoldenBits{%#016x, %#016x, %d}",
 					row.name, alloc, got.stream, got.end, got.n)
 			}

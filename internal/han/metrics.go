@@ -59,20 +59,24 @@ func (m *hanMetrics) taskCounter(op stageOp, kind levelKind) *metrics.Counter {
 	return *c
 }
 
-// collEntered counts one rank entering the named collective.
-func (m *hanMetrics) collEntered(op string) {
+// count adds one to the series of a per-operation family whose single label
+// holds value, looking the series up once and caching it in series. The nil
+// check comes before anything is built: with metrics off a hook costs that.
+func (m *hanMetrics) count(series map[string]*metrics.Counter, name, help, label, value string) {
 	if m.reg == nil {
 		return
 	}
-	c := m.colls[op]
+	c := series[value]
 	if c == nil {
-		c = m.reg.Counter(metrics.Opts{
-			Name: "han_collectives", Help: "Collective entries, by operation (one per rank per call).",
-			Labels: map[string]string{"op": op},
-		})
-		m.colls[op] = c
+		c = m.reg.Counter(metrics.Opts{Name: name, Help: help, Labels: map[string]string{label: value}})
+		series[value] = c
 	}
 	c.Inc()
+}
+
+// collEntered counts one rank entering the named collective.
+func (m *hanMetrics) collEntered(op string) {
+	m.count(m.colls, "han_collectives", "Collective entries, by operation (one per rank per call).", "op", op)
 }
 
 // recovery counts one rank taking a crash-recovery action at a collective
@@ -80,33 +84,11 @@ func (m *hanMetrics) collEntered(op string) {
 // (failing fast with a *RankFailedError), or "reelect" (a node whose dead
 // group leader was replaced by its first surviving member).
 func (m *hanMetrics) recovery(action string) {
-	if m.reg == nil {
-		return
-	}
-	c := m.recoveries[action]
-	if c == nil {
-		c = m.reg.Counter(metrics.Opts{
-			Name: "han_recovery", Help: "Crash-recovery actions at collective boundaries, by action.",
-			Labels: map[string]string{"action": action},
-		})
-		m.recoveries[action] = c
-	}
-	c.Inc()
+	m.count(m.recoveries, "han_recovery", "Crash-recovery actions at collective boundaries, by action.", "action", action)
 }
 
 // fallbackTaken counts one rank completing the named collective through a
 // degraded path.
 func (m *hanMetrics) fallbackTaken(op string) {
-	if m.reg == nil {
-		return
-	}
-	c := m.fallbacks[op]
-	if c == nil {
-		c = m.reg.Counter(metrics.Opts{
-			Name: "han_fallbacks", Help: "Collective completions through a degraded (fallback) path, by operation.",
-			Labels: map[string]string{"op": op},
-		})
-		m.fallbacks[op] = c
-	}
-	c.Inc()
+	m.count(m.fallbacks, "han_fallbacks", "Collective completions through a degraded (fallback) path, by operation.", "op", op)
 }
