@@ -166,6 +166,27 @@ func goldenCases(t *testing.T) []goldenCase {
 		note(t, p, h.Bcast(p, mpi.Phantom(3<<20), 5, han.Config{}))
 		note(t, p, h.Allreduce(p, mpi.Phantom(3<<20), mpi.Phantom(3<<20), mpi.OpSum, mpi.Float64, han.Config{}))
 	})
+	// The other submodule pair, libnbc over solo, through the paths a step
+	// routine has to get right: the feed wait of a non-leader root inside a
+	// step, the final hop of a reduction, a three-level and a GPU call (whose
+	// PCIe helpers are goroutines beside the rank).
+	nbc := goldenCfg(8)
+	nbc.IMod, nbc.SMod, nbc.IBAlg, nbc.IRAlg = "libnbc", "solo", coll.AlgBinomial, coll.AlgBinomial
+	add("Bcast/libnbc-solo/seg8/root0", mini, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.Bcast(p, ph(), 0, nbc)) })
+	add("Bcast/libnbc-solo/seg8/root5", mini, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.Bcast(p, ph(), 5, nbc)) })
+	add("Reduce/libnbc-solo/seg8/root5", mini, func(h *han.HAN, p *mpi.Proc) {
+		note(t, p, h.Reduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, 5, nbc))
+	})
+	add("Allreduce/libnbc-solo/seg8", mini, func(h *han.HAN, p *mpi.Proc) {
+		note(t, p, h.Allreduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
+	})
+	add("Allreduce3/libnbc-solo/seg8", numa, func(h *han.HAN, p *mpi.Proc) {
+		note(t, p, h.Allreduce3(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
+	})
+	add("BcastGPU/libnbc/seg8/root16", gpu, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.BcastGPU(p, ph(), 16, nbc)) })
+	add("AllreduceGPU/libnbc/seg8", gpu, func(h *han.HAN, p *mpi.Proc) {
+		note(t, p, h.AllreduceGPU(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
+	})
 	// An intra-node latency above the cost of an ib makes a non-leader
 	// root's feed the bottleneck: the leader then waits for segment i's
 	// feed with sb(i-1) already in flight, which pins sbib's issue order.
@@ -253,6 +274,33 @@ func TestGoldenStepAndTimerBits(t *testing.T) {
 	})
 	checkVector(t, "AllreduceSteps", stepBits(per))
 
+	// The same two schedules on libnbc over solo.
+	nbc := cfg
+	nbc.IMod, nbc.SMod, nbc.IBAlg, nbc.IRAlg = "libnbc", "solo", coll.AlgBinomial, coll.AlgBinomial
+	per = map[int][]sim.Time{}
+	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
+		s, err := h.BcastSteps(p, u, nbc)
+		if err != nil {
+			t.Error(err)
+		}
+		if s != nil {
+			per[p.Node()] = s
+		}
+	})
+	checkVector(t, "BcastSteps/libnbc-solo", stepBits(per))
+
+	per = map[int][]sim.Time{}
+	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
+		s, err := h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, nbc)
+		if err != nil {
+			t.Error(err)
+		}
+		if s != nil {
+			per[p.Node()] = s
+		}
+	})
+	checkVector(t, "AllreduceSteps/libnbc-solo", stepBits(per))
+
 	timers := []struct {
 		name string
 		fn   func(h *han.HAN, p *mpi.Proc) sim.Time
@@ -305,46 +353,53 @@ func TestGoldenRunSearchTable(t *testing.T) {
 }
 
 var goldenCollectives = map[string]goldenRow{
-	"Bcast/slowfeed/seg8/root5":  {0x3f84782997c902ed, 0x332e6784019788a8},
-	"Bcast/seg1/root0":           {0x3f633213bceec225, 0xfbed70acf8d2f6d7},
-	"Bcast/seg1/root8":           {0x3f633213bceec225, 0x587c0a4ce1819cf},
-	"Bcast/seg1/root5":           {0x3f64b0ff9b68dbc7, 0x61094beca560f7b9},
-	"Bcast3/seg1/root0":          {0x3f67b11dcfded07a, 0x4279f6d816f43041},
-	"Bcast3/seg1/root16":         {0x3f67b11dcfded07a, 0xdeb11733e27724ad},
-	"Bcast3/seg1/root9":          {0x3f6c40742f6d3381, 0x3ef58e40e97b0f54},
-	"BcastGPU/seg1/root0":        {0x3f62688a71810589, 0x5a3c365ee62610bc},
-	"BcastGPU/seg1/root16":       {0x3f62688a71810589, 0x5139b026b1ababfc},
-	"BcastGPU/seg1/root9":        {0x3f68c8a1789dd5a3, 0x6f8d6c04a9f06c07},
-	"Reduce/seg1/root0":          {0x3f72773b9d54234c, 0x795f44228b0bcac4},
-	"Reduce/seg1/root8":          {0x3f72773b9d54234c, 0xe385ea995c8f4640},
-	"Reduce/seg1/root5":          {0x3f7336b18c91301f, 0xaba123121757e090},
-	"BcastComm/seg1/root0":       {0x3f60ff2eb66bb5c5, 0x2ccb4068929148e7},
-	"BcastComm/seg1/root2":       {0x3f60ff2eb66bb5c5, 0xebb31cccf66dcd77},
-	"BcastComm/seg1/root3":       {0x3f686900728e481c, 0xfa606bb68ebc3c4b},
-	"Allreduce/seg1":             {0x3f7c10457bcb844e, 0x18a9a86db7e3c7df},
-	"AllreduceComm/seg1":         {0x3f7495e46ff6865a, 0x636bedd0ff8df256},
-	"Allreduce3/seg1":            {0x3f81c19c386cb8ac, 0xbc9d1fbbb6cac9b3},
-	"AllreduceGPU/seg1":          {0x3f7301d144c202de, 0x59bbd89931401b2d},
-	"Bcast/seg8/root0":           {0x3f600d9e1fe87140, 0x235098b6e52904cc},
-	"Bcast/seg8/root8":           {0x3f600d9e1fe87140, 0xffd327a3aecaf7b8},
-	"Bcast/seg8/root5":           {0x3f6056525d8c049b, 0x181f96ed3667b116},
-	"Bcast3/seg8/root0":          {0x3f6210204a874c59, 0x2536a414e405fd5f},
-	"Bcast3/seg8/root16":         {0x3f6210204a874c59, 0x3b0c406644e3bca3},
-	"Bcast3/seg8/root9":          {0x3f64518cfb067921, 0xa5a0a8e531196380},
-	"BcastGPU/seg8/root0":        {0x3f5ffc648e2fcd21, 0xe3f5caf6b713c8e4},
-	"BcastGPU/seg8/root16":       {0x3f5ffc648e2fcd21, 0xb0d24dfd7265b9dc},
-	"BcastGPU/seg8/root9":        {0x3f61d304324e8b5d, 0x6be6de742bd4d3c6},
-	"Reduce/seg8/root0":          {0x3f6747a0920ba415, 0x5d1428f49d7e012a},
-	"Reduce/seg8/root8":          {0x3f6747a0920ba415, 0x5fcbf83f00a394ba},
-	"Reduce/seg8/root5":          {0x3f68c68c7085bdb8, 0x83ca7c6e2192f487},
-	"BcastComm/seg8/root0":       {0x3f5edb41a2bb41fa, 0x81c37d2b0f655244},
-	"BcastComm/seg8/root2":       {0x3f5edb41a2bb41fa, 0x2c9ee064fee5c65c},
-	"BcastComm/seg8/root3":       {0x3f686900728e481c, 0xfa606bb68ebc3c4b},
-	"Allreduce/seg8":             {0x3f6bacd58972e1e9, 0x8ef28d0867a99c11},
-	"AllreduceComm/seg8":         {0x3f658f8c4a0fd12b, 0x52e4d0856308d33d},
-	"Allreduce3/seg8":            {0x3f72a8a8d366d474, 0xab39a96a39cbc3ff},
-	"AllreduceGPU/seg8":          {0x3f68603bf58924f1, 0xa4eb725e3df1b4ab},
-	"Default/BcastThenAllreduce": {0x3f9b5b528e0abc03, 0x4c10cbf86890bd96},
+	"Bcast/slowfeed/seg8/root5":     {0x3f84782997c902ed, 0x332e6784019788a8},
+	"Bcast/seg1/root0":              {0x3f633213bceec225, 0xfbed70acf8d2f6d7},
+	"Bcast/seg1/root8":              {0x3f633213bceec225, 0x587c0a4ce1819cf},
+	"Bcast/seg1/root5":              {0x3f64b0ff9b68dbc7, 0x61094beca560f7b9},
+	"Bcast3/seg1/root0":             {0x3f67b11dcfded07a, 0x4279f6d816f43041},
+	"Bcast3/seg1/root16":            {0x3f67b11dcfded07a, 0xdeb11733e27724ad},
+	"Bcast3/seg1/root9":             {0x3f6c40742f6d3381, 0x3ef58e40e97b0f54},
+	"BcastGPU/seg1/root0":           {0x3f62688a71810589, 0x5a3c365ee62610bc},
+	"BcastGPU/seg1/root16":          {0x3f62688a71810589, 0x5139b026b1ababfc},
+	"BcastGPU/seg1/root9":           {0x3f68c8a1789dd5a3, 0x6f8d6c04a9f06c07},
+	"Reduce/seg1/root0":             {0x3f72773b9d54234c, 0x795f44228b0bcac4},
+	"Reduce/seg1/root8":             {0x3f72773b9d54234c, 0xe385ea995c8f4640},
+	"Reduce/seg1/root5":             {0x3f7336b18c91301f, 0xaba123121757e090},
+	"BcastComm/seg1/root0":          {0x3f60ff2eb66bb5c5, 0x2ccb4068929148e7},
+	"BcastComm/seg1/root2":          {0x3f60ff2eb66bb5c5, 0xebb31cccf66dcd77},
+	"BcastComm/seg1/root3":          {0x3f686900728e481c, 0xfa606bb68ebc3c4b},
+	"Allreduce/seg1":                {0x3f7c10457bcb844e, 0x18a9a86db7e3c7df},
+	"AllreduceComm/seg1":            {0x3f7495e46ff6865a, 0x636bedd0ff8df256},
+	"Allreduce3/seg1":               {0x3f81c19c386cb8ac, 0xbc9d1fbbb6cac9b3},
+	"AllreduceGPU/seg1":             {0x3f7301d144c202de, 0x59bbd89931401b2d},
+	"Bcast/seg8/root0":              {0x3f600d9e1fe87140, 0x235098b6e52904cc},
+	"Bcast/seg8/root8":              {0x3f600d9e1fe87140, 0xffd327a3aecaf7b8},
+	"Bcast/seg8/root5":              {0x3f6056525d8c049b, 0x181f96ed3667b116},
+	"Bcast3/seg8/root0":             {0x3f6210204a874c59, 0x2536a414e405fd5f},
+	"Bcast3/seg8/root16":            {0x3f6210204a874c59, 0x3b0c406644e3bca3},
+	"Bcast3/seg8/root9":             {0x3f64518cfb067921, 0xa5a0a8e531196380},
+	"BcastGPU/seg8/root0":           {0x3f5ffc648e2fcd21, 0xe3f5caf6b713c8e4},
+	"BcastGPU/seg8/root16":          {0x3f5ffc648e2fcd21, 0xb0d24dfd7265b9dc},
+	"BcastGPU/seg8/root9":           {0x3f61d304324e8b5d, 0x6be6de742bd4d3c6},
+	"Reduce/seg8/root0":             {0x3f6747a0920ba415, 0x5d1428f49d7e012a},
+	"Reduce/seg8/root8":             {0x3f6747a0920ba415, 0x5fcbf83f00a394ba},
+	"Reduce/seg8/root5":             {0x3f68c68c7085bdb8, 0x83ca7c6e2192f487},
+	"BcastComm/seg8/root0":          {0x3f5edb41a2bb41fa, 0x81c37d2b0f655244},
+	"BcastComm/seg8/root2":          {0x3f5edb41a2bb41fa, 0x2c9ee064fee5c65c},
+	"BcastComm/seg8/root3":          {0x3f686900728e481c, 0xfa606bb68ebc3c4b},
+	"Allreduce/seg8":                {0x3f6bacd58972e1e9, 0x8ef28d0867a99c11},
+	"AllreduceComm/seg8":            {0x3f658f8c4a0fd12b, 0x52e4d0856308d33d},
+	"Allreduce3/seg8":               {0x3f72a8a8d366d474, 0xab39a96a39cbc3ff},
+	"AllreduceGPU/seg8":             {0x3f68603bf58924f1, 0xa4eb725e3df1b4ab},
+	"Default/BcastThenAllreduce":    {0x3f9b5b528e0abc03, 0x4c10cbf86890bd96},
+	"Bcast/libnbc-solo/seg8/root0":  {0x3f623dc83c4342c1, 0xaab51625335b7ef3},
+	"Bcast/libnbc-solo/seg8/root5":  {0x3f62867c79e6d61d, 0x6fdaac870eae1800},
+	"Reduce/libnbc-solo/seg8/root5": {0x3f6cf0c1e0c60c2a, 0xf0675f7790507f06},
+	"Allreduce/libnbc-solo/seg8":    {0x3f7458bd1be84a3b, 0x51ae50a9aba0739b},
+	"Allreduce3/libnbc-solo/seg8":   {0x3f75f71df8d71f43, 0x27171216e619c2b4},
+	"BcastGPU/libnbc/seg8/root16":   {0x3f6259a43e4bd672, 0xbca89057f9fa9c04},
+	"AllreduceGPU/libnbc/seg8":      {0x3f740e256069760b, 0x47779e26e3520b77},
 }
 
 var goldenVectors = map[string][]uint64{
@@ -371,6 +426,30 @@ var goldenVectors = map[string][]uint64{
 		0x3f05de38aff4d000, 0x3f38e8712bd4c5b8, 0x3f3078483b2d27ae, 0x3f391ce7f8adb1b6,
 		0x3f374cccf11cabcc, 0x3f3811ffb085bfa4, 0x3f37cc29db0d0f60, 0x3f37cc29db0d0f78,
 		0x3f37cc29db0d0f38, 0x3f392fd2e6bd4060, 0x3f3533c309e82978, 0x3f05de38aff4d000,
+	},
+	"BcastSteps/libnbc-solo": {
+		0x3f3181eebe4a6438, 0x3f31b5f1245631ca, 0x3f31b5f1245631cc, 0x3f31b5f1245631ce,
+		0x3f31b5f1245631d0, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0,
+		0x3ec4f8b588e36800, 0x3f3192b5b5eb1a26, 0x3f2258ae532049ae, 0x3f31abe0295c2b0b,
+		0x3f31b5f1245631cc, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0,
+		0x3f31b5f1245631d8, 0x3ec4f8b588e36800, 0x3f3a5c1090e0a738, 0x3f31c0021f50388c,
+		0x3f31b5f1245631cc, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0, 0x3f31b5f1245631d0,
+		0x3f31b5f1245631cc, 0x3f31b5f1245631c8, 0x3ec4f8b588e36800, 0x3f3a6cd788815d26,
+		0x3f31c0021f50388c, 0x3f31b5f1245631cc, 0x3f31b5f1245631ce, 0x3f31b5f1245631d0,
+		0x3f31b5f1245631d0, 0x3f31b5f1245631c8, 0x3f31b5f1245631c8, 0x3ec4f8b588e36800,
+	},
+	"AllreduceSteps/libnbc-solo": {
+		0x3f1a18e332dfe7cb, 0x3f43cd6fe878d863, 0x3f3a44939c99421c, 0x3f4a4ea4979348e2,
+		0x3f3babfd43b25694, 0x3f4a6c00c8ec8744, 0x3f3babfd43b25698, 0x3f4a6c00c8ec8748,
+		0x3f3a44939c994230, 0x3f31a6d7abdf27a0, 0x3ec4f8b588e36800, 0x3f1a18e332dfe7cb,
+		0x3f419f4aefa3a299, 0x3f3a44939c994220, 0x3f4a4ea4979348e2, 0x3f3babfd43b25694,
+		0x3f4a6c00c8ec8744, 0x3f3babfd43b25698, 0x3f4a6c00c8ec8748, 0x3f3a44939c994230,
+		0x3f3613e8952a4920, 0x3ec4f8b588e36800, 0x3f1a18e332dfe7cb, 0x3f363576846bb505,
+		0x3f45f5b5a43c34e6, 0x3f417b38c1a3b50c, 0x3f46024addf4bd54, 0x3f423fb48cd0f53c,
+		0x3f46024addf4bd58, 0x3f423fb48cd0f538, 0x3f45f5b5a43c34e8, 0x3f3a3a82a19f3b60,
+		0x3ec4f8b588e36800, 0x3f1a18e332dfe7cb, 0x3f220b8179a36b3c, 0x3f4c95f403d98f90,
+		0x3f3e7899a25b92a8, 0x3f484136ce6aa90a, 0x3f40e8f2f0dcc194, 0x3f47590c79e8f100,
+		0x3f40e8f2f0dcc18c, 0x3f474c7740306898, 0x3f3a3a82a19f3b60, 0x3ec4f8b588e36800,
 	},
 	"TimeIB": {
 		0x3f2fe79367f85619, 0x0, 0x0, 0x0,
