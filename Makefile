@@ -41,7 +41,7 @@ race:
 ci: build lint race
 	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden|Rearms' ./internal/flow/ ./internal/mpi/ ./internal/han/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
-	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos|Rearms' ./internal/flow/ ./internal/mpi/ ./internal/coll/ ./internal/han/
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs' ./internal/flow/ ./internal/mpi/ ./internal/coll/ ./internal/han/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/coll/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI

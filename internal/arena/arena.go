@@ -30,7 +30,8 @@ func (s *Slot) Live() bool { return s.live }
 type Options[T any] struct {
 	// Name labels the pool in panics and stats.
 	Name string
-	// ChunkSize is the number of slots carved per slab (default 256).
+	// ChunkSize is the largest number of slots carved per slab (default
+	// 256). A pool's first slabs are smaller: see grow.
 	ChunkSize int
 	// Init runs exactly once per slot, when its slab is carved. Create the
 	// slot's persistent closures here.
@@ -78,8 +79,15 @@ func (p *Pool[T]) Get() *T {
 	return x
 }
 
+// firstChunk is the size of a pool's first slab.
+const firstChunk = 16
+
+// grow carves a slab as large as everything carved so far, between
+// firstChunk and ChunkSize slots: a pool that stays small — most pools of a
+// 32-rank world do — pays Init for the slots it uses, not for a full slab,
+// and one that grows large reaches full slabs in a few doublings.
 func (p *Pool[T]) grow() {
-	chunk := make([]T, p.opt.ChunkSize)
+	chunk := make([]T, min(max(p.total, firstChunk), p.opt.ChunkSize))
 	p.total += len(chunk)
 	// Push in reverse so Get hands slots out in slab order.
 	for i := len(chunk) - 1; i >= 0; i-- {

@@ -76,6 +76,23 @@ func TestPoolCountsAndGrowth(t *testing.T) {
 	}
 }
 
+// Slabs double from 16 slots up to ChunkSize, so a pool that stays small
+// never pays Init for a full slab.
+func TestPoolGrowsGeometrically(t *testing.T) {
+	inited := 0
+	p := NewPool(Options[obj]{Name: "test.grow", Init: func(*obj) { inited++ }})
+	want := []int{16, 32, 64, 128, 256, 512, 768}
+	for _, total := range want {
+		for p.Live() < total {
+			p.Get()
+		}
+		if p.Total() != total || inited != total {
+			t.Fatalf("%d slots out: %d carved, %d inited, want %d", p.Live(), p.Total(), inited, total)
+		}
+		p.Get() // one more than the slabs hold: the next slab
+	}
+}
+
 func TestDoubleFreePanics(t *testing.T) {
 	p, _ := newObjPool()
 	o := p.Get()

@@ -55,37 +55,30 @@ func (m *Adapt) avxBps(p *mpi.Proc) float64 { return p.W.Mach.Spec.ReduceAVXBps 
 // Ibcast starts an event-driven segmented broadcast.
 func (m *Adapt) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinary, m.Algs(Bcast))
-	seg := m.seg(pr)
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "adapt-ibcast", func(hp *mpi.Proc) {
-		cpuWait(hp, adaptSetup)
-		bcastTree(hp, c, buf, root, treeOf(alg), seg, adaptPerMsg, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.cpu(adaptSetup)
+	s.bcastTree(p, c, buf, root, treeOf(alg), m.seg(pr), adaptPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "adapt-ibcast")
 }
 
 // Ireduce starts an event-driven segmented reduction to root.
 func (m *Adapt) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinary, m.Algs(Reduce))
-	seg := m.seg(pr)
-	tag := mpi.TagColl(c.NextSeq(p))
-	bps := m.avxBps(p)
-	return async(p, "adapt-ireduce", func(hp *mpi.Proc) {
-		cpuWait(hp, adaptSetup)
-		reduceTree(hp, c, sbuf, rbuf, op, dt, root, treeOf(alg), seg, adaptPerMsg, bps, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.cpu(adaptSetup)
+	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), m.seg(pr), adaptPerMsg, m.avxBps(p), mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "adapt-ireduce")
 }
 
 // Iallreduce composes Ireduce and Ibcast rooted at rank 0 with the same
 // topology — the same structure HAN exploits at the inter-node level.
 func (m *Adapt) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinary, m.Algs(Allreduce))
-	seg := m.seg(pr)
 	rtag := mpi.TagColl(c.NextSeq(p))
 	btag := mpi.TagColl(c.NextSeq(p))
-	bps := m.avxBps(p)
-	return async(p, "adapt-iallreduce", func(hp *mpi.Proc) {
-		cpuWait(hp, adaptSetup)
-		reduceTree(hp, c, sbuf, rbuf, op, dt, 0, treeOf(alg), seg, adaptPerMsg, bps, rtag)
-		bcastTree(hp, c, rbuf, 0, treeOf(alg), seg, adaptPerMsg, btag)
-	})
+	s := m.newSeq(nil, 0)
+	s.cpu(adaptSetup)
+	s.reduceTree(p, c, sbuf, rbuf, op, dt, 0, treeOf(alg), m.seg(pr), adaptPerMsg, m.avxBps(p), rtag)
+	s.bcastTree(p, c, rbuf, 0, treeOf(alg), m.seg(pr), adaptPerMsg, btag)
+	return s.start(p, "adapt-iallreduce")
 }

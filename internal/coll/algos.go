@@ -6,13 +6,20 @@ import (
 	"github.com/hanrepro/han/internal/mpi"
 )
 
+// The algorithms over point-to-point messages, as builders: each appends
+// the steps of the calling rank's part to a helper's program (seq.go). All
+// of them are straight-line once the tree shape, the segment bounds and the
+// costs are known, which is at issue time. perMsg is the module's extra
+// per-message progression work in CPU-seconds, reduceBps its reduction
+// throughput.
+
 // treeFn returns, for a virtual rank v in a tree of the given size, the
 // parent virtual rank (-1 for the root) and the children virtual ranks in
-// send order.
-type treeFn func(v, size int) (parent int, children []int)
+// send order, appended to kids.
+type treeFn func(v, size int, kids []int) (parent int, children []int)
 
 // binomialTree is the classic binomial broadcast tree.
-func binomialTree(v, size int) (int, []int) {
+func binomialTree(v, size int, kids []int) (int, []int) {
 	parent := -1
 	mask := 1
 	for mask < size {
@@ -30,52 +37,43 @@ func binomialTree(v, size int) (int, []int) {
 			mask <<= 1
 		}
 	}
-	var children []int
 	for m := mask >> 1; m > 0; m >>= 1 {
 		if v&(m-1) == 0 && v|m != v && v+m < size {
-			children = append(children, v+m)
+			kids = append(kids, v+m)
 		}
 	}
-	return parent, children
+	return parent, kids
 }
 
 // binaryTree is a balanced binary tree rooted at virtual rank 0.
-func binaryTree(v, size int) (int, []int) {
+func binaryTree(v, size int, kids []int) (int, []int) {
 	parent := -1
 	if v != 0 {
 		parent = (v - 1) / 2
 	}
-	var children []int
-	for _, c := range []int{2*v + 1, 2*v + 2} {
-		if c < size {
-			children = append(children, c)
-		}
+	for c := 2*v + 1; c <= 2*v+2 && c < size; c++ {
+		kids = append(kids, c)
 	}
-	return parent, children
+	return parent, kids
 }
 
 // chainTree is a pipeline: each rank forwards to the next.
-func chainTree(v, size int) (int, []int) {
-	parent := -1
-	if v != 0 {
-		parent = v - 1
-	}
+func chainTree(v, size int, kids []int) (int, []int) {
 	if v+1 < size {
-		return parent, []int{v + 1}
+		kids = append(kids, v+1)
 	}
-	return parent, nil
+	return v - 1, kids
 }
 
 // linearTree is a flat star: the root talks to everyone directly.
-func linearTree(v, size int) (int, []int) {
+func linearTree(v, size int, kids []int) (int, []int) {
 	if v != 0 {
-		return 0, nil
+		return 0, kids
 	}
-	children := make([]int, 0, size-1)
 	for c := 1; c < size; c++ {
-		children = append(children, c)
+		kids = append(kids, c)
 	}
-	return -1, children
+	return -1, kids
 }
 
 func treeOf(a Alg) treeFn {
@@ -92,92 +90,83 @@ func treeOf(a Alg) treeFn {
 	panic(fmt.Sprintf("coll: no tree shape for algorithm %v", a))
 }
 
-// bcastTree runs a (possibly segmented, pipelined) tree broadcast in the
-// calling process. perMsg is the module's extra per-message progression
-// work in CPU-seconds.
-func bcastTree(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, tree treeFn, seg int, perMsg float64, tag int) {
+// tree sets the helper's communicator and returns the calling rank's place
+// in a tree rooted at root.
+func (s *seqRun) tree(p *mpi.Proc, c *mpi.Comm, root int, shape treeFn) (parent int, children []int) {
+	s.comm = c
+	parent, s.kids = shape(vrank(c.Rank(p), root, c.Size()), c.Size(), s.kids[:0])
+	return parent, s.kids
+}
+
+// bcastTree is a (possibly segmented, pipelined) tree broadcast: every
+// receive is posted up front, and a segment is forwarded to the children as
+// soon as it is in.
+func (s *seqRun) bcastTree(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, shape treeFn, seg int, perMsg float64, tag int) {
 	n := c.Size()
 	if n <= 1 || buf.N == 0 {
 		return
 	}
-	me := c.Rank(p)
-	v := vrank(me, root, n)
-	parentV, childV := tree(v, n)
-	segs := segments(buf.N, seg)
-
-	var sendReqs []*mpi.Request
-	if parentV == -1 {
-		for _, s := range segs {
-			for _, ch := range childV {
-				cpuWait(p, perMsg)
-				sendReqs = append(sendReqs, c.Isend(p, buf.Slice(s.Lo, s.Hi), unvrank(ch, root, n), tag))
-			}
-		}
-	} else {
-		parent := unvrank(parentV, root, n)
-		recvReqs := make([]*mpi.Request, len(segs))
-		for i, s := range segs {
-			recvReqs[i] = c.Irecv(p, buf.Slice(s.Lo, s.Hi), parent, tag)
-		}
-		for i, s := range segs {
-			p.Wait(recvReqs[i])
-			cpuWait(p, perMsg)
-			for _, ch := range childV {
-				cpuWait(p, perMsg)
-				sendReqs = append(sendReqs, c.Isend(p, buf.Slice(s.Lo, s.Hi), unvrank(ch, root, n), tag))
-			}
+	parentV, childV := s.tree(p, c, root, shape)
+	sg := segments(buf.N, seg)
+	first := len(s.args)
+	if parentV != -1 {
+		for i := 0; i < sg.len(); i++ {
+			s.recv(buf.Slice(sg.at(i)), unvrank(parentV, root, n), tag)
 		}
 	}
-	p.Wait(sendReqs...)
+	for i := 0; i < sg.len(); i++ {
+		if parentV != -1 {
+			s.wait(first+i, 1)
+			s.cpu(perMsg)
+		}
+		for _, ch := range childV {
+			s.cpu(perMsg)
+			s.send(buf.Slice(sg.at(i)), unvrank(ch, root, n), tag)
+		}
+	}
+	s.waitAll()
 }
 
-// reduceTree runs a (possibly segmented, pipelined) tree reduction toward
+// reduceTree is a (possibly segmented, pipelined) tree reduction toward
 // root using the reversed edges of the same tree shapes as bcastTree. The
 // result lands in rbuf at the root; sbuf is every rank's contribution.
-// reduceBps is the module's reduction throughput.
-func reduceTree(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, tree treeFn, seg int, perMsg, reduceBps float64, tag int) {
+func (s *seqRun) reduceTree(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, shape treeFn, seg int, perMsg, reduceBps float64, tag int) {
 	n := c.Size()
-	me := c.Rank(p)
-	v := vrank(me, root, n)
 	if n <= 1 {
-		if v == 0 && rbuf.N == sbuf.N {
-			rbuf.CopyFrom(sbuf)
+		if rbuf.N == sbuf.N {
+			s.copy(rbuf, sbuf)
 		}
 		return
 	}
 	if sbuf.N == 0 {
 		return
 	}
-	parentV, childV := tree(v, n)
+	parentV, childV := s.tree(p, c, root, shape)
 
 	// Accumulator: root accumulates straight into rbuf, others into scratch.
 	accum := rbuf
 	if parentV != -1 {
 		accum = allocLike(sbuf)
 	}
-	accum.CopyFrom(sbuf)
+	s.copy(accum, sbuf)
 
-	segs := segments(sbuf.N, seg)
-	// Scratch per child (reused across segments, sized at the largest).
-	scratch := make([]mpi.Buf, len(childV))
-	for i := range scratch {
-		scratch[i] = allocLike(sbuf.Slice(0, segs[0].Hi-segs[0].Lo))
-	}
-	var sendReqs []*mpi.Request
-	for _, s := range segs {
-		width := s.Hi - s.Lo
-		for i, ch := range childV {
-			r := c.Irecv(p, scratch[i].Slice(0, width), unvrank(ch, root, n), tag)
-			p.Wait(r)
-			cpuWait(p, perMsg)
-			reduceInto(p, reduceBps, op, dt, accum.Slice(s.Lo, s.Hi), scratch[i].Slice(0, width))
+	sg := segments(sbuf.N, seg)
+	// One child's partial is folded before the next one's receive is posted,
+	// so a single landing buffer, sized at the largest segment, serves all.
+	in := allocLike(sbuf.Slice(sg.at(0)))
+	for i := 0; i < sg.len(); i++ {
+		lo, hi := sg.at(i)
+		for _, ch := range childV {
+			s.wait(s.recv(in.Slice(0, hi-lo), unvrank(ch, root, n), tag), 1)
+			s.cpu(perMsg)
+			s.reduce(reduceBps, op, dt, accum.Slice(lo, hi), in.Slice(0, hi-lo))
 		}
 		if parentV != -1 {
-			cpuWait(p, perMsg)
-			sendReqs = append(sendReqs, c.Isend(p, accum.Slice(s.Lo, s.Hi), unvrank(parentV, root, n), tag))
+			s.cpu(perMsg)
+			s.send(accum.Slice(lo, hi), unvrank(parentV, root, n), tag)
 		}
 	}
-	p.Wait(sendReqs...)
+	s.waitAll()
 }
 
 // allreduceRecDoubling is the classic recursive-doubling allreduce,

@@ -14,17 +14,20 @@
 //
 // All modules expose non-blocking operations returning *mpi.Request; HAN
 // overlaps tasks by issuing these concurrently. Each operation is progressed
-// by a helper process of the calling rank. The tree and ring algorithms over
-// point-to-point messages (algos.go) are straight-line goroutine code; the
-// shared-memory operations of sm and solo, whose helpers never branch on
-// what they learn while running, are flat sequences of six blocking
-// primitives built at issue time and walked by one interpreter on the engine
-// goroutine (seq.go) — no goroutine per task.
+// by a helper process of the calling rank. No helper branches on what it
+// learns while running, so the tree and ring algorithms over point-to-point
+// messages (algos.go) and the shared-memory operations of sm and solo are
+// all flat sequences of blocking primitives built at issue time and walked
+// by one interpreter on the engine goroutine (seq.go) — no goroutine per
+// task, and the sequences are recycled per module instance. What is left as
+// straight-line goroutine code is cuda and the two-stage compositions
+// (sm/solo/cuda Iallreduce, sm Iallgather).
 package coll
 
 import (
 	"fmt"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/mpi"
 )
 
@@ -118,9 +121,13 @@ type Params struct {
 // Module is a collective communication component. Operations are
 // non-blocking: they return immediately with a request that completes when
 // the collective has finished on the calling rank. Modules progress their
-// operations with helper processes (goroutine or step-driven) that share
-// the rank's CPU resource, so concurrent collectives contend for
-// progression exactly as in single-threaded MPI.
+// operations with helper processes (step-driven but for the few named in the
+// package comment) that share the rank's CPU resource, so concurrent
+// collectives contend for progression exactly as in single-threaded MPI.
+// The request is the caller's to wait for, once: that Wait returns it to
+// the world's pool. A module instance keeps per-world state — the helper
+// records it recycles, sm's and solo's rendezvous tables — so it serves one
+// world at a time.
 type Module interface {
 	Name() string
 	// Supports reports whether the module implements the given collective.
@@ -137,8 +144,12 @@ type Module interface {
 }
 
 // Base provides "unsupported" defaults so concrete modules only implement
-// what they actually offer.
-type Base struct{ ModName string }
+// what they actually offer, and holds the pool their helpers' records are
+// recycled through (seq.go).
+type Base struct {
+	ModName string
+	runs    *arena.Pool[seqRun]
+}
 
 func (b Base) unsupported(k Kind) string {
 	return fmt.Sprintf("coll: module %s does not support %s", b.ModName, k)
@@ -200,8 +211,8 @@ func reduceInto(p *mpi.Proc, bps float64, op mpi.Op, dt mpi.Datatype, dst, src m
 	mpi.ReduceBuf(op, dt, dst, src)
 }
 
-// async runs fn in a helper process of p's rank and returns a request that
-// completes when fn returns.
+// async runs fn in a goroutine helper process of p's rank and returns a
+// request that completes when fn returns.
 func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
 	req := mpi.NewRequest()
 	p.SpawnHelper(name, func(hp *mpi.Proc) {
@@ -219,24 +230,29 @@ func allocLike(b mpi.Buf) mpi.Buf {
 	return mpi.Phantom(b.N)
 }
 
+// segs is [0, n) split into chunks of at most seg bytes.
+type segs struct{ n, seg int }
+
 // segments splits [0, n) into chunks of at most seg bytes. seg <= 0 yields
 // a single segment.
-func segments(n, seg int) []struct{ Lo, Hi int } {
-	if seg <= 0 || seg >= n {
-		if n == 0 {
-			return nil
-		}
-		return []struct{ Lo, Hi int }{{0, n}}
+func segments(n, seg int) segs {
+	if seg <= 0 || seg > n {
+		seg = n
 	}
-	out := make([]struct{ Lo, Hi int }, 0, (n+seg-1)/seg)
-	for lo := 0; lo < n; lo += seg {
-		hi := lo + seg
-		if hi > n {
-			hi = n
-		}
-		out = append(out, struct{ Lo, Hi int }{lo, hi})
+	return segs{n, seg}
+}
+
+func (s segs) len() int {
+	if s.n == 0 {
+		return 0
 	}
-	return out
+	return (s.n + s.seg - 1) / s.seg
+}
+
+// at returns the bounds of chunk i.
+func (s segs) at(i int) (lo, hi int) {
+	lo = i * s.seg
+	return lo, min(lo+s.seg, s.n)
 }
 
 // vrank maps a comm rank to its virtual rank with `root` rotated to 0.
@@ -255,5 +271,6 @@ func pickAlg(pr Params, def Alg, allowed []Alg) Alg {
 			return a
 		}
 	}
-	panic(fmt.Sprintf("coll: algorithm %v not supported here (allowed %v)", pr.Alg, allowed))
+	// The copy keeps allowed off the heap on the path that returns.
+	panic(fmt.Sprintf("coll: algorithm %v not supported here (allowed %v)", pr.Alg, append([]Alg(nil), allowed...)))
 }

@@ -356,16 +356,16 @@ func TestUnsupportedPanics(t *testing.T) {
 }
 
 func TestSegmentsHelper(t *testing.T) {
-	if got := segments(0, 10); got != nil {
-		t.Fatalf("segments(0) = %v", got)
+	if got := segments(0, 10); got.len() != 0 {
+		t.Fatalf("segments(0) has %d chunks", got.len())
 	}
 	s := segments(25, 10)
-	if len(s) != 3 || s[2].Lo != 20 || s[2].Hi != 25 {
-		t.Fatalf("segments(25,10) = %v", s)
+	if lo, hi := s.at(2); s.len() != 3 || lo != 20 || hi != 25 {
+		t.Fatalf("segments(25,10) = %+v, last chunk [%d, %d)", s, lo, hi)
 	}
 	s1 := segments(5, 0)
-	if len(s1) != 1 || s1[0].Hi != 5 {
-		t.Fatalf("segments(5,0) = %v", s1)
+	if _, hi := s1.at(0); s1.len() != 1 || hi != 5 {
+		t.Fatalf("segments(5,0) = %+v", s1)
 	}
 }
 
@@ -384,7 +384,7 @@ func TestQuickTreesAreSpanning(t *testing.T) {
 			size := int(rawSize%64) + 1
 			// parent/child mutuality
 			for v := 0; v < size; v++ {
-				parent, children := tree(v, size)
+				parent, children := tree(v, size, nil)
 				if v == 0 && parent != -1 {
 					return false
 				}
@@ -395,7 +395,7 @@ func TestQuickTreesAreSpanning(t *testing.T) {
 					if ch <= v || ch >= size {
 						return false
 					}
-					cp, _ := tree(ch, size)
+					cp, _ := tree(ch, size, nil)
 					if cp != v {
 						return false
 					}
@@ -409,7 +409,7 @@ func TestQuickTreesAreSpanning(t *testing.T) {
 					return
 				}
 				seen[v] = true
-				_, children := tree(v, size)
+				_, children := tree(v, size, nil)
 				for _, ch := range children {
 					visit(ch)
 				}

@@ -22,11 +22,11 @@ import (
 // ranks of a world, and communicators must be single-node.
 type CUDA struct {
 	Base
-	ops shmOps
+	ops *shmOps
 }
 
 // NewCUDA returns a GPU collective module instance shared by all ranks.
-func NewCUDA() *CUDA { return &CUDA{Base: Base{ModName: "cuda"}, ops: make(shmOps)} }
+func NewCUDA() *CUDA { return &CUDA{Base: Base{ModName: "cuda"}, ops: newShmOps()} }
 
 const (
 	// cudaLaunch is the kernel-launch plus stream-synchronisation latency

@@ -61,22 +61,19 @@ func (m *Libnbc) scalarBps(p *mpi.Proc) float64 {
 // internal segmentation).
 func (m *Libnbc) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinomial, m.Algs(Bcast))
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "libnbc-ibcast", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		bcastTree(hp, c, buf, root, treeOf(alg), 0, libnbcPerMsg, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.cpu(libnbcSetup)
+	s.bcastTree(p, c, buf, root, treeOf(alg), 0, libnbcPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-ibcast")
 }
 
 // Ireduce starts a non-blocking reduction to root.
 func (m *Libnbc) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinomial, m.Algs(Reduce))
-	tag := mpi.TagColl(c.NextSeq(p))
-	bps := m.scalarBps(p)
-	return async(p, "libnbc-ireduce", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		reduceTree(hp, c, sbuf, rbuf, op, dt, root, treeOf(alg), 0, libnbcPerMsg, bps, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.cpu(libnbcSetup)
+	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), 0, libnbcPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-ireduce")
 }
 
 // Iallreduce starts a non-blocking allreduce.

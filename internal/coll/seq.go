@@ -1,21 +1,37 @@
 package coll
 
 import (
+	"slices"
+
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
 )
 
-// A shared-memory operation's helper does not branch on anything it learns
-// while running: which costs it pays, which flags it polls and raises, and
-// in what order, are fixed when the operation is issued. So SM and SOLO
-// describe each helper as a seq — a flat list of steps built at issue time —
-// and one interpreter (seqRun) executes every one of them as a step-driven
-// process (sim.Stepper): no goroutine, and a blocking step costs a heap
-// event instead of a goroutine switch. Each blocking step queues the event a
-// goroutine body's Wait or Sleep would queue at the same point, so the
-// simulated bits are those of the straight-line bodies the seqs replaced
-// (golden_test.go).
+// No operation's helper branches on anything it learns while running: which
+// costs it pays, which flags it polls and raises, which messages it sends
+// and receives and which of them it waits for, and in what order, are fixed
+// when the operation is issued. So every module describes a helper as a seq
+// — a flat list of steps built at issue time — and one interpreter
+// (seqRun.Step) executes all of them as step-driven processes (sim.Stepper):
+// no goroutine, and a blocking step costs a heap event instead of a
+// goroutine switch. Each blocking step queues the event a goroutine body's
+// Wait or Sleep would queue at the same point, so the simulated bits are
+// those of the straight-line bodies the seqs replaced (golden_test.go). That
+// is why a wait for two requests is one step arming both: two consecutive
+// waits would park twice, and the second resume is an event the body never
+// queued.
+//
+// A program and the process that runs it are one record, a seqRun: the
+// steps, their operands, the requests in flight, the helper's mpi.Proc. The
+// record comes from a pool of the module instance (so of one world) and
+// goes back when the helper has run to its end or been killed — from then on
+// nothing of it is reachable but through the pool. The request it completes
+// is not part of it: the waiter may hold that longer, so it comes from the
+// world's request pool and the waiter's Wait returns it. The helper's
+// sim.Proc is not recycled either: the engine's process list and the rank's
+// keep finished processes until their next sweep, and Kill walks them.
 
 type seqKind uint8
 
@@ -26,32 +42,81 @@ const (
 	seqWait                    // wait for a flag (no event if it is up)
 	seqSleep                   // sleep (always an event)
 	seqFire                    // raise a flag
-	seqDo                      // data plane: run do
+	seqDo                      // data plane: run a closure
+	seqSend                    // start a send
+	seqRecv                    // post a receive
+	seqWaitReq                 // wait for the n requests from arg on (no event if all are complete)
+	seqWaitAll                 // wait for every request not waited for yet: a tree's sends
 )
 
-// seqStep is one step, packed: a rank's helpers hold a few hundred of them
-// at a time.
+// seqStep is one step, packed and pointer-free: a rank's helpers hold a few
+// hundred of them at a time, and the collector has nothing to scan in them.
 type seqStep struct {
 	kind seqKind
-	arg  int32   // seqCopyFrom: the world rank whose buffer is read; seqWait, seqFire: the flag
+	n    uint8   // seqWaitReq: how many requests
+	arg  int32   // seqCopyFrom: the world rank whose buffer is read; seqWait, seqFire: the flag; seqDo: the closure; seqSend, seqRecv, seqWaitReq: the operand
 	amt  float64 // seconds (seqCPU, seqSleep) or bytes (seqCopy, seqCopyFrom)
-	do   func()  // seqDo
 }
 
-// seq is a helper's program under construction, on the shared state of its
-// operation. The cost steps drop themselves when the cost is zero, as
-// cpuWait does.
-type seq struct {
-	st    *shmOp
+// p2pArg is the operand of a send or a receive. The request it starts takes
+// the operand's index, which is how a wait names it.
+type p2pArg struct {
+	buf       mpi.Buf
+	peer, tag int32
+}
+
+// seqRun is a helper: its program — under construction until start, on the
+// shared state st of its operation if it has one — and the process that
+// executes it on behalf of a rank. The cost steps drop themselves when the
+// cost is zero, as a goroutine body's cpuWait does.
+type seqRun struct {
+	hp    mpi.Proc
 	steps []seqStep
+	args  []p2pArg
+	dos   []func()
+	pc    int
+	// copying is the seqCopyFrom step the helper is blocked in: its deliver
+	// record is due when the copy lands.
+	copying *seqStep
+	// st is the operation's shared state, of which the helper holds one use.
+	st *shmOp
+	// comm carries the helper's messages; reqs[i] is operand i's request
+	// from its start to its wait, and waiting the ones armed by the step
+	// the helper is blocked in, to be retired when it runs again.
+	comm          *mpi.Comm
+	reqs, waiting []*mpi.Request
+	// kids is the scratch a tree shape lists a rank's children in.
+	kids []int
+	req  *mpi.Request
+
+	pool *arena.Pool[seqRun]
+	slot arena.Slot
 }
 
-// newSeq returns an empty program with room for n steps.
-func newSeq(st *shmOp, n int) seq { return seq{st, make([]seqStep, 0, n)} }
+// newSeq returns an empty program from the module's pool, with room for n
+// steps.
+func (b *Base) newSeq(st *shmOp, n int) *seqRun {
+	if b.runs == nil {
+		b.runs = arena.NewPool(arena.Options[seqRun]{
+			Name: "coll.seqRun",
+			Reset: func(r *seqRun) {
+				clear(r.args) // buffers, closures and requests must not outlive the helper
+				clear(r.dos)
+				clear(r.reqs)
+				*r = seqRun{steps: r.steps[:0], args: r.args[:0], dos: r.dos[:0], reqs: r.reqs[:0], kids: r.kids[:0], slot: r.slot}
+			},
+			Slot: func(r *seqRun) *arena.Slot { return &r.slot },
+		})
+	}
+	s := b.runs.Get()
+	s.pool, s.st = b.runs, st
+	s.steps = slices.Grow(s.steps, n)
+	return s
+}
 
-func (s *seq) add(st seqStep) { s.steps = append(s.steps, st) }
+func (s *seqRun) add(st seqStep) { s.steps = append(s.steps, st) }
 
-func (s *seq) cpu(sec float64) {
+func (s *seqRun) cpu(sec float64) {
 	if sec > 0 {
 		s.add(seqStep{kind: seqCPU, amt: sec})
 	}
@@ -59,7 +124,7 @@ func (s *seq) cpu(sec float64) {
 
 // copyIn models an n-byte copy by the rank over its local memory bus (the
 // node bus, or its socket bus on NUMA machines).
-func (s *seq) copyIn(n int) {
+func (s *seqRun) copyIn(n int) {
 	if n > 0 {
 		s.add(seqStep{kind: seqCopy, amt: float64(n)})
 	}
@@ -69,24 +134,64 @@ func (s *seq) copyIn(n int) {
 // the one that lives with world rank src: on NUMA machines a cross-socket
 // copy also crosses the UPI link, which is exactly the cost a three-level
 // hierarchy avoids.
-func (s *seq) copyFrom(n, src int) {
+func (s *seqRun) copyFrom(n, src int) {
 	if n > 0 {
 		s.add(seqStep{kind: seqCopyFrom, amt: float64(n), arg: int32(src)})
 	}
 }
 
 // poll waits for a flag, then pays the latency of its propagation.
-func (s *seq) poll(f flag, lat sim.Time) {
+func (s *seqRun) poll(f flag, lat sim.Time) {
 	s.add(seqStep{kind: seqWait, arg: int32(f)})
 	s.add(seqStep{kind: seqSleep, amt: float64(lat)})
 }
 
-func (s *seq) fire(f flag)  { s.add(seqStep{kind: seqFire, arg: int32(f)}) }
-func (s *seq) do(fn func()) { s.add(seqStep{kind: seqDo, do: fn}) }
+func (s *seqRun) fire(f flag) { s.add(seqStep{kind: seqFire, arg: int32(f)}) }
+
+func (s *seqRun) do(fn func()) {
+	s.add(seqStep{kind: seqDo, arg: int32(len(s.dos))})
+	s.dos = append(s.dos, fn)
+}
+
+// send and recv start a message on the helper's communicator and return
+// the index wait names its request by.
+func (s *seqRun) send(buf mpi.Buf, to, tag int) int { return s.p2p(seqSend, buf, to, tag) }
+
+func (s *seqRun) recv(buf mpi.Buf, from, tag int) int { return s.p2p(seqRecv, buf, from, tag) }
+
+func (s *seqRun) p2p(kind seqKind, buf mpi.Buf, peer, tag int) int {
+	i := len(s.args)
+	s.args = append(s.args, p2pArg{buf, int32(peer), int32(tag)})
+	s.add(seqStep{kind: kind, arg: int32(i)})
+	return i
+}
+
+// wait blocks until requests i to i+n-1 are all complete, in one park.
+func (s *seqRun) wait(i, n int) { s.add(seqStep{kind: seqWaitReq, arg: int32(i), n: uint8(n)}) }
+
+func (s *seqRun) waitAll() { s.add(seqStep{kind: seqWaitAll}) }
+
+// copy is the data plane of dst = src. Between phantoms there is nothing to
+// move, only the lengths to check, and that happens here.
+func (s *seqRun) copy(dst, src mpi.Buf) {
+	if dst.Real() || src.Real() {
+		s.do(func() { dst.CopyFrom(src) })
+	} else {
+		dst.CopyFrom(src)
+	}
+}
+
+// reduce folds src into dst at bps bytes per second on the rank's CPU.
+func (s *seqRun) reduce(bps float64, op mpi.Op, dt mpi.Datatype, dst, src mpi.Buf) {
+	s.cpu(float64(dst.N) / bps)
+	if dst.Real() && src.Real() {
+		s.do(func() { mpi.ReduceBuf(op, dt, dst, src) })
+	}
+}
 
 // payload is the data plane of a copy-out: dst takes comm rank i's
 // snapshot, in a world that carries real bytes.
-func (s *seq) payload(dst mpi.Buf, i int) {
+func (s *seqRun) payload(dst mpi.Buf, i int) {
 	if st := s.st; dst.Real() {
 		s.do(func() {
 			if src := st.contribs[i]; src.Real() {
@@ -98,7 +203,7 @@ func (s *seq) payload(dst mpi.Buf, i int) {
 
 // fold is the data plane of a reduction step: comm rank i's snapshot is
 // folded into dst.
-func (s *seq) fold(op mpi.Op, dt mpi.Datatype, dst mpi.Buf, i int) {
+func (s *seqRun) fold(op mpi.Op, dt mpi.Datatype, dst mpi.Buf, i int) {
 	if st := s.st; dst.Real() {
 		s.do(func() {
 			if src := st.contribs[i]; src.Real() {
@@ -108,30 +213,18 @@ func (s *seq) fold(op mpi.Op, dt mpi.Datatype, dst mpi.Buf, i int) {
 	}
 }
 
-// seqRun is one helper executing a seq on behalf of a rank.
-type seqRun struct {
-	hp    *mpi.Proc
-	steps []seqStep
-	pc    int
-	// copying is the seqCopyFrom step the helper is blocked in: its deliver
-	// record is due when the copy lands.
-	copying *seqStep
-	// st is the operation's shared state, of which the helper holds one use.
-	st  *shmOp
-	req mpi.Request
-}
-
-// start runs s in a step-driven helper of p's rank and returns the request
-// that completes when it has run to its end. The helper's use of the
-// operation's shared state is released when it ends or is killed.
-func (s seq) start(p *mpi.Proc, name string) *mpi.Request {
-	r := &seqRun{steps: s.steps, st: s.st}
-	r.hp = p.SpawnSteps(name, r)
-	return &r.req
+// start runs the program in a step-driven helper of p's rank and returns the
+// request that completes when it has run to its end. The helper's use of
+// the operation's shared state is released when it ends or is killed.
+func (s *seqRun) start(p *mpi.Proc, name string) *mpi.Request {
+	s.req = p.W.NewRequest()
+	s.reqs = slices.Grow(s.reqs, len(s.args))[:len(s.args)]
+	p.SpawnSteps(&s.hp, name, s)
+	return s.req
 }
 
 func (r *seqRun) Step(sp *sim.Proc) bool {
-	hp := r.hp
+	hp := &r.hp
 	w, mach := hp.W, hp.W.Mach
 	for {
 		if st := r.copying; st != nil {
@@ -140,6 +233,11 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 				T: float64(hp.Now()), Rank: hp.Rank, Kind: trace.KindDeliver,
 				Name: "copy", Size: int(st.amt), Peer: int(st.arg),
 			})
+		}
+		if done := r.waiting; done != nil {
+			r.waiting = nil
+			hp.Release(done)
+			clear(done)
 		}
 		if r.pc == len(r.steps) {
 			break
@@ -154,8 +252,22 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 			r.st.sig(flag(st.arg)).Fire(w.Eng())
 			continue
 		case seqDo:
-			st.do()
+			r.dos[st.arg]()
 			continue
+		case seqSend:
+			a := &r.args[st.arg]
+			r.reqs[st.arg] = r.comm.Isend(hp, a.buf, int(a.peer), int(a.tag))
+			continue
+		case seqRecv:
+			a := &r.args[st.arg]
+			r.reqs[st.arg] = r.comm.Irecv(hp, a.buf, int(a.peer), int(a.tag))
+			continue
+		case seqWaitReq:
+			r.waiting = r.reqs[st.arg : st.arg+int32(st.n)]
+			hp.Arm(r.waiting)
+		case seqWaitAll:
+			r.waiting = r.reqs
+			hp.Arm(r.waiting)
 		case seqWait:
 			sp.Arm(r.st.sig(flag(st.arg)), nil)
 		case seqCPU:
@@ -180,19 +292,23 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 			return false
 		}
 	}
+	req, eng := r.req, w.Eng()
 	r.end()
-	r.req.Complete(w.Eng())
+	req.Complete(eng)
 	return true
 }
 
-// Unwind releases a killed helper's use of the shared state; its request
-// never completes.
+// Unwind gives up a killed helper's record and its use of the shared state;
+// its request never completes, and the requests it was waiting for stay with
+// the world.
 func (r *seqRun) Unwind(*sim.Proc) { r.end() }
 
-// end releases the helper's use of the shared state and lets go of it: the
-// request, which its waiter may hold on to, must not keep the operation's
-// payload snapshots alive.
+// end releases the helper's use of the shared state and returns the record,
+// dropping what it points to: the operation's payload snapshots and the
+// caller's buffers must not outlive the helper.
 func (r *seqRun) end() {
-	r.st.release()
-	r.st, r.steps = nil, nil
+	if r.st != nil {
+		r.st.release()
+	}
+	r.pool.Put(r)
 }

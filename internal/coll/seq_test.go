@@ -1,8 +1,12 @@
 package coll
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/mpi"
@@ -43,9 +47,9 @@ func TestKillHelperMidSequence(t *testing.T) {
 		var left int
 		switch m := mod.(type) {
 		case *SM:
-			left = len(m.ops)
+			left = len(m.ops.live)
 		case *SOLO:
-			left = len(m.ops)
+			left = len(m.ops.live)
 		}
 		if left != 0 {
 			t.Errorf("%s: %d operations still hold shared state", mod.Name(), left)
@@ -56,24 +60,174 @@ func TestKillHelperMidSequence(t *testing.T) {
 	}
 }
 
+// The same for a tree helper blocked in a receive wait. A four-rank chain
+// moves 2 MiB from rank 0; rank 2 crashes while its helper waits for a
+// segment from rank 1. At that instant the victim's helper is killed but has
+// not unwound, and its record must still be out of the pool: it goes back
+// only at the unwind, after which the process can no longer be resumed. The
+// victim's request never completes; the survivors' sends to it and receives
+// from it fail once it is declared dead, and they finish.
+func TestKillTreeHelperInReceiveWait(t *testing.T) {
+	for _, mod := range []Module{NewAdapt(), NewLibnbc()} {
+		var runs *arena.Pool[seqRun]
+		alg := AlgChain
+		switch m := mod.(type) {
+		case *Adapt:
+			m.newSeq(nil, 0).end() // make the pool, to look into it
+			runs = m.runs
+		case *Libnbc:
+			m.newSeq(nil, 0).end()
+			runs, alg = m.runs, AlgBinomial
+		}
+		eng := sim.New()
+		w := mpi.NewWorld(cluster.NewMachine(eng, cluster.Mini(4, 1)), mpi.OpenMPI())
+		const crashAt = 100e-6
+		w.AttachFaults(fault.Plan{Crashes: []fault.CrashSpec{{Rank: 2, At: crashAt}}})
+		outAtCrash := -1
+		eng.At(crashAt, func() { outAtCrash = runs.Live() }) // queued after the crash, before the unwinds it queues
+		var victim *mpi.Request
+		finished := 0
+		w.Start(func(p *mpi.Proc) {
+			req := mod.Ibcast(p, p.W.World(), mpi.Phantom(2<<20), 0, Params{Alg: alg})
+			if p.Rank == 2 {
+				victim = req
+			}
+			p.Wait(req)
+			finished++
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("%s: %v", mod.Name(), err)
+		}
+		if finished != 3 || victim.Test() {
+			t.Errorf("%s: %d ranks finished, victim's request complete: %v; want 3 and false", mod.Name(), finished, victim.Test())
+		}
+		if outAtCrash != 4 || runs.Live() != 0 {
+			t.Errorf("%s: %d records out at the crash and %d at the end, want 4 (the victim's too) and 0", mod.Name(), outAtCrash, runs.Live())
+		}
+		if eng.Goroutines() != 4 {
+			t.Errorf("%s: %d goroutines started, want the 4 ranks'", mod.Name(), eng.Goroutines())
+		}
+	}
+}
+
+// A tree helper stuck in a receive is reported under its composed name, at
+// the request a blocking body would be parked on.
+func TestDeadlockNamesTreeHelperAndReceive(t *testing.T) {
+	mod := NewAdapt()
+	_, err := mpi.Run(cluster.Mini(2, 1), mpi.OpenMPI(), func(p *mpi.Proc) {
+		if p.Rank == 1 { // the root never shows up
+			p.Wait(mod.Ibcast(p, p.W.World(), mpi.Phantom(1<<10), 0, Params{}))
+		}
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("run returned %v, want a deadlock", err)
+	}
+	want := fmt.Sprintf("rank1.adapt-ibcast waiting on recv(peer=0, tag=%d, ctx=0)", mpi.TagColl(0))
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock report %q does not name %q", err, want)
+	}
+}
+
+// rounds runs issue on every rank of a fresh 8-node world, waiting for each
+// request: warmup+1+measured times on every rank but 0, which hands
+// testing.AllocsPerRun its round after the warm-up and returns the count —
+// process-wide, so every rank's helper and the engine are in it.
+func allocsPerRound(t *testing.T, issue func(p *mpi.Proc) *mpi.Request) float64 {
+	t.Helper()
+	const warmup, measured = 4, 10
+	allocs := -1.0
+	_, err := mpi.Run(cluster.Mini(8, 1), mpi.OpenMPI(), func(p *mpi.Proc) {
+		round := func() { p.Wait(issue(p)) }
+		if p.Rank != 0 {
+			for i := 0; i < warmup+1+measured; i++ {
+				round()
+			}
+			return
+		}
+		for i := 0; i < warmup; i++ {
+			round()
+		}
+		allocs = testing.AllocsPerRun(measured, round)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// On a warm world an operation allocates its helpers' sim.Procs and nothing
+// else: the program, its operands and requests, the helper's mpi.Proc and
+// the rendezvous state are recycled, the completion request is the world's.
+// (Chains of two segments, so that no helper ends up waiting for more than
+// the two sends a sim.Proc's inline arm list holds.) Under HAN_ARENA_DEBUG nothing is handed
+// out twice, so only the stale-use checks run.
+func TestWarmOperationAllocsOnlyHelperProcs(t *testing.T) {
+	const n = 256 << 10
+	sm, adapt := NewSM(), NewAdapt()
+	pr := Params{Alg: AlgChain, Seg: n / 2}
+	for _, tc := range []struct {
+		name  string
+		issue func(p *mpi.Proc) *mpi.Request
+	}{
+		{"SM.Ibcast", func(p *mpi.Proc) *mpi.Request {
+			return sm.Ibcast(p, p.W.NodeComm(p.Node()), mpi.Phantom(n), 0, Params{})
+		}},
+		{"Adapt.Ibcast", func(p *mpi.Proc) *mpi.Request {
+			return adapt.Ibcast(p, p.W.World(), mpi.Phantom(n), 0, pr)
+		}},
+		{"Adapt.Ireduce", func(p *mpi.Proc) *mpi.Request {
+			return adapt.Ireduce(p, p.W.World(), mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, 0, pr)
+		}},
+	} {
+		if got := allocsPerRound(t, tc.issue); !arena.Debug && got > 8 {
+			t.Errorf("%s: a warm round allocates %v objects, want at most the 8 helpers' sim.Procs", tc.name, got)
+		}
+	}
+}
+
 // BenchmarkShmBcast is the host cost of one 256 KiB intra-node broadcast on
 // a 32-rank node (eight fragments under SM): 31 step-driven helpers walking
 // their sequences.
 func BenchmarkShmBcast(b *testing.B) {
 	for _, mod := range []Module{NewSM(), NewSOLO()} {
 		b.Run(mod.Name(), func(b *testing.B) {
-			eng := sim.New()
-			w := mpi.NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 32)), mpi.OpenMPI())
-			w.Start(func(p *mpi.Proc) {
-				for i := 0; i < b.N; i++ {
-					p.Wait(mod.Ibcast(p, p.W.World(), mpi.Phantom(256<<10), 0, Params{}))
-				}
+			benchOp(b, cluster.Mini(1, 32), func(p *mpi.Proc) *mpi.Request {
+				return mod.Ibcast(p, p.W.World(), mpi.Phantom(256<<10), 0, Params{})
 			})
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := eng.Run(); err != nil {
-				b.Fatal(err)
-			}
 		})
+	}
+}
+
+// BenchmarkTreeBcast and BenchmarkTreeReduce are the host cost of one
+// inter-node task of the size HAN issues: 1 MiB in 64 KiB segments down, or
+// up, Adapt's binary tree over 8 nodes.
+func BenchmarkTreeBcast(b *testing.B) {
+	mod := NewAdapt()
+	benchOp(b, cluster.Mini(8, 1), func(p *mpi.Proc) *mpi.Request {
+		return mod.Ibcast(p, p.W.World(), mpi.Phantom(1<<20), 0, Params{Alg: AlgBinary, Seg: 64 << 10})
+	})
+}
+
+func BenchmarkTreeReduce(b *testing.B) {
+	mod := NewAdapt()
+	benchOp(b, cluster.Mini(8, 1), func(p *mpi.Proc) *mpi.Request {
+		return mod.Ireduce(p, p.W.World(), mpi.Phantom(1<<20), mpi.Phantom(1<<20), mpi.OpSum, mpi.Float64, 0, Params{Alg: AlgBinary, Seg: 64 << 10})
+	})
+}
+
+// benchOp runs b.N rounds of one operation on every rank of spec.
+func benchOp(b *testing.B, spec cluster.Spec, issue func(p *mpi.Proc) *mpi.Request) {
+	eng := sim.New()
+	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+	w.Start(func(p *mpi.Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(issue(p))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := eng.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -2,7 +2,9 @@ package coll
 
 import (
 	"fmt"
+	"slices"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
 )
@@ -21,14 +23,14 @@ import (
 // context and collective sequence number.
 type SM struct {
 	Base
-	ops shmOps
+	ops *shmOps
 	// AVX switches the reduction loop to the vectorised throughput (the
 	// real SM module is scalar; competitor personalities use this).
 	AVX bool
 }
 
 // NewSM returns a shared-memory module instance to be shared by all ranks.
-func NewSM() *SM { return &SM{Base: Base{ModName: "sm"}, ops: make(shmOps)} }
+func NewSM() *SM { return &SM{Base: Base{ModName: "sm"}, ops: newShmOps()} }
 
 const (
 	// smFragment is the CICO fragment size.
@@ -47,22 +49,22 @@ const (
 )
 
 // smFrags splits n bytes into at most smMaxFrags modelled fragments and
-// returns the slices plus the synchronisation work charged per modelled
-// fragment (scaled so total sync work stays proportional to n/smFragment).
-func smFrags(n int) ([]struct{ Lo, Hi int }, float64) {
+// returns them plus the synchronisation work charged per modelled fragment
+// (scaled so total sync work stays proportional to n/smFragment).
+func smFrags(n int) (segs, float64) {
 	if n == 0 {
-		return nil, smPerFrag
+		return segs{}, smPerFrag
 	}
 	frag := smFragment
 	if (n+frag-1)/frag > smMaxFrags {
 		frag = (n + smMaxFrags - 1) / smMaxFrags
 	}
-	segs := segments(n, frag)
+	sg := segments(n, frag)
 	totalSync := smPerFrag * float64((n+smFragment-1)/smFragment)
 	if totalSync < smPerFrag {
 		totalSync = smPerFrag
 	}
-	return segs, totalSync / float64(len(segs))
+	return sg, totalSync / float64(sg.len())
 }
 
 type opKey struct {
@@ -70,18 +72,19 @@ type opKey struct {
 }
 
 // shmOp is the rendezvous state of one in-flight shared-memory collective
-// (used by both SM and SOLO). Its flags are one slab, sized by the first
+// (used by SM, SOLO and CUDA). Its flags are one slab, sized by the first
 // rank to arrive: the ready flags — indexed by fragment (bcast), comm rank
 // (scatter) or tree round (solo reduce) — then, for the operations whose
 // root collects, one childOK flag per comm rank: that rank finished its
 // part.
 type shmOp struct {
-	ops      shmOps // the table holding the operation, under key
+	ops      *shmOps // the table holding the operation, under key
 	key      opKey
 	sigs     []sim.Signal
 	nReady   int
 	contribs []mpi.Buf // per comm rank: snapshotted payloads (data plane)
 	users    int
+	slot     arena.Slot
 }
 
 // flag names one of an operation's flags, by its index in the slab.
@@ -95,19 +98,39 @@ func (st *shmOp) childOK(r int) flag     { return flag(st.nReady + r) }
 func (st *shmOp) sig(f flag) *sim.Signal { return &st.sigs[f] }
 
 // shmOps holds a module's in-flight operations; every rank's helper holds
-// one use of its operation's entry, from get to release.
-type shmOps map[opKey]*shmOp
+// one use of its operation's entry, from get to release. Finished entries
+// are recycled with their flag slab and snapshot table.
+type shmOps struct {
+	live map[opKey]*shmOp
+	pool *arena.Pool[shmOp]
+}
 
-func (m shmOps) get(c *mpi.Comm, seq, nReady int, children bool) *shmOp {
+func newShmOps() *shmOps {
+	return &shmOps{live: make(map[opKey]*shmOp), pool: arena.NewPool(arena.Options[shmOp]{
+		Name: "coll.shmOp",
+		Reset: func(st *shmOp) {
+			for i := range st.sigs {
+				st.sigs[i].Reset()
+			}
+			clear(st.contribs) // payload snapshots must not outlive the operation
+		},
+		Slot: func(st *shmOp) *arena.Slot { return &st.slot },
+	})}
+}
+
+func (m *shmOps) get(c *mpi.Comm, seq, nReady int, children bool) *shmOp {
 	k := opKey{c.Ctx(), seq}
-	st := m[k]
+	st := m.live[k]
 	if st == nil {
 		n := nReady
 		if children {
 			n += c.Size()
 		}
-		st = &shmOp{ops: m, key: k, sigs: make([]sim.Signal, n), nReady: nReady, users: c.Size(), contribs: make([]mpi.Buf, c.Size())}
-		m[k] = st
+		st = m.pool.Get()
+		st.ops, st.key, st.nReady, st.users = m, k, nReady, c.Size()
+		st.sigs = slices.Grow(st.sigs[:0], n)[:n]
+		st.contribs = slices.Grow(st.contribs[:0], c.Size())[:c.Size()]
+		m.live[k] = st
 	}
 	return st
 }
@@ -117,7 +140,8 @@ func (m shmOps) get(c *mpi.Comm, seq, nReady int, children bool) *shmOp {
 func (st *shmOp) release() {
 	st.users--
 	if st.users == 0 {
-		delete(st.ops, st.key)
+		delete(st.ops.live, st.key)
+		st.ops.pool.Put(st)
 	}
 }
 
@@ -168,23 +192,25 @@ func (m *SM) Algs(k Kind) []Alg {
 // rank polls the fragment flag and copies it out. Fragments pipeline.
 func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("sm.Ibcast", p, c)
-	segs, perFrag := smFrags(buf.N)
-	st := m.ops.get(c, c.NextSeq(p), len(segs), false)
-	s := newSeq(st, 2+4*len(segs))
+	sg, perFrag := smFrags(buf.N)
+	st := m.ops.get(c, c.NextSeq(p), sg.len(), false)
+	s := m.newSeq(st, 2+4*sg.len())
 	s.cpu(smSetup)
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
-		for i, sg := range segs {
+		for i := 0; i < sg.len(); i++ {
+			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyIn(sg.Hi - sg.Lo) // copy-in
+			s.copyIn(hi - lo) // copy-in
 			s.fire(st.ready(i))
 		}
 	} else {
 		lat := intraLatency(p)
-		for i, sg := range segs {
+		for i := 0; i < sg.len(); i++ {
+			lo, hi := sg.at(i)
 			s.poll(st.ready(i), lat)
 			s.cpu(perFrag)
-			s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(root)) // copy-out
+			s.copyFrom(hi-lo, c.WorldRank(root)) // copy-out
 		}
 		s.payload(buf, root)
 	}
@@ -197,14 +223,15 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 	checkSingleNode("sm.Ireduce", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 0, true)
 	me, n := c.Rank(p), c.Size()
-	segs, perFrag := smFrags(sbuf.N)
+	sg, perFrag := smFrags(sbuf.N)
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s := newSeq(st, 2+2*len(segs))
+		s := m.newSeq(st, 2+2*sg.len())
 		s.cpu(smSetup)
-		for _, sg := range segs {
+		for i := 0; i < sg.len(); i++ {
+			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyIn(sg.Hi - sg.Lo) // copy contribution in
+			s.copyIn(hi - lo) // copy contribution in
 		}
 		s.fire(st.childOK(me))
 		return s.start(p, "sm-ireduce")
@@ -214,7 +241,7 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 		scalar = p.W.Mach.Spec.ReduceAVXBps
 	}
 	lat := intraLatency(p)
-	s := newSeq(st, 2+(4+2*len(segs))*(n-1))
+	s := m.newSeq(st, 2+(4+2*sg.len())*(n-1))
 	s.cpu(smSetup)
 	s.do(func() {
 		if rbuf.N == sbuf.N {
@@ -226,9 +253,10 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 			continue
 		}
 		s.poll(st.childOK(r), lat)
-		for _, sg := range segs {
+		for i := 0; i < sg.len(); i++ {
+			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyFrom(sg.Hi-sg.Lo, c.WorldRank(r)) // copy contribution out
+			s.copyFrom(hi-lo, c.WorldRank(r)) // copy contribution out
 		}
 		s.cpu(float64(sbuf.N) / scalar) // scalar fold
 		s.fold(op, dt, rbuf, r)
@@ -255,7 +283,7 @@ func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr 
 	me, n, blk := c.Rank(p), c.Size(), sbuf.N
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s := newSeq(st, 4)
+		s := m.newSeq(st, 4)
 		s.cpu(smSetup)
 		s.cpu(smPerFrag)
 		s.copyIn(blk)
@@ -267,7 +295,7 @@ func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr 
 		panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, n*blk))
 	}
 	lat := intraLatency(p)
-	s := newSeq(st, 2+5*(n-1))
+	s := m.newSeq(st, 2+5*(n-1))
 	s.cpu(smSetup)
 	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
 	for r := 0; r < n; r++ {
@@ -288,7 +316,7 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 	me, n, blk := c.Rank(p), c.Size(), rbuf.N
 	st := m.ops.get(c, c.NextSeq(p), n, false)
 	if me != root {
-		s := newSeq(st, 6)
+		s := m.newSeq(st, 6)
 		s.cpu(smSetup)
 		s.poll(st.ready(me), intraLatency(p))
 		s.cpu(smPerFrag)
@@ -300,7 +328,7 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
 		panic(fmt.Sprintf("coll: sm scatter buffer %d bytes, want %d", sbuf.N, n*blk))
 	}
-	s := newSeq(st, 2+3*(n-1))
+	s := m.newSeq(st, 2+3*(n-1))
 	s.cpu(smSetup)
 	for r := 0; r < n; r++ {
 		block := sbuf.Slice(r*blk, (r+1)*blk)

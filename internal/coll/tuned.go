@@ -88,10 +88,9 @@ func (m *Tuned) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Param
 			}
 		}
 	}
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "tuned-ibcast", func(hp *mpi.Proc) {
-		bcastTree(hp, c, buf, root, treeOf(alg), seg, tunedPerMsg, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.bcastTree(p, c, buf, root, treeOf(alg), seg, tunedPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-ibcast")
 }
 
 // Ireduce: binomial for small, segmented chain for large payloads.
@@ -104,11 +103,9 @@ func (m *Tuned) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op,
 			alg, seg = AlgChain, tunedBcastSeg
 		}
 	}
-	tag := mpi.TagColl(c.NextSeq(p))
-	bps := m.scalarBps(p)
-	return async(p, "tuned-ireduce", func(hp *mpi.Proc) {
-		reduceTree(hp, c, sbuf, rbuf, op, dt, root, treeOf(alg), seg, tunedPerMsg, bps, tag)
-	})
+	s := m.newSeq(nil, 0)
+	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), seg, tunedPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-ireduce")
 }
 
 // Iallreduce: recursive doubling for small messages, ring for large.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/sim"
 )
 
@@ -126,7 +127,7 @@ func TestStartCompleteSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 0 {
+	if allocs > 0 && !arena.Debug { // quarantined slots are not reused: every flow is a fresh one
 		t.Fatalf("steady-state start/rebalance/complete allocates %.1f per run, want 0", allocs)
 	}
 }

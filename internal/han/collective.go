@@ -164,12 +164,13 @@ func (h *HAN) execute(p *mpi.Proc, cl *call, n int, cfg *Config) (err error) {
 	}
 	defer h.span(p, cl.comm, cl.span, n)()
 
-	var pl pipeline
+	pl := h.pipeline(p)
+	defer func() { pl.p = nil }()
 	pl.init(cl.src, cl.dst, n, cl.op, cl.dt, cfg.FS)
-	to, cause, hop := h.hierarchy(p, cl, &pl, cfg)
+	to, cause, hop := h.hierarchy(p, cl, pl, cfg)
 	if pl.nst > 0 {
 		h.m.segsPerColl.Observe(float64(pl.segs()))
-		h.run(p, &pl, nil)
+		pl.run(nil)
 	}
 	if hop {
 		// A reduction's non-leader root gets the result from its leader.

@@ -384,6 +384,39 @@ func TestMidCollectiveDeathFailsReduceAndBcast3(t *testing.T) {
 	}
 }
 
+// A rank killed while it has lent its process to the pipeline's step loop —
+// parked inside a collective, the engine issuing its tasks — unwinds on its
+// own stack: what it deferred runs, once, and nothing past the collective
+// does. The survivors come out with the death reported.
+func TestKillRankInsidePipelineUnwindsOnItsStack(t *testing.T) {
+	spec := cluster.Mini(2, 2)
+	plan := fault.Plan{Crashes: []fault.CrashSpec{{Rank: 3, At: 50e-6}}}
+	unwound, past := 0, 0
+	got := make([]error, spec.Ranks())
+	_, _, err := runCrashHAN(t, spec, 1, plan, Abort, func(h *HAN, p *mpi.Proc) {
+		if p.Rank == 3 {
+			defer func() { unwound++ }()
+		}
+		// Milliseconds of pipeline: the death lands inside.
+		got[p.Rank] = h.Bcast(p, mpi.Phantom(4<<20), 0, Config{FS: 256 << 10})
+		if p.Rank == 3 {
+			past++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unwound != 1 || past != 0 {
+		t.Errorf("victim unwound %d times and ran past the collective %d times, want 1 and 0", unwound, past)
+	}
+	for r, e := range got[:3] {
+		var rf *RankFailedError
+		if !errors.As(e, &rf) {
+			t.Errorf("rank %d returned %v, want *RankFailedError", r, e)
+		}
+	}
+}
+
 // TestCrashMatrix is the CI entry point for the crash suite: HAN_CRASH_PLAN
 // and HAN_FAULT_SEED select one cell. Each cell completes a shrink-recovery
 // collective pair on the survivors and checks (seed, plan) determinism.

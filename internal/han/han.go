@@ -253,6 +253,9 @@ type HAN struct {
 	// m holds the metric handles installed by EnableMetrics; always
 	// non-nil (the zero value's nil handles no-op).
 	m *hanMetrics
+	// slots holds, per world rank, the pipeline of the collective the rank
+	// is in (pipeline.go).
+	slots []pipeline
 }
 
 // New creates a HAN instance for the world with fresh submodules and the

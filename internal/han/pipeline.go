@@ -1,6 +1,8 @@
 package han
 
 import (
+	"fmt"
+
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
@@ -8,8 +10,10 @@ import (
 
 // The one task pipeline every HAN collective runs on (see the package
 // comment): level list -> derive -> stage table -> run. Everything here is
-// fixed-size and lives on the caller's stack: at 4096 ranks a handful of
-// per-call allocations would show up in the benchmark.
+// fixed-size and lives in the calling rank's slot of the HAN instance: at
+// 4096 ranks a handful of per-call allocations would show up in the
+// benchmark, and so would 328 bytes more on every rank's stack, which sits
+// at the edge of 8 KiB while the rank is parked in a collective.
 
 const (
 	maxLevels = 3
@@ -70,7 +74,7 @@ type stage struct {
 }
 
 // pipeline is one collective call on one rank: level list, stage table,
-// buffers and segment size.
+// buffers and segment size, and the state of the step loop that runs them.
 type pipeline struct {
 	lv  [maxLevels]level
 	nlv int
@@ -98,6 +102,41 @@ type pipeline struct {
 	// a leader, the per-segment receives of the root's data; the outermost
 	// broadcast waits for segment j's before it is issued.
 	feed []*mpi.Request
+
+	// The step loop (Step): the rank it runs for, which is what marks the
+	// slot taken; the step, the next row of the table and where the loop is
+	// blocked; the tasks issued in the step so far, and when it began.
+	h     *HAN
+	p     *mpi.Proc
+	t, i  int
+	at    uint8
+	reqs  [maxStages]*mpi.Request
+	k     int
+	t0    sim.Time
+	steps []sim.Time
+}
+
+// Where a pipeline's step loop is.
+const (
+	atStart uint8 = iota // about to begin step t
+	atIssue              // issuing row i of step t
+	atFeed               // blocked in the feed wait of row i
+	atTasks              // blocked in the wait for the step's tasks
+)
+
+// pipeline returns the calling rank's slot, zeroed. A rank runs one
+// collective at a time and its slot is free again when that returns, so a
+// collective costs a rank no allocation.
+func (h *HAN) pipeline(p *mpi.Proc) *pipeline {
+	if h.slots == nil {
+		h.slots = make([]pipeline, h.W.Size())
+	}
+	pl := &h.slots[p.Rank]
+	if pl.p != nil {
+		panic(fmt.Sprintf("han: rank %d entered a collective inside another", p.Rank))
+	}
+	*pl = pipeline{h: h, p: p}
+	return pl
 }
 
 // init sets the buffers and clamps the segment size to [1, n].
@@ -189,33 +228,65 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 	}
 }
 
-// run is the step loop — the only one in the package. At step t it issues
+// run executes the table as a routine the rank lends its process to
+// (sim.Proc.RunSteps): the first step is issued inline, and if it blocks
+// the rank parks once while the engine runs the rest, so a collective costs
+// a rank one park whatever its segments. With a non-nil steps (length
+// segs()+depth) each step's duration is recorded.
+func (pl *pipeline) run(steps []sim.Time) {
+	pl.steps = steps
+	pl.p.Sim.RunSteps(pl)
+}
+
+// Step is the step loop — the only one in the package. At step t it issues
 // every stage whose segment t-off exists, in table order, then waits for
-// all of them: the task barrier of Figs 1 and 5. With a non-nil steps
-// (length segs()+depth) it records each step's duration.
-func (h *HAN) run(p *mpi.Proc, pl *pipeline, steps []sim.Time) {
-	u := pl.segs()
-	var reqs [maxStages]*mpi.Request
-	for t := 0; t < u+pl.depth; t++ {
-		t0 := p.Now()
-		k := 0
-		for _, st := range pl.st[:pl.nst] {
-			j := t - int(st.off)
+// all of them: the task barrier of Figs 1 and 5. Both waits, the feed's and
+// the tasks', arm what a blocking Wait would and release it when the loop
+// runs again — at once if nothing was left to wait for.
+func (pl *pipeline) Step(sp *sim.Proc) bool {
+	p, u := pl.p, pl.segs()
+	for ; pl.t < u+pl.depth; pl.t++ {
+		if pl.at == atStart {
+			pl.t0, pl.i, pl.k, pl.at = p.Now(), 0, 0, atIssue
+		}
+		for ; pl.i < pl.nst; pl.i++ {
+			st := pl.st[pl.i]
+			j := pl.t - int(st.off)
 			if j < 0 || j >= u {
 				continue
 			}
 			if pl.feed != nil && st.op == opDown && int(st.lv) == pl.nlv-1 {
-				p.Wait(pl.feed[j])
+				if pl.at == atIssue {
+					pl.at = atFeed
+					p.Arm(pl.feed[j : j+1])
+					if sp.StepWait() {
+						return false
+					}
+				}
+				p.Release(pl.feed[j : j+1])
+				pl.at = atIssue
 			}
-			reqs[k] = h.issue(p, pl, st, j)
-			k++
+			pl.reqs[pl.k] = pl.h.issue(p, pl, st, j)
+			pl.k++
 		}
-		p.Wait(reqs[:k]...)
-		if steps != nil {
-			steps[t] = p.Now() - t0
+		if pl.at == atIssue {
+			pl.at = atTasks
+			p.Arm(pl.reqs[:pl.k])
+			if sp.StepWait() {
+				return false
+			}
 		}
+		p.Release(pl.reqs[:pl.k])
+		if pl.steps != nil {
+			pl.steps[pl.t] = p.Now() - pl.t0
+		}
+		pl.at = atStart
 	}
+	return true
 }
+
+// Unwind has nothing to release: a killed rank unwinds on its own stack.
+func (pl *pipeline) Unwind(*sim.Proc) {}
 
 // issue starts one task — stage st of pl on segment j — and is the single
 // point every task passes through, so each is traced and counted.

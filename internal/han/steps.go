@@ -33,10 +33,11 @@ func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, d
 	}
 	bar := h.W.World()
 	buf := mpi.Phantom(u * cfg.FS)
-	var pl pipeline
+	pl := h.pipeline(p)
+	defer func() { pl.p = nil }()
 	pl.init(buf, buf, buf.N, op, dt, cfg.FS)
 	hr, _ := h.analyze(p, bar, who, false) // a one-node world still has both comms
-	h.twoLevels(&pl, &hr, &cfg)
+	h.twoLevels(pl, &hr, &cfg)
 
 	if table == nil {
 		pl.derive(p, kind)
@@ -57,7 +58,7 @@ func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, d
 	}
 	bar.Barrier(p)
 	steps := make([]sim.Time, u+pl.depth)
-	h.run(p, &pl, steps)
+	pl.run(steps)
 	if table == nil && !hr.isLeader {
 		return nil, nil // the schedules report the leaders' view
 	}

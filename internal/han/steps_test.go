@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/mpi"
@@ -158,31 +159,77 @@ func TestIbIrOverlapOnDuplexFabric(t *testing.T) {
 	}
 }
 
-// A HAN collective's host cost in goroutines is its ranks plus the helpers
-// of the inter-node module: the shared-memory tasks are step-driven and
-// start none.
-func TestBcastStartsNoGoroutinePerSharedMemoryTask(t *testing.T) {
+// A HAN collective's host cost is one park per rank and no goroutine: every
+// task of every submodule is a step-driven helper, and the segment pipeline
+// is a routine the rank lends its process to, as the barrier is.
+func TestCollectivesParkOncePerRankAndStartNoGoroutine(t *testing.T) {
 	const segs = 4
 	spec := cluster.Mini(4, 4)
-	for _, smod := range []string{"sm", "solo"} {
-		cfg := stepCfg()
-		cfg.SMod = smod
-		eng := sim.New()
-		w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-		h := New(w)
-		w.Start(func(p *mpi.Proc) {
+	for _, imod := range InterNames() {
+		for _, smod := range IntraNames() {
+			cfg := stepCfg()
+			cfg.IMod, cfg.SMod, cfg.IBAlg, cfg.IRAlg = imod, smod, coll.AlgBinomial, coll.AlgBinomial
+			eng := sim.New()
+			w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+			h := New(w)
+			w.Start(func(p *mpi.Proc) {
+				buf := mpi.Phantom(segs * cfg.FS)
+				w.World().Barrier(p)
+				if err := h.Bcast(p, buf, 0, cfg); err != nil {
+					t.Errorf("rank %d: %v", p.Rank, err)
+				}
+				w.World().Barrier(p)
+				if err := h.Allreduce(p, buf, buf, mpi.OpSum, mpi.Float64, cfg); err != nil {
+					t.Errorf("rank %d: %v", p.Rank, err)
+				}
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ranks := uint64(spec.Ranks())
+			if got := eng.Goroutines(); got != ranks {
+				t.Errorf("%s/%s: %d goroutines started, want the %d ranks'", imod, smod, got, ranks)
+			}
+			if got := eng.Parks(); got != 4*ranks {
+				t.Errorf("%s/%s: %d parks, want %d: one per rank per barrier and per collective", imod, smod, got, 4*ranks)
+			}
+		}
+	}
+}
+
+// Once a world is warm a collective allocates nothing in this package: the
+// pipeline lives in the rank's slot. What is left is one sim.Proc per helper
+// process (each task's, which package coll accounts for), so the count is
+// the tasks issued: per Bcast an sb on every rank and an ib on every leader,
+// per segment. (One internal segment per ib: a helper that ends up waiting
+// for more than two sends also grows its process's arm list.)
+func TestSecondCollectiveAllocatesOnlyItsHelperProcs(t *testing.T) {
+	const segs, warmup, measured = 4, 3, 5
+	spec := cluster.Mini(4, 4)
+	cfg := stepCfg()
+	cfg.IBS = cfg.FS
+	allocs := -1.0
+	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
+		round := func() {
 			if err := h.Bcast(p, mpi.Phantom(segs*cfg.FS), 0, cfg); err != nil {
 				t.Errorf("rank %d: %v", p.Rank, err)
 			}
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
 		}
-		// One ib per segment on each node leader.
-		want := uint64(spec.Ranks() + segs*spec.Nodes)
-		if got := eng.Goroutines(); got != want {
-			t.Errorf("%s: Bcast started %d goroutines, want %d ranks + %d inter-node helpers", smod, got, spec.Ranks(), segs*spec.Nodes)
+		if p.Rank != 0 {
+			for i := 0; i < warmup+1+measured; i++ {
+				round()
+			}
+			return
 		}
+		for i := 0; i < warmup; i++ {
+			round()
+		}
+		// AllocsPerRun calls round once more to warm up; the count is
+		// process-wide, so it covers every rank and the engine goroutine.
+		allocs = testing.AllocsPerRun(measured, round)
+	})
+	if helpers := float64(segs * (spec.Ranks() + spec.Nodes)); !arena.Debug && allocs > helpers {
+		t.Errorf("a warm Bcast allocates %v objects, want at most its %v helper processes", allocs, helpers)
 	}
 }
 

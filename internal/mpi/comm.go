@@ -138,7 +138,7 @@ func (b *barrierSteps) Step(sp *sim.Proc) bool {
 	c, p, n := b.c, b.p, b.c.Size()
 	for {
 		if b.reqs[0] != nil {
-			p.release(b.reqs[:])
+			p.Release(b.reqs[:])
 		}
 		if b.dist >= n {
 			return true
@@ -149,7 +149,7 @@ func (b *barrierSteps) Step(sp *sim.Proc) bool {
 		b.reqs[0] = c.Isend(p, Phantom(1), to, tag)
 		b.reqs[1] = c.Irecv(p, Phantom(1), from, tag)
 		b.round, b.dist = b.round+1, b.dist*2
-		p.arm(b.reqs[:])
+		p.Arm(b.reqs[:])
 		if sp.StepWait() {
 			return false
 		}

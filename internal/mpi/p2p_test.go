@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/metrics"
@@ -246,7 +247,7 @@ func TestPooledP2PSteadyStateAllocs(t *testing.T) {
 	// ReadMemStats itself and test-harness background activity cost a few
 	// mallocs; per-round cost must still be indistinguishable from zero.
 	perRound := float64(mallocs) / float64(measured)
-	if perRound >= 1 {
+	if perRound >= 1 && !arena.Debug { // quarantined slots are not reused: every record is a fresh one
 		t.Fatalf("steady-state p2p averages %.2f mallocs per ping-pong round (%d total), want < 1", perRound, mallocs)
 	}
 }
@@ -294,7 +295,7 @@ func TestWaitPairSteadyStateAllocs(t *testing.T) {
 		}
 		allocs = testing.AllocsPerRun(measured, round)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !arena.Debug { // quarantined slots are not reused: every request is a fresh one
 		t.Fatalf("two-request Wait round averages %v allocations, want 0", allocs)
 	}
 }
@@ -335,7 +336,8 @@ func TestKillThenLateFireOnRecycledRequest(t *testing.T) {
 		w.release(a)
 		w.release(b)
 		reused[0], reused[1] = w.reqPool.Get(), w.reqPool.Get()
-		if !(reused[0] == a || reused[0] == b) || !(reused[1] == a || reused[1] == b) {
+		// (Under HAN_ARENA_DEBUG a returned slot is quarantined, never reused.)
+		if !arena.Debug && (!(reused[0] == a || reused[0] == b) || !(reused[1] == a || reused[1] == b)) {
 			t.Error("pool did not hand the recycled requests out again")
 		}
 		for _, r := range reused {

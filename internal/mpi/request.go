@@ -28,11 +28,12 @@ func (s *WaitSite) String() string {
 // Request is the handle of a non-blocking operation (point-to-point or
 // collective). It completes exactly once.
 //
-// Requests handed out by Isend and Irecv are recycled through the world's
-// arena the moment Proc.Wait observes their completion: a waited request
-// must not be touched again (the wait-once discipline hanlint's reqwait
-// pass enforces), except to read Err under a crash plan (see there).
-// Requests from NewRequest are heap-allocated and never recycled.
+// Requests handed out by Isend, Irecv and World.NewRequest are recycled
+// through the world's arena the moment Proc.Wait observes their completion:
+// a waited request must not be touched again (the wait-once discipline
+// hanlint's reqwait pass enforces), except to read Err under a crash plan
+// (see there). Requests from the package-level NewRequest are heap-allocated
+// and never recycled.
 type Request struct {
 	doneSig sim.Signal
 	site    WaitSite
@@ -45,10 +46,14 @@ type Request struct {
 	slot   arena.Slot
 }
 
-// NewRequest returns an incomplete heap request. Collective modules use
-// this to hand out completion handles for operations they progress
-// internally.
+// NewRequest returns an incomplete heap request, for a completion handle
+// whose holder may look at it again after waiting.
 func NewRequest() *Request { return &Request{} }
+
+// NewRequest returns an incomplete request from the world's pool. Collective
+// modules hand these out as the completion handles of operations they
+// progress internally; the waiter's Wait recycles them.
+func (w *World) NewRequest() *Request { return w.reqPool.Get() }
 
 // Done returns the signal fired at completion.
 func (r *Request) Done() *sim.Signal { return &r.doneSig }

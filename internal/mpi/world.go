@@ -247,13 +247,18 @@ func (p *Proc) Node() int { return p.W.Mach.NodeOf(p.Rank) }
 // receive) still incomplete, naming the peer, tag, and comm for
 // deadlock/watchdog reports.
 func (p *Proc) Wait(reqs ...*Request) {
-	p.arm(reqs)
+	p.Arm(reqs)
 	p.Sim.WaitArmed()
-	p.release(reqs)
+	p.Release(reqs)
 }
 
-// arm and release are Wait's two halves, around the park.
-func (p *Proc) arm(reqs []*Request) {
+// Arm and Release are Wait's two halves, for a step-driven routine
+// (sim.Stepper) that blocks without a stack to block on: Arm registers the
+// process on the requests still incomplete, the routine blocks
+// (sim.Proc.StepWait), and once it runs again — right away, if StepWait found
+// nothing to wait for — Release retires them as Wait's return does. Nil
+// requests are skipped by both.
+func (p *Proc) Arm(reqs []*Request) {
 	for _, r := range reqs {
 		if r != nil {
 			p.Sim.Arm(&r.doneSig, &r.site)
@@ -261,11 +266,11 @@ func (p *Proc) arm(reqs []*Request) {
 	}
 }
 
-func (p *Proc) release(reqs []*Request) {
+// Release recycles the pooled requests of a completed wait; the wait-once
+// discipline (hanlint reqwait) makes that safe.
+func (p *Proc) Release(reqs []*Request) {
 	for _, r := range reqs {
 		if r != nil {
-			// A waited request is finished business: recycle pooled ones.
-			// The wait-once discipline (hanlint reqwait) makes this safe.
 			p.W.release(r)
 		}
 	}
@@ -281,13 +286,13 @@ func (p *Proc) SpawnHelper(name string, fn func(*Proc)) {
 }
 
 // SpawnSteps starts a helper process that has no goroutine: the engine
-// advances s in place (sim.Stepper). It returns the helper's execution
+// advances s in place (sim.Stepper). hp, which the caller owns and may
+// recycle once the helper has finished, becomes the helper's execution
 // context for s to act through.
-func (p *Proc) SpawnSteps(name string, s sim.Stepper) *Proc {
-	hp := &Proc{W: p.W, Rank: p.Rank, helper: name}
+func (p *Proc) SpawnSteps(hp *Proc, name string, s sim.Stepper) {
+	*hp = Proc{W: p.W, Rank: p.Rank, helper: name}
 	hp.Sim = p.Sim.Engine().SpawnStep("", s)
 	hp.register()
-	return hp
 }
 
 // register names a freshly spawned helper and lists it with its rank.
