@@ -55,7 +55,7 @@ func (m *Adapt) avxBps(p *mpi.Proc) float64 { return p.W.Mach.Spec.ReduceAVXBps 
 // Ibcast starts an event-driven segmented broadcast.
 func (m *Adapt) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinary, m.Algs(Bcast))
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.cpu(adaptSetup)
 	s.bcastTree(p, c, buf, root, treeOf(alg), m.seg(pr), adaptPerMsg, mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "adapt-ibcast")
@@ -64,7 +64,7 @@ func (m *Adapt) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Param
 // Ireduce starts an event-driven segmented reduction to root.
 func (m *Adapt) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinary, m.Algs(Reduce))
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.cpu(adaptSetup)
 	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), m.seg(pr), adaptPerMsg, m.avxBps(p), mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "adapt-ireduce")
@@ -76,7 +76,7 @@ func (m *Adapt) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.
 	alg := pickAlg(pr, AlgBinary, m.Algs(Allreduce))
 	rtag := mpi.TagColl(c.NextSeq(p))
 	btag := mpi.TagColl(c.NextSeq(p))
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.cpu(adaptSetup)
 	s.reduceTree(p, c, sbuf, rbuf, op, dt, 0, treeOf(alg), m.seg(pr), adaptPerMsg, m.avxBps(p), rtag)
 	s.bcastTree(p, c, rbuf, 0, treeOf(alg), m.seg(pr), adaptPerMsg, btag)

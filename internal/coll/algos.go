@@ -90,10 +90,8 @@ func treeOf(a Alg) treeFn {
 	panic(fmt.Sprintf("coll: no tree shape for algorithm %v", a))
 }
 
-// tree sets the helper's communicator and returns the calling rank's place
-// in a tree rooted at root.
+// tree returns the calling rank's place in a tree rooted at root.
 func (s *seqRun) tree(p *mpi.Proc, c *mpi.Comm, root int, shape treeFn) (parent int, children []int) {
-	s.comm = c
 	parent, s.kids = shape(vrank(c.Rank(p), root, c.Size()), c.Size(), s.kids[:0])
 	return parent, s.kids
 }
@@ -169,12 +167,21 @@ func (s *seqRun) reduceTree(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi
 	s.waitAll()
 }
 
+// allreduce is the ring for AlgRing and recursive doubling otherwise.
+func (s *seqRun) allreduce(alg Alg, p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, perMsg, reduceBps float64, tag int) {
+	if alg == AlgRing {
+		s.allreduceRing(p, c, sbuf, rbuf, op, dt, perMsg, reduceBps, tag)
+	} else {
+		s.allreduceRecDoubling(p, c, sbuf, rbuf, op, dt, perMsg, reduceBps, tag)
+	}
+}
+
 // allreduceRecDoubling is the classic recursive-doubling allreduce,
 // handling non-power-of-two sizes with the standard fold/unfold steps.
-func allreduceRecDoubling(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, perMsg, reduceBps float64, tag int) {
+func (s *seqRun) allreduceRecDoubling(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, perMsg, reduceBps float64, tag int) {
 	n := c.Size()
 	me := c.Rank(p)
-	rbuf.CopyFrom(sbuf)
+	s.copy(rbuf, sbuf)
 	if n <= 1 {
 		return
 	}
@@ -189,12 +196,12 @@ func allreduceRecDoubling(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.O
 	newRank := -1
 	switch {
 	case me < 2*rem && me%2 == 0:
-		cpuWait(p, perMsg)
-		c.Send(p, rbuf, me+1, tag)
+		s.cpu(perMsg)
+		s.wait(s.send(rbuf, me+1, tag), 1)
 	case me < 2*rem:
-		c.Recv(p, tmp, me-1, tag)
-		cpuWait(p, perMsg)
-		reduceInto(p, reduceBps, op, dt, rbuf, tmp)
+		s.wait(s.recv(tmp, me-1, tag), 1)
+		s.cpu(perMsg)
+		s.reduce(reduceBps, op, dt, rbuf, tmp)
 		newRank = me / 2
 	default:
 		newRank = me - rem
@@ -202,46 +209,50 @@ func allreduceRecDoubling(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.O
 
 	if newRank >= 0 {
 		for mask := 1; mask < pof2; mask <<= 1 {
-			peerNew := newRank ^ mask
-			peer := peerNew
-			if peerNew < rem {
-				peer = peerNew*2 + 1
+			peer := newRank ^ mask
+			if peer < rem {
+				peer = peer*2 + 1
 			} else {
-				peer = peerNew + rem
+				peer += rem
 			}
-			cpuWait(p, perMsg)
-			c.SendRecv(p, rbuf, peer, tag, tmp, peer, tag)
-			reduceInto(p, reduceBps, op, dt, rbuf, tmp)
+			s.cpu(perMsg)
+			s.exchange(rbuf, peer, tmp, peer, tag)
+			s.reduce(reduceBps, op, dt, rbuf, tmp)
 		}
 	}
 
 	// Unfold: give the folded-away ranks the result.
 	switch {
 	case me < 2*rem && me%2 == 0:
-		c.Recv(p, rbuf, me+1, tag)
+		s.wait(s.recv(rbuf, me+1, tag), 1)
 	case me < 2*rem:
-		cpuWait(p, perMsg)
-		c.Send(p, rbuf, me-1, tag)
+		s.cpu(perMsg)
+		s.wait(s.send(rbuf, me-1, tag), 1)
 	}
+}
+
+// exchange sends sbuf to one peer while receiving rbuf from another, and
+// waits for both at once.
+func (s *seqRun) exchange(sbuf mpi.Buf, to int, rbuf mpi.Buf, from, tag int) {
+	i := s.send(sbuf, to, tag)
+	s.recv(rbuf, from, tag)
+	s.wait(i, 2)
 }
 
 // allreduceRing is the bandwidth-optimal ring allreduce: a reduce-scatter
 // pass followed by an allgather pass, each in n-1 steps of ~1/n of the
 // buffer.
-func allreduceRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, perMsg, reduceBps float64, tag int) {
+func (s *seqRun) allreduceRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, perMsg, reduceBps float64, tag int) {
 	n := c.Size()
 	me := c.Rank(p)
-	rbuf.CopyFrom(sbuf)
-	if n <= 1 {
-		return
-	}
 	total := rbuf.N
 	elem := dt.Size()
-	if total/elem < n {
+	if n <= 1 || total/elem < n {
 		// Too small to scatter: fall back to recursive doubling.
-		allreduceRecDoubling(p, c, sbuf, rbuf, op, dt, perMsg, reduceBps, tag)
+		s.allreduceRecDoubling(p, c, sbuf, rbuf, op, dt, perMsg, reduceBps, tag)
 		return
 	}
+	s.copy(rbuf, sbuf)
 	// Chunk boundaries aligned to elements.
 	bounds := make([]int, n+1)
 	per := total / elem / n
@@ -255,6 +266,7 @@ func allreduceRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt m
 		}
 	}
 	bounds[n] = total
+	chunk := func(b mpi.Buf, i int) mpi.Buf { return b.Slice(bounds[i], bounds[i+1]) }
 
 	left := (me - 1 + n) % n
 	right := (me + 1) % n
@@ -263,97 +275,76 @@ func allreduceRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt m
 	// Reduce-scatter: after step k, rank me holds the partial sum of chunk
 	// (me-k+n)%n over k+1 contributions.
 	for step := 0; step < n-1; step++ {
-		sendChunk := (me - step + n) % n
-		recvChunk := (me - step - 1 + n) % n
-		sw := rbuf.Slice(bounds[sendChunk], bounds[sendChunk+1])
-		rw := bounds[recvChunk+1] - bounds[recvChunk]
-		cpuWait(p, perMsg)
-		sreq := c.Isend(p, sw, right, tag)
-		rreq := c.Irecv(p, tmp.Slice(0, rw), left, tag)
-		p.Wait(sreq, rreq)
-		reduceInto(p, reduceBps, op, dt, rbuf.Slice(bounds[recvChunk], bounds[recvChunk+1]), tmp.Slice(0, rw))
+		into := chunk(rbuf, (me-step-1+n)%n)
+		s.cpu(perMsg)
+		s.exchange(chunk(rbuf, (me-step+n)%n), right, tmp.Slice(0, into.N), left, tag)
+		s.reduce(reduceBps, op, dt, into, tmp.Slice(0, into.N))
 	}
 	// Allgather: circulate the finished chunks.
 	for step := 0; step < n-1; step++ {
-		sendChunk := (me + 1 - step + n) % n
-		recvChunk := (me - step + n) % n
-		cpuWait(p, perMsg)
-		sreq := c.Isend(p, rbuf.Slice(bounds[sendChunk], bounds[sendChunk+1]), right, tag)
-		rreq := c.Irecv(p, rbuf.Slice(bounds[recvChunk], bounds[recvChunk+1]), left, tag)
-		p.Wait(sreq, rreq)
+		s.cpu(perMsg)
+		s.exchange(chunk(rbuf, (me+1-step+n)%n), right, chunk(rbuf, (me-step+n)%n), left, tag)
 	}
 }
 
 // gatherLinear collects sbuf from every rank into rbuf at the root, laid
 // out by comm rank. rbuf must be size*sbuf.N bytes at the root.
-func gatherLinear(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, perMsg float64, tag int) {
+func (s *seqRun) gatherLinear(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, perMsg float64, tag int) {
 	n := c.Size()
-	me := c.Rank(p)
 	blk := sbuf.N
-	if me == root {
-		if rbuf.N != n*blk {
-			panic(fmt.Sprintf("coll: gather buffer %d bytes, want %d", rbuf.N, n*blk))
-		}
-		reqs := make([]*mpi.Request, 0, n-1)
-		for r := 0; r < n; r++ {
-			if r == root {
-				rbuf.Slice(r*blk, (r+1)*blk).CopyFrom(sbuf)
-				continue
-			}
-			reqs = append(reqs, c.Irecv(p, rbuf.Slice(r*blk, (r+1)*blk), r, tag))
-		}
-		p.Wait(reqs...)
-	} else {
-		cpuWait(p, perMsg)
-		c.Send(p, sbuf, root, tag)
+	if c.Rank(p) != root {
+		s.cpu(perMsg)
+		s.wait(s.send(sbuf, root, tag), 1)
+		return
 	}
+	if rbuf.N != n*blk {
+		panic(fmt.Sprintf("coll: gather buffer %d bytes, want %d", rbuf.N, n*blk))
+	}
+	for r := 0; r < n; r++ {
+		if r == root {
+			s.copy(rbuf.Slice(r*blk, (r+1)*blk), sbuf)
+			continue
+		}
+		s.recv(rbuf.Slice(r*blk, (r+1)*blk), r, tag)
+	}
+	s.waitAll()
 }
 
 // scatterLinear distributes root's rbuf-sized blocks of sbuf to each rank's
 // rbuf.
-func scatterLinear(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, perMsg float64, tag int) {
+func (s *seqRun) scatterLinear(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, perMsg float64, tag int) {
 	n := c.Size()
-	me := c.Rank(p)
 	blk := rbuf.N
-	if me == root {
-		if sbuf.N != n*blk {
-			panic(fmt.Sprintf("coll: scatter buffer %d bytes, want %d", sbuf.N, n*blk))
-		}
-		reqs := make([]*mpi.Request, 0, n-1)
-		for r := 0; r < n; r++ {
-			if r == root {
-				rbuf.CopyFrom(sbuf.Slice(r*blk, (r+1)*blk))
-				continue
-			}
-			cpuWait(p, perMsg)
-			reqs = append(reqs, c.Isend(p, sbuf.Slice(r*blk, (r+1)*blk), r, tag))
-		}
-		p.Wait(reqs...)
-	} else {
-		c.Recv(p, rbuf, root, tag)
+	if c.Rank(p) != root {
+		s.wait(s.recv(rbuf, root, tag), 1)
+		return
 	}
+	if sbuf.N != n*blk {
+		panic(fmt.Sprintf("coll: scatter buffer %d bytes, want %d", sbuf.N, n*blk))
+	}
+	for r := 0; r < n; r++ {
+		if r == root {
+			s.copy(rbuf, sbuf.Slice(r*blk, (r+1)*blk))
+			continue
+		}
+		s.cpu(perMsg)
+		s.send(sbuf.Slice(r*blk, (r+1)*blk), r, tag)
+	}
+	s.waitAll()
 }
 
 // allgatherRing circulates each rank's block around the ring, n-1 steps.
-func allgatherRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, perMsg float64, tag int) {
+func (s *seqRun) allgatherRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, perMsg float64, tag int) {
 	n := c.Size()
 	me := c.Rank(p)
 	blk := sbuf.N
 	if rbuf.N != n*blk {
 		panic(fmt.Sprintf("coll: allgather buffer %d bytes, want %d", rbuf.N, n*blk))
 	}
-	rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf)
-	if n <= 1 {
-		return
-	}
-	left := (me - 1 + n) % n
-	right := (me + 1) % n
+	block := func(i int) mpi.Buf { return rbuf.Slice(i*blk, (i+1)*blk) }
+	s.copy(block(me), sbuf)
 	for step := 0; step < n-1; step++ {
-		sendChunk := (me - step + n) % n
-		recvChunk := (me - step - 1 + n) % n
-		cpuWait(p, perMsg)
-		sreq := c.Isend(p, rbuf.Slice(sendChunk*blk, (sendChunk+1)*blk), right, tag)
-		rreq := c.Irecv(p, rbuf.Slice(recvChunk*blk, (recvChunk+1)*blk), left, tag)
-		p.Wait(sreq, rreq)
+		s.cpu(perMsg)
+		s.exchange(block((me-step+n)%n), (me+1)%n, block((me-step-1+n)%n), (me-1+n)%n, tag)
 	}
 }

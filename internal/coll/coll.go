@@ -193,35 +193,6 @@ func (b Base) Iscatter(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf, int, Params) *mpi
 
 // --- shared helpers used by the concrete modules ---
 
-// cpuWait charges `seconds` of work to p's CPU progress resource and blocks
-// until it has been absorbed (sharing the engine with any concurrent work
-// on the same rank).
-func cpuWait(p *mpi.Proc, seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	f := p.W.Mach.CPUWork(p.Rank, seconds)
-	p.Sim.Wait(f.Done())
-}
-
-// reduceInto models the cost of reducing n bytes at `bps` bytes/s on p's
-// CPU and applies dst = dst (op) src to real buffers.
-func reduceInto(p *mpi.Proc, bps float64, op mpi.Op, dt mpi.Datatype, dst, src mpi.Buf) {
-	cpuWait(p, float64(dst.N)/bps)
-	mpi.ReduceBuf(op, dt, dst, src)
-}
-
-// async runs fn in a goroutine helper process of p's rank and returns a
-// request that completes when fn returns.
-func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
-	req := mpi.NewRequest()
-	p.SpawnHelper(name, func(hp *mpi.Proc) {
-		fn(hp)
-		req.Complete(hp.W.Eng())
-	})
-	return req
-}
-
 // allocLike returns a scratch buffer matching b's size and realness.
 func allocLike(b mpi.Buf) mpi.Buf {
 	if b.Real() {

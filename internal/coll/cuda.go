@@ -56,6 +56,31 @@ func (m *CUDA) Algs(k Kind) []Alg {
 	return nil
 }
 
+// The GPU operations are the module still written as straight-line
+// goroutine bodies: async starts one, cpuWait is its blocking CPU charge.
+
+// cpuWait charges `seconds` of work to p's CPU progress resource and blocks
+// until it has been absorbed (sharing the engine with any concurrent work
+// on the same rank).
+func cpuWait(p *mpi.Proc, seconds float64) {
+	if seconds <= 0 {
+		return
+	}
+	f := p.W.Mach.CPUWork(p.Rank, seconds)
+	p.Sim.Wait(f.Done())
+}
+
+// async runs fn in a goroutine helper process of p's rank and returns a
+// request that completes when fn returns.
+func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
+	req := mpi.NewRequest()
+	p.SpawnHelper(name, func(hp *mpi.Proc) {
+		fn(hp)
+		req.Complete(hp.W.Eng())
+	})
+	return req
+}
+
 // nvPath returns the resources a device-to-device copy between the GPUs of
 // two ranks crosses (src HBM, the shared NVLink fabric, dst HBM). Ranks on
 // the same GPU copy within one HBM.

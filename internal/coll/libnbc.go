@@ -61,7 +61,7 @@ func (m *Libnbc) scalarBps(p *mpi.Proc) float64 {
 // internal segmentation).
 func (m *Libnbc) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinomial, m.Algs(Bcast))
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.cpu(libnbcSetup)
 	s.bcastTree(p, c, buf, root, treeOf(alg), 0, libnbcPerMsg, mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "libnbc-ibcast")
@@ -70,7 +70,7 @@ func (m *Libnbc) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Para
 // Ireduce starts a non-blocking reduction to root.
 func (m *Libnbc) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgBinomial, m.Algs(Reduce))
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.cpu(libnbcSetup)
 	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), 0, libnbcPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "libnbc-ireduce")
@@ -79,41 +79,32 @@ func (m *Libnbc) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op
 // Iallreduce starts a non-blocking allreduce.
 func (m *Libnbc) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
 	alg := pickAlg(pr, AlgRecursiveDoubling, m.Algs(Allreduce))
-	tag := mpi.TagColl(c.NextSeq(p))
-	bps := m.scalarBps(p)
-	return async(p, "libnbc-iallreduce", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		if alg == AlgRing {
-			allreduceRing(hp, c, sbuf, rbuf, op, dt, libnbcPerMsg, bps, tag)
-		} else {
-			allreduceRecDoubling(hp, c, sbuf, rbuf, op, dt, libnbcPerMsg, bps, tag)
-		}
-	})
+	s := m.newSeq(c, nil, 0)
+	s.cpu(libnbcSetup)
+	s.allreduce(alg, p, c, sbuf, rbuf, op, dt, libnbcPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-iallreduce")
 }
 
 // Igather starts a non-blocking gather to root.
 func (m *Libnbc) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "libnbc-igather", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		gatherLinear(hp, c, sbuf, rbuf, root, libnbcPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.cpu(libnbcSetup)
+	s.gatherLinear(p, c, sbuf, rbuf, root, libnbcPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-igather")
 }
 
 // Iallgather starts a non-blocking allgather.
 func (m *Libnbc) Iallgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "libnbc-iallgather", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		allgatherRing(hp, c, sbuf, rbuf, libnbcPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.cpu(libnbcSetup)
+	s.allgatherRing(p, c, sbuf, rbuf, libnbcPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-iallgather")
 }
 
 // Iscatter starts a non-blocking scatter from root.
 func (m *Libnbc) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "libnbc-iscatter", func(hp *mpi.Proc) {
-		cpuWait(hp, libnbcSetup)
-		scatterLinear(hp, c, sbuf, rbuf, root, libnbcPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.cpu(libnbcSetup)
+	s.scatterLinear(p, c, sbuf, rbuf, root, libnbcPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "libnbc-iscatter")
 }

@@ -93,9 +93,9 @@ type seqRun struct {
 	slot arena.Slot
 }
 
-// newSeq returns an empty program from the module's pool, with room for n
-// steps.
-func (b *Base) newSeq(st *shmOp, n int) *seqRun {
+// newSeq returns an empty program from the module's pool, for a helper on
+// communicator c, with room for n steps.
+func (b *Base) newSeq(c *mpi.Comm, st *shmOp, n int) *seqRun {
 	if b.runs == nil {
 		b.runs = arena.NewPool(arena.Options[seqRun]{
 			Name: "coll.seqRun",
@@ -109,7 +109,7 @@ func (b *Base) newSeq(st *shmOp, n int) *seqRun {
 		})
 	}
 	s := b.runs.Get()
-	s.pool, s.st = b.runs, st
+	s.pool, s.comm, s.st = b.runs, c, st
 	s.steps = slices.Grow(s.steps, n)
 	return s
 }

@@ -73,10 +73,10 @@ func TestKillTreeHelperInReceiveWait(t *testing.T) {
 		alg := AlgChain
 		switch m := mod.(type) {
 		case *Adapt:
-			m.newSeq(nil, 0).end() // make the pool, to look into it
+			m.newSeq(nil, nil, 0).end() // make the pool, to look into it
 			runs = m.runs
 		case *Libnbc:
-			m.newSeq(nil, 0).end()
+			m.newSeq(nil, nil, 0).end()
 			runs, alg = m.runs, AlgBinomial
 		}
 		eng := sim.New()

@@ -194,7 +194,7 @@ func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) 
 	checkSingleNode("sm.Ibcast", p, c)
 	sg, perFrag := smFrags(buf.N)
 	st := m.ops.get(c, c.NextSeq(p), sg.len(), false)
-	s := m.newSeq(st, 2+4*sg.len())
+	s := m.newSeq(c, st, 2+4*sg.len())
 	s.cpu(smSetup)
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
@@ -226,7 +226,7 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 	sg, perFrag := smFrags(sbuf.N)
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s := m.newSeq(st, 2+2*sg.len())
+		s := m.newSeq(c, st, 2+2*sg.len())
 		s.cpu(smSetup)
 		for i := 0; i < sg.len(); i++ {
 			lo, hi := sg.at(i)
@@ -241,7 +241,7 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 		scalar = p.W.Mach.Spec.ReduceAVXBps
 	}
 	lat := intraLatency(p)
-	s := m.newSeq(st, 2+(4+2*sg.len())*(n-1))
+	s := m.newSeq(c, st, 2+(4+2*sg.len())*(n-1))
 	s.cpu(smSetup)
 	s.do(func() {
 		if rbuf.N == sbuf.N {
@@ -283,7 +283,7 @@ func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr 
 	me, n, blk := c.Rank(p), c.Size(), sbuf.N
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s := m.newSeq(st, 4)
+		s := m.newSeq(c, st, 4)
 		s.cpu(smSetup)
 		s.cpu(smPerFrag)
 		s.copyIn(blk)
@@ -295,7 +295,7 @@ func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr 
 		panic(fmt.Sprintf("coll: sm gather buffer %d bytes, want %d", rbuf.N, n*blk))
 	}
 	lat := intraLatency(p)
-	s := m.newSeq(st, 2+5*(n-1))
+	s := m.newSeq(c, st, 2+5*(n-1))
 	s.cpu(smSetup)
 	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
 	for r := 0; r < n; r++ {
@@ -316,7 +316,7 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 	me, n, blk := c.Rank(p), c.Size(), rbuf.N
 	st := m.ops.get(c, c.NextSeq(p), n, false)
 	if me != root {
-		s := m.newSeq(st, 6)
+		s := m.newSeq(c, st, 6)
 		s.cpu(smSetup)
 		s.poll(st.ready(me), intraLatency(p))
 		s.cpu(smPerFrag)
@@ -328,7 +328,7 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 		//hanlint:allow typederr the request API has no error channel yet; burn-down tracked in DESIGN.md
 		panic(fmt.Sprintf("coll: sm scatter buffer %d bytes, want %d", sbuf.N, n*blk))
 	}
-	s := m.newSeq(st, 2+3*(n-1))
+	s := m.newSeq(c, st, 2+3*(n-1))
 	s.cpu(smSetup)
 	for r := 0; r < n; r++ {
 		block := sbuf.Slice(r*blk, (r+1)*blk)

@@ -58,7 +58,7 @@ func (m *SOLO) Algs(k Kind) []Alg {
 func (m *SOLO) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request {
 	checkSingleNode("solo.Ibcast", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 1, false)
-	s := m.newSeq(st, 6)
+	s := m.newSeq(c, st, 6)
 	s.cpu(soloSetup)
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
@@ -95,7 +95,7 @@ func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 	// folds its peers' partials into it in place.
 	part := snapshot(sbuf)
 	st.contribs[v] = part
-	s := m.newSeq(st, 3+7*rounds)
+	s := m.newSeq(c, st, 3+7*rounds)
 	s.cpu(soloSetup)
 	s.fire(st.ready(v * (rounds + 1))) // round-0 partial exposed
 	// A rank's partial is consumed in the round of its lowest set bit: it is
@@ -140,7 +140,7 @@ func (m *SOLO) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, p
 	me, n, blk := c.Rank(p), c.Size(), sbuf.N
 	if me != root {
 		st.contribs[me] = snapshot(sbuf)
-		s := m.newSeq(st, 2)
+		s := m.newSeq(c, st, 2)
 		s.cpu(soloSetup)
 		s.fire(st.childOK(me))
 		return s.start(p, "solo-igather")
@@ -150,7 +150,7 @@ func (m *SOLO) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, p
 		panic(fmt.Sprintf("coll: solo gather buffer %d bytes, want %d", rbuf.N, n*blk))
 	}
 	lat := intraLatency(p)
-	s := m.newSeq(st, 2+5*(n-1))
+	s := m.newSeq(c, st, 2+5*(n-1))
 	s.cpu(soloSetup)
 	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
 	for r := 0; r < n; r++ {
@@ -170,7 +170,7 @@ func (m *SOLO) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, 
 	checkSingleNode("solo.Iscatter", p, c)
 	st := m.ops.get(c, c.NextSeq(p), 1, false)
 	me, n, blk := c.Rank(p), c.Size(), rbuf.N
-	s := m.newSeq(st, 6)
+	s := m.newSeq(c, st, 6)
 	s.cpu(soloSetup)
 	if me != root {
 		s.poll(st.ready(0), intraLatency(p))

@@ -88,7 +88,7 @@ func (m *Tuned) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Param
 			}
 		}
 	}
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.bcastTree(p, c, buf, root, treeOf(alg), seg, tunedPerMsg, mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "tuned-ibcast")
 }
@@ -103,7 +103,7 @@ func (m *Tuned) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op,
 			alg, seg = AlgChain, tunedBcastSeg
 		}
 	}
-	s := m.newSeq(nil, 0)
+	s := m.newSeq(c, nil, 0)
 	s.reduceTree(p, c, sbuf, rbuf, op, dt, root, treeOf(alg), seg, tunedPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
 	return s.start(p, "tuned-ireduce")
 }
@@ -118,37 +118,28 @@ func (m *Tuned) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.
 			alg = AlgRing
 		}
 	}
-	tag := mpi.TagColl(c.NextSeq(p))
-	bps := m.scalarBps(p)
-	return async(p, "tuned-iallreduce", func(hp *mpi.Proc) {
-		if alg == AlgRing {
-			allreduceRing(hp, c, sbuf, rbuf, op, dt, tunedPerMsg, bps, tag)
-		} else {
-			allreduceRecDoubling(hp, c, sbuf, rbuf, op, dt, tunedPerMsg, bps, tag)
-		}
-	})
+	s := m.newSeq(c, nil, 0)
+	s.allreduce(alg, p, c, sbuf, rbuf, op, dt, tunedPerMsg, m.scalarBps(p), mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-iallreduce")
 }
 
 // Igather uses the linear algorithm.
 func (m *Tuned) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "tuned-igather", func(hp *mpi.Proc) {
-		gatherLinear(hp, c, sbuf, rbuf, root, tunedPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.gatherLinear(p, c, sbuf, rbuf, root, tunedPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-igather")
 }
 
 // Iallgather uses the ring algorithm.
 func (m *Tuned) Iallgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "tuned-iallgather", func(hp *mpi.Proc) {
-		allgatherRing(hp, c, sbuf, rbuf, tunedPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.allgatherRing(p, c, sbuf, rbuf, tunedPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-iallgather")
 }
 
 // Iscatter uses the linear algorithm.
 func (m *Tuned) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr Params) *mpi.Request {
-	tag := mpi.TagColl(c.NextSeq(p))
-	return async(p, "tuned-iscatter", func(hp *mpi.Proc) {
-		scatterLinear(hp, c, sbuf, rbuf, root, tunedPerMsg, tag)
-	})
+	s := m.newSeq(c, nil, 0)
+	s.scatterLinear(p, c, sbuf, rbuf, root, tunedPerMsg, mpi.TagColl(c.NextSeq(p)))
+	return s.start(p, "tuned-iscatter")
 }
