@@ -193,6 +193,27 @@ func (b Base) Iscatter(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf, int, Params) *mpi
 
 // --- shared helpers used by the concrete modules ---
 
+// async runs fn in a goroutine helper process of p's rank and returns a
+// request that completes when fn returns: what is left of straight-line
+// helper bodies, the GPU operations and thenBcast.
+func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
+	req := mpi.NewRequest()
+	p.SpawnHelper(name, func(hp *mpi.Proc) {
+		fn(hp)
+		req.Complete(hp.W.Eng())
+	})
+	return req
+}
+
+// thenBcast is the second stage of the composed operations: once first has
+// left its result in rank 0's rbuf, mod broadcasts it.
+func thenBcast(p *mpi.Proc, name string, first *mpi.Request, mod Module, c *mpi.Comm, rbuf mpi.Buf) *mpi.Request {
+	return async(p, name, func(hp *mpi.Proc) {
+		hp.Wait(first)
+		hp.Wait(mod.Ibcast(hp, c, rbuf, 0, Params{}))
+	})
+}
+
 // allocLike returns a scratch buffer matching b's size and realness.
 func allocLike(b mpi.Buf) mpi.Buf {
 	if b.Real() {
@@ -208,17 +229,12 @@ type segs struct{ n, seg int }
 // a single segment.
 func segments(n, seg int) segs {
 	if seg <= 0 || seg > n {
-		seg = n
+		seg = max(n, 1)
 	}
 	return segs{n, seg}
 }
 
-func (s segs) len() int {
-	if s.n == 0 {
-		return 0
-	}
-	return (s.n + s.seg - 1) / s.seg
-}
+func (s segs) len() int { return (s.n + s.seg - 1) / s.seg }
 
 // at returns the bounds of chunk i.
 func (s segs) at(i int) (lo, hi int) {

@@ -56,9 +56,6 @@ func (m *CUDA) Algs(k Kind) []Alg {
 	return nil
 }
 
-// The GPU operations are the module still written as straight-line
-// goroutine bodies: async starts one, cpuWait is its blocking CPU charge.
-
 // cpuWait charges `seconds` of work to p's CPU progress resource and blocks
 // until it has been absorbed (sharing the engine with any concurrent work
 // on the same rank).
@@ -68,17 +65,6 @@ func cpuWait(p *mpi.Proc, seconds float64) {
 	}
 	f := p.W.Mach.CPUWork(p.Rank, seconds)
 	p.Sim.Wait(f.Done())
-}
-
-// async runs fn in a goroutine helper process of p's rank and returns a
-// request that completes when fn returns.
-func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
-	req := mpi.NewRequest()
-	p.SpawnHelper(name, func(hp *mpi.Proc) {
-		fn(hp)
-		req.Complete(hp.W.Eng())
-	})
-	return req
 }
 
 // nvPath returns the resources a device-to-device copy between the GPUs of
@@ -196,14 +182,7 @@ func (m *CUDA) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
 func (m *CUDA) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	r1 := m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr)
-	req := mpi.NewRequest()
-	p.SpawnHelper("cuda-iallreduce", func(hp *mpi.Proc) {
-		hp.Wait(r1)
-		hp.Wait(m.Ibcast(hp, c, rbuf, 0, Params{}))
-		req.Complete(hp.W.Eng())
-	})
-	return req
+	return thenBcast(p, "cuda-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
 }
 
 func requireGPUs(p *mpi.Proc) {

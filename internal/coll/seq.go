@@ -9,29 +9,25 @@ import (
 	"github.com/hanrepro/han/internal/trace"
 )
 
-// No operation's helper branches on anything it learns while running: which
-// costs it pays, which flags it polls and raises, which messages it sends
-// and receives and which of them it waits for, and in what order, are fixed
-// when the operation is issued. So every module describes a helper as a seq
-// — a flat list of steps built at issue time — and one interpreter
-// (seqRun.Step) executes all of them as step-driven processes (sim.Stepper):
-// no goroutine, and a blocking step costs a heap event instead of a
-// goroutine switch. Each blocking step queues the event a goroutine body's
-// Wait or Sleep would queue at the same point, so the simulated bits are
-// those of the straight-line bodies the seqs replaced (golden_test.go). That
-// is why a wait for two requests is one step arming both: two consecutive
-// waits would park twice, and the second resume is an event the body never
-// queued.
+// No helper branches on what it learns while running: the costs it pays,
+// the flags it polls and raises, the messages it sends, receives and waits
+// for, and their order, are fixed when the operation is issued. So every
+// module describes a helper as a seq — a flat list of steps built at issue
+// time — and one interpreter (seqRun.Step) executes them all as step-driven
+// processes (sim.Stepper): no goroutine, and a blocking step costs a heap
+// event, not a goroutine switch. Each blocking step queues the event a
+// goroutine body's Wait or Sleep would queue at the same point, so the
+// simulated bits are those of the straight-line bodies the seqs replaced
+// (golden_test.go) — which is why a wait for two requests is one step arming
+// both: two waits in a row would queue a resume the body never did.
 //
-// A program and the process that runs it are one record, a seqRun: the
-// steps, their operands, the requests in flight, the helper's mpi.Proc. The
-// record comes from a pool of the module instance (so of one world) and
-// goes back when the helper has run to its end or been killed — from then on
-// nothing of it is reachable but through the pool. The request it completes
-// is not part of it: the waiter may hold that longer, so it comes from the
-// world's request pool and the waiter's Wait returns it. The helper's
-// sim.Proc is not recycled either: the engine's process list and the rank's
-// keep finished processes until their next sweep, and Kill walks them.
+// Program and process are one record, a seqRun, recycled through a pool of
+// the module instance (so of one world): it goes back when the helper has
+// run to its end or been killed. Two things are not part of it. The request
+// it completes may be held longer by the waiter, so it comes from the
+// world's pool and the waiter's Wait returns it. The helper's sim.Proc is
+// not recycled: the engine's and the rank's process lists keep finished
+// processes until their next sweep, and Kill walks them.
 
 type seqKind uint8
 
@@ -65,10 +61,9 @@ type p2pArg struct {
 	peer, tag int32
 }
 
-// seqRun is a helper: its program — under construction until start, on the
-// shared state st of its operation if it has one — and the process that
-// executes it on behalf of a rank. The cost steps drop themselves when the
-// cost is zero, as a goroutine body's cpuWait does.
+// seqRun is a helper: its program, under construction until start, and the
+// process that executes it on behalf of a rank. The cost steps drop
+// themselves when the cost is zero, as a goroutine body's cpuWait does.
 type seqRun struct {
 	hp    mpi.Proc
 	steps []seqStep
@@ -81,13 +76,12 @@ type seqRun struct {
 	// st is the operation's shared state, of which the helper holds one use.
 	st *shmOp
 	// comm carries the helper's messages; reqs[i] is operand i's request
-	// from its start to its wait, and waiting the ones armed by the step
-	// the helper is blocked in, to be retired when it runs again.
+	// from its start to its wait, waiting the ones armed by the step the
+	// helper is blocked in, retired when it runs again.
 	comm          *mpi.Comm
 	reqs, waiting []*mpi.Request
-	// kids is the scratch a tree shape lists a rank's children in.
-	kids []int
-	req  *mpi.Request
+	kids          []int // scratch a tree shape lists a rank's children in
+	req           *mpi.Request
 
 	pool *arena.Pool[seqRun]
 	slot arena.Slot
@@ -298,14 +292,13 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 	return true
 }
 
-// Unwind gives up a killed helper's record and its use of the shared state;
-// its request never completes, and the requests it was waiting for stay with
-// the world.
+// Unwind is a killed helper's end: its request never completes, and the
+// requests it was waiting for stay with the world.
 func (r *seqRun) Unwind(*sim.Proc) { r.end() }
 
 // end releases the helper's use of the shared state and returns the record,
-// dropping what it points to: the operation's payload snapshots and the
-// caller's buffers must not outlive the helper.
+// which drops what it points to: payload snapshots and the caller's buffers
+// must not outlive the helper.
 func (r *seqRun) end() {
 	if r.st != nil {
 		r.st.release()

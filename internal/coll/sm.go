@@ -52,19 +52,13 @@ const (
 // returns them plus the synchronisation work charged per modelled fragment
 // (scaled so total sync work stays proportional to n/smFragment).
 func smFrags(n int) (segs, float64) {
-	if n == 0 {
-		return segs{}, smPerFrag
-	}
 	frag := smFragment
 	if (n+frag-1)/frag > smMaxFrags {
 		frag = (n + smMaxFrags - 1) / smMaxFrags
 	}
 	sg := segments(n, frag)
-	totalSync := smPerFrag * float64((n+smFragment-1)/smFragment)
-	if totalSync < smPerFrag {
-		totalSync = smPerFrag
-	}
-	return sg, totalSync / float64(sg.len())
+	totalSync := smPerFrag * float64(max((n+smFragment-1)/smFragment, 1))
+	return sg, totalSync / float64(max(sg.len(), 1))
 }
 
 type opKey struct {
@@ -243,11 +237,9 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 	lat := intraLatency(p)
 	s := m.newSeq(c, st, 2+(4+2*sg.len())*(n-1))
 	s.cpu(smSetup)
-	s.do(func() {
-		if rbuf.N == sbuf.N {
-			rbuf.CopyFrom(sbuf)
-		}
-	})
+	if rbuf.N == sbuf.N {
+		s.copy(rbuf, sbuf)
+	}
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
@@ -266,14 +258,7 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
 func (m *SM) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	r1 := m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr)
-	req := mpi.NewRequest()
-	p.SpawnHelper("sm-iallreduce", func(hp *mpi.Proc) {
-		hp.Wait(r1)
-		hp.Wait(m.Ibcast(hp, c, rbuf, 0, Params{}))
-		req.Complete(hp.W.Eng())
-	})
-	return req
+	return thenBcast(p, "sm-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
 }
 
 // Igather: each rank copies its block in; the root copies all blocks out.
@@ -297,7 +282,7 @@ func (m *SM) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr 
 	lat := intraLatency(p)
 	s := m.newSeq(c, st, 2+5*(n-1))
 	s.cpu(smSetup)
-	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
+	s.copy(rbuf.Slice(me*blk, (me+1)*blk), sbuf)
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
@@ -334,7 +319,7 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 		block := sbuf.Slice(r*blk, (r+1)*blk)
 		st.contribs[r] = snapshot(block)
 		if r == root {
-			s.do(func() { rbuf.CopyFrom(block) })
+			s.copy(rbuf, block)
 			continue
 		}
 		s.cpu(smPerFrag)
@@ -346,12 +331,5 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 
 // Iallgather composes Igather to rank 0 with Ibcast of the result.
 func (m *SM) Iallgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, pr Params) *mpi.Request {
-	r1 := m.Igather(p, c, sbuf, rbuf, 0, pr)
-	req := mpi.NewRequest()
-	p.SpawnHelper("sm-iallgather", func(hp *mpi.Proc) {
-		hp.Wait(r1)
-		hp.Wait(m.Ibcast(hp, c, rbuf, 0, Params{}))
-		req.Complete(hp.W.Eng())
-	})
-	return req
+	return thenBcast(p, "sm-iallgather", m.Igather(p, c, sbuf, rbuf, 0, pr), m, c, rbuf)
 }

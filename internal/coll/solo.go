@@ -112,25 +112,16 @@ func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 	}
 	if v == 0 {
 		// Hold the final result.
-		s.do(func() {
-			if rbuf.N == sbuf.N {
-				rbuf.CopyFrom(part)
-			}
-		})
+		if rbuf.N == sbuf.N {
+			s.copy(rbuf, part)
+		}
 	}
 	return s.start(p, "solo-ireduce")
 }
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
 func (m *SOLO) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	r1 := m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr)
-	req := mpi.NewRequest()
-	p.SpawnHelper("solo-iallreduce", func(hp *mpi.Proc) {
-		hp.Wait(r1)
-		hp.Wait(m.Ibcast(hp, c, rbuf, 0, Params{}))
-		req.Complete(hp.W.Eng())
-	})
-	return req
+	return thenBcast(p, "solo-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
 }
 
 // Igather: contributors expose their blocks; the root reads them all.
@@ -152,7 +143,7 @@ func (m *SOLO) Igather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, p
 	lat := intraLatency(p)
 	s := m.newSeq(c, st, 2+5*(n-1))
 	s.cpu(soloSetup)
-	s.do(func() { rbuf.Slice(me*blk, (me+1)*blk).CopyFrom(sbuf) })
+	s.copy(rbuf.Slice(me*blk, (me+1)*blk), sbuf)
 	for r := 0; r < n; r++ {
 		if r == root {
 			continue
@@ -186,7 +177,7 @@ func (m *SOLO) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, 
 	for r := 0; r < n; r++ {
 		st.contribs[r] = snapshot(sbuf.Slice(r*blk, (r+1)*blk))
 	}
-	s.do(func() { rbuf.CopyFrom(sbuf.Slice(me*blk, (me+1)*blk)) })
+	s.copy(rbuf, sbuf.Slice(me*blk, (me+1)*blk))
 	s.fire(st.ready(0))
 	return s.start(p, "solo-iscatter")
 }

@@ -103,30 +103,26 @@ type pipeline struct {
 	// broadcast waits for segment j's before it is issued.
 	feed []*mpi.Request
 
-	// The step loop (Step): the rank it runs for, which is what marks the
-	// slot taken; the step, the next row of the table and where the loop is
-	// blocked; the tasks issued in the step so far, and when it began.
-	h     *HAN
-	p     *mpi.Proc
-	t, i  int
-	at    uint8
-	reqs  [maxStages]*mpi.Request
-	k     int
-	t0    sim.Time
-	steps []sim.Time
+	// The step loop (Step): the rank it runs for, which also marks the slot
+	// taken; the step, the next row of its table, the tasks issued in it so
+	// far and when it began; the wait the loop is blocked in, if any.
+	h       *HAN
+	p       *mpi.Proc
+	t, i, k int
+	reqs    [maxStages]*mpi.Request
+	t0      sim.Time
+	steps   []sim.Time
+	in      uint8
 }
 
-// Where a pipeline's step loop is.
+// The waits a step loop blocks in.
 const (
-	atStart uint8 = iota // about to begin step t
-	atIssue              // issuing row i of step t
-	atFeed               // blocked in the feed wait of row i
-	atTasks              // blocked in the wait for the step's tasks
+	inFeed  uint8 = iota + 1 // for the feed of the row about to be issued
+	inTasks                  // for the step's tasks
 )
 
-// pipeline returns the calling rank's slot, zeroed. A rank runs one
-// collective at a time and its slot is free again when that returns, so a
-// collective costs a rank no allocation.
+// pipeline returns the calling rank's slot, zeroed: a rank runs one
+// collective at a time, so a collective costs it no allocation.
 func (h *HAN) pipeline(p *mpi.Proc) *pipeline {
 	if h.slots == nil {
 		h.slots = make([]pipeline, h.W.Size())
@@ -234,55 +230,53 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 // a rank one park whatever its segments. With a non-nil steps (length
 // segs()+depth) each step's duration is recorded.
 func (pl *pipeline) run(steps []sim.Time) {
-	pl.steps = steps
+	pl.steps, pl.t0 = steps, pl.p.Now()
 	pl.p.Sim.RunSteps(pl)
 }
 
 // Step is the step loop — the only one in the package. At step t it issues
 // every stage whose segment t-off exists, in table order, then waits for
-// all of them: the task barrier of Figs 1 and 5. Both waits, the feed's and
-// the tasks', arm what a blocking Wait would and release it when the loop
-// runs again — at once if nothing was left to wait for.
+// all of them: the task barrier of Figs 1 and 5.
 func (pl *pipeline) Step(sp *sim.Proc) bool {
 	p, u := pl.p, pl.segs()
 	for ; pl.t < u+pl.depth; pl.t++ {
-		if pl.at == atStart {
-			pl.t0, pl.i, pl.k, pl.at = p.Now(), 0, 0, atIssue
-		}
 		for ; pl.i < pl.nst; pl.i++ {
 			st := pl.st[pl.i]
 			j := pl.t - int(st.off)
 			if j < 0 || j >= u {
 				continue
 			}
-			if pl.feed != nil && st.op == opDown && int(st.lv) == pl.nlv-1 {
-				if pl.at == atIssue {
-					pl.at = atFeed
-					p.Arm(pl.feed[j : j+1])
-					if sp.StepWait() {
-						return false
-					}
-				}
-				p.Release(pl.feed[j : j+1])
-				pl.at = atIssue
+			if pl.feed != nil && st.op == opDown && int(st.lv) == pl.nlv-1 && pl.wait(sp, pl.feed[j:j+1], inFeed) {
+				return false
 			}
 			pl.reqs[pl.k] = pl.h.issue(p, pl, st, j)
 			pl.k++
 		}
-		if pl.at == atIssue {
-			pl.at = atTasks
-			p.Arm(pl.reqs[:pl.k])
-			if sp.StepWait() {
-				return false
-			}
+		if pl.wait(sp, pl.reqs[:pl.k], inTasks) {
+			return false
 		}
-		p.Release(pl.reqs[:pl.k])
 		if pl.steps != nil {
 			pl.steps[pl.t] = p.Now() - pl.t0
 		}
-		pl.at = atStart
+		pl.t0, pl.i, pl.k = p.Now(), 0, 0
 	}
 	return true
+}
+
+// wait is a blocking Wait for reqs in two halves: it arms them and reports
+// whether the loop has to block; called again when the loop has resumed at
+// the same place — or going straight on, if nothing was left to wait for —
+// it releases them.
+func (pl *pipeline) wait(sp *sim.Proc, reqs []*mpi.Request, in uint8) (blocked bool) {
+	if pl.in != in {
+		pl.in = in
+		if pl.p.Arm(reqs); sp.StepWait() {
+			return true
+		}
+	}
+	pl.in = 0
+	pl.p.Release(reqs)
+	return false
 }
 
 // Unwind has nothing to release: a killed rank unwinds on its own stack.
