@@ -236,10 +236,15 @@ func segments(n, seg int) segs {
 
 func (s segs) len() int { return (s.n + s.seg - 1) / s.seg }
 
-// at returns the bounds of chunk i.
+// at returns the bounds of chunk i, width its length.
 func (s segs) at(i int) (lo, hi int) {
 	lo = i * s.seg
 	return lo, min(lo+s.seg, s.n)
+}
+
+func (s segs) width(i int) int {
+	lo, hi := s.at(i)
+	return hi - lo
 }
 
 // vrank maps a comm rank to its virtual rank with `root` rotated to 0.

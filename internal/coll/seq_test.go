@@ -68,17 +68,15 @@ func TestKillHelperMidSequence(t *testing.T) {
 // victim's request never completes; the survivors' sends to it and receives
 // from it fail once it is declared dead, and they finish.
 func TestKillTreeHelperInReceiveWait(t *testing.T) {
-	for _, mod := range []Module{NewAdapt(), NewLibnbc()} {
-		var runs *arena.Pool[seqRun]
-		alg := AlgChain
-		switch m := mod.(type) {
-		case *Adapt:
-			m.newSeq(nil, nil, 0).end() // make the pool, to look into it
-			runs = m.runs
-		case *Libnbc:
-			m.newSeq(nil, nil, 0).end()
-			runs, alg = m.runs, AlgBinomial
-		}
+	adapt, nbc := NewAdapt(), NewLibnbc()
+	for _, tc := range []struct {
+		mod  Module
+		base *Base
+		alg  Alg
+	}{{adapt, &adapt.Base, AlgChain}, {nbc, &nbc.Base, AlgBinomial}} {
+		mod, alg := tc.mod, tc.alg
+		tc.base.newSeq(nil, nil, 0).end() // make the pool, to look into it
+		runs := tc.base.runs
 		eng := sim.New()
 		w := mpi.NewWorld(cluster.NewMachine(eng, cluster.Mini(4, 1)), mpi.OpenMPI())
 		const crashAt = 100e-6

@@ -193,18 +193,16 @@ func (m *SM) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) 
 	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
 		for i := 0; i < sg.len(); i++ {
-			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyIn(hi - lo) // copy-in
+			s.copyIn(sg.width(i)) // copy-in
 			s.fire(st.ready(i))
 		}
 	} else {
 		lat := intraLatency(p)
 		for i := 0; i < sg.len(); i++ {
-			lo, hi := sg.at(i)
 			s.poll(st.ready(i), lat)
 			s.cpu(perFrag)
-			s.copyFrom(hi-lo, c.WorldRank(root)) // copy-out
+			s.copyFrom(sg.width(i), c.WorldRank(root)) // copy-out
 		}
 		s.payload(buf, root)
 	}
@@ -223,9 +221,8 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 		s := m.newSeq(c, st, 2+2*sg.len())
 		s.cpu(smSetup)
 		for i := 0; i < sg.len(); i++ {
-			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyIn(hi - lo) // copy contribution in
+			s.copyIn(sg.width(i)) // copy contribution in
 		}
 		s.fire(st.childOK(me))
 		return s.start(p, "sm-ireduce")
@@ -246,9 +243,8 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 		}
 		s.poll(st.childOK(r), lat)
 		for i := 0; i < sg.len(); i++ {
-			lo, hi := sg.at(i)
 			s.cpu(perFrag)
-			s.copyFrom(hi-lo, c.WorldRank(r)) // copy contribution out
+			s.copyFrom(sg.width(i), c.WorldRank(r)) // copy contribution out
 		}
 		s.cpu(float64(sbuf.N) / scalar) // scalar fold
 		s.fold(op, dt, rbuf, r)

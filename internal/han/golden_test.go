@@ -250,56 +250,35 @@ func TestGoldenStepAndTimerBits(t *testing.T) {
 	const u = 8
 	cfg := han.StepCfg()
 
-	per := map[int][]sim.Time{}
-	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
-		s, err := h.BcastSteps(p, u, cfg)
-		if err != nil {
-			t.Error(err)
-		}
-		if s != nil {
-			per[p.Node()] = s
-		}
-	})
-	checkVector(t, "BcastSteps", stepBits(per))
-
-	per = map[int][]sim.Time{}
-	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
-		s, err := h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, cfg)
-		if err != nil {
-			t.Error(err)
-		}
-		if s != nil {
-			per[p.Node()] = s
-		}
-	})
-	checkVector(t, "AllreduceSteps", stepBits(per))
-
-	// The same two schedules on libnbc over solo.
+	// Both schedules, on adapt over sm and on libnbc over solo.
 	nbc := cfg
 	nbc.IMod, nbc.SMod, nbc.IBAlg, nbc.IRAlg = "libnbc", "solo", coll.AlgBinomial, coll.AlgBinomial
-	per = map[int][]sim.Time{}
-	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
-		s, err := h.BcastSteps(p, u, nbc)
-		if err != nil {
-			t.Error(err)
+	for _, v := range []struct {
+		suffix string
+		cfg    han.Config
+	}{{"", cfg}, {"/libnbc-solo", nbc}} {
+		for _, sched := range []struct {
+			name string
+			run  func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error)
+		}{
+			{"BcastSteps", func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error) { return h.BcastSteps(p, u, v.cfg) }},
+			{"AllreduceSteps", func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error) {
+				return h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, v.cfg)
+			}},
+		} {
+			per := map[int][]sim.Time{}
+			goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
+				s, err := sched.run(h, p)
+				if err != nil {
+					t.Error(err)
+				}
+				if s != nil {
+					per[p.Node()] = s
+				}
+			})
+			checkVector(t, sched.name+v.suffix, stepBits(per))
 		}
-		if s != nil {
-			per[p.Node()] = s
-		}
-	})
-	checkVector(t, "BcastSteps/libnbc-solo", stepBits(per))
-
-	per = map[int][]sim.Time{}
-	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
-		s, err := h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, nbc)
-		if err != nil {
-			t.Error(err)
-		}
-		if s != nil {
-			per[p.Node()] = s
-		}
-	})
-	checkVector(t, "AllreduceSteps/libnbc-solo", stepBits(per))
+	}
 
 	timers := []struct {
 		name string
