@@ -151,7 +151,10 @@ func (s *seqRun) reduceTree(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi
 	sg := segments(sbuf.N, seg)
 	// One child's partial is folded before the next one's receive is posted,
 	// so a single landing buffer, sized at the largest segment, serves all.
-	in := allocLike(sbuf.Slice(sg.at(0)))
+	var in mpi.Buf
+	if len(childV) > 0 {
+		in = allocLike(sbuf.Slice(sg.at(0)))
+	}
 	for i := 0; i < sg.len(); i++ {
 		lo, hi := sg.at(i)
 		for _, ch := range childV {
