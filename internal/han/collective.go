@@ -165,7 +165,7 @@ func (h *HAN) execute(p *mpi.Proc, cl *call, n int, cfg *Config) (err error) {
 	defer h.span(p, cl.comm, cl.span, n)()
 
 	pl := h.pipeline(p)
-	defer func() { pl.p = nil }()
+	defer func() { *pl = pipeline{} }() // free the slot, and let go of the caller's buffers
 	pl.init(cl.src, cl.dst, n, cl.op, cl.dt, cfg.FS)
 	to, cause, hop := h.hierarchy(p, cl, pl, cfg)
 	if pl.nst > 0 {
