@@ -1,6 +1,7 @@
 package han_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -195,6 +196,114 @@ func goldenCases(t *testing.T) []goldenCase {
 	add("Bcast/slowfeed/seg8/root5", slowFeed, func(h *han.HAN, p *mpi.Proc) {
 		note(t, p, h.Bcast(p, ph(), 5, goldenCfg(8)))
 	})
+	cases = append(cases, blockCases(t)...)
+	return cases
+}
+
+// rankBlock is the block world rank r contributes in the payload rows.
+func rankBlock(blk, r int) []byte {
+	b := make([]byte, blk)
+	for i := range b {
+		b[i] = byte(i*7 + r*31 + 1)
+	}
+	return b
+}
+
+// The block collectives move a block per rank. The 1 KiB rows carry real
+// bytes — every block is checked where it lands, and the buffers MPI calls
+// insignificant (a non-root's rbuf in Gather, its sbuf in Scatter) are
+// passed empty — the 256 KiB rows are phantom, as IMB passes them.
+func gatherBody(t *testing.T, blk, root int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
+	return func(h *han.HAN, p *mpi.Proc) {
+		n := h.W.Size()
+		if blk > 1<<10 {
+			note(t, p, h.Gather(p, mpi.Phantom(blk), mpi.Phantom(n*blk), root, cfg))
+			return
+		}
+		var rbuf mpi.Buf
+		if p.Rank == root {
+			rbuf = mpi.Bytes(make([]byte, n*blk))
+		}
+		note(t, p, h.Gather(p, mpi.Bytes(rankBlock(blk, p.Rank)), rbuf, root, cfg))
+		for r := 0; r < n && p.Rank == root; r++ {
+			if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], rankBlock(blk, r)) {
+				t.Errorf("Gather: block %d wrong at root %d", r, root)
+			}
+		}
+	}
+}
+
+func scatterBody(t *testing.T, blk, root int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
+	return func(h *han.HAN, p *mpi.Proc) {
+		n := h.W.Size()
+		if blk > 1<<10 {
+			note(t, p, h.Scatter(p, mpi.Phantom(n*blk), mpi.Phantom(blk), root, cfg))
+			return
+		}
+		var sbuf mpi.Buf
+		if p.Rank == root {
+			for r := 0; r < n; r++ {
+				sbuf.B = append(sbuf.B, rankBlock(blk, r)...)
+			}
+			sbuf.N = len(sbuf.B)
+		}
+		rbuf := mpi.Bytes(make([]byte, blk))
+		note(t, p, h.Scatter(p, sbuf, rbuf, root, cfg))
+		if !bytes.Equal(rbuf.B, rankBlock(blk, p.Rank)) {
+			t.Errorf("Scatter from %d: rank %d got the wrong block", root, p.Rank)
+		}
+	}
+}
+
+func allgatherBody(t *testing.T, blk int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
+	return func(h *han.HAN, p *mpi.Proc) {
+		n := h.W.Size()
+		if blk > 1<<10 {
+			note(t, p, h.Allgather(p, mpi.Phantom(blk), mpi.Phantom(n*blk), cfg))
+			return
+		}
+		rbuf := mpi.Bytes(make([]byte, n*blk))
+		note(t, p, h.Allgather(p, mpi.Bytes(rankBlock(blk, p.Rank)), rbuf, cfg))
+		for r := 0; r < n; r++ {
+			if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], rankBlock(blk, r)) {
+				t.Errorf("Allgather: block %d wrong on rank %d", r, p.Rank)
+			}
+		}
+	}
+}
+
+// blockCases enumerates Gather, Scatter and Allgather over block size x
+// submodule pair x root on Mini(4,4) — adapt has no block collectives, so
+// its rows run the libnbc fallback — then the single-node world, the
+// one-rank world, and the three back to back on the default decision.
+func blockCases(t *testing.T) []goldenCase {
+	mini := cluster.Mini(4, 4)
+	var cases []goldenCase
+	rooted := func(prefix string, spec cluster.Spec, blk int, roots []int, cfg han.Config) {
+		for _, root := range roots {
+			cases = append(cases,
+				goldenCase{fmt.Sprintf("Gather/%s/root%d", prefix, root), spec, gatherBody(t, blk, root, cfg)},
+				goldenCase{fmt.Sprintf("Scatter/%s/root%d", prefix, root), spec, scatterBody(t, blk, root, cfg)})
+		}
+		cases = append(cases, goldenCase{"Allgather/" + prefix, spec, allgatherBody(t, blk, cfg)})
+	}
+	for _, blk := range []int{1 << 10, 256 << 10} {
+		for _, imod := range han.InterNames() {
+			for _, smod := range han.IntraNames() {
+				prefix := fmt.Sprintf("%s-%s/%s", imod, smod, han.SizeString(blk))
+				rooted(prefix, mini, blk, []int{0, 8, 5}, han.Config{IMod: imod, SMod: smod})
+			}
+		}
+	}
+	for _, smod := range han.IntraNames() {
+		rooted("onenode/"+smod, cluster.Mini(1, 4), 1<<10, []int{0, 2}, han.Config{SMod: smod})
+	}
+	rooted("onerank", cluster.Mini(1, 1), 1<<10, []int{0}, han.Config{})
+	cases = append(cases, goldenCase{"Default/GatherScatterAllgather", mini, func(h *han.HAN, p *mpi.Proc) {
+		gatherBody(t, 64<<10, 5, han.Config{})(h, p)
+		scatterBody(t, 64<<10, 9, han.Config{})(h, p)
+		allgatherBody(t, 64<<10, han.Config{})(h, p)
+	}})
 	return cases
 }
 
@@ -379,6 +488,79 @@ var goldenCollectives = map[string]goldenRow{
 	"Allreduce3/libnbc-solo/seg8":   {0x3f75f71df8d71f43, 0x27171216e619c2b4},
 	"BcastGPU/libnbc/seg8/root16":   {0x3f6259a43e4bd672, 0xbca89057f9fa9c04},
 	"AllreduceGPU/libnbc/seg8":      {0x3f740e256069760b, 0x47779e26e3520b77},
+
+	// The block collectives, recorded on the hand-written compositions of
+	// ext.go that preceded their stage tables.
+	"Gather/libnbc-sm/1KB/root0":      {0x3efa0d8c1e75a5b9, 0xfc892030021cbdf8},
+	"Scatter/libnbc-sm/1KB/root0":     {0x3ef895bcd9ff5424, 0xf371ab820681cbd7},
+	"Gather/libnbc-sm/1KB/root8":      {0x3efa0d8c1e75a5b9, 0xd52d4bcddd8ec618},
+	"Scatter/libnbc-sm/1KB/root8":     {0x3ef895bcd9ff5424, 0xd5744178025976fb},
+	"Gather/libnbc-sm/1KB/root5":      {0x3f01ed57e7a48fc6, 0xb0449b477537a2b8},
+	"Scatter/libnbc-sm/1KB/root5":     {0x3f013170456966f9, 0x343776d368299664},
+	"Allgather/libnbc-sm/1KB":         {0x3f08f21459ff24e4, 0x1f29af91eed411c5},
+	"Gather/libnbc-solo/1KB/root0":    {0x3ef9aac359fec667, 0xf7854c522cb22aeb},
+	"Scatter/libnbc-solo/1KB/root0":   {0x3ef84dcc08233180, 0xe614d74576fbcb22},
+	"Gather/libnbc-solo/1KB/root8":    {0x3ef9aac359fec667, 0xc326026eafe965d3},
+	"Scatter/libnbc-solo/1KB/root8":   {0x3ef84dcc08233180, 0x1171b8dda5b3fd92},
+	"Gather/libnbc-solo/1KB/root5":    {0x3f01bbf38569201d, 0xe333528e5294d63b},
+	"Scatter/libnbc-solo/1KB/root5":   {0x3f010d77dc7b55a8, 0x1f9da4fbee6b3c3d},
+	"Allgather/libnbc-solo/1KB":       {0x3f073bfe2a5f4684, 0x60d74aa006aee6c5},
+	"Gather/adapt-sm/1KB/root0":       {0x3efa0d8c1e75a5b9, 0xfc892030021cbdf8},
+	"Scatter/adapt-sm/1KB/root0":      {0x3ef895bcd9ff5424, 0xf371ab820681cbd7},
+	"Gather/adapt-sm/1KB/root8":       {0x3efa0d8c1e75a5b9, 0xd52d4bcddd8ec618},
+	"Scatter/adapt-sm/1KB/root8":      {0x3ef895bcd9ff5424, 0xd5744178025976fb},
+	"Gather/adapt-sm/1KB/root5":       {0x3f01ed57e7a48fc6, 0xb0449b477537a2b8},
+	"Scatter/adapt-sm/1KB/root5":      {0x3f013170456966f9, 0x343776d368299664},
+	"Allgather/adapt-sm/1KB":          {0x3f08f21459ff24e4, 0x1f29af91eed411c5},
+	"Gather/adapt-solo/1KB/root0":     {0x3ef9aac359fec667, 0xf7854c522cb22aeb},
+	"Scatter/adapt-solo/1KB/root0":    {0x3ef84dcc08233180, 0xe614d74576fbcb22},
+	"Gather/adapt-solo/1KB/root8":     {0x3ef9aac359fec667, 0xc326026eafe965d3},
+	"Scatter/adapt-solo/1KB/root8":    {0x3ef84dcc08233180, 0x1171b8dda5b3fd92},
+	"Gather/adapt-solo/1KB/root5":     {0x3f01bbf38569201d, 0xe333528e5294d63b},
+	"Scatter/adapt-solo/1KB/root5":    {0x3f010d77dc7b55a8, 0x1f9da4fbee6b3c3d},
+	"Allgather/adapt-solo/1KB":        {0x3f073bfe2a5f4684, 0x60d74aa006aee6c5},
+	"Gather/libnbc-sm/256KB/root0":    {0x3f71c12f4e90f677, 0x3db58874f53c562a},
+	"Scatter/libnbc-sm/256KB/root0":   {0x3f71bfb77f4c8025, 0x1eceecfed0e66f00},
+	"Gather/libnbc-sm/256KB/root8":    {0x3f71c12f4e90f677, 0x8aea713cabcb0e8a},
+	"Scatter/libnbc-sm/256KB/root8":   {0x3f71bfb77f4c8025, 0x47ffed809bef7cc0},
+	"Gather/libnbc-sm/256KB/root5":    {0x3f765b2017113202, 0x776e4c2410f9544a},
+	"Scatter/libnbc-sm/256KB/root5":   {0x3f7659a847ccbbaf, 0x4c62fa0db552e363},
+	"Allgather/libnbc-sm/256KB":       {0x3f8192e0edc10e28, 0xb49d5fbf2a97551d},
+	"Gather/libnbc-solo/256KB/root0":  {0x3f70f3721f798f5b, 0xae73675492f051d1},
+	"Scatter/libnbc-solo/256KB/root0": {0x3f70f2152827b3c6, 0xc5239c537e11b650},
+	"Gather/libnbc-solo/256KB/root8":  {0x3f70f3721f798f5b, 0x3fe64ffeb48b0759},
+	"Scatter/libnbc-solo/256KB/root8": {0x3f70f2152827b3c6, 0x3b686f3c5b270050},
+	"Gather/libnbc-solo/256KB/root5":  {0x3f758d62e7f9cae6, 0xc4d2c2622cefee13},
+	"Scatter/libnbc-solo/256KB/root5": {0x3f758c05f0a7ef50, 0x23a17e596a8a9e93},
+	"Allgather/libnbc-solo/256KB":     {0x3f7de09fac470a1a, 0x1620923e917aaedd},
+	"Gather/adapt-sm/256KB/root0":     {0x3f71c12f4e90f677, 0x3db58874f53c562a},
+	"Scatter/adapt-sm/256KB/root0":    {0x3f71bfb77f4c8025, 0x1eceecfed0e66f00},
+	"Gather/adapt-sm/256KB/root8":     {0x3f71c12f4e90f677, 0x8aea713cabcb0e8a},
+	"Scatter/adapt-sm/256KB/root8":    {0x3f71bfb77f4c8025, 0x47ffed809bef7cc0},
+	"Gather/adapt-sm/256KB/root5":     {0x3f765b2017113202, 0x776e4c2410f9544a},
+	"Scatter/adapt-sm/256KB/root5":    {0x3f7659a847ccbbaf, 0x4c62fa0db552e363},
+	"Allgather/adapt-sm/256KB":        {0x3f8192e0edc10e28, 0xb49d5fbf2a97551d},
+	"Gather/adapt-solo/256KB/root0":   {0x3f70f3721f798f5b, 0xae73675492f051d1},
+	"Scatter/adapt-solo/256KB/root0":  {0x3f70f2152827b3c6, 0xc5239c537e11b650},
+	"Gather/adapt-solo/256KB/root8":   {0x3f70f3721f798f5b, 0x3fe64ffeb48b0759},
+	"Scatter/adapt-solo/256KB/root8":  {0x3f70f2152827b3c6, 0x3b686f3c5b270050},
+	"Gather/adapt-solo/256KB/root5":   {0x3f758d62e7f9cae6, 0xc4d2c2622cefee13},
+	"Scatter/adapt-solo/256KB/root5":  {0x3f758c05f0a7ef50, 0x23a17e596a8a9e93},
+	"Allgather/adapt-solo/256KB":      {0x3f7de09fac470a1a, 0x1620923e917aaedd},
+	"Gather/onenode/sm/root0":         {0x3ed4e9ad3e7846f5, 0x2713f753d41cea51},
+	"Scatter/onenode/sm/root0":        {0x3ed0b7ef564acb91, 0x31f75662959b9a5b},
+	"Gather/onenode/sm/root2":         {0x3ed4e9ad3e7846f5, 0x866bb6775eee26e1},
+	"Scatter/onenode/sm/root2":        {0x3ed0b7ef564acb91, 0xe9f133011da6a4f},
+	"Allgather/onenode/sm":            {0x3ee6b762be775abc, 0xebed26132da5e065},
+	"Gather/onenode/solo/root0":       {0x3ed35e8a2c9cc9ae, 0x563f81f03a7c5c10},
+	"Scatter/onenode/solo/root0":      {0x3ecf30581db48210, 0x6a4b0032c6727b8},
+	"Gather/onenode/solo/root2":       {0x3ed35e8a2c9cc9ae, 0xb57fe708b5b644b8},
+	"Scatter/onenode/solo/root2":      {0x3ecf30581db48210, 0xafcf6e377414cf20},
+	"Allgather/onenode/solo":          {0x3ee6504e770671b4, 0xe69828c278b0f23f},
+	"Gather/onerank/root0":            {0x0, 0xa8c7f832281a39c5},
+	"Scatter/onerank/root0":           {0x0, 0xa8c7f832281a39c5},
+	"Allgather/onerank":               {0x0, 0xa8c7f832281a39c5},
+	"Default/GatherScatterAllgather":  {0x3f77ab526bb2f75f, 0xcb6850e57ea5ae2},
 }
 
 var goldenVectors = map[string][]uint64{

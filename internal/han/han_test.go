@@ -149,7 +149,7 @@ func TestGatherScatterAllgather(t *testing.T) {
 			runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
 				sbuf := mpi.Bytes(pattern(blk, byte(p.Rank)))
 				rbuf := mpi.Bytes(make([]byte, n*blk))
-				h.Gather(p, sbuf, rbuf, root, Config{})
+				degradedOK(t, p, "Gather", h.Gather(p, sbuf, rbuf, root, Config{}))
 				if p.Rank == root {
 					for r := 0; r < n; r++ {
 						if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], pattern(blk, byte(r))) {
@@ -172,7 +172,7 @@ func TestGatherScatterAllgather(t *testing.T) {
 					sbuf = mpi.Phantom(n * blk)
 				}
 				rbuf := mpi.Bytes(make([]byte, blk))
-				h.Scatter(p, sbuf, rbuf, root, Config{})
+				degradedOK(t, p, "Scatter", h.Scatter(p, sbuf, rbuf, root, Config{}))
 				if !bytes.Equal(rbuf.B, pattern(blk, byte(p.Rank+1))) {
 					t.Errorf("rank %d scatter block wrong", p.Rank)
 				}
@@ -183,7 +183,7 @@ func TestGatherScatterAllgather(t *testing.T) {
 		runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
 			sbuf := mpi.Bytes(pattern(blk, byte(p.Rank)))
 			rbuf := mpi.Bytes(make([]byte, n*blk))
-			h.Allgather(p, sbuf, rbuf, Config{})
+			degradedOK(t, p, "Allgather", h.Allgather(p, sbuf, rbuf, Config{}))
 			for r := 0; r < n; r++ {
 				if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], pattern(blk, byte(r))) {
 					t.Errorf("rank %d allgather block %d wrong", p.Rank, r)
