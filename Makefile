@@ -80,12 +80,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzOccurrences -fuzztime 5s ./internal/fault/
 
 # Documentation gate (the CI `docs` job): observability goldens and the
-# docs-coverage contract, the checked-in critical-path report, and the
-# markdown link checker. Regenerate goldens with
+# docs-coverage contract, a block collective's task rows from the CLI, the
+# checked-in critical-path report, and the markdown link checker. Regenerate goldens with
 # `go test ./internal/bench -run Goldens -update`.
 docs:
 	$(GO) test -count=1 -run 'ObserveGoldens|CritPathOverlap|ObservabilityDocCoverage' ./internal/bench/
 	@mkdir -p bin
+	$(GO) run ./cmd/hantrace stats   -op allgather -size 65536 -machine mini -nodes 2 -ppn 2 -seed 1 > /dev/null
+	$(GO) run ./cmd/hantrace metrics -op allgather -size 65536 -machine mini -nodes 2 -ppn 2 -seed 1 > /dev/null
 	$(GO) run ./cmd/hantrace critpath -op bcast -size 4194304 -machine mini -nodes 4 -ppn 4 -fs 524288 -seed 1 > bin/fig2.txt
 	tail -n +2 results/critpath-fig2.txt | diff - bin/fig2.txt
 	$(GO) test -count=1 ./internal/docs/

@@ -21,9 +21,8 @@ import (
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// Ops is the collective interface a System exposes to the harness. Bcast
-// and Allreduce are mandatory; the extension collectives may be nil for
-// systems that do not implement them (IMB skips those kinds).
+// Ops is the collective interface a System exposes to the harness. Every
+// system sets all six: the harnesses call whichever kind they are asked for.
 type Ops struct {
 	Bcast     func(p *mpi.Proc, buf mpi.Buf, root int)
 	Allreduce func(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype)
@@ -31,6 +30,46 @@ type Ops struct {
 	Gather    func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int)
 	Allgather func(p *mpi.Proc, sbuf, rbuf mpi.Buf)
 	Scatter   func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int)
+}
+
+// run issues one collective of the given kind on phantom buffers, rooted at
+// rank 0, with IMB's meaning of size: the message, or for the block
+// collectives the per-rank block.
+func (o Ops) run(p *mpi.Proc, kind coll.Kind, size int) {
+	one, all := mpi.Phantom(size), mpi.Phantom(size*p.W.Size())
+	switch kind {
+	case coll.Bcast:
+		o.Bcast(p, one, 0)
+	case coll.Allreduce:
+		o.Allreduce(p, one, one, mpi.OpSum, mpi.Float64)
+	case coll.Reduce:
+		o.Reduce(p, one, one, mpi.OpSum, mpi.Float64, 0)
+	case coll.Gather:
+		o.Gather(p, one, all, 0)
+	case coll.Allgather:
+		o.Allgather(p, one, all)
+	case coll.Scatter:
+		o.Scatter(p, all, one, 0)
+	default:
+		panic("bench: unsupported collective kind " + kind.String())
+	}
+}
+
+// hanOps adapts h's collectives to Ops: every call runs under cfg and hands
+// what it returned to note.
+func hanOps(h *han.HAN, cfg han.Config, note func(error)) Ops {
+	return Ops{
+		Bcast: func(p *mpi.Proc, buf mpi.Buf, root int) { note(h.Bcast(p, buf, root, cfg)) },
+		Allreduce: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype) {
+			note(h.Allreduce(p, sbuf, rbuf, op, dt, cfg))
+		},
+		Reduce: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int) {
+			note(h.Reduce(p, sbuf, rbuf, op, dt, root, cfg))
+		},
+		Gather:    func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int) { note(h.Gather(p, sbuf, rbuf, root, cfg)) },
+		Allgather: func(p *mpi.Proc, sbuf, rbuf mpi.Buf) { note(h.Allgather(p, sbuf, rbuf, cfg)) },
+		Scatter:   func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int) { note(h.Scatter(p, sbuf, rbuf, root, cfg)) },
+	}
 }
 
 // System is a named MPI implementation: a P2P personality plus a collective
@@ -44,7 +83,8 @@ type System struct {
 }
 
 // HANSystem returns HAN running on Open MPI's P2P layer. decide may be nil
-// (the default decision) or an autotuned table's decision function.
+// (the default decision) or an autotuned table's decision function. The
+// harnesses it serves time collectives; what one returns is dropped.
 func HANSystem(decide han.DecisionFunc) System {
 	return System{
 		Name: "HAN",
@@ -54,26 +94,7 @@ func HANSystem(decide han.DecisionFunc) System {
 			if decide != nil {
 				h.Decide = decide
 			}
-			return Ops{
-				Bcast: func(p *mpi.Proc, buf mpi.Buf, root int) {
-					h.Bcast(p, buf, root, han.Config{})
-				},
-				Allreduce: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype) {
-					h.Allreduce(p, sbuf, rbuf, op, dt, han.Config{})
-				},
-				Reduce: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int) {
-					h.Reduce(p, sbuf, rbuf, op, dt, root, han.Config{})
-				},
-				Gather: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int) {
-					h.Gather(p, sbuf, rbuf, root, han.Config{})
-				},
-				Allgather: func(p *mpi.Proc, sbuf, rbuf mpi.Buf) {
-					h.Allgather(p, sbuf, rbuf, han.Config{})
-				},
-				Scatter: func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int) {
-					h.Scatter(p, sbuf, rbuf, root, han.Config{})
-				},
-			}
+			return hanOps(h, han.Config{}, func(error) {})
 		},
 	}
 }
@@ -179,24 +200,7 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 			for it := 0; it <= iters; it++ {
 				c.Barrier(p)
 				t0 := p.Now()
-				ranks := spec.Ranks()
-				switch kind {
-				case coll.Bcast:
-					ops.Bcast(p, mpi.Phantom(size), 0)
-				case coll.Allreduce:
-					ops.Allreduce(p, mpi.Phantom(size), mpi.Phantom(size), mpi.OpSum, mpi.Float64)
-				case coll.Reduce:
-					ops.Reduce(p, mpi.Phantom(size), mpi.Phantom(size), mpi.OpSum, mpi.Float64, 0)
-				case coll.Gather:
-					// IMB gather semantics: `size` is the per-rank block.
-					ops.Gather(p, mpi.Phantom(size), mpi.Phantom(size*ranks), 0)
-				case coll.Allgather:
-					ops.Allgather(p, mpi.Phantom(size), mpi.Phantom(size*ranks))
-				case coll.Scatter:
-					ops.Scatter(p, mpi.Phantom(size*ranks), mpi.Phantom(size), 0)
-				default:
-					panic("bench: unsupported IMB kind " + kind.String())
-				}
+				ops.run(p, kind, size)
 				if d := float64(p.Now() - t0); d > maxDur[i][it] {
 					maxDur[i][it] = d
 				}

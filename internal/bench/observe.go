@@ -78,31 +78,15 @@ func Observe(sc Scenario) (*Observation, error) {
 	reg := metrics.New()
 	w.EnableMetrics(reg)
 	h := han.New(w) // registers HAN's families with the same registry
-	ranks := sc.Spec.Ranks()
-	w.StartE(func(p *mpi.Proc) error {
-		var err error
-		switch sc.Kind {
-		case coll.Bcast:
-			err = h.Bcast(p, mpi.Phantom(sc.Size), 0, sc.Cfg)
-		case coll.Allreduce:
-			err = h.Allreduce(p, mpi.Phantom(sc.Size), mpi.Phantom(sc.Size), mpi.OpSum, mpi.Float64, sc.Cfg)
-		case coll.Reduce:
-			err = h.Reduce(p, mpi.Phantom(sc.Size), mpi.Phantom(sc.Size), mpi.OpSum, mpi.Float64, 0, sc.Cfg)
-		case coll.Gather:
-			err = h.Gather(p, mpi.Phantom(sc.Size), mpi.Phantom(sc.Size*ranks), 0, sc.Cfg)
-		case coll.Allgather:
-			err = h.Allgather(p, mpi.Phantom(sc.Size), mpi.Phantom(sc.Size*ranks), sc.Cfg)
-		case coll.Scatter:
-			err = h.Scatter(p, mpi.Phantom(sc.Size*ranks), mpi.Phantom(sc.Size), 0, sc.Cfg)
-		default:
-			return fmt.Errorf("bench: unsupported observe kind %s", sc.Kind)
-		}
-		// A fallback is a recorded degradation note, not a failure.
-		var fb *han.FallbackError
-		if err != nil && !errors.As(err, &fb) {
-			return err
-		}
-		return nil
+	w.StartE(func(p *mpi.Proc) (err error) {
+		hanOps(h, sc.Cfg, func(e error) {
+			// A fallback is a recorded degradation note, not a failure.
+			var fb *han.FallbackError
+			if !errors.As(e, &fb) {
+				err = e
+			}
+		}).run(p, sc.Kind, sc.Size)
+		return err
 	})
 	if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("bench: observed run failed: %w", err)

@@ -19,7 +19,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenScenarios are the replay-determinism fixtures: three seeds, one
-// with a fault plan, as the observability contract requires.
+// with a fault plan, as the observability contract requires, and a block
+// collective, whose critical path runs gather, allgather, broadcast.
 func goldenScenarios(t *testing.T) map[string]Scenario {
 	t.Helper()
 	drops, err := fault.Builtin("drops")
@@ -38,6 +39,9 @@ func goldenScenarios(t *testing.T) map[string]Scenario {
 		"bcast-2x2-drops-s5": {
 			Spec: cluster.Mini(2, 2), Kind: coll.Bcast, Size: 256 << 10, Seed: 5,
 			Cfg: han.Config{FS: 64 << 10}, Faults: &drops,
+		},
+		"allgather-2x2-64k-s2": {
+			Spec: cluster.Mini(2, 2), Kind: coll.Allgather, Size: 64 << 10, Seed: 2,
 		},
 	}
 }
@@ -139,8 +143,8 @@ func TestCritPathOverlapMatchesCompletion(t *testing.T) {
 }
 
 // TestObservabilityDocCoverage enforces the documentation contract: every
-// event kind and every metric family observable from a run must appear in
-// docs/OBSERVABILITY.md.
+// event kind, every metric family and every task name observable from a run
+// must appear in docs/OBSERVABILITY.md.
 func TestObservabilityDocCoverage(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
 	if err != nil {
@@ -152,18 +156,25 @@ func TestObservabilityDocCoverage(t *testing.T) {
 		}
 	}
 	// The union of families from a regular run and a degraded (fallback)
-	// run covers every registered metric, including the on-demand ones.
+	// run covers every registered metric, including the on-demand ones; the
+	// other kinds add their tasks.
 	families := map[string]bool{}
-	for _, sc := range []Scenario{
-		{Spec: cluster.Mini(2, 2), Kind: coll.Bcast, Size: 64 << 10, Seed: 1},
-		{Spec: cluster.Mini(1, 2), Kind: coll.Bcast, Size: 4 << 10, Seed: 1}, // single node: fallback
-	} {
+	scenarios := []Scenario{{Spec: cluster.Mini(1, 2), Kind: coll.Bcast, Size: 4 << 10, Seed: 1}} // single node: fallback
+	for kind := coll.Bcast; kind <= coll.Scatter; kind++ {
+		scenarios = append(scenarios, Scenario{Spec: cluster.Mini(2, 2), Kind: kind, Size: 64 << 10, Seed: 1})
+	}
+	for _, sc := range scenarios {
 		o, err := Observe(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range o.Metrics.Families() {
 			families[f] = true
+		}
+		for _, e := range o.Trace.Filter(trace.KindTaskBegin) {
+			if !bytes.Contains(doc, []byte("`"+e.Name+"`")) {
+				t.Errorf("docs/OBSERVABILITY.md does not document task %q", e.Name)
+			}
 		}
 	}
 	names := make([]string, 0, len(families))

@@ -42,25 +42,7 @@ func ReplayStream(spec cluster.Spec, sys System, kind coll.Kind, size int, seed 
 		w.AttachFaults(*o.Faults)
 	}
 	ops := sys.Setup(w)
-	ranks := spec.Ranks()
-	w.Start(func(p *mpi.Proc) {
-		switch kind {
-		case coll.Bcast:
-			ops.Bcast(p, mpi.Phantom(size), 0)
-		case coll.Allreduce:
-			ops.Allreduce(p, mpi.Phantom(size), mpi.Phantom(size), mpi.OpSum, mpi.Float64)
-		case coll.Reduce:
-			ops.Reduce(p, mpi.Phantom(size), mpi.Phantom(size), mpi.OpSum, mpi.Float64, 0)
-		case coll.Gather:
-			ops.Gather(p, mpi.Phantom(size), mpi.Phantom(size*ranks), 0)
-		case coll.Allgather:
-			ops.Allgather(p, mpi.Phantom(size), mpi.Phantom(size*ranks))
-		case coll.Scatter:
-			ops.Scatter(p, mpi.Phantom(size*ranks), mpi.Phantom(size), 0)
-		default:
-			panic("bench: unsupported replay kind " + kind.String())
-		}
-	})
+	w.Start(func(p *mpi.Proc) { ops.run(p, kind, size) })
 	if err := eng.Run(); err != nil {
 		return nil, fmt.Errorf("bench: replay run failed: %w", err)
 	}

@@ -28,6 +28,19 @@ func (h *HAN) Allreduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datat
 	return h.collective(p, &call{span: "han.Allreduce", kind: coll.Allreduce, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
 }
 
+// Reduce performs a hierarchical reduction to the world rank root: the
+// upward half of Allreduce's pipeline,
+//
+//	step t:  sr(t) on the node,  ir(t-1) on the leaders
+//
+// rooted at the root's node leader, and a final intra-node hop when the
+// root is not a node leader. rbuf matters on the root only. Reduce has no
+// survivor form: once a rank has died it returns a *RankFailedError under
+// either OnFailure policy.
+func (h *HAN) Reduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, cfg Config) error {
+	return h.collective(p, &call{span: "han.Reduce", kind: coll.Reduce, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt, root: root}, &cfg)
+}
+
 // AllreduceComm allreduces over communicator c with Allreduce's pipeline
 // when c's member placement is regular, and the flat `tuned` allreduce —
 // with a *FallbackError note — when it is not.

@@ -22,16 +22,17 @@ const (
 
 // call is one collective invocation as the shared prologue sees it.
 type call struct {
-	span  string    // trace and metric name, "han.<EntryPoint>"
-	kind  coll.Kind // Bcast, Reduce or Allreduce
+	span  string // trace and metric name, "han.<EntryPoint>"
+	kind  coll.Kind
 	shape shape
 	comm  *mpi.Comm
-	// src is the contribution of a reduction, dst the buffer a broadcast
-	// moves and a reduction delivers into.
+	// src is what the rank contributes to a reduction or gather and what a
+	// scatter's root hands out; dst is the buffer a broadcast moves and
+	// every other collective delivers into.
 	src, dst mpi.Buf
 	op       mpi.Op
 	dt       mpi.Datatype
-	root     int // comm rank; 0 for Allreduce
+	root     int // comm rank; 0 for Allreduce and Allgather
 	// survivors marks comm as a survivor communicator, for which the
 	// uniform-ppn hierarchy check is waived.
 	survivors bool
@@ -47,19 +48,17 @@ func (cl *call) name() string { return cl.span[len("han."):] }
 // pipeline runs, so the call travels by pointer, is rewritten in place,
 // and everything bulky happens in helpers that return before then.
 func (h *HAN) collective(p *mpi.Proc, cl *call, cfg *Config) error {
-	n := cl.dst.N
-	if cl.kind != coll.Bcast {
-		n = cl.src.N
-		if cl.dst.N != n && (cl.kind == coll.Allreduce || cl.comm.Rank(p) == cl.root) {
-			return &BufferSizeError{Op: cl.name(), Got: cl.dst.N, Want: n}
-		}
+	n, err := cl.share(p)
+	if err != nil {
+		return err
 	}
 	if n == 0 || cl.trivial() {
 		return nil
 	}
 	asked, reason := cl.degrade(h.W)
 	name := cl.name()
-	sc, err := h.enter(cl.comm, name, cl.kind != coll.Reduce)
+	// Only a broadcast and an allreduce have a survivor form.
+	sc, err := h.enter(cl.comm, name, cl.kind == coll.Bcast || cl.kind == coll.Allreduce)
 	if err != nil {
 		return err
 	}
@@ -78,8 +77,30 @@ func (h *HAN) collective(p *mpi.Proc, cl *call, cfg *Config) error {
 	return err
 }
 
+// share returns the length n of the rank's share of the call, the message
+// or its block: what it contributes when data moves up the levels first
+// (src), what it is left with when data only moves down (dst). The other
+// buffer holds as much, or the blocks of all ranks, and a *BufferSizeError
+// says so where it matters: on a rooted collective's root, on every rank of
+// the others.
+func (cl *call) share(p *mpi.Proc) (n int, err error) {
+	f := forms[cl.kind]
+	n, other := cl.src.N, cl.dst.N
+	if f.up == noOp {
+		n, other = other, n
+	}
+	want := n
+	if f.blocks {
+		want *= cl.comm.Size()
+	}
+	if cl.kind != coll.Bcast && other != want && (!f.rooted() || cl.comm.Rank(p) == cl.root) {
+		return 0, &BufferSizeError{Op: cl.name(), Got: other, Want: want}
+	}
+	return n, nil
+}
+
 // trivial completes a call on a single-rank communicator, where there is
-// nothing to move but a reduction's own contribution.
+// nothing to move but the rank's own contribution.
 func (cl *call) trivial() bool {
 	if cl.comm.Size() > 1 {
 		return false
@@ -133,10 +154,15 @@ func (cl *call) shrink(sc *mpi.Comm) bool {
 }
 
 // twoLevels fills pl's level list with the node and inter-node levels of
-// hr under cfg, both rooted at their rank 0.
-func (h *HAN) twoLevels(pl *pipeline, hr *hier, cfg *Config) {
+// hr under cfg, both rooted at their rank 0. Where the configured
+// inter-node module lacks the collective (adapt has no block collectives)
+// libnbc, which has them all, takes the level.
+func (h *HAN) twoLevels(pl *pipeline, hr *hier, kind coll.Kind, cfg *Config) {
 	pl.lv[0] = level{kind: lvIntra, comm: hr.node, mod: h.Mods.intraMod(cfg.SMod)}
 	pl.lv[1] = level{kind: lvInter, mod: h.Mods.interMod(cfg.IMod)}
+	if !pl.lv[1].mod.Supports(kind) {
+		pl.lv[1].mod = h.Mods.Libnbc
+	}
 	if hr.isLeader {
 		pl.lv[1].comm = hr.leaders
 	}
@@ -145,8 +171,15 @@ func (h *HAN) twoLevels(pl *pipeline, hr *hier, cfg *Config) {
 	pl.nlv, pl.leafFirst = 2, true
 }
 
-// flatOp is the one stage of a single-node world's one-level pipeline.
-var flatOp = [...]stageOp{coll.Bcast: opDown, coll.Reduce: opUp, coll.Allreduce: opAll}
+// flat is the table of a single-node world's one-level pipeline.
+var flat = [...][]stage{
+	coll.Bcast:     {{op: opDown}},
+	coll.Reduce:    {{op: opUp}},
+	coll.Allreduce: {{op: opAll}},
+	coll.Gather:    {{op: opGather}},
+	coll.Allgather: {{op: opGather}, {op: opDown, off: 1}},
+	coll.Scatter:   {{op: opScatter}},
+}
 
 // execute runs a validated call between its guards: configuration
 // resolution, the exit half of the failure policy, the collective's trace
@@ -173,7 +206,8 @@ func (h *HAN) execute(p *mpi.Proc, cl *call, n int, cfg *Config) (err error) {
 		pl.run(nil)
 	}
 	if hop {
-		// A reduction's non-leader root gets the result from its leader.
+		// A reduction's or gather's non-leader root gets the result from its
+		// leader.
 		const fwdTag = 2
 		node, root := pl.lv[0].comm, cl.comm.WorldRank(cl.root)
 		if node.Rank(p) == 0 {
@@ -192,8 +226,8 @@ func (h *HAN) execute(p *mpi.Proc, cl *call, n int, cfg *Config) (err error) {
 // hierarchy is unusable it reports the degraded path taken and why: a
 // single-node world gets a one-level table, and a communicator with no
 // regular placement is served here and now by the flat module, leaving the
-// table empty. hop asks for the final hop of a reduction to a non-leader
-// root.
+// table empty. hop asks for the final hop of a reduction or gather to a
+// non-leader root.
 func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to string, cause error, hop bool) {
 	w, mach := h.W, h.W.Mach
 	name := cl.name()
@@ -201,7 +235,17 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 	rootWorld := cl.comm.WorldRank(cl.root)
 	hr, herr := h.analyze(p, cl.comm, name, cl.survivors)
 	if herr == nil || world {
-		h.twoLevels(pl, &hr, cfg)
+		h.twoLevels(pl, &hr, cl.kind, cfg)
+	}
+	f := forms[cl.kind]
+	if f.blocks {
+		// One segment, of the extent of the world's blocks together: those
+		// are dst and the rank's own is src, also in a scatter.
+		if cl.kind == coll.Scatter {
+			pl.src, pl.dst = pl.dst, pl.src
+		}
+		pl.n *= cl.comm.Size()
+		pl.fs = pl.n
 	}
 
 	switch {
@@ -226,7 +270,8 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 		// Single-node world: no inter-node level exists, so pipeline the
 		// segments through the intra-node module alone.
 		pl.lv[0].root, pl.nlv = hr.node.RankOfWorld(rootWorld), 1
-		pl.st[0], pl.nst = stage{op: flatOp[cl.kind]}, 1
+		pl.nst = copy(pl.st[:], flat[cl.kind])
+		pl.depth = pl.nst - 1
 		return "intra-node " + cfg.SMod, herr, false
 
 	case herr != nil || cl.kind == coll.Bcast && !world && hr.leaders.RankOfWorld(rootWorld) < 0:
@@ -242,28 +287,44 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 		}
 		return "flat tuned", herr, false
 
-	case cl.kind != coll.Allreduce:
-		// Rooted: the root's node leader roots the inter-node level. A root
-		// that is not a leader (world communicator only) is shuffled over
-		// its node communicator, before a broadcast and after a reduction.
+	case f.rooted():
+		// The root's node leader roots the inter-node level. A root that is
+		// not a leader (world communicator only) is shuffled over its node
+		// communicator: fed to the leader before data moves down, one hop
+		// from it after data has moved up.
 		pl.lv[1].root = hr.leaders.RankOfWorld(rootWorld)
 		shuffle := pl.lv[1].root < 0
 		if shuffle {
 			pl.lv[1].root = mach.NodeOf(rootWorld)
-			if p.Node() == pl.lv[1].root {
-				if hop = cl.kind == coll.Reduce; !hop {
-					h.feedRoot(p, pl, hr.node.RankOfWorld(rootWorld))
-				}
+		}
+		onRootNode := shuffle && p.Node() == pl.lv[1].root
+		// Node partials of a reduction accumulate in a scratch that doubles
+		// as the inter-node contribution; a leader root accumulates into
+		// rbuf. Of a block collective's leaders only the root's holds the
+		// blocks of the world: in its own buffer when it is the root, in a
+		// scratch when it stands in for one.
+		if cl.kind == coll.Reduce && (shuffle || p.Rank != rootWorld) || f.blocks && onRootNode && hr.isLeader {
+			pl.dst = scratch(pl.src, pl.n)
+		}
+		if onRootNode {
+			if hop = f.down == noOp; !hop {
+				h.feedRoot(p, pl, hr.node.RankOfWorld(rootWorld))
 			}
 		}
-		// Node partials of a reduction accumulate in a scratch that doubles
-		// as the inter-node contribution; a leader root accumulates into rbuf.
-		if cl.kind == coll.Reduce && (shuffle || p.Rank != rootWorld) {
-			pl.dst = allocLike(cl.src)
-		}
+	}
+	if f.blocks && hr.isLeader {
+		pl.mid = scratch(pl.src, pl.src.N*hr.node.Size())
 	}
 	pl.derive(p, cl.kind)
 	return "", nil, hop
+}
+
+// scratch returns a working buffer of n bytes, real when like is.
+func scratch(like mpi.Buf, n int) mpi.Buf {
+	if like.Real() {
+		return mpi.Bytes(make([]byte, n))
+	}
+	return mpi.Phantom(n)
 }
 
 // feedRoot moves a non-leader root's segments to its node leader over the

@@ -332,7 +332,7 @@ func TestEveryEntryPointAppliesFailurePolicy(t *testing.T) {
 					var rf *RankFailedError
 					var fb *FallbackError
 					switch {
-					case policy == Abort || ep.name == "Reduce":
+					case policy == Abort || !survives(ep.name):
 						if !errors.As(e, &rf) || len(rf.Ranks) != 1 || rf.Ranks[0] != 5 {
 							t.Errorf("rank %d: %v, want *RankFailedError naming rank 5", r, e)
 						}
@@ -349,7 +349,8 @@ func TestEveryEntryPointAppliesFailurePolicy(t *testing.T) {
 // the policy turns the return of every survivor still inside when the
 // death is declared into a *RankFailedError (a rank whose part ended
 // earlier — a Reduce contributor — has legitimately returned nil by
-// then). Reduce and Bcast3 used to return nil to everyone.
+// then). Reduce and Bcast3 used to return nil to everyone, and so did
+// Gather.
 func TestMidCollectiveDeathFailsReduceAndBcast3(t *testing.T) {
 	plan, err := fault.Builtin("crash-rank") // rank 5 dies at 50µs
 	if err != nil {
@@ -358,7 +359,7 @@ func TestMidCollectiveDeathFailsReduceAndBcast3(t *testing.T) {
 	spec := numaSpec(3, 4)
 	const n = 4 << 20 // milliseconds of pipeline: the death lands inside
 	for _, ep := range entryPoints {
-		if ep.name != "Reduce" && ep.name != "Bcast3" {
+		if ep.name != "Reduce" && ep.name != "Bcast3" && ep.name != "Gather" {
 			continue
 		}
 		t.Run(ep.name, func(t *testing.T) {

@@ -20,15 +20,17 @@
 // each level holds its communicator (nil when the rank is not a member),
 // its submodule, its root, and through its kind its task names: sb/sr on a
 // node or socket, nb/nr among a node's socket leaders, gb/gr on a node's
-// GPUs, ib/ir among the node leaders. From the list a stage table {task,
-// level, step offset} is derived: a sweep of reduces up the levels (Reduce,
-// Allreduce), then a sweep of broadcasts down them (Bcast, Allreduce), one
-// offset per stage, with a PCIe staging (d2h, h2d) where a sweep crosses
-// between a GPU level and the level above. One step loop runs the table:
-// at step t each stage takes segment t-offset, the stages are issued in
-// table order, and the step ends when all have completed — the task
-// barrier of the figures. The tables, in issue order (a rank's own holds
-// the rows of the levels it is a member of):
+// GPUs, ib/ir among the node leaders (the block collectives add sg/ss on a
+// node and ig/is/iag among the leaders). From the list a stage table {task,
+// level, step offset} is derived: a sweep up the levels (the reduces of
+// Reduce and Allreduce, the gathers of Gather and Allgather), then a sweep
+// down them (the broadcasts of Bcast, Allreduce and Allgather, the scatters
+// of Scatter), one offset per stage, with a PCIe staging (d2h, h2d) where a
+// sweep crosses between a GPU level and the level above. One step loop runs
+// the table: at step t each stage takes segment t-offset, the stages are
+// issued in table order, and the step ends when all have completed — the
+// task barrier of the figures. The tables, in issue order (a rank's own
+// holds the rows of the levels it is a member of):
 //
 //	Bcast, BcastComm            sb@1  ib@0
 //	Bcast3                      ib@0  nb@1  sb@2
@@ -37,7 +39,16 @@
 //	Allreduce, AllreduceComm    sr@0  ir@1  ib@2  sb@3
 //	Allreduce3                  sr@0  nr@1  ir@2  ib@3  nb@4  sb@5
 //	AllreduceGPU                gr@0  d2h@1  ir@2  ib@3  h2d@4  gb@5
-//	single-node world           sb@0 | sr@0 | sa@0 (one level, with a note)
+//	Gather                      sg@0  ig@1
+//	Scatter                     is@0  ss@1
+//	Allgather                   sg@0  iag@1  sb@2
+//	single-node world           sb@0 | sr@0 | sa@0 | sg@0 | ss@0 | sg@0 sb@1 (one level, with a note)
+//
+// The last three move a block per rank instead of segments of one message,
+// which gives a stage the one thing a segment stage lacks, an extent that
+// depends on its level: a rank's block below the node level, the node's
+// blocks between the two, the world's at the top, each the level's
+// communicator size times the one below. They run as one segment.
 //
 // Two rules about order are load-bearing, because tasks issued at the same
 // instant enter the simulated network in issue order: issue order is table
@@ -309,12 +320,6 @@ func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg *Config) error {
 		cfg.IRAlg = cfg.IBAlg
 	}
 	return nil
-}
-
-// comms returns the node communicator of p's node and the leader
-// communicator.
-func (h *HAN) comms(p *mpi.Proc) (node, leaders *mpi.Comm) {
-	return h.W.NodeComm(p.Node()), h.W.LeaderComm()
 }
 
 // traced brackets a task request with trace events (when the world has a

@@ -3,6 +3,7 @@ package han
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,32 @@ func TestGatherScatterAllgather(t *testing.T) {
 			}
 		})
 	})
+}
+
+// A Gather holds the world's blocks in two places, the root's rbuf and, for
+// a root that is not a node leader, its leader's landing buffer; every other
+// leader holds its node's. Every leader used to allocate a landing buffer of
+// the world's extent, nodes x world bytes in all — 16 extents more than the
+// 6.6 this run allocates, which besides the buffers above covers the ranks'
+// sbufs, the shared-memory snapshots and the simulator itself.
+func TestGatherAllocatesWorldExtentOnlyAtRoot(t *testing.T) {
+	spec := cluster.Mini(16, 2)
+	const blk, root = 32 << 10, 1
+	world := spec.Ranks() * blk
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
+		var rbuf mpi.Buf
+		if p.Rank == root {
+			rbuf = mpi.Bytes(make([]byte, world))
+		}
+		degradedOK(t, p, "Gather", h.Gather(p, mpi.Bytes(make([]byte, blk)), rbuf, root, Config{}))
+	})
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*uint64(world) {
+		t.Errorf("a Gather of %d-byte blocks on %d nodes allocated %d bytes, %.1f times the world's extent: want at most 8",
+			blk, spec.Nodes, got, float64(got)/float64(world))
+	}
 }
 
 // timeBcast measures a HAN broadcast completion time with phantom payloads.

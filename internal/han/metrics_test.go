@@ -155,6 +155,17 @@ func TestMetricsCountEveryLevelsTasks(t *testing.T) {
 		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
 			return h.BcastGPU(p, mpi.Phantom(n), 0, Config{FS: fs})
 		}, map[string]int{"pcie,d2h": 2, "inter,ib": 4, "gpu,gb": 16}},
+		// The block collectives on 2 nodes x 2 ranks: one task per stage per
+		// member rank, whatever the root.
+		{"Gather", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) error {
+			return h.Gather(p, mpi.Phantom(n), mpi.Phantom(4*n), 3, Config{})
+		}, map[string]int{"intra,sg": 4, "inter,ig": 2}},
+		{"Scatter", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) error {
+			return h.Scatter(p, mpi.Phantom(4*n), mpi.Phantom(n), 3, Config{})
+		}, map[string]int{"inter,is": 2, "intra,ss": 4}},
+		{"Allgather", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) error {
+			return h.Allgather(p, mpi.Phantom(n), mpi.Phantom(4*n), Config{})
+		}, map[string]int{"intra,sg": 4, "inter,iag": 2, "intra,sb": 4}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -54,7 +54,14 @@ const (
 	opD2H                    // stage the segment device -> host over PCIe
 	opH2D                    // stage the segment host -> device over PCIe
 	opH2DDown                // opH2D then opDown, chained so they complete as one task
+	// The block stages, last in the enum: every member of the level holds a
+	// block, its root (or, after an allgather, every member) the blocks of
+	// all of them in rank order, which is one block of the level above.
+	opGather    // gather the level's blocks at its root (sg, ig)
+	opScatter   // scatter the root's blocks over the level (ss, is)
+	opAllgather // allgather the level's blocks (iag)
 	numStageOps
+	noOp = numStageOps // in a table of ops: none
 )
 
 // taskNames maps a stage to the paper's task vocabulary.
@@ -64,6 +71,10 @@ var taskNames = [numStageOps][numLevelKinds]string{
 	opAll:  {lvIntra: "sa"},
 	opD2H:  {lvPCIe: "d2h"},
 	opH2D:  {lvPCIe: "h2d"},
+
+	opGather:    {lvIntra: "sg", lvInter: "ig"},
+	opScatter:   {lvIntra: "ss", lvInter: "is"},
+	opAllgather: {lvInter: "iag"},
 }
 
 // stage is one row of the stage table: at step t, do op on segment t-off
@@ -88,19 +99,24 @@ type pipeline struct {
 	leafFirst bool
 
 	// The innermost level's reduce reads src; every other stage works in
-	// place on dst. n is their common length, fs the segment size.
-	src, dst mpi.Buf
-	n, fs    int
-	op       mpi.Op
-	dt       mpi.Datatype
+	// place on dst. n is their common length, fs the segment size. A block
+	// collective is one segment whose extent depends on the level: src is
+	// the rank's own block and dst, of length n, the blocks of all ranks —
+	// whichever way they move — with mid, on a node leader, the node's
+	// blocks between the two levels (blocks).
+	src, dst, mid mpi.Buf
+	n, fs         int
+	op            mpi.Op
+	dt            mpi.Datatype
 	// ib and ir parametrise the inter-node level's broadcast and reduce
 	// (algorithm and internal segment size); the other levels take their
 	// module's defaults.
 	ib, ir coll.Params
 
-	// feed holds, on the root-node leader of a broadcast whose root is not
-	// a leader, the per-segment receives of the root's data; the outermost
-	// broadcast waits for segment j's before it is issued.
+	// feed holds, on the root-node leader of a broadcast or scatter whose
+	// root is not a leader, the per-segment receives of the root's data; the
+	// outermost level's stage — such a table has one — waits for segment j's
+	// before it is issued.
 	feed []*mpi.Request
 
 	// The step loop (Step): the rank it runs for, which also marks the slot
@@ -170,16 +186,39 @@ func (pl *pipeline) isRoot(p *mpi.Proc, lv int) bool {
 	return l.comm != nil && l.comm.Rank(p) == l.root
 }
 
-// derive builds the stage table of a Bcast, Reduce or Allreduce from the
-// level list: an upward sweep of reduces from the innermost level out
-// (Reduce, Allreduce), then a downward sweep of broadcasts from the
-// outermost level in (Bcast, Allreduce), one step offset per stage. Where
-// the sweep crosses from a device-resident level (lvGPU) to the level above
-// it, a PCIe staging is inserted as a stage of the upper level's members:
-// a reduction stages every partial down and every result up (d2h, h2d); a
-// broadcast only has the root stage down, and folds the upload into the
-// receiving leaders' device broadcast (opH2DDown) — the root's device copy
-// is already in place.
+// form describes a collective kind to the prologue and to derive: the stage
+// op of the sweep up the levels and of the sweep down them (noOp: no sweep
+// that way), and whether the stages move blocks, one per rank, instead of
+// segments of one message.
+type form struct {
+	up, down stageOp
+	blocks   bool
+}
+
+// rooted: data moves one way only, to or from a root.
+func (f form) rooted() bool { return f.up == noOp || f.down == noOp }
+
+var forms = [...]form{
+	coll.Bcast:     {noOp, opDown, false},
+	coll.Reduce:    {opUp, noOp, false},
+	coll.Allreduce: {opUp, opDown, false},
+	coll.Gather:    {opGather, noOp, true},
+	coll.Allgather: {opGather, opDown, true},
+	coll.Scatter:   {noOp, opScatter, true},
+}
+
+// derive builds the stage table of a collective from the level list: a
+// sweep up the levels from the innermost (the reduces of a Reduce or
+// Allreduce, the gathers of a Gather or Allgather), then a sweep down them
+// from the outermost (the broadcasts of a Bcast, Allreduce or Allgather,
+// the scatters of a Scatter), one step offset per stage. An Allgather's
+// sweeps meet in an allgather on the outermost level, in place of a gather
+// and a broadcast there. Where a sweep crosses from a device-resident level
+// (lvGPU) to the level above it, a PCIe staging is inserted as a stage of
+// the upper level's members: a reduction stages every partial down and
+// every result up (d2h, h2d); a broadcast only has the root stage down, and
+// folds the upload into the receiving leaders' device broadcast
+// (opH2DDown) — the root's device copy is already in place.
 //
 // Table order is issue order within a step, and simulated time depends on
 // it: tasks issued at the same instant enter the network in issue order.
@@ -187,14 +226,18 @@ func (pl *pipeline) isRoot(p *mpi.Proc, lv int) bool {
 // of the original two-level Bcast (Fig 1's sbib issues sb(i-1), then
 // ib(i)), which its sim bits are recorded with.
 func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
-	top := pl.nlv - 1
+	top, f := pl.nlv-1, forms[kind]
 	pl.nst, pl.depth = 0, 0
-	if kind != coll.Bcast {
+	if f.up != noOp {
 		for l := 0; l <= top; l++ {
 			if l > 0 && pl.lv[l-1].kind == lvGPU {
 				pl.add(opD2H, l)
 			}
-			pl.add(opUp, l)
+			op := f.up
+			if l == top && kind == coll.Allgather {
+				op = opAllgather
+			}
+			pl.add(op, l)
 		}
 	} else if top > 0 && pl.lv[top-1].kind == lvGPU {
 		if pl.isRoot(p, top) {
@@ -203,9 +246,12 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 			pl.depth++
 		}
 	}
-	if kind != coll.Reduce {
+	if f.down != noOp {
+		if kind == coll.Allgather {
+			top-- // the allgather was that level's broadcast too
+		}
 		for l := top; l >= 0; l-- {
-			op := opDown
+			op := f.down
 			if l < top && pl.lv[l].kind == lvGPU {
 				if kind != coll.Bcast {
 					pl.add(opH2D, l+1)
@@ -246,7 +292,7 @@ func (pl *pipeline) Step(sp *sim.Proc) bool {
 			if j < 0 || j >= u {
 				continue
 			}
-			if pl.feed != nil && st.op == opDown && int(st.lv) == pl.nlv-1 && pl.wait(sp, pl.feed[j:j+1], inFeed) {
+			if pl.feed != nil && int(st.lv) == pl.nlv-1 && pl.wait(sp, pl.feed[j:j+1], inFeed) {
 				return false
 			}
 			pl.reqs[pl.k] = pl.h.issue(p, pl, st, j)
@@ -287,10 +333,18 @@ func (pl *pipeline) Unwind(*sim.Proc) {}
 func (h *HAN) issue(p *mpi.Proc, pl *pipeline, st stage, j int) *mpi.Request {
 	lv := &pl.lv[st.lv]
 	op, kind := st.op, lv.kind
-	dst := pl.seg(pl.dst, j)
-	src := dst
-	if st.lv == 0 && (op == opUp || op == opAll) {
-		src = pl.seg(pl.src, j)
+	var src, dst mpi.Buf
+	var size int
+	if op >= opGather {
+		// A block task's size is one member's block.
+		src, dst = pl.blocks(st.lv)
+		size = src.N
+	} else {
+		dst = pl.seg(pl.dst, j)
+		src, size = dst, dst.N
+		if st.lv == 0 && (op == opUp || op == opAll) {
+			src = pl.seg(pl.src, j)
+		}
 	}
 	var down, up coll.Params
 	if kind == lvInter {
@@ -309,8 +363,30 @@ func (h *HAN) issue(p *mpi.Proc, pl *pipeline, st stage, j int) *mpi.Request {
 	case opH2DDown:
 		// Counted as the level's broadcast; its duration includes the upload.
 		req, op = h.pcie(p, op, lv, dst), opDown
+	case opGather: // the block operations take their module's defaults
+		req = lv.mod.Igather(p, lv.comm, src, dst, lv.root, coll.Params{})
+	case opScatter:
+		req = lv.mod.Iscatter(p, lv.comm, dst, src, lv.root, coll.Params{})
+	case opAllgather:
+		req = lv.mod.Iallgather(p, lv.comm, src, dst, coll.Params{})
 	}
-	return h.traced(p, op, kind, dst.N, req)
+	return h.traced(p, op, kind, size, req)
+}
+
+// blocks returns the buffers of a block stage on level l: lo, one block per
+// member — the rank's own, src, on the innermost level — and hi, the
+// level's blocks together in rank order, which is the lo of the level above
+// and dst on the outermost. hi matters where the stage delivers or takes
+// it: on the level's root, and on every member of an allgather.
+func (pl *pipeline) blocks(l uint8) (lo, hi mpi.Buf) {
+	lo, hi = pl.src, pl.dst
+	if l > 0 {
+		lo = pl.mid
+	}
+	if int(l) < pl.nlv-1 {
+		hi = pl.mid
+	}
+	return lo, hi
 }
 
 // pcie runs a PCIe staging of seg in a helper process — so it overlaps the

@@ -1,6 +1,8 @@
 package han
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/hanrepro/han/internal/cluster"
@@ -39,6 +41,23 @@ var entryPoints = []struct {
 	{"Reduce", func(h *HAN, p *mpi.Proc, n, root int) error {
 		return h.Reduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, root, Config{})
 	}},
+	// The block collectives: n is the rank's block.
+	{"Gather", func(h *HAN, p *mpi.Proc, n, root int) error {
+		return h.Gather(p, mpi.Phantom(n), mpi.Phantom(n*h.W.Size()), root, Config{})
+	}},
+	{"Scatter", func(h *HAN, p *mpi.Proc, n, root int) error {
+		return h.Scatter(p, mpi.Phantom(n*h.W.Size()), mpi.Phantom(n), root, Config{})
+	}},
+	{"Allgather", func(h *HAN, p *mpi.Proc, n, root int) error {
+		return h.Allgather(p, mpi.Phantom(n), mpi.Phantom(n*h.W.Size()), Config{})
+	}},
+}
+
+// survives reports whether an entry point has a survivor form: under Shrink
+// the broadcasts and allreduces complete on the survivors, the others fail
+// as under Abort.
+func survives(name string) bool {
+	return strings.HasPrefix(name, "Bcast") || strings.HasPrefix(name, "Allreduce")
 }
 
 func everyone(h *HAN) *mpi.Comm {
@@ -80,4 +99,16 @@ func TestNoOpCallsReturnNilWithoutFallback(t *testing.T) {
 			})
 		}
 	}
+}
+
+// The buffer that holds every rank's block is checked against the world's
+// extent, on every rank of an Allgather.
+func TestAllgatherBufferMismatch(t *testing.T) {
+	runWorld(t, cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) {
+		err := h.Allgather(p, mpi.Phantom(100), mpi.Phantom(300), Config{})
+		var be *BufferSizeError
+		if !errors.As(err, &be) || be.Got != 300 || be.Want != 400 {
+			t.Errorf("rank %d: err = %v, want *BufferSizeError{Got:300, Want:400}", p.Rank, err)
+		}
+	})
 }

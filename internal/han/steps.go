@@ -37,7 +37,7 @@ func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, d
 	defer func() { *pl = pipeline{} }() // free the slot, and let go of the caller's buffers
 	pl.init(buf, buf, buf.N, op, dt, cfg.FS)
 	hr, _ := h.analyze(p, bar, who, false) // a one-node world still has both comms
-	h.twoLevels(pl, &hr, &cfg)
+	h.twoLevels(pl, &hr, kind, &cfg)
 
 	if table == nil {
 		pl.derive(p, kind)

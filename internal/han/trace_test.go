@@ -111,6 +111,13 @@ func TestIssueOrderIsTableOrder(t *testing.T) {
 		{"Allreduce", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) {
 			h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
 		}, "sr sr ir sr ir ib sr ir ib sb ir ib sb ib sb sb"},
+		// One segment: a stage per step.
+		{"Gather", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) { h.Gather(p, mpi.Phantom(n), mpi.Phantom(4*n), 0, Config{}) },
+			"sg ig"},
+		{"Scatter", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) { h.Scatter(p, mpi.Phantom(4*n), mpi.Phantom(n), 0, Config{}) },
+			"is ss"},
+		{"Allgather", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) { h.Allgather(p, mpi.Phantom(n), mpi.Phantom(4*n), Config{}) },
+			"sg iag sb"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
