@@ -69,24 +69,13 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+	w := mpi.NewWorld(cluster.NewMachine(sim.New(), spec), mpi.OpenMPI())
 	if seed != 0 {
 		w.Seed(seed)
 	}
-	h := han.New(w)
-	var end sim.Time
-	w.StartE(func(p *mpi.Proc) error {
-		if err := h.Bcast(p, mpi.Phantom(size), 0, han.Config{}); err != nil {
-			return err
-		}
-		if t := p.Now(); t > end {
-			end = t
-		}
-		return nil
-	})
-	if err := eng.Run(); err != nil {
-		return ScaleResult{}, fmt.Errorf("bench: scale run failed: %w", err)
+	end, err := scaleRun(w, size)
+	if err != nil {
+		return ScaleResult{}, err
 	}
 
 	var after runtime.MemStats
@@ -104,4 +93,24 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	// above already caps the footprint.
 	res.HeapPeakBytes = after.HeapAlloc
 	return res, nil
+}
+
+// scaleRun runs the tier's one broadcast on every rank of w and returns the
+// time the last rank came out of it.
+func scaleRun(w *mpi.World, size int) (sim.Time, error) {
+	h := han.New(w)
+	var end sim.Time
+	w.StartE(func(p *mpi.Proc) error {
+		if err := h.Bcast(p, mpi.Phantom(size), 0, han.Config{}); err != nil {
+			return err
+		}
+		if t := p.Now(); t > end {
+			end = t
+		}
+		return nil
+	})
+	if err := w.Eng().Run(); err != nil {
+		return 0, fmt.Errorf("bench: scale run failed: %w", err)
+	}
+	return end, nil
 }

@@ -19,6 +19,7 @@ import (
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
+	"github.com/hanrepro/han/internal/trace"
 )
 
 // This file pins the simulated timing of every HAN entry point bit for
@@ -319,6 +320,44 @@ func TestGoldenCollectiveBits(t *testing.T) {
 	}
 }
 
+// The paths on which a call blocks outside its stage table — a non-leader
+// root feeding its leader segment by segment, the final hop of a reduction or
+// a gather, the flat module on a communicator without a hierarchy — and the
+// notes a degraded call records, pinned by the FNV-1a hash of the whole trace
+// stream: the order in which a call's events are recorded, the note before
+// the end of its span included, is part of what replays.
+func TestGoldenTraceBits(t *testing.T) {
+	ran := 0
+	for _, c := range goldenCases(t) {
+		want, ok := goldenTraces[c.name]
+		if !ok {
+			continue
+		}
+		ran++
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.New()
+			w := mpi.NewWorld(cluster.NewMachine(eng, c.spec), mpi.OpenMPI())
+			rec := trace.New()
+			w.Tracer = rec
+			h := han.New(w)
+			w.Start(func(p *mpi.Proc) { c.body(h, p) })
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			hash := fnv.New64a()
+			if err := rec.WriteJSON(hash); err != nil {
+				t.Fatal(err)
+			}
+			if got := hash.Sum64(); got != want {
+				t.Errorf("trace stream moved:\n\t%q: %#x,", c.name, got)
+			}
+		})
+	}
+	if ran != len(goldenTraces) {
+		t.Errorf("%d of the %d trace rows name a golden case", ran, len(goldenTraces))
+	}
+}
+
 // stepBits flattens per-leader step vectors into node order.
 func stepBits(per map[int][]sim.Time) []uint64 {
 	nodes := make([]int, 0, len(per))
@@ -561,6 +600,23 @@ var goldenCollectives = map[string]goldenRow{
 	"Scatter/onerank/root0":           {0x0, 0xa8c7f832281a39c5},
 	"Allgather/onerank":               {0x0, 0xa8c7f832281a39c5},
 	"Default/GatherScatterAllgather":  {0x3f77ab526bb2f75f, 0xcb6850e57ea5ae2},
+}
+
+var goldenTraces = map[string]uint64{
+	"Bcast/seg8/root5":               0x30d15547277b69d6,
+	"Bcast/libnbc-solo/seg8/root5":   0x3c749a02c2b4293,
+	"Bcast/slowfeed/seg8/root5":      0x9bc8b09528a817d6,
+	"Bcast3/seg8/root9":              0xe8b80ff3c7c202bf,
+	"Reduce/seg8/root5":              0xde600797c1e3344b,
+	"BcastComm/seg8/root3":           0xf8a1661341fe94b8,
+	"AllreduceComm/seg8":             0xcfe43ab76e59a9b9,
+	"Default/BcastThenAllreduce":     0x33f1a3651c814bac,
+	"Gather/libnbc-sm/1KB/root5":     0x6d227491bddefb2,
+	"Scatter/libnbc-solo/1KB/root5":  0x6a5e31611b4b0bad,
+	"Scatter/adapt-sm/256KB/root5":   0x7c894298cbe48eb4,
+	"Gather/onenode/sm/root2":        0x99ccf9dd7b5a74e8,
+	"Allgather/onenode/solo":         0xdf7e2002d9595509,
+	"Default/GatherScatterAllgather": 0x6e7e0f2d786b636,
 }
 
 var goldenVectors = map[string][]uint64{
