@@ -30,33 +30,62 @@ type Ops struct {
 	Gather    func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int)
 	Allgather func(p *mpi.Proc, sbuf, rbuf mpi.Buf)
 	Scatter   func(p *mpi.Proc, sbuf, rbuf mpi.Buf, root int)
+
+	// Start, where a system offers it, is the six again in step form: it
+	// begins the collective of the given kind — with the buffers, operator
+	// and root the blocking form of that kind takes, a Bcast's buffer in
+	// rbuf — and returns it as a routine for a rank that has no goroutine
+	// (mpi.World.StartSteps) to run as a phase. A harness whose ranks only
+	// loop over collectives then drives them as routines, which simulates
+	// the same bits for a fraction of the host's memory; nil keeps its
+	// ranks goroutines.
+	Start func(p *mpi.Proc, kind coll.Kind, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int) sim.Stepper
+}
+
+// phantoms returns the buffers of one collective of the given kind with
+// IMB's meaning of size: the message, or for the block collectives the
+// per-rank block.
+func phantoms(kind coll.Kind, size, ranks int) (sbuf, rbuf mpi.Buf) {
+	one, all := mpi.Phantom(size), mpi.Phantom(size*ranks)
+	switch kind {
+	case coll.Bcast, coll.Allreduce, coll.Reduce:
+		return one, one
+	case coll.Gather, coll.Allgather:
+		return one, all
+	case coll.Scatter:
+		return all, one
+	}
+	panic("bench: unsupported collective kind " + kind.String())
 }
 
 // run issues one collective of the given kind on phantom buffers, rooted at
-// rank 0, with IMB's meaning of size: the message, or for the block
-// collectives the per-rank block.
+// rank 0.
 func (o Ops) run(p *mpi.Proc, kind coll.Kind, size int) {
-	one, all := mpi.Phantom(size), mpi.Phantom(size*p.W.Size())
+	sbuf, rbuf := phantoms(kind, size, p.W.Size())
 	switch kind {
 	case coll.Bcast:
-		o.Bcast(p, one, 0)
+		o.Bcast(p, rbuf, 0)
 	case coll.Allreduce:
-		o.Allreduce(p, one, one, mpi.OpSum, mpi.Float64)
+		o.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64)
 	case coll.Reduce:
-		o.Reduce(p, one, one, mpi.OpSum, mpi.Float64, 0)
+		o.Reduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, 0)
 	case coll.Gather:
-		o.Gather(p, one, all, 0)
+		o.Gather(p, sbuf, rbuf, 0)
 	case coll.Allgather:
-		o.Allgather(p, one, all)
+		o.Allgather(p, sbuf, rbuf)
 	case coll.Scatter:
-		o.Scatter(p, all, one, 0)
-	default:
-		panic("bench: unsupported collective kind " + kind.String())
+		o.Scatter(p, sbuf, rbuf, 0)
 	}
 }
 
-// hanOps adapts h's collectives to Ops: every call runs under cfg and hands
-// what it returned to note.
+// start is run in step form.
+func (o Ops) start(p *mpi.Proc, kind coll.Kind, size int) sim.Stepper {
+	sbuf, rbuf := phantoms(kind, size, p.W.Size())
+	return o.Start(p, kind, sbuf, rbuf, mpi.OpSum, mpi.Float64, 0)
+}
+
+// hanOps adapts h's collectives to Ops: every blocking call runs under cfg
+// and hands what it returned to note.
 func hanOps(h *han.HAN, cfg han.Config, note func(error)) Ops {
 	return Ops{
 		Bcast: func(p *mpi.Proc, buf mpi.Buf, root int) { note(h.Bcast(p, buf, root, cfg)) },
@@ -94,7 +123,11 @@ func HANSystem(decide han.DecisionFunc) System {
 			if decide != nil {
 				h.Decide = decide
 			}
-			return hanOps(h, han.Config{}, func(error) {})
+			ops := hanOps(h, han.Config{}, func(error) {})
+			ops.Start = func(p *mpi.Proc, kind coll.Kind, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int) sim.Stepper {
+				return h.Start(p, kind, sbuf, rbuf, op, dt, root, han.Config{})
+			}
+			return ops
 		},
 	}
 }
@@ -188,36 +221,106 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 		// adds its own families to it.
 		w.EnableMetrics(o.Metrics)
 	}
-	ops := sys.Setup(w)
-	maxDur := make([][]float64, len(sizes)) // per size, per iteration
+	run := &imbRun{ops: sys.Setup(w), comm: w.World(), kind: kind, sizes: sizes}
+	run.maxDur = make([][]float64, len(sizes)) // per size, per iteration
 	for i, size := range sizes {
-		maxDur[i] = make([]float64, ItersFor(size)+1)
+		run.maxDur[i] = make([]float64, ItersFor(size)+1)
 	}
-	w.Start(func(p *mpi.Proc) {
-		c := w.World()
-		for i, size := range sizes {
-			iters := ItersFor(size)
-			for it := 0; it <= iters; it++ {
-				c.Barrier(p)
-				t0 := p.Now()
-				ops.run(p, kind, size)
-				if d := float64(p.Now() - t0); d > maxDur[i][it] {
-					maxDur[i][it] = d
-				}
-			}
-		}
-	})
+	if run.ops.Start != nil && !w.CrashArmed() {
+		// A rank that dies mid-run is still a goroutine's business: the
+		// blocking forms are what the crash suites pin.
+		ranks := make([]imbRank, w.Size())
+		w.StartSteps(func(p *mpi.Proc) sim.Stepper {
+			r := &ranks[p.Rank]
+			r.run, r.p = run, p
+			return r
+		})
+	} else {
+		w.Start(run.body)
+	}
 	if err := eng.Run(); err != nil {
 		panic(fmt.Sprintf("bench: IMB run failed: %v", err))
 	}
 	for i, size := range sizes {
 		sum := 0.0
-		for _, d := range maxDur[i][1:] { // drop warm-up
+		for _, d := range run.maxDur[i][1:] { // drop warm-up
 			sum += d
 		}
 		points[i] = Point{Size: size, Seconds: sum / float64(ItersFor(size))}
 	}
 	return points
+}
+
+// imbRun is one IMB sweep: what every rank of its world loops over, and
+// where the slowest rank of each iteration is kept.
+type imbRun struct {
+	ops    Ops
+	comm   *mpi.Comm
+	kind   coll.Kind
+	sizes  []int
+	maxDur [][]float64
+}
+
+// timed records one rank's duration of iteration it of size i.
+func (run *imbRun) timed(i, it int, d sim.Time) {
+	if d := float64(d); d > run.maxDur[i][it] {
+		run.maxDur[i][it] = d
+	}
+}
+
+// body is a goroutine rank: per size, a warm-up and the timed iterations,
+// each a barrier and the collective.
+func (run *imbRun) body(p *mpi.Proc) {
+	for i, size := range run.sizes {
+		for it := 0; it <= ItersFor(size); it++ {
+			run.comm.Barrier(p)
+			t0 := p.Now()
+			run.ops.run(p, run.kind, size)
+			run.timed(i, it, p.Now()-t0)
+		}
+	}
+}
+
+// imbRank is body as a routine, one rank's: the barrier and the collective
+// are its phases.
+type imbRank struct {
+	run    *imbRun
+	p      *mpi.Proc
+	i, it  int         // size and iteration of the phase in progress
+	phase  sim.Stepper // nil before the first
+	inColl bool        // phase is the collective, not the barrier before it
+	t0     sim.Time
+}
+
+func (r *imbRank) Step(sp *sim.Proc) bool {
+	run := r.run
+	for r.i < len(run.sizes) {
+		size := run.sizes[r.i]
+		if r.phase == nil {
+			r.phase = run.comm.BarrierSteps(r.p)
+		}
+		if !r.phase.Step(sp) {
+			return false
+		}
+		if !r.inColl {
+			r.t0, r.inColl = sp.Now(), true
+			r.phase = run.ops.start(r.p, run.kind, size)
+			continue
+		}
+		run.timed(r.i, r.it, sp.Now()-r.t0)
+		r.phase, r.inColl = nil, false
+		if r.it++; r.it > ItersFor(size) {
+			r.i, r.it = r.i+1, 0
+		}
+	}
+	return true
+}
+
+// Unwind passes a kill on to the phase the rank is in.
+func (r *imbRank) Unwind(sp *sim.Proc) {
+	if r.phase != nil {
+		r.phase.Unwind(sp)
+	}
 }
 
 // IMBAll runs the IMB benchmark for several systems concurrently, fanning

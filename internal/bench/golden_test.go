@@ -10,6 +10,7 @@ import (
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/fault"
+	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
@@ -60,13 +61,14 @@ func pointsHash(pts []Point) uint64 {
 	return h.Sum64()
 }
 
-// imbRow runs IMBWith for sys under a tracer.
-func imbRow(t *testing.T, spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOpts) harnessRow {
+// imbRow runs IMBWith for sys under a tracer and returns the row and the
+// engine the run has drained.
+func imbRow(t *testing.T, spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOpts) (harnessRow, *sim.Engine) {
 	t.Helper()
 	rec := trace.New()
-	var world *mpi.World
-	pts := IMBWith(spec, tapped(sys, func(w *mpi.World) { w.Tracer, world = rec, w }), kind, sizes, o)
-	return harnessRow{math.Float64bits(float64(world.Eng().Now())), pointsHash(pts), traceHash(t, rec)}
+	var eng *sim.Engine
+	pts := IMBWith(spec, tapped(sys, func(w *mpi.World) { w.Tracer, eng = rec, w.Eng() }), kind, sizes, o)
+	return harnessRow{math.Float64bits(float64(eng.Now())), pointsHash(pts), traceHash(t, rec)}, eng
 }
 
 var harnessKinds = []coll.Kind{coll.Bcast, coll.Reduce, coll.Allreduce, coll.Gather, coll.Allgather, coll.Scatter}
@@ -91,13 +93,65 @@ func TestGoldenIMBBits(t *testing.T) {
 			for _, kind := range harnessKinds {
 				name := fmt.Sprintf("%s/%s/%s", kind, world.name, planName)
 				t.Run(name, func(t *testing.T) {
-					got := imbRow(t, world.spec, HANSystem(nil), kind, harnessSizes, IMBOpts{Faults: &plan, Seed: 7})
+					got, _ := imbRow(t, world.spec, HANSystem(nil), kind, harnessSizes, IMBOpts{Faults: &plan, Seed: 7})
 					if want, ok := goldenIMB[name]; !ok || got != want {
 						t.Errorf("sim bits moved (have golden: %v):\n\t%q: {%#x, %#x, %#x},", ok, name, got.clock, got.points, got.trace)
 					}
 				})
 			}
 		}
+	}
+}
+
+// IMBWith drives the ranks of a system that offers the step form as routines:
+// for every kind and every submodule pair the run starts no goroutine and
+// parks nothing but for helpers (the composed intra-node allreduce of a
+// single-node world still has some), and it reports the points and records
+// the trace stream, byte for byte, of the same run with the step form
+// withheld — every rank a goroutine on World.Start.
+func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
+	rounds := uint64(0) // barrier and collective pairs of one rank
+	for _, size := range harnessSizes {
+		rounds += uint64(ItersFor(size)) + 1
+	}
+	for _, spec := range []cluster.Spec{cluster.Mini(4, 4), cluster.Mini(1, 4)} {
+		ranks := uint64(spec.Ranks())
+		for _, imod := range han.InterNames() {
+			for _, smod := range han.IntraNames() {
+				sys := HANSystem(func(kind coll.Kind, n int) han.Config {
+					cfg := han.DefaultDecision(kind, n)
+					cfg.IMod, cfg.SMod, cfg.IBAlg, cfg.IRAlg = imod, smod, coll.AlgDefault, coll.AlgDefault
+					return cfg
+				})
+				blocking := sys
+				blocking.Setup = func(w *mpi.World) Ops {
+					ops := sys.Setup(w)
+					ops.Start = nil
+					return ops
+				}
+				for _, kind := range harnessKinds {
+					name := fmt.Sprintf("%s/%dx%d/%s-%s", kind, spec.Nodes, spec.PPN, imod, smod)
+					got, eng := imbRow(t, spec, sys, kind, harnessSizes, IMBOpts{})
+					want, goEng := imbRow(t, spec, blocking, kind, harnessSizes, IMBOpts{})
+					if got != want {
+						t.Errorf("%s: routines simulate {%#x, %#x, %#x}, goroutines {%#x, %#x, %#x}", name,
+							got.clock, got.points, got.trace, want.clock, want.points, want.trace)
+					}
+					// A goroutine rank parks once per barrier and once per collective.
+					if eng.Goroutines() != goEng.Goroutines()-ranks || eng.Parks() != goEng.Parks()-2*rounds*ranks ||
+						spec.Nodes > 1 && eng.Goroutines()+eng.Parks() != 0 {
+						t.Errorf("%s: %d goroutines and %d parks with the ranks routines, %d and %d with the %d ranks goroutines",
+							name, eng.Goroutines(), eng.Parks(), goEng.Goroutines(), goEng.Parks(), ranks)
+					}
+				}
+			}
+		}
+	}
+	// An armed crash plan keeps the ranks goroutines: nobody dies here (the
+	// crash is due long after the run), but somebody could.
+	late := fault.Plan{Crashes: []fault.CrashSpec{{Rank: 1, At: 10}}}
+	if _, eng := imbRow(t, cluster.Mini(2, 2), HANSystem(nil), coll.Bcast, []int{4 << 10}, IMBOpts{Faults: &late}); eng.Goroutines() != 4 {
+		t.Errorf("under a crash plan the run started %d goroutines, want the 4 ranks'", eng.Goroutines())
 	}
 }
 
@@ -108,11 +162,11 @@ func TestGoldenScaleBits(t *testing.T) {
 	w.Seed(1)
 	rec := trace.New()
 	w.Tracer = rec
-	end, err := scaleRun(w, 256<<10)
+	tier, err := scaleRun(w, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := harnessRow{math.Float64bits(float64(w.Eng().Now())), math.Float64bits(float64(end)), traceHash(t, rec)}
+	got := harnessRow{math.Float64bits(float64(w.Eng().Now())), math.Float64bits(float64(tier.end)), traceHash(t, rec)}
 	if got != goldenScale {
 		t.Errorf("sim bits moved:\n\tgoldenScale = harnessRow{%#x, %#x, %#x}", got.clock, got.points, got.trace)
 	}

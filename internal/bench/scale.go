@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	rtmetrics "runtime/metrics"
 
 	"github.com/hanrepro/han/internal/cluster"
+	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
@@ -37,19 +39,29 @@ type ScaleResult struct {
 	// the end of the run — the hard upper bound on footprint, and the
 	// number the documented budget bounds.
 	SysBytes uint64
+	// Goroutines and Parks are the engine's counts of process goroutines
+	// started and of blocking calls that gave the baton up. The tier's
+	// ranks are routines (mpi.World.StartSteps): both are zero.
+	Goroutines, Parks uint64
+	// StackBytes is how much goroutine stack memory the process had gained
+	// since the start of the run when the first rank came out of the
+	// broadcast, every other rank still inside it. Ranks that are
+	// goroutines hold 8 KiB each at that moment.
+	StackBytes uint64
 }
 
 func (r ScaleResult) String() string {
-	return fmt.Sprintf("%d ranks: sim %.1f us, %.1f MB allocated (%d mallocs), heap peak %.1f MB, sys %.1f MB",
+	return fmt.Sprintf("%d ranks: sim %.1f us, %.1f MB allocated (%d mallocs), heap peak %.1f MB, sys %.1f MB, %d goroutines, %d parks",
 		r.Ranks, r.SimSeconds*1e6, float64(r.AllocBytes)/1e6, r.Mallocs,
-		float64(r.HeapPeakBytes)/1e6, float64(r.SysBytes)/1e6)
+		float64(r.HeapPeakBytes)/1e6, float64(r.SysBytes)/1e6, r.Goroutines, r.Parks)
 }
 
-// ScaleSpec is the scale tier's machine: ShaheenII hardware ratios at the
-// requested node count and 32 ranks per node. ScaleRanks nodes gives the
-// headline 3072 x 32 = 98304-rank phantom world.
+// ScaleNodes is the node count of the headline tier: 3072 x 32 = 98304
+// ranks.
 const ScaleNodes = 3072
 
+// ScaleSpec is the scale tier's machine: ShaheenII hardware ratios at the
+// requested node count and 32 ranks per node.
 func ScaleSpec(nodes int) cluster.Spec {
 	s := cluster.ShaheenII()
 	s.Nodes = nodes
@@ -69,11 +81,12 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
+	stacks0 := stackBytes()
 	w := mpi.NewWorld(cluster.NewMachine(sim.New(), spec), mpi.OpenMPI())
 	if seed != 0 {
 		w.Seed(seed)
 	}
-	end, err := scaleRun(w, size)
+	tier, err := scaleRun(w, size)
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -82,10 +95,15 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	runtime.ReadMemStats(&after)
 	res := ScaleResult{
 		Ranks:      spec.Ranks(),
-		SimSeconds: float64(end),
+		SimSeconds: float64(tier.end),
 		AllocBytes: after.TotalAlloc - before.TotalAlloc,
 		Mallocs:    after.Mallocs - before.Mallocs,
 		SysBytes:   after.Sys,
+		Goroutines: w.Eng().Goroutines(),
+		Parks:      w.Eng().Parks(),
+	}
+	if tier.stacks > stacks0 {
+		res.StackBytes = tier.stacks - stacks0
 	}
 	// HeapAlloc at this instant includes not-yet-collected garbage, so it
 	// is an upper bound on live heap; the GC high-water mark over the
@@ -95,22 +113,58 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	return res, nil
 }
 
-// scaleRun runs the tier's one broadcast on every rank of w and returns the
-// time the last rank came out of it.
-func scaleRun(w *mpi.World, size int) (sim.Time, error) {
+// stackBytes reads the memory the runtime holds for goroutine stacks.
+func stackBytes() uint64 {
+	s := []rtmetrics.Sample{{Name: "/memory/classes/heap/stacks:bytes"}}
+	rtmetrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// scaleTier is one run of the tier: what its ranks report into.
+type scaleTier struct {
+	end    sim.Time // when the last rank came out of the broadcast
+	stacks uint64   // stackBytes when the first did
+}
+
+// scaleRank is one rank of the tier: the broadcast, and a note of when it
+// was through. A rank whose broadcast returns an error stops the run, as
+// mpi.World.StartE has it.
+type scaleRank struct {
+	tier *scaleTier
+	p    *mpi.Proc
+	call *han.Call
+}
+
+func (r *scaleRank) Step(sp *sim.Proc) bool {
+	if !r.call.Step(sp) {
+		return false
+	}
+	t := r.tier
+	if t.stacks == 0 {
+		t.stacks = stackBytes()
+	}
+	if err := r.call.Err(); err != nil {
+		sp.Engine().Stop(&mpi.RankError{Rank: r.p.Rank, Err: err})
+	} else if now := sp.Now(); now > t.end {
+		t.end = now
+	}
+	return true
+}
+
+func (r *scaleRank) Unwind(sp *sim.Proc) { r.call.Unwind(sp) }
+
+// scaleRun runs the tier's one broadcast on every rank of w, each a routine.
+func scaleRun(w *mpi.World, size int) (*scaleTier, error) {
 	h := han.New(w)
-	var end sim.Time
-	w.StartE(func(p *mpi.Proc) error {
-		if err := h.Bcast(p, mpi.Phantom(size), 0, han.Config{}); err != nil {
-			return err
-		}
-		if t := p.Now(); t > end {
-			end = t
-		}
-		return nil
+	tier := new(scaleTier)
+	ranks := make([]scaleRank, w.Size())
+	w.StartSteps(func(p *mpi.Proc) sim.Stepper {
+		r := &ranks[p.Rank]
+		*r = scaleRank{tier, p, h.Start(p, coll.Bcast, mpi.Buf{}, mpi.Phantom(size), mpi.OpSum, mpi.Byte, 0, han.Config{})}
+		return r
 	})
 	if err := w.Eng().Run(); err != nil {
-		return 0, fmt.Errorf("bench: scale run failed: %w", err)
+		return nil, fmt.Errorf("bench: scale run failed: %w", err)
 	}
-	return end, nil
+	return tier, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/mpi"
+	"github.com/hanrepro/han/internal/sim"
 )
 
 // What every pipelined entry point shares: the prologue that validates a
@@ -41,40 +42,233 @@ type call struct {
 // name is the entry point the call runs as, for errors and notes.
 func (cl *call) name() string { return cl.span[len("han."):] }
 
-// collective is the shared prologue: buffer validation, the no-op cases,
+// Call is one collective call on one rank, as a routine (sim.Stepper): the
+// prologue on its first Step — buffer validation, the no-op cases,
 // degradation of a three-level or GPU request the machine or root cannot
-// serve, and the failure policy at entry. What is left to run goes through
-// execute. 4096 rank stacks hold this frame and execute's while the
-// pipeline runs, so the call travels by pointer, is rewritten in place,
-// and everything bulky happens in helpers that return before then.
+// serve, the failure policy at entry, configuration, the trace span and
+// watchdog registration, the level list and stage table — then the waits the
+// call blocks in, one Step each time one completes, and on its last Step the
+// epilogue that closes what the prologue opened. It lives in the calling
+// rank's slot of the HAN instance, so a call allocates nothing and a rank
+// needs no stack to be inside one: a rank that is itself a routine
+// (mpi.World.StartSteps) runs the Call as a phase, a goroutine rank lends it
+// its process (collective). Err holds what the entry point returns.
+type Call struct {
+	cl  call
+	cfg Config
+
+	state callState
+	// What the prologue found, for the epilogue: the entry point a degraded
+	// request asked for and why it could not be served; the call's name
+	// before it moved to the survivor communicator sc; the death epoch at
+	// entry; what closes the span, once it is open; the degraded path
+	// hierarchy took, and whether a final hop is owed.
+	asked, reason string
+	name          string
+	sc            *mpi.Comm
+	epoch0        int
+	end           func()
+	to            string
+	cause         error
+	hop           bool
+	j             int // segments a non-leader root has fed its leader
+
+	err error
+	pl  pipeline
+}
+
+// callState is where a call's next Step picks up.
+type callState uint8
+
+const (
+	callEnter callState = iota // the prologue has not run
+	callFeed                   // a non-leader root is feeding its segments to its node leader
+	callFlat                   // the flat module is running the whole collective
+	callTable                  // the stage table, and what follows it
+)
+
+// spans names the world collective of each kind.
+var spans = [...]string{
+	coll.Bcast:     "han.Bcast",
+	coll.Reduce:    "han.Reduce",
+	coll.Allreduce: "han.Allreduce",
+	coll.Gather:    "han.Gather",
+	coll.Allgather: "han.Allgather",
+	coll.Scatter:   "han.Scatter",
+}
+
+// Start begins the two-level world collective of the given kind on rank p —
+// what Bcast, Reduce, Allreduce, Gather, Allgather and Scatter run, with
+// their buffers (a Bcast's in rbuf) and their notes and errors in Err — and
+// returns it as a routine for a rank without a goroutine to run as a phase:
+// it calls Step from its own Step until that reports done, and Unwind from
+// its own if it is killed before. Nothing is simulated before the first
+// Step. The Call is the rank's slot: it is good until the rank's next call.
+func (h *HAN) Start(p *mpi.Proc, kind coll.Kind, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, cfg Config) *Call {
+	return h.start(p, &call{span: spans[kind], kind: kind, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt, root: root}, &cfg)
+}
+
+// start puts a call into the rank's slot.
+func (h *HAN) start(p *mpi.Proc, cl *call, cfg *Config) *Call {
+	c := h.slot(p)
+	c.cl, c.cfg = *cl, *cfg
+	return c
+}
+
+// collective runs a call on a goroutine rank: the first Step inline, the
+// rest on the engine's goroutine while the rank is parked, once. A rank
+// killed in between unwinds through here, on its own stack.
 func (h *HAN) collective(p *mpi.Proc, cl *call, cfg *Config) error {
+	c := h.start(p, cl, cfg)
+	defer c.Unwind(p.Sim) // finds nothing to do after a call that finished
+	p.Sim.RunSteps(c)
+	return c.err
+}
+
+// Err returns what the call's entry point returns, once Step has reported
+// done: nil, the *FallbackError note of a degraded path, or an error.
+func (c *Call) Err() error { return c.err }
+
+// Step runs the call up to its next wait, or to its end.
+func (c *Call) Step(sp *sim.Proc) bool {
+	pl := &c.pl
+	p := pl.p
+	if c.state == callEnter && c.enter() {
+		return true
+	}
+	const feedTag, fwdTag = 1, 2
+	switch c.state {
+	case callFeed:
+		// The shuffle real HAN performs: the root sends its segments to its
+		// node leader, one after the other, before joining the sb tasks.
+		for node := pl.lv[0].comm; c.j < pl.segs(); c.j++ {
+			if pl.in == 0 {
+				pl.reqs[0] = node.Isend(p, pl.seg(pl.dst, c.j), 0, feedTag)
+			}
+			if pl.wait(sp, pl.reqs[:1], inCall) {
+				return false
+			}
+		}
+	case callFlat:
+		if pl.in == 0 {
+			cl, tuned := &c.cl, pl.h.Mods.Tuned
+			if cl.kind == coll.Bcast {
+				pl.reqs[0] = tuned.Ibcast(p, cl.comm, cl.dst, cl.root, coll.Params{})
+			} else {
+				pl.reqs[0] = tuned.Iallreduce(p, cl.comm, cl.src, cl.dst, cl.op, cl.dt, coll.Params{})
+			}
+		}
+		if pl.wait(sp, pl.reqs[:1], inCall) {
+			return false
+		}
+	}
+	c.state = callTable
+	if pl.nst > 0 && !pl.table(sp) { // a table that is through stays through
+		return false
+	}
+	if c.hop {
+		// A reduction's or gather's non-leader root gets the result from its
+		// leader; the node's other ranks have nothing to wait for.
+		if pl.in == 0 {
+			var req *mpi.Request
+			node, root := pl.lv[0].comm, c.cl.comm.WorldRank(c.cl.root)
+			if node.Rank(p) == 0 {
+				req = node.Isend(p, pl.dst, node.RankOfWorld(root), fwdTag)
+			} else if p.Rank == root {
+				req = node.Irecv(p, c.cl.dst, 0, fwdTag)
+			}
+			pl.reqs[0] = req
+		}
+		if pl.wait(sp, pl.reqs[:1], inCall) {
+			return false
+		}
+	}
+	return c.leave()
+}
+
+// enter is the prologue. It reports whether the call is over already: an
+// error, or nothing to move. What is left to run it leaves in the pipeline,
+// between the guards leave closes.
+func (c *Call) enter() (done bool) {
+	cl, pl := &c.cl, &c.pl
+	h, p := pl.h, pl.p
 	n, err := cl.share(p)
 	if err != nil {
-		return err
+		return c.finish(err)
 	}
 	if n == 0 || cl.trivial() {
-		return nil
+		return c.finish(nil)
 	}
-	asked, reason := cl.degrade(h.W)
-	name := cl.name()
+	c.asked, c.reason = cl.degrade(h.W)
+	c.name = cl.name()
 	// Only a broadcast and an allreduce have a survivor form.
-	sc, err := h.enter(cl.comm, name, cl.kind == coll.Bcast || cl.kind == coll.Allreduce)
-	if err != nil {
-		return err
+	if c.sc, err = h.enter(cl.comm, c.name, cl.kind == coll.Bcast || cl.kind == coll.Allreduce); err != nil {
+		return c.finish(err)
 	}
-	if sc != nil && !cl.shrink(sc) {
-		return h.rankFailed(name) // the root itself died
+	if c.sc != nil {
+		if !cl.shrink(c.sc) {
+			return c.finish(h.rankFailed(c.name)) // the root itself died
+		}
+		if cl.trivial() {
+			return c.finish(c.noted(nil))
+		}
 	}
-	if sc == nil || !cl.trivial() {
-		err = h.execute(p, cl, n, cfg)
+	if err = h.resolve(cl.kind, n, &c.cfg); err != nil {
+		return c.finish(c.noted(err))
 	}
-	if sc != nil {
-		err = h.recovered(p, name, sc, err)
+	c.epoch0 = h.W.DeathEpoch()
+	c.end = h.span(p, cl.comm, cl.span, n)
+	pl.init(cl.src, cl.dst, n, cl.op, cl.dt, c.cfg.FS)
+	h.hierarchy(p, c)
+	if pl.nst > 0 {
+		h.m.segsPerColl.Observe(float64(pl.segs()))
 	}
-	if reason != "" && err == nil {
-		err = h.fallback(p, asked, "two-level "+name, &HierarchyError{Op: asked, Reason: reason})
+	return false
+}
+
+// leave is the epilogue of a call that ran: the note of a degraded path,
+// the end of the span and of the watchdog registration, the exit half of the
+// failure policy.
+func (c *Call) leave() (done bool) {
+	h, p, name := c.pl.h, c.pl.p, c.cl.name()
+	var err error
+	if c.to != "" {
+		err = h.fallback(p, name, c.to, c.cause)
+	}
+	c.end()
+	return c.finish(c.noted(h.exitCheck(name, c.epoch0, err)))
+}
+
+// noted adds to what the call came to the notes the caller is owed: of a
+// completion on the survivors, of a degraded request.
+func (c *Call) noted(err error) error {
+	h, p := c.pl.h, c.pl.p
+	if c.sc != nil {
+		err = h.recovered(p, c.name, c.sc, err)
+	}
+	if c.reason != "" && err == nil {
+		err = h.fallback(p, c.asked, "two-level "+c.name, &HierarchyError{Op: c.asked, Reason: c.reason})
 	}
 	return err
+}
+
+// finish frees the slot, and lets go of the caller's buffers.
+func (c *Call) finish(err error) (done bool) {
+	*c = Call{err: err}
+	return true
+}
+
+// Unwind is what a killed rank leaves behind instead of the epilogue: the
+// span closed, the slot free. A goroutine rank gets here through
+// collective's defer, also after a call that finished.
+func (c *Call) Unwind(*sim.Proc) {
+	if c.pl.p == nil {
+		return
+	}
+	if c.end != nil {
+		c.end()
+	}
+	*c = Call{}
 }
 
 // share returns the length n of the rank's share of the call, the message
@@ -181,54 +375,15 @@ var flat = [...][]stage{
 	coll.Scatter:   {{op: opScatter}},
 }
 
-// execute runs a validated call between its guards: configuration
-// resolution, the exit half of the failure policy, the collective's trace
-// span and watchdog registration. Inside them the pipeline runs over the
-// level list hierarchy builds. The return is nil, the *FallbackError note
-// of a degraded path, or what the guards found.
-func (h *HAN) execute(p *mpi.Proc, cl *call, n int, cfg *Config) (err error) {
-	name := cl.name()
-	if err = h.resolve(cl.kind, n, cfg); err != nil {
-		return err
-	}
-	if h.W.CrashArmed() {
-		epoch0 := h.W.DeathEpoch()
-		defer func() { err = h.exitCheck(name, epoch0, err) }()
-	}
-	defer h.span(p, cl.comm, cl.span, n)()
-
-	pl := h.pipeline(p)
-	defer func() { *pl = pipeline{} }() // free the slot, and let go of the caller's buffers
-	pl.init(cl.src, cl.dst, n, cl.op, cl.dt, cfg.FS)
-	to, cause, hop := h.hierarchy(p, cl, pl, cfg)
-	if pl.nst > 0 {
-		h.m.segsPerColl.Observe(float64(pl.segs()))
-		pl.run(nil)
-	}
-	if hop {
-		// A reduction's or gather's non-leader root gets the result from its
-		// leader.
-		const fwdTag = 2
-		node, root := pl.lv[0].comm, cl.comm.WorldRank(cl.root)
-		if node.Rank(p) == 0 {
-			node.Send(p, pl.dst, node.RankOfWorld(root), fwdTag)
-		} else if p.Rank == root {
-			node.Recv(p, cl.dst, 0, fwdTag)
-		}
-	}
-	if to != "" {
-		return h.fallback(p, name, to, cause)
-	}
-	return nil
-}
-
-// hierarchy fills pl with the call's level list and stage table. When the
-// hierarchy is unusable it reports the degraded path taken and why: a
-// single-node world gets a one-level table, and a communicator with no
-// regular placement is served here and now by the flat module, leaving the
-// table empty. hop asks for the final hop of a reduction or gather to a
-// non-leader root.
-func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to string, cause error, hop bool) {
+// hierarchy fills c's pipeline with the call's level list and stage table
+// and says where its Step goes on. When the hierarchy is unusable it records
+// the degraded path taken and why: a single-node world gets a one-level
+// table, and a communicator with no regular placement leaves the table empty
+// for the flat module to serve. hop asks for the final hop of a reduction or
+// gather to a non-leader root.
+func (h *HAN) hierarchy(p *mpi.Proc, c *Call) {
+	cl, pl, cfg := &c.cl, &c.pl, &c.cfg
+	c.state = callTable
 	w, mach := h.W, h.W.Mach
 	name := cl.name()
 	world := cl.comm == w.World()
@@ -272,7 +427,8 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 		pl.lv[0].root, pl.nlv = hr.node.RankOfWorld(rootWorld), 1
 		pl.nst = copy(pl.st[:], flat[cl.kind])
 		pl.depth = pl.nst - 1
-		return "intra-node " + cfg.SMod, herr, false
+		c.to, c.cause = "intra-node "+cfg.SMod, herr
+		return
 
 	case herr != nil || cl.kind == coll.Bcast && !world && hr.leaders.RankOfWorld(rootWorld) < 0:
 		// No usable hierarchy: the flat module.
@@ -280,12 +436,8 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 			herr = &HierarchyError{Op: name,
 				Reason: fmt.Sprintf("root %d is not a node leader within the communicator", cl.root)}
 		}
-		if cl.kind == coll.Bcast {
-			p.Wait(h.Mods.Tuned.Ibcast(p, cl.comm, cl.dst, cl.root, coll.Params{}))
-		} else {
-			p.Wait(h.Mods.Tuned.Iallreduce(p, cl.comm, cl.src, cl.dst, cl.op, cl.dt, coll.Params{}))
-		}
-		return "flat tuned", herr, false
+		c.state, c.to, c.cause = callFlat, "flat tuned", herr
+		return
 
 	case f.rooted():
 		// The root's node leader roots the inter-node level. A root that is
@@ -307,8 +459,8 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 			pl.dst = scratch(pl.src, pl.n)
 		}
 		if onRootNode {
-			if hop = f.down == noOp; !hop {
-				h.feedRoot(p, pl, hr.node.RankOfWorld(rootWorld))
+			if c.hop = f.down == noOp; !c.hop && h.feedRoot(p, pl, hr.node.RankOfWorld(rootWorld)) {
+				c.state = callFeed
 			}
 		}
 	}
@@ -316,7 +468,6 @@ func (h *HAN) hierarchy(p *mpi.Proc, cl *call, pl *pipeline, cfg *Config) (to st
 		pl.mid = scratch(pl.src, pl.src.N*hr.node.Size())
 	}
 	pl.derive(p, cl.kind)
-	return "", nil, hop
 }
 
 // scratch returns a working buffer of n bytes, real when like is.
@@ -327,24 +478,24 @@ func scratch(like mpi.Buf, n int) mpi.Buf {
 	return mpi.Phantom(n)
 }
 
-// feedRoot moves a non-leader root's segments to its node leader over the
-// node communicator (the shuffle real HAN performs) so the inter-node
-// stage can start from a leader: the root sends them all before joining
-// the sb tasks; the leader posts every receive up front and run waits for
-// segment j's inside the issue of ib(j). It stays a wait inside that issue
-// rather than a stage of its own: sb(j-1) must already be in flight.
-func (h *HAN) feedRoot(p *mpi.Proc, pl *pipeline, rootLocal int) {
+// feedRoot sets up the move of a non-leader root's segments to its node
+// leader over the node communicator, so the inter-node stage can start from
+// a leader, and reports whether this rank is the root that sends them (the
+// call's callFeed wait) before it joins the sb tasks. The leader posts every
+// receive here, up front, and the step loop waits for segment j's inside the
+// issue of ib(j). It stays a wait inside that issue rather than a stage of
+// its own: sb(j-1) must already be in flight.
+func (h *HAN) feedRoot(p *mpi.Proc, pl *pipeline, rootLocal int) (sends bool) {
 	const feedTag = 1
 	node := pl.lv[0].comm
 	switch node.Rank(p) {
 	case rootLocal:
-		for j := 0; j < pl.segs(); j++ {
-			node.Send(p, pl.seg(pl.dst, j), 0, feedTag)
-		}
+		return true
 	case 0:
 		pl.feed = make([]*mpi.Request, pl.segs())
 		for j := range pl.feed {
 			pl.feed[j] = node.Irecv(p, pl.seg(pl.dst, j), rootLocal, feedTag)
 		}
 	}
+	return false
 }

@@ -60,11 +60,15 @@
 //
 // The entry points differ in what they decompose (the world or a
 // communicator, host or device buffers, two levels or three), not in how
-// they pipeline: each names its hierarchy and goes through one prologue
-// (collective.go). The autotuner's measurements (steps.go) run the same
-// loop: BcastSteps and AllreduceSteps are the derived tables with step
-// timing on, and a Time* timer is a one-segment table with every offset 0,
-// synchronised on the communicator its stages span.
+// they pipeline: each names its hierarchy and runs as one routine (Call,
+// collective.go) — the prologue, the waits of the table and around it, the
+// epilogue — which a goroutine rank lends its process to for the length of
+// the blocking call, and which a rank that is itself a routine
+// (mpi.World.StartSteps) runs as a phase (Start). The autotuner's
+// measurements (steps.go) run the same loop: BcastSteps and AllreduceSteps
+// are the derived tables with step timing on, and a Time* timer is a
+// one-segment table with every offset 0, synchronised on the communicator
+// its stages span.
 //
 // The task structure is what the autotuning component (package autotune)
 // benchmarks and what its cost model composes; the Config type is exactly
@@ -264,9 +268,9 @@ type HAN struct {
 	// m holds the metric handles installed by EnableMetrics; always
 	// non-nil (the zero value's nil handles no-op).
 	m *hanMetrics
-	// slots holds, per world rank, the pipeline of the collective the rank
-	// is in (pipeline.go).
-	slots []pipeline
+	// slots holds, per world rank, the collective call the rank is in
+	// (collective.go).
+	slots []Call
 }
 
 // New creates a HAN instance for the world with fresh submodules and the

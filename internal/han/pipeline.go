@@ -9,11 +9,11 @@ import (
 )
 
 // The one task pipeline every HAN collective runs on (see the package
-// comment): level list -> derive -> stage table -> run. Everything here is
-// fixed-size and lives in the calling rank's slot of the HAN instance: at
-// 4096 ranks a handful of per-call allocations would show up in the
-// benchmark, and so would 328 bytes more on every rank's stack, which sits
-// at the edge of 8 KiB while the rank is parked in a collective.
+// comment): level list -> derive -> stage table -> table. Everything here is
+// fixed-size and lives, inside the Call, in the calling rank's slot of the
+// HAN instance: at 4096 ranks a handful of per-call allocations would show
+// up in the benchmark, and a rank that is a routine has no stack to keep a
+// call on.
 
 const (
 	maxLevels = 3
@@ -119,9 +119,9 @@ type pipeline struct {
 	// before it is issued.
 	feed []*mpi.Request
 
-	// The step loop (Step): the rank it runs for, which also marks the slot
+	// The step loop (table): the rank it runs for, which also marks the slot
 	// taken; the step, the next row of its table, the tasks issued in it so
-	// far and when it began; the wait the loop is blocked in, if any.
+	// far and when it began; the wait the call is blocked in, if any.
 	h       *HAN
 	p       *mpi.Proc
 	t, i, k int
@@ -131,24 +131,26 @@ type pipeline struct {
 	in      uint8
 }
 
-// The waits a step loop blocks in.
+// The waits a call blocks in: in is which one it is in, zero in none.
 const (
-	inFeed  uint8 = iota + 1 // for the feed of the row about to be issued
-	inTasks                  // for the step's tasks
+	inFeed  uint8 = iota + 1 // the step loop's, for the feed of the row about to be issued
+	inTasks                  // the step loop's, for the step's tasks
+	inCall                   // one of the call's own, outside the table (Call.Step)
 )
 
-// pipeline returns the calling rank's slot, zeroed: a rank runs one
-// collective at a time, so a collective costs it no allocation.
-func (h *HAN) pipeline(p *mpi.Proc) *pipeline {
+// slot returns the calling rank's slot, zeroed but for the pipeline's rank,
+// which marks it taken: a rank runs one collective at a time, so a
+// collective costs it no allocation.
+func (h *HAN) slot(p *mpi.Proc) *Call {
 	if h.slots == nil {
-		h.slots = make([]pipeline, h.W.Size())
+		h.slots = make([]Call, h.W.Size())
 	}
-	pl := &h.slots[p.Rank]
-	if pl.p != nil {
+	c := &h.slots[p.Rank]
+	if c.pl.p != nil {
 		panic(fmt.Sprintf("han: rank %d entered a collective inside another", p.Rank))
 	}
-	*pl = pipeline{h: h, p: p}
-	return pl
+	*c = Call{pl: pipeline{h: h, p: p}}
+	return c
 }
 
 // init sets the buffers and clamps the segment size to [1, n].
@@ -270,20 +272,28 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 	}
 }
 
-// run executes the table as a routine the rank lends its process to
-// (sim.Proc.RunSteps): the first step is issued inline, and if it blocks
-// the rank parks once while the engine runs the rest, so a collective costs
-// a rank one park whatever its segments. With a non-nil steps (length
-// segs()+depth) each step's duration is recorded.
+// run executes the table alone, as the timers do (steps.go), as a routine
+// the rank lends its process to (sim.Proc.RunSteps): the first step is
+// issued inline, and if it blocks the rank parks once while the engine runs
+// the rest. Each step's duration is recorded in steps (length segs()+depth).
 func (pl *pipeline) run(steps []sim.Time) {
 	pl.steps, pl.t0 = steps, pl.p.Now()
-	pl.p.Sim.RunSteps(pl)
+	pl.p.Sim.RunSteps((*tableSteps)(pl))
 }
 
-// Step is the step loop — the only one in the package. At step t it issues
+// tableSteps is a pipeline's table as a routine of its own.
+type tableSteps pipeline
+
+func (t *tableSteps) Step(sp *sim.Proc) bool { return (*pipeline)(t).table(sp) }
+
+// Unwind has nothing to release: the rank's goroutine unwinds by itself.
+func (t *tableSteps) Unwind(*sim.Proc) {}
+
+// table is the step loop — the only one in the package — from where it last
+// blocked: it reports whether the table is through. At step t it issues
 // every stage whose segment t-off exists, in table order, then waits for
 // all of them: the task barrier of Figs 1 and 5.
-func (pl *pipeline) Step(sp *sim.Proc) bool {
+func (pl *pipeline) table(sp *sim.Proc) (done bool) {
 	p, u := pl.p, pl.segs()
 	for ; pl.t < u+pl.depth; pl.t++ {
 		for ; pl.i < pl.nst; pl.i++ {
@@ -324,9 +334,6 @@ func (pl *pipeline) wait(sp *sim.Proc, reqs []*mpi.Request, in uint8) (blocked b
 	pl.p.Release(reqs)
 	return false
 }
-
-// Unwind has nothing to release: a killed rank unwinds on its own stack.
-func (pl *pipeline) Unwind(*sim.Proc) {}
 
 // issue starts one task — stage st of pl on segment j — and is the single
 // point every task passes through, so each is traced and counted.

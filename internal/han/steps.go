@@ -33,8 +33,8 @@ func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, d
 	}
 	bar := h.W.World()
 	buf := mpi.Phantom(u * cfg.FS)
-	pl := h.pipeline(p)
-	defer func() { *pl = pipeline{} }() // free the slot, and let go of the caller's buffers
+	pl := &h.slot(p).pl
+	defer func() { *pl = pipeline{} }() // free the slot
 	pl.init(buf, buf, buf.N, op, dt, cfg.FS)
 	hr, _ := h.analyze(p, bar, who, false) // a one-node world still has both comms
 	h.twoLevels(pl, &hr, kind, &cfg)

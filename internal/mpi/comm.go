@@ -14,6 +14,7 @@ type Comm struct {
 	ranks  []int       // world ranks indexed by comm rank
 	rankOf map[int]int // world rank -> comm rank
 	seq    map[int]int // per world-rank collective sequence counter
+	eps    []endpoint  // matching state by comm rank, made on first use (p2p.go)
 }
 
 // NextSeq returns the caller's next collective sequence number on this
@@ -107,10 +108,16 @@ func (c *Comm) Sub(key string, commRanks []int) *Comm {
 // step-driven routine (sim.Proc.RunSteps): the first is issued inline, and
 // if it blocks the rank parks once while the engine issues the rest.
 func (c *Comm) Barrier(p *Proc) {
-	n := c.Size()
-	if n <= 1 {
-		return
+	if c.Size() > 1 {
+		p.Sim.RunSteps(c.BarrierSteps(p))
 	}
+}
+
+// BarrierSteps returns p's barrier on the communicator as a routine, for a
+// rank that is itself one (World.StartSteps) to run as a phase: it calls the
+// routine's Step from its own until that reports done. The routine lives in
+// p and is good for one barrier; a process runs one blocking call at a time.
+func (c *Comm) BarrierSteps(p *Proc) sim.Stepper {
 	me := c.Rank(p)
 	if me < 0 {
 		panic("mpi: Barrier by non-member rank")
@@ -119,7 +126,7 @@ func (c *Comm) Barrier(p *Proc) {
 		p.bar = new(barrierSteps)
 	}
 	*p.bar = barrierSteps{c: c, p: p, me: me, dist: 1}
-	p.Sim.RunSteps(p.bar)
+	return p.bar
 }
 
 // barrierSteps is one rank's walk through a barrier's rounds: in round k it
@@ -156,7 +163,8 @@ func (b *barrierSteps) Step(sp *sim.Proc) bool {
 	}
 }
 
-// Unwind has nothing to release: the rank's goroutine unwinds by itself.
+// Unwind has nothing to release: a killed rank's requests stay where the
+// failure detector finds them.
 func (b *barrierSteps) Unwind(*sim.Proc) {}
 
 // Reserved tag bases. User tags must stay below tagReserved.

@@ -27,11 +27,6 @@ const (
 	AnyTag    = -1
 )
 
-type epKey struct {
-	ctx int
-	dst int // world rank of the receiver
-}
-
 // pairKey identifies a directed (sender, receiver) world-rank pair whose
 // data flows are serialised FIFO.
 type pairKey struct {
@@ -65,23 +60,25 @@ type recvReq struct {
 	slot     arena.Slot
 }
 
+// endpoint is the matching state of one rank on one communicator.
 type endpoint struct {
 	posted     []*recvReq
 	unexpected []*message
+	listed     bool // in the crash registry
 }
 
-func (w *World) endpoint(ctx, dstWorld int) *endpoint {
-	k := epKey{ctx, dstWorld}
-	ep := w.eps[k]
-	if ep == nil {
-		ep = &endpoint{}
-		w.eps[k] = ep
-		if w.crash != nil {
-			// Register per rank so a crash can tear the rank's matching
-			// state down in creation order (never by ranging w.eps — the
-			// maporder invariant).
-			w.crash.eps[dstWorld] = append(w.crash.eps[dstWorld], ep)
-		}
+// endpoint returns the matching state of comm rank r, from the
+// communicator's own slice: a post or a delivery looks nothing up.
+func (c *Comm) endpoint(r int) *endpoint {
+	if c.eps == nil {
+		c.eps = make([]endpoint, len(c.ranks))
+	}
+	ep := &c.eps[r]
+	if cs := c.w.crash; cs != nil && !ep.listed {
+		// Register per rank, in order of first use, so a crash can tear the
+		// rank's matching state down deterministically.
+		ep.listed = true
+		cs.eps[c.ranks[r]] = append(cs.eps[c.ranks[r]], ep)
 	}
 	return ep
 }
@@ -120,7 +117,8 @@ type sendOp struct {
 	pair *pairState
 
 	srcW, dstW int
-	ctx        int
+	comm       *Comm // where the receiver matches it, as comm rank dst
+	dst        int
 	bytes      float64 // wire bytes (size / protocol efficiency)
 	envReady   bool    // own envelope latency has elapsed
 	refs       int
@@ -226,7 +224,7 @@ func (w *World) initPools() {
 			op.dataSig.Reset()
 			op.req = nil
 			op.pair = nil
-			op.srcW, op.dstW, op.ctx = 0, 0, 0
+			op.srcW, op.dstW, op.comm, op.dst = 0, 0, nil, 0
 			op.bytes = 0
 			op.envReady = false
 			op.refs = 0
@@ -272,6 +270,13 @@ func (w *World) initPools() {
 		},
 		Slot: func(r *recvReq) *arena.Slot { return &r.slot },
 	})
+}
+
+// LiveRecords counts the requests, sends and posted receives checked out of
+// the world's pools: zero once a run without a crash plan has drained,
+// whatever drove its ranks — a record still out then has leaked.
+func (w *World) LiveRecords() int {
+	return w.reqPool.Live() + w.sendPool.Live() + w.recvPool.Live()
 }
 
 func (w *World) decref(op *sendOp) {
@@ -321,7 +326,7 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 
 	op := w.sendPool.Get()
 	op.req = req
-	op.srcW, op.dstW, op.ctx = srcW, dstW, c.ctx
+	op.srcW, op.dstW, op.comm, op.dst = srcW, dstW, c, dst
 	op.refs = 2 // wire side + receive side
 	op.msg.src, op.msg.tag, op.msg.size = me, tag, buf.Len()
 	op.msg.data = data
@@ -384,7 +389,7 @@ func (w *World) envelopeArrived(op *sendOp) {
 			op.pair.startData(w, op)
 		}
 	}
-	w.deliver(op.ctx, op.dstW, &op.msg)
+	w.deliver(op)
 }
 
 // retx is the retransmission state of one eager send under a drop or crash
@@ -542,7 +547,8 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= c.Size()) {
 		panic(fmt.Sprintf("mpi: Irecv from rank %d of %d", src, c.Size()))
 	}
-	if c.Rank(p) < 0 {
+	me := c.Rank(p)
+	if me < 0 {
 		panic("mpi: Irecv by non-member rank")
 	}
 	w := c.w
@@ -561,7 +567,7 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 	r.src, r.tag, r.buf, r.comm, r.dstWorld = src, tag, buf, c, p.Rank
 	r.req = w.reqPool.Get()
 	r.req.site = WaitSite{Op: "recv", Peer: src, Tag: tag, Ctx: c.ctx}
-	ep := w.endpoint(c.ctx, p.Rank)
+	ep := c.endpoint(me)
 	for i, m := range ep.unexpected {
 		if matches(r, m) {
 			ep.unexpected = removeMsgAt(ep.unexpected, i)
@@ -578,9 +584,10 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 	return r.req
 }
 
-// deliver hands an arrived envelope to the receiver's matching engine.
-func (w *World) deliver(ctx, dstWorld int, m *message) {
-	if cs := w.crash; cs != nil && cs.crashed[dstWorld] {
+// deliver hands op's arrived envelope to the receiver's matching engine.
+func (w *World) deliver(op *sendOp) {
+	m := &op.msg
+	if cs := w.crash; cs != nil && cs.crashed[op.dstW] {
 		// Dead letter: the receiver crashed before this envelope arrived.
 		// Nothing will ever copy the payload out, so the sendOp keeps its
 		// receive-side ref and stays checked out of its pool for the rest
@@ -589,7 +596,7 @@ func (w *World) deliver(ctx, dstWorld int, m *message) {
 		w.m.deadLetters.Inc()
 		return
 	}
-	ep := w.endpoint(ctx, dstWorld)
+	ep := op.comm.endpoint(op.dst)
 	for i, r := range ep.posted {
 		if matches(r, m) {
 			ep.posted = removeRecvAt(ep.posted, i)

@@ -110,3 +110,112 @@ func BenchmarkBarrier4096(b *testing.B) {
 	}
 	b.ReportMetric(float64(eng.Now())*1e6/float64(b.N), "sim-us/op")
 }
+
+// Ranks without goroutines (StartSteps) running barriers as phases simulate
+// what goroutine ranks blocking in Barrier do, to the bit and on every rank,
+// and cost the host no goroutine and no park.
+func TestStepRanksMatchGoroutineRanks(t *testing.T) {
+	const barriers = 3
+	spec := cluster.Mini(4, 4)
+	run := func(steps bool) (*sim.Engine, []sim.Time) {
+		eng := sim.New()
+		w := NewWorld(cluster.NewMachine(eng, spec), OpenMPI())
+		done := make([]sim.Time, spec.Ranks())
+		if steps {
+			w.StartSteps(func(p *Proc) sim.Stepper { return &barrierLoop{p: p, left: barriers, done: done} })
+		} else {
+			w.Start(func(p *Proc) {
+				for i := 0; i < barriers; i++ {
+					p.W.World().Barrier(p)
+				}
+				done[p.Rank] = p.Now()
+			})
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := w.LiveRecords(); n != 0 {
+			t.Errorf("steps=%v: %d P2P records still checked out after the run", steps, n)
+		}
+		return eng, done
+	}
+	want, wantDone := run(false)
+	got, gotDone := run(true)
+	if got.Now() != want.Now() {
+		t.Errorf("step ranks end at %v, goroutine ranks at %v", got.Now(), want.Now())
+	}
+	for r := range wantDone {
+		if gotDone[r] != wantDone[r] {
+			t.Errorf("rank %d leaves its last barrier at %v as a routine, at %v as a goroutine", r, gotDone[r], wantDone[r])
+		}
+	}
+	if got.Goroutines() != 0 || got.Parks() != 0 {
+		t.Errorf("step ranks cost %d goroutines and %d parks, want none", got.Goroutines(), got.Parks())
+	}
+	if ranks := uint64(spec.Ranks()); want.Goroutines() != ranks || want.Parks() != barriers*ranks {
+		t.Errorf("goroutine ranks cost %d goroutines and %d parks, want %d and %d", want.Goroutines(), want.Parks(), ranks, barriers*ranks)
+	}
+}
+
+// barrierLoop is a rank routine: left barriers on the world, one after the
+// other.
+type barrierLoop struct {
+	p     *Proc
+	left  int
+	phase sim.Stepper
+	done  []sim.Time
+}
+
+func (b *barrierLoop) Step(sp *sim.Proc) bool {
+	for ; b.left > 0; b.left-- {
+		if b.phase == nil {
+			b.phase = b.p.W.World().BarrierSteps(b.p)
+		}
+		if !b.phase.Step(sp) {
+			return false
+		}
+		b.phase = nil
+	}
+	b.done[b.p.Rank] = sp.Now()
+	return true
+}
+
+func (b *barrierLoop) Unwind(*sim.Proc) {}
+
+// The blocking Barrier called from a rank that has no goroutine to park is a
+// panic naming the rank, not a hang.
+func TestBarrierFromStepRankPanics(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 2)), OpenMPI())
+	w.StartSteps(func(p *Proc) sim.Stepper { return blockingBarrier{p} })
+	defer func() {
+		got, _ := recover().(string)
+		if !strings.Contains(got, `"rank0"`) || !strings.Contains(got, "blocking call inside a Step") {
+			t.Errorf("Run panicked with %q, want rank0's name and \"blocking call inside a Step\"", got)
+		}
+	}()
+	err := eng.Run()
+	t.Errorf("Run returned %v, want a panic", err)
+}
+
+type blockingBarrier struct{ p *Proc }
+
+func (b blockingBarrier) Step(*sim.Proc) bool { b.p.W.World().Barrier(b.p); return true }
+func (b blockingBarrier) Unwind(*sim.Proc)    {}
+
+// A stuck step rank is reported under the name a goroutine rank has.
+func TestDeadlockNamesStepRank(t *testing.T) {
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 2)), OpenMPI())
+	w.StartSteps(func(p *Proc) sim.Stepper {
+		if p.Rank == 1 {
+			return &barrierLoop{p: p, done: make([]sim.Time, 2)} // no barrier: rank 0 waits alone
+		}
+		return &barrierLoop{p: p, left: 1, done: make([]sim.Time, 2)}
+	})
+	err := eng.Run()
+	const want = "[rank0 waiting on recv(peer=1, tag=1048576, ctx=0)]"
+	if err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("run returned %v, want a deadlock report ending in %q", err, want)
+	}
+}

@@ -40,7 +40,6 @@ type World struct {
 	Tracer *trace.Recorder
 
 	nextCtx int
-	eps     map[epKey]*endpoint
 	rng     *rand.Rand
 
 	// P2P state (p2p.go): the per-pair FIFOs and the record pools.
@@ -92,7 +91,6 @@ func NewWorld(m *cluster.Machine, pers *Personality) *World {
 	w := &World{
 		Mach:        m,
 		Pers:        pers,
-		eps:         make(map[epKey]*endpoint),
 		cachedComms: make(map[string]*Comm),
 		rng:         rand.New(rand.NewSource(1)),
 		m:           &worldMetrics{},
@@ -205,19 +203,25 @@ type Proc struct {
 	W    *World
 	Rank int // world rank
 
-	// helper is the name a helper process was spawned under.
+	// helper is the name a helper process was spawned under; "" on a rank's
+	// main process.
 	helper string
 	// bar is the state of the barrier this process is blocked in, allocated
-	// by its first Barrier and reused by the rest: a process runs one
-	// blocking call at a time.
+	// by its first Barrier (or with the ranks, by StartSteps) and reused by
+	// the rest: a process runs one blocking call at a time.
 	bar *barrierSteps
 }
 
-// helperName composes a helper's process name when a deadlock, watchdog or
-// panic report asks for it.
-type helperName Proc
+// procName composes a process name — "rank3", or "rank3.ib" for a helper —
+// when a deadlock, watchdog or panic report asks for it.
+type procName Proc
 
-func (n *helperName) String() string { return fmt.Sprintf("rank%d.%s", n.Rank, n.helper) }
+func (n *procName) String() string {
+	if n.helper == "" {
+		return fmt.Sprintf("rank%d", n.Rank)
+	}
+	return fmt.Sprintf("rank%d.%s", n.Rank, n.helper)
+}
 
 // rankProcs is one rank's process list. Finished helpers are dropped once
 // the list has doubled since the last sweep (the rule of sim.Engine.track),
@@ -295,9 +299,9 @@ func (p *Proc) SpawnSteps(hp *Proc, name string, s sim.Stepper) {
 	hp.register()
 }
 
-// register names a freshly spawned helper and lists it with its rank.
+// register names a freshly spawned process and lists it with its rank.
 func (hp *Proc) register() {
-	hp.Sim.SetNamer((*helperName)(hp))
+	hp.Sim.SetNamer((*procName)(hp))
 	hp.W.procs[hp.Rank].add(hp.Sim)
 }
 
@@ -310,6 +314,27 @@ func (w *World) Start(fn func(*Proc)) {
 			fn(&Proc{Sim: sp, W: w, Rank: r})
 		})
 		w.procs[r].add(sp)
+	}
+}
+
+// StartSteps is Start for ranks that have no goroutine: body returns each
+// rank's routine (sim.Stepper), which the engine advances in place from the
+// rank's start event on — the event Start would start its goroutine at, so
+// the two forms of one rank program simulate the same bits. A routine blocks
+// through Proc.Arm and sim.Proc.StepWait and runs the blocking calls that
+// have a step form (Comm.BarrierSteps, a collective's call routine) as its
+// phases; the goroutine forms of those calls panic in it. body runs here,
+// once per rank in rank order, before p.Sim is set; the routine finds it set
+// when it first runs. The ranks' contexts and barrier states are two
+// allocations together.
+func (w *World) StartSteps(body func(p *Proc) sim.Stepper) {
+	procs := make([]Proc, w.Size())
+	bars := make([]barrierSteps, w.Size())
+	for r := range procs {
+		p := &procs[r]
+		p.W, p.Rank, p.bar = w, r, &bars[r]
+		p.Sim = w.Eng().SpawnStep("", body(p))
+		p.register()
 	}
 }
 

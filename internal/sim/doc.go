@@ -11,7 +11,18 @@
 //
 // Processes block with Proc.Sleep and Proc.Wait (a Stepper with
 // Proc.StepSleep and Proc.StepWait); other code wakes them by firing
-// Signals or scheduling callbacks with Engine.At / Engine.After.
+// Signals or scheduling callbacks with Engine.At / Engine.After. A process
+// spawned as a Stepper has no goroutine to park, and the parking calls on it
+// (Sleep, Wait, WaitArmed, WaitAny, RunSteps) panic naming it instead of
+// blocking the engine goroutine.
+//
+// Routines compose. A goroutine process lends its Proc to one for the length
+// of a blocking call (RunSteps); a process that is a Stepper runs another
+// Stepper as a phase of its own, calling its Step until that reports done
+// and passing Unwind on. Both queue the events the routine queues and no
+// other, so it does not matter to the simulation which of the two a caller
+// is: an MPI rank is either (mpi.World.Start, StartSteps), around the same
+// barrier and collective routines.
 //
 // # Dispatch
 //

@@ -455,8 +455,12 @@ type Stepper interface {
 	// or finishes, and reports whether it finished. It blocks by calling
 	// p.StepSleep, or p.Arm followed by p.StepWait, and returning false right
 	// after; it must not call the parking forms (Sleep, Wait, WaitArmed,
-	// WaitAny). Only the engine calls Step (and RunSteps, once, on the
-	// lending process's own goroutine).
+	// WaitAny, RunSteps), which panic on a process that has no goroutine to
+	// park. A routine runs another as one of its phases by calling the
+	// other's Step from its own until that reports done, and the other's
+	// Unwind from its own if it is unwound in that phase. Otherwise only the
+	// engine calls Step (and RunSteps, once, on the lending process's own
+	// goroutine).
 	Step(p *Proc) (done bool)
 	// Unwind is what a goroutine body would have deferred: the engine calls
 	// it instead of Step, once, at the event where a killed process would
@@ -570,8 +574,13 @@ func (e *Engine) Kill(p *Proc) {
 	}
 }
 
-// park gives up the baton and blocks until the process is resumed.
+// park gives up the baton and blocks until the process is resumed. Only a
+// process with a goroutine can: called from a Step it would block the engine
+// goroutine on its own yield channel, so that is a panic naming the process.
 func (p *Proc) park() {
+	if p.resume == nil {
+		panic(fmt.Sprintf("sim: process %q has no goroutine: blocking call inside a Step", p.Name()))
+	}
 	p.e.parks++
 	p.e.passBaton(p)
 	if p.dying {

@@ -509,3 +509,47 @@ func (s *sleepSteps) Step(p *Proc) bool {
 }
 
 func (s *sleepSteps) Unwind(*Proc) {}
+
+// A parking call on a process that has no goroutine would block the engine
+// goroutine on its own yield channel: every one of them panics instead,
+// naming the process, and Run re-raises it as a process's panic.
+func TestBlockingCallInsideStepPanics(t *testing.T) {
+	unfired := NewSignal()
+	for _, c := range []struct {
+		name string
+		call stepFunc
+	}{
+		{"Sleep", func(p *Proc) { p.Sleep(1) }},
+		{"Wait", func(p *Proc) { p.Wait(unfired) }},
+		{"WaitArmed", func(p *Proc) { p.Arm(unfired, nil); p.WaitArmed() }},
+		{"WaitAny", func(p *Proc) { p.WaitAny(unfired, NewSignal()) }},
+		{"RunSteps", func(p *Proc) { p.RunSteps(&sleepSteps{left: 1, d: 1}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New()
+			e.SpawnStep("", c.call).SetNamer(label("rank7"))
+			defer func() {
+				got := fmt.Sprint(recover())
+				if !strings.Contains(got, `"rank7"`) || !strings.Contains(got, "blocking call inside a Step") {
+					t.Errorf("Run panicked with %q, want the process name and \"blocking call inside a Step\"", got)
+				}
+			}()
+			err := e.Run()
+			t.Errorf("Run returned %v, want a panic", err)
+		})
+	}
+	// A wait that finds every signal fired does not park, and is no error.
+	e := New()
+	fired := NewSignal()
+	fired.Fire(e)
+	e.SpawnStep("easy", stepFunc(func(p *Proc) { p.Wait(fired) }))
+	if err := e.Run(); err != nil {
+		t.Errorf("a wait with nothing to wait for: %v", err)
+	}
+}
+
+// stepFunc is a routine of one Step.
+type stepFunc func(p *Proc)
+
+func (f stepFunc) Step(p *Proc) bool { f(p); return true }
+func (f stepFunc) Unwind(*Proc)      {}
