@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/sim"
+	"github.com/hanrepro/han/internal/trace"
 )
 
 // This file pins the P2P layer's simulated timing bit for bit: the churn
@@ -219,6 +221,128 @@ func TestGoldenCrashScenarios(t *testing.T) {
 				t.Errorf("%s seed %d: outcome is now\n\t{%#016x, %q, %v, %v},",
 					row.name, i+1, got.end, got.reports, got.retransmits, got.deadLetters)
 			}
+		}
+	}
+}
+
+// crashWithHelpers kills a node whose first rank holds five processes at
+// once — its main process parked in a receive, two step helpers parked in
+// receives of their own, a goroutine helper parked in one, and a step helper
+// asleep across the crash — and whose second rank holds two, spawned in
+// between the first rank's. Every one of them records its unwinding in the
+// trace, so the trace stream holds the order the crash killed them in: rank
+// by rank, and within a rank in the order they were spawned in. The
+// survivors' clock holds the rest: rank 0's send to a victim fails at the
+// heartbeat verdict, and the survivors meet in a barrier on the shrunk
+// communicator.
+func crashWithHelpers(t *testing.T, seed int64) (*World, sim.Time) {
+	t.Helper()
+	unwound := func(p *Proc, name string) {
+		p.W.Tracer.Record(trace.Event{T: float64(p.Now()), Rank: p.Rank, Kind: trace.KindNote, Name: name, Peer: trace.NoPeer})
+	}
+	plan := fault.Plan{Crashes: []fault.CrashSpec{{Rank: 2, Node: true, At: 40e-6}}}
+	victim := func(p *Proc) {
+		c := p.W.World()
+		defer unwound(p, "main")
+		helpers := make([]stuckHelper, 3)
+		spawn := func(i int, name string, tag int, sleep sim.Time) {
+			helpers[i] = stuckHelper{c: c, tag: tag, sleep: sleep, unwound: unwound}
+			p.SpawnSteps(&helpers[i].hp, name, &helpers[i])
+		}
+		if p.Rank == 3 {
+			p.Sim.Sleep(1e-6) // between rank 2's first helper and its second
+			spawn(0, "stuck", 5, 0)
+			c.Recv(p, Phantom(8), 0, 6) // until killed
+			return
+		}
+		spawn(0, "stuck", 1, 0)
+		p.Sim.Sleep(2e-6)
+		spawn(1, "stuck", 2, 0)
+		p.SpawnHelper("goroutine", func(hp *Proc) {
+			defer unwound(hp, "goroutine")
+			c.Recv(hp, Phantom(8), 0, 3)
+		})
+		spawn(2, "asleep", 0, 100e-6)
+		p.Sim.Sleep(10e-6) // the helpers park first
+		c.Recv(p, Phantom(8), 0, 4)
+	}
+	return runCrash(t, cluster.Mini(2, 2), seed, plan, func(p *Proc) {
+		if p.Rank >= 2 {
+			victim(p)
+			return
+		}
+		p.Sim.Sleep(60e-6)
+		if p.Rank == 0 {
+			req := p.W.World().Isend(p, Phantom(64), 2, 9)
+			p.Wait(req)
+			if req.Err() == nil {
+				t.Error("send to the crashed rank succeeded")
+			}
+		} else {
+			p.Sim.Sleep(1e-3) // past the verdict
+		}
+		p.W.Shrink().Barrier(p)
+	}, func(w *World) { w.Tracer = trace.New() })
+}
+
+// stuckHelper is a step helper that receives a message nobody sends, or
+// sleeps, and notes its unwinding.
+type stuckHelper struct {
+	hp      Proc
+	c       *Comm
+	tag     int
+	sleep   sim.Time
+	reqs    [1]*Request
+	unwound func(p *Proc, name string)
+}
+
+func (h *stuckHelper) Step(sp *sim.Proc) bool {
+	if h.sleep > 0 {
+		sp.StepSleep(h.sleep)
+		h.sleep = 0
+		return false
+	}
+	if h.reqs[0] != nil || h.tag == 0 {
+		return true
+	}
+	h.reqs[0] = h.c.Irecv(&h.hp, Phantom(8), 0, h.tag)
+	h.hp.Arm(h.reqs[:])
+	return !sp.StepWait()
+}
+
+func (h *stuckHelper) Unwind(*sim.Proc) {
+	h.unwound(&h.hp, fmt.Sprintf("%s.%d", h.hp.helper, h.tag))
+}
+
+// goldenCrashWithHelpers pins crashWithHelpers, seeds 1..3: the final clock,
+// the verdicts, and the FNV-1a hash of the trace stream.
+var goldenCrashWithHelpers = [3]struct {
+	out   crashGolden
+	trace uint64
+}{
+	{crashGolden{0x3f5165eebdbd2281, "2:heartbeat@0x3f3a36e2eb1c432d 3:heartbeat@0x3f3a36e2eb1c432d", 2, 1}, 0x8a1de5eae348b38b},
+	{crashGolden{0x3f5165eebdbd2281, "2:heartbeat@0x3f3a36e2eb1c432d 3:heartbeat@0x3f3a36e2eb1c432d", 2, 1}, 0x8a1de5eae348b38b},
+	{crashGolden{0x3f5165eebdbd2281, "2:heartbeat@0x3f3a36e2eb1c432d 3:heartbeat@0x3f3a36e2eb1c432d", 2, 1}, 0x8a1de5eae348b38b},
+}
+
+func TestGoldenCrashKillsHelpersInSpawnOrder(t *testing.T) {
+	const wantOrder = "2:main 2:stuck.1 2:stuck.2 2:goroutine 3:main 3:stuck.5 2:asleep.0"
+	for i, want := range goldenCrashWithHelpers {
+		w, end := crashWithHelpers(t, int64(i+1))
+		hash := fnv.New64a()
+		var order []string
+		for _, ev := range w.Tracer.Events() {
+			fmt.Fprintf(hash, "%x %d %s %s %d %d\n", math.Float64bits(ev.T), ev.Rank, ev.Kind, ev.Name, ev.Size, ev.Peer)
+			if ev.Kind == trace.KindNote {
+				order = append(order, fmt.Sprintf("%d:%s", ev.Rank, ev.Name))
+			}
+		}
+		if got := strings.Join(order, " "); got != wantOrder {
+			t.Errorf("seed %d: unwound in the order %q, want %q", i+1, got, wantOrder)
+		}
+		if out := crashOutcome(w, end); out != want.out || hash.Sum64() != want.trace {
+			t.Errorf("seed %d: outcome is now\n\t{crashGolden{%#016x, %q, %v, %v}, %#016x},",
+				i+1, out.end, out.reports, out.retransmits, out.deadLetters, hash.Sum64())
 		}
 	}
 }
