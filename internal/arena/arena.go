@@ -104,6 +104,16 @@ func (p *Pool[T]) grow() {
 // Debug the slot is reset and generation-bumped but quarantined — never
 // reused — so stale pointers and Handles keep detecting their staleness.
 func (p *Pool[T]) Put(x *T) {
+	p.Retire(x)
+	if !Debug {
+		p.free = append(p.free, x)
+	}
+}
+
+// Retire is Put for a slot somebody may still point to: it is checked in —
+// reset, generation-bumped, no longer counted live — and quarantined, as
+// every slot is under Debug: the slab keeps it, nothing reuses it.
+func (p *Pool[T]) Retire(x *T) {
 	if x == nil {
 		panic(fmt.Sprintf("arena: %s: Put(nil)", p.opt.Name))
 	}
@@ -119,10 +129,6 @@ func (p *Pool[T]) Put(x *T) {
 		p.opt.Reset(x)
 	}
 	p.live--
-	if Debug {
-		return // quarantine: the slab keeps the slot, nothing reuses it
-	}
-	p.free = append(p.free, x)
 }
 
 // Live returns the number of checked-out slots.

@@ -161,25 +161,31 @@ type Env struct {
 // NewEnv returns a measurement environment.
 func NewEnv(spec cluster.Spec, pers *mpi.Personality) Env { return Env{Spec: spec, Pers: pers} }
 
-// runWorld runs fn on all ranks of a fresh world and returns the final
-// virtual time. Each call builds a private engine, machine, and world, so
-// concurrent runWorlds never share simulation state — the property the
+// newWorld builds a measurement world: a private engine, machine, and world,
+// so concurrent measurements never share simulation state — the property the
 // parallel executor relies on.
-func (e Env) runWorld(fn func(h *han.HAN, p *mpi.Proc)) sim.Time {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, e.Spec), e.Pers)
+func (e Env) newWorld() *mpi.World {
+	w := mpi.NewWorld(cluster.NewMachine(sim.New(), e.Spec), e.Pers)
 	if e.Seed != 0 {
 		w.Seed(e.Seed)
 	}
 	if e.Faults != nil && !e.Faults.IsZero() {
 		w.AttachFaults(*e.Faults)
 	}
-	h := han.New(w)
-	w.Start(func(p *mpi.Proc) { fn(h, p) })
-	if err := eng.Run(); err != nil {
+	return w
+}
+
+// runWorld has start put the ranks of a fresh world on their measurement,
+// runs it and returns the final virtual time. Measurement ranks only loop
+// over barriers, collectives and timers, so they are routines
+// (mpi.World.StartSteps): a measurement world starts no goroutine.
+func (e Env) runWorld(start func(h *han.HAN)) sim.Time {
+	w := e.newWorld()
+	start(han.New(w))
+	if err := w.Eng().Run(); err != nil {
 		panic(fmt.Sprintf("autotune: measurement world failed: %v", err))
 	}
-	return eng.Now()
+	return w.Eng().Now()
 }
 
 // Entry is one lookup-table row: the best configuration for an input.

@@ -109,41 +109,88 @@ func (e Env) MeasureBcastTasks(cfg han.Config, meter *Meter) BcastTasks {
 	for i := 0; i < SBIBSeriesLen-1; i++ {
 		bt.SBIB = append(bt.SBIB, make([]float64, nodes))
 	}
-	leaderIdx := func(p *mpi.Proc) int { return p.Node() }
 
-	// Lone ib, lone sb, and the naive concurrent measurement share a world.
-	t := e.runWorld(func(h *han.HAN, p *mpi.Proc) {
-		if d := h.TimeIB(p, cfg); d > 0 {
-			bt.IB0[leaderIdx(p)] = float64(d)
-		}
-		if d := h.TimeSB(p, cfg); h.W.Mach.IsNodeLeader(p.Rank) {
-			bt.SB0[leaderIdx(p)] = float64(d)
-		}
-		if d := h.TimeConcurrentSBIB(p, cfg); h.W.Mach.IsNodeLeader(p.Rank) {
-			bt.SBIBConc[leaderIdx(p)] = float64(d)
+	// Lone ib, lone sb, and the naive concurrent measurement share a world;
+	// the pipelined sbib series has its own.
+	meter.add(e.runWorld(bt.timers))
+	meter.add(e.runWorld(bt.series))
+	return bt
+}
+
+// timers puts the lone ib, the lone sb and the naive concurrent sb+ib on h's
+// world, one after the other on every rank. Only leaders take part in the
+// first, and all three report on them alone.
+func (bt *BcastTasks) timers(h *han.HAN) {
+	tasks := [][]han.Task{{han.TaskIB}, {han.TaskSB}, {han.TaskIB, han.TaskSB}}
+	costs := [][]float64{bt.IB0, bt.SB0, bt.SBIBConc}
+	startTimed(h, len(tasks), func(p *mpi.Proc, i int) *han.Timed {
+		return h.StartTasks(p, mpi.OpSum, mpi.Byte, bt.Cfg, tasks[i]...)
+	}, func(p *mpi.Proc, i int, steps []sim.Time) {
+		if steps != nil && p.W.Mach.IsNodeLeader(p.Rank) {
+			costs[i][p.Node()] = float64(steps[0])
 		}
 	})
-	meter.add(t)
+}
 
-	// The pipelined sbib series (includes ib(0) history automatically).
-	t = e.runWorld(func(h *han.HAN, p *mpi.Proc) {
-		steps, err := h.BcastSteps(p, SBIBSeriesLen, cfg)
-		if err != nil {
-			// The benchmark enumerates configurations from the tuner's own
-			// search space, so a rejected one is a programming error.
+// series puts the pipelined sbib series on h's world (it includes the ib(0)
+// history automatically).
+func (bt *BcastTasks) series(h *han.HAN) {
+	startTimed(h, 1, func(p *mpi.Proc, _ int) *han.Timed {
+		return h.StartBcastSteps(p, SBIBSeriesLen, bt.Cfg)
+	}, func(p *mpi.Proc, _ int, steps []sim.Time) {
+		// steps = [ib(0), sbib(1..k-1), sb(last)], on leaders
+		for i := 1; i < len(steps)-1; i++ {
+			bt.SBIB[i-1][p.Node()] = float64(steps[i])
+		}
+	})
+}
+
+// startTimed starts every rank of h's world on n measurements, one after the
+// other: start begins the i-th on a rank, got receives what it reported
+// there.
+func startTimed(h *han.HAN, n int, start func(p *mpi.Proc, i int) *han.Timed, got func(p *mpi.Proc, i int, steps []sim.Time)) {
+	ranks := make([]timedRank, h.W.Size())
+	h.W.StartSteps(func(p *mpi.Proc) sim.Stepper {
+		r := &ranks[p.Rank]
+		*r = timedRank{p: p, n: n, start: start, got: got}
+		return r
+	})
+}
+
+// timedRank is one rank of a task-measurement world: a short sequence of
+// timed routines, each a phase. The task benchmarks enumerate configurations
+// from the tuner's own search space, so a rejected one is a programming
+// error.
+type timedRank struct {
+	p     *mpi.Proc
+	n, i  int
+	cur   *han.Timed // the measurement in progress; nil between two
+	start func(p *mpi.Proc, i int) *han.Timed
+	got   func(p *mpi.Proc, i int, steps []sim.Time)
+}
+
+func (r *timedRank) Step(sp *sim.Proc) bool {
+	for ; r.i < r.n; r.i++ {
+		if r.cur == nil {
+			r.cur = r.start(r.p, r.i)
+		}
+		if !r.cur.Step(sp) {
+			return false
+		}
+		if err := r.cur.Err(); err != nil {
 			panic(err)
 		}
-		if steps == nil {
-			return
-		}
-		l := leaderIdx(p)
-		// steps = [ib(0), sbib(1..k-1), sb(last)]
-		for i := 1; i < len(steps)-1; i++ {
-			bt.SBIB[i-1][l] = float64(steps[i])
-		}
-	})
-	meter.add(t)
-	return bt
+		r.got(r.p, r.i, r.cur.Steps())
+		r.cur = nil
+	}
+	return true
+}
+
+// Unwind passes a kill on to the measurement the rank is in.
+func (r *timedRank) Unwind(sp *sim.Proc) {
+	if r.cur != nil {
+		r.cur.Unwind(sp)
+	}
 }
 
 // AllreduceTasks holds the per-leader empirical task costs of one
@@ -193,21 +240,19 @@ func (e Env) MeasureAllreduceTasks(cfg han.Config, meter *Meter) AllreduceTasks 
 	for t := 0; t < u+3; t++ {
 		at.Steps = append(at.Steps, make([]float64, nodes))
 	}
-	t := e.runWorld(func(h *han.HAN, p *mpi.Proc) {
-		steps, err := h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, cfg)
-		if err != nil {
-			panic(err) // search-space configurations are valid by construction
-		}
-		if steps == nil {
-			return
-		}
-		l := p.Node()
-		for i := range steps {
-			at.Steps[i][l] = float64(steps[i])
+	meter.add(e.runWorld(at.series))
+	return at
+}
+
+// series puts the instrumented pipeline on h's world.
+func (at *AllreduceTasks) series(h *han.HAN) {
+	startTimed(h, 1, func(p *mpi.Proc, _ int) *han.Timed {
+		return h.StartAllreduceSteps(p, SBIBSeriesLen, mpi.OpSum, mpi.Float64, at.Cfg)
+	}, func(p *mpi.Proc, _ int, steps []sim.Time) {
+		for i := range steps { // on leaders
+			at.Steps[i][p.Node()] = float64(steps[i])
 		}
 	})
-	meter.add(t)
-	return at
 }
 
 // MeasureCollective measures a full collective operation end to end under
@@ -217,31 +262,23 @@ func (e Env) MeasureCollective(kind coll.Kind, m int, cfg han.Config, iters int,
 	if iters < 1 {
 		iters = 1
 	}
-	maxPerIter := make([]float64, iters+1)
-	t := e.runWorld(func(h *han.HAN, p *mpi.Proc) {
-		c := h.W.World()
-		for it := 0; it <= iters; it++ {
-			c.Barrier(p)
-			t0 := p.Now()
-			switch kind {
-			case coll.Bcast:
-				h.Bcast(p, mpi.Phantom(m), 0, cfg)
-			case coll.Allreduce:
-				h.Allreduce(p, mpi.Phantom(m), mpi.Phantom(m), mpi.OpSum, mpi.Float64, cfg)
-			case coll.Reduce:
-				h.Reduce(p, mpi.Phantom(m), mpi.Phantom(m), mpi.OpSum, mpi.Float64, 0, cfg)
-			default:
-				panic("autotune: unsupported collective kind " + kind.String())
-			}
-			if d := float64(p.Now() - t0); d > maxPerIter[it] {
-				maxPerIter[it] = d
-			}
-		}
+	var loop *mpi.IMBLoop
+	t := e.runWorld(func(h *han.HAN) {
+		loop = collectiveLoop(h, kind, m, cfg, iters)
+		loop.StartSteps()
 	})
 	meter.add(t)
-	sum := 0.0
-	for _, d := range maxPerIter[1:] {
-		sum += d
+	return loop.Mean(0)
+}
+
+// collectiveLoop returns the IMB loop of one collective of m bytes under cfg
+// on h's world.
+func collectiveLoop(h *han.HAN, kind coll.Kind, m int, cfg han.Config, iters int) *mpi.IMBLoop {
+	if kind != coll.Bcast && kind != coll.Allreduce && kind != coll.Reduce {
+		panic("autotune: unsupported collective kind " + kind.String())
 	}
-	return sum / float64(iters)
+	buf := mpi.Phantom(m)
+	return mpi.NewIMBLoop(h.W.World(), []int{iters}, func(p *mpi.Proc, _ int) sim.Stepper {
+		return h.Start(p, kind, buf, buf, mpi.OpSum, mpi.Float64, 0, cfg)
+	})
 }

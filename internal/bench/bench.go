@@ -221,106 +221,38 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 		// adds its own families to it.
 		w.EnableMetrics(o.Metrics)
 	}
-	run := &imbRun{ops: sys.Setup(w), comm: w.World(), kind: kind, sizes: sizes}
-	run.maxDur = make([][]float64, len(sizes)) // per size, per iteration
+	ops := sys.Setup(w)
+	iters := make([]int, len(sizes))
 	for i, size := range sizes {
-		run.maxDur[i] = make([]float64, ItersFor(size)+1)
+		iters[i] = ItersFor(size)
 	}
-	if run.ops.Start != nil && !w.CrashArmed() {
-		// A rank that dies mid-run is still a goroutine's business: the
-		// blocking forms are what the crash suites pin.
-		ranks := make([]imbRank, w.Size())
-		w.StartSteps(func(p *mpi.Proc) sim.Stepper {
-			r := &ranks[p.Rank]
-			r.run, r.p = run, p
-			return r
-		})
+	loop := mpi.NewIMBLoop(w.World(), iters, func(p *mpi.Proc, i int) sim.Stepper {
+		return ops.start(p, kind, sizes[i])
+	})
+	if ops.Start != nil && !w.CrashArmed() {
+		loop.StartSteps()
 	} else {
-		w.Start(run.body)
+		// A system that only blocks, or a rank that dies mid-run — still a
+		// goroutine's business: the blocking forms are what the crash suites
+		// pin.
+		w.Start(func(p *mpi.Proc) {
+			for i, size := range sizes {
+				for it := 0; it <= iters[i]; it++ {
+					loop.Comm.Barrier(p)
+					t0 := p.Now()
+					ops.run(p, kind, size)
+					loop.Record(i, it, p.Now()-t0)
+				}
+			}
+		})
 	}
 	if err := eng.Run(); err != nil {
 		panic(fmt.Sprintf("bench: IMB run failed: %v", err))
 	}
 	for i, size := range sizes {
-		sum := 0.0
-		for _, d := range run.maxDur[i][1:] { // drop warm-up
-			sum += d
-		}
-		points[i] = Point{Size: size, Seconds: sum / float64(ItersFor(size))}
+		points[i] = Point{Size: size, Seconds: loop.Mean(i)}
 	}
 	return points
-}
-
-// imbRun is one IMB sweep: what every rank of its world loops over, and
-// where the slowest rank of each iteration is kept.
-type imbRun struct {
-	ops    Ops
-	comm   *mpi.Comm
-	kind   coll.Kind
-	sizes  []int
-	maxDur [][]float64
-}
-
-// timed records one rank's duration of iteration it of size i.
-func (run *imbRun) timed(i, it int, d sim.Time) {
-	if d := float64(d); d > run.maxDur[i][it] {
-		run.maxDur[i][it] = d
-	}
-}
-
-// body is a goroutine rank: per size, a warm-up and the timed iterations,
-// each a barrier and the collective.
-func (run *imbRun) body(p *mpi.Proc) {
-	for i, size := range run.sizes {
-		for it := 0; it <= ItersFor(size); it++ {
-			run.comm.Barrier(p)
-			t0 := p.Now()
-			run.ops.run(p, run.kind, size)
-			run.timed(i, it, p.Now()-t0)
-		}
-	}
-}
-
-// imbRank is body as a routine, one rank's: the barrier and the collective
-// are its phases.
-type imbRank struct {
-	run    *imbRun
-	p      *mpi.Proc
-	i, it  int         // size and iteration of the phase in progress
-	phase  sim.Stepper // nil before the first
-	inColl bool        // phase is the collective, not the barrier before it
-	t0     sim.Time
-}
-
-func (r *imbRank) Step(sp *sim.Proc) bool {
-	run := r.run
-	for r.i < len(run.sizes) {
-		size := run.sizes[r.i]
-		if r.phase == nil {
-			r.phase = run.comm.BarrierSteps(r.p)
-		}
-		if !r.phase.Step(sp) {
-			return false
-		}
-		if !r.inColl {
-			r.t0, r.inColl = sp.Now(), true
-			r.phase = run.ops.start(r.p, run.kind, size)
-			continue
-		}
-		run.timed(r.i, r.it, sp.Now()-r.t0)
-		r.phase, r.inColl = nil, false
-		if r.it++; r.it > ItersFor(size) {
-			r.i, r.it = r.i+1, 0
-		}
-	}
-	return true
-}
-
-// Unwind passes a kill on to the phase the rank is in.
-func (r *imbRank) Unwind(sp *sim.Proc) {
-	if r.phase != nil {
-		r.phase.Unwind(sp)
-	}
 }
 
 // IMBAll runs the IMB benchmark for several systems concurrently, fanning

@@ -21,13 +21,16 @@ import (
 // (golden_test.go) — which is why a wait for two requests is one step arming
 // both: two waits in a row would queue a resume the body never did.
 //
-// Program and process are one record, a seqRun, recycled through a pool of
-// the module instance (so of one world): it goes back when the helper has
-// run to its end or been killed. Two things are not part of it. The request
-// it completes may be held longer by the waiter, so it comes from the
-// world's pool and the waiter's Wait returns it. The helper's sim.Proc is
-// not recycled: the engine's and the rank's process lists keep finished
-// processes until their next sweep, and Kill walks them.
+// Program, process and the process's storage (hp's sim.Proc) are one record,
+// a seqRun, recycled through a pool of the module instance (so of one world).
+// It goes back when the engine is through with a helper that ran to its end
+// (Reclaim) — after its last Step, which completes the request, whose
+// callbacks may issue the next operation and must not be handed a record the
+// engine has yet to finish with. The record of a killed helper is retired
+// instead, never to be used again: signals the victim was armed on still
+// point to it. The request a helper completes is not part of the record: the
+// waiter may hold it longer, so it comes from the world's pool and the
+// waiter's Wait returns it.
 
 type seqKind uint8
 
@@ -97,7 +100,9 @@ func (b *Base) newSeq(c *mpi.Comm, st *shmOp, n int) *seqRun {
 				clear(r.args) // buffers, closures and requests must not outlive the helper
 				clear(r.dos)
 				clear(r.reqs)
-				*r = seqRun{steps: r.steps[:0], args: r.args[:0], dos: r.dos[:0], reqs: r.reqs[:0], kids: r.kids[:0], slot: r.slot}
+				// hp stays as it is: the engine reuses its process storage, and
+				// until Reclaim it is the engine's.
+				*r = seqRun{hp: r.hp, steps: r.steps[:0], args: r.args[:0], dos: r.dos[:0], reqs: r.reqs[:0], kids: r.kids[:0], slot: r.slot}
 			},
 			Slot: func(r *seqRun) *arena.Slot { return &r.slot },
 		})
@@ -286,22 +291,27 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 			return false
 		}
 	}
-	req, eng := r.req, w.Eng()
-	r.end()
-	req.Complete(eng)
+	r.release()
+	r.req.Complete(w.Eng())
 	return true
 }
 
-// Unwind is a killed helper's end: its request never completes, and the
-// requests it was waiting for stay with the world.
-func (r *seqRun) Unwind(*sim.Proc) { r.end() }
+// Reclaim returns the record of a helper that ran to its end, which drops
+// what it points to: payload snapshots and the caller's buffers must not
+// outlive the helper.
+func (r *seqRun) Reclaim(*sim.Proc) { r.pool.Put(r) }
 
-// end releases the helper's use of the shared state and returns the record,
-// which drops what it points to: payload snapshots and the caller's buffers
-// must not outlive the helper.
-func (r *seqRun) end() {
+// Unwind is a killed helper's end: its request never completes, the requests
+// it was waiting for stay with the world, and its record drops what it points
+// to but does not go round again.
+func (r *seqRun) Unwind(*sim.Proc) {
+	r.release()
+	r.pool.Retire(r)
+}
+
+// release gives up the helper's use of the operation's shared state.
+func (r *seqRun) release() {
 	if r.st != nil {
 		r.st.release()
 	}
-	r.pool.Put(r)
 }

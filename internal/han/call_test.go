@@ -158,10 +158,11 @@ func TestStepRanksLeaveNothingBehind(t *testing.T) {
 	}
 }
 
-// A warm broadcast allocates the same on a step rank as on a goroutine rank:
-// one sim.Proc per helper process (each task's), nothing for the call. A step
-// rank has no blocking call to hand to testing.AllocsPerRun, so rank 0 reads
-// the process's malloc count as it comes out of a broadcast, in both forms.
+// A warm broadcast allocates nothing, on a step rank as on a goroutine rank:
+// the call lives in the rank's slot, and each task's helper process in the
+// record its program is recycled in. A step rank has no blocking call to hand
+// to testing.AllocsPerRun, so rank 0 reads the process's malloc count as it
+// comes out of a broadcast, in both forms.
 func TestCollectiveRoutineAllocatesNothing(t *testing.T) {
 	const segs, warmup, measured = 4, 4, 5
 	spec := cluster.Mini(4, 4)
@@ -209,12 +210,12 @@ func TestCollectiveRoutineAllocatesNothing(t *testing.T) {
 		return float64(after.Mallocs-before.Mallocs) / measured
 	}
 	goroutines, routines := allocs(false), allocs(true)
-	helpers := float64(segs * (spec.Ranks() + spec.Nodes)) // per Bcast an sb on every rank and an ib on every leader, per segment
 	if arena.Debug {
 		return // quarantined slots are never reused: every record is fresh
 	}
-	if routines != goroutines || routines > helpers {
-		t.Errorf("a warm Bcast allocates %v objects on step ranks and %v on goroutine ranks, want the same, at most the %v helper processes",
-			routines, goroutines, helpers)
+	// Not a helper's sim.Proc, of which a Bcast starts 80: a stray object in
+	// five broadcasts is a list somewhere doubling late.
+	if routines >= 1 || goroutines >= 1 {
+		t.Errorf("a warm Bcast allocates %v objects on step ranks and %v on goroutine ranks, want none", routines, goroutines)
 	}
 }

@@ -71,7 +71,8 @@ type Call struct {
 	to            string
 	cause         error
 	hop           bool
-	j             int // segments a non-leader root has fed its leader
+	j             int         // segments a non-leader root has fed its leader
+	bar           sim.Stepper // a measurement's barrier (Timed)
 
 	err error
 	pl  pipeline
@@ -81,10 +82,11 @@ type Call struct {
 type callState uint8
 
 const (
-	callEnter callState = iota // the prologue has not run
-	callFeed                   // a non-leader root is feeding its segments to its node leader
-	callFlat                   // the flat module is running the whole collective
-	callTable                  // the stage table, and what follows it
+	callEnter   callState = iota // the prologue has not run
+	callFeed                     // a non-leader root is feeding its segments to its node leader
+	callFlat                     // the flat module is running the whole collective
+	callBarrier                  // a measurement is in the barrier before its table (Timed)
+	callTable                    // the stage table, and what follows it
 )
 
 // spans names the world collective of each kind.

@@ -272,23 +272,6 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 	}
 }
 
-// run executes the table alone, as the timers do (steps.go), as a routine
-// the rank lends its process to (sim.Proc.RunSteps): the first step is
-// issued inline, and if it blocks the rank parks once while the engine runs
-// the rest. Each step's duration is recorded in steps (length segs()+depth).
-func (pl *pipeline) run(steps []sim.Time) {
-	pl.steps, pl.t0 = steps, pl.p.Now()
-	pl.p.Sim.RunSteps((*tableSteps)(pl))
-}
-
-// tableSteps is a pipeline's table as a routine of its own.
-type tableSteps pipeline
-
-func (t *tableSteps) Step(sp *sim.Proc) bool { return (*pipeline)(t).table(sp) }
-
-// Unwind has nothing to release: the rank's goroutine unwinds by itself.
-func (t *tableSteps) Unwind(*sim.Proc) {}
-
 // table is the step loop — the only one in the package — from where it last
 // blocked: it reports whether the table is through. At step t it issues
 // every stage whose segment t-off exists, in table order, then waits for

@@ -16,34 +16,86 @@ import (
 // phantom segments: the step schedules run the derived stage table with
 // step timing on; a timer is a one-segment table with every offset 0.
 
-// timed runs a stage table on the two-level world hierarchy over u phantom
-// segments of cfg.FS bytes, after a barrier, and returns the calling
-// rank's per-step durations. A nil table means the derived schedule of
-// kind, synchronised on the world and reported on leaders; an explicit
-// table synchronises on the communicator its stages span — the level's
-// when they share one, where non-members return nil without taking part —
-// else the world.
+// Timed is one measurement on one rank, as a routine (sim.Stepper): a stage
+// table run on the two-level world hierarchy over phantom segments, after a
+// barrier, with every step timed. Its first Step is the prologue —
+// configuration, level list, table, and which communicator the measurement
+// synchronises on — then the barrier (mpi.Comm.BarrierSteps) and the table
+// are its phases. It is the rank's slot under another name, as a Call is: a
+// measurement allocates its step vector and nothing else, a rank that is
+// itself a routine (mpi.World.StartSteps) runs it as a phase, and a goroutine
+// rank lends it its process (timed), parking once for barrier and table
+// together.
+type Timed Call
+
+// startTimed puts a measurement into the rank's slot: u phantom segments of
+// cfg.FS bytes. A nil table means the derived schedule of kind, synchronised
+// on the world and reported on leaders; an explicit table synchronises on the
+// communicator its stages span — the level's when they share one, where
+// non-members report nil without taking part — else the world.
+func (h *HAN) startTimed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, dt mpi.Datatype, cfg Config, table []stage) *Timed {
+	c := h.slot(p)
+	c.cl.span, c.cl.kind, c.cfg = who, kind, cfg
+	buf := mpi.Phantom(u * cfg.FS)
+	c.pl.init(buf, buf, buf.N, op, dt, cfg.FS)
+	c.pl.nst = copy(c.pl.st[:], table)
+	return (*Timed)(c)
+}
+
+// timed runs a measurement on a goroutine rank, as collective runs a call.
 func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, dt mpi.Datatype, cfg Config, table []stage) ([]sim.Time, error) {
-	if cfg.FS <= 0 {
-		return nil, &ConfigError{Op: who, Param: "fs",
-			Value: fmt.Sprintf("%d (steps need an explicit segment size)", cfg.FS)}
+	t := h.startTimed(p, who, kind, u, op, dt, cfg, table)
+	defer t.Unwind(p.Sim) // finds nothing to do after a measurement that finished
+	p.Sim.RunSteps(t)
+	return t.Steps(), t.Err()
+}
+
+// Steps returns the calling rank's per-step durations, once Step has reported
+// done: nil on a rank the measurement does not report on.
+func (t *Timed) Steps() []sim.Time { return t.pl.steps }
+
+// Err returns the *ConfigError of a configuration the measurement rejected.
+func (t *Timed) Err() error { return t.err }
+
+// Step runs the measurement up to its next wait, or to its end.
+func (t *Timed) Step(sp *sim.Proc) bool {
+	c, pl := (*Call)(t), &t.pl
+	if c.state == callEnter && t.enter() {
+		return true
 	}
-	if err := h.resolve(kind, u*cfg.FS, &cfg); err != nil {
-		return nil, err
+	if c.state == callBarrier {
+		if !c.bar.Step(sp) {
+			return false
+		}
+		c.state, pl.t0 = callTable, sp.Now()
+	}
+	return pl.table(sp) && t.finish(pl.steps, nil)
+}
+
+// enter is the prologue. It reports whether the measurement is over already:
+// a rejected configuration, or a rank that takes no part.
+func (t *Timed) enter() (done bool) {
+	c, pl := (*Call)(t), &t.pl
+	h, p, who, kind := pl.h, pl.p, c.cl.span, c.cl.kind
+	if c.cfg.FS <= 0 {
+		return t.finish(nil, &ConfigError{Op: who, Param: "fs",
+			Value: fmt.Sprintf("%d (steps need an explicit segment size)", c.cfg.FS)})
+	}
+	if err := h.resolve(kind, pl.n, &c.cfg); err != nil {
+		return t.finish(nil, err)
 	}
 	bar := h.W.World()
-	buf := mpi.Phantom(u * cfg.FS)
-	pl := &h.slot(p).pl
-	defer func() { *pl = pipeline{} }() // free the slot
-	pl.init(buf, buf, buf.N, op, dt, cfg.FS)
 	hr, _ := h.analyze(p, bar, who, false) // a one-node world still has both comms
-	h.twoLevels(pl, &hr, kind, &cfg)
+	h.twoLevels(pl, &hr, kind, &c.cfg)
 
-	if table == nil {
+	reports := true
+	if table, n := pl.st, pl.nst; n == 0 {
 		pl.derive(p, kind)
+		reports = hr.isLeader // the schedules report the leaders' view
 	} else {
+		pl.nst = 0
 		oneLevel := true
-		for _, st := range table {
+		for _, st := range table[:n] {
 			oneLevel = oneLevel && st.lv == table[0].lv
 			if pl.lv[st.lv].comm != nil {
 				pl.st[pl.nst] = st
@@ -52,18 +104,27 @@ func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, d
 		}
 		if oneLevel {
 			if bar = pl.lv[table[0].lv].comm; bar == nil {
-				return nil, nil
+				return t.finish(nil, nil)
 			}
 		}
 	}
-	bar.Barrier(p)
-	steps := make([]sim.Time, u+pl.depth)
-	pl.run(steps)
-	if table == nil && !hr.isLeader {
-		return nil, nil // the schedules report the leaders' view
+	if reports {
+		pl.steps = make([]sim.Time, pl.segs()+pl.depth)
 	}
-	return steps, nil
+	c.bar, c.state = bar.BarrierSteps(p), callBarrier
+	return false
 }
+
+// finish frees the slot and leaves in it what the measurement came to.
+func (t *Timed) finish(steps []sim.Time, err error) (done bool) {
+	*t = Timed{err: err}
+	t.pl.steps = steps
+	return true
+}
+
+// Unwind frees the slot of a killed rank. A goroutine rank gets here through
+// timed's defer, also after a measurement that finished.
+func (t *Timed) Unwind(sp *sim.Proc) { (*Call)(t).Unwind(sp) }
 
 // BcastSteps runs the Fig 1 leader schedule over u phantom segments and
 // returns, on leaders, the per-task durations
@@ -78,6 +139,13 @@ func (h *HAN) BcastSteps(p *mpi.Proc, u int, cfg Config) ([]sim.Time, error) {
 	return h.timed(p, "BcastSteps", coll.Bcast, u, mpi.OpSum, mpi.Byte, cfg, nil)
 }
 
+// StartBcastSteps begins BcastSteps on rank p and returns it as a routine,
+// for a rank that has no goroutine to run as a phase (see Start): Steps and
+// Err hold what BcastSteps returns.
+func (h *HAN) StartBcastSteps(p *mpi.Proc, u int, cfg Config) *Timed {
+	return h.startTimed(p, "BcastSteps", coll.Bcast, u, mpi.OpSum, mpi.Byte, cfg, nil)
+}
+
 // AllreduceSteps runs the Fig 5 pipeline over u phantom segments and
 // returns, on leaders, the per-step durations
 //
@@ -90,11 +158,33 @@ func (h *HAN) AllreduceSteps(p *mpi.Proc, u int, op mpi.Op, dt mpi.Datatype, cfg
 	return h.timed(p, "AllreduceSteps", coll.Allreduce, u, op, dt, cfg, nil)
 }
 
-// timeTasks measures the given tasks issued together, with no preceding
-// task history, on one fs-sized segment. The task benchmarks enumerate
+// StartAllreduceSteps is AllreduceSteps as a routine; see StartBcastSteps.
+func (h *HAN) StartAllreduceSteps(p *mpi.Proc, u int, op mpi.Op, dt mpi.Datatype, cfg Config) *Timed {
+	return h.startTimed(p, "AllreduceSteps", coll.Allreduce, u, op, dt, cfg, nil)
+}
+
+// Task is one row of a timer's stage table: a two-level task.
+type Task = stage
+
+// The two-level tasks a timer can issue.
+var (
+	TaskSB Task = stage{op: opDown, lv: 0}
+	TaskIB Task = stage{op: opDown, lv: 1}
+	TaskIR Task = stage{op: opUp, lv: 1}
+)
+
+// StartTasks begins a timer on rank p — the given tasks issued together,
+// with no preceding task history, on one fs-sized segment — and returns it
+// as a routine (see StartBcastSteps). Its Steps are the one duration, or nil
+// on a rank that is no member of the level the tasks share.
+func (h *HAN) StartTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) *Timed {
+	return h.startTimed(p, "timeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
+}
+
+// timeTasks runs a timer on a goroutine rank. The task benchmarks enumerate
 // configurations from the tuner's own search space, so a rejected one is a
 // programming error.
-func (h *HAN) timeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...stage) sim.Time {
+func (h *HAN) timeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) sim.Time {
 	steps, err := h.timed(p, "timeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
 	if err != nil {
 		panic(err)
@@ -105,41 +195,34 @@ func (h *HAN) timeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tas
 	return steps[0]
 }
 
-// The two-level tasks, as rows of a timer's stage table.
-var (
-	taskSB = stage{op: opDown, lv: 0}
-	taskIB = stage{op: opDown, lv: 1}
-	taskIR = stage{op: opUp, lv: 1}
-)
-
 // TimeIB measures a lone ib task (inter-node broadcast of one fs-sized
 // segment, leaders only). Non-leaders return 0 immediately.
 func (h *HAN) TimeIB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskIB)
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskIB)
 }
 
 // TimeSB measures a lone sb task (intra-node broadcast of one fs-sized
 // segment). Every rank participates; the returned duration is the cost on
 // the calling rank (the leader's value enters equation 3).
 func (h *HAN) TimeSB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskSB)
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskSB)
 }
 
 // TimeConcurrentSBIB measures an sb and an ib issued simultaneously with no
 // preceding task history (the green bars of Fig 2: the naive measurement
 // that misses the staggered starting times the real pipeline produces).
 func (h *HAN) TimeConcurrentSBIB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, taskIB, taskSB)
+	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskIB, TaskSB)
 }
 
 // TimeConcurrentIBIR measures an ib and an ir issued simultaneously on
 // leaders (Fig 6: the full-duplex overlap between the inter-node broadcast
 // and reduction). Non-leaders return 0.
 func (h *HAN) TimeConcurrentIBIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	return h.timeTasks(p, op, dt, cfg, taskIB, taskIR)
+	return h.timeTasks(p, op, dt, cfg, TaskIB, TaskIR)
 }
 
 // TimeIR measures a lone ir task on leaders; non-leaders return 0.
 func (h *HAN) TimeIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	return h.timeTasks(p, op, dt, cfg, taskIR)
+	return h.timeTasks(p, op, dt, cfg, TaskIR)
 }

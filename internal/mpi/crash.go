@@ -191,9 +191,7 @@ func (w *World) crashNow(rank int, node bool) {
 		w.Tracer.Record(trace.Event{
 			T: float64(eng.Now()), Rank: r, Kind: trace.KindCrash, Name: "crash", Peer: -1,
 		})
-		for _, sp := range w.procs[r].procs {
-			eng.Kill(sp)
-		}
+		eng.KillTagged(rankTag(r))
 		w.clearEndpoints(r)
 		fresh = append(fresh, r)
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -112,5 +113,26 @@ func TestQuickJitterNeverBreaksMatching(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Seed reseeds the generator NewWorld made, in place: the latencies a
+// jittered personality draws afterwards are those of a fresh source with that
+// seed, and the call allocates nothing — a measurement world is seeded once,
+// and a sweep builds hundreds.
+func TestSeedReseedsInPlace(t *testing.T) {
+	pers := jitterPers(0.3)
+	w := NewWorld(cluster.NewMachine(sim.New(), cluster.Mini(2, 2)), pers)
+	w.latency(0, 3) // the default stream has been drawn from
+	w.Seed(42)
+	ref := rand.New(rand.NewSource(42))
+	base := w.Mach.Spec.InterLatency + pers.SoftLatency
+	for i := 0; i < 100; i++ {
+		if got, want := w.latency(0, 3), base*(1+pers.Jitter*ref.Float64()); got != want {
+			t.Fatalf("draw %d after Seed(42): latency %v, a fresh source gives %v", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { w.Seed(42) }); n != 0 {
+		t.Errorf("Seed allocates %v objects, want none", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hanrepro/han/internal/arena"
+	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
@@ -167,20 +168,38 @@ func (q *opQueue) pop() *sendOp {
 // path, the wire FIFO (one payload on the wire at a time, program order),
 // and the envelope FIFO (MPI's non-overtaking guarantee).
 type pairState struct {
-	path     []*flow.Resource // cached dataPath(src, dst)
-	wireBusy bool             // a payload is on the wire
-	wireQ    opQueue          // payloads waiting for the wire
-	envQ     opQueue          // sends in issue order, delivered FIFO
+	path     []*flow.Resource  // the resources a src->dst payload crosses (setPath)
+	inter    [3]*flow.Resource // what path is made of, between nodes
+	wireBusy bool              // a payload is on the wire
+	wireQ    opQueue           // payloads waiting for the wire
+	envQ     opQueue           // sends in issue order, delivered FIFO
 }
 
 func (w *World) pair(srcW, dstW int) *pairState {
 	k := pairKey{srcW, dstW}
 	ps := w.pairs[k]
 	if ps == nil {
-		ps = &pairState{path: w.dataPath(srcW, dstW)}
+		ps = new(pairState)
+		ps.setPath(w.Mach, srcW, dstW)
 		w.pairs[k] = ps
 	}
 	return ps
+}
+
+// setPath caches the resources an s->d payload crosses: the machine's own
+// list within a node, the pair's three between nodes.
+func (ps *pairState) setPath(m *cluster.Machine, srcWorld, dstWorld int) {
+	sn, dn := m.NodeOf(srcWorld), m.NodeOf(dstWorld)
+	if sn == dn {
+		ps.path = m.IntraPath(srcWorld, dstWorld)
+		return
+	}
+	// Inter-node data is injected at the source NIC, drained at the
+	// destination NIC, and DMA-written through the destination memory bus —
+	// the bus sharing is what makes ib/sb overlap imperfect (paper
+	// section III-A2).
+	ps.inter = [...]*flow.Resource{m.NICOut(sn), m.NICIn(dn), m.InboundBus(dstWorld)}
+	ps.path = ps.inter[:]
 }
 
 func (w *World) initPools() {

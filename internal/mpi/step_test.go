@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,24 +74,67 @@ func TestDeadlockNamesBarrierRoundAndHelper(t *testing.T) {
 	}
 }
 
-// A rank's process list holds its live processes, not every helper it ever
-// spawned.
+// A crash finds a rank's live processes, not every helper the rank ever
+// spawned: a helper is off the engine's list when it finishes, a goroutine
+// helper and a step helper alike. Rank 0 runs two thousand short helpers to
+// their end, then dies holding two stuck ones.
 func TestFinishedHelpersArePruned(t *testing.T) {
-	eng := sim.New()
-	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(1, 1)), OpenMPI())
-	w.Start(func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			p.SpawnHelper("short", func(hp *Proc) { hp.Sim.Sleep(1e-6) })
+	const short = 1000
+	unwound := make(map[string]int)
+	runCrash(t, cluster.Mini(1, 2), 1, crashAt(0, 10e-3), func(p *Proc) {
+		if p.Rank != 0 {
+			return
+		}
+		defer func() { unwound["main"]++ }()
+		steps := make([]napSteps, short+1)
+		for i := range steps {
+			steps[i].unwound = unwound
+		}
+		for i := 0; i < short; i++ {
+			p.SpawnHelper("short", func(hp *Proc) {
+				defer func() {
+					if hp.Sim.Dying() {
+						unwound["short goroutine"]++
+					}
+				}()
+				hp.Sim.Sleep(1e-6)
+			})
+			p.SpawnSteps(&steps[i].hp, "short", &steps[i])
 			p.Sim.Sleep(2e-6)
 		}
+		p.SpawnHelper("stuck", func(hp *Proc) {
+			defer func() { unwound["stuck goroutine"]++ }()
+			hp.Wait(NewRequest())
+		})
+		steps[short].nap = 1 // past the crash
+		p.SpawnSteps(&steps[short].hp, "stuck", &steps[short])
+		p.Wait(NewRequest())
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(w.procs[0].procs); n > 16 {
-		t.Errorf("rank 0 still lists %d processes after its helpers finished", n)
+	want := map[string]int{"main": 1, "stuck goroutine": 1, "stuck": 1}
+	if !reflect.DeepEqual(unwound, want) {
+		t.Errorf("the crash unwound %v, want %v", unwound, want)
 	}
 }
+
+// napSteps is a step helper that sleeps a microsecond, or nap if that is
+// set, and counts its unwinding under its name.
+type napSteps struct {
+	hp      Proc
+	nap     sim.Time
+	napped  bool
+	unwound map[string]int
+}
+
+func (n *napSteps) Step(sp *sim.Proc) bool {
+	if n.napped {
+		return true
+	}
+	n.napped = true
+	sp.StepSleep(max(n.nap, 1e-6))
+	return false
+}
+
+func (n *napSteps) Unwind(*sim.Proc) { n.unwound[n.hp.helper]++ }
 
 // BenchmarkBarrier4096 is the host cost of one barrier (twelve rounds) on
 // the 4096 ranks of the headline run.
@@ -217,5 +262,25 @@ func TestDeadlockNamesStepRank(t *testing.T) {
 	const want = "[rank0 waiting on recv(peer=1, tag=1048576, ctx=0)]"
 	if err == nil || !strings.HasSuffix(err.Error(), want) {
 		t.Errorf("run returned %v, want a deadlock report ending in %q", err, want)
+	}
+}
+
+// Goroutine ranks are named when a report asks, like step ranks and helpers:
+// a deadlock of twelve of them prints what it printed when every rank's name
+// was formatted at its spawn.
+func TestDeadlockNamesGoroutineRanks(t *testing.T) {
+	_, err := Run(cluster.Mini(3, 4), OpenMPI(), func(p *Proc) {
+		p.W.World().Recv(p, Phantom(8), (p.Rank+1)%12, 7) // nobody sends
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("run returned %v, want a deadlock", err)
+	}
+	want := []string{"rank0", "rank1", "rank10", "rank11", "rank2", "rank3", "rank4", "rank5", "rank6", "rank7", "rank8", "rank9"}
+	if !slices.Equal(dl.Parked, want) {
+		t.Errorf("parked processes %v, want %v", dl.Parked, want)
+	}
+	if site := "recv(peer=11, tag=7, ctx=0)"; dl.Sites[2] != site {
+		t.Errorf("rank10 is reported waiting on %q, want %q", dl.Sites[2], site)
 	}
 }

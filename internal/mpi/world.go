@@ -19,12 +19,10 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
-	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
@@ -64,11 +62,6 @@ type World struct {
 	// the attached plan contains CrashSpecs. Nil leaves every hot path
 	// crash-free.
 	crash *crashState
-	// procs registers the unfinished simulated processes per rank (main
-	// bodies and helpers), so a crash can kill all of a rank's execution.
-	// Maintained unconditionally — a few appends per spawn — so AttachFaults
-	// and Start may come in either order.
-	procs []rankProcs
 	// Failure-detection knobs; zero values mean the crash.go defaults.
 	maxSendAttempts int
 	hbPeriod        float64
@@ -94,7 +87,6 @@ func NewWorld(m *cluster.Machine, pers *Personality) *World {
 		cachedComms: make(map[string]*Comm),
 		rng:         rand.New(rand.NewSource(1)),
 		m:           &worldMetrics{},
-		procs:       make([]rankProcs, m.Spec.Ranks()),
 	}
 	w.initPools()
 	all := make([]int, m.Spec.Ranks())
@@ -210,6 +202,10 @@ type Proc struct {
 	// by its first Barrier (or with the ranks, by StartSteps) and reused by
 	// the rest: a process runs one blocking call at a time.
 	bar *barrierSteps
+	// sp is what Sim points to when the process is step-driven (SpawnSteps,
+	// StartSteps): the engine runs it in the storage of whoever holds the
+	// Proc. A goroutine process's is the engine's own.
+	sp sim.Proc
 }
 
 // procName composes a process name — "rank3", or "rank3.ib" for a helper —
@@ -221,22 +217,6 @@ func (n *procName) String() string {
 		return fmt.Sprintf("rank%d", n.Rank)
 	}
 	return fmt.Sprintf("rank%d.%s", n.Rank, n.helper)
-}
-
-// rankProcs is one rank's process list. Finished helpers are dropped once
-// the list has doubled since the last sweep (the rule of sim.Engine.track),
-// so a long run stays bounded by the rank's live processes.
-type rankProcs struct {
-	procs   []*sim.Proc
-	sweepAt int
-}
-
-func (rp *rankProcs) add(sp *sim.Proc) {
-	if n := len(rp.procs); n >= 8 && n >= rp.sweepAt {
-		rp.procs = slices.DeleteFunc(rp.procs, (*sim.Proc).Finished)
-		rp.sweepAt = 2 * len(rp.procs)
-	}
-	rp.procs = append(rp.procs, sp)
 }
 
 // Now returns the current virtual time.
@@ -290,31 +270,38 @@ func (p *Proc) SpawnHelper(name string, fn func(*Proc)) {
 }
 
 // SpawnSteps starts a helper process that has no goroutine: the engine
-// advances s in place (sim.Stepper). hp, which the caller owns and may
-// recycle once the helper has finished, becomes the helper's execution
-// context for s to act through.
+// advances s in place (sim.Stepper), and the process itself lives in hp,
+// which becomes the helper's execution context for s to act through. The
+// caller owns hp and may recycle it — as it is, not zeroed: it keeps what the
+// process grew — once the engine is through with the helper, which it says
+// by calling s's Reclaim (sim.Reclaimer); the hp of a killed helper is never
+// used again.
 func (p *Proc) SpawnSteps(hp *Proc, name string, s sim.Stepper) {
-	*hp = Proc{W: p.W, Rank: p.Rank, helper: name}
-	hp.Sim = p.Sim.Engine().SpawnStep("", s)
-	hp.register()
+	hp.W, hp.Rank, hp.helper = p.W, p.Rank, name
+	hp.spawnStep(s)
 }
 
-// register names a freshly spawned process and lists it with its rank.
-func (hp *Proc) register() {
-	hp.Sim.SetNamer((*procName)(hp))
-	hp.W.procs[hp.Rank].add(hp.Sim)
+// spawnStep starts p's step-driven process, in p.
+func (p *Proc) spawnStep(s sim.Stepper) {
+	p.Sim = &p.sp
+	p.W.Eng().SpawnStep(p.Sim, s)
+	p.register()
 }
+
+// register names a freshly spawned process, and tags it with its rank for a
+// crash to find: whatever acts for a rank dies with it.
+func (p *Proc) register() {
+	p.Sim.SetNamer((*procName)(p))
+	p.Sim.SetTag(rankTag(p.Rank))
+}
+
+// rankTag is the tag of a rank's processes on the engine (zero is no tag).
+func rankTag(rank int) int { return rank + 1 }
 
 // Start spawns one simulated process per rank, each executing fn. The
 // caller still owns the engine and must call Eng().Run().
 func (w *World) Start(fn func(*Proc)) {
-	for r := 0; r < w.Size(); r++ {
-		r := r
-		sp := w.Eng().Spawn(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
-			fn(&Proc{Sim: sp, W: w, Rank: r})
-		})
-		w.procs[r].add(sp)
-	}
+	w.StartE(func(p *Proc) error { fn(p); return nil })
 }
 
 // StartSteps is Start for ranks that have no goroutine: body returns each
@@ -324,17 +311,16 @@ func (w *World) Start(fn func(*Proc)) {
 // through Proc.Arm and sim.Proc.StepWait and runs the blocking calls that
 // have a step form (Comm.BarrierSteps, a collective's call routine) as its
 // phases; the goroutine forms of those calls panic in it. body runs here,
-// once per rank in rank order, before p.Sim is set; the routine finds it set
-// when it first runs. The ranks' contexts and barrier states are two
-// allocations together.
+// once per rank in rank order, before the rank's process exists. The ranks'
+// contexts, processes included, and their barrier states are two allocations
+// together.
 func (w *World) StartSteps(body func(p *Proc) sim.Stepper) {
 	procs := make([]Proc, w.Size())
 	bars := make([]barrierSteps, w.Size())
 	for r := range procs {
 		p := &procs[r]
 		p.W, p.Rank, p.bar = w, r, &bars[r]
-		p.Sim = w.Eng().SpawnStep("", body(p))
-		p.register()
+		p.spawnStep(body(p))
 	}
 }
 
@@ -342,14 +328,16 @@ func (w *World) StartSteps(body func(p *Proc) sim.Stepper) {
 // non-nil error stops the engine: Eng().Run() returns the error wrapped in
 // a *RankError (first failing rank wins).
 func (w *World) StartE(fn func(*Proc) error) {
-	for r := 0; r < w.Size(); r++ {
-		r := r
-		sp := w.Eng().Spawn(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
-			if err := fn(&Proc{Sim: sp, W: w, Rank: r}); err != nil {
-				w.Eng().Stop(&RankError{Rank: r, Err: err})
+	procs := make([]Proc, w.Size())
+	for r := range procs {
+		p := &procs[r]
+		p.W, p.Rank = w, r
+		p.Sim = w.Eng().Spawn("", func(*sim.Proc) {
+			if err := fn(p); err != nil {
+				w.Eng().Stop(&RankError{Rank: p.Rank, Err: err})
 			}
 		})
-		w.procs[r].add(sp)
+		p.register()
 	}
 }
 
@@ -406,23 +394,9 @@ func (w *World) AttachFaults(plan fault.Plan) {
 // Faults returns the attached fault injector, or nil.
 func (w *World) Faults() *fault.Injector { return w.faults }
 
-// dataPath returns the resources an s->d payload crosses.
-func (w *World) dataPath(srcWorld, dstWorld int) []*flow.Resource {
-	m := w.Mach
-	sn, dn := m.NodeOf(srcWorld), m.NodeOf(dstWorld)
-	if sn == dn {
-		return m.IntraPath(srcWorld, dstWorld)
-	}
-	// Inter-node data is injected at the source NIC, drained at the
-	// destination NIC, and DMA-written through the destination memory bus —
-	// the bus sharing is what makes ib/sb overlap imperfect (paper
-	// section III-A2).
-	return []*flow.Resource{m.NICOut(sn), m.NICIn(dn), m.InboundBus(dstWorld)}
-}
-
-// Seed reseeds the world's noise generator (only meaningful with a
-// personality that sets Jitter).
-func (w *World) Seed(seed int64) { w.rng = rand.New(rand.NewSource(seed)) }
+// Seed reseeds the world's noise generator, in place (only meaningful with
+// a personality that sets Jitter, or a fault plan that draws).
+func (w *World) Seed(seed int64) { w.rng.Seed(seed) }
 
 // latency returns the one-way envelope latency between two ranks, hardware
 // plus library software latency, with optional jitter noise.

@@ -58,7 +58,7 @@ func BenchmarkStepHandoff(b *testing.B) {
 	e := New()
 	loops := b.N/benchDepth + 1
 	for i := 0; i < benchDepth; i++ {
-		e.SpawnStep("sleeper", &sleepSteps{left: loops, d: Time(1+i%7) * 1e-9})
+		spawnStep(e, "sleeper", &sleepSteps{left: loops, d: Time(1+i%7) * 1e-9})
 	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {

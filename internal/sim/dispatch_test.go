@@ -239,9 +239,9 @@ type stringer string
 
 func (s stringer) String() string { return string(s) }
 
-// The process list behind ParkedSites forgets finished processes, so an
-// engine that keeps spawning short-lived helpers does not grow without
-// bound.
+// The process list behind ParkedSites holds live processes only: a process
+// leaves it when it finishes, so an engine that keeps spawning short-lived
+// helpers does not grow without bound.
 func TestFinishedProcsAreForgotten(t *testing.T) {
 	e := New()
 	e.Spawn("spawner", func(p *Proc) {
@@ -253,7 +253,7 @@ func TestFinishedProcsAreForgotten(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.procs) > 200 {
-		t.Fatalf("engine still tracks %d processes after 10000 short-lived spawns", len(e.procs))
+	if e.head != nil || e.tail != nil || e.LiveProcs() != 0 {
+		t.Fatalf("engine still lists a process (%d live) after 10000 short-lived spawns", e.LiveProcs())
 	}
 }

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"runtime"
 	"sort"
 )
 
@@ -161,10 +161,14 @@ type Engine struct {
 	now    Time
 	events eventHeap
 	seq    uint64
-	live   int           // processes started and not yet finished
-	procs  []*Proc       // every spawned process, in spawn order
-	yield  chan struct{} // baton: process -> engine
-	free   []*event      // recycled event structs
+	live   int // processes spawned and not yet finished
+	// head and tail are the ends of the list of those processes, in spawn
+	// order, linked through the processes themselves: a process is on it from
+	// its spawn to its finish, so reports and KillTagged walk what is alive
+	// and nothing holds a finished process.
+	head, tail *Proc
+	yield      chan struct{} // baton: process -> engine
+	free       []*event      // recycled event structs
 	// panicVal carries a panic out of a process goroutine so that Run can
 	// re-panic in the caller's goroutine with useful context.
 	panicVal interface{}
@@ -237,7 +241,7 @@ type ParkedProc struct {
 // report construction, not hot paths.
 func (e *Engine) ParkedSites() []ParkedProc {
 	var out []ParkedProc
-	for _, p := range e.procs {
+	for p := e.head; p != nil; p = p.next {
 		if !p.parked {
 			continue
 		}
@@ -376,9 +380,13 @@ type Proc struct {
 	// dying marks a process killed by Kill (or one that called Exit): its
 	// goroutine unwinds at the next scheduling point and never runs again.
 	dying bool
-	// finished is set once the process goroutine has returned, so Kill on a
-	// completed process is a no-op instead of a hang.
+	// finished is set once the process has run to its end or unwound, so Kill
+	// on a completed process is a no-op instead of a hang.
 	finished bool
+	// prev and next link the process into the engine's list of live
+	// processes; tag is what its spawner grouped it under (SetTag).
+	prev, next *Proc
+	tag        int
 }
 
 // armedSignal is one registration of a blocking call: the signal and what
@@ -405,6 +413,12 @@ func (p *Proc) Name() string {
 // formats the name here, when somebody asks.
 func (p *Proc) SetNamer(n fmt.Stringer) { p.namer = n }
 
+// SetTag groups the process with the others carrying the same tag, for
+// KillTagged to find: a layer that runs several processes on behalf of one
+// owner (a rank's main process and its helpers) tags them with the owner.
+// Zero, the default, is no tag.
+func (p *Proc) SetTag(tag int) { p.tag = tag }
+
 // Finished reports whether the process has run to completion or finished
 // unwinding after a Kill.
 func (p *Proc) Finished() bool { return p.finished }
@@ -420,27 +434,48 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SpawnAt is like Spawn but delays the process start until virtual time t.
 func (e *Engine) SpawnAt(t Time, name string, fn func(*Proc)) *Proc {
-	p := e.spawn(t, name, fn)
-	p.resume = make(chan struct{})
-	return p
-}
-
-// spawn registers a process and queues its start event.
-func (e *Engine) spawn(t Time, name string, fn func(*Proc)) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) is in the past (now=%v)", t, e.now))
 	}
-	p := &Proc{e: e, name: name}
+	p := &Proc{e: e, name: name, resume: make(chan struct{})}
 	p.armed = p.armBuf[:0]
-	e.track(p)
+	e.start(p, t, fn)
+	return p
+}
+
+// start appends p to the list of live processes and queues its start event.
+func (e *Engine) start(p *Proc, t Time, body func(*Proc)) {
+	if p.prev = e.tail; p.prev != nil {
+		p.prev.next = p
+	} else {
+		e.head = p
+	}
+	e.tail = p
 	e.live++
 	ev := e.alloc()
 	ev.t = t
 	ev.kind = evStart
 	ev.p = p
-	ev.body = fn
+	ev.body = body
 	e.push(ev)
-	return p
+}
+
+// finish is the engine's last write to a process that has run to its end or
+// unwound: it is marked and taken off the list of live processes.
+func (e *Engine) finish(p *Proc) {
+	p.finished = true
+	e.live--
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // Stepper is the body of a step-driven process: a state machine the engine
@@ -471,13 +506,37 @@ type Stepper interface {
 	Unwind(p *Proc)
 }
 
-// SpawnStep registers a process that has no goroutine: the engine calls
-// s.Step at the process's start event (now) and at each of its resumes until
-// Step reports done.
-func (e *Engine) SpawnStep(name string, s Stepper) *Proc {
-	p := e.spawn(e.now, name, nil)
-	p.step = s
-	return p
+// Reclaimer is a Stepper whose process runs in storage that is recycled: the
+// engine calls Reclaim, once, when it is through with the process — it ran to
+// its end, is off the list of live processes, has no event queued and is
+// armed on nothing — which is the earliest the record p lives in may go back
+// to a pool. The last Step is too early: the engine's final writes to p come
+// after it returns, and whatever that Step completes may spawn the next
+// process into the same record. A killed process is never reclaimed: a signal
+// it was armed on still lists it, and a late Fire must find the victim, dying,
+// not a successor.
+type Reclaimer interface {
+	Stepper
+	Reclaim(p *Proc)
+}
+
+// SpawnStep registers a process that has no goroutine, in storage its
+// spawner supplies — a record the spawner holds anyway, so a step-driven
+// process costs no allocation: the engine calls s.Step at the process's start
+// event (now) and at each of its resumes until Step reports done. p is a zero
+// Proc or one whose last process ran to its end (see Reclaimer), which leaves
+// it the signal list that one grew; it must stay where it is while the
+// process lives.
+func (e *Engine) SpawnStep(p *Proc, s Stepper) {
+	if p.e != nil && (!p.finished || p.dying) {
+		panic(fmt.Sprintf("sim: SpawnStep into the storage of process %q, which is live or was killed", p.Name()))
+	}
+	armed := p.armed[:0]
+	*p = Proc{e: e, step: s, armed: armed}
+	if armed == nil {
+		p.armed = p.armBuf[:0]
+	}
+	e.start(p, e.now, nil)
 }
 
 // RunSteps runs s as one blocking routine of the calling goroutine process:
@@ -522,17 +581,6 @@ func (p *Proc) StepWait() (blocked bool) {
 	return false
 }
 
-// track appends p to the spawn-ordered process list ParkedSites reads.
-// Finished processes are dropped once they are at least half of the list,
-// so an engine that keeps spawning short-lived helpers stays bounded by its
-// live processes.
-func (e *Engine) track(p *Proc) {
-	if n := len(e.procs); n >= 64 && n >= 2*e.live {
-		e.procs = slices.DeleteFunc(e.procs, func(q *Proc) bool { return q.finished })
-	}
-	e.procs = append(e.procs, p)
-}
-
 // procExit is the panic sentinel that unwinds a killed process goroutine at
 // its next scheduling point. The spawn wrapper recovers it and treats the
 // unwind as a clean process exit (deferred functions still run).
@@ -571,6 +619,16 @@ func (e *Engine) Kill(p *Proc) {
 		p.parked = false
 		p.pending = 0
 		e.resumeAt(e.now, p)
+	}
+}
+
+// KillTagged kills every live process carrying tag (SetTag), in the order
+// they were spawned in.
+func (e *Engine) KillTagged(tag int) {
+	for p := e.head; p != nil; p = p.next {
+		if p.tag == tag {
+			e.Kill(p)
+		}
 	}
 }
 
@@ -1070,6 +1128,18 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 // a cross-partition deadlock.
 func (e *Engine) LiveProcs() int { return e.live }
 
+// yieldEvery is how many events the engine goroutine dispatches between two
+// offers of its turn to the Go scheduler. An engine whose processes are all
+// step-driven never blocks, and when every P of the host runs one (a tuning
+// sweep at nproc workers) the collector's mark workers, which on a small
+// host only run when the scheduler does, would wait for the 10 ms preemption
+// tick: each mark phase would then last that long instead of the fraction of
+// a millisecond its work takes, and every pointer the simulation stores in
+// the meantime pays the write barrier (13 % of a sweep's CPU, measured;
+// EXPERIMENTS.md "Simulator wall clock"). A thousand events are a few hundred
+// microseconds; the yield itself costs well under one.
+const yieldEvery = 1024
+
 // run is the dispatch core shared by Run and RunUntil. When bounded is set,
 // dispatch stops (returning nil) once the earliest pending event is at or
 // past limit; when clear, limit is ignored and the queue drains fully.
@@ -1099,6 +1169,9 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		}
 		ev := e.events.pop()
 		e.dispatched++
+		if e.dispatched%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 		e.now = ev.t
 		switch ev.kind {
 		case evCallback:
@@ -1116,13 +1189,12 @@ func (e *Engine) run(limit Time, bounded bool) error {
 			//hanlint:allow simtime the one real goroutine per simulated process; the baton handoff below serialises it
 			go func() {
 				defer func() {
-					p.finished = true
 					if r := recover(); r != nil {
 						if _, killed := r.(procExit); !killed {
 							e.panicVal = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
 						}
 					}
-					e.live--
+					e.finish(p)
 					e.passBaton(nil)
 				}()
 				if !p.dying {
@@ -1154,7 +1226,8 @@ func (e *Engine) run(limit Time, bounded bool) error {
 // the engine goroutine: the next Step — or, for a killed process, its
 // unwinding. When the steps are done, a process that lent its Proc
 // (RunSteps) gets the baton back within this same dispatch; one without a
-// goroutine is finished.
+// goroutine is finished, and its storage, unless it was killed, its owner's
+// again.
 func (e *Engine) runStep(p *Proc) {
 	p.disarm()
 	if !p.dying && !e.callStep(p) {
@@ -1169,9 +1242,13 @@ func (e *Engine) runStep(p *Proc) {
 	}
 	if p.dying {
 		p.step.Unwind(p)
+		e.finish(p)
+		return
 	}
-	p.finished = true
-	e.live--
+	e.finish(p)
+	if r, ok := p.step.(Reclaimer); ok {
+		r.Reclaim(p)
+	}
 }
 
 // callStep runs one Step and reports whether the process is done. A process

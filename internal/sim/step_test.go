@@ -75,6 +75,15 @@ func (w *diffWorld) unwound(p *Proc) {
 	}
 }
 
+// spawnStep spawns s as a step-driven process in storage of its own, under
+// name.
+func spawnStep(e *Engine, name string, s Stepper) *Proc {
+	p := new(Proc)
+	e.SpawnStep(p, s)
+	p.name = name
+	return p
+}
+
 func (w *diffWorld) spawn(name string, prog []diffInstr) {
 	var p *Proc
 	switch w.mode {
@@ -101,7 +110,7 @@ func (w *diffWorld) spawn(name string, prog []diffInstr) {
 			w.rec(p, -1)
 		})
 	case modeStep:
-		p = w.e.SpawnStep(name, &diffSteps{w: w, name: name, prog: prog})
+		p = spawnStep(w.e, name, &diffSteps{w: w, name: name, prog: prog})
 	case modeLent:
 		p = w.e.Spawn(name, func(p *Proc) {
 			defer w.unwound(p)
@@ -361,11 +370,11 @@ func TestStepDeadlockReport(t *testing.T) {
 		case modeGoroutine:
 			e.Spawn("stuck", func(p *Proc) { body.arm(p); p.WaitArmed() })
 		case modeStep:
-			e.SpawnStep("stuck", &body)
+			spawnStep(e, "stuck", &body)
 		case modeLent:
 			e.Spawn("stuck", func(p *Proc) { p.RunSteps(&body) })
 		}
-		e.SpawnStep("", &waitLabelled{{never, ""}}).SetNamer(label("rank3.helper"))
+		spawnStep(e, "", &waitLabelled{{never, ""}}).SetNamer(label("rank3.helper"))
 		var sites []ParkedProc
 		e.Schedule(1, func() { sites = e.ParkedSites() })
 		err := e.Run()
@@ -429,8 +438,8 @@ func TestKillStepProc(t *testing.T) {
 	s := NewSignal()
 	parked := &killProbe{wait: s}
 	sleeping := &killProbe{sleep: 10}
-	pp := e.SpawnStep("parked", parked)
-	sp := e.SpawnStep("sleeping", sleeping)
+	pp := spawnStep(e, "parked", parked)
+	sp := spawnStep(e, "sleeping", sleeping)
 	e.Schedule(1, func() { e.Kill(pp); e.Kill(sp) })
 	e.Schedule(2, func() { s.Fire(e) })
 	if err := e.Run(); err != nil {
@@ -527,7 +536,7 @@ func TestBlockingCallInsideStepPanics(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			e := New()
-			e.SpawnStep("", c.call).SetNamer(label("rank7"))
+			spawnStep(e, "", c.call).SetNamer(label("rank7"))
 			defer func() {
 				got := fmt.Sprint(recover())
 				if !strings.Contains(got, `"rank7"`) || !strings.Contains(got, "blocking call inside a Step") {
@@ -542,7 +551,7 @@ func TestBlockingCallInsideStepPanics(t *testing.T) {
 	e := New()
 	fired := NewSignal()
 	fired.Fire(e)
-	e.SpawnStep("easy", stepFunc(func(p *Proc) { p.Wait(fired) }))
+	spawnStep(e, "easy", stepFunc(func(p *Proc) { p.Wait(fired) }))
 	if err := e.Run(); err != nil {
 		t.Errorf("a wait with nothing to wait for: %v", err)
 	}
