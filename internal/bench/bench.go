@@ -226,7 +226,8 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 	for i, size := range sizes {
 		iters[i] = ItersFor(size)
 	}
-	loop := mpi.NewIMBLoop(w.World(), iters, func(p *mpi.Proc, i int) sim.Stepper {
+	world := w.World()
+	loop := mpi.NewIMBLoop(world, iters, func(p *mpi.Proc, i int) sim.Stepper {
 		return ops.start(p, kind, sizes[i])
 	})
 	if ops.Start != nil && !w.CrashArmed() {
@@ -238,7 +239,7 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 		w.Start(func(p *mpi.Proc) {
 			for i, size := range sizes {
 				for it := 0; it <= iters[i]; it++ {
-					loop.Comm.Barrier(p)
+					world.Barrier(p)
 					t0 := p.Now()
 					ops.run(p, kind, size)
 					loop.Record(i, it, p.Now()-t0)

@@ -3,14 +3,15 @@ package mpi
 import "github.com/hanrepro/han/internal/sim"
 
 // IMBLoop is one IMB-style measurement, shared by the ranks of its world:
-// per case, a warm-up and the timed iterations, each a barrier on Comm and
-// then the collective Start begins, and of every iteration the duration on
-// the slowest rank — IMB's t_max. The harnesses of internal/bench and the
-// autotuner's end-to-end measurement both are this loop.
+// per case, a warm-up and the timed iterations, each a barrier on the
+// communicator and then the collective start begins, and of every iteration
+// the duration on the slowest rank — IMB's t_max. The harnesses of
+// internal/bench and the autotuner's end-to-end measurement both are this
+// loop.
 type IMBLoop struct {
-	Comm *Comm
-	// Start begins case i's collective on rank p, as a routine.
-	Start func(p *Proc, i int) sim.Stepper
+	comm *Comm
+	// start begins case i's collective on rank p, as a routine.
+	start func(p *Proc, i int) sim.Stepper
 	// max holds, per case, the slowest rank's duration of each iteration;
 	// iteration 0 is the warm-up.
 	max [][]float64
@@ -19,15 +20,14 @@ type IMBLoop struct {
 // NewIMBLoop returns a measurement of len(iters) cases on c, case i timed
 // iters[i] times after one warm-up.
 func NewIMBLoop(c *Comm, iters []int, start func(p *Proc, i int) sim.Stepper) *IMBLoop {
-	l := &IMBLoop{Comm: c, Start: start, max: make([][]float64, len(iters))}
+	l := &IMBLoop{comm: c, start: start, max: make([][]float64, len(iters))}
 	for i, n := range iters {
 		l.max[i] = make([]float64, n+1)
 	}
 	return l
 }
 
-// Cases returns the number of cases, and Iters the timed iterations of case i.
-func (l *IMBLoop) Cases() int      { return len(l.max) }
+// Iters returns the number of timed iterations of case i.
 func (l *IMBLoop) Iters(i int) int { return len(l.max[i]) - 1 }
 
 // Record notes that iteration it of case i took some rank d.
@@ -51,7 +51,7 @@ func (l *IMBLoop) Mean(i int) float64 {
 // routine (World.StartSteps) whose phases are the barriers and the
 // collectives.
 func (l *IMBLoop) StartSteps() {
-	w := l.Comm.World()
+	w := l.comm.World()
 	ranks := make([]imbRank, w.Size())
 	w.StartSteps(func(p *Proc) sim.Stepper {
 		r := &ranks[p.Rank]
@@ -72,16 +72,16 @@ type imbRank struct {
 
 func (r *imbRank) Step(sp *sim.Proc) bool {
 	l := r.loop
-	for r.i < l.Cases() {
+	for r.i < len(l.max) {
 		if r.phase == nil {
-			r.phase = l.Comm.BarrierSteps(r.p)
+			r.phase = l.comm.BarrierSteps(r.p)
 		}
 		if !r.phase.Step(sp) {
 			return false
 		}
 		if !r.inColl {
 			r.t0, r.inColl = sp.Now(), true
-			r.phase = l.Start(r.p, r.i)
+			r.phase = l.start(r.p, r.i)
 			continue
 		}
 		l.Record(r.i, r.it, sp.Now()-r.t0)

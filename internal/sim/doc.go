@@ -83,6 +83,48 @@
 // churning the garbage collector. Timer handles stay safe across recycling
 // through a generation counter.
 //
+// # Processes, their list and their storage
+//
+// The engine keeps one list of processes: the live ones, in spawn order,
+// linked through the Procs themselves. A process goes on it at its spawn and
+// comes off at its finish — a goroutine process in the defer that ends its
+// goroutine, a step-driven one in the dispatch of its last Step or of its
+// Unwind — so the list never holds a finished process, nothing sweeps it, and
+// it stays as long as what is alive however many short-lived helpers a run
+// spawns. Deadlock and watchdog reports (ParkedSites) read it, and so does
+// KillTagged: a layer that runs several processes for one owner tags them
+// (SetTag; mpi tags a rank's main process and its helpers with the rank), and
+// a crash kills the owner's live processes in the order they were spawned in.
+//
+// A goroutine process's Proc is the engine's own allocation. A step-driven
+// process runs in storage its spawner supplies (SpawnStep): a record the
+// spawner holds anyway — the rank slab of mpi.World.StartSteps, the pooled
+// program of a collective's helper — so such a process costs no allocation,
+// and a recycled record keeps the list of armed signals its last process
+// grew. One rule makes that safe. The storage is the engine's from SpawnStep
+// until the engine says it is through with the process: it ran to its end,
+// is marked finished and off the list, holds no queued event and is armed on
+// nothing. That moment is after the last Step has returned — which is where
+// the engine's final writes are, and what the last Step completes (a
+// request, whose callbacks run inline) may already want to spawn the next
+// process — so an owner that recycles implements Reclaimer and returns the
+// record to its pool there, not in Step. A killed process is exempt, for
+// good: Kill leaves it on the waiter list of every signal it was armed on
+// (Fire skips dying waiters; that is how a parked victim gets exactly one
+// resume), so a later Fire must find the victim, dying, and not a successor
+// in the same bytes. The engine never calls Reclaim for it, and SpawnStep
+// panics on the record of a process that is still live or was killed. None
+// of this moves an event: which memory a Proc occupies and when it leaves the
+// list decide no (t, seq).
+//
+// Every yieldEvery events the engine goroutine offers its turn to the Go
+// scheduler (runtime.Gosched). Step-driven processes never block, so an
+// engine of them alone would run until preempted, and on a host whose every P
+// runs such an engine the collector's mark workers would be scheduled once a
+// preemption tick: mark phases would last 10 ms instead of well under one,
+// and the simulation would pay the write barrier on its pointer stores for
+// most of the run.
+//
 // # Ownership
 //
 // An Engine — together with every Proc, network, and world attached to it

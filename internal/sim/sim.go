@@ -1240,13 +1240,12 @@ func (e *Engine) runStep(p *Proc) {
 		<-e.yield
 		return
 	}
-	if p.dying {
+	killed := p.dying
+	if killed {
 		p.step.Unwind(p)
-		e.finish(p)
-		return
 	}
 	e.finish(p)
-	if r, ok := p.step.(Reclaimer); ok {
+	if r, ok := p.step.(Reclaimer); ok && !killed {
 		r.Reclaim(p)
 	}
 }
