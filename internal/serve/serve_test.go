@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +60,126 @@ func TestServerPublishDecide(t *testing.T) {
 	}
 	if n := s.TableCount(); n != 1 {
 		t.Fatalf("TableCount = %d, want 1", n)
+	}
+}
+
+// randTable builds a table with a random number of sampled sizes per kind
+// and random configurations, so two draws differ in both the index shape
+// and the answers.
+func randTable(r *rand.Rand, kinds ...coll.Kind) *autotune.Table {
+	t := &autotune.Table{Machine: "test", Method: "random"}
+	algs := []coll.Alg{coll.AlgBinary, coll.AlgChain}
+	for _, k := range kinds {
+		for i, n := 0, 1+r.Intn(8); i < n; i++ {
+			t.Entries = append(t.Entries, autotune.Entry{
+				In: autotune.Input{N: 2, P: 2, M: 1 + r.Intn(1<<24), T: k},
+				Cfg: han.Config{
+					FS: 1 << (10 + r.Intn(14)), IMod: "adapt", SMod: "sm",
+					IBAlg: algs[r.Intn(2)], IRAlg: algs[r.Intn(2)],
+					IBS: r.Intn(1 << 16), IRS: r.Intn(1 << 16),
+				},
+			})
+		}
+	}
+	return t
+}
+
+// TestServerDecideMatchesTable is the read path's whole contract: whatever
+// sits between a query and the published table, Server.Decide answers what
+// the key's current table answers — in process and through the wire client,
+// across republishes of different tables, with several keys published side
+// by side.
+func TestServerDecideMatchesTable(t *testing.T) {
+	r := rand.New(rand.NewSource(24))
+	s := NewServer(Options{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(s.Start(l))
+	wire, err := Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer wire.Close()
+	local := NewLocalClient(s)
+
+	clusters := []string{"alpha", "beta", "gamma", "delta"}
+	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
+	current := map[Key]*autotune.Table{}
+	for round := 0; round < 5; round++ {
+		for _, cl := range clusters {
+			if round > 0 && r.Intn(3) == 0 {
+				continue // this cluster keeps its table for the round
+			}
+			if r.Intn(2) == 0 {
+				table := randTable(r, kinds...)
+				for _, k := range s.PublishTable(cl, table) {
+					current[k] = table
+				}
+			} else {
+				kind := kinds[r.Intn(2)]
+				table := randTable(r, kind)
+				s.Publish(cl, kind, table)
+				current[Key{cl, kind}] = table
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			k := Key{clusters[r.Intn(len(clusters))], kinds[r.Intn(2)]}
+			table := current[k]
+			if table == nil {
+				continue
+			}
+			// A few sizes recur (what a cache would hold), most do not.
+			m := 1 + r.Intn(1<<26)
+			if i%4 == 0 {
+				m = 1 << (8 + r.Intn(4))
+			}
+			want := table.Decide(k.Kind, m)
+			client, name := local, "local"
+			if i%8 == 7 {
+				client, name = wire, "wire"
+			}
+			got, err := client.Decide(k.Cluster, k.Kind, m)
+			if err != nil {
+				t.Fatalf("round %d: %s Decide(%s, %d): %v", round, name, k, m, err)
+			}
+			if got != want {
+				t.Fatalf("round %d: %s Decide(%s, %d) = %+v, want the current table's %+v", round, name, k, m, got, want)
+			}
+		}
+	}
+	if n := s.TableCount(); n != len(current) {
+		t.Fatalf("TableCount = %d, want %d", n, len(current))
+	}
+}
+
+// TestRepublishIsVisibleToNextDecide: a Decide that follows a Publish of
+// the same key is answered from the new table, at a size the old table has
+// already answered.
+func TestRepublishIsVisibleToNextDecide(t *testing.T) {
+	s := NewServer(Options{})
+	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+
+	// Query above both tables' segment sizes so the FS clamp (fs = min(fs,
+	// m)) never masks which table answered.
+	const m = 1 << 22
+	for i := 0; i < 2; i++ {
+		if cfg, _ := s.Decide("mini", coll.Bcast, m); cfg.FS != 1<<20 {
+			t.Fatalf("decision %d before republish: %+v, want FS %d", i, cfg, 1<<20)
+		}
+	}
+	gen := s.Publish("mini", coll.Bcast, tinyTable(1<<16, coll.Bcast))
+	for i := 0; i < 2; i++ {
+		if cfg, _ := s.Decide("mini", coll.Bcast, m); cfg.FS != 1<<16 {
+			t.Fatalf("decision %d after republish: %+v, want FS %d", i, cfg, 1<<16)
+		}
+	}
+	if gen != s.Generation() || gen != 2 {
+		t.Fatalf("generation %d (server %d), want 2", gen, s.Generation())
+	}
+	if c := s.Counters(); c.Swaps != 2 || c.Decisions != 4 {
+		t.Fatalf("Swaps=%d Decisions=%d, want 2/4", c.Swaps, c.Decisions)
 	}
 }
 
