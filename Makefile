@@ -118,8 +118,8 @@ bench-parallel:
 
 # Tuning-decision service benchmark (docs/SERVING.md): the zero-alloc
 # decision microbenchmarks, then the closed-loop loopback QPS/latency
-# harness. Compare against BENCH_serve.json; regenerate that baseline
-# from this output (the harness itself emits the JSON via -serve-out).
+# harness. The numbers of record are `make bench`'s serve_wire and
+# serve_local_churn rows.
 bench-serve:
 	$(GO) test -run xxx -bench 'Decide|ClientLoopback|ClientWire' -benchmem ./internal/autotune/ ./internal/serve/
 	$(GO) run ./cmd/hanbench -serve -clients 8 -duration 2s -machine mini

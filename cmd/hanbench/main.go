@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,7 +47,6 @@ func main() {
 	qps := flag.Float64("qps", 0, "with -serve: aggregate target query rate (0 = unthrottled)")
 	duration := flag.Duration("duration", 2*time.Second, "with -serve: load run length")
 	addr := flag.String("addr", "", "with -serve: dial a running hand server at this TCP address instead of benchmarking an in-process loopback server")
-	serveOut := flag.String("serve-out", "", "with -serve: also write the report as JSON to this file (BENCH_serve.json format)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run (the simulator's host cost, not simulated time) to this file; read it with go tool pprof")
 	memProfile := flag.String("memprofile", "", "write a heap profile, taken at the end of the run, to this file")
 	flag.Parse()
@@ -103,7 +101,7 @@ func main() {
 			machine: *machine, spec: spec, tablePath: *tablePath,
 			clients: *clients, qps: *qps, duration: *duration,
 			addr: *addr, sizes: querySizes,
-			metricsOut: *metricsOut, jsonOut: *serveOut,
+			metricsOut: *metricsOut,
 		})
 		return
 	}
@@ -240,7 +238,6 @@ type serveBenchOpts struct {
 	addr       string
 	sizes      []int
 	metricsOut string
-	jsonOut    string
 }
 
 // syntheticTable builds an untuned decision table for spec from HAN's
@@ -300,12 +297,7 @@ func runServeBench(o serveBenchOpts) {
 	fmt.Printf("decision service load: %s, machine %s\n%s\n", transport, o.machine, rep)
 	if s != nil {
 		c := s.Counters()
-		hitPct := 0.0
-		if c.Decisions > 0 {
-			hitPct = 100 * float64(c.CacheHits) / float64(c.Decisions)
-		}
-		fmt.Printf("server: %d decisions, %.1f%% cache hits, %d evictions, server-side p99 %s\n",
-			c.Decisions, hitPct, c.Evictions, c.LatencyP99)
+		fmt.Printf("server: %d decisions, server-side p99 %s\n", c.Decisions, c.LatencyP99)
 	}
 
 	if o.metricsOut != "" && s != nil {
@@ -319,32 +311,6 @@ func runServeBench(o serveBenchOpts) {
 		err = reg.WriteOpenMetrics(f, 0)
 		if cerr := f.Close(); err == nil {
 			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hanbench:", err)
-			os.Exit(1)
-		}
-	}
-
-	if o.jsonOut != "" {
-		out := map[string]any{
-			"name":       "tuning-decision-service",
-			"benchmark":  "hanbench -serve (make bench-serve)",
-			"transport":  transport,
-			"machine":    o.machine,
-			"clients":    rep.Clients,
-			"target_qps": o.qps,
-			"duration_s": rep.Elapsed.Seconds(),
-			"requests":   rep.Requests,
-			"errors":     rep.Errors,
-			"qps":        rep.QPS,
-			"p50_us":     float64(rep.P50.Nanoseconds()) / 1e3,
-			"p90_us":     float64(rep.P90.Nanoseconds()) / 1e3,
-			"p99_us":     float64(rep.P99.Nanoseconds()) / 1e3,
-		}
-		buf, err := json.MarshalIndent(out, "", "  ")
-		if err == nil {
-			err = os.WriteFile(o.jsonOut, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hanbench:", err)

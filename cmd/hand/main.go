@@ -36,8 +36,6 @@ func main() {
 	method := flag.String("method", "task+heur", "tuning method for on-demand and re-tunes: exhaustive, exhaustive+heur, task, task+heur")
 	workers := flag.Int("workers", 0, "concurrent measurement workers per tune (0 = GOMAXPROCS)")
 	retune := flag.Duration("retune", 0, "re-tune every published table on this interval (0 = never); requires -tune")
-	shards := flag.Int("shards", 0, "table shard count, rounded up to a power of two (0 = 16)")
-	cache := flag.Int("cache", 0, "total interpolation-LRU capacity across shards (0 = 4096, negative disables)")
 	metricsOut := flag.String("metrics", "", "write an OpenMetrics export of the hand_* counters to this file on shutdown (docs/OBSERVABILITY.md)")
 	flag.Parse()
 
@@ -47,7 +45,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := serve.Options{Shards: *shards, LRUSize: *cache}
+	var opts serve.Options
 	if *tune {
 		opts.Tuner = func(name string) (*autotune.Table, error) {
 			spec, err := cluster.ByName(name)
@@ -108,8 +106,8 @@ func main() {
 	stop()
 
 	c := s.Counters()
-	fmt.Printf("hand: served %d decisions (%d cache hits, %d tunes, %d swaps, p99 %s)\n",
-		c.Decisions, c.CacheHits, c.Tunes, c.Swaps, c.LatencyP99)
+	fmt.Printf("hand: served %d decisions (%d tunes, %d swaps, p99 %s)\n",
+		c.Decisions, c.Tunes, c.Swaps, c.LatencyP99)
 	if *metricsOut != "" {
 		reg := metrics.New()
 		s.PublishMetrics(reg)

@@ -173,7 +173,7 @@ func BenchmarkDecide(b *testing.B) {
 }
 
 // BenchmarkDecideScan is the pre-index reference scan, kept for the
-// speedup comparison in BENCH_serve.json.
+// comparison with BenchmarkDecide.
 func BenchmarkDecideScan(b *testing.B) {
 	table := decideBenchTable()
 	sizes := []int{4, 777, 64 << 10, 300 << 10, 1 << 20, 7 << 20}

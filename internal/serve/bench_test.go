@@ -7,8 +7,8 @@ import (
 	"github.com/hanrepro/han/internal/coll"
 )
 
-// benchServer publishes one warm table and pre-touches the benchmark's
-// query point so the timed loop measures the steady-state hit path.
+// benchServer publishes one table and pre-touches the benchmark's query
+// point so the timed loop measures the steady state.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	s := NewServer(Options{})
@@ -19,8 +19,8 @@ func benchServer(b *testing.B) *Server {
 	return s
 }
 
-// BenchmarkServerDecideWarm is the contract's hot path: snapshot present,
-// point cached. Must report 0 allocs/op.
+// BenchmarkServerDecideWarm is the contract's hot path: snapshot present.
+// Must report 0 allocs/op.
 func BenchmarkServerDecideWarm(b *testing.B) {
 	s := benchServer(b)
 	b.ReportAllocs()
@@ -32,8 +32,8 @@ func BenchmarkServerDecideWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkServerDecideWarmParallel drives the same hit path from all
-// procs — the contention profile of the QPS harness.
+// BenchmarkServerDecideWarmParallel drives the same path from all procs —
+// the contention profile of the QPS harness.
 func BenchmarkServerDecideWarmParallel(b *testing.B) {
 	s := benchServer(b)
 	b.ReportAllocs()
@@ -48,20 +48,6 @@ func BenchmarkServerDecideWarmParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkServerDecideColdPoint pins the miss path: snapshot present,
-// point never cached (each iteration evicts by walking fresh sizes).
-func BenchmarkServerDecideColdPoint(b *testing.B) {
-	s := NewServer(Options{LRUSize: -1}) // cache disabled: every query walks the index
-	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast, coll.Allreduce))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Decide("mini", coll.Bcast, 4096); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkClientLoopback measures the in-process client wrap.

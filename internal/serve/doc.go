@@ -3,17 +3,14 @@
 // function — (cluster, collective, message size) → module/segment choice —
 // at high QPS over immutable autotune.Table snapshots.
 //
-// The hot path is lock-free for readers. Tables live in power-of-two
-// shards keyed by (cluster, collective); each shard holds its current
-// table set behind an atomic.Pointer that publishers swap RCU-style
-// (copy the map, insert, store), so a reader's Decide never takes a lock
-// to find its snapshot and never observes a half-published table. In
-// front of the snapshot walk sits a bounded, sharded LRU of interpolated
-// decision points: a repeated query at any message size is one mutex-lite
-// shard-local map hit and allocates nothing. Cached points carry the
-// generation of the snapshot they were computed from, so a snapshot swap
-// invalidates them lazily — no eager cache walks, readers simply
-// recompute against the new table on first touch.
+// The read path takes no lock. Every published table lives in one
+// immutable map keyed by (cluster, collective) behind an atomic.Pointer
+// that publishers swap RCU-style (install: copy the map, insert, store),
+// so a reader's Decide is a load, a map lookup and the snapshot's
+// binary-search index — it allocates nothing, never waits for a
+// publisher and never observes a half-published table. A table's kinds
+// are installed by one store, so they change together. Nothing caches
+// decisions: autotune.Table.Decide costs less than a cache probe would.
 //
 // Misses collapse through an exec.Flight: when a query names a cluster
 // with no published table, exactly one requester runs the configured

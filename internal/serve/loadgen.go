@@ -25,8 +25,7 @@ type LoadOpts struct {
 	Kinds []coll.Kind
 	// Sizes is the message-size mix. Empty means a 64-point sweep from
 	// 1KiB to 56MiB: sixteen power-of-two bases (1KiB..32MiB), each with
-	// four quarter steps — wide enough to exercise interpolation, small
-	// enough that a warm LRU serves every point.
+	// four quarter steps — wide enough to exercise interpolation.
 	Sizes []int
 	// NewClient builds one transport per worker (loopback or socket).
 	// Required.
@@ -90,7 +89,7 @@ func RunLoad(o LoadOpts) (LoadReport, error) {
 	if len(sizes) == 0 {
 		sizes = make([]int, 64)
 		for i := range sizes {
-			base := 1024 << (uint(i) / 4) // 16 power-of-two bases, 1KiB..32MiB
+			base := 1024 << (uint(i) / 4)  // 16 power-of-two bases, 1KiB..32MiB
 			sizes[i] = base + base/4*(i%4) // quarter steps; tops out at 56MiB
 		}
 	}

@@ -94,10 +94,6 @@ func (h *latHist) publish(reg *metrics.Registry, o metrics.Opts) {
 // wall-clock side accumulates here and exports on demand.
 type counters struct {
 	decisions   atomic.Uint64 // every Decide call
-	cacheHits   atomic.Uint64 // answered from the interpolation LRU
-	cacheMisses atomic.Uint64 // recomputed from the table snapshot
-	cacheStale  atomic.Uint64 // subset of misses: LRU entry from an old generation
-	evictions   atomic.Uint64 // LRU entries displaced by capacity
 	tableMisses atomic.Uint64 // queries naming a cluster with no snapshot
 	flights     atomic.Uint64 // requesters collapsed onto an in-flight tune
 	tunes       atomic.Uint64 // on-demand tunes performed
@@ -113,21 +109,29 @@ type counters struct {
 // Counters is a plain-value snapshot of the server's instrumentation,
 // for tests and reports.
 type Counters struct {
-	Decisions, CacheHits, CacheMisses, CacheStale, Evictions uint64
-	TableMisses, Flights, Tunes, TuneErrors                  uint64
-	Swaps, Retunes, WireRequests, WireErrors                 uint64
-	LatencyP50, LatencyP99                                   time.Duration
+	Decisions                                uint64
+	TableMisses, Flights, Tunes, TuneErrors  uint64
+	Swaps, Retunes, WireRequests, WireErrors uint64
+	LatencyP50, LatencyP99                   time.Duration
+
+	// The server has no decision cache. These four stay only because
+	// benchmark/serveload.go reads them and a change to the program may
+	// not edit the benchmark: CacheMisses equals Decisions (every decision
+	// is computed from the snapshot, and the benchmark's hit ratio
+	// CacheHits/(CacheHits+CacheMisses) stays a finite 0), the others are
+	// always 0. They go with the benchmark PR that drops the
+	// serve.cache_hit_ratio, serve.cache_stale and serve.evictions rows
+	// (ROADMAP item 2).
+	CacheHits, CacheMisses, CacheStale, Evictions uint64
 }
 
 // Counters returns a snapshot of the server's hot-path counters.
 func (s *Server) Counters() Counters {
 	c := &s.c
+	decisions := c.decisions.Load()
 	return Counters{
-		Decisions:    c.decisions.Load(),
-		CacheHits:    c.cacheHits.Load(),
-		CacheMisses:  c.cacheMisses.Load(),
-		CacheStale:   c.cacheStale.Load(),
-		Evictions:    c.evictions.Load(),
+		Decisions:    decisions,
+		CacheMisses:  decisions,
 		TableMisses:  c.tableMisses.Load(),
 		Flights:      c.flights.Load(),
 		Tunes:        c.tunes.Load(),
@@ -156,10 +160,6 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 		v          uint64
 	}{
 		{"hand_decisions", "decision queries answered by the serving layer", c.decisions.Load()},
-		{"hand_cache_hits", "decisions served from the interpolation LRU", c.cacheHits.Load()},
-		{"hand_cache_misses", "decisions recomputed from the table snapshot", c.cacheMisses.Load()},
-		{"hand_cache_stale", "LRU entries bypassed because a snapshot swap outdated their generation", c.cacheStale.Load()},
-		{"hand_cache_evictions", "LRU entries displaced by capacity", c.evictions.Load()},
 		{"hand_table_misses", "queries naming a (cluster, collective) with no published snapshot", c.tableMisses.Load()},
 		{"hand_flights", "requesters collapsed onto another requester's in-flight tune", c.flights.Load()},
 		{"hand_tunes", "on-demand tunes triggered by table misses", c.tunes.Load()},
@@ -173,7 +173,7 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 	}
 	reg.Gauge(metrics.Opts{
 		Name: "hand_tables",
-		Help: "table snapshots currently published across all shards",
+		Help: "table snapshots currently published",
 	}).Set(float64(s.TableCount()))
 	c.decideLat.publish(reg, metrics.Opts{
 		Name: "hand_decide_latency_seconds",

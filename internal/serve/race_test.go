@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,7 +46,7 @@ func genTable(v uint64, kinds ...coll.Kind) *autotune.Table {
 // exactly one published table generation, never a blend and never a
 // rollback past one already seen.
 func TestSnapshotSwapRace(t *testing.T) {
-	s := NewServer(Options{Shards: 4, LRUSize: 256})
+	s := NewServer(Options{})
 
 	// published tracks the highest version whose Publish has started; a
 	// reader may observe any v in [1, published] depending on timing, but
@@ -54,12 +56,9 @@ func TestSnapshotSwapRace(t *testing.T) {
 	s.Publish("race", coll.Bcast, genTable(1))
 
 	const (
-		readers = 8
-		swaps   = 300
-		// 64 distinct query sizes: small enough that the LRU covers the
-		// whole working set, so the run exercises hits and staleness, not
-		// just misses.
-		queryMask = 0x3f
+		readers   = 8
+		swaps     = 300
+		queryMask = 0x3f // 64 distinct query sizes
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -108,15 +107,14 @@ func TestSnapshotSwapRace(t *testing.T) {
 		published.Store(v)
 		s.Publish("race", coll.Bcast, genTable(v))
 		if v%16 == 0 {
-			time.Sleep(100 * time.Microsecond) // let readers catch hits between bursts
+			time.Sleep(100 * time.Microsecond) // let readers in between bursts
 		}
 	}
 	close(stop)
 	wg.Wait()
 
-	c := s.Counters()
-	if c.Decisions == 0 || c.CacheHits == 0 || c.CacheStale == 0 {
-		t.Fatalf("stress run did not exercise all paths: %+v", c)
+	if c := s.Counters(); c.Decisions == 0 || c.Swaps != swaps+1 {
+		t.Fatalf("stress run: %+v, want decisions and %d swaps", c, swaps+1)
 	}
 	// Final convergence: with swapping done, the latest version serves.
 	cfg, err := s.Decide("race", coll.Bcast, 4096)
@@ -128,37 +126,28 @@ func TestSnapshotSwapRace(t *testing.T) {
 	}
 }
 
-// TestMultiKindPublishRace publishes one *Table under several kinds while
-// readers hammer the kind installed first: the decision index must be
-// built exactly once, before the table is first reader-visible — a
-// rebuild on the later installs would write Table.idx under concurrent
-// lock-free Decide calls. (PublishTable, Retune, and the on-demand miss
-// path all install multi-kind tables; this is their -race coverage.)
-//
-// The test's shape is deliberate. Readers query ONLY the first-published
-// kind (Bcast — PublishTable installs kinds in sorted order): a query for
-// the other kind would acquire that shard's snapshot store, which
-// happens-after the second index build, handing the reader a
-// happens-before edge that hides the racy write from the detector. For
-// the same reason the two kinds must land on different shards — on a
-// shared shard the second install's store orders every later reader
-// acquire after the rebuild. The publisher sleeps between rounds so
-// readers drain their stale-recompute index walks while the racy table
-// is still current.
+// tableIndex returns the address of t's decision index (the unexported
+// autotune.Table.idx), to tell a rebuilt index from an untouched one.
+func tableIndex(t *autotune.Table) uintptr {
+	return reflect.ValueOf(t).Elem().FieldByName("idx").Pointer()
+}
+
+// TestMultiKindPublishRace pins the rule install keeps: a table's decision
+// index is built exactly once, before the table is reader-visible under
+// any key — a rebuild on a later install would write Table.idx under
+// concurrent lock-free Decide calls. Readers run under -race against all
+// three multi-kind publishers (PublishTable, Retune, the on-demand tune);
+// since every store hands readers a happens-before edge that can hide such
+// a write from the detector, the rule is also asserted directly: a second
+// install of the same *Table leaves its index untouched.
 func TestMultiKindPublishRace(t *testing.T) {
-	s := NewServer(Options{Shards: 4, LRUSize: 256})
 	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
-	cluster := ""
-	for _, c := range []string{"race", "race-b", "race-c", "race-d", "race-e", "race-f"} {
-		if hashKey(Key{c, kinds[0]})&s.mask != hashKey(Key{c, kinds[1]})&s.mask {
-			cluster = c
-			break
-		}
-	}
-	if cluster == "" {
-		t.Fatal("no candidate cluster name maps the two kinds to different shards")
-	}
-	s.PublishTable(cluster, genTable(1, kinds...))
+	var version atomic.Uint64
+	version.Store(1)
+	s := NewServer(Options{Tuner: func(cluster string) (*autotune.Table, error) {
+		return genTable(version.Add(1), kinds...), nil
+	}})
+	s.PublishTable("race", genTable(1, kinds...))
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -166,6 +155,7 @@ func TestMultiKindPublishRace(t *testing.T) {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
+			cold := 0
 			for seq := uint64(0); ; seq++ {
 				select {
 				case <-stop:
@@ -173,7 +163,14 @@ func TestMultiKindPublishRace(t *testing.T) {
 				default:
 				}
 				h := mix64(uint64(self)<<40 | seq)
-				cfg, err := s.Decide(cluster, kinds[0], int(h>>8&0x3f)+1)
+				cluster := "race"
+				if seq%512 == 0 && cold < 8 {
+					// Never published: tuned on demand, which installs a
+					// two-kind table (and gives Retune one more cluster).
+					cluster = fmt.Sprintf("cold-%d-%d", self, cold)
+					cold++
+				}
+				cfg, err := s.Decide(cluster, kinds[h&1], int(h>>8&0x3f)+1)
 				if err != nil {
 					t.Errorf("reader %d: Decide: %v", self, err)
 					return
@@ -185,12 +182,75 @@ func TestMultiKindPublishRace(t *testing.T) {
 			}
 		}(r)
 	}
-	for v := uint64(2); v <= 100; v++ {
-		s.PublishTable(cluster, genTable(v, kinds...))
+	for round := 0; round < 50; round++ {
+		table := genTable(version.Add(1), kinds...)
+		s.PublishTable("race", table)
 		time.Sleep(200 * time.Microsecond) // let readers walk the fresh index
+		idx := tableIndex(table)
+		s.install(table, Key{"race", coll.Allreduce})
+		if tableIndex(table) != idx {
+			t.Errorf("round %d: a second install of the same table rebuilt its index", round)
+		}
+		if _, err := s.Retune(); err != nil {
+			t.Errorf("round %d: Retune: %v", round, err)
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if c := s.Counters(); c.Tunes == 0 {
+		t.Errorf("no reader tuned a cluster on demand: %+v", c)
+	}
+}
+
+// TestPublishTableIsOneSwap: a table's kinds are published by one store. A
+// reader that has seen version v under one kind never afterwards sees a
+// lower version under the other — which it could while PublishTable stored
+// once per kind and a reader could fall between the two stores.
+func TestPublishTableIsOneSwap(t *testing.T) {
+	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
+	s := NewServer(Options{})
+	s.PublishTable("race", genTable(1, kinds...))
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(self int) {
+			defer wg.Done()
+			var lastSeen uint64
+			for seq := uint64(0); ; seq++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				kind := kinds[(uint64(self)+seq)&1] // alternate, so every pair of reads straddles the kinds
+				cfg, err := s.Decide("race", kind, 4096)
+				if err != nil {
+					t.Errorf("reader %d: %v", self, err)
+					return
+				}
+				v := uint64(cfg.IBS)
+				if v < lastSeen {
+					t.Errorf("reader %d: %s answered from version %d after the other kind answered from %d",
+						self, kind, v, lastSeen)
+					return
+				}
+				lastSeen = v
+			}
+		}(r)
+	}
+	const publishes = 100
+	for v := uint64(2); v <= publishes+1; v++ {
+		s.PublishTable("race", genTable(v, kinds...))
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+	// Swaps counts snapshots, not stores: two per PublishTable.
+	if c := s.Counters(); c.Swaps != 2*(publishes+1) {
+		t.Fatalf("Swaps = %d, want %d", c.Swaps, 2*(publishes+1))
+	}
 }
 
 // TestSnapshotSwapRaceWithRetuner runs the same readers against the real
@@ -201,7 +261,7 @@ func TestSnapshotSwapRaceWithRetuner(t *testing.T) {
 	// Multi-kind tables: each Retune round installs one *Table under both
 	// kinds, the production shape of the index-build-before-visibility rule.
 	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
-	s := NewServer(Options{Shards: 2, LRUSize: 32, Tuner: func(cluster string) (*autotune.Table, error) {
+	s := NewServer(Options{Tuner: func(cluster string) (*autotune.Table, error) {
 		return genTable(version.Add(1), kinds...), nil
 	}})
 	s.PublishTable("race", genTable(1, kinds...))
@@ -212,10 +272,7 @@ func TestSnapshotSwapRaceWithRetuner(t *testing.T) {
 		wg.Add(1)
 		go func(self int) {
 			defer wg.Done()
-			// No-rollback is a per-key guarantee: mid-retune, one kind has
-			// swapped to the new table while the other still serves the old
-			// one, so lastSeen tracks each kind separately.
-			lastSeen := [2]uint64{}
+			lastSeen := [2]uint64{} // per kind
 			for seq := uint64(0); ; seq++ {
 				select {
 				case <-stop:

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +15,9 @@ import (
 	"github.com/hanrepro/han/internal/han"
 )
 
-// Key identifies one published decision table: the shard axis of the
-// service. Cluster is the machine name queries arrive with (cmd/hand
-// preloads tables under their Machine field).
+// Key identifies one published decision table. Cluster is the machine
+// name queries arrive with (cmd/hand preloads tables under their Machine
+// field).
 type Key struct {
 	Cluster string
 	Kind    coll.Kind
@@ -23,14 +25,17 @@ type Key struct {
 
 func (k Key) String() string { return fmt.Sprintf("%s/%s", k.Cluster, k.Kind) }
 
+// compareKeys orders keys by cluster, then kind.
+func compareKeys(a, b Key) int {
+	return cmp.Or(strings.Compare(a.Cluster, b.Cluster), cmp.Compare(a.Kind, b.Kind))
+}
+
 // Snapshot is one immutable published table generation. The Table must
 // never be mutated after Publish: readers access it concurrently without
-// locks, and its decision index is built exactly once, here.
+// locks, and its decision index is built exactly once, by install.
 type Snapshot struct {
 	Table *autotune.Table
-	// Gen is the snapshot's global publication number. Cached LRU points
-	// carry the generation they were computed from, so a swap lazily
-	// invalidates them without a cache walk.
+	// Gen is the snapshot's global publication number.
 	Gen uint64
 }
 
@@ -58,121 +63,8 @@ func (e *UnknownTableError) Error() string {
 
 func (e *UnknownTableError) Unwrap() error { return e.Cause }
 
-// tableMap is one shard's immutable key → snapshot mapping. Publishers
-// replace the whole map through the shard's atomic pointer (copy, insert,
-// store); readers only ever Load.
-type tableMap map[Key]*Snapshot
-
-// cacheKey addresses one interpolated decision point in the LRU.
-type cacheKey struct {
-	k Key
-	m int
-}
-
-// lruNode is one LRU entry on a shard's intrusive ring. Nodes are reused
-// on eviction, so the steady-state miss path allocates only while the
-// cache is still filling.
-type lruNode struct {
-	key        cacheKey
-	cfg        han.Config
-	gen        uint64
-	prev, next *lruNode
-}
-
-// shard is one power-of-two slice of the key space: an RCU table map plus
-// a private LRU of interpolated points for the keys that hash here.
-// Readers take only the LRU mutex, and only for pointer splices; the
-// snapshot lookup is lock-free.
-type shard struct {
-	tables atomic.Pointer[tableMap]
-
-	mu    sync.Mutex
-	items map[cacheKey]*lruNode
-	ring  lruNode // sentinel: ring.next is MRU, ring.prev is LRU
-	cap   int
-}
-
-func (sh *shard) init(lruCap int) {
-	empty := tableMap{}
-	sh.tables.Store(&empty)
-	sh.items = make(map[cacheKey]*lruNode, lruCap)
-	sh.ring.next = &sh.ring
-	sh.ring.prev = &sh.ring
-	sh.cap = lruCap
-}
-
-// cacheGet returns the cached config for ck if present AND computed from
-// generation gen; a stale hit reports stale=true so the caller can count
-// it. The entry is promoted to MRU on a valid hit.
-func (sh *shard) cacheGet(ck cacheKey, gen uint64) (cfg han.Config, ok, stale bool) {
-	sh.mu.Lock()
-	n := sh.items[ck]
-	if n == nil {
-		sh.mu.Unlock()
-		return han.Config{}, false, false
-	}
-	if n.gen != gen {
-		sh.mu.Unlock()
-		return han.Config{}, false, true
-	}
-	// Splice n out and reinsert at MRU.
-	n.prev.next = n.next
-	n.next.prev = n.prev
-	n.next = sh.ring.next
-	n.prev = &sh.ring
-	sh.ring.next.prev = n
-	sh.ring.next = n
-	cfg = n.cfg
-	sh.mu.Unlock()
-	return cfg, true, false
-}
-
-// cachePut inserts (or refreshes) an interpolated point, evicting the
-// LRU entry when the shard is at capacity. Reports whether an eviction
-// happened.
-func (sh *shard) cachePut(ck cacheKey, cfg han.Config, gen uint64) (evicted bool) {
-	sh.mu.Lock()
-	if n := sh.items[ck]; n != nil {
-		// Refresh in place (common after a snapshot swap made it stale).
-		n.cfg, n.gen = cfg, gen
-		n.prev.next = n.next
-		n.next.prev = n.prev
-		n.next = sh.ring.next
-		n.prev = &sh.ring
-		sh.ring.next.prev = n
-		sh.ring.next = n
-		sh.mu.Unlock()
-		return false
-	}
-	var n *lruNode
-	if len(sh.items) >= sh.cap {
-		// Reuse the LRU node for the new entry.
-		n = sh.ring.prev
-		n.prev.next = &sh.ring
-		sh.ring.prev = n.prev
-		delete(sh.items, n.key)
-		evicted = true
-	} else {
-		n = &lruNode{}
-	}
-	n.key, n.cfg, n.gen = ck, cfg, gen
-	n.next = sh.ring.next
-	n.prev = &sh.ring
-	sh.ring.next.prev = n
-	sh.ring.next = n
-	sh.items[ck] = n
-	sh.mu.Unlock()
-	return evicted
-}
-
 // Options configures a Server.
 type Options struct {
-	// Shards is the shard count, rounded up to a power of two. 0 means 16.
-	Shards int
-	// LRUSize is the total interpolation-cache capacity across shards
-	// (each shard gets its slice). 0 means 4096; negative disables the
-	// cache.
-	LRUSize int
 	// Tuner, when set, is invoked (single-flight) for queries naming a
 	// cluster with no published table.
 	Tuner Tuner
@@ -181,8 +73,9 @@ type Options struct {
 // Server answers decision queries over published table snapshots. Create
 // one with NewServer; all methods are safe for concurrent use.
 type Server struct {
-	shards []shard
-	mask   uint64
+	// tables is the immutable key → snapshot map. Publishers replace the
+	// whole map (install: copy, insert, store); readers only ever Load.
+	tables atomic.Pointer[map[Key]*Snapshot]
 	tuner  Tuner
 
 	pubMu sync.Mutex // serializes publishers; readers never take it
@@ -206,87 +99,60 @@ type tuneOutcome struct {
 
 // NewServer returns a server with no published tables.
 func NewServer(o Options) *Server {
-	n := o.Shards
-	if n <= 0 {
-		n = 16
-	}
-	for n&(n-1) != 0 {
-		n++
-	}
-	lru := o.LRUSize
-	switch {
-	case lru == 0:
-		lru = 4096
-	case lru < 0:
-		lru = 0
-	}
-	perShard := (lru + n - 1) / n
 	s := &Server{
-		shards: make([]shard, n),
-		mask:   uint64(n - 1),
 		tuner:  o.Tuner,
 		flight: exec.NewFlight[Key, tuneOutcome](nil),
 	}
-	for i := range s.shards {
-		s.shards[i].init(perShard)
-	}
+	s.tables.Store(&map[Key]*Snapshot{})
 	return s
 }
 
-// hashKey is FNV-1a over the cluster name and kind — inlined by hand so
-// the hot path never converts the key to bytes (zero allocations).
-func hashKey(k Key) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.Cluster); i++ {
-		h ^= uint64(k.Cluster[i])
-		h *= prime64
-	}
-	h ^= uint64(k.Kind)
-	h *= prime64
-	return h
-}
-
-func (s *Server) shardFor(k Key) *shard { return &s.shards[hashKey(k)&s.mask] }
-
 // snapshot returns the current snapshot for k, or nil.
-func (s *Server) snapshot(k Key) *Snapshot {
-	return (*s.shardFor(k).tables.Load())[k]
+func (s *Server) snapshot(k Key) *Snapshot { return (*s.tables.Load())[k] }
+
+// install is the one publication path: it makes table the snapshot of
+// every key in keys with a single store, so a reader sees all of a table's
+// kinds change together, and returns the generation of the last key. The
+// decision index is built here, under the publisher mutex and before the
+// table is visible under any key; EnsureIndex leaves a current index
+// alone, so installing a *Table that readers already decide against (the
+// same table again, or under one more key) writes nothing they read. The
+// new map is sized exactly: a republish of known keys adds none.
+func (s *Server) install(table *autotune.Table, keys ...Key) uint64 {
+	s.pubMu.Lock()
+	table.EnsureIndex()
+	old := *s.tables.Load()
+	n := len(old)
+	for _, k := range keys {
+		if old[k] == nil {
+			n++
+		}
+	}
+	next := make(map[Key]*Snapshot, n)
+	for k, snap := range old {
+		next[k] = snap
+	}
+	var gen uint64
+	for _, k := range keys {
+		gen = s.gen.Add(1)
+		next[k] = &Snapshot{Table: table, Gen: gen}
+	}
+	s.tables.Store(&next)
+	s.pubMu.Unlock()
+	s.c.swaps.Add(uint64(len(keys)))
+	return gen
 }
 
 // Publish atomically installs table as the new snapshot for (cluster,
 // kind) and returns its generation. The table must not be mutated
-// afterwards; Publish builds its decision index so concurrent Decide
-// calls are safe and allocation-free. The index is built at most once per
-// table, under the publisher mutex and before the table is first visible:
-// PublishTable and Retune install the same *Table under several kinds,
-// and rebuilding on the second install would race lock-free readers
-// already decided against the first.
+// afterwards: concurrent Decide calls read it without locks.
 func (s *Server) Publish(cluster string, kind coll.Kind, table *autotune.Table) uint64 {
-	k := Key{Cluster: cluster, Kind: kind}
-	sh := s.shardFor(k)
-	s.pubMu.Lock()
-	table.EnsureIndex()
-	snap := &Snapshot{Table: table, Gen: s.gen.Add(1)}
-	old := sh.tables.Load()
-	nm := make(tableMap, len(*old)+1)
-	for ok, ov := range *old {
-		nm[ok] = ov
-	}
-	nm[k] = snap
-	sh.tables.Store(&nm)
-	s.pubMu.Unlock()
-	s.c.swaps.Add(1)
-	return snap.Gen
+	return s.install(table, Key{Cluster: cluster, Kind: kind})
 }
 
-// PublishTable installs table under every collective kind it has entries
-// for, and returns the published keys (sorted). cmd/hand uses it to
-// preload table files, which typically cover both tuned collectives.
-func (s *Server) PublishTable(cluster string, table *autotune.Table) []Key {
+// tableKeys returns cluster's key for every collective kind table has
+// entries for, sorted by kind.
+func tableKeys(cluster string, table *autotune.Table) []Key {
 	kinds := map[coll.Kind]bool{}
 	for _, e := range table.Entries {
 		kinds[e.In.T] = true
@@ -295,53 +161,45 @@ func (s *Server) PublishTable(cluster string, table *autotune.Table) []Key {
 	for kind := range kinds {
 		keys = append(keys, Key{Cluster: cluster, Kind: kind})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Kind < keys[j].Kind })
-	for _, k := range keys {
-		s.Publish(k.Cluster, k.Kind, table)
-	}
+	slices.SortFunc(keys, compareKeys)
+	return keys
+}
+
+// PublishTable installs table under every collective kind it has entries
+// for, in one swap, and returns the published keys (sorted). cmd/hand uses
+// it to preload table files, which typically cover both tuned collectives.
+func (s *Server) PublishTable(cluster string, table *autotune.Table) []Key {
+	keys := tableKeys(cluster, table)
+	s.install(table, keys...)
 	return keys
 }
 
 // Keys returns every published key, sorted, for reports and the
 // re-tuner's walk.
 func (s *Server) Keys() []Key {
-	var keys []Key
-	for i := range s.shards {
-		for k := range *s.shards[i].tables.Load() {
-			keys = append(keys, k)
-		}
+	tables := *s.tables.Load()
+	keys := make([]Key, 0, len(tables))
+	for k := range tables {
+		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Cluster != keys[j].Cluster {
-			return keys[i].Cluster < keys[j].Cluster
-		}
-		return keys[i].Kind < keys[j].Kind
-	})
+	slices.SortFunc(keys, compareKeys)
 	return keys
 }
 
 // TableCount returns the number of published snapshots.
-func (s *Server) TableCount() int {
-	n := 0
-	for i := range s.shards {
-		n += len(*s.shards[i].tables.Load())
-	}
-	return n
-}
+func (s *Server) TableCount() int { return len(*s.tables.Load()) }
 
 // Generation returns the latest published generation number.
 func (s *Server) Generation() uint64 { return s.gen.Load() }
 
-// Decide answers one decision query. The warm path — snapshot present,
-// point cached — is two atomic loads, one shard-local mutex splice, and
-// zero allocations. A cold point walks the snapshot's binary-search
-// index; a missing table triggers the single-flight on-demand tuner.
+// Decide answers one decision query: one atomic load of the table map,
+// one map lookup and the snapshot's binary-search index — no lock, no
+// allocation. A missing table triggers the single-flight on-demand tuner.
 func (s *Server) Decide(cluster string, kind coll.Kind, m int) (han.Config, error) {
 	start := time.Now()
 	s.c.decisions.Add(1)
 	k := Key{Cluster: cluster, Kind: kind}
-	sh := &s.shards[hashKey(k)&s.mask]
-	snap := (*sh.tables.Load())[k]
+	snap := s.snapshot(k)
 	if snap == nil {
 		var err error
 		snap, err = s.miss(k)
@@ -350,21 +208,7 @@ func (s *Server) Decide(cluster string, kind coll.Kind, m int) (han.Config, erro
 			return han.Config{}, err
 		}
 	}
-	ck := cacheKey{k: k, m: m}
-	if cfg, ok, stale := sh.cacheGet(ck, snap.Gen); ok {
-		s.c.cacheHits.Add(1)
-		s.c.decideLat.observe(time.Since(start))
-		return cfg, nil
-	} else if stale {
-		s.c.cacheStale.Add(1)
-	}
-	s.c.cacheMisses.Add(1)
 	cfg := snap.Table.Decide(kind, m)
-	if sh.cap > 0 {
-		if sh.cachePut(ck, cfg, snap.Gen) {
-			s.c.evictions.Add(1)
-		}
-	}
 	s.c.decideLat.observe(time.Since(start))
 	return cfg, nil
 }
@@ -388,22 +232,21 @@ func (s *Server) miss(k Key) (*Snapshot, error) {
 			s.c.tuneErrors.Add(1)
 			return tuneOutcome{err: &UnknownTableError{Key: k, Cause: err}}
 		}
-		s.PublishTable(k.Cluster, table)
-		snap := s.snapshot(k)
-		if snap == nil {
+		keys := tableKeys(k.Cluster, table)
+		if !slices.Contains(keys, k) {
 			// The sweep produced no entries for the queried kind; publish
 			// under it anyway so the default decision serves from the
 			// snapshot map instead of re-tuning on every query.
-			s.Publish(k.Cluster, k.Kind, table)
-			snap = s.snapshot(k)
+			keys = append(keys, k)
 		}
-		return tuneOutcome{snap: snap}
+		s.install(table, keys...)
+		return tuneOutcome{snap: s.snapshot(k)}
 	})
 	if !first {
 		s.c.flights.Add(1)
 	}
 	// Either way the flight entry has served its purpose: on success the
-	// shard map now answers directly; on failure the forget enables retry.
+	// table map now answers directly; on failure the forget enables retry.
 	s.flight.Forget(k)
 	return out.snap, out.err
 }
@@ -418,15 +261,15 @@ func (s *Server) Retune() (int, error) {
 	}
 	// One tune per cluster, republished under every kind that cluster
 	// already serves.
-	byCluster := map[string][]coll.Kind{}
+	byCluster := map[string][]Key{}
 	for _, k := range s.Keys() {
-		byCluster[k.Cluster] = append(byCluster[k.Cluster], k.Kind)
+		byCluster[k.Cluster] = append(byCluster[k.Cluster], k)
 	}
 	clusters := make([]string, 0, len(byCluster))
 	for c := range byCluster {
 		clusters = append(clusters, c)
 	}
-	sort.Strings(clusters)
+	slices.Sort(clusters)
 	n := 0
 	var firstErr error
 	for _, cl := range clusters {
@@ -438,10 +281,8 @@ func (s *Server) Retune() (int, error) {
 			}
 			continue
 		}
-		for _, kind := range byCluster[cl] {
-			s.Publish(cl, kind, table)
-			n++
-		}
+		s.install(table, byCluster[cl]...)
+		n += len(byCluster[cl])
 	}
 	s.c.retunes.Add(1)
 	return n, firstErr
