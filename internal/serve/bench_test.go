@@ -32,18 +32,19 @@ func BenchmarkServerDecideWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkServerDecideWarmParallel drives the same path from all procs —
-// the contention profile of the QPS harness.
+// BenchmarkServerDecideWarmParallel drives the same path from all procs,
+// one local client each as in the QPS harness: ns/op should fall with -cpu.
 func BenchmarkServerDecideWarmParallel(b *testing.B) {
 	s := benchServer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		cl := NewLocalClient(s)
 		var seq uint64
 		for pb.Next() {
 			seq++
 			m := int(mix64(seq)&0x3f)*1024 + 1024
-			if _, err := s.Decide("mini", coll.Bcast, m); err != nil {
+			if _, err := cl.Decide("mini", coll.Bcast, m); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -31,9 +31,10 @@
 // snapshot-swap race test pins under -race.
 //
 // Instrumentation is exported as the hand_* metric families
-// (docs/OBSERVABILITY.md): counters and latency histograms accumulate in
-// atomics on the hot path and are folded into an internal/metrics
-// registry by PublishMetrics at export time. The closed-loop load
+// (docs/OBSERVABILITY.md): counters accumulate in atomics, Decide's latency
+// histogram in one stripe per reader (a Client, a wire connection) so that
+// readers write no common cache line, and PublishMetrics folds both into an
+// internal/metrics registry at export time. The closed-loop load
 // harness (RunLoad, wired to hanbench -serve) measures end-to-end
 // QPS and latency percentiles against either an in-process client or a
 // real socket speaking the length-prefixed wire protocol (wire.go).

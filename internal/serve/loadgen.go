@@ -102,7 +102,7 @@ func RunLoad(o LoadOpts) (LoadReport, error) {
 
 	type workerOut struct {
 		requests, errors uint64
-		lat              *latHist
+		lat              latHist
 		err              error
 	}
 	outs := make([]workerOut, clients)
@@ -114,7 +114,6 @@ func RunLoad(o LoadOpts) (LoadReport, error) {
 		go func(self int) {
 			defer wg.Done()
 			out := &outs[self]
-			out.lat = &latHist{}
 			cl, err := o.NewClient()
 			if err != nil {
 				out.err = err
@@ -160,7 +159,7 @@ func RunLoad(o LoadOpts) (LoadReport, error) {
 		}
 		rep.Requests += outs[i].requests
 		rep.Errors += outs[i].errors
-		merged.merge(outs[i].lat)
+		merged.merge(&outs[i].lat)
 	}
 	if elapsed > 0 {
 		rep.QPS = float64(rep.Requests) / elapsed.Seconds()

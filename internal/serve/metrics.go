@@ -21,30 +21,27 @@ var latBuckets = func() []float64 {
 }()
 
 // latHist is a fixed-bucket latency histogram safe for concurrent
-// observation: per-bucket atomic counters plus an atomic nanosecond sum.
-// Observing is two atomic adds and allocates nothing, so it sits directly
-// on the Decide hot path.
+// observation: per-bucket atomic counters plus an atomic nanosecond sum
+// and count. Observing is three atomic adds and allocates nothing, so it
+// sits directly on the Decide hot path.
 type latHist struct {
 	counts [17]atomic.Uint64 // len(latBuckets) buckets + overflow
 	sumNs  atomic.Uint64
 	count  atomic.Uint64
+	_      [64]byte // neighbours in an array (counters.decideLat) share no cache line
 }
 
 func (h *latHist) observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for ; i < len(latBuckets); i++ {
-		if s <= latBuckets[i] {
-			break
-		}
+	s, i := d.Seconds(), 0
+	for i < len(latBuckets) && s > latBuckets[i] {
+		i++
 	}
 	h.counts[i].Add(1)
 	h.sumNs.Add(uint64(d.Nanoseconds()))
 	h.count.Add(1)
 }
 
-// merge folds other into h (used by the load harness to combine
-// per-client histograms after the run).
+// merge folds other into h: per-reader histograms into one for a report.
 func (h *latHist) merge(other *latHist) {
 	for i := range h.counts {
 		h.counts[i].Add(other.counts[i].Load())
@@ -61,18 +58,12 @@ func (h *latHist) quantile(q float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
+	target := max(1, uint64(q*float64(total)))
 	var cum uint64
-	for i := range h.counts {
+	for i := range latBuckets {
 		cum += h.counts[i].Load()
 		if cum >= target {
-			if i < len(latBuckets) {
-				return time.Duration(latBuckets[i] * 1e9)
-			}
-			return time.Duration(latBuckets[len(latBuckets)-1] * 2e9)
+			return time.Duration(latBuckets[i] * 1e9)
 		}
 	}
 	return time.Duration(latBuckets[len(latBuckets)-1] * 2e9)
@@ -93,7 +84,6 @@ func (h *latHist) publish(reg *metrics.Registry, o metrics.Opts) {
 // internal/metrics registry itself is single-threaded by design, so the
 // wall-clock side accumulates here and exports on demand.
 type counters struct {
-	decisions   atomic.Uint64 // every Decide call
 	tableMisses atomic.Uint64 // queries naming a cluster with no snapshot
 	flights     atomic.Uint64 // requesters collapsed onto an in-flight tune
 	tunes       atomic.Uint64 // on-demand tunes performed
@@ -103,7 +93,22 @@ type counters struct {
 	wireReqs    atomic.Uint64 // frames decoded by the wire server
 	wireErrors  atomic.Uint64 // frames answered with an error status
 
-	decideLat latHist // Decide wall latency
+	// decideLat is Decide's wall latency, striped so that concurrent readers
+	// write no common cache line (on shared counters two readers decide no
+	// faster than one, and how much slower depends on how they interleave):
+	// stripe 0 for Server.Decide, readerLat's for a Client or connection.
+	// Every decision is observed once: the merged count is the decisions.
+	decideLat [16]latHist
+	readers   atomic.Uint64 // stripes handed out so far
+}
+
+// decideLatency merges the stripes of decideLat.
+func (c *counters) decideLatency() *latHist {
+	merged := &latHist{}
+	for i := range c.decideLat {
+		merged.merge(&c.decideLat[i])
+	}
+	return merged
 }
 
 // Counters is a plain-value snapshot of the server's instrumentation,
@@ -116,19 +121,18 @@ type Counters struct {
 
 	// The server has no decision cache. These four stay only because
 	// benchmark/serveload.go reads them and a change to the program may
-	// not edit the benchmark: CacheMisses equals Decisions (every decision
-	// is computed from the snapshot, and the benchmark's hit ratio
-	// CacheHits/(CacheHits+CacheMisses) stays a finite 0), the others are
-	// always 0. They go with the benchmark PR that drops the
-	// serve.cache_hit_ratio, serve.cache_stale and serve.evictions rows
-	// (ROADMAP item 2).
+	// not edit the benchmark: CacheMisses equals Decisions (which keeps the
+	// benchmark's CacheHits/(CacheHits+CacheMisses) a finite 0), the others
+	// are always 0. They go with the benchmark PR that drops the
+	// serve.cache_{hit_ratio,stale} and serve.evictions rows (ROADMAP item 2).
 	CacheHits, CacheMisses, CacheStale, Evictions uint64
 }
 
 // Counters returns a snapshot of the server's hot-path counters.
 func (s *Server) Counters() Counters {
 	c := &s.c
-	decisions := c.decisions.Load()
+	lat := c.decideLatency()
+	decisions := lat.count.Load()
 	return Counters{
 		Decisions:    decisions,
 		CacheMisses:  decisions,
@@ -140,8 +144,8 @@ func (s *Server) Counters() Counters {
 		Retunes:      c.retunes.Load(),
 		WireRequests: c.wireReqs.Load(),
 		WireErrors:   c.wireErrors.Load(),
-		LatencyP50:   c.decideLat.quantile(0.50),
-		LatencyP99:   c.decideLat.quantile(0.99),
+		LatencyP50:   lat.quantile(0.50),
+		LatencyP99:   lat.quantile(0.99),
 	}
 }
 
@@ -155,11 +159,12 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 		return
 	}
 	c := &s.c
+	lat := c.decideLatency()
 	for _, row := range []struct {
 		name, help string
 		v          uint64
 	}{
-		{"hand_decisions", "decision queries answered by the serving layer", c.decisions.Load()},
+		{"hand_decisions", "decision queries answered by the serving layer", lat.count.Load()},
 		{"hand_table_misses", "queries naming a (cluster, collective) with no published snapshot", c.tableMisses.Load()},
 		{"hand_flights", "requesters collapsed onto another requester's in-flight tune", c.flights.Load()},
 		{"hand_tunes", "on-demand tunes triggered by table misses", c.tunes.Load()},
@@ -175,7 +180,7 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 		Name: "hand_tables",
 		Help: "table snapshots currently published",
 	}).Set(float64(s.TableCount()))
-	c.decideLat.publish(reg, metrics.Opts{
+	lat.publish(reg, metrics.Opts{
 		Name: "hand_decide_latency_seconds",
 		Help: "wall-clock latency of Server.Decide (p50/p99 come from these buckets)",
 		Unit: "seconds",

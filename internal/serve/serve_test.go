@@ -512,6 +512,55 @@ func TestServerPublishMetrics(t *testing.T) {
 	}
 }
 
+// TestReadersCountApart: a local client or wire connection counts its
+// decisions in a stripe of its own, direct callers in stripe 0, and Counters
+// and PublishMetrics report the sum over all of them.
+func TestReadersCountApart(t *testing.T) {
+	s, addr := startWireServer(t)
+	a, b := NewLocalClient(s), NewLocalClient(s)
+	direct := &s.c.decideLat[0]
+	if a.lat == b.lat || a.lat == direct || b.lat == direct {
+		t.Fatalf("local clients share a histogram: a %p, b %p, direct callers %p", a.lat, b.lat, direct)
+	}
+	w, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer w.Close()
+	for _, r := range []struct {
+		decide func(string, coll.Kind, int) (han.Config, error)
+		n      int
+	}{{a.Decide, 3}, {b.Decide, 2}, {w.Decide, 4}, {s.Decide, 1}} {
+		for i := 0; i < r.n; i++ {
+			if _, err := r.decide("mini", coll.Bcast, 4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := [3]uint64{a.lat.count.Load(), b.lat.count.Load(), direct.count.Load()}; got != [3]uint64{3, 2, 1} {
+		t.Fatalf("decisions counted by a, b and direct callers = %v, want [3 2 1]", got)
+	}
+	if c := s.Counters(); c.Decisions != 10 || c.LatencyP99 == 0 {
+		t.Fatalf("Counters: %d decisions, p99 %s; want 10 and a p99 from the merged histogram", c.Decisions, c.LatencyP99)
+	}
+	reg := metrics.New()
+	s.PublishMetrics(reg)
+	if v := reg.Counter(metrics.Opts{Name: "hand_decisions"}).Value(); v != 10 {
+		t.Fatalf("hand_decisions = %v, want 10", v)
+	}
+	if h := reg.Histogram(metrics.Opts{Name: "hand_decide_latency_seconds"}, latBuckets); h.Count() != 10 {
+		t.Fatalf("latency histogram count = %d, want 10", h.Count())
+	}
+	// More readers than stripes take them in turn.
+	stripes := uint64(len(s.c.decideLat))
+	for s.c.readers.Load()+1 < stripes {
+		NewLocalClient(s)
+	}
+	if c := NewLocalClient(s); c.lat != direct {
+		t.Fatalf("reader %d was handed %p, want stripe 0 (%p)", stripes, c.lat, direct)
+	}
+}
+
 func TestLatHistQuantile(t *testing.T) {
 	h := &latHist{}
 	for i := 0; i < 99; i++ {

@@ -196,21 +196,29 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 // one map lookup and the snapshot's binary-search index — no lock, no
 // allocation. A missing table triggers the single-flight on-demand tuner.
 func (s *Server) Decide(cluster string, kind coll.Kind, m int) (han.Config, error) {
+	return s.decide(&s.c.decideLat[0], cluster, kind, m)
+}
+
+// readerLat hands a new reader (a local Client, a wire connection) the
+// stripe of counters.decideLat its decisions are counted in.
+func (s *Server) readerLat() *latHist {
+	return &s.c.decideLat[s.c.readers.Add(1)%uint64(len(s.c.decideLat))]
+}
+
+// decide is Decide, counted in lat.
+func (s *Server) decide(lat *latHist, cluster string, kind coll.Kind, m int) (han.Config, error) {
 	start := time.Now()
-	s.c.decisions.Add(1)
 	k := Key{Cluster: cluster, Kind: kind}
-	snap := s.snapshot(k)
+	snap, err := s.snapshot(k), error(nil)
 	if snap == nil {
-		var err error
 		snap, err = s.miss(k)
-		if err != nil {
-			s.c.decideLat.observe(time.Since(start))
-			return han.Config{}, err
-		}
 	}
-	cfg := snap.Table.Decide(kind, m)
-	s.c.decideLat.observe(time.Since(start))
-	return cfg, nil
+	var cfg han.Config
+	if err == nil {
+		cfg = snap.Table.Decide(kind, m)
+	}
+	lat.observe(time.Since(start))
+	return cfg, err
 }
 
 // miss resolves a query for an unpublished key: the configured tuner runs

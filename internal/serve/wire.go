@@ -271,6 +271,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	defer s.conns.remove(conn)
 	defer conn.Close()
+	lat := s.readerLat()
 	var rbuf, wbuf []byte
 	for {
 		payload, nbuf, err := readFrame(conn, rbuf)
@@ -288,7 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			_, _ = conn.Write(wbuf)
 			return
 		}
-		cfg, err := s.Decide(req.Cluster, req.Kind, req.M)
+		cfg, err := s.decide(lat, req.Cluster, req.Kind, req.M)
 		if err != nil {
 			s.c.wireErrors.Add(1)
 			wbuf = appendErrResponse(wbuf[:0], err)
