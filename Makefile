@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint ci bench bench-alloc bench-search bench-parallel bench-serve chaos chaos-soak fuzz docs
+.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs
 
 build:
 	$(GO) build ./...
@@ -73,11 +73,14 @@ chaos-soak:
 		$(GO) test -race -count=1 -run 'CrashMatrix|Crash|Shrink|Abort' ./internal/han/ ./internal/mpi/ || exit 1; \
 	done; done
 
-# Native fuzzing smoke: a few seconds per fault-plan fuzz target, enough
-# to catch validator/occurrence regressions without a dedicated fleet.
+# Native fuzzing smoke: a few seconds per fuzz target (fault plans, table
+# files), enough to catch validator/occurrence/loader regressions without a
+# dedicated fleet. The table seed is a whole saved sweep; minimizing each
+# new input from it would otherwise use up the smoke's time.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPlanValidate -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzOccurrences -fuzztime 5s ./internal/fault/
+	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime 5s -fuzzminimizetime 1s ./internal/autotune/
 
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the
@@ -100,13 +103,6 @@ docs:
 bench-alloc:
 	$(GO) test -run xxx -bench Rebalance -benchmem ./internal/flow/
 	$(GO) test -run xxx -bench 'Fig10Scale4096|Scale98k' -benchtime 1x -benchmem .
-
-# Parallel tuning-sweep benchmark: serial vs parallel RunSearch wall-clock
-# (tables are byte-identical across the worker axis). Compare against
-# BENCH_search.json; regenerate that baseline from this output on a
-# multi-core machine.
-bench-search:
-	$(GO) test -run xxx -bench RunSearch -benchtime 2x -benchmem ./internal/autotune/
 
 # Parallel-engine benchmark: the partitioned 4096-rank broadcast on the
 # windowed engine (workers 1/2/8) vs the shared-engine serial oracle.

@@ -61,21 +61,23 @@ func taskCfg() han.Config {
 // with 64KB segments (Fig 2).
 func BenchmarkFig02TaskCosts(b *testing.B) {
 	env := autotune.NewEnv(taskSpec(), mpi.OpenMPI())
-	var last autotune.BcastTasks
+	var last autotune.TableTasks
 	for i := 0; i < b.N; i++ {
-		last = env.MeasureBcastTasks(taskCfg(), &autotune.Meter{})
+		last = env.MeasureTasks(coll.Bcast, taskCfg(), &autotune.Meter{})
 	}
 	b.ReportMetric(avg(last.SBIBConc)*1e6, "sim-us/sbib-conc")
-	b.ReportMetric(avg(last.IB0)*1e6, "sim-us/ib0")
+	b.ReportMetric(avg(last.Steps[0])*1e6, "sim-us/ib0")
 }
 
 // BenchmarkFig03SbibStabilize measures the sbib(i) warm-up series (Fig 3).
 func BenchmarkFig03SbibStabilize(b *testing.B) {
 	env := autotune.NewEnv(taskSpec(), mpi.OpenMPI())
-	var stable []float64
+	stable := make([]float64, taskSpec().Nodes)
 	for i := 0; i < b.N; i++ {
-		bt := env.MeasureBcastTasks(taskCfg(), &autotune.Meter{})
-		stable = bt.StableSBIB()
+		bt := env.MeasureTasks(coll.Bcast, taskCfg(), &autotune.Meter{})
+		for l := range stable {
+			stable[l] = bt.Stable(l)
+		}
 	}
 	b.ReportMetric(avg(stable)*1e6, "sim-us/sbib-stable")
 }
@@ -88,8 +90,7 @@ func BenchmarkFig04BcastModel(b *testing.B) {
 	var est, act float64
 	for i := 0; i < b.N; i++ {
 		meter := &autotune.Meter{}
-		bt := env.MeasureBcastTasks(cfg, meter)
-		est = autotune.EstimateBcast(bt, 4<<20)
+		est = autotune.Estimate(env.MeasureTasks(coll.Bcast, cfg, meter), 4<<20)
 		act = env.MeasureCollective(coll.Bcast, 4<<20, cfg, 2, meter)
 	}
 	b.ReportMetric(est*1e6, "sim-us/estimated")
@@ -105,7 +106,11 @@ func BenchmarkFig06IbIrOverlap(b *testing.B) {
 		eng, w := newWorld(spec)
 		h := han.New(w)
 		w.Start(func(p *mpi.Proc) {
-			if d := h.TimeConcurrentIBIR(p, mpi.OpSum, mpi.Float64, taskCfg()); float64(d) > c {
+			d, err := h.TimeTasks(p, mpi.OpSum, mpi.Float64, taskCfg(), han.TaskIB, han.TaskIR)
+			if err != nil {
+				b.Error(err)
+			}
+			if float64(d) > c {
 				c = float64(d)
 			}
 		})
@@ -125,8 +130,7 @@ func BenchmarkFig07AllreduceModel(b *testing.B) {
 	var est, act float64
 	for i := 0; i < b.N; i++ {
 		meter := &autotune.Meter{}
-		at := env.MeasureAllreduceTasks(cfg, meter)
-		est = autotune.EstimateAllreduce(at, 4<<20)
+		est = autotune.Estimate(env.MeasureTasks(coll.Allreduce, cfg, meter), 4<<20)
 		act = env.MeasureCollective(coll.Allreduce, 4<<20, cfg, 2, meter)
 	}
 	b.ReportMetric(est*1e6, "sim-us/estimated")

@@ -133,17 +133,17 @@ func Fig2(sc Scale) {
 	header("Fig 2 — cost of tasks ib, sb and sbib per node leader (64KB segments, rank 0 root)")
 	env := autotune.NewEnv(sc.taskSpec(), mpi.OpenMPI())
 	configs := taskConfigs(64 << 10)
-	bts := make([]autotune.BcastTasks, len(configs))
+	bts := make([]autotune.TableTasks, len(configs))
 	fanOut(len(configs), func(i int) {
-		bts[i] = env.MeasureBcastTasks(configs[i], &autotune.Meter{})
+		bts[i] = env.MeasureTasks(coll.Bcast, configs[i], &autotune.Meter{})
 	})
 	for i, cfg := range configs {
-		bt := bts[i]
+		s := bts[i].Steps // [ib(0), sbib(1..7), sb]
 		fmt.Printf("config %s:\n", cfgLabel(cfg))
 		fmt.Printf("  %-8s%12s%12s%16s%14s\n", "leader", "ib(0) µs", "sb(0) µs", "conc sb+ib µs", "sbib(1) µs")
-		for l := range bt.IB0 {
+		for l := range s[0] {
 			fmt.Printf("  %-8d%12.1f%12.1f%16.1f%14.1f\n",
-				l, bt.IB0[l]*1e6, bt.SB0[l]*1e6, bt.SBIBConc[l]*1e6, bt.SBIB[0][l]*1e6)
+				l, s[0][l]*1e6, s[len(s)-1][l]*1e6, bts[i].SBIBConc[l]*1e6, s[1][l]*1e6)
 		}
 	}
 	fmt.Println("\nExpected shape: leaders finish ib(0) at different times; conc < ib+sb but")
@@ -156,9 +156,9 @@ func Fig3(sc Scale) {
 	header("Fig 3 — cost of sbib(i) on one node leader, i = 1..8")
 	env := autotune.NewEnv(sc.taskSpec(), mpi.OpenMPI())
 	configs := taskConfigs(64 << 10)
-	bts := make([]autotune.BcastTasks, len(configs))
+	bts := make([]autotune.TableTasks, len(configs))
 	fanOut(len(configs), func(i int) {
-		bts[i] = env.MeasureBcastTasks(configs[i], &autotune.Meter{})
+		bts[i] = env.MeasureTasks(coll.Bcast, configs[i], &autotune.Meter{})
 	})
 	leader := sc.TaskNodes / 2 // "node leader 2" in the paper
 	fmt.Printf("%-6s", "i")
@@ -169,7 +169,7 @@ func Fig3(sc Scale) {
 	for i := 0; i < autotune.SBIBSeriesLen-1; i++ {
 		fmt.Printf("%-6d", i+1)
 		for c := range configs {
-			fmt.Printf("%18.1f", bts[c].SBIB[i][leader]*1e6)
+			fmt.Printf("%18.1f", bts[c].Steps[i+1][leader]*1e6)
 		}
 		fmt.Println()
 	}
@@ -185,14 +185,7 @@ func modelValidation(sc Scale, kind coll.Kind, m int) {
 	ests := make([]float64, len(cands))
 	acts := make([]float64, len(cands))
 	fanOut(len(cands), func(i int) {
-		switch kind {
-		case coll.Bcast:
-			bt := env.MeasureBcastTasks(cands[i].Cfg, meter)
-			ests[i] = autotune.EstimateBcast(bt, m)
-		case coll.Allreduce:
-			at := env.MeasureAllreduceTasks(cands[i].Cfg, meter)
-			ests[i] = autotune.EstimateAllreduce(at, m)
-		}
+		ests[i] = autotune.Estimate(env.MeasureTasks(kind, cands[i].Cfg, meter), m)
 		acts[i] = env.MeasureCollective(kind, m, cands[i].Cfg, 2, meter)
 	})
 	fmt.Printf("%-52s%14s%14s\n", "configuration", "estimated µs", "actual µs")
@@ -241,15 +234,19 @@ func Fig6(sc Scale) {
 		h := han.New(w)
 		cfg := cfg
 		w.Start(func(p *mpi.Proc) {
-			if d := h.TimeIB(p, cfg); d > 0 {
-				ibT[p.Node()] = float64(d)
+			// Only leaders take part: every other rank reports 0.
+			record := func(into []float64, dt mpi.Datatype, tasks ...han.Task) {
+				d, err := h.TimeTasks(p, mpi.OpSum, dt, cfg, tasks...)
+				if err != nil {
+					panic(err)
+				}
+				if d > 0 {
+					into[p.Node()] = float64(d)
+				}
 			}
-			if d := h.TimeIR(p, mpi.OpSum, mpi.Float64, cfg); d > 0 {
-				irT[p.Node()] = float64(d)
-			}
-			if d := h.TimeConcurrentIBIR(p, mpi.OpSum, mpi.Float64, cfg); d > 0 {
-				concT[p.Node()] = float64(d)
-			}
+			record(ibT, mpi.Byte, han.TaskIB)
+			record(irT, mpi.Float64, han.TaskIR)
+			record(concT, mpi.Float64, han.TaskIB, han.TaskIR)
 		})
 		if err := eng.Run(); err != nil {
 			panic(err)
@@ -627,20 +624,20 @@ func AblateOverlap(sc Scale) {
 	meter := &autotune.Meter{}
 	m := 4 << 20
 	configs := taskConfigs(512 << 10)
-	overlapBTs := make([]autotune.BcastTasks, len(configs))
+	overlapTTs := make([]autotune.TableTasks, len(configs))
 	overlapActs := make([]float64, len(configs))
 	fanOut(len(configs), func(i int) {
-		overlapBTs[i] = env.MeasureBcastTasks(configs[i], meter)
+		overlapTTs[i] = env.MeasureTasks(coll.Bcast, configs[i], meter)
 		overlapActs[i] = env.MeasureCollective(coll.Bcast, m, configs[i], 2, meter)
 	})
 	fmt.Printf("%-36s%12s%12s%12s%12s\n", "configuration", "actual µs", "HAN est", "perfect", "no-overlap")
 	for i, cfg := range configs {
-		bt, act := overlapBTs[i], overlapActs[i]
-		est := autotune.EstimateBcast(bt, m)
-		u := (m + cfg.FS - 1) / cfg.FS
+		tt, act := overlapTTs[i], overlapActs[i]
+		est := autotune.Estimate(tt, m)
+		u := autotune.SegmentsOf(cfg, m)
 		perfect, noOverlap := 0.0, 0.0
-		for l := range bt.IB0 {
-			ib, sb := bt.IB0[l], bt.SB0[l]
+		for l := range tt.Steps[0] {
+			ib, sb := tt.Steps[0][l], tt.Steps[len(tt.Steps)-1][l]
 			mx := ib
 			if sb > mx {
 				mx = sb

@@ -47,21 +47,27 @@ func TestMeasureBcastTasksShapes(t *testing.T) {
 	env := testEnv()
 	meter := &Meter{}
 	cfg := han.Config{FS: 64 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 32 << 10}
-	bt := env.MeasureBcastTasks(cfg, meter)
-	if len(bt.IB0) != 4 || len(bt.SB0) != 4 || len(bt.SBIBConc) != 4 {
-		t.Fatalf("per-leader arrays wrong: %d %d %d", len(bt.IB0), len(bt.SB0), len(bt.SBIBConc))
+	bt := env.MeasureTasks(coll.Bcast, cfg, meter)
+	if len(bt.Steps) != SBIBSeriesLen+1 {
+		t.Fatalf("%d steps, want fill, %d sbib and drain", len(bt.Steps), SBIBSeriesLen-1)
 	}
-	if len(bt.SBIB) != SBIBSeriesLen-1 {
-		t.Fatalf("sbib series length %d", len(bt.SBIB))
+	for i, row := range bt.Steps {
+		if len(row) != 4 {
+			t.Fatalf("step %d has %d leaders, want 4", i, len(row))
+		}
+	}
+	if len(bt.SBIBConc) != 4 {
+		t.Fatalf("concurrent sb+ib has %d leaders, want 4", len(bt.SBIBConc))
 	}
 	// ib(0) on the root's node finishes first; some other leader must be
 	// slower (Fig 2: leaders finish at different times).
+	ib, sb := bt.Steps[0], bt.Steps[SBIBSeriesLen]
 	slower := false
 	for l := 1; l < 4; l++ {
-		if bt.IB0[l] > bt.IB0[0] {
+		if ib[l] > ib[0] {
 			slower = true
 		}
-		if bt.IB0[l] <= 0 || bt.SB0[l] <= 0 {
+		if ib[l] <= 0 || sb[l] <= 0 {
 			t.Errorf("leader %d has non-positive task cost", l)
 		}
 	}
@@ -81,10 +87,11 @@ func TestMeasureBcastTasksShapes(t *testing.T) {
 func TestImperfectOverlapSBIB(t *testing.T) {
 	env := NewEnv(cluster.Mini(6, 8), mpi.OpenMPI())
 	cfg := han.Config{FS: 256 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 64 << 10}
-	bt := env.MeasureBcastTasks(cfg, &Meter{})
-	for l := 0; l < len(bt.IB0); l++ {
-		sum := bt.IB0[l] + bt.SB0[l]
-		mx := math.Max(bt.IB0[l], bt.SB0[l])
+	bt := env.MeasureTasks(coll.Bcast, cfg, &Meter{})
+	ib, sb := bt.Steps[0], bt.Steps[SBIBSeriesLen]
+	for l := range ib {
+		sum := ib[l] + sb[l]
+		mx := math.Max(ib[l], sb[l])
 		conc := bt.SBIBConc[l]
 		if conc >= sum {
 			t.Errorf("leader %d: no overlap at all: conc=%v sum=%v", l, conc, sum)
@@ -100,11 +107,11 @@ func TestImperfectOverlapSBIB(t *testing.T) {
 func TestSBIBSeriesStabilises(t *testing.T) {
 	env := NewEnv(cluster.Mini(6, 8), mpi.OpenMPI())
 	cfg := han.Config{FS: 128 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgChain, IBS: 64 << 10}
-	bt := env.MeasureBcastTasks(cfg, &Meter{})
-	k := len(bt.SBIB)
-	l := len(bt.IB0) / 2 // a middle leader, like the paper's "node leader 2"
-	lastDelta := math.Abs(bt.SBIB[k-1][l] - bt.SBIB[k-2][l])
-	ref := bt.SBIB[k-1][l]
+	bt := env.MeasureTasks(coll.Bcast, cfg, &Meter{})
+	last := bt.Steps[SBIBSeriesLen-1] // sbib(7), the drain row after it
+	l := len(last) / 2                // a middle leader, like the paper's "node leader 2"
+	lastDelta := math.Abs(last[l] - bt.Steps[SBIBSeriesLen-2][l])
+	ref := last[l]
 	if ref <= 0 {
 		t.Fatal("stable sbib cost is zero")
 	}
@@ -132,8 +139,7 @@ func TestModelPicksNearOptimalBcastConfig(t *testing.T) {
 		if bestMeasured < 0 || meas < bestMeasured {
 			bestMeasured, cfgMeasured = meas, cand.Cfg
 		}
-		bt := env.MeasureBcastTasks(cand.Cfg, meter)
-		est := EstimateBcast(bt, m)
+		est := Estimate(env.MeasureTasks(coll.Bcast, cand.Cfg, meter), m)
 		if bestEstimated < 0 || est < bestEstimated {
 			bestEstimated, cfgEstimated = est, cand.Cfg
 		}
@@ -239,28 +245,12 @@ func TestTableSaveLoadDecide(t *testing.T) {
 	}
 }
 
-func TestEstimateAllreduceDegenerateSmallU(t *testing.T) {
-	env := testEnv()
-	cfg := han.Config{FS: 64 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 32 << 10}
-	at := env.MeasureAllreduceTasks(cfg, &Meter{})
-	// u = 1, 2, 3 must produce increasing, positive estimates.
-	prev := 0.0
-	for _, m := range []int{64 << 10, 128 << 10, 192 << 10, 640 << 10} {
-		est := EstimateAllreduce(at, m)
-		if est <= prev {
-			t.Errorf("estimate not increasing at m=%d: %v <= %v", m, est, prev)
-		}
-		prev = est
-	}
-}
-
 func TestAllreduceModelNearMeasured(t *testing.T) {
 	env := testEnv()
 	cfg := han.Config{FS: 256 << 10, IMod: "adapt", SMod: "solo", IBAlg: coll.AlgBinary, IBS: 64 << 10, IRS: 64 << 10}
 	meter := &Meter{}
-	at := env.MeasureAllreduceTasks(cfg, meter)
 	m := 4 << 20
-	est := EstimateAllreduce(at, m)
+	est := Estimate(env.MeasureTasks(coll.Allreduce, cfg, meter), m)
 	meas := env.MeasureCollective(coll.Allreduce, m, cfg, 2, meter)
 	ratio := est / meas
 	if ratio < 0.5 || ratio > 2.0 {
@@ -309,15 +299,78 @@ func TestSegmentsOf(t *testing.T) {
 	}
 }
 
-func TestEstimateBcastSingleSegment(t *testing.T) {
-	env := testEnv()
-	cfg := han.Config{FS: 1 << 20, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 64 << 10}
-	bt := env.MeasureBcastTasks(cfg, &Meter{})
-	// u == 1: the estimate is ib + sb with no steady-state term, and must
-	// still be positive and below the u=4 estimate.
-	e1 := EstimateBcast(bt, 1<<20)
-	e4 := EstimateBcast(bt, 4<<20)
-	if e1 <= 0 || e4 <= e1 {
-		t.Errorf("estimates not ordered: u1=%v u4=%v", e1, e4)
+// Estimate is equations (3) and (4) written out term by term, short
+// pipelines included. The steps are integers and every window sum divides
+// evenly, so the sums are exact whatever order they are taken in.
+func TestEstimateIsEquations3And4(t *testing.T) {
+	const fs, leaders = 1000, 3
+	synthetic := func(d int) TableTasks {
+		tt := TableTasks{Cfg: han.Config{FS: fs}, Steps: rows(SBIBSeriesLen+d-1, leaders)}
+		for i, row := range tt.Steps {
+			for l := range row {
+				row[l] = float64(100*(i+1) + 7*l)
+			}
+		}
+		tt.Steps[0][0] += 100 // leader 0 fills slowest, leader 2 runs slowest
+		return tt
+	}
+	bcast, allreduce := synthetic(2), synthetic(4)
+	maxOver := func(f func(l int) float64) float64 {
+		best := 0.0
+		for l := 0; l < leaders; l++ {
+			best = max(best, f(l))
+		}
+		return best
+	}
+	// Equation (3): ib(0) + sb(u-1) + (u-1) x sbib(s), sbib(s) the mean of
+	// sbib(4..7).
+	eq3 := func(u int) float64 {
+		s := bcast.Steps
+		return maxOver(func(l int) float64 {
+			stable := (s[4][l] + s[5][l] + s[6][l] + s[7][l]) / 4
+			return s[0][l] + s[8][l] + float64(u-1)*stable
+		})
+	}
+	// Equation (4): sr + irsr + ibirsr, the min(u, 3) last of sbibir, sbib,
+	// sb, and max(u-3, 0) x sbibirsr(s), sbibirsr(s) the mean of
+	// sbibirsr(5..7).
+	eq4 := func(u int) float64 {
+		s := allreduce.Steps
+		return maxOver(func(l int) float64 {
+			c := s[0][l] + s[1][l] + s[2][l] + s[10][l]
+			if u >= 2 {
+				c += s[9][l]
+			}
+			if u >= 3 {
+				c += s[8][l]
+			}
+			stable := (s[5][l] + s[6][l] + s[7][l]) / 3
+			return c + float64(max(u-3, 0))*stable
+		})
+	}
+	prev := [2]float64{}
+	for u := 1; u <= 10; u++ {
+		m := (u-1)*fs + 1 // the smallest message of u segments
+		for i, c := range []struct {
+			name string
+			tt   TableTasks
+			want float64
+		}{{"bcast", bcast, eq3(u)}, {"allreduce", allreduce, eq4(u)}} {
+			got := Estimate(c.tt, m)
+			if got != c.want {
+				t.Errorf("%s, u=%d: Estimate = %v, the equation says %v", c.name, u, got, c.want)
+			}
+			if got <= prev[i] {
+				t.Errorf("%s, u=%d: Estimate %v not above u=%d's %v", c.name, u, got, u-1, prev[i])
+			}
+			prev[i] = got
+		}
+	}
+	// An empty message is one segment, segmented or not.
+	for _, cfg := range []han.Config{{FS: fs}, {}} {
+		bcast.Cfg = cfg
+		if got, want := Estimate(bcast, 0), eq3(1); got != want {
+			t.Errorf("m=0 under fs=%d: Estimate = %v, want the one-segment %v", cfg.FS, got, want)
+		}
 	}
 }

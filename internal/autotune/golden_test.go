@@ -154,17 +154,19 @@ func hashCosts(series ...[]float64) uint64 {
 	return h.Sum64()
 }
 
-func bcastTaskCosts(env Env, cfg han.Config, m *Meter) uint64 {
-	bt := env.MeasureBcastTasks(cfg, m)
-	return hashCosts(append([][]float64{bt.IB0, bt.SB0, bt.SBIBConc}, bt.SBIB...)...)
+// taskCosts hashes MeasureTasks of kind. A Bcast's rows go in the order they
+// were recorded in: lone ib, lone sb, concurrent sb+ib, then the sbib series.
+func taskCosts(env Env, kind coll.Kind, cfg han.Config, m *Meter) uint64 {
+	tt := env.MeasureTasks(kind, cfg, m)
+	if kind != coll.Bcast {
+		return hashCosts(tt.Steps...)
+	}
+	last := len(tt.Steps) - 1
+	return hashCosts(append([][]float64{tt.Steps[0], tt.Steps[last], tt.SBIBConc}, tt.Steps[1:last]...)...)
 }
 
-func allreduceTaskCosts(env Env, cfg han.Config, m *Meter) uint64 {
-	return hashCosts(env.MeasureAllreduceTasks(cfg, m).Steps...)
-}
-
-// goldenTasks holds, per machine and plan, MeasureBcastTasks then
-// MeasureAllreduceTasks of each configuration of goldenTaskConfigs.
+// goldenTasks holds, per machine and plan, MeasureTasks of a Bcast then of an
+// Allreduce under each configuration of goldenTaskConfigs.
 var goldenTasks = []struct {
 	machine, plan string
 	want          [2][2]taskGolden
@@ -192,9 +194,9 @@ func TestGoldenTaskMeasurements(t *testing.T) {
 		env, _ := goldenEnv(t, row.machine, row.plan)
 		var got [2][2]taskGolden
 		for i, cfg := range goldenTaskConfigs {
-			for j, measure := range []func(Env, han.Config, *Meter) uint64{bcastTaskCosts, allreduceTaskCosts} {
+			for j, kind := range []coll.Kind{coll.Bcast, coll.Allreduce} {
 				m := &Meter{}
-				got[i][j].costs = measure(env, cfg, m)
+				got[i][j].costs = taskCosts(env, kind, cfg, m)
 				got[i][j].virtual = math.Float64bits(m.Virtual)
 			}
 		}
@@ -226,7 +228,7 @@ func outcome(measure func(m *Meter) uint64) (out string) {
 
 // goldenCrashMeasurements pins what a measurement comes to when the
 // environment's fault plan kills ranks: MeasureCollective of a Bcast and of
-// an Allreduce, MeasureBcastTasks and MeasureAllreduceTasks, under the first
+// an Allreduce, MeasureTasks of a Bcast and of an Allreduce, under the first
 // configuration of goldenTaskConfigs on Mini(4,4). Some finish on the
 // survivors, some deadlock; a measurement world has one form of rank, and it
 // has to come to the same end.
@@ -264,8 +266,8 @@ func TestGoldenMeasurementsUnderCrashPlans(t *testing.T) {
 		got := [4]string{
 			outcome(collective(coll.Bcast)),
 			outcome(collective(coll.Allreduce)),
-			outcome(func(m *Meter) uint64 { return bcastTaskCosts(env, cfg, m) }),
-			outcome(func(m *Meter) uint64 { return allreduceTaskCosts(env, cfg, m) }),
+			outcome(func(m *Meter) uint64 { return taskCosts(env, coll.Bcast, cfg, m) }),
+			outcome(func(m *Meter) uint64 { return taskCosts(env, coll.Allreduce, cfg, m) }),
 		}
 		if got != row.want {
 			t.Errorf("under %s the measurements now come to\n\t{%q, [4]string{\n\t\t%q,\n\t\t%q,\n\t\t%q,\n\t\t%q,\n\t}},",

@@ -5,28 +5,39 @@ import "github.com/hanrepro/han/internal/han"
 // This file implements the paper's cost model: the collective cost is the
 // maximum over node leaders of the summed task costs, with the steady-state
 // pipeline stage replaced by (count x stabilised cost) — equations (3) and
-// (4).
+// (4), which are one formula over a stage table of depth d.
 
-// EstimateBcast evaluates equation (3) for an m-byte broadcast:
+// Estimate evaluates the cost model for an m-byte collective of u =
+// SegmentsOf(tt.Cfg, m) segments. A u-segment run of a depth-d table takes
+// u+d-1 steps; per leader i its cost is the d-1 fill steps, the last
+// min(u, d-1) drain steps, and u-d+1 stabilised middle steps:
 //
-//	max_i ( T_i(ib(0)) + (u-1) * T_i(sbib(s)) + T_i(sb(u-1)) )
+//	max_i ( Σ fill_i + Σ drain_i + (u-d+1) * T_i(middle(s)) )
 //
-// with u = ceil(m/fs) segments, using the empirically measured task costs.
-func EstimateBcast(bt BcastTasks, m int) float64 {
-	fs := bt.Cfg.FS
-	if fs <= 0 {
-		fs = m
-	}
-	u := (m + fs - 1) / fs
-	if u < 1 {
-		u = 1
-	}
-	stable := bt.StableSBIB()
+// For a Bcast (d = 2) that is equation (3), T_i(ib(0)) + T_i(sb(u-1)) +
+// (u-1) * T_i(sbib(s)); for an Allreduce (d = 4) equation (4), sr, irsr,
+// ibirsr, then sbibir, sbib, sb, then (u-3) * sbibirsr(s). A pipeline
+// shorter than d-1 segments has no middle step and fewer drain steps, but
+// still passes through every fill step (slightly overestimated for u < d-1,
+// since the measured fill steps carry extra concurrent tasks).
+func Estimate(tt TableTasks, m int) float64 {
+	u := SegmentsOf(tt.Cfg, m)
+	d := len(tt.Steps) - SBIBSeriesLen + 1
+	drain := min(u, d-1)
 	best := 0.0
-	for l := range bt.IB0 {
-		c := bt.IB0[l] + bt.SB0[l]
-		if u > 1 {
-			c += float64(u-1) * stable[l]
+	for l := range tt.Steps[0] {
+		// Fill, drain, then middle: the order Bcast's estimate has always
+		// been summed in. (An Allreduce's used to add the middle before the
+		// drain, which rounds differently.)
+		c := 0.0
+		for _, row := range tt.Steps[:d-1] {
+			c += row[l]
+		}
+		for _, row := range tt.Steps[len(tt.Steps)-drain:] {
+			c += row[l]
+		}
+		if u > d-1 {
+			c += float64(u-d+1) * tt.Stable(l)
 		}
 		if c > best {
 			best = c
@@ -35,59 +46,8 @@ func EstimateBcast(bt BcastTasks, m int) float64 {
 	return best
 }
 
-// EstimateAllreduce evaluates equation (4) for an m-byte allreduce:
-//
-//	max_i ( T_i(sr(0)) + T_i(irsr(1)) + T_i(ibirsr(2))
-//	      + (u-3) * T_i(sbibirsr(s))
-//	      + T_i(sbibir) + T_i(sbib) + T_i(sb) )
-//
-// degenerating gracefully when u < 4 by dropping the stages a short
-// pipeline never reaches.
-func EstimateAllreduce(at AllreduceTasks, m int) float64 {
-	fs := at.Cfg.FS
-	if fs <= 0 {
-		fs = m
-	}
-	u := (m + fs - 1) / fs
-	if u < 1 {
-		u = 1
-	}
-	k := len(at.Steps) - 3 // segments used during the benchmark
-	stable := at.StableSBIBIRSR()
-	nLeaders := len(at.Steps[0])
-	best := 0.0
-	for l := 0; l < nLeaders; l++ {
-		var c float64
-		// Fill stages: a u-segment pipeline runs u+3 steps, and even a
-		// single segment passes through sr, ir, ib and sb — so the first
-		// three benchmark steps (sr, irsr, ibirsr) always contribute (for
-		// u < 3 they slightly overestimate, since the benchmark steps carry
-		// extra concurrent tasks).
-		for t := 0; t < 3 && t < len(at.Steps); t++ {
-			c += at.Steps[t][l]
-		}
-		// Steady state.
-		if u > 3 {
-			c += float64(u-3) * stable[l]
-		}
-		// Drain stages: the benchmark's last three steps (sbibir, sbib,
-		// sb); a u-segment run has min(u, 3) of them.
-		drain := u
-		if drain > 3 {
-			drain = 3
-		}
-		for t := len(at.Steps) - drain; t < len(at.Steps); t++ {
-			c += at.Steps[t][l]
-		}
-		if c > best {
-			best = c
-		}
-	}
-	_ = k
-	return best
-}
-
-// SegmentsOf returns u = ceil(m/fs) for a configuration.
+// SegmentsOf returns u = ceil(m/fs) for a configuration: 1 for an
+// unsegmented one, for a segment larger than the message, and for m = 0.
 func SegmentsOf(cfg han.Config, m int) int {
 	fs := cfg.FS
 	if fs <= 0 || fs > m {

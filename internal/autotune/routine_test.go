@@ -25,21 +25,13 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 	nodes := env.Spec.Nodes
 	const m, iters = 1 << 20, 2
 
-	newBcast := func() *BcastTasks {
-		bt := &BcastTasks{Cfg: cfg, IB0: make([]float64, nodes), SB0: make([]float64, nodes), SBIBConc: make([]float64, nodes)}
-		for i := 0; i < SBIBSeriesLen-1; i++ {
-			bt.SBIB = append(bt.SBIB, make([]float64, nodes))
-		}
-		return bt
-	}
-	newAllreduce := func() *AllreduceTasks {
-		at := &AllreduceTasks{Cfg: cfg}
-		for i := 0; i < SBIBSeriesLen+3; i++ {
-			at.Steps = append(at.Steps, make([]float64, nodes))
-		}
-		return at
-	}
 	leader := func(p *mpi.Proc) bool { return p.W.Mach.IsNodeLeader(p.Rank) }
+	timed := func(d sim.Time, err error) sim.Time {
+		if err != nil {
+			t.Error(err)
+		}
+		return d
+	}
 
 	// Each kind: the routines' start, the goroutine rank's body, and what
 	// either leaves behind.
@@ -78,48 +70,43 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 			}
 		}
 	}
+	series := func(kind coll.Kind) func() world {
+		return func() world {
+			tt := &TableTasks{Cfg: cfg}
+			return world{func(h *han.HAN) { tt.series(h, kind, nodes) }, func(h *han.HAN, p *mpi.Proc) {
+				steps, err := h.Series(p, kind, SBIBSeriesLen, cfg)
+				if err != nil {
+					t.Error(err)
+				}
+				if steps != nil && tt.Steps == nil {
+					tt.Steps = rows(len(steps), nodes)
+				}
+				for i := range steps {
+					tt.Steps[i][p.Node()] = float64(steps[i])
+				}
+			}, func() any { return tt }}
+		}
+	}
 	kinds := []struct {
 		name string
 		mk   func() world
 	}{
 		{"bcast timers", func() world {
-			bt := newBcast()
-			return world{bt.timers, func(h *han.HAN, p *mpi.Proc) {
-				if d := h.TimeIB(p, cfg); d > 0 {
-					bt.IB0[p.Node()] = float64(d)
+			lone := rows(3, nodes)
+			return world{func(h *han.HAN) { timers(h, cfg, lone) }, func(h *han.HAN, p *mpi.Proc) {
+				if d := timed(h.TimeTasks(p, mpi.OpSum, mpi.Byte, cfg, han.TaskIB)); d > 0 {
+					lone[0][p.Node()] = float64(d)
 				}
-				if d := h.TimeSB(p, cfg); leader(p) {
-					bt.SB0[p.Node()] = float64(d)
+				if d := timed(h.TimeTasks(p, mpi.OpSum, mpi.Byte, cfg, han.TaskSB)); leader(p) {
+					lone[1][p.Node()] = float64(d)
 				}
-				if d := h.TimeConcurrentSBIB(p, cfg); leader(p) {
-					bt.SBIBConc[p.Node()] = float64(d)
+				if d := timed(h.TimeTasks(p, mpi.OpSum, mpi.Byte, cfg, han.TaskIB, han.TaskSB)); leader(p) {
+					lone[2][p.Node()] = float64(d)
 				}
-			}, func() any { return bt }}
+			}, func() any { return lone }}
 		}},
-		{"bcast series", func() world {
-			bt := newBcast()
-			return world{bt.series, func(h *han.HAN, p *mpi.Proc) {
-				steps, err := h.BcastSteps(p, SBIBSeriesLen, cfg)
-				if err != nil {
-					t.Error(err)
-				}
-				for i := 1; i < len(steps)-1; i++ {
-					bt.SBIB[i-1][p.Node()] = float64(steps[i])
-				}
-			}, func() any { return bt }}
-		}},
-		{"allreduce series", func() world {
-			at := newAllreduce()
-			return world{at.series, func(h *han.HAN, p *mpi.Proc) {
-				steps, err := h.AllreduceSteps(p, SBIBSeriesLen, mpi.OpSum, mpi.Float64, cfg)
-				if err != nil {
-					t.Error(err)
-				}
-				for i := range steps {
-					at.Steps[i][p.Node()] = float64(steps[i])
-				}
-			}, func() any { return at }}
-		}},
+		{"bcast series", series(coll.Bcast)},
+		{"allreduce series", series(coll.Allreduce)},
 		{"bcast", collective(coll.Bcast)},
 		{"allreduce", collective(coll.Allreduce)},
 		{"reduce", collective(coll.Reduce)},

@@ -83,11 +83,17 @@ type searchPoint struct {
 	cands []Candidate
 }
 
+// taskKey names one task measurement: a configuration of a collective kind.
+type taskKey struct {
+	kind coll.Kind
+	cfg  han.Config
+}
+
 // taskRun pairs a task-cost measurement with the meter that recorded it, so
 // the merge phase can account the measurement's cost exactly once, at the
 // configuration's first canonical encounter.
-type taskRun[T any] struct {
-	tasks T
+type taskRun struct {
+	tasks TableTasks
 	meter *Meter
 }
 
@@ -135,35 +141,23 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 		}
 	}
 
-	// Phase 2 — parallel measurement into index-addressed slots. Task
-	// costs are shared across message sizes AND collective kinds (tasks
-	// like sb are common to Bcast and Allreduce, one of the paper's three
-	// sources of savings); the single-flight caches keep that sharing
-	// under concurrency without re-measuring a config.
+	// Phase 2 — parallel measurement into index-addressed slots. A kind's
+	// task costs under one configuration are shared across message sizes
+	// (one of the paper's three sources of savings); the single-flight
+	// cache keeps that sharing under concurrency without re-measuring a
+	// (kind, configuration).
 	costs := make([]float64, len(jobPoint))
-	bcastFlight := exec.NewFlight[han.Config, taskRun[BcastTasks]](x.Stats())
-	allredFlight := exec.NewFlight[han.Config, taskRun[AllreduceTasks]](x.Stats())
+	flight := exec.NewFlight[taskKey, taskRun](x.Stats())
 	var jobMeters []*Meter
 	if method.taskBased() {
 		x.Run(len(jobPoint), func(j int) {
 			p := points[jobPoint[j]]
-			cfg := p.cands[jobCand[j]].Cfg
-			switch p.kind {
-			case coll.Bcast:
-				r := bcastFlight.Do(cfg, func() taskRun[BcastTasks] {
-					lm := &Meter{}
-					return taskRun[BcastTasks]{tasks: env.MeasureBcastTasks(cfg, lm), meter: lm}
-				})
-				costs[j] = EstimateBcast(r.tasks, p.m)
-			case coll.Allreduce:
-				r := allredFlight.Do(cfg, func() taskRun[AllreduceTasks] {
-					lm := &Meter{}
-					return taskRun[AllreduceTasks]{tasks: env.MeasureAllreduceTasks(cfg, lm), meter: lm}
-				})
-				costs[j] = EstimateAllreduce(r.tasks, p.m)
-			default:
-				panic("autotune: task-based search supports bcast and allreduce")
-			}
+			key := taskKey{p.kind, p.cands[jobCand[j]].Cfg}
+			r := flight.Do(key, func() taskRun {
+				lm := &Meter{}
+				return taskRun{tasks: env.MeasureTasks(key.kind, key.cfg, lm), meter: lm}
+			})
+			costs[j] = Estimate(r.tasks, p.m)
 		})
 	} else {
 		jobMeters = make([]*Meter, len(jobPoint))
@@ -183,8 +177,7 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 	meter := &Meter{}
 	table := &Table{Machine: env.Spec.Name, Method: method.String()}
 	stats := make(map[Input]ExhaustiveStats)
-	accountedBcast := make(map[han.Config]bool)
-	accountedAllred := make(map[han.Config]bool)
+	accounted := make(map[taskKey]bool)
 	j := 0
 	for _, p := range points {
 		bestCfg := p.cands[0].Cfg
@@ -193,21 +186,10 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 		for ci := range p.cands {
 			cost := costs[j]
 			if method.taskBased() {
-				cfg := p.cands[ci].Cfg
-				switch p.kind {
-				case coll.Bcast:
-					if !accountedBcast[cfg] {
-						accountedBcast[cfg] = true
-						if r, ok := bcastFlight.Get(cfg); ok {
-							meter.Merge(r.meter)
-						}
-					}
-				case coll.Allreduce:
-					if !accountedAllred[cfg] {
-						accountedAllred[cfg] = true
-						if r, ok := allredFlight.Get(cfg); ok {
-							meter.Merge(r.meter)
-						}
+				if key := (taskKey{p.kind, p.cands[ci].Cfg}); !accounted[key] {
+					accounted[key] = true
+					if r, ok := flight.Get(key); ok {
+						meter.Merge(r.meter)
 					}
 				}
 			} else {

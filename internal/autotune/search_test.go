@@ -7,11 +7,9 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/han"
-	"github.com/hanrepro/han/internal/mpi"
 )
 
 // renderResult serialises a Result canonically: the table as indented JSON
@@ -119,7 +117,7 @@ func TestRunSearchDeterministicWithFaults(t *testing.T) {
 // TestTaskCostCacheSingleFlight pins the paper's T×S×N×P×A accounting
 // under concurrency: a task-based search at workers=8 performs exactly the
 // same number of benchmark runs as the serial one — two per distinct
-// configuration (MeasureBcastTasks runs two worlds), regardless of how
+// configuration (a Bcast's MeasureTasks runs two worlds), regardless of how
 // many message sizes request the same config concurrently.
 func TestTaskCostCacheSingleFlight(t *testing.T) {
 	env := testEnv()
@@ -181,23 +179,5 @@ func TestMeterMerge(t *testing.T) {
 	nilM.Merge(a) // must not panic
 	if a.Virtual != 1.75 || a.Runs != 3 {
 		t.Errorf("nil merges changed the meter: %+v", a)
-	}
-}
-
-// BenchmarkRunSearch measures the tuning sweep at several worker counts —
-// the data behind BENCH_search.json. Output tables are identical across
-// the worker axis; only host wall-clock changes.
-func BenchmarkRunSearch(b *testing.B) {
-	env := NewEnv(cluster.Mini(4, 4), mpi.OpenMPI())
-	space := smallSpace()
-	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
-	for _, method := range []Method{Exhaustive, Combined} {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("method=%s/workers=%d", method, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					RunSearch(env, space, kinds, method, SearchOpts{Iters: 2, Workers: workers})
-				}
-			})
-		}
 	}
 }

@@ -53,78 +53,88 @@ func (m *Meter) Merge(d *Meter) {
 // observe the sbib stabilisation of Fig 3.
 const SBIBSeriesLen = 8
 
-// BcastTasks holds the per-leader empirical task costs of one MPI_Bcast
-// configuration — the data behind Fig 2 and the inputs of equation (3).
-type BcastTasks struct {
+// TableTasks holds the per-leader empirical task costs of one configuration
+// of a stage-table collective: the inputs of equations (3) and (4) and the
+// data behind Figs 2 and 3.
+type TableTasks struct {
 	Cfg han.Config
-	// IB0 is the cost of the first inter-node broadcast, per leader.
-	IB0 []float64
-	// SB0 is the cost of a lone intra-node broadcast, per leader.
-	SB0 []float64
-	// SBIBConc is the naive concurrent sb+ib measurement with simultaneous
-	// starts (no task history) — Fig 2's green bars.
+	// Steps[t][l] is the cost of step t on leader l of an SBIBSeriesLen-segment
+	// run of the collective's stage table. A table of depth d runs
+	// SBIBSeriesLen+d-1 steps, so d = len(Steps)-SBIBSeriesLen+1: d-1 fill
+	// steps, the middle steps the pipeline stabilises over, and d-1 drain
+	// steps (the last d-1 steps; fill and middle overlap them when d > 2).
+	//
+	//	Bcast (d = 2):     [ ib(0), sbib(1..7), sb ]
+	//	Allreduce (d = 4): [ sr, irsr, ibirsr, sbibirsr(3..7), sbibir, sbib, sb ]
+	//
+	// A Bcast's fill and drain rows are a lone ib and a lone sb, measured
+	// with no task history; its sbib(i) are measured inside the real
+	// pipeline, with the staggered leader start times section III-A2 asks
+	// for (Fig 2's red bars and the Fig 3 series).
+	Steps [][]float64
+	// SBIBConc is, for a Bcast, the naive concurrent sb+ib with simultaneous
+	// starts (no task history): Fig 2's green bars. Nil for an Allreduce.
 	SBIBConc []float64
-	// SBIB[i][l] is the cost of sbib(i+1) on leader l measured inside the
-	// real pipeline (with ib(0)..sbib(i) history) — Fig 2's red bars and
-	// the Fig 3 series.
-	SBIB [][]float64
 }
 
-// StableSBIB returns the stabilised per-leader sbib cost (the sbib(s) of
-// equation 3): the mean of the second half of the series, past the pipeline
-// warm-up.
-func (bt BcastTasks) StableSBIB() []float64 {
-	if len(bt.SBIB) == 0 {
-		return bt.SBIBConc
+// Stable returns leader l's stabilised middle step (the sbib(s) of equation
+// 3, the sbibirsr(s) of equation 4): the mean of the second half of the
+// middle steps, past the pipeline warm-up.
+func (tt TableTasks) Stable(l int) float64 {
+	d := len(tt.Steps) - SBIBSeriesLen + 1
+	mid := tt.Steps[d-1 : SBIBSeriesLen]
+	sum := 0.0
+	for _, row := range mid[len(mid)/2:] {
+		sum += row[l]
 	}
-	nLeaders := len(bt.SBIB[0])
-	out := make([]float64, nLeaders)
-	half := len(bt.SBIB) / 2
-	cnt := 0
-	for i := half; i < len(bt.SBIB); i++ {
-		for l := 0; l < nLeaders; l++ {
-			out[l] += bt.SBIB[i][l]
-		}
-		cnt++
+	return sum / float64(len(mid)-len(mid)/2)
+}
+
+// MeasureTasks benchmarks the tasks of kind (coll.Bcast or coll.Allreduce)
+// under cfg on the environment's machine. Each task cost is measured once
+// (the simulation is noise-free); the series runs inside a real
+// SBIBSeriesLen-segment pipeline, so that the staggered leader start times
+// and warm-up effects are captured, as section III-A2 prescribes. A Bcast
+// takes two worlds: its lone and naive concurrent tasks share one, the
+// series has the other.
+func (e Env) MeasureTasks(kind coll.Kind, cfg han.Config, meter *Meter) TableTasks {
+	if kind != coll.Bcast && kind != coll.Allreduce {
+		panic("autotune: no task model for collective kind " + kind.String())
 	}
-	for l := range out {
-		out[l] /= float64(cnt)
+	tt := TableTasks{Cfg: cfg}
+	var lone [][]float64 // Bcast's lone ib, lone sb and concurrent sb+ib
+	if kind == coll.Bcast {
+		lone = rows(3, e.Spec.Nodes)
+		meter.add(e.runWorld(func(h *han.HAN) { timers(h, cfg, lone) }))
+	}
+	meter.add(e.runWorld(func(h *han.HAN) { tt.series(h, kind, e.Spec.Nodes) }))
+	if lone != nil && tt.Steps != nil {
+		tt.Steps[0], tt.Steps[len(tt.Steps)-1], tt.SBIBConc = lone[0], lone[1], lone[2]
+	}
+	return tt
+}
+
+// MeasureBcastTasks is MeasureTasks of a Bcast, kept for benchmark/tune.go,
+// which times it.
+func (e Env) MeasureBcastTasks(cfg han.Config, meter *Meter) TableTasks {
+	return e.MeasureTasks(coll.Bcast, cfg, meter)
+}
+
+func rows(n, nodes int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = make([]float64, nodes)
 	}
 	return out
 }
 
-// MeasureBcastTasks benchmarks the three task types of MPI_Bcast under cfg
-// on the environment's machine. Each task cost is measured once (the
-// simulation is noise-free); the sbib series is measured inside a real
-// SBIBSeriesLen-segment pipeline so that the staggered leader start times
-// and warm-up effects are captured, as section III-A2 prescribes.
-func (e Env) MeasureBcastTasks(cfg han.Config, meter *Meter) BcastTasks {
-	nodes := e.Spec.Nodes
-	bt := BcastTasks{
-		Cfg:      cfg,
-		IB0:      make([]float64, nodes),
-		SB0:      make([]float64, nodes),
-		SBIBConc: make([]float64, nodes),
-	}
-	for i := 0; i < SBIBSeriesLen-1; i++ {
-		bt.SBIB = append(bt.SBIB, make([]float64, nodes))
-	}
-
-	// Lone ib, lone sb, and the naive concurrent measurement share a world;
-	// the pipelined sbib series has its own.
-	meter.add(e.runWorld(bt.timers))
-	meter.add(e.runWorld(bt.series))
-	return bt
-}
-
 // timers puts the lone ib, the lone sb and the naive concurrent sb+ib on h's
-// world, one after the other on every rank. Only leaders take part in the
-// first, and all three report on them alone.
-func (bt *BcastTasks) timers(h *han.HAN) {
+// world, one after the other on every rank, into costs[0..2]. Only leaders
+// take part in the first, and all three report on them alone.
+func timers(h *han.HAN, cfg han.Config, costs [][]float64) {
 	tasks := [][]han.Task{{han.TaskIB}, {han.TaskSB}, {han.TaskIB, han.TaskSB}}
-	costs := [][]float64{bt.IB0, bt.SB0, bt.SBIBConc}
 	startTimed(h, len(tasks), func(p *mpi.Proc, i int) *han.Timed {
-		return h.StartTasks(p, mpi.OpSum, mpi.Byte, bt.Cfg, tasks[i]...)
+		return h.StartTasks(p, mpi.OpSum, mpi.Byte, cfg, tasks[i]...)
 	}, func(p *mpi.Proc, i int, steps []sim.Time) {
 		if steps != nil && p.W.Mach.IsNodeLeader(p.Rank) {
 			costs[i][p.Node()] = float64(steps[0])
@@ -132,15 +142,17 @@ func (bt *BcastTasks) timers(h *han.HAN) {
 	})
 }
 
-// series puts the pipelined sbib series on h's world (it includes the ib(0)
-// history automatically).
-func (bt *BcastTasks) series(h *han.HAN) {
+// series puts kind's pipelined series on h's world, one column per node; the
+// first leader that reports says how many steps the table runs.
+func (tt *TableTasks) series(h *han.HAN, kind coll.Kind, nodes int) {
 	startTimed(h, 1, func(p *mpi.Proc, _ int) *han.Timed {
-		return h.StartBcastSteps(p, SBIBSeriesLen, bt.Cfg)
+		return h.StartSeries(p, kind, SBIBSeriesLen, tt.Cfg)
 	}, func(p *mpi.Proc, _ int, steps []sim.Time) {
-		// steps = [ib(0), sbib(1..k-1), sb(last)], on leaders
-		for i := 1; i < len(steps)-1; i++ {
-			bt.SBIB[i-1][p.Node()] = float64(steps[i])
+		if steps != nil && tt.Steps == nil {
+			tt.Steps = rows(len(steps), nodes)
+		}
+		for i := range steps { // on leaders
+			tt.Steps[i][p.Node()] = float64(steps[i])
 		}
 	})
 }
@@ -191,68 +203,6 @@ func (r *timedRank) Unwind(sp *sim.Proc) {
 	if r.cur != nil {
 		r.cur.Unwind(sp)
 	}
-}
-
-// AllreduceTasks holds the per-leader empirical task costs of one
-// MPI_Allreduce configuration — the inputs of equation (4).
-type AllreduceTasks struct {
-	Cfg han.Config
-	// Steps[t][l] is the duration of pipeline step t on leader l for a
-	// SBIBSeriesLen-segment run: steps 0..2 are sr, irsr, ibirsr; steps
-	// 3..u-1 are sbibirsr (stabilising); the last three are the drain
-	// tasks sbibir, sbib, sb.
-	Steps [][]float64
-}
-
-// StableSBIBIRSR returns the stabilised per-leader sbibirsr cost.
-func (at AllreduceTasks) StableSBIBIRSR() []float64 {
-	u := len(at.Steps) - 3
-	nLeaders := len(at.Steps[0])
-	out := make([]float64, nLeaders)
-	lo := 3 + (u-3)/2
-	cnt := 0
-	for t := lo; t < u; t++ {
-		for l := 0; l < nLeaders; l++ {
-			out[l] += at.Steps[t][l]
-		}
-		cnt++
-	}
-	if cnt == 0 {
-		// Degenerate short series: use the last middle step available.
-		for l := 0; l < nLeaders; l++ {
-			out[l] = at.Steps[len(at.Steps)-4][l]
-		}
-		return out
-	}
-	for l := range out {
-		out[l] /= float64(cnt)
-	}
-	return out
-}
-
-// MeasureAllreduceTasks benchmarks the MPI_Allreduce task pipeline under
-// cfg (all 8 task types in one instrumented run, as the shared tasks let
-// the tuner do).
-func (e Env) MeasureAllreduceTasks(cfg han.Config, meter *Meter) AllreduceTasks {
-	nodes := e.Spec.Nodes
-	u := SBIBSeriesLen
-	at := AllreduceTasks{Cfg: cfg}
-	for t := 0; t < u+3; t++ {
-		at.Steps = append(at.Steps, make([]float64, nodes))
-	}
-	meter.add(e.runWorld(at.series))
-	return at
-}
-
-// series puts the instrumented pipeline on h's world.
-func (at *AllreduceTasks) series(h *han.HAN) {
-	startTimed(h, 1, func(p *mpi.Proc, _ int) *han.Timed {
-		return h.StartAllreduceSteps(p, SBIBSeriesLen, mpi.OpSum, mpi.Float64, at.Cfg)
-	}, func(p *mpi.Proc, _ int, steps []sim.Time) {
-		for i := range steps { // on leaders
-			at.Steps[i][p.Node()] = float64(steps[i])
-		}
-	})
 }
 
 // MeasureCollective measures a full collective operation end to end under

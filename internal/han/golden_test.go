@@ -391,8 +391,9 @@ func checkVector(t *testing.T, name string, got []uint64) {
 }
 
 // The instrumented schedules: every leader's full per-step vector of
-// BcastSteps and AllreduceSteps, and the five lone/concurrent task timers
-// on every rank (non-members report 0).
+// the Bcast and Allreduce series, and five lone/concurrent task timers on
+// every rank (non-members report 0). The rows keep the names of the entry
+// points they were recorded through.
 func TestGoldenStepAndTimerBits(t *testing.T) {
 	spec := cluster.Mini(4, 4)
 	const u = 8
@@ -409,9 +410,9 @@ func TestGoldenStepAndTimerBits(t *testing.T) {
 			name string
 			run  func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error)
 		}{
-			{"BcastSteps", func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error) { return h.BcastSteps(p, u, v.cfg) }},
+			{"BcastSteps", func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error) { return h.Series(p, coll.Bcast, u, v.cfg) }},
 			{"AllreduceSteps", func(h *han.HAN, p *mpi.Proc) ([]sim.Time, error) {
-				return h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, v.cfg)
+				return h.Series(p, coll.Allreduce, u, v.cfg)
 			}},
 		} {
 			per := map[int][]sim.Time{}
@@ -429,16 +430,15 @@ func TestGoldenStepAndTimerBits(t *testing.T) {
 	}
 
 	timers := []struct {
-		name string
-		fn   func(h *han.HAN, p *mpi.Proc) sim.Time
+		name  string
+		dt    mpi.Datatype
+		tasks []han.Task
 	}{
-		{"TimeIB", func(h *han.HAN, p *mpi.Proc) sim.Time { return h.TimeIB(p, cfg) }},
-		{"TimeSB", func(h *han.HAN, p *mpi.Proc) sim.Time { return h.TimeSB(p, cfg) }},
-		{"TimeConcurrentSBIB", func(h *han.HAN, p *mpi.Proc) sim.Time { return h.TimeConcurrentSBIB(p, cfg) }},
-		{"TimeIR", func(h *han.HAN, p *mpi.Proc) sim.Time { return h.TimeIR(p, mpi.OpSum, mpi.Float64, cfg) }},
-		{"TimeConcurrentIBIR", func(h *han.HAN, p *mpi.Proc) sim.Time {
-			return h.TimeConcurrentIBIR(p, mpi.OpSum, mpi.Float64, cfg)
-		}},
+		{"TimeIB", mpi.Byte, []han.Task{han.TaskIB}},
+		{"TimeSB", mpi.Byte, []han.Task{han.TaskSB}},
+		{"TimeConcurrentSBIB", mpi.Byte, []han.Task{han.TaskIB, han.TaskSB}},
+		{"TimeIR", mpi.Float64, []han.Task{han.TaskIR}},
+		{"TimeConcurrentIBIR", mpi.Float64, []han.Task{han.TaskIB, han.TaskIR}},
 	}
 	// All five in one world, in the order the autotuner and Fig 6 call
 	// them, so each also sees the history the previous ones left.
@@ -448,7 +448,11 @@ func TestGoldenStepAndTimerBits(t *testing.T) {
 	}
 	goldenRun(t, spec, func(h *han.HAN, p *mpi.Proc) {
 		for i, tm := range timers {
-			got[i][p.Rank] = math.Float64bits(float64(tm.fn(h, p)))
+			d, err := h.TimeTasks(p, mpi.OpSum, tm.dt, cfg, tm.tasks...)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i][p.Rank] = math.Float64bits(float64(d))
 		}
 	})
 	for i, tm := range timers {

@@ -65,9 +65,8 @@
 // epilogue — which a goroutine rank lends its process to for the length of
 // the blocking call, and which a rank that is itself a routine
 // (mpi.World.StartSteps) runs as a phase (Start). The autotuner's
-// measurements (steps.go) run the same loop: BcastSteps and AllreduceSteps
-// are the derived tables with step timing on, and a Time* timer is a
-// one-segment table with every offset 0, synchronised on the communicator
+// measurements (steps.go) run the same loop: a Series is a derived table
+// with step timing on, and a TimeTasks timer is a one-segment table with every offset 0, synchronised on the communicator
 // its stages span.
 //
 // The task structure is what the autotuning component (package autotune)

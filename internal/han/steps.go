@@ -13,8 +13,8 @@ import (
 // runs of the Bcast and Allreduce task pipelines that report the duration
 // of every step on the calling rank, and timers of lone or concurrent
 // tasks. All of them are the two-level world pipeline of pipeline.go over
-// phantom segments: the step schedules run the derived stage table with
-// step timing on; a timer is a one-segment table with every offset 0.
+// phantom segments: a series runs the derived stage table with step timing
+// on; a timer is a one-segment table with every offset 0.
 
 // Timed is one measurement on one rank, as a routine (sim.Stepper): a stage
 // table run on the two-level world hierarchy over phantom segments, after a
@@ -126,41 +126,33 @@ func (t *Timed) finish(steps []sim.Time, err error) (done bool) {
 // timed's defer, also after a measurement that finished.
 func (t *Timed) Unwind(sp *sim.Proc) { (*Call)(t).Unwind(sp) }
 
-// BcastSteps runs the Fig 1 leader schedule over u phantom segments and
-// returns, on leaders, the per-task durations
+// Series runs kind's derived stage table over u phantom segments and returns,
+// on leaders, the per-step durations (length u+d-1 for a table of depth d):
 //
-//	[ ib(0), sbib(1), …, sbib(u-1), sb(u-1) ]
+//	Bcast (Fig 1):     [ ib(0), sbib(1), …, sbib(u-1), sb(u-1) ]
+//	Allreduce (Fig 5): [ sr(0), irsr(1), ibirsr(2), sbibirsr(3..u-1), sbibir, sbib, sb ]
 //
-// (length u+1). Non-leaders participate in the sb tasks and return nil.
-// The sbib(i) durations exhibit the pipeline warm-up and stabilisation of
-// Fig 3. A configuration without an explicit segment size (or with an
-// unknown submodule name) is rejected with a *ConfigError.
-func (h *HAN) BcastSteps(p *mpi.Proc, u int, cfg Config) ([]sim.Time, error) {
-	return h.timed(p, "BcastSteps", coll.Bcast, u, mpi.OpSum, mpi.Byte, cfg, nil)
+// Non-leaders take part in the intra-node tasks and return nil. The middle
+// steps exhibit the pipeline warm-up and stabilisation of Fig 3. A Bcast
+// moves bytes, an Allreduce sums float64s. A configuration without an
+// explicit segment size (or with an unknown submodule name) is rejected with
+// a *ConfigError.
+func (h *HAN) Series(p *mpi.Proc, kind coll.Kind, u int, cfg Config) ([]sim.Time, error) {
+	return h.timed(p, "Series", kind, u, mpi.OpSum, seriesType(kind), cfg, nil)
 }
 
-// StartBcastSteps begins BcastSteps on rank p and returns it as a routine,
-// for a rank that has no goroutine to run as a phase (see Start): Steps and
-// Err hold what BcastSteps returns.
-func (h *HAN) StartBcastSteps(p *mpi.Proc, u int, cfg Config) *Timed {
-	return h.startTimed(p, "BcastSteps", coll.Bcast, u, mpi.OpSum, mpi.Byte, cfg, nil)
+// StartSeries begins Series on rank p and returns it as a routine, for a rank
+// that has no goroutine to run as a phase (see Start): Steps and Err hold
+// what Series returns.
+func (h *HAN) StartSeries(p *mpi.Proc, kind coll.Kind, u int, cfg Config) *Timed {
+	return h.startTimed(p, "Series", kind, u, mpi.OpSum, seriesType(kind), cfg, nil)
 }
 
-// AllreduceSteps runs the Fig 5 pipeline over u phantom segments and
-// returns, on leaders, the per-step durations
-//
-//	[ sr(0), irsr(1), ibirsr(2), sbibirsr(3..u-1), sbibir, sbib, sb ]
-//
-// (length u+3). Non-leaders participate in the sr/sb tasks and return nil.
-// A configuration without an explicit segment size (or with an unknown
-// submodule name) is rejected with a *ConfigError.
-func (h *HAN) AllreduceSteps(p *mpi.Proc, u int, op mpi.Op, dt mpi.Datatype, cfg Config) ([]sim.Time, error) {
-	return h.timed(p, "AllreduceSteps", coll.Allreduce, u, op, dt, cfg, nil)
-}
-
-// StartAllreduceSteps is AllreduceSteps as a routine; see StartBcastSteps.
-func (h *HAN) StartAllreduceSteps(p *mpi.Proc, u int, op mpi.Op, dt mpi.Datatype, cfg Config) *Timed {
-	return h.startTimed(p, "AllreduceSteps", coll.Allreduce, u, op, dt, cfg, nil)
+func seriesType(kind coll.Kind) mpi.Datatype {
+	if kind == coll.Bcast {
+		return mpi.Byte
+	}
+	return mpi.Float64
 }
 
 // Task is one row of a timer's stage table: a two-level task.
@@ -175,54 +167,22 @@ var (
 
 // StartTasks begins a timer on rank p — the given tasks issued together,
 // with no preceding task history, on one fs-sized segment — and returns it
-// as a routine (see StartBcastSteps). Its Steps are the one duration, or nil
+// as a routine (see StartSeries). Its Steps are the one duration, or nil
 // on a rank that is no member of the level the tasks share.
 func (h *HAN) StartTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) *Timed {
-	return h.startTimed(p, "timeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
+	return h.startTimed(p, "TimeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
 }
 
-// timeTasks runs a timer on a goroutine rank. The task benchmarks enumerate
-// configurations from the tuner's own search space, so a rejected one is a
-// programming error.
-func (h *HAN) timeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) sim.Time {
-	steps, err := h.timed(p, "timeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
-	if err != nil {
-		panic(err)
-	}
+// TimeTasks is StartTasks on a goroutine rank: the duration on the calling
+// rank, or 0 on a rank that takes no part. With TaskIB alone it is a lone
+// ib, with TaskIB and TaskSB the naive concurrent sb+ib of Fig 2, with
+// TaskIB and TaskIR the full-duplex overlap of Fig 6. A configuration
+// without an explicit segment size (or with an unknown submodule name) is
+// rejected with a *ConfigError.
+func (h *HAN) TimeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) (sim.Time, error) {
+	steps, err := h.timed(p, "TimeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
 	if steps == nil {
-		return 0
+		return 0, err
 	}
-	return steps[0]
-}
-
-// TimeIB measures a lone ib task (inter-node broadcast of one fs-sized
-// segment, leaders only). Non-leaders return 0 immediately.
-func (h *HAN) TimeIB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskIB)
-}
-
-// TimeSB measures a lone sb task (intra-node broadcast of one fs-sized
-// segment). Every rank participates; the returned duration is the cost on
-// the calling rank (the leader's value enters equation 3).
-func (h *HAN) TimeSB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskSB)
-}
-
-// TimeConcurrentSBIB measures an sb and an ib issued simultaneously with no
-// preceding task history (the green bars of Fig 2: the naive measurement
-// that misses the staggered starting times the real pipeline produces).
-func (h *HAN) TimeConcurrentSBIB(p *mpi.Proc, cfg Config) sim.Time {
-	return h.timeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskIB, TaskSB)
-}
-
-// TimeConcurrentIBIR measures an ib and an ir issued simultaneously on
-// leaders (Fig 6: the full-duplex overlap between the inter-node broadcast
-// and reduction). Non-leaders return 0.
-func (h *HAN) TimeConcurrentIBIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	return h.timeTasks(p, op, dt, cfg, TaskIB, TaskIR)
-}
-
-// TimeIR measures a lone ir task on leaders; non-leaders return 0.
-func (h *HAN) TimeIR(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config) sim.Time {
-	return h.timeTasks(p, op, dt, cfg, TaskIR)
+	return steps[0], err
 }

@@ -20,9 +20,9 @@ func TestBcastStepsShape(t *testing.T) {
 	const u = 6
 	perLeader := make(map[int][]sim.Time)
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		steps, err := h.BcastSteps(p, u, stepCfg())
+		steps, err := h.Series(p, coll.Bcast, u, stepCfg())
 		if err != nil {
-			t.Errorf("rank %d: BcastSteps: %v", p.Rank, err)
+			t.Errorf("rank %d: Bcast series: %v", p.Rank, err)
 		}
 		if h.W.Mach.IsNodeLeader(p.Rank) {
 			perLeader[p.Node()] = steps
@@ -55,9 +55,9 @@ func TestAllreduceStepsShape(t *testing.T) {
 	const u = 6
 	var steps []sim.Time
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		s, err := h.AllreduceSteps(p, u, mpi.OpSum, mpi.Float64, stepCfg())
+		s, err := h.Series(p, coll.Allreduce, u, stepCfg())
 		if err != nil {
-			t.Errorf("rank %d: AllreduceSteps: %v", p.Rank, err)
+			t.Errorf("rank %d: Allreduce series: %v", p.Rank, err)
 		}
 		if p.Rank == 0 {
 			steps = s
@@ -78,16 +78,16 @@ func TestAllreduceStepsShape(t *testing.T) {
 func TestStepsRequireSegmentSize(t *testing.T) {
 	spec := cluster.Mini(2, 2)
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		_, err := h.BcastSteps(p, 4, Config{})
+		_, err := h.Series(p, coll.Bcast, 4, Config{})
 		var ce *ConfigError
 		if !errors.As(err, &ce) {
-			t.Errorf("rank %d: BcastSteps without FS: err = %v, want *ConfigError", p.Rank, err)
+			t.Errorf("rank %d: Bcast series without FS: err = %v, want *ConfigError", p.Rank, err)
 		} else if ce.Param != "fs" {
 			t.Errorf("rank %d: ConfigError.Param = %q, want \"fs\"", p.Rank, ce.Param)
 		}
-		_, err = h.AllreduceSteps(p, 4, mpi.OpSum, mpi.Float64, Config{})
+		_, err = h.Series(p, coll.Allreduce, 4, Config{})
 		if !errors.As(err, &ce) {
-			t.Errorf("rank %d: AllreduceSteps without FS: err = %v, want *ConfigError", p.Rank, err)
+			t.Errorf("rank %d: Allreduce series without FS: err = %v, want *ConfigError", p.Rank, err)
 		}
 	})
 }
@@ -116,11 +116,21 @@ func TestBadSubmoduleNameRejected(t *testing.T) {
 	})
 }
 
+// timed passes a timer's duration on and fails t on its error.
+func timed(t *testing.T) func(sim.Time, error) sim.Time {
+	return func(d sim.Time, err error) sim.Time {
+		if err != nil {
+			t.Error(err)
+		}
+		return d
+	}
+}
+
 func TestTimeIBAndSBPositiveOnLeaders(t *testing.T) {
 	spec := cluster.Mini(3, 2)
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		ib := h.TimeIB(p, stepCfg())
-		sb := h.TimeSB(p, stepCfg())
+		ib := timed(t)(h.TimeTasks(p, mpi.OpSum, mpi.Byte, stepCfg(), TaskIB))
+		sb := timed(t)(h.TimeTasks(p, mpi.OpSum, mpi.Byte, stepCfg(), TaskSB))
 		if h.W.Mach.IsNodeLeader(p.Rank) {
 			if ib <= 0 {
 				t.Errorf("leader %d: ib %v", p.Rank, ib)
@@ -141,13 +151,13 @@ func TestIbIrOverlapOnDuplexFabric(t *testing.T) {
 	cfg := Config{FS: 512 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgChain, IRAlg: coll.AlgChain, IBS: 128 << 10, IRS: 128 << 10}
 	var ib, ir, conc sim.Time
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		if d := h.TimeIB(p, cfg); p.Rank == 0 {
+		if d := timed(t)(h.TimeTasks(p, mpi.OpSum, mpi.Byte, cfg, TaskIB)); p.Rank == 0 {
 			ib = d
 		}
-		if d := h.TimeIR(p, mpi.OpSum, mpi.Float64, cfg); p.Rank == 0 {
+		if d := timed(t)(h.TimeTasks(p, mpi.OpSum, mpi.Float64, cfg, TaskIR)); p.Rank == 0 {
 			ir = d
 		}
-		if d := h.TimeConcurrentIBIR(p, mpi.OpSum, mpi.Float64, cfg); p.Rank == 0 {
+		if d := timed(t)(h.TimeTasks(p, mpi.OpSum, mpi.Float64, cfg, TaskIB, TaskIR)); p.Rank == 0 {
 			conc = d
 		}
 	})
