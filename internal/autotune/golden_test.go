@@ -80,7 +80,7 @@ var goldenSweeps = []struct {
 		{"f5b3afe7c39702d02be51cb072b81ea7c1e0dc52a88c91c0a69d211f6c330b2b", 0x3ff0d584d10ec5f8, 88},
 		{"0a36c169e36aa708cd5c99415d9b5401a665c5b727192acc664bf3b330986b26", 0x3fe164f957f821cf, 42},
 		{"8bb6f7ea9762539878b1ad21fde5beecbbf6604ee4fcd30a7b241318c1b313f5", 0x3fd604f1ece320f4, 72},
-		{"2b9d5687507a1a021e781fc3aaf08b88b630c7465d4f7387d60a33d54d9f13d7", 0x3fc6f95ccbf0030e, 36},
+		{"d48bdf30103a1e400cc3e564719e7aedf365982d52db2c681a7f035fc809b57e", 0x3fc6f95ccbf0030e, 36},
 	}},
 	{"mini", "drops", [4]sweepGolden{
 		{"3cc41dd0a3952fe639c46256d073fce4197587b942a8e2c9594064fc87ddd092", 0x3ff2d85f9d1d1e89, 88},

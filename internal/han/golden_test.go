@@ -704,4 +704,4 @@ var goldenVectors = map[string][]uint64{
 	},
 }
 
-const goldenSearchSHA = "86449a89c37130831909252bc583f30429bd32715817115c872f12e46ab83e0e"
+const goldenSearchSHA = "2c0f1f4436a3490def253d798383b2bfd719cce78f9cb0dd0ca01da6cda21d45"
