@@ -26,9 +26,8 @@ func Estimate(tt TableTasks, m int) float64 {
 	drain := min(u, d-1)
 	best := 0.0
 	for l := range tt.Steps[0] {
-		// Fill, drain, then middle: the order Bcast's estimate has always
-		// been summed in. (An Allreduce's used to add the middle before the
-		// drain, which rounds differently.)
+		// Fill, drain, then middle: float addition does not reassociate,
+		// and the recorded table hashes pin this order.
 		c := 0.0
 		for _, row := range tt.Steps[:d-1] {
 			c += row[l]

@@ -108,7 +108,7 @@ func (e Env) MeasureTasks(kind coll.Kind, cfg han.Config, meter *Meter) TableTas
 		meter.add(e.runWorld(func(h *han.HAN) { timers(h, cfg, lone) }))
 	}
 	meter.add(e.runWorld(func(h *han.HAN) { tt.series(h, kind, e.Spec.Nodes) }))
-	if lone != nil && tt.Steps != nil {
+	if lone != nil {
 		tt.Steps[0], tt.Steps[len(tt.Steps)-1], tt.SBIBConc = lone[0], lone[1], lone[2]
 	}
 	return tt
