@@ -245,6 +245,34 @@ func TestTableSaveLoadDecide(t *testing.T) {
 	}
 }
 
+func TestEstimateAllreduceDegenerateSmallU(t *testing.T) {
+	env := testEnv()
+	cfg := han.Config{FS: 64 << 10, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 32 << 10}
+	at := env.MeasureTasks(coll.Allreduce, cfg, &Meter{})
+	// u = 1, 2, 3 must produce increasing, positive estimates.
+	prev := 0.0
+	for _, m := range []int{64 << 10, 128 << 10, 192 << 10, 640 << 10} {
+		est := Estimate(at, m)
+		if est <= prev {
+			t.Errorf("estimate not increasing at m=%d: %v <= %v", m, est, prev)
+		}
+		prev = est
+	}
+}
+
+func TestEstimateBcastSingleSegment(t *testing.T) {
+	env := testEnv()
+	cfg := han.Config{FS: 1 << 20, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 64 << 10}
+	bt := env.MeasureTasks(coll.Bcast, cfg, &Meter{})
+	// u == 1: the estimate is ib + sb with no steady-state term, and must
+	// still be positive and below the u=4 estimate.
+	e1 := Estimate(bt, 1<<20)
+	e4 := Estimate(bt, 4<<20)
+	if e1 <= 0 || e4 <= e1 {
+		t.Errorf("estimates not ordered: u1=%v u4=%v", e1, e4)
+	}
+}
+
 func TestAllreduceModelNearMeasured(t *testing.T) {
 	env := testEnv()
 	cfg := han.Config{FS: 256 << 10, IMod: "adapt", SMod: "solo", IBAlg: coll.AlgBinary, IBS: 64 << 10, IRS: 64 << 10}
