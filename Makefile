@@ -12,19 +12,17 @@ vet:
 	$(GO) vet ./...
 
 # The pre-push gate: go vet, then the repo's own invariant analyzers
-# (internal/lint) over all three trees — standalone in ONE invocation so
-# interprocedural facts (detflow summaries, metriclabel registrations)
-# span the whole program and the baseline can ratchet, then as a vettool
-# so _test.go files are covered. The standalone run also emits the SARIF
-# log CI uploads. staticcheck is optional equipment (the build container
-# is offline) but never advisory: its presence/absence is logged, and
-# when installed its findings fail the target. hanlint must run from the
-# repo root: its loader resolves module-local imports via the cwd.
+# (internal/lint) over every tree in ONE invocation, test files included,
+# so interprocedural facts (detflow summaries, metriclabel registrations)
+# span the whole program. The run also emits the SARIF log CI uploads.
+# staticcheck is optional equipment (the build container is offline) but
+# never advisory: its presence/absence is logged, and when installed its
+# findings fail the target. hanlint must run inside the module: it
+# resolves the patterns with `go list` from the cwd.
 lint: vet
 	@mkdir -p bin
 	$(GO) build -o bin/hanlint ./cmd/hanlint
-	./bin/hanlint -sarif bin/hanlint.sarif ./internal/... ./cmd/... ./examples/...
-	$(GO) vet -vettool=bin/hanlint ./internal/... ./cmd/... ./examples/...
+	./bin/hanlint -sarif bin/hanlint.sarif ./internal/... ./cmd/... ./examples/... .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck: present at $$(command -v staticcheck), enforcing"; \
 		staticcheck ./...; \

@@ -1,25 +1,13 @@
 // Command hanlint runs the repository's invariant analyzers (package
-// internal/lint) over Go packages. It has two modes:
+// internal/lint) over Go packages: `hanlint ./internal/...` resolves the
+// patterns with `go list -test -deps`, type-checks each package from
+// source — its _test.go files and external test package included — and
+// prints violations. Dependencies are analyzed first, in one process, so
+// interprocedural passes (detflow, metriclabel) see whole-program facts.
+// It must run from inside the module.
 //
-//   - Standalone: `hanlint ./internal/...` resolves the patterns with `go
-//     list`, type-checks each package from source, and prints violations.
-//     Module-local dependencies are analyzed first so interprocedural
-//     passes (detflow, metriclabel) see whole-program facts. It must run
-//     from inside the repository (module resolution is rooted at the
-//     working directory).
-//
-//   - Vet tool: `go vet -vettool=$(command -v hanlint) ./...` — the go
-//     command invokes hanlint once per package with a *.cfg file
-//     describing the unit (the x/tools "unitchecker" protocol, implemented
-//     here against the standard library). hanlint answers the -V=full and
-//     -flags probes, type-checks the unit against the export data the go
-//     command already built, threads interprocedural facts through the
-//     protocol's .vetx files, and reports findings in vet's format.
-//
-// Findings accepted as pre-existing debt live in .hanlint-baseline.json
-// at the module root; the file is a ratchet (regenerate it only smaller,
-// with -write-baseline). -json and -sarif render machine-readable output;
-// -allows prints the //hanlint:allow inventory.
+// -sarif also writes the findings as a SARIF log; -allows prints the
+// //hanlint:allow inventory instead of linting.
 //
 // Exit status: 0 clean, 1 operational error, 2 violations found.
 package main
@@ -34,33 +22,12 @@ import (
 )
 
 func main() {
-	// Vet protocol probes must be answered before normal flag parsing.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			// Stable one-line version string; the go command folds it into
-			// the build cache key for vet results. Bump the buildID when
-			// analyzer semantics change so stale cached verdicts (and
-			// factless .vetx files from older binaries) are invalidated.
-			fmt.Println("hanlint version devel buildID=hanlint-v3")
-			return
-		case "-flags", "--flags":
-			// No tool-specific flags are exposed through go vet.
-			fmt.Println("[]")
-			return
-		}
-	}
-
 	only := flag.String("only", "", "comma-separated subset of passes to run")
 	list := flag.Bool("list", false, "list the available passes and exit")
-	jsonOut := flag.Bool("json", false, "print diagnostics as JSON on stdout")
 	sarifOut := flag.String("sarif", "", "write a SARIF 2.1.0 log to this file (written even when clean)")
-	noBaseline := flag.Bool("no-baseline", false, "ignore .hanlint-baseline.json and report everything")
-	writeBase := flag.Bool("write-baseline", false, "regenerate .hanlint-baseline.json from current findings and exit (run over the full lint tree: entries for packages outside the patterns are dropped)")
 	allows := flag.Bool("allows", false, "list every //hanlint:allow annotation (file:line, pass, reason) and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hanlint [-only pass,pass] [-json] [-sarif file] [-write-baseline] [-allows] packages...\n")
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(command -v hanlint) packages...\n\n")
+		fmt.Fprintf(os.Stderr, "usage: hanlint [-only pass,pass] [-sarif file] [-allows] packages...\n\n")
 		fmt.Fprintf(os.Stderr, "passes:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
@@ -77,8 +44,7 @@ func main() {
 
 	analyzers, err := selectAnalyzers(*only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hanlint:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	args := flag.Args()
@@ -87,71 +53,21 @@ func main() {
 		os.Exit(1)
 	}
 
-	// A single *.cfg argument means the go command is driving us as a vet
-	// tool, one package unit per invocation.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		diags, err := runUnit(args[0], analyzers)
-		exitPlain(diags, err)
-	}
-
 	if *allows {
 		if err := runAllows(args); err != nil {
-			fmt.Fprintln(os.Stderr, "hanlint:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		return
 	}
 
-	diags, targetDirs, err := runStandalone(args, analyzers)
+	diags, root, err := runStandalone(args, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hanlint:", err)
-		os.Exit(1)
-	}
-	root := moduleRoot(".")
-
-	if *writeBase {
-		if err := writeBaseline(diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "hanlint:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "hanlint: baseline regenerated with %d finding(s)\n", len(diags))
-		return
-	}
-	if !*noBaseline {
-		entries, err := loadBaseline(root)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hanlint:", err)
-			os.Exit(1)
-		}
-		covered := make(map[string]bool, len(targetDirs))
-		for _, dir := range targetDirs {
-			covered[relFile(root, dir)] = true
-		}
-		diags = applyBaseline(diags, entries, root, true, covered)
+		fail(err)
 	}
 	if *sarifOut != "" {
 		if err := writeSARIF(*sarifOut, diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "hanlint:", err)
-			os.Exit(1)
+			fail(err)
 		}
-	}
-	if *jsonOut {
-		if err := printJSON(diags, root); err != nil {
-			fmt.Fprintln(os.Stderr, "hanlint:", err)
-			os.Exit(1)
-		}
-		if len(diags) > 0 {
-			os.Exit(2)
-		}
-		return
-	}
-	exitPlain(diags, nil)
-}
-
-func exitPlain(diags []lint.Diagnostic, err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hanlint:", err)
-		os.Exit(1)
 	}
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
@@ -159,7 +75,11 @@ func exitPlain(diags []lint.Diagnostic, err error) {
 	if len(diags) > 0 {
 		os.Exit(2)
 	}
-	os.Exit(0)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "hanlint:", err)
+	os.Exit(1)
 }
 
 func selectAnalyzers(only string) ([]*lint.Analyzer, error) {

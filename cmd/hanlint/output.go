@@ -3,39 +3,20 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"go/token"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"github.com/hanrepro/han/internal/lint"
 )
 
-func tokenPosition(file string) token.Position {
-	return token.Position{Filename: file, Line: 1}
-}
-
-// jsonDiag is the -json output record.
-type jsonDiag struct {
-	Pass    string `json:"pass"`
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Message string `json:"message"`
-}
-
-func printJSON(diags []lint.Diagnostic, root string) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			Pass:    d.Pass,
-			File:    relFile(root, d.Pos.Filename),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Message: d.Message,
-		})
+// relFile renders filename relative to the module root in slash form;
+// paths outside the root pass through unchanged.
+func relFile(root, filename string) string {
+	if rel, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return filepath.ToSlash(filename)
 }
 
 // --- SARIF 2.1.0, the minimal subset GitHub code scanning ingests ---
@@ -97,10 +78,7 @@ type sarifRegion struct {
 // writeSARIF renders the diagnostics as a SARIF log at path. An empty
 // diagnostic set still writes a valid log (CI uploads it unconditionally).
 func writeSARIF(path string, diags []lint.Diagnostic, root string) error {
-	rules := []sarifRule{
-		{ID: "allow", Desc: sarifText{Text: "malformed or stale //hanlint:allow annotation"}},
-		{ID: "baseline", Desc: sarifText{Text: "baseline ratchet: accepted debt shrank, regenerate the baseline"}},
-	}
+	rules := []sarifRule{{ID: "allow", Desc: sarifText{Text: "malformed or stale //hanlint:allow annotation"}}}
 	for _, a := range lint.All() {
 		rules = append(rules, sarifRule{ID: a.Name, Desc: sarifText{Text: a.Doc}})
 	}

@@ -2,136 +2,110 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os/exec"
+	"path/filepath"
 	"sort"
 	"strings"
 
 	"github.com/hanrepro/han/internal/lint"
 )
 
-// listedPkg is one `go list` row.
+// listedPkg is one `go list -test -deps -json` row. ImportPath is the
+// row's ID: a test variant reads "p [p.test]" and an external test
+// package "p_test [p.test]", and Imports and ImportMap name the variants
+// a row compiles against by those IDs.
 type listedPkg struct {
-	path    string
-	dir     string
-	module  bool // inside a module (not GOROOT)
-	imports []string
+	ImportPath, Dir, ForTest string
+	DepOnly                  bool
+	GoFiles, TestGoFiles     []string
+	Imports                  []string
+	ImportMap                map[string]string
+	Module                   *struct{ Dir string }
 }
 
-// listPackages resolves patterns. With deps true it includes the
-// packages' transitive dependencies; `go list -deps` emits them in
-// dependency order (dependencies before dependents), which is exactly
-// the order the facts layer needs.
-func listPackages(patterns []string, deps bool) ([]listedPkg, error) {
-	args := []string{"list", "-f", "{{.ImportPath}}\t{{.Dir}}\t{{if .Module}}1{{else}}0{{end}}\t{{range .Imports}}{{.}} {{end}}"}
-	if deps {
-		args = append(args, "-deps")
+// walk type-checks every module row of `go list -test -deps patterns`,
+// dependencies before dependents, and hands each to visit with whether
+// its findings are reported. A pattern-matched package reports its
+// "p [p.test]" row (its plain row when it has no in-package tests) and
+// its "p_test" row; the in-package test variant holds the non-test files
+// too, so every file is reported once. The rows it supersedes and the
+// dependency variants tests recompile are loaded for their types and
+// facts only. Standard-library rows (the intrinsic models cover them),
+// rows with no files and the generated ".test" mains are skipped. walk
+// returns the module root.
+func walk(patterns []string, visit func(p listedPkg, pkg *lint.Package, report bool)) (string, error) {
+	args := append([]string{"list", "-test", "-deps",
+		"-json=ImportPath,Dir,ForTest,DepOnly,GoFiles,TestGoFiles,Imports,ImportMap,Module"}, patterns...)
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			err = fmt.Errorf("%v\n%s", err, ee.Stderr)
+		}
+		return "", fmt.Errorf("go list %s: %w", strings.Join(patterns, " "), err)
 	}
-	cmd := exec.Command("go", append(args, patterns...)...)
-	var out, errb bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &errb
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
-	}
-	var pkgs []listedPkg
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		if line == "" {
+	root := ""
+	loader := lint.NewLoader()
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPkg
+		if err := dec.Decode(&p); err != nil {
+			return "", fmt.Errorf("decoding go list output: %w", err)
+		}
+		if p.Module == nil || len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test") {
 			continue
 		}
-		parts := strings.SplitN(line, "\t", 4)
-		if len(parts) < 3 {
-			return nil, fmt.Errorf("unexpected go list output %q", line)
+		root = p.Module.Dir
+		files := make([]string, len(p.GoFiles))
+		for i, f := range p.GoFiles {
+			files[i] = filepath.Join(p.Dir, f)
 		}
-		p := listedPkg{path: parts[0], dir: parts[1], module: parts[2] == "1"}
-		if len(parts) == 4 {
-			p.imports = strings.Fields(parts[3])
+		pkg, err := loader.Load(p.ImportPath, files, p.ImportMap)
+		if err != nil {
+			return "", err
 		}
-		pkgs = append(pkgs, p)
+		visit(p, pkg, !p.DepOnly && (p.ForTest != "" || len(p.TestGoFiles) == 0))
 	}
-	return pkgs, nil
+	return root, nil
 }
 
-// runStandalone analyzes the packages matching patterns from source.
-// Module-local dependencies outside the patterns are analyzed too — for
-// their facts only, so interprocedural passes see the whole program —
-// but diagnostics are reported only for the pattern-matched packages.
-// The second result is the set of target package directories (absolute),
-// which scopes the baseline ratchet to what was actually analyzed.
-func runStandalone(patterns []string, analyzers []*lint.Analyzer) ([]lint.Diagnostic, []string, error) {
-	targets, err := listPackages(patterns, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	targetSet := make(map[string]bool, len(targets))
-	var targetDirs []string
-	for _, p := range targets {
-		targetSet[p.path] = true
-		targetDirs = append(targetDirs, p.dir)
-	}
-	all, err := listPackages(patterns, true)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	loader := lint.NewLoader()
-	factsByPath := make(map[string]lint.Facts)
+// runStandalone analyzes the packages matching patterns, test files
+// included. Every loaded row runs the analyzers, so interprocedural
+// passes see the facts of everything it imports, but diagnostics are
+// kept only for the reported rows. It also returns the module root.
+func runStandalone(patterns []string, analyzers []*lint.Analyzer) ([]lint.Diagnostic, string, error) {
+	factsByID := make(map[string]lint.Facts)
 	var diags []lint.Diagnostic
-	for _, p := range all {
-		if !p.module {
-			continue // stdlib: intrinsic models cover it
-		}
-		pkg, err := loader.Load(p.path, p.dir)
-		if err != nil {
-			return nil, nil, err
-		}
+	root, err := walk(patterns, func(p listedPkg, pkg *lint.Package, report bool) {
 		deps := make(map[string]lint.Facts)
-		for _, imp := range p.imports {
-			if f, ok := factsByPath[imp]; ok {
-				deps[imp] = f
+		for _, id := range p.Imports {
+			if f, ok := factsByID[id]; ok {
+				deps[id] = f
 			}
 		}
 		ds, facts := lint.RunAnalyzersFacts(pkg, analyzers, deps)
-		factsByPath[p.path] = facts
-		if targetSet[p.path] {
+		factsByID[p.ImportPath] = facts
+		if report {
 			diags = append(diags, ds...)
 		}
-	}
-	return diags, targetDirs, nil
+	})
+	return diags, root, err
 }
 
-// runAllows prints every //hanlint:allow annotation in the matched
-// packages — the reviewed-debt inventory — as file:line, pass, reason.
+// runAllows prints every //hanlint:allow annotation in the reported rows
+// of the matched packages — the reviewed-debt inventory — as file:line,
+// pass, reason.
 func runAllows(patterns []string) error {
-	targets, err := listPackages(patterns, false)
-	if err != nil {
-		return err
-	}
-	targetSet := make(map[string]bool, len(targets))
-	for _, p := range targets {
-		targetSet[p.path] = true
-	}
-	// Load in dependency order (like runStandalone) so every module-local
-	// import is served from the loader's cache; mixing cached packages
-	// with the fallback source importer's own instances breaks type
-	// identity.
-	all, err := listPackages(patterns, true)
-	if err != nil {
-		return err
-	}
-	root := moduleRoot(".")
-	loader := lint.NewLoader()
 	var rows []lint.Allow
-	for _, p := range all {
-		if !p.module {
-			continue
-		}
-		pkg, err := loader.Load(p.path, p.dir)
-		if err != nil {
-			return err
-		}
-		if targetSet[p.path] {
+	root, err := walk(patterns, func(_ listedPkg, pkg *lint.Package, report bool) {
+		if report {
 			rows = append(rows, lint.AllowAnnotations(pkg)...)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i].Pos, rows[j].Pos

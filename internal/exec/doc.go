@@ -11,7 +11,7 @@
 //     decides only *when* a measurement runs on the host, never what
 //     virtual times it observes.
 //  2. The executor is engine-agnostic. It treats jobs as opaque closures
-//     and never imports the simulation packages — hanlint's enginebound
+//     and never imports the simulation packages — hanlint's importfence
 //     pass enforces the import ban, and its simtime pass forbids bare
 //     goroutines everywhere else, so the only host goroutines in the
 //     tree run executor jobs.

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ArenaallocAnalyzer protects the arena ownership discipline introduced
@@ -56,7 +55,7 @@ func managedForeign(pkg *types.Package, t types.Type) (string, bool) {
 	}
 	owner := named.Obj().Pkg().Path()
 	for _, m := range arenaManaged {
-		if owner != m.ownerSuffix && !strings.HasSuffix(owner, "/"+m.ownerSuffix) {
+		if !isPkg(owner, m.ownerSuffix) {
 			continue
 		}
 		if named.Obj().Name() == m.typeName {

@@ -62,9 +62,10 @@ func (s set) realTaints() []Taint {
 type analyzer struct {
 	cfg      *Config
 	res      *Result
-	sums     map[string]*Summary // dependency + own summaries, updated in place
-	seen     map[string]bool     // diagnostic dedup
-	universe []*types.Named      // CHA class hierarchy
+	sums     map[string]*Summary                 // dependency + own summaries, updated in place
+	seen     map[string]bool                     // diagnostic dedup
+	universe []*types.Named                      // CHA class hierarchy
+	impls    map[*types.Interface][]*types.Named // universe members implementing each interface
 }
 
 // buildUniverse collects every named type reachable from this package's
@@ -93,18 +94,23 @@ func (an *analyzer) buildUniverse() {
 }
 
 // chaResolve returns the summaries of every concrete method that an
-// interface call with the given method name could dispatch to.
+// interface call with the given method name could dispatch to. The
+// implementers of each interface are computed once per analysis; only
+// their summaries change between fixed-point rounds.
 func (an *analyzer) chaResolve(iface *types.Interface, method string) []*Summary {
+	impls, ok := an.impls[iface]
+	if !ok {
+		for _, named := range an.universe {
+			if named.Obj().Pkg() != nil &&
+				(types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+				impls = append(impls, named)
+			}
+		}
+		an.impls[iface] = impls
+	}
 	var out []*Summary
-	for _, named := range an.universe {
-		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
-			continue
-		}
-		pkg := named.Obj().Pkg()
-		if pkg == nil {
-			continue
-		}
-		key := pkg.Path() + ".(" + named.Obj().Name() + ")." + method
+	for _, named := range impls {
+		key := named.Obj().Pkg().Path() + ".(" + named.Obj().Name() + ")." + method
 		if s := an.sums[key]; !s.empty() {
 			out = append(out, s)
 		}
@@ -130,9 +136,9 @@ type fnCtx struct {
 	an    *analyzer
 	decl  *ast.FuncDecl
 	env   map[types.Object]set
-	seeds map[types.Object]set       // pre-pass seeds (exec closure mutation)
+	seeds map[types.Object]set         // pre-pass seeds (exec closure mutation)
 	kills map[types.Object][]token.Pos // order-taint kills (sorts), by position
-	spans map[string]*ast.RangeStmt  // map-order seed position -> seeding range
+	spans map[string]*ast.RangeStmt    // map-order seed position -> seeding range
 
 	paramSinks map[int]map[string]SinkRef // argument index -> sink refs (summary)
 	results    map[int]map[string]Taint   // result index -> taints
@@ -228,7 +234,7 @@ func (fc *fnCtx) prePass() {
 		if !ok {
 			return true
 		}
-		if path, fn := pkgFuncCall(info, call); isSortCall(path, fn) && len(call.Args) > 0 {
+		if path, fn := pkgFuncCall(info, call); IsSortCall(path, fn) && len(call.Args) > 0 {
 			if obj := exprObj(info, call.Args[0]); obj != nil {
 				if lessReadsPointerIdentity(call) {
 					// Sorting by pointer identity does not cleanse: it
@@ -679,7 +685,7 @@ func (fc *fnCtx) callResultTaints(call *ast.CallExpr, nres int) []set {
 	// Unknown callee (no summary, not intrinsic): conservatively assume
 	// every argument — and a method's receiver — flows to every result.
 	// Sort calls were already modelled as kills in the pre-pass.
-	if path, f := pkgFuncCall(info, call); isSortCall(path, f) {
+	if path, f := pkgFuncCall(info, call); IsSortCall(path, f) {
 		return out
 	}
 	for _, ts := range argAt {

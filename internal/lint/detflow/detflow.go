@@ -142,10 +142,11 @@ func Analyze(cfg *Config) *Result {
 		return res
 	}
 	an := &analyzer{
-		cfg:  cfg,
-		res:  res,
-		sums: make(map[string]*Summary, len(cfg.Deps)),
-		seen: make(map[string]bool),
+		cfg:   cfg,
+		res:   res,
+		sums:  make(map[string]*Summary, len(cfg.Deps)),
+		seen:  make(map[string]bool),
+		impls: make(map[*types.Interface][]*types.Named),
 	}
 	for k, s := range cfg.Deps {
 		an.sums[k] = s

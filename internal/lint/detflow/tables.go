@@ -2,17 +2,19 @@ package detflow
 
 import "strings"
 
-// wallClockFuncs mirrors the simtime pass's catalog of package time entry
-// points that read the host clock. Duration arithmetic and constants are
-// not sources.
+// wallClockFuncs are the package time entry points whose results carry
+// the host clock. Duration arithmetic and constants are not sources, and
+// neither are Sleep and AfterFunc, which only wait on it (the simtime
+// pass bans those too).
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 }
 
-// globalRandFuncs mirrors the worldrand pass's catalog of math/rand and
-// math/rand/v2 package-level draws from the process-global source.
-var globalRandFuncs = map[string]bool{
+// GlobalRandFuncs are the math/rand and math/rand/v2 package-level
+// functions that draw from — or reseed — the process-global source. The
+// worldrand pass bans them; here they are value sources.
+var GlobalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "IntN": true, "Int31": true, "Int31n": true,
 	"Int32": true, "Int32N": true, "Int63": true, "Int63n": true,
 	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
@@ -27,7 +29,7 @@ func sourceTaint(pkgPath, fn string) (Taint, bool) {
 	switch {
 	case pkgPath == "time" && wallClockFuncs[fn]:
 		return Taint{Kind: Value, Source: "time." + fn}, true
-	case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && globalRandFuncs[fn]:
+	case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && GlobalRandFuncs[fn]:
 		return Taint{Kind: Value, Source: "global rand." + fn}, true
 	case pkgPath == "os" && (fn == "Getpid" || fn == "Hostname"):
 		return Taint{Kind: Value, Source: "os." + fn}, true
@@ -65,9 +67,11 @@ func execPkg(pkgPath string) bool {
 	return pkgPath == "internal/exec" || strings.HasSuffix(pkgPath, "/internal/exec")
 }
 
-// sortFuncs are the package-level sorting entry points that cleanse order
-// taint from their first argument (the collect-then-sort idiom).
-func isSortCall(pkgPath, fn string) bool {
+// IsSortCall reports whether pkgPath.fn is a package-level sorting entry
+// point: it cleanses order taint from its first argument here, and makes
+// the maporder pass accept a slice appended in map order (the
+// collect-then-sort idiom).
+func IsSortCall(pkgPath, fn string) bool {
 	if pkgPath != "sort" && pkgPath != "slices" {
 		return false
 	}

@@ -24,9 +24,9 @@ var DetflowAnalyzer = &Analyzer{
 	Run:       runDetflow,
 }
 
-// detflowApplies exempts internal/exec from diagnostics, matching
+// detflowApplies exempts the fenced packages from diagnostics, matching
 // simtime: the measurement executor's whole purpose is host-side timing,
-// and enginebound keeps it from importing engine-owning packages.
+// and importfence keeps it from importing engine-owning packages.
 // Summaries are still computed there (UsesFacts), so taint flowing
 // *through* exec-returned values is visible to callers.
 func detflowApplies(pkgPath string) bool {

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // EpochsafeAnalyzer enforces the shrink-epoch discipline: an mpi.Comm or
@@ -259,5 +258,5 @@ func mpiMethodCall(info *types.Info, call *ast.CallExpr) (recvType, method strin
 }
 
 func mpiPkgPath(path string) bool {
-	return path == "internal/mpi" || strings.HasSuffix(path, "/internal/mpi")
+	return isPkg(path, "internal/mpi")
 }

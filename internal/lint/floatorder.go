@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // FloatorderAnalyzer extends maporder's float-accumulation check with
@@ -26,7 +25,7 @@ var FloatorderAnalyzer = &Analyzer{
 
 func floatorderApplies(pkgPath string) bool {
 	for _, suffix := range []string{"internal/autotune", "internal/bench"} {
-		if pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix) {
+		if isPkg(pkgPath, suffix) {
 			return true
 		}
 	}

@@ -38,9 +38,8 @@ type Analyzer struct {
 	// UsesFacts marks an interprocedural pass: its Run consumes the facts
 	// its dependencies exported (Pass.DepFacts) and exports this package's
 	// own facts (Pass.ExportFact). Drivers must run fact passes over
-	// dependency packages first — the standalone driver topo-sorts the
-	// package set, and the vet-tool driver rides the go command's
-	// dependency-ordered .vetx files.
+	// dependency packages first — hanlint walks `go list -test -deps`
+	// output, which lists dependencies before dependents.
 	UsesFacts bool
 	// Run inspects one type-checked package and reports violations.
 	Run func(*Pass)
@@ -48,8 +47,8 @@ type Analyzer struct {
 
 // Facts is one package's serialized interprocedural output, keyed by
 // analyzer name. The blobs are opaque to the driver layer (detflow uses
-// JSON-encoded function summaries); they ride in the .vetx files of the
-// go vet unitchecker protocol and in-memory in standalone mode.
+// JSON-encoded function summaries), which keeps them in memory and hands
+// each package the facts of the packages it imports.
 type Facts map[string][]byte
 
 // Pass carries one type-checked package through one analyzer.
@@ -61,7 +60,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// DepFacts holds the facts exported by already-analyzed dependencies,
-	// keyed by import path. Missing entries (stdlib, packages outside the
+	// keyed by the driver's package ID. Missing entries (stdlib, packages outside the
 	// analyzed set) are normal; fact passes must degrade gracefully to
 	// their intrinsic models.
 	DepFacts map[string]Facts
@@ -122,8 +121,7 @@ func All() []*Analyzer {
 		MaporderAnalyzer,
 		ReqwaitAnalyzer,
 		TypederrAnalyzer,
-		EngineboundAnalyzer,
-		ServeboundAnalyzer,
+		ImportfenceAnalyzer,
 		PartitionboundAnalyzer,
 		ArenaallocAnalyzer,
 		DetflowAnalyzer,

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -38,9 +39,9 @@ func TestTypederr(t *testing.T) {
 }
 
 // TestSimtimeScope pins the wall-clock exemptions: internal/exec (host
-// worker pool, fenced by enginebound) and internal/serve (decision
-// service, fenced by servebound) may spawn host goroutines; everything
-// else stays under the ban.
+// worker pool) and internal/serve (decision service), the two packages
+// importfence fences, may spawn host goroutines; everything else stays
+// under the ban.
 func TestSimtimeScope(t *testing.T) {
 	applies := lint.SimtimeAnalyzer.AppliesTo
 	for path, want := range map[string]bool{
@@ -58,29 +59,17 @@ func TestSimtimeScope(t *testing.T) {
 	}
 }
 
-// TestEngineboundScope pins the inverse scoping: the import ban applies
-// ONLY to internal/exec (and opt-in fixtures) — it is the price of that
-// package's simtime exemption.
-func TestEngineboundScope(t *testing.T) {
-	applies := lint.EngineboundAnalyzer.AppliesTo
-	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/exec":     true,
-		"internal/exec":                             true,
-		"github.com/hanrepro/han/internal/sim":      false,
-		"github.com/hanrepro/han/internal/autotune": false,
-		"enginebound":                               true,
-	} {
-		if got := applies(path); got != want {
-			t.Errorf("enginebound.AppliesTo(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
-// TestEnginebound feeds the pass a synthetic executor file. The pass reads
-// only the import table, so the package is hand-built from a parse — no
-// type-checking needed.
-func TestEnginebound(t *testing.T) {
-	const src = `package exec
+// TestImportfence feeds the pass one synthetic file per fenced package
+// and checks its scoping. The pass reads only the import table, so each
+// package is hand-built from a parse, with no type-checking. Each fence
+// bans exactly its own list: serve's engine-adjacent imports (autotune,
+// han) stay allowed, and so does exec's metrics.
+func TestImportfence(t *testing.T) {
+	for _, tc := range []struct {
+		path, src string
+		want      string // the one finding's message prefix; "" means out of scope
+	}{
+		{"github.com/hanrepro/han/internal/exec", `package exec
 
 import (
 	"sync"
@@ -92,50 +81,8 @@ import (
 var _ sync.Mutex
 var _ = metrics.Opts{}
 var _ = sim.Time(0)
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "exec.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &lint.Package{
-		Path:  "github.com/hanrepro/han/internal/exec",
-		Fset:  fset,
-		Files: []*ast.File{f},
-	}
-	diags := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.EngineboundAnalyzer})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1 (sim banned, sync and metrics allowed): %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, "internal/sim") {
-		t.Errorf("diagnostic does not name the banned import: %s", diags[0].Message)
-	}
-}
-
-// TestServeboundScope pins the serving fence's scoping: the internal/sim
-// import ban applies ONLY to internal/serve (and opt-in fixtures) — the
-// price of that package's simtime exemption, mirroring enginebound.
-func TestServeboundScope(t *testing.T) {
-	applies := lint.ServeboundAnalyzer.AppliesTo
-	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/serve": true,
-		"internal/serve":                         true,
-		"github.com/hanrepro/han/internal/sim":   false,
-		"github.com/hanrepro/han/internal/exec":  false,
-		"servebound":                             true,
-	} {
-		if got := applies(path); got != want {
-			t.Errorf("servebound.AppliesTo(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
-// TestServebound feeds the pass a synthetic serving file. Like
-// enginebound, the pass reads only the import table, so the package is
-// hand-built from a parse. serve's legitimate engine-adjacent imports
-// (autotune, han) stay allowed; only internal/sim trips the fence.
-func TestServebound(t *testing.T) {
-	const src = `package serve
+`, "the executor must stay engine-agnostic: import of github.com/hanrepro/han/internal/sim hands host goroutines"},
+		{"github.com/hanrepro/han/internal/serve", `package serve
 
 import (
 	"net"
@@ -149,23 +96,30 @@ var _ net.Conn
 var _ = autotune.Table{}
 var _ = han.Config{}
 var _ = sim.Time(0)
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "serve.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &lint.Package{
-		Path:  "github.com/hanrepro/han/internal/serve",
-		Fset:  fset,
-		Files: []*ast.File{f},
-	}
-	diags := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.ServeboundAnalyzer})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want exactly 1 (sim banned; net, autotune, han allowed): %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, "internal/sim") {
-		t.Errorf("diagnostic does not name the banned import: %s", diags[0].Message)
+`, "the serving layer must stay engine-free: import of github.com/hanrepro/han/internal/sim gives wall-clock goroutines"},
+		{"internal/exec", "package exec\n\nimport _ \"internal/mpi\"\n", "the executor must stay engine-agnostic: import of internal/mpi"},
+		{"internal/serve", "package serve\n\nimport _ \"internal/sim\"\n", "the serving layer must stay engine-free: import of internal/sim"},
+		{"github.com/hanrepro/han/internal/sim", "package sim\n", ""},
+		{"github.com/hanrepro/han/internal/autotune", "package autotune\n\nimport _ \"github.com/hanrepro/han/internal/sim\"\n", ""},
+		{"importfence", "package importfence\n\nimport _ \"internal/sim\"\n", ""},
+	} {
+		if got := lint.ImportfenceAnalyzer.AppliesTo(tc.path); got != (tc.want != "") {
+			t.Errorf("importfence.AppliesTo(%q) = %v, want %v", tc.path, got, tc.want != "")
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "fenced.go", tc.src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := &lint.Package{Path: tc.path, Fset: fset, Files: []*ast.File{f}, Types: types.NewPackage(tc.path, f.Name.Name)}
+		diags := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.ImportfenceAnalyzer})
+		switch {
+		case tc.want == "" && len(diags) != 0:
+			t.Errorf("%s: got %v, want no findings out of scope", tc.path, diags)
+		case tc.want != "" && (len(diags) != 1 || !strings.HasPrefix(diags[0].Message, tc.want)):
+			t.Errorf("%s: got %v, want exactly one finding starting %q", tc.path, diags, tc.want)
+		}
 	}
 }
 

@@ -47,22 +47,22 @@ type expectation struct {
 func Run(t *testing.T, a *lint.Analyzer, fixture string, deps ...string) {
 	t.Helper()
 	loader := lint.NewLoader()
+	load := func(path string) *lint.Package {
+		// Glob fails only on a malformed pattern; a missing dir is no files.
+		files, _ := filepath.Glob(filepath.Join("testdata", "src", filepath.FromSlash(path), "*.go"))
+		pkg, err := loader.Load(path, files, nil)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", path, err)
+		}
+		return pkg
+	}
 	facts := make(map[string]lint.Facts)
 	for _, dep := range deps {
-		depDir := filepath.Join("testdata", "src", filepath.FromSlash(dep))
-		dpkg, err := loader.Load(dep, depDir)
-		if err != nil {
-			t.Fatalf("loading dep fixture %s: %v", dep, err)
-		}
-		_, f := lint.RunAnalyzersFacts(dpkg, []*lint.Analyzer{a}, facts)
-		facts[dep] = f
+		_, facts[dep] = lint.RunAnalyzersFacts(load(dep), []*lint.Analyzer{a}, facts)
 	}
-	dir := filepath.Join("testdata", "src", filepath.FromSlash(fixture))
-	pkg, err := loader.Load(fixture, dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
-	}
+	pkg := load(fixture)
 	diags, _ := lint.RunAnalyzersFacts(pkg, []*lint.Analyzer{a}, facts)
+	dir := filepath.Join("testdata", "src", filepath.FromSlash(fixture))
 
 	wants := collectWants(t, pkg.Fset, dir)
 	for _, d := range diags {

@@ -7,8 +7,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -24,87 +22,51 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Loader type-checks directories into Packages. It builds its packages
+// Loader type-checks file lists into Packages. It builds its packages
 // from source with the standard library's source importer, so it needs no
-// export data and no modules beyond the one rooted at the current working
-// directory — hanlint must run from inside the repository.
+// export data.
 //
-// Packages it has already loaded are cached and served to later loads by
-// import path, so a fixture package can import a sibling fixture (e.g.
-// the detflow cross-package fixtures importing testdata's mini
-// internal/sim) as long as the dependency is loaded first.
+// Packages it has already loaded are cached by ID and served to later
+// loads, so a package can import one loaded before it (a test variant its
+// recompiled dependencies, a fixture a sibling fixture) as long as the
+// dependency is loaded first.
 type Loader struct {
 	fset  *token.FileSet
-	imp   types.Importer
+	std   types.Importer
 	cache map[string]*types.Package
 }
 
 // NewLoader returns a Loader with a shared file set and import cache.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
-	l := &Loader{fset: fset, cache: make(map[string]*types.Package)}
-	l.imp = importer.ForCompiler(fset, "source", nil)
-	return l
+	return &Loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), cache: make(map[string]*types.Package)}
 }
 
-// Import serves previously loaded packages by path, falling back to the
-// source importer. Loader satisfies types.Importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if p := l.cache[path]; p != nil {
-		return p, nil
-	}
-	return l.imp.Import(path)
-}
+type importerFunc func(path string) (*types.Package, error)
 
-// Load parses and type-checks the non-test Go files of the package in
-// dir, recording it under the given import path.
-func (l *Loader) Load(path, dir string) (*Package, error) {
-	return l.load(path, dir, false)
-}
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// LoadWithTests is Load including _test.go files of the same package
-// (external _test packages are skipped). Fixture tests use it.
-func (l *Loader) LoadWithTests(path, dir string) (*Package, error) {
-	return l.load(path, dir, true)
-}
-
-func (l *Loader) load(path, dir string, tests bool) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	pkgName := ""
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+// Load parses and type-checks files as one package and caches it under
+// id. An id in `go list -test` form ("p [p.test]", "p_test [p.test]")
+// names a test variant; the package's path is the part before the
+// bracket. importMap resolves an import path in the source to the ID of
+// the variant loaded for it; unmapped paths are IDs themselves. Imports
+// not loaded earlier (the standard library) come from source.
+func (l *Loader) Load(id string, files []string, importMap map[string]string) (*Package, error) {
+	path, _, _ := strings.Cut(id, " ")
+	var parsed []*ast.File
+	for _, name := range files {
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		// Keep only the primary (non _test-suffixed) package of the dir.
-		fn := f.Name.Name
-		if strings.HasSuffix(fn, "_test") {
-			continue
-		}
-		if pkgName == "" {
-			pkgName = fn
-		}
-		if fn != pkgName {
-			return nil, fmt.Errorf("lint: %s holds several packages (%s, %s)", dir, pkgName, fn)
-		}
-		files = append(files, f)
+		parsed = append(parsed, f)
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	if len(parsed) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", id)
 	}
-	sort.Slice(files, func(i, j int) bool {
-		return l.fset.Position(files[i].Pos()).Filename < l.fset.Position(files[j].Pos()).Filename
+	sort.Slice(parsed, func(i, j int) bool {
+		return l.fset.Position(parsed[i].Pos()).Filename < l.fset.Position(parsed[j].Pos()).Filename
 	})
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -114,11 +76,19 @@ func (l *Loader) load(path, dir string, tests bool) (*Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(path, l.fset, files, info)
+	conf := types.Config{Importer: importerFunc(func(imp string) (*types.Package, error) {
+		if mapped, ok := importMap[imp]; ok {
+			imp = mapped
+		}
+		if p := l.cache[imp]; p != nil {
+			return p, nil
+		}
+		return l.std.Import(imp)
+	})}
+	tpkg, err := conf.Check(path, l.fset, parsed, info)
 	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", id, err)
 	}
-	l.cache[path] = tpkg
-	return &Package{Path: path, Fset: l.fset, Files: files, Types: tpkg, TypesInfo: info}, nil
+	l.cache[id] = tpkg
+	return &Package{Path: path, Fset: l.fset, Files: parsed, Types: tpkg, TypesInfo: info}, nil
 }

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"github.com/hanrepro/han/internal/lint/detflow"
 )
 
 // MaporderAnalyzer flags range loops over maps whose bodies do
@@ -165,12 +167,7 @@ func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, rng *ast.RangeStmt, ob
 		if !ok || call.Pos() < rng.End() || len(call.Args) == 0 {
 			return true
 		}
-		path, fn := pkgFuncCall(info, call)
-		isSort := (path == "sort" || path == "slices") &&
-			(fn == "Sort" || fn == "SortFunc" || fn == "SortStableFunc" ||
-				fn == "Strings" || fn == "Ints" || fn == "Float64s" ||
-				fn == "Slice" || fn == "SliceStable" || fn == "Stable")
-		if !isSort {
+		if !detflow.IsSortCall(pkgFuncCall(info, call)) {
 			return true
 		}
 		if id := rootIdent(call.Args[0]); id != nil && (info.Uses[id] == obj) {

@@ -161,7 +161,7 @@ func isMetricsOpts(info *types.Info, cl *ast.CompositeLit) bool {
 		return false
 	}
 	path := named.Obj().Pkg().Path()
-	return path == "internal/metrics" || strings.HasSuffix(path, "/internal/metrics")
+	return isPkg(path, "internal/metrics")
 }
 
 // labelKeys extracts the sorted literal keys of a Labels map literal;

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // partitionAdvanceAPI lists the sim.Engine methods that exist solely so
@@ -27,7 +26,7 @@ var partitionAdvanceAPI = map[string]bool{
 // sim.Parallel coordinator; the incremental-advance primitives belong to
 // the coordinator's window loop alone, where the barrier protocol
 // guarantees every partition observes the same horizon sequence. The
-// enginebound pass keeps the executor from importing sim at all; this
+// importfence pass keeps the executor from importing sim at all; this
 // pass keeps the packages that legitimately import sim from re-deriving
 // the coordinator's job with weaker ordering guarantees.
 var PartitionboundAnalyzer = &Analyzer{
@@ -43,10 +42,7 @@ var PartitionboundAnalyzer = &Analyzer{
 func partitionboundApplies(pkgPath string) bool {
 	// The owning package hosts the coordinator; everything else is fair
 	// game, including the "partitionbound*" fixture packages.
-	if pkgPath == "internal/sim" || strings.HasSuffix(pkgPath, "/internal/sim") {
-		return false
-	}
-	return true
+	return !isPkg(pkgPath, "internal/sim")
 }
 
 // isSimEngine reports whether t (after stripping pointers) is the named
@@ -66,8 +62,7 @@ func isSimEngine(t types.Type) bool {
 	if named.Obj().Name() != "Engine" {
 		return false
 	}
-	path := named.Obj().Pkg().Path()
-	return path == "internal/sim" || strings.HasSuffix(path, "/internal/sim")
+	return isPkg(named.Obj().Pkg().Path(), "internal/sim")
 }
 
 func runPartitionbound(pass *Pass) {

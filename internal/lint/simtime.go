@@ -1,14 +1,12 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "go/ast"
 
 // wallClockFuncs are the package time entry points that read or wait on
 // the host clock. Pure Duration arithmetic, constants (time.Second), and
 // conversions (time.Duration(x)) are not in the set and never trip the
-// pass.
+// pass. It is a superset of detflow's value sources: Sleep and AfterFunc
+// block on the host clock but return no value derived from it.
 var wallClockFuncs = map[string]bool{
 	"Now":       true,
 	"Sleep":     true,
@@ -35,24 +33,12 @@ var SimtimeAnalyzer = &Analyzer{
 	Run:       runSimtime,
 }
 
-// simtimeApplies exempts the two packages allowed to touch the host
-// clock and spawn host goroutines, each with a matching import fence
-// that keeps the exemption from leaking host concurrency into
-// simulation state:
-//
-//   - internal/exec: its workers run measurement jobs as opaque
-//     closures; the enginebound pass keeps it from importing any
-//     engine-owning package.
-//   - internal/serve: the wall-clock decision service; the servebound
-//     pass keeps it from importing internal/sim, so its goroutines can
-//     serve table snapshots but never drive an engine.
+// simtimeApplies exempts the packages the importfence pass fences
+// (internal/exec, internal/serve): they may touch the host clock and
+// spawn host goroutines because their fence keeps that host concurrency
+// away from simulation state.
 func simtimeApplies(pkgPath string) bool {
-	for _, exempt := range []string{"internal/exec", "internal/serve"} {
-		if pkgPath == exempt || strings.HasSuffix(pkgPath, "/"+exempt) {
-			return false
-		}
-	}
-	return true
+	return fenceOf(pkgPath) < 0
 }
 
 func runSimtime(pass *Pass) {

@@ -24,7 +24,7 @@ var TypederrAnalyzer = &Analyzer{
 
 func typederrApplies(pkgPath string) bool {
 	for _, suf := range []string{"internal/han", "internal/coll"} {
-		if pkgPath == suf || strings.HasSuffix(pkgPath, "/"+suf) {
+		if isPkg(pkgPath, suf) {
 			return true
 		}
 	}

@@ -53,6 +53,12 @@ func methodCallOn(info *types.Info, call *ast.CallExpr) (recvPkg, method string)
 	return named.Obj().Pkg().Path(), sel.Sel.Name
 }
 
+// isPkg reports whether path is the package suffix itself (a fixture
+// path) or a module path ending in it.
+func isPkg(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
+}
+
 // simSidePkg reports whether path names one of the packages whose methods
 // schedule simulation events or traffic: iterating a map while calling
 // into them replays in a different order run to run.
@@ -60,7 +66,7 @@ func simSidePkg(path string) bool {
 	for _, suf := range []string{
 		"internal/sim", "internal/mpi", "internal/trace", "internal/flow", "internal/fault",
 	} {
-		if path == suf || strings.HasSuffix(path, "/"+suf) {
+		if isPkg(path, suf) {
 			return true
 		}
 	}

@@ -3,20 +3,9 @@ package lint
 import (
 	"go/ast"
 	"strings"
-)
 
-// globalRandFuncs are the math/rand (and math/rand/v2) package-level
-// functions that draw from — or reseed — the shared global source. Any use
-// makes replay depend on whatever else touched that source, across
-// packages and goroutines.
-var globalRandFuncs = map[string]bool{
-	"Int": true, "Intn": true, "IntN": true, "Int31": true, "Int31n": true,
-	"Int32": true, "Int32N": true, "Int63": true, "Int63n": true,
-	"Int64": true, "Int64N": true, "Uint": true, "UintN": true,
-	"Uint32": true, "Uint32N": true, "Uint64": true, "Uint64N": true,
-	"Float32": true, "Float64": true, "ExpFloat64": true, "NormFloat64": true,
-	"Perm": true, "Shuffle": true, "Read": true, "Seed": true, "N": true,
-}
+	"github.com/hanrepro/han/internal/lint/detflow"
+)
 
 // randConstructors are allowed only in the world's seeded plumbing
 // (internal/mpi) and in test files: everywhere else a private rand.New
@@ -45,7 +34,7 @@ func isRandPkg(path string) bool {
 // worldRandHome reports whether pkgPath is the blessed home of the seeded
 // RNG plumbing.
 func worldRandHome(pkgPath string) bool {
-	return pkgPath == "internal/mpi" || strings.HasSuffix(pkgPath, "/internal/mpi")
+	return isPkg(pkgPath, "internal/mpi")
 }
 
 func runWorldrand(pass *Pass) {
@@ -62,7 +51,7 @@ func runWorldrand(pass *Pass) {
 				return true
 			}
 			switch {
-			case globalRandFuncs[fn]:
+			case detflow.GlobalRandFuncs[fn]:
 				pass.Reportf(call.Pos(),
 					"rand.%s draws from the process-global source; draw from the world's "+
 						"seeded RNG (mpi.World.Seed plumbing) so fault plans replay", fn)

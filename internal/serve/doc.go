@@ -23,7 +23,7 @@
 //
 // This is the repository's first wall-clock subsystem: unlike everything
 // under internal/sim, serve's concurrency is real goroutines and its
-// clock is the host's. The boundary is fenced both ways — the servebound
+// clock is the host's. The boundary is fenced both ways — the importfence
 // lint pass forbids serve from importing internal/sim, and serve's
 // simtime exemption is scoped to exactly this package. Determinism here
 // means semantic determinism, not bit-replay: every Decide answer equals

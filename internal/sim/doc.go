@@ -134,7 +134,7 @@
 // any other goroutine is a data race. Engine.Run asserts it is not
 // re-entered, and hanlint enforces the invariant statically: the simtime
 // pass forbids bare `go` statements everywhere except internal/exec, and
-// the enginebound pass forbids internal/exec from importing any
+// the importfence pass forbids internal/exec from importing any
 // engine-owning package — so the only host concurrency in the tree runs
 // opaque executor jobs, each of which builds and drains a private engine
 // (DESIGN.md §10).
