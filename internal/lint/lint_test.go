@@ -59,50 +59,17 @@ func TestSimtimeScope(t *testing.T) {
 	}
 }
 
-// TestImportfence feeds the pass one synthetic file per fenced package
-// and checks its scoping. The pass reads only the import table, so each
-// package is hand-built from a parse, with no type-checking. Each fence
-// bans exactly its own list: serve's engine-adjacent imports (autotune,
-// han) stay allowed, and so does exec's metrics.
-func TestImportfence(t *testing.T) {
-	for _, tc := range []struct {
-		path, src string
-		want      string // the one finding's message prefix; "" means out of scope
-	}{
-		{"github.com/hanrepro/han/internal/exec", `package exec
+// fenceCase is one synthetic file for the importfence pass: the package
+// path it is checked as, its source, and the one finding's message prefix
+// ("" means the path is out of scope and nothing is reported).
+type fenceCase struct{ path, src, want string }
 
-import (
-	"sync"
-
-	"github.com/hanrepro/han/internal/metrics"
-	"github.com/hanrepro/han/internal/sim"
-)
-
-var _ sync.Mutex
-var _ = metrics.Opts{}
-var _ = sim.Time(0)
-`, "the executor must stay engine-agnostic: import of github.com/hanrepro/han/internal/sim hands host goroutines"},
-		{"github.com/hanrepro/han/internal/serve", `package serve
-
-import (
-	"net"
-
-	"github.com/hanrepro/han/internal/autotune"
-	"github.com/hanrepro/han/internal/han"
-	"github.com/hanrepro/han/internal/sim"
-)
-
-var _ net.Conn
-var _ = autotune.Table{}
-var _ = han.Config{}
-var _ = sim.Time(0)
-`, "the serving layer must stay engine-free: import of github.com/hanrepro/han/internal/sim gives wall-clock goroutines"},
-		{"internal/exec", "package exec\n\nimport _ \"internal/mpi\"\n", "the executor must stay engine-agnostic: import of internal/mpi"},
-		{"internal/serve", "package serve\n\nimport _ \"internal/sim\"\n", "the serving layer must stay engine-free: import of internal/sim"},
-		{"github.com/hanrepro/han/internal/sim", "package sim\n", ""},
-		{"github.com/hanrepro/han/internal/autotune", "package autotune\n\nimport _ \"github.com/hanrepro/han/internal/sim\"\n", ""},
-		{"importfence", "package importfence\n\nimport _ \"internal/sim\"\n", ""},
-	} {
+// checkFence runs the importfence pass over each case. The pass reads only
+// the import table, so each package is hand-built from a parse, with no
+// type-checking.
+func checkFence(t *testing.T, cases []fenceCase) {
+	t.Helper()
+	for _, tc := range cases {
 		if got := lint.ImportfenceAnalyzer.AppliesTo(tc.path); got != (tc.want != "") {
 			t.Errorf("importfence.AppliesTo(%q) = %v, want %v", tc.path, got, tc.want != "")
 			continue
@@ -121,6 +88,66 @@ var _ = sim.Time(0)
 			t.Errorf("%s: got %v, want exactly one finding starting %q", tc.path, diags, tc.want)
 		}
 	}
+}
+
+// TestEnginebound feeds the pass a synthetic executor file: the exec fence
+// bans internal/sim and leaves sync and metrics allowed.
+func TestEnginebound(t *testing.T) {
+	checkFence(t, []fenceCase{{"github.com/hanrepro/han/internal/exec", `package exec
+
+import (
+	"sync"
+
+	"github.com/hanrepro/han/internal/metrics"
+	"github.com/hanrepro/han/internal/sim"
+)
+
+var _ sync.Mutex
+var _ = metrics.Opts{}
+var _ = sim.Time(0)
+`, "the executor must stay engine-agnostic: import of github.com/hanrepro/han/internal/sim hands host goroutines"}})
+}
+
+// TestEngineboundScope pins the exec fence's scoping: it applies to
+// internal/exec, under either path form, and not to the engine packages
+// themselves.
+func TestEngineboundScope(t *testing.T) {
+	checkFence(t, []fenceCase{
+		{"internal/exec", "package exec\n\nimport _ \"internal/mpi\"\n", "the executor must stay engine-agnostic: import of internal/mpi"},
+		{"github.com/hanrepro/han/internal/sim", "package sim\n", ""},
+		{"github.com/hanrepro/han/internal/autotune", "package autotune\n\nimport _ \"github.com/hanrepro/han/internal/sim\"\n", ""},
+	})
+}
+
+// TestServebound feeds the pass a synthetic serving file: serve's
+// engine-adjacent imports (autotune, han) stay allowed; only internal/sim
+// trips the fence.
+func TestServebound(t *testing.T) {
+	checkFence(t, []fenceCase{{"github.com/hanrepro/han/internal/serve", `package serve
+
+import (
+	"net"
+
+	"github.com/hanrepro/han/internal/autotune"
+	"github.com/hanrepro/han/internal/han"
+	"github.com/hanrepro/han/internal/sim"
+)
+
+var _ net.Conn
+var _ = autotune.Table{}
+var _ = han.Config{}
+var _ = sim.Time(0)
+`, "the serving layer must stay engine-free: import of github.com/hanrepro/han/internal/sim gives wall-clock goroutines"}})
+}
+
+// TestServeboundScope pins the serve fence's scoping: it applies to
+// internal/serve, under either path form; a package that merely shares
+// the pass's name is not fenced.
+func TestServeboundScope(t *testing.T) {
+	checkFence(t, []fenceCase{
+		{"internal/serve", "package serve\n\nimport _ \"internal/sim\"\n", "the serving layer must stay engine-free: import of internal/sim"},
+		{"importfence", "package importfence\n\nimport _ \"internal/sim\"\n", ""},
+	})
 }
 
 // TestTypederrScope pins the pass's package scoping: it must apply to the
