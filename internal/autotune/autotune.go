@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
@@ -156,36 +157,96 @@ type Env struct {
 	// Faults, when non-nil and non-zero, is injected into every
 	// measurement world.
 	Faults *fault.Plan
+
+	// worlds recycles measurement worlds for the length of a sweep
+	// (RunSearch sets it); nil builds a world per measurement.
+	worlds *worldList
 }
 
 // NewEnv returns a measurement environment.
 func NewEnv(spec cluster.Spec, pers *mpi.Personality) Env { return Env{Spec: spec, Pers: pers} }
 
-// newWorld builds a measurement world: a private engine, machine, and world,
-// so concurrent measurements never share simulation state — the property the
-// parallel executor relies on.
-func (e Env) newWorld() *mpi.World {
+// faulty reports whether the environment injects a fault plan.
+func (e Env) faulty() bool { return e.Faults != nil && !e.Faults.IsZero() }
+
+// newWorld builds a measurement world: a private engine, machine, world and
+// HAN instance, so concurrent measurements never share simulation state —
+// the property the parallel executor relies on. A sweep builds one per
+// worker and recycles it (worldList); every other caller — hanexp's
+// figures, benchmark/'s probe of one task measurement — runs one measurement
+// on it.
+func (e Env) newWorld() *han.HAN {
 	w := mpi.NewWorld(cluster.NewMachine(sim.New(), e.Spec), e.Pers)
 	if e.Seed != 0 {
 		w.Seed(e.Seed)
 	}
-	if e.Faults != nil && !e.Faults.IsZero() {
+	if e.faulty() {
 		w.AttachFaults(*e.Faults)
 	}
-	return w
+	return han.New(w)
 }
 
-// runWorld has start put the ranks of a fresh world on their measurement,
-// runs it and returns the final virtual time. Measurement ranks only loop
-// over barriers, collectives and timers, so they are routines
+// runWorld has start put the ranks of a measurement world on their
+// measurement, runs it and returns the final virtual time. Measurement ranks
+// only loop over barriers, collectives and timers, so they are routines
 // (mpi.World.StartSteps): a measurement world starts no goroutine.
 func (e Env) runWorld(start func(h *han.HAN)) sim.Time {
-	w := e.newWorld()
-	start(han.New(w))
-	if err := w.Eng().Run(); err != nil {
+	h := e.worlds.get(e)
+	start(h)
+	eng := h.W.Eng()
+	if err := eng.Run(); err != nil {
 		panic(fmt.Sprintf("autotune: measurement world failed: %v", err))
 	}
-	return w.Eng().Now()
+	end := eng.Now()
+	e.worlds.put(e, h)
+	return end
+}
+
+// worldList is the free list of measurement worlds a sweep keeps: a job
+// takes a world off it, or builds one when it is empty, and puts it back
+// reset once its measurement has drained. So a sweep builds as many worlds
+// as it ever ran at once — at most one per worker — and no two jobs hold one
+// at the same time. A reset world simulates the bits a new one would
+// (han.HAN.Reset, down through the world, the network and the engine):
+// which world a job draws reaches no bit of the table. A nil list builds a
+// world per measurement and keeps none.
+type worldList struct {
+	mu    sync.Mutex
+	free  []*han.HAN
+	built int // worlds built for the list's jobs
+}
+
+// get takes a world off the list, or builds one.
+func (l *worldList) get(e Env) *han.HAN {
+	if l != nil {
+		l.mu.Lock()
+		if n := len(l.free); n > 0 {
+			h := l.free[n-1]
+			l.free = l.free[:n-1]
+			l.mu.Unlock()
+			return h
+		}
+		l.built++
+		l.mu.Unlock()
+	}
+	return e.newWorld()
+}
+
+// put resets a world whose measurement has drained and returns it to the
+// list. A world that ran under a fault plan is dropped instead: a crash
+// leaves records out and processes unwound in storage nobody reclaims, and a
+// flap rewrites capacities.
+func (l *worldList) put(e Env, h *han.HAN) {
+	if l == nil || e.faulty() {
+		return
+	}
+	h.Reset()
+	if e.Seed != 0 {
+		h.W.Seed(e.Seed)
+	}
+	l.mu.Lock()
+	l.free = append(l.free, h)
+	l.mu.Unlock()
 }
 
 // Entry is one lookup-table row: the best configuration for an input.

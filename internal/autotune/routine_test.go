@@ -114,8 +114,8 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 	for _, k := range kinds {
 		run := func(routines bool) (any, sim.Time, *sim.Engine) {
 			wl := k.mk()
-			w := env.newWorld()
-			h := han.New(w)
+			h := env.newWorld()
+			w := h.W
 			if routines {
 				wl.start(h)
 			} else {
@@ -143,7 +143,9 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 // One end-to-end measurement on the sweep's machine stays under a recorded
 // number of objects — a world's first growth: its pools' slabs, its per-pair
 // state, the ranks' slots — and the iterations after the first add next to
-// nothing to it: no process record per helper, no request, no program.
+// nothing to it: no process record per helper, no request, no program. On a
+// recycled world, which has grown all that once, a measurement allocates
+// next to nothing either.
 func TestMeasurementAllocationBudget(t *testing.T) {
 	if arena.Debug {
 		t.Skip("quarantined slots are never reused: every record is fresh")
@@ -152,7 +154,7 @@ func TestMeasurementAllocationBudget(t *testing.T) {
 	spec.Nodes, spec.PPN = 8, 4
 	env := NewEnv(spec, mpi.OpenMPI())
 	cfg := goldenTaskConfigs[0]
-	mallocs := func(iters int) uint64 {
+	mallocs := func(env Env, iters int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if d := env.MeasureCollective(coll.Allreduce, 1<<20, cfg, iters, &Meter{}); d <= 0 || math.IsNaN(d) {
@@ -161,8 +163,8 @@ func TestMeasurementAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	mallocs(1) // whatever the process allocates once
-	two, ten := mallocs(2), mallocs(10)
+	mallocs(env, 1) // whatever the process allocates once
+	two, ten := mallocs(env, 2), mallocs(env, 10)
 	// Recorded: 1 962 objects; 6 322 when every rank was a goroutine and every
 	// helper allocated its process.
 	const budget = 2300
@@ -172,5 +174,11 @@ func TestMeasurementAllocationBudget(t *testing.T) {
 	// Recorded: 2 more objects; 10 381 then, most of them helper processes.
 	if extra := int64(ten) - int64(two); extra > 100 {
 		t.Errorf("8 more iterations allocate %d more objects (%d against %d); a warm iteration is to allocate next to none", extra, ten, two)
+	}
+	recycled := env
+	recycled.worlds = new(worldList)
+	mallocs(recycled, 2) // builds the world
+	if again := mallocs(recycled, 2); again > 64 {
+		t.Errorf("a measurement of 2 iterations on a recycled world allocates %d objects, want at most 64", again)
 	}
 }

@@ -103,17 +103,24 @@ type taskRun struct {
 // across methods as in Fig 8.
 //
 // Measurements fan out across opts.Workers host workers (internal/exec).
-// Every (input, candidate) pair is an independent job that builds a private
-// world, writes its cost into an index-addressed slot, and records its
-// benchmark cost in a private Meter; for task-based methods a single-flight
-// cache guarantees each distinct configuration is measured exactly once,
-// preserving the paper's T×S×N×P×A accounting. Everything order-sensitive —
-// meter accumulation, best-candidate tie-breaking, table append order —
-// happens after the jobs finish, in canonical enumeration order, so the
-// result is byte-identical no matter how many workers ran.
+// Every (input, candidate) pair is an independent job that measures on a
+// world it holds alone, writes its cost into an index-addressed slot, and
+// records its benchmark cost in a private Meter; for task-based methods a
+// single-flight cache guarantees each distinct configuration is measured
+// exactly once, preserving the paper's T×S×N×P×A accounting. The worlds are
+// the sweep's own: a free list, for the length of the call, of worlds a job
+// takes and puts back reset, so a sweep builds at most one per worker, not
+// one per measurement — except under a fault plan, where every world serves
+// one measurement. Everything order-sensitive — meter accumulation,
+// best-candidate tie-breaking, table append order — happens after the jobs
+// finish, in canonical enumeration order, so the result is byte-identical no
+// matter how many workers ran, or which world a job drew.
 func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts SearchOpts) Result {
 	if opts.Iters <= 0 {
 		opts.Iters = 2
+	}
+	if env.worlds == nil { // a test in this package may bring its own, to count
+		env.worlds = new(worldList)
 	}
 	x := exec.New(opts.Workers)
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -69,7 +70,8 @@ func TestFlightPoisonForgetRetry(t *testing.T) {
 // Forget racing an in-flight computation leaves already-blocked waiters
 // attached to the old call, while post-Forget requesters compute fresh.
 func TestFlightForgetInFlight(t *testing.T) {
-	f := NewFlight[int, int](nil)
+	stats := &Stats{}
+	f := NewFlight[int, int](stats)
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -83,14 +85,15 @@ func TestFlightForgetInFlight(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-inFlight
-		// Joins the in-flight call before the Forget below (Do only sees
-		// the map entry until Forget removes it; this waiter is already
-		// attached by the time release fires).
-		if got := f.Do(1, func() int { return -1 }); got != 100 && got != 200 {
-			t.Errorf("waiter got %d, want the old 100 (joined pre-Forget) or fresh 200", got)
+		if got := f.Do(1, func() int { return -1 }); got != 100 {
+			t.Errorf("waiter got %d, want the old 100: it joined before the Forget", got)
 		}
 	}()
-	<-inFlight
+	// Do counts a wait before it blocks: once the count shows, the waiter is
+	// attached to the in-flight call, and the Forget below cannot detach it.
+	for stats.CacheWaits() != 1 {
+		runtime.Gosched()
+	}
 	f.Forget(1)
 	// A requester arriving after the Forget starts a fresh computation even
 	// though the old one is still running.

@@ -27,6 +27,7 @@ type Resource struct {
 	Name string
 	// Capacity is in bytes per second and must be positive.
 	Capacity float64
+	initial  float64 // the capacity it was created with, for Network.Reset
 
 	flows []*Flow // active flows crossing this resource, insertion order
 
@@ -183,12 +184,26 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		panic(fmt.Sprintf("flow: resource %q capacity must be positive and finite, got %v", name, capacity))
 	}
-	r := &Resource{Name: name, Capacity: capacity}
+	r := &Resource{Name: name, Capacity: capacity, initial: capacity}
 	n.resources = append(n.resources, r)
 	if n.mon != nil {
 		n.mon.track(r, n.e.Now())
 	}
 	return r
+}
+
+// Reset returns a network with no flow in flight to the state its resources
+// were created in: every resource back at the capacity NewResource gave it.
+// What the network grew stays — the resources, the pooled flows, the
+// rebalance scratch — none of which reaches a rate or an event. It panics if
+// a flow is still in flight.
+func (n *Network) Reset() {
+	for _, r := range n.resources {
+		if len(r.flows) > 0 {
+			panic(fmt.Sprintf("flow: Reset with %d flow(s) in flight over %q", len(r.flows), r.Name))
+		}
+		r.Capacity = r.initial
+	}
 }
 
 // SetCapacity changes a resource's capacity mid-run (link degradation,

@@ -457,3 +457,28 @@ func TestSetCapacityRejectsNonPositive(t *testing.T) {
 		}()
 	}
 }
+
+// Reset puts every resource back at its created capacity, and refuses while a
+// flow is in flight.
+func TestNetworkResetRestoresCapacities(t *testing.T) {
+	e := sim.New()
+	n := NewNetwork(e)
+	r := n.NewResource("link", 100)
+	n.Start(50, r)
+	n.SetCapacity(r, 25)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset with a flow in flight did not panic")
+			}
+		}()
+		n.Reset()
+	}()
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n.Reset()
+	if r.Capacity != 100 || r.Load() != 0 {
+		t.Errorf("after Reset the link carries %d flows at %v B/s, want 0 at 100", r.Load(), r.Capacity)
+	}
+}

@@ -284,6 +284,17 @@ func New(w *mpi.World) *HAN {
 	return h
 }
 
+// Reset returns the instance and its world to the state New leaves them in,
+// for the next run to simulate the bits a new instance on a new world would:
+// the world is reset (mpi.World.Reset, which refuses one that has not
+// drained — and in a drained world no rank is inside a call), and every
+// rank's call slot is zeroed, with what a finished call left there. The
+// slots and the submodule instances stay.
+func (h *HAN) Reset() {
+	h.W.Reset()
+	clear(h.slots)
+}
+
 // resolve fills a zero Config from the decision function, applies
 // defaults to a partially-specified one, and validates the submodule
 // names, in place. Every public entry point calls it before issuing tasks,

@@ -13,7 +13,7 @@ type Comm struct {
 	ctx    int
 	ranks  []int       // world ranks indexed by comm rank
 	rankOf map[int]int // world rank -> comm rank
-	seq    map[int]int // per world-rank collective sequence counter
+	seq    []int       // collective sequence counters by comm rank, made on first use
 	eps    []endpoint  // matching state by comm rank, made on first use (p2p.go)
 }
 
@@ -23,11 +23,15 @@ type Comm struct {
 // returned value can safely derive matching tags for one collective
 // instance.
 func (c *Comm) NextSeq(p *Proc) int {
-	if c.seq == nil {
-		c.seq = make(map[int]int)
+	me := c.Rank(p)
+	if me < 0 {
+		panic("mpi: NextSeq by non-member rank")
 	}
-	s := c.seq[p.Rank]
-	c.seq[p.Rank] = s + 1
+	if c.seq == nil {
+		c.seq = make([]int, len(c.ranks))
+	}
+	s := c.seq[me]
+	c.seq[me] = s + 1
 	return s
 }
 
@@ -42,6 +46,7 @@ func (w *World) NewComm(worldRanks []int) *Comm {
 		}
 		c.rankOf[r] = i
 	}
+	w.comms = append(w.comms, c)
 	return c
 }
 

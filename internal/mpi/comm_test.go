@@ -80,6 +80,29 @@ func TestCommAccessors(t *testing.T) {
 	}
 }
 
+// The three-level hierarchy looks its socket and socket-leader communicators
+// up on every rank of every call: once made, a lookup allocates nothing.
+func TestSocketCommLookupAllocatesNothing(t *testing.T) {
+	spec := cluster.Mini(2, 6)
+	spec.SocketsPerNode = 2
+	_, w := newTestWorld(spec)
+	lookup := func() {
+		for n := 0; n < spec.Nodes; n++ {
+			for s := 0; s < spec.SocketsPerNode; s++ {
+				w.SocketComm(n, s)
+			}
+			w.SocketLeaderComm(n)
+		}
+	}
+	lookup()
+	if allocs := testing.AllocsPerRun(100, lookup); allocs != 0 {
+		t.Errorf("a warm lookup of every socket communicator allocates %v objects, want 0", allocs)
+	}
+	if c := w.SocketComm(1, 1); c.Size() != 3 || c.WorldRank(0) != 9 || w.SocketLeaderComm(1).WorldRank(1) != 9 {
+		t.Errorf("socket 1 of node 1 holds %d ranks from %d", c.Size(), c.WorldRank(0))
+	}
+}
+
 func TestDupCreatesFreshContext(t *testing.T) {
 	spec := cluster.Mini(1, 2)
 	_, err := Run(spec, OpenMPI(), func(p *Proc) {

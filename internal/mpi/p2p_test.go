@@ -2,10 +2,12 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/hanrepro/han/internal/arena"
@@ -364,4 +366,62 @@ func TestKillThenLateFireOnRecycledRequest(t *testing.T) {
 	if !succeeded {
 		t.Fatal("successor never completed its wait on the recycled requests")
 	}
+}
+
+// A reset world replays, to the bit, what a new world runs — noise draws and collective sequence numbers included — and
+// refuses to be reset while a record is out of its pools, or under a fault
+// plan.
+func TestWorldResetRefusesLiveRecords(t *testing.T) {
+	pers := OpenMPI()
+	pers.Jitter = 0.05 // every latency draws from the world's generator
+	build := func() *World {
+		return NewWorld(cluster.NewMachine(sim.New(), cluster.Mini(2, 2)), pers)
+	}
+	// run is a ring exchange of both protocols and a barrier; it returns the
+	// clock and every rank's sequence numbers. A rank that leaks posts one
+	// receive nobody sends to.
+	run := func(w *World, leak bool) string {
+		seqs := make([]int, w.Size())
+		w.Start(func(p *Proc) {
+			c := p.W.World()
+			me, n := c.Rank(p), c.Size()
+			for i := 0; i < 3; i++ {
+				seqs[me] += c.NextSeq(p)
+				c.SendRecv(p, Phantom(64<<(6*i)), (me+1)%n, i, Phantom(1<<20), (me+n-1)%n, i)
+			}
+			c.Barrier(p)
+			if leak && me == 0 {
+				_ = c.Irecv(p, Phantom(1), 1, 99)
+			}
+		})
+		if err := w.Eng().Run(); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(math.Float64bits(float64(w.Eng().Now())), seqs)
+	}
+	refuses := func(what, msg string, w *World) {
+		t.Helper()
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.Contains(r, msg) {
+				t.Errorf("Reset %s: %s", what, r)
+			}
+		}()
+		w.Reset()
+	}
+
+	want := run(build(), false)
+	w := build()
+	run(w, false)
+	w.Reset()
+	if got := run(w, false); got != want {
+		t.Errorf("after Reset the world runs to %s, a new one to %s", got, want)
+	}
+	w.Reset()
+	run(w, true)
+	refuses("with a receive still posted", "out of the world's pools", w)
+
+	faulty := build()
+	faulty.AttachFaults(fault.Plan{})
+	run(faulty, false)
+	refuses("under a fault plan", "fault plan", faulty)
 }

@@ -73,11 +73,21 @@ type World struct {
 	collWatch   map[collKey]*collWatch
 	collInst    map[collInstKey]int
 
-	world       *Comm
-	nodeComms   []*Comm
-	leaderComm  *Comm
-	cachedComms map[string]*Comm
+	// comms lists every communicator of the world, in creation order.
+	comms      []*Comm
+	world      *Comm
+	nodeComms  []*Comm
+	leaderComm *Comm
+	// socketComms ([node*SocketsPerNode+socket]) and socketLeaderComms
+	// ([node]) are the levels of a three-level hierarchy, each made on first
+	// lookup.
+	socketComms       []*Comm
+	socketLeaderComms []*Comm
+	cachedComms       map[string]*Comm
 }
+
+// defaultSeed seeds a new world's noise generator.
+const defaultSeed = 1
 
 // NewWorld creates a world for the given machine and library personality.
 func NewWorld(m *cluster.Machine, pers *Personality) *World {
@@ -85,7 +95,7 @@ func NewWorld(m *cluster.Machine, pers *Personality) *World {
 		Mach:        m,
 		Pers:        pers,
 		cachedComms: make(map[string]*Comm),
-		rng:         rand.New(rand.NewSource(1)),
+		rng:         rand.New(rand.NewSource(defaultSeed)),
 		m:           &worldMetrics{},
 	}
 	w.initPools()
@@ -143,23 +153,21 @@ func (w *World) SocketComm(node, socket int) *Comm {
 	if !spec.MultiSocket() {
 		return w.NodeComm(node)
 	}
-	key := fmt.Sprintf("socket:%d.%d", node, socket)
-	if c, ok := w.cachedComms[key]; ok {
-		return c
+	if w.socketComms == nil {
+		w.socketComms = make([]*Comm, spec.Nodes*spec.SocketsPerNode)
 	}
-	per := spec.RanksPerSocket()
-	lo := node*spec.PPN + socket*per
-	hi := lo + per
-	if max := (node + 1) * spec.PPN; hi > max {
-		hi = max
+	c := &w.socketComms[node*spec.SocketsPerNode+socket]
+	if *c == nil {
+		per := spec.RanksPerSocket()
+		lo := node*spec.PPN + socket*per
+		hi := min(lo+per, (node+1)*spec.PPN)
+		ranks := make([]int, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			ranks = append(ranks, r)
+		}
+		*c = w.NewComm(ranks)
 	}
-	ranks := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		ranks = append(ranks, r)
-	}
-	c := w.NewComm(ranks)
-	w.cachedComms[key] = c
-	return c
+	return *c
 }
 
 // SocketLeaderComm returns the communicator of a node's socket leaders (the
@@ -169,21 +177,21 @@ func (w *World) SocketLeaderComm(node int) *Comm {
 	if !spec.MultiSocket() {
 		return w.NodeComm(node)
 	}
-	key := fmt.Sprintf("socketleaders:%d", node)
-	if c, ok := w.cachedComms[key]; ok {
-		return c
+	if w.socketLeaderComms == nil {
+		w.socketLeaderComms = make([]*Comm, spec.Nodes)
 	}
-	per := spec.RanksPerSocket()
-	var ranks []int
-	for s := 0; s < spec.SocketsPerNode; s++ {
-		r := node*spec.PPN + s*per
-		if r < (node+1)*spec.PPN {
-			ranks = append(ranks, r)
+	c := &w.socketLeaderComms[node]
+	if *c == nil {
+		per := spec.RanksPerSocket()
+		var ranks []int
+		for s := 0; s < spec.SocketsPerNode; s++ {
+			if r := node*spec.PPN + s*per; r < (node+1)*spec.PPN {
+				ranks = append(ranks, r)
+			}
 		}
+		*c = w.NewComm(ranks)
 	}
-	c := w.NewComm(ranks)
-	w.cachedComms[key] = c
-	return c
+	return *c
 }
 
 // Proc is a rank's execution context: a simulated process bound to a world
@@ -397,6 +405,39 @@ func (w *World) Faults() *fault.Injector { return w.faults }
 // Seed reseeds the world's noise generator, in place (only meaningful with
 // a personality that sets Jitter, or a fault plan that draws).
 func (w *World) Seed(seed int64) { w.rng.Seed(seed) }
+
+// Reset returns a world whose run has drained, with its machine and engine,
+// to the state NewWorld leaves them in, so that the next run simulates the
+// bits a new world would: the engine and the network reset
+// (sim.Engine.Reset, flow.Network.Reset), the noise generator reseeded in
+// place with NewWorld's seed, every communicator's collective sequence
+// counters at zero, the watchdog's instance maps empty. What the world grew
+// stays — communicators and their matching state, per-pair state and its
+// cached path, the record pools — and no simulated bit depends on it.
+//
+// It is valid only on a drained world without a fault plan, and panics
+// otherwise. Drained means no live process and no pending event (the
+// engine's condition) and no record out of the world's pools (LiveRecords):
+// a payload queued on a pair's wire or envelope FIFO and a message in a
+// matching queue each hold one. A fault plan disqualifies a world for good: a
+// crash leaves records out and processes unwound for the rest of the run, and
+// the plan's injector keeps state of its own.
+func (w *World) Reset() {
+	if w.faults != nil {
+		panic("mpi: Reset of a world with a fault plan attached")
+	}
+	if n := w.LiveRecords(); n > 0 {
+		panic(fmt.Sprintf("mpi: Reset with %d record(s) out of the world's pools", n))
+	}
+	w.Eng().Reset()
+	w.Mach.Net.Reset()
+	w.rng.Seed(defaultSeed)
+	for _, c := range w.comms {
+		clear(c.seq)
+	}
+	clear(w.collWatch)
+	clear(w.collInst)
+}
 
 // latency returns the one-way envelope latency between two ranks, hardware
 // plus library software latency, with optional jitter noise.

@@ -205,6 +205,27 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
+// Reset returns a drained engine to the state New leaves it in, so that the
+// next run draws exactly the (t, seq) a new engine would: the clock, the
+// sequence counter, the dispatch count and the host-cost counters go back to
+// zero. What the engine grew stays — the event records it recycles. It is
+// valid only between runs, with no live process and no pending event (a
+// clean Run leaves neither), and panics otherwise.
+func (e *Engine) Reset() {
+	switch {
+	case e.running:
+		panic("sim: Reset of a running engine")
+	case e.live > 0:
+		panic(fmt.Sprintf("sim: Reset with %d live process(es)", e.live))
+	case len(e.events) > 0:
+		panic(fmt.Sprintf("sim: Reset with %d pending event(s)", len(e.events)))
+	case e.stopErr != nil || e.panicVal != nil:
+		panic("sim: Reset of a stopped engine")
+	}
+	e.now, e.seq, e.dispatched = 0, 0, 0
+	e.goroutines, e.parks, e.rearms = 0, 0, 0
+}
+
 // Goroutines reports how many process goroutines the engine has started.
 // Step-driven processes (SpawnStep) start none.
 func (e *Engine) Goroutines() uint64 { return e.goroutines }

@@ -191,3 +191,54 @@ func TestSpawnStepGuardsItsStorage(t *testing.T) {
 		t.Errorf("the engine still lists %d processes", len(listed(t, e)))
 	}
 }
+
+// A drained engine that is Reset runs the next program on the (t, seq) a new
+// engine would; one with work left refuses to be reset, and keeps that work.
+func TestEngineResetRefusesPendingWork(t *testing.T) {
+	// run plays a few sleepers and callbacks and logs every dispatch as
+	// (time, sequence number of the next push).
+	run := func(e *Engine) string {
+		var log strings.Builder
+		note := func() { fmt.Fprintf(&log, "%v/%d ", e.Now(), e.seq) }
+		for i := 0; i < 3; i++ {
+			n := &pooledNap{d: Time(i+1) * 0.5, free: new([]*pooledNap)}
+			e.SpawnStep(&n.p, n)
+			e.Schedule(Time(i)*0.75, note)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		note()
+		return log.String()
+	}
+	want := run(New())
+	e := New()
+	run(e)
+	e.Reset()
+	if got := run(e); got != want || e.Goroutines() != 0 {
+		t.Errorf("after Reset the engine logs %q, a new one %q", got, want)
+	}
+
+	refuses := func(what, msg string) {
+		t.Helper()
+		defer func() {
+			if r := fmt.Sprint(recover()); !strings.Contains(r, msg) {
+				t.Errorf("Reset with %s: %s", what, r)
+			}
+		}()
+		e.Reset()
+	}
+	e.Reset()
+	e.Schedule(1, func() {})
+	refuses("a pending event", "pending event")
+	if e.Run() != nil || e.Now() != 1 {
+		t.Errorf("the refused Reset dropped the pending event: the clock reads %v", e.Now())
+	}
+	e.Reset()
+	var parked Proc
+	e.SpawnStep(&parked, &waitLabelled{{NewSignal(), label("never")}})
+	if err := e.Run(); err == nil {
+		t.Fatal("a process parked forever drained cleanly")
+	}
+	refuses("a live process", "live process")
+}
