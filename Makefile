@@ -72,13 +72,15 @@ chaos-soak:
 	done; done
 
 # Native fuzzing smoke: a few seconds per fuzz target (fault plans, table
-# files), enough to catch validator/occurrence/loader regressions without a
-# dedicated fleet. The table seed is a whole saved sweep; minimizing each
-# new input from it would otherwise use up the smoke's time.
+# files, wire requests), enough to catch validator/occurrence/loader/parser
+# regressions without a dedicated fleet. The table seed is a whole saved
+# sweep; minimizing each new input from it would otherwise use up the
+# smoke's time.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPlanValidate -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzOccurrences -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime 5s -fuzzminimizetime 1s ./internal/autotune/
+	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
 
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the

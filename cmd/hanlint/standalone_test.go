@@ -90,7 +90,7 @@ import (
 )
 
 func TestAllowed(t *testing.T) {
-	//hanlint:allow simtime the fixture's reviewed exception
+	//hanlint:allow fence the fixture's reviewed exception
 	_ = time.Since(time.Time{})
 }
 `,
@@ -101,9 +101,9 @@ func TestAllowed(t *testing.T) {
 		t.Fatalf("hanlint exited %d, want 2 (findings in test files)\n%s", code, out)
 	}
 	for _, want := range []string{
-		"vfix_test.go:10:5: simtime: wall-clock time.Now",
-		"vfix_test.go:13:5: worldrand: rand.Intn draws from the process-global source",
-		"ext_test.go:9:2: simtime: wall-clock time.Sleep",
+		"vfix_test.go:10:5: fence: wall-clock time.Now",
+		"vfix_test.go:13:5: fence: rand.Intn draws from the process-global source",
+		"ext_test.go:9:2: fence: wall-clock time.Sleep",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -114,7 +114,7 @@ func TestAllowed(t *testing.T) {
 	}
 
 	out, code = runHanlint(t, bin, files, "-allows")
-	if code != 0 || !strings.Contains(out, "allow_test.go:9\tsimtime\tthe fixture's reviewed exception") {
+	if code != 0 || !strings.Contains(out, "allow_test.go:9\tfence\tthe fixture's reviewed exception") {
 		t.Errorf("-allows exited %d without listing the test-file annotation:\n%s", code, out)
 	}
 }

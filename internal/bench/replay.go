@@ -16,8 +16,8 @@ import (
 // of the repo's core invariant that a (seed, plan, machine) triple fully
 // determines a simulation. ReplayStream runs one collective under a tracer
 // and serializes the complete event timeline; CheckReplay runs it twice
-// per seed and demands byte identity. The hanlint passes (simtime,
-// worldrand, maporder) keep code from breaking this property statically;
+// per seed and demands byte identity. The hanlint passes (fence,
+// maporder, detflow) keep code from breaking this property statically;
 // this harness catches whatever slips through them dynamically.
 
 // ReplayOpts parameterizes one replay run.

@@ -11,10 +11,10 @@
 //     decides only *when* a measurement runs on the host, never what
 //     virtual times it observes.
 //  2. The executor is engine-agnostic. It treats jobs as opaque closures
-//     and never imports the simulation packages — hanlint's importfence
-//     pass enforces the import ban, and its simtime pass forbids bare
-//     goroutines everywhere else, so the only host goroutines in the
-//     tree run executor jobs.
+//     and never imports the simulation packages — hanlint's fence pass
+//     enforces the import ban, and forbids bare goroutines outside the
+//     host packages (this one and internal/serve), so the only host
+//     goroutines in the tree run executor jobs or serve requests.
 //  3. Callers merge serially. Jobs write results into index-addressed
 //     slots; everything order-sensitive (float accumulation, best-so-far
 //     tie-breaking, table append order) happens after Run returns, in

@@ -61,7 +61,7 @@ func NewPool(workers int) *Pool {
 		ch := make(chan poolRound)
 		p.rounds = append(p.rounds, ch)
 		// Pool workers are the sanctioned host concurrency of this package
-		// (internal/exec is exempt from the simtime goroutine ban); they run
+		// (internal/exec is exempt from the fence's goroutine ban); they run
 		// opaque round jobs and never see engine state.
 		go p.worker(ch)
 	}

@@ -63,7 +63,7 @@ func (r *Resource) remove(f *Flow) {
 }
 
 // Flow is an in-flight transfer. Flows are pool-managed by their Network
-// (hanlint arenaalloc): obtain them with Network.Start/StartOn only, and
+// (hanlint fence): obtain them with Network.Start/StartOn only, and
 // never retain one past the firing of its Done signal unless it came from
 // a network with pooling disabled — pooled flows are recycled the moment
 // they complete.

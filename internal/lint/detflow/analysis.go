@@ -943,7 +943,7 @@ func (fc *fnCtx) numResults() int {
 }
 
 // recordRangeTaint publishes the final taint of every ranged-over operand
-// for the floatorder pass.
+// for the maporder pass.
 func (fc *fnCtx) recordRangeTaint() {
 	ast.Inspect(fc.decl.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)

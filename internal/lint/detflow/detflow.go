@@ -114,7 +114,7 @@ type Result struct {
 	// Diags are the source→sink findings.
 	Diags []Diag
 	// RangeTaint records, for every range statement, the taint of the
-	// ranged-over operand — the floatorder pass consumes it.
+	// ranged-over operand — the maporder pass consumes it.
 	RangeTaint map[*ast.RangeStmt][]Taint
 }
 

@@ -2,18 +2,20 @@ package detflow
 
 import "strings"
 
-// wallClockFuncs are the package time entry points whose results carry
-// the host clock. Duration arithmetic and constants are not sources, and
-// neither are Sleep and AfterFunc, which only wait on it (the simtime
-// pass bans those too).
-var wallClockFuncs = map[string]bool{
+// WallClockFuncs are the package time entry points that read or wait on
+// the host clock; the fence pass bans them all. The value marks the
+// entries whose results carry the clock, the value sources here: Sleep
+// and AfterFunc only wait on it. Duration arithmetic, constants and
+// conversions are not in the table.
+var WallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
+	"Sleep": false, "AfterFunc": false,
 }
 
 // GlobalRandFuncs are the math/rand and math/rand/v2 package-level
 // functions that draw from — or reseed — the process-global source. The
-// worldrand pass bans them; here they are value sources.
+// fence pass bans them; here they are value sources.
 var GlobalRandFuncs = map[string]bool{
 	"Int": true, "Intn": true, "IntN": true, "Int31": true, "Int31n": true,
 	"Int32": true, "Int32N": true, "Int63": true, "Int63n": true,
@@ -27,7 +29,7 @@ var GlobalRandFuncs = map[string]bool{
 // nondeterminism source.
 func sourceTaint(pkgPath, fn string) (Taint, bool) {
 	switch {
-	case pkgPath == "time" && wallClockFuncs[fn]:
+	case pkgPath == "time" && WallClockFuncs[fn]:
 		return Taint{Kind: Value, Source: "time." + fn}, true
 	case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && GlobalRandFuncs[fn]:
 		return Taint{Kind: Value, Source: "global rand." + fn}, true

@@ -24,13 +24,14 @@ var DetflowAnalyzer = &Analyzer{
 	Run:       runDetflow,
 }
 
-// detflowApplies exempts the fenced packages from diagnostics, matching
-// simtime: the measurement executor's whole purpose is host-side timing,
-// and importfence keeps it from importing engine-owning packages.
-// Summaries are still computed there (UsesFacts), so taint flowing
-// *through* exec-returned values is visible to callers.
+// detflowApplies exempts the host packages from diagnostics, matching the
+// fence pass's clock and goroutine rows: the measurement executor's whole
+// purpose is host-side timing, and the fence's import rows keep it from
+// importing engine-owning packages. Summaries are still computed there
+// (UsesFacts), so taint flowing *through* exec-returned values is visible
+// to callers.
 func detflowApplies(pkgPath string) bool {
-	return simtimeApplies(pkgPath)
+	return !hostPkgs(pkgPath, false)
 }
 
 func runDetflow(pass *Pass) {
@@ -48,7 +49,7 @@ func runDetflow(pass *Pass) {
 }
 
 // detflowResult runs (or returns the memoized) taint analysis for the
-// package. The result is shared with the floatorder pass through the
+// package. The result is shared with the maporder pass through the
 // pass cache.
 func detflowResult(pass *Pass) *detflow.Result {
 	const key = "detflow:result"

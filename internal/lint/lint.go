@@ -67,7 +67,7 @@ type Pass struct {
 
 	// Cache lets the analyzers of one RunAnalyzers invocation share
 	// expensive computed state (the detflow taint analysis is consumed by
-	// both the detflow and floatorder passes).
+	// both the detflow and maporder passes).
 	Cache *Cache
 
 	diags *[]Diagnostic
@@ -116,18 +116,13 @@ func (d Diagnostic) String() string {
 // All returns the full hanlint suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SimtimeAnalyzer,
-		WorldrandAnalyzer,
-		MaporderAnalyzer,
-		ReqwaitAnalyzer,
-		TypederrAnalyzer,
-		ImportfenceAnalyzer,
-		PartitionboundAnalyzer,
-		ArenaallocAnalyzer,
 		DetflowAnalyzer,
 		EpochsafeAnalyzer,
+		FenceAnalyzer,
+		MaporderAnalyzer,
 		MetriclabelAnalyzer,
-		FloatorderAnalyzer,
+		ReqwaitAnalyzer,
+		TypederrAnalyzer,
 	}
 }
 

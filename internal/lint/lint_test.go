@@ -12,18 +12,20 @@ import (
 	"github.com/hanrepro/han/internal/lint/linttest"
 )
 
+// TestSimtime drives the fence's clock and goroutine rows.
 func TestSimtime(t *testing.T) {
-	linttest.Run(t, lint.SimtimeAnalyzer, "simtime")
+	linttest.Run(t, lint.FenceAnalyzer, "simtime")
 }
 
+// TestWorldrand drives the fence's global-rand and rand-constructor rows.
 func TestWorldrand(t *testing.T) {
-	linttest.Run(t, lint.WorldrandAnalyzer, "worldrand")
+	linttest.Run(t, lint.FenceAnalyzer, "worldrand")
 }
 
 // TestWorldrandHome checks the internal/mpi exemption: the seeded
 // plumbing may construct RNGs, global draws stay forbidden.
 func TestWorldrandHome(t *testing.T) {
-	linttest.Run(t, lint.WorldrandAnalyzer, "internal/mpi")
+	linttest.Run(t, lint.FenceAnalyzer, "internal/mpi")
 }
 
 func TestMaporder(t *testing.T) {
@@ -38,49 +40,48 @@ func TestTypederr(t *testing.T) {
 	linttest.Run(t, lint.TypederrAnalyzer, "typederrfix")
 }
 
-// TestSimtimeScope pins the wall-clock exemptions: internal/exec (host
-// worker pool) and internal/serve (decision service), the two packages
-// importfence fences, may spawn host goroutines; everything else stays
-// under the ban.
+// TestSimtimeScope pins the wall-clock and goroutine exemptions:
+// internal/exec (host worker pool) and internal/serve (decision service),
+// the two packages the import rows fence, may spawn host goroutines;
+// everything else stays under the ban.
 func TestSimtimeScope(t *testing.T) {
-	applies := lint.SimtimeAnalyzer.AppliesTo
-	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/exec":  false,
-		"internal/exec":                          false,
-		"github.com/hanrepro/han/internal/serve": false,
-		"internal/serve":                         false,
-		"github.com/hanrepro/han/internal/sim":   true,
-		"github.com/hanrepro/han/internal/mpi":   true,
-		"simtime":                                true,
+	for path, lifted := range map[string]bool{
+		"github.com/hanrepro/han/internal/exec":  true,
+		"internal/exec":                          true,
+		"github.com/hanrepro/han/internal/serve": true,
+		"internal/serve":                         true,
+		"github.com/hanrepro/han/internal/sim":   false,
+		"github.com/hanrepro/han/internal/mpi":   false,
+		"simtime":                                false,
 	} {
-		if got := applies(path); got != want {
-			t.Errorf("simtime.AppliesTo(%q) = %v, want %v", path, got, want)
+		for _, row := range []string{"clock", "go"} {
+			if got := lint.FenceLifted(row, path); got != lifted {
+				t.Errorf("fence row %q lifted in %q = %v, want %v", row, path, got, lifted)
+			}
 		}
 	}
 }
 
-// fenceCase is one synthetic file for the importfence pass: the package
+// fenceCase is one synthetic file for the fence's import rows: the package
 // path it is checked as, its source, and the one finding's message prefix
 // ("" means the path is out of scope and nothing is reported).
 type fenceCase struct{ path, src, want string }
 
-// checkFence runs the importfence pass over each case. The pass reads only
+// checkFence runs the fence pass over each case. The import rows read only
 // the import table, so each package is hand-built from a parse, with no
-// type-checking.
+// type-checking; its empty types.Info leaves the other rows nothing to
+// match.
 func checkFence(t *testing.T, cases []fenceCase) {
 	t.Helper()
 	for _, tc := range cases {
-		if got := lint.ImportfenceAnalyzer.AppliesTo(tc.path); got != (tc.want != "") {
-			t.Errorf("importfence.AppliesTo(%q) = %v, want %v", tc.path, got, tc.want != "")
-			continue
-		}
 		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, "fenced.go", tc.src, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkg := &lint.Package{Path: tc.path, Fset: fset, Files: []*ast.File{f}, Types: types.NewPackage(tc.path, f.Name.Name)}
-		diags := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.ImportfenceAnalyzer})
+		pkg := &lint.Package{Path: tc.path, Fset: fset, Files: []*ast.File{f},
+			Types: types.NewPackage(tc.path, f.Name.Name), TypesInfo: &types.Info{}}
+		diags := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.FenceAnalyzer})
 		switch {
 		case tc.want == "" && len(diags) != 0:
 			t.Errorf("%s: got %v, want no findings out of scope", tc.path, diags)
@@ -141,8 +142,8 @@ var _ = sim.Time(0)
 }
 
 // TestServeboundScope pins the serve fence's scoping: it applies to
-// internal/serve, under either path form; a package that merely shares
-// the pass's name is not fenced.
+// internal/serve, under either path form; a package named after the
+// import fence is not fenced.
 func TestServeboundScope(t *testing.T) {
 	checkFence(t, []fenceCase{
 		{"internal/serve", "package serve\n\nimport _ \"internal/sim\"\n", "the serving layer must stay engine-free: import of internal/sim"},
@@ -169,12 +170,14 @@ func TestTypederrScope(t *testing.T) {
 	}
 }
 
+// TestArenaalloc drives the fence's raw flow.Flow and mpi.Request rows.
 func TestArenaalloc(t *testing.T) {
-	linttest.Run(t, lint.ArenaallocAnalyzer, "arenaalloc")
+	linttest.Run(t, lint.FenceAnalyzer, "arenaalloc")
 }
 
+// TestPartitionbound drives the fence's partition-advance row.
 func TestPartitionbound(t *testing.T) {
-	linttest.Run(t, lint.PartitionboundAnalyzer, "partitionbound")
+	linttest.Run(t, lint.FenceAnalyzer, "partitionbound")
 }
 
 // TestPartitionboundScope pins the owning-package exemption: only
@@ -182,16 +185,15 @@ func TestPartitionbound(t *testing.T) {
 // the partition-advance Engine methods; every other package — including
 // the executor-adjacent ones and the fixtures — is checked.
 func TestPartitionboundScope(t *testing.T) {
-	applies := lint.PartitionboundAnalyzer.AppliesTo
-	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/sim":   false,
-		"internal/sim":                           false,
-		"github.com/hanrepro/han/internal/bench": true,
-		"github.com/hanrepro/han/internal/exec":  true,
-		"partitionbound":                         true,
+	for path, lifted := range map[string]bool{
+		"github.com/hanrepro/han/internal/sim":   true,
+		"internal/sim":                           true,
+		"github.com/hanrepro/han/internal/bench": false,
+		"github.com/hanrepro/han/internal/exec":  false,
+		"partitionbound":                         false,
 	} {
-		if got := applies(path); got != want {
-			t.Errorf("partitionbound.AppliesTo(%q) = %v, want %v", path, got, want)
+		if got := lint.FenceLifted("partition advance", path); got != lifted {
+			t.Errorf("fence row \"partition advance\" lifted in %q = %v, want %v", path, got, lifted)
 		}
 	}
 }
@@ -220,23 +222,29 @@ func TestMetriclabel(t *testing.T) {
 	linttest.Run(t, lint.MetriclabelAnalyzer, "metriclabel", "internal/metrics")
 }
 
+// TestFloatorder drives maporder's order-tainted half: float sums over a
+// collection detflow marks order-tainted.
 func TestFloatorder(t *testing.T) {
-	linttest.Run(t, lint.FloatorderAnalyzer, "floatorder")
+	linttest.Run(t, lint.MaporderAnalyzer, "floatorder")
 }
 
-// TestDetflowScope pins the executor exemption parity with simtime:
-// summaries are still computed there (UsesFacts), diagnostics are not
-// reported.
+// TestDetflowScope pins the executor exemption parity with the fence's
+// clock row: summaries are still computed there (UsesFacts), diagnostics
+// are not reported.
 func TestDetflowScope(t *testing.T) {
 	applies := lint.DetflowAnalyzer.AppliesTo
 	for path, want := range map[string]bool{
-		"github.com/hanrepro/han/internal/exec": false,
-		"internal/exec":                         false,
-		"github.com/hanrepro/han/internal/sim":  true,
-		"detflow":                               true,
+		"github.com/hanrepro/han/internal/exec":  false,
+		"internal/exec":                          false,
+		"github.com/hanrepro/han/internal/serve": false,
+		"github.com/hanrepro/han/internal/sim":   true,
+		"detflow":                                true,
 	} {
 		if got := applies(path); got != want {
 			t.Errorf("detflow.AppliesTo(%q) = %v, want %v", path, got, want)
+		}
+		if lifted := lint.FenceLifted("clock", path); applies(path) == lifted {
+			t.Errorf("detflow.AppliesTo(%q) = %v, but the fence's clock row is lifted = %v there", path, applies(path), lifted)
 		}
 	}
 	if !lint.DetflowAnalyzer.UsesFacts {

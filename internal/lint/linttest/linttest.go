@@ -36,7 +36,7 @@ type expectation struct {
 
 // Run loads the fixture package at testdata/src/<fixture> (the fixture
 // path doubles as the package's import path, so path-scoped rules like
-// worldrand's internal/mpi exemption are testable) and checks the
+// the fence's internal/mpi rand exemption are testable) and checks the
 // analyzer's diagnostics against the fixture's // want comments.
 //
 // Optional deps name fixture packages to load and analyze first, in

@@ -8,48 +8,85 @@ import (
 	"github.com/hanrepro/han/internal/lint/detflow"
 )
 
-// MaporderAnalyzer flags range loops over maps whose bodies do
-// order-sensitive work: Go randomizes map iteration order per run, so a
-// body that emits simulation events, appends to a result slice, or
-// accumulates floating-point values silently breaks byte-identical
-// replay. The classic fix — collect keys, sort, iterate the sorted
-// slice — stays clean: an appended slice that is sorted later in the same
-// function is not reported.
+// MaporderAnalyzer flags range loops whose element order changes from run
+// to run and whose bodies do order-sensitive work, which silently breaks
+// byte-identical replay. Two kinds of range qualify:
+//
+//   - a map, whose iteration order Go randomizes per run: its body may not
+//     emit simulation events, append to an outer slice, or accumulate
+//     floats. The classic fix — collect keys, sort, iterate the sorted
+//     slice — stays clean: an appended slice that is sorted later in the
+//     same function is not reported.
+//   - a collection detflow's interprocedural taint marks order-tainted
+//     (built under map iteration in another function, sorted by pointer
+//     identity, ...): its body may not accumulate floats, because float
+//     addition is not associative. This half runs where a last-bit
+//     difference flips argmin decisions, the score and cost arithmetic of
+//     autotune and bench; elsewhere detflow's taint of a map range's value
+//     variable (a slice stored in the map, say) would flag sums that are
+//     deterministic.
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
 	Doc: "flag map iteration that emits events, builds result slices, or accumulates " +
-		"floats: map order is randomized per run and breaks deterministic replay",
+		"floats, and (in autotune and bench) float accumulation over a collection whose " +
+		"element order detflow marks nondeterministic: either order varies per run and " +
+		"breaks deterministic replay",
 	Run: runMaporder,
 }
 
+// orderTaintPkgs scope the order-tainted half; "floatorder" is its fixture.
+var orderTaintPkgs = []string{"internal/autotune", "internal/bench", "floatorder"}
+
 func runMaporder(pass *Pass) {
+	var tainted map[*ast.RangeStmt][]detflow.Taint
+	if isPkgIn(pass.Pkg.Path(), orderTaintPkgs) {
+		tainted = detflowResult(pass).RangeTaint
+	}
 	for _, f := range pass.Files {
 		for _, fb := range funcBodies(f) {
-			checkMapRanges(pass, fb.body)
+			ast.Inspect(fb.body, func(n ast.Node) bool {
+				rng, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				if tv, ok := pass.TypesInfo.Types[rng.X]; ok && tv.Type != nil {
+					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+						checkRangeBody(pass, fb.body, rng, "")
+						return true
+					}
+				}
+				for _, t := range tainted[rng] {
+					if t.Kind == detflow.Order {
+						checkRangeBody(pass, fb.body, rng, t.Source)
+						break
+					}
+				}
+				return true
+			})
 		}
 	}
 }
 
-func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[rng.X]
-		if !ok {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		checkMapRangeBody(pass, body, rng)
-		return true
-	})
-}
-
-func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
+// checkRangeBody reports the order-sensitive work in rng's body. source
+// names the order taint of a non-map range; it is empty for a map range,
+// which is also checked for appends and simulation events.
+func checkRangeBody(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt, source string) {
 	info := pass.TypesInfo
+	floatAccum := func(as *ast.AssignStmt, lhs ast.Expr) {
+		obj := outerObj(info, lhs, rng)
+		switch {
+		case obj == nil:
+		case source == "":
+			pass.Reportf(as.Pos(),
+				"floating-point accumulation into %q inside a map-range loop "+
+					"is order-sensitive; iterate a sorted key slice", obj.Name())
+		default:
+			pass.Reportf(as.Pos(),
+				"floating-point accumulation into %q over a collection whose order is "+
+					"nondeterministic (%s); float addition is not associative — sort first "+
+					"or fold in canonical index order", obj.Name(), source)
+		}
+	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.AssignStmt:
@@ -59,7 +96,7 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
 					if i >= len(v.Lhs) {
 						break
 					}
-					if call, ok := rhs.(*ast.CallExpr); ok && isAppendCall(info, call) {
+					if call, ok := rhs.(*ast.CallExpr); ok && source == "" && isAppendCall(info, call) {
 						if obj := outerObj(info, v.Lhs[i], rng); obj != nil &&
 							!sortedAfter(info, fnBody, rng, obj) {
 							pass.Reportf(v.Pos(),
@@ -69,25 +106,16 @@ func checkMapRangeBody(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) {
 						}
 					}
 					if selfAccumFloat(info, v.Tok, v.Lhs[i], rhs) {
-						if obj := outerObj(info, v.Lhs[i], rng); obj != nil {
-							pass.Reportf(v.Pos(),
-								"floating-point accumulation into %q inside a map-range loop "+
-									"is order-sensitive; iterate a sorted key slice", obj.Name())
-						}
+						floatAccum(v, v.Lhs[i])
 					}
 				}
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				lhs := v.Lhs[0]
-				if t := info.TypeOf(lhs); t != nil && isFloat(t) {
-					if obj := outerObj(info, lhs, rng); obj != nil {
-						pass.Reportf(v.Pos(),
-							"floating-point accumulation into %q inside a map-range loop "+
-								"is order-sensitive; iterate a sorted key slice", obj.Name())
-					}
+				if t := info.TypeOf(v.Lhs[0]); t != nil && isFloat(t) {
+					floatAccum(v, v.Lhs[0])
 				}
 			}
 		case *ast.CallExpr:
-			if recvPkg, method := methodCallOn(info, v); simSidePkg(recvPkg) {
+			if recvPkg, method := methodCallOn(info, v); source == "" && isPkgIn(recvPkg, simSidePkgs) {
 				pass.Reportf(v.Pos(),
 					"%s call inside a map-range loop emits simulation events in randomized "+
 						"map order; iterate a sorted key slice", method)

@@ -1,7 +1,8 @@
-// Fixture for the arenaalloc pass, type-checked against the real
-// internal/flow and internal/mpi packages (the loader resolves module
-// imports from source): raw construction of the arena-managed types is a
-// violation here because this package is not their owner.
+// Fixture for the fence pass's raw-construction rows, type-checked
+// against the real internal/flow and internal/mpi packages (the loader
+// resolves module imports from source): raw construction of the
+// arena-managed types is a violation here because this package is not
+// their owner.
 package arenaalloc
 
 import (
@@ -42,7 +43,7 @@ func goodConstructor() *mpi.Request {
 
 // The escape hatch is a reviewed debt marker, not an off switch.
 func allowedLiteral() *mpi.Request {
-	//hanlint:allow arenaalloc test fixture exercising the escape hatch
+	//hanlint:allow fence test fixture exercising the escape hatch
 	return &mpi.Request{}
 }
 

@@ -1,7 +1,8 @@
-// Fixture for the floatorder pass: float accumulation over a slice
-// whose element order is nondeterministic (per detflow's order taint) is
-// as replay-breaking as summing over the map directly — float addition
-// is not associative. Sorting first cleanses.
+// Fixture for maporder's order-tainted half: float accumulation over a
+// slice whose element order is nondeterministic (per detflow's order
+// taint) is as replay-breaking as summing over the map directly — float
+// addition is not associative. Sorting first cleanses. The map-range half
+// reports the two loops that range over the map itself.
 package floatorder
 
 import "sort"
@@ -11,7 +12,7 @@ import "sort"
 func values(m map[string]float64) []float64 {
 	var out []float64
 	for _, v := range m {
-		out = append(out, v)
+		out = append(out, v) // want "append to \"out\" inside a map-range loop"
 	}
 	return out
 }
@@ -35,12 +36,12 @@ func sumSorted(m map[string]float64) float64 {
 	return sum
 }
 
-// sumDirect ranges the map itself: that spelling is maporder's
-// territory, floatorder stays quiet.
+// sumDirect ranges the map itself: the map-range check reports it once,
+// and the order-tainted check stays quiet.
 func sumDirect(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum = sum + v
+		sum = sum + v // want "floating-point accumulation into \"sum\" inside a map-range loop"
 	}
 	return sum
 }

@@ -1,4 +1,4 @@
-// Fixture for the worldrand pass inside its internal/mpi home: the seeded
+// Fixture for the fence pass's rand rows inside their internal/mpi home: the seeded
 // plumbing may construct RNGs, but even here the process-global source
 // stays off limits.
 package mpi

@@ -1,7 +1,7 @@
-// Fixture for the partitionbound pass, type-checked against the real
-// internal/sim package (the loader resolves module imports from source):
-// the partition-advance Engine methods are coordinator-only, so calling
-// them from this package is a violation.
+// Fixture for the fence pass's partition-advance row, type-checked
+// against the real internal/sim package (the loader resolves module
+// imports from source): the partition-advance Engine methods are
+// coordinator-only, so calling them from this package is a violation.
 package partitionbound
 
 import "github.com/hanrepro/han/internal/sim"

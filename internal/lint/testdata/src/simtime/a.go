@@ -1,5 +1,6 @@
-// Fixture for the simtime pass: wall-clock reads and raw goroutines are
-// violations; Duration arithmetic, constants, and conversions are not.
+// Fixture for the fence pass's clock and go rows: wall-clock reads and
+// raw goroutines are violations; Duration arithmetic, constants, and
+// conversions are not.
 package simtime
 
 import "time"
@@ -28,7 +29,7 @@ func durations(d time.Duration) time.Duration {
 
 // allowed exercises the escape hatch in both spellings.
 func allowed() {
-	go spin() //hanlint:allow simtime the engine itself runs the baton-passing goroutine
-	//hanlint:allow simtime comment-above form
+	go spin() //hanlint:allow fence the engine itself runs the baton-passing goroutine
+	//hanlint:allow fence comment-above form
 	go spin()
 }

@@ -1,4 +1,4 @@
-// Fixture for the worldrand pass outside the internal/mpi home: global
+// Fixture for the fence pass's rand rows outside the internal/mpi home: global
 // draws and ad hoc RNG construction are violations; drawing from an
 // injected *rand.Rand (the world's seeded plumbing) is the sanctioned
 // pattern.
@@ -23,5 +23,5 @@ func good(rng *rand.Rand, n int) int {
 }
 
 func allowed() *rand.Rand {
-	return rand.New(rand.NewSource(7)) //hanlint:allow worldrand deterministic fixture generator, seed is part of the test name
+	return rand.New(rand.NewSource(7)) //hanlint:allow fence deterministic fixture generator, seed is part of the test name
 }

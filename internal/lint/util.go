@@ -59,18 +59,21 @@ func isPkg(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// simSidePkg reports whether path names one of the packages whose methods
-// schedule simulation events or traffic: iterating a map while calling
-// into them replays in a different order run to run.
-func simSidePkg(path string) bool {
-	for _, suf := range []string{
-		"internal/sim", "internal/mpi", "internal/trace", "internal/flow", "internal/fault",
-	} {
-		if isPkg(path, suf) {
+// isPkgIn reports whether path is one of the packages named by suffix.
+func isPkgIn(path string, suffixes []string) bool {
+	for _, suffix := range suffixes {
+		if isPkg(path, suffix) {
 			return true
 		}
 	}
 	return false
+}
+
+// simSidePkgs are the packages whose methods schedule simulation events or
+// traffic: iterating a map while calling into them replays in a different
+// order run to run.
+var simSidePkgs = []string{
+	"internal/sim", "internal/mpi", "internal/trace", "internal/flow", "internal/fault",
 }
 
 // rootIdent walks to the base identifier of an lvalue chain

@@ -23,9 +23,9 @@
 //
 // This is the repository's first wall-clock subsystem: unlike everything
 // under internal/sim, serve's concurrency is real goroutines and its
-// clock is the host's. The boundary is fenced both ways — the importfence
-// lint pass forbids serve from importing internal/sim, and serve's
-// simtime exemption is scoped to exactly this package. Determinism here
+// clock is the host's. The boundary is fenced both ways — the fence lint
+// pass forbids serve from importing internal/sim, and lifts its clock and
+// goroutine bans for this package and internal/exec alone. Determinism here
 // means semantic determinism, not bit-replay: every Decide answer equals
 // the pure function of exactly one published table generation, which the
 // snapshot-swap race test pins under -race.

@@ -53,7 +53,7 @@ func (r LoadReport) String() string {
 
 // mix64 is splitmix64's finalizer: a deterministic integer mixer the
 // workers use to pick query points. The simulation-side rule against
-// ambient randomness (worldrand) holds here too — load runs are
+// ambient randomness (hanlint's fence) holds here too — load runs are
 // repeatable by construction, with no RNG state to seed or share.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

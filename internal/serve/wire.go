@@ -73,6 +73,11 @@ func parseRequest(p []byte) (request, error) {
 		return request{}, fmt.Errorf("serve: unknown op %d", p[1])
 	}
 	kind := coll.Kind(p[2])
+	if kind > coll.Scatter {
+		// A kind no table holds is a miss; under -tune each one would
+		// start a sweep and install a table under the bogus key.
+		return request{}, fmt.Errorf("serve: unknown collective kind %d", p[2])
+	}
 	m := binary.BigEndian.Uint64(p[3:11])
 	if m > uint64(math.MaxInt) {
 		// int(m) would wrap negative and flow a nonsense size into Decide.

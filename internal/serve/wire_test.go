@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -11,12 +12,29 @@ import (
 	"github.com/hanrepro/han/internal/han"
 )
 
+// roundTripRequests are the requests TestWireRequestRoundTrip encodes,
+// and seeds of FuzzParseRequest.
+var roundTripRequests = []request{
+	{Cluster: "mini", Kind: coll.Bcast, M: 4096},
+	{Cluster: "", Kind: coll.Allreduce, M: 0},
+	{Cluster: "a-very-long-cluster-name-with-dashes", Kind: coll.Scatter, M: 1 << 30},
+}
+
+// corruptRequests are the malformed payloads parseRequest must reject, by
+// name, and seeds of FuzzParseRequest.
+func corruptRequests() map[string][]byte {
+	good := appendRequest(nil, request{Cluster: "mini", Kind: coll.Bcast, M: 1})[4:]
+	return map[string][]byte{
+		"short":        good[:5],
+		"bad version":  append([]byte{99}, good[1:]...),
+		"bad op":       {wireVersion, 42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"bad kind":     {wireVersion, opDecide, byte(coll.Scatter) + 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+		"len mismatch": append(append([]byte{}, good...), 'x'),
+	}
+}
+
 func TestWireRequestRoundTrip(t *testing.T) {
-	for _, req := range []request{
-		{Cluster: "mini", Kind: coll.Bcast, M: 4096},
-		{Cluster: "", Kind: coll.Allreduce, M: 0},
-		{Cluster: "a-very-long-cluster-name-with-dashes", Kind: coll.Scatter, M: 1 << 30},
-	} {
+	for _, req := range roundTripRequests {
 		frame := appendRequest(nil, req)
 		got, err := parseRequest(frame[4:])
 		if err != nil {
@@ -51,14 +69,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 }
 
 func TestWireParseRejectsCorruptFrames(t *testing.T) {
-	good := appendRequest(nil, request{Cluster: "mini", Kind: coll.Bcast, M: 1})[4:]
-	cases := map[string][]byte{
-		"short":        good[:5],
-		"bad version":  append([]byte{99}, good[1:]...),
-		"bad op":       {wireVersion, 42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"len mismatch": append(append([]byte{}, good...), 'x'),
-	}
-	for name, payload := range cases {
+	for name, payload := range corruptRequests() {
 		if _, err := parseRequest(payload); err == nil {
 			t.Fatalf("parseRequest accepted %s payload", name)
 		}
@@ -80,6 +91,33 @@ func TestWireParseRejectsOversizedM(t *testing.T) {
 	if _, err := parseRequest(payload); err == nil {
 		t.Fatal("parseRequest accepted a size that overflows int")
 	}
+}
+
+// FuzzParseRequest feeds arbitrary payloads to parseRequest. It must
+// return an error, or a request of one of the six kinds, with M >= 0, that
+// appendRequest encodes back to exactly the payload.
+func FuzzParseRequest(f *testing.F) {
+	for _, req := range roundTripRequests {
+		f.Add(appendRequest(nil, req)[4:])
+	}
+	for _, payload := range corruptRequests() {
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req, err := parseRequest(payload)
+		if err != nil {
+			return
+		}
+		if req.Kind < coll.Bcast || req.Kind > coll.Scatter {
+			t.Fatalf("parseRequest accepted kind %d", req.Kind)
+		}
+		if req.M < 0 {
+			t.Fatalf("parseRequest accepted M = %d", req.M)
+		}
+		if frame := appendRequest(nil, req); !bytes.Equal(frame[4:], payload) {
+			t.Fatalf("%+v re-encodes to %x, not %x", req, frame[4:], payload)
+		}
+	})
 }
 
 // startWireServer publishes a table, listens on loopback, and hands the

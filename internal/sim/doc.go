@@ -132,12 +132,12 @@
 // calls Run plus the process goroutines Run serialises through the baton
 // protocol. Nothing in the engine is locked, so touching an engine from
 // any other goroutine is a data race. Engine.Run asserts it is not
-// re-entered, and hanlint enforces the invariant statically: the simtime
-// pass forbids bare `go` statements everywhere except internal/exec, and
-// the importfence pass forbids internal/exec from importing any
-// engine-owning package — so the only host concurrency in the tree runs
-// opaque executor jobs, each of which builds and drains a private engine
-// (DESIGN.md §10).
+// re-entered, and hanlint's fence pass enforces the invariant statically:
+// it forbids bare `go` statements everywhere except internal/exec and
+// internal/serve, and forbids internal/exec from importing any
+// engine-owning package and internal/serve from importing this one — so
+// the only host concurrency that can reach an engine runs opaque executor
+// jobs, each of which builds and drains a private engine (DESIGN.md §10).
 //
 // # Partitioned simulation
 //
@@ -148,7 +148,7 @@
 // coordinator advances every partition to a common horizon per round. The
 // incremental-advance Engine methods this requires — RunUntil,
 // NextEventTime, LiveProcs — belong to the coordinator's window loop
-// alone: hanlint's partitionbound pass forbids them outside this package,
+// alone: a row of hanlint's fence pass forbids them outside this package,
 // because interleaving two RunUntil drivers (or branching on
 // NextEventTime outside the barrier protocol) silently breaks the
 // bit-identity contract with the serial oracle. Everyone else drives an

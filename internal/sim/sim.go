@@ -1207,7 +1207,7 @@ func (e *Engine) run(limit Time, bounded bool) error {
 				break
 			}
 			e.goroutines++
-			//hanlint:allow simtime the one real goroutine per simulated process; the baton handoff below serialises it
+			//hanlint:allow fence the one real goroutine per simulated process; the baton handoff below serialises it
 			go func() {
 				defer func() {
 					if r := recover(); r != nil {
