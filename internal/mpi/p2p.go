@@ -20,19 +20,16 @@ import (
 // plan an eager payload is retransmitted until acknowledged (retx). The
 // protocol steps are persistent closures created once per pool slot, so the
 // steady state allocates nothing; golden_test.go pins the resulting timing
-// bit for bit, with and without fault plans.
+// bit for bit, with and without fault plans. A cold world's first growth
+// is bounded the same way: a pair's state is carved from world-owned chunks
+// and an endpoint's queues and a pair's FIFOs start on one inline slot each,
+// so a new pair or endpoint allocates nothing of its own.
 
 // Wildcards for Irecv.
 const (
 	AnySource = -1
 	AnyTag    = -1
 )
-
-// pairKey identifies a directed (sender, receiver) world-rank pair whose
-// data flows are serialised FIFO.
-type pairKey struct {
-	src, dst int
-}
 
 // message is an in-flight send as seen by the receiver's matching engine.
 type message struct {
@@ -61,10 +58,13 @@ type recvReq struct {
 	slot     arena.Slot
 }
 
-// endpoint is the matching state of one rank on one communicator.
+// endpoint is the matching state of one rank on one communicator. Its
+// queues start on the inline slots post1 and unexp1 (Comm.endpoint).
 type endpoint struct {
 	posted     []*recvReq
 	unexpected []*message
+	post1      [1]*recvReq
+	unexp1     [1]*message
 	listed     bool // in the crash registry
 }
 
@@ -73,6 +73,10 @@ type endpoint struct {
 func (c *Comm) endpoint(r int) *endpoint {
 	if c.eps == nil {
 		c.eps = make([]endpoint, len(c.ranks))
+		for i := range c.eps {
+			ep := &c.eps[i]
+			ep.posted, ep.unexpected = ep.post1[:0], ep.unexp1[:0]
+		}
 	}
 	ep := &c.eps[r]
 	if cs := c.w.crash; cs != nil && !ep.listed {
@@ -143,10 +147,11 @@ type sendOp struct {
 // opQueue is a FIFO of sendOps with O(1) push/pop and a reusable backing
 // array: a head index avoids shifting, and the array rewinds once
 // drained, so a steady-state queue never reallocates or pins a released
-// op.
+// op. The first backing array is the inline slot one (pair points q at it).
 type opQueue struct {
 	q    []*sendOp
 	head int
+	one  [1]*sendOp
 }
 
 func (q *opQueue) empty() bool    { return q.head == len(q.q) }
@@ -175,11 +180,22 @@ type pairState struct {
 	envQ     opQueue           // sends in issue order, delivered FIFO
 }
 
+// pairChunk is how many pairStates a world carves at once. A chunk never
+// moves, so a record stays where op.pair points for the world's lifetime,
+// across Reset too.
+const pairChunk = 256
+
+// pair returns the state of the directed pair srcW -> dstW, carving it from
+// the world's current chunk the first time the pair is used.
 func (w *World) pair(srcW, dstW int) *pairState {
-	k := pairKey{srcW, dstW}
+	k := uint64(srcW)<<32 | uint64(dstW)
 	ps := w.pairs[k]
 	if ps == nil {
-		ps = new(pairState)
+		if len(w.pairFree) == 0 {
+			w.pairFree = make([]pairState, pairChunk)
+		}
+		ps, w.pairFree = &w.pairFree[0], w.pairFree[1:]
+		ps.wireQ.q, ps.envQ.q = ps.wireQ.one[:0], ps.envQ.one[:0]
 		ps.setPath(w.Mach, srcW, dstW)
 		w.pairs[k] = ps
 	}
@@ -204,7 +220,7 @@ func (ps *pairState) setPath(m *cluster.Machine, srcWorld, dstWorld int) {
 
 func (w *World) initPools() {
 	eng := w.Eng()
-	w.pairs = make(map[pairKey]*pairState)
+	w.pairs = make(map[uint64]*pairState)
 	w.reqPool = arena.NewPool(arena.Options[Request]{
 		Name: "mpi.request",
 		Init: func(r *Request) { r.pooled = true },

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,6 +301,137 @@ func TestWaitPairSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 && !arena.Debug { // quarantined slots are not reused: every request is a fresh one
 		t.Fatalf("two-request Wait round averages %v allocations, want 0", allocs)
+	}
+}
+
+// A new pair costs its world a share of a chunk and nothing of its own. On a
+// world whose pools a barrier has grown, a barrier on a communicator whose
+// ranks run the other way round uses new pairs (one per rank and round, but
+// the last round's); what that run allocates beyond a repeat of it, whose
+// pairs exist, is the pairs' first growth. A pair's identity is its
+// direction, and a record keeps its place as later chunks are carved.
+func TestPairRecordsAllocatePerChunk(t *testing.T) {
+	for _, nodes := range []int{16, 32} { // 512 and 1024 ranks
+		eng := sim.New()
+		w := NewWorld(cluster.NewMachine(eng, cluster.Mini(nodes, 32)), OpenMPI())
+		n := w.Size()
+		rev := make([]int, n)
+		for i := range rev {
+			rev[i] = n - 1 - i
+		}
+		back := w.NewComm(rev)
+		barrier := func(c *Comm) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			w.StartSteps(func(p *Proc) sim.Stepper { return c.BarrierSteps(p) })
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			w.Reset()
+			return after.Mallocs - before.Mallocs
+		}
+		barrier(w.World())
+		had := len(w.pairs)
+		cold := barrier(back)
+		added := len(w.pairs) - had
+		warm := barrier(back)
+		if rounds := bits.Len(uint(n - 1)); added < n*(rounds-1) {
+			t.Fatalf("%d ranks: the reversed barrier added %d pairs, want at least %d", n, added, n*(rounds-1))
+		}
+		per := (float64(cold) - float64(warm)) / float64(added)
+		t.Logf("%d ranks: %d new pairs, %d objects beyond a warm run's %d, %.3f per pair", n, added, cold-warm, warm, per)
+		if per >= 0.1 {
+			t.Errorf("%d ranks: %.2f objects per new pair, want < 0.1", n, per)
+		}
+	}
+
+	w := NewWorld(cluster.NewMachine(sim.New(), cluster.Mini(2, 16)), OpenMPI())
+	type carvedPair struct {
+		s, d int
+		ps   *pairState
+	}
+	var carved []carvedPair
+	for s := 0; s < w.Size(); s++ {
+		for d := 0; d < w.Size(); d++ {
+			if s != d {
+				carved = append(carved, carvedPair{s, d, w.pair(s, d)})
+			}
+		}
+	}
+	if len(carved) <= pairChunk {
+		t.Fatalf("%d pairs fill no more than one chunk", len(carved))
+	}
+	seen := make(map[*pairState]bool)
+	for i, c := range carved {
+		var want pairState
+		want.setPath(w.Mach, c.s, c.d)
+		if w.pair(c.s, c.d) != c.ps || seen[c.ps] || !slices.Equal(c.ps.path, want.path) {
+			t.Fatalf("pair(%d, %d): record %d is not its own, or lost its path", c.s, c.d, i)
+		}
+		seen[c.ps] = true
+	}
+	// The last record of the first chunk and the first of the second each
+	// queue on their own inline slot.
+	a, b := carved[pairChunk-1].ps, carved[pairChunk].ps
+	opA, opB := new(sendOp), new(sendOp)
+	a.envQ.push(opA)
+	b.envQ.push(opB)
+	if a.envQ.pop() != opA || b.envQ.pop() != opB || !a.envQ.empty() || !b.envQ.empty() {
+		t.Error("records on either side of a chunk boundary share a queue")
+	}
+}
+
+// The first message a cold endpoint holds unexpected and the first receive
+// it holds posted sit on its inline slots: a round on a new communicator,
+// between ranks whose pair and pools are warm, allocates nothing.
+func TestColdEndpointQueuesAllocateNothing(t *testing.T) {
+	const warmup, measured = 50, 50
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 1)), OpenMPI())
+	comms := make([]*Comm, warmup+1+measured)
+	for i := range comms {
+		comms[i] = w.World()
+		if i >= warmup {
+			comms[i] = w.NewComm([]int{0, 1})
+			comms[i].endpoint(0) // the communicator's endpoint slice
+		}
+	}
+	allocs := -1.0
+	w.Start(func(p *Proc) {
+		ack := p.W.World()
+		next := 0
+		// One round: rank 0 sends tags 1 and 2 in order while rank 1 has
+		// posted only tag 2, so tag 1 arrives unexpected; then rank 1
+		// receives it and acknowledges on the warm communicator.
+		round := func() {
+			c := comms[next]
+			next++
+			if p.Rank == 0 {
+				p.Wait(c.Isend(p, Phantom(8), 1, 1), c.Isend(p, Phantom(8), 1, 2))
+				ack.Recv(p, Phantom(1), 1, 3)
+				return
+			}
+			p.Wait(c.Irecv(p, Phantom(8), 0, 2))
+			p.Wait(c.Irecv(p, Phantom(8), 0, 1))
+			ack.Send(p, Phantom(1), 0, 3)
+		}
+		if p.Rank == 1 {
+			for range comms {
+				round()
+			}
+			return
+		}
+		for i := 0; i < warmup; i++ {
+			round()
+		}
+		allocs = testing.AllocsPerRun(measured, round)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 && !arena.Debug { // quarantined slots are not reused: every record is a fresh one
+		t.Fatalf("a round on a cold endpoint averages %v allocations, want 0", allocs)
 	}
 }
 

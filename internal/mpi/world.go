@@ -40,8 +40,10 @@ type World struct {
 	nextCtx int
 	rng     *rand.Rand
 
-	// P2P state (p2p.go): the per-pair FIFOs and the record pools.
-	pairs    map[pairKey]*pairState
+	// P2P state (p2p.go): the per-pair FIFOs by src<<32|dst (never ranged),
+	// the rest of the chunk new ones are carved from, and the record pools.
+	pairs    map[uint64]*pairState
+	pairFree []pairState
 	reqPool  *arena.Pool[Request]
 	sendPool *arena.Pool[sendOp]
 	recvPool *arena.Pool[recvReq]
@@ -412,8 +414,8 @@ func (w *World) Seed(seed int64) { w.rng.Seed(seed) }
 // (sim.Engine.Reset, flow.Network.Reset), the noise generator reseeded in
 // place with NewWorld's seed, every communicator's collective sequence
 // counters at zero, the watchdog's instance maps empty. What the world grew
-// stays — communicators and their matching state, per-pair state and its
-// cached path, the record pools — and no simulated bit depends on it.
+// stays — communicators and their matching state, the chunks of per-pair
+// state and its cached paths, the record pools — and no bit depends on it.
 //
 // It is valid only on a drained world without a fault plan, and panics
 // otherwise. Drained means no live process and no pending event (the

@@ -81,7 +81,11 @@
 // Event records are pooled: large simulations (the 4096-rank HAN runs
 // schedule tens of millions of events) recycle event structs instead of
 // churning the garbage collector. Timer handles stay safe across recycling
-// through a generation counter.
+// through a generation counter. A Signal holds its first waiting process and
+// its first OnFire callback in fields, the rest in slices that keep their
+// capacity across Fire and Reset, so the signal of a pooled record — which
+// most often has one of each — registers without allocating even the first
+// time.
 //
 // # Processes, their list and their storage
 //

@@ -246,6 +246,43 @@ func TestEventPoolRecycles(t *testing.T) {
 	}
 }
 
+// A signal's first OnFire callback sits in a field and the rest in a slice;
+// they run in registration order across the two, Reset drops the field,
+// pending counts it, and one callback on a new signal allocates nothing.
+func TestSignalFirstCallbackInline(t *testing.T) {
+	e := New()
+	s := NewSignal()
+	var order []int
+	for i := 0; i < 3; i++ {
+		s.OnFire(func() { order = append(order, i) })
+	}
+	if n := s.pending(); n != 3 {
+		t.Fatalf("pending = %d with three callbacks, want 3", n)
+	}
+	s.Fire(e)
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("callbacks ran in order %v, want [0 1 2]", order)
+	}
+
+	s.Reset()
+	s.OnFire(func() { t.Error("a callback registered before Reset ran") })
+	s.Reset()
+	if n := s.pending(); n != 0 {
+		t.Fatalf("pending = %d after Reset, want 0", n)
+	}
+	s.Fire(e)
+
+	cb := func() {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var fresh Signal
+		fresh.OnFire(cb)
+		fresh.Fire(e)
+		fresh.Reset()
+	}); allocs != 0 {
+		t.Fatalf("OnFire + Fire + Reset on a new signal allocates %v times, want 0", allocs)
+	}
+}
+
 func TestSubscribeCancelCompacts(t *testing.T) {
 	e := New()
 	s := NewSignal()

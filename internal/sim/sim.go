@@ -852,14 +852,16 @@ type sub struct{ cb func() }
 // waiting on a fired signal returns immediately.
 type Signal struct {
 	fired bool
-	// first is the first process waiting, waiters the second onwards: most
-	// signals are waited on by one process, and a field costs no allocation
-	// where a one-element slice does.
+	// first is the first process waiting, waiters the second onwards, and
+	// cb and cbs are the same split of the permanent registrations (OnFire):
+	// most signals have one of each, and a field costs no allocation where a
+	// one-element slice does.
 	first   *Proc
 	waiters []*Proc
-	cbs     []func() // permanent registrations (OnFire)
-	subs    []*sub   // cancellable registrations (Subscribe)
-	dead    int      // cancelled entries still occupying subs
+	cb      func()
+	cbs     []func()
+	subs    []*sub // cancellable registrations (Subscribe)
+	dead    int    // cancelled entries still occupying subs
 }
 
 // NewSignal returns an unfired Signal.
@@ -882,8 +884,11 @@ func (s *Signal) Fire(e *Engine) {
 		return
 	}
 	s.fired = true
-	cbs := s.cbs
-	s.cbs = nil
+	cb0, cbs := s.cb, s.cbs
+	s.cb, s.cbs = nil, nil
+	if cb0 != nil {
+		cb0()
+	}
 	for _, cb := range cbs {
 		cb()
 	}
@@ -945,6 +950,7 @@ func (p *Proc) countDown(e *Engine) {
 // Reset on a fired signal is allocation-free.
 func (s *Signal) Reset() {
 	s.fired = false
+	s.cb = nil
 	for i := range s.cbs {
 		s.cbs[i] = nil
 	}
@@ -966,6 +972,10 @@ func (s *Signal) Reset() {
 func (s *Signal) onFire(cb func()) {
 	if s.fired {
 		cb()
+		return
+	}
+	if s.cb == nil {
+		s.cb = cb
 		return
 	}
 	s.cbs = append(s.cbs, cb)
@@ -1020,6 +1030,9 @@ func (s *Signal) compactSubs() {
 // signal holds. Used by tests to assert bounded growth.
 func (s *Signal) pending() int {
 	n := len(s.cbs)
+	if s.cb != nil {
+		n++
+	}
 	for _, u := range s.subs {
 		if u.cb != nil {
 			n++
