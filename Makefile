@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs
+.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results
 
 build:
 	$(GO) build ./...
@@ -84,8 +84,11 @@ fuzz:
 
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the
-# checked-in critical-path report, and the markdown link checker. Regenerate goldens with
-# `go test ./internal/bench -run Goldens -update`.
+# checked-in critical-path report, the small-scale paper figures
+# EXPERIMENTS.md quotes, and the markdown link checker. Regenerate goldens
+# with `go test ./internal/bench -run Goldens -update`, and the figures with
+# `make results`. The mid-scale figures (about 105 s on 2 vCPUs) are diffed
+# by CI's push-only `results-mid` job.
 docs:
 	$(GO) test -count=1 -run 'ObserveGoldens|CritPathOverlap|ObservabilityDocCoverage' ./internal/bench/
 	@mkdir -p bin
@@ -93,7 +96,13 @@ docs:
 	$(GO) run ./cmd/hantrace metrics -op allgather -size 65536 -machine mini -nodes 2 -ppn 2 -seed 1 > /dev/null
 	$(GO) run ./cmd/hantrace critpath -op bcast -size 4194304 -machine mini -nodes 4 -ppn 4 -fs 524288 -seed 1 > bin/fig2.txt
 	tail -n +2 results/critpath-fig2.txt | diff - bin/fig2.txt
+	$(GO) run ./cmd/hanexp -all -scale small | diff - results/hanexp-small.txt
 	$(GO) test -count=1 ./internal/docs/
+
+# The paper figures at the two reduced scales, as EXPERIMENTS.md quotes them.
+results:
+	$(GO) run ./cmd/hanexp -all -scale small > results/hanexp-small.txt
+	$(GO) run ./cmd/hanexp -all -scale mid > results/hanexp-mid.txt
 
 # Allocator benchmarks, micro to macro: the flow-level rebalance
 # micro-benchmarks (incremental vs reference), the paper-scale 4096-rank

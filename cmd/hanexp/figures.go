@@ -104,11 +104,9 @@ func (sc Scale) taskSpec() cluster.Spec {
 	return derive(sc.Shaheen, sc.TaskNodes, sc.Shaheen.PPN)
 }
 
-func header(title string) {
-	fmt.Printf("\n## %s  [scale=%s]\n\n", title, activeScale)
+func header(sc Scale, title string) {
+	fmt.Printf("\n## %s  [scale=%s]\n\n", title, sc.Name)
 }
-
-var activeScale string
 
 // taskConfigs are the submodule x algorithm combinations shown in the task
 // microbenchmarks.
@@ -125,18 +123,24 @@ func cfgLabel(c han.Config) string {
 	return fmt.Sprintf("%s/%v", c.IMod, c.IBAlg)
 }
 
-// Fig2 reproduces the task-cost bars: per node leader, the cost of ib(0),
-// sb(0), concurrent sb+ib with simultaneous starts, and sbib(1) measured
-// inside the real pipeline (delayed starts included).
-func Fig2(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 2 — cost of tasks ib, sb and sbib per node leader (64KB segments, rank 0 root)")
+// bcastTasks measures the Bcast task tables of the task configurations at
+// 64KB segments on the task machine: the data of Figs 2 and 3.
+func bcastTasks(sc Scale) ([]han.Config, []autotune.TableTasks) {
 	env := autotune.NewEnv(sc.taskSpec(), mpi.OpenMPI())
 	configs := taskConfigs(64 << 10)
 	bts := make([]autotune.TableTasks, len(configs))
 	fanOut(len(configs), func(i int) {
-		bts[i] = env.MeasureTasks(coll.Bcast, configs[i], &autotune.Meter{})
+		bts[i] = env.MeasureTasks(coll.Bcast, configs[i], nil)
 	})
+	return configs, bts
+}
+
+// Fig2 reproduces the task-cost bars: per node leader, the cost of ib(0),
+// sb(0), concurrent sb+ib with simultaneous starts, and sbib(1) measured
+// inside the real pipeline (delayed starts included).
+func Fig2(sc Scale) {
+	header(sc, "Fig 2 — cost of tasks ib, sb and sbib per node leader (64KB segments, rank 0 root)")
+	configs, bts := bcastTasks(sc)
 	for i, cfg := range configs {
 		s := bts[i].Steps // [ib(0), sbib(1..7), sb]
 		fmt.Printf("config %s:\n", cfgLabel(cfg))
@@ -152,14 +156,8 @@ func Fig2(sc Scale) {
 
 // Fig3 reproduces the sbib(i) stabilisation series on one node leader.
 func Fig3(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 3 — cost of sbib(i) on one node leader, i = 1..8")
-	env := autotune.NewEnv(sc.taskSpec(), mpi.OpenMPI())
-	configs := taskConfigs(64 << 10)
-	bts := make([]autotune.TableTasks, len(configs))
-	fanOut(len(configs), func(i int) {
-		bts[i] = env.MeasureTasks(coll.Bcast, configs[i], &autotune.Meter{})
-	})
+	header(sc, "Fig 3 — cost of sbib(i) on one node leader, i = 1..8")
+	configs, bts := bcastTasks(sc)
 	leader := sc.TaskNodes / 2 // "node leader 2" in the paper
 	fmt.Printf("%-6s", "i")
 	for _, cfg := range configs {
@@ -206,8 +204,7 @@ func modelValidation(sc Scale, kind coll.Kind, m int) {
 	if cfgEst == cfgAct {
 		fmt.Println("=> identical (the paper finds the same at 4MB)")
 	} else {
-		env2 := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
-		chosen := env2.MeasureCollective(kind, m, cfgEst, 2, meter)
+		chosen := env.MeasureCollective(kind, m, cfgEst, 2, meter)
 		fmt.Printf("=> different; model pick measures %.1fµs vs optimum %.1fµs (%.1f%% off)\n",
 			chosen*1e6, bestAct*1e6, 100*(chosen-bestAct)/bestAct)
 	}
@@ -215,46 +212,31 @@ func modelValidation(sc Scale, kind coll.Kind, m int) {
 
 // Fig4 validates the Bcast cost model (equation 3) on a 4MB message.
 func Fig4(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 4 — MPI_Bcast cost model validation, 4MB message")
+	header(sc, "Fig 4 — MPI_Bcast cost model validation, 4MB message")
 	modelValidation(sc, coll.Bcast, 4<<20)
+}
+
+// overlapTimers are Fig 6's lone ib, lone ir and concurrent ib+ir.
+var overlapTimers = []autotune.TaskSet{
+	{DT: mpi.Byte, Tasks: []han.Task{han.TaskIB}},
+	{DT: mpi.Float64, Tasks: []han.Task{han.TaskIR}},
+	{DT: mpi.Float64, Tasks: []han.Task{han.TaskIB, han.TaskIR}},
 }
 
 // Fig6 reproduces the ib/ir full-duplex overlap measurement.
 func Fig6(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 6 — overlap between ib and ir (64KB segments, rank 0 root)")
-	spec := sc.taskSpec()
-	for _, cfg := range taskConfigs(64 << 10) {
-		ibT := make([]float64, spec.Nodes)
-		irT := make([]float64, spec.Nodes)
-		concT := make([]float64, spec.Nodes)
-		eng := sim.New()
-		w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-		h := han.New(w)
-		cfg := cfg
-		w.Start(func(p *mpi.Proc) {
-			// Only leaders take part: every other rank reports 0.
-			record := func(into []float64, dt mpi.Datatype, tasks ...han.Task) {
-				d, err := h.TimeTasks(p, mpi.OpSum, dt, cfg, tasks...)
-				if err != nil {
-					panic(err)
-				}
-				if d > 0 {
-					into[p.Node()] = float64(d)
-				}
-			}
-			record(ibT, mpi.Byte, han.TaskIB)
-			record(irT, mpi.Float64, han.TaskIR)
-			record(concT, mpi.Float64, han.TaskIB, han.TaskIR)
-		})
-		if err := eng.Run(); err != nil {
-			panic(err)
-		}
+	header(sc, "Fig 6 — overlap between ib and ir (64KB segments, rank 0 root)")
+	env := autotune.NewEnv(sc.taskSpec(), mpi.OpenMPI())
+	configs := taskConfigs(64 << 10)
+	costs := make([][][]float64, len(configs)) // [config][ib, ir, conc][leader]
+	fanOut(len(configs), func(i int) {
+		costs[i] = env.TimeTasks(configs[i], overlapTimers, nil)
+	})
+	for i, cfg := range configs {
 		fmt.Printf("config %s:\n", cfgLabel(cfg))
 		fmt.Printf("  %-8s%12s%12s%18s\n", "leader", "ib µs", "ir µs", "conc ib+ir µs")
-		for l := 0; l < spec.Nodes; l++ {
-			fmt.Printf("  %-8d%12.1f%12.1f%18.1f\n", l, ibT[l]*1e6, irT[l]*1e6, concT[l]*1e6)
+		for l := range costs[i][0] {
+			fmt.Printf("  %-8d%12.1f%12.1f%18.1f\n", l, costs[i][0][l]*1e6, costs[i][1][l]*1e6, costs[i][2][l]*1e6)
 		}
 	}
 	fmt.Println("\nExpected shape: conc well below ib+ir (high overlap on the full-duplex fabric).")
@@ -262,16 +244,14 @@ func Fig6(sc Scale) {
 
 // Fig7 validates the Allreduce cost model (equation 4) on a 4MB message.
 func Fig7(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 7 — MPI_Allreduce cost model validation, 4MB message")
+	header(sc, "Fig 7 — MPI_Allreduce cost model validation, 4MB message")
 	modelValidation(sc, coll.Allreduce, 4<<20)
 }
 
 // Fig8and9 runs the four tuning methods and prints the Fig 8 cost bars and
 // the Fig 9 accuracy comparison from the same searches.
 func Fig8and9(sc Scale, costOnly bool) {
-	activeScale = sc.Name
-	header("Figs 8 & 9 — autotuning cost and accuracy (Bcast + Allreduce)")
+	header(sc, "Figs 8 & 9 — autotuning cost and accuracy (Bcast + Allreduce)")
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
 	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
 	methods := []autotune.Method{
@@ -321,7 +301,21 @@ func Fig8and9(sc Scale, costOnly bool) {
 	fmt.Println("median and average far above best (tuning matters).")
 }
 
-// imbComparison drives the Figs 10/12/13/14 benchmark comparisons.
+// The systems Figs 10 and 13 compare on Shaheen II, and Figs 12 and 14 on
+// Stampede2.
+var (
+	shaheenSystems  = []bench.System{bench.HANSystem(nil), bench.RivalSystem(rivals.OpenMPIDefault), bench.RivalSystem(rivals.CrayMPI)}
+	stampedeSystems = []bench.System{bench.HANSystem(nil), bench.RivalSystem(rivals.OpenMPIDefault), bench.RivalSystem(rivals.IntelMPI), bench.RivalSystem(rivals.MVAPICH2)}
+)
+
+// imbFigure prints one of Figs 10/12/13/14: the benchmark comparison over the
+// small sizes (part a), then over the large ones (part b).
+func imbFigure(fig string, sc Scale, spec cluster.Spec, kind coll.Kind, systems []bench.System) {
+	imbComparison(fig+"a — small messages", spec, kind, systems, sc.Small)
+	imbComparison(fig+"b — large messages", spec, kind, systems, sc.Large)
+}
+
+// imbComparison prints one part of an IMB figure and HAN's speedups.
 func imbComparison(title string, spec cluster.Spec, kind coll.Kind, systems []bench.System, sizes []int) {
 	names := make([]string, len(systems))
 	for i, sys := range systems {
@@ -350,23 +344,15 @@ func imbComparison(title string, spec cluster.Spec, kind coll.Kind, systems []be
 
 // Fig10 compares MPI_Bcast on the Shaheen II machine.
 func Fig10(sc Scale) {
-	activeScale = sc.Name
-	header(fmt.Sprintf("Fig 10 — MPI_Bcast on Shaheen II (%d processes)", sc.Shaheen.Ranks()))
-	systems := []bench.System{
-		bench.HANSystem(nil),
-		bench.RivalSystem(rivals.OpenMPIDefault),
-		bench.RivalSystem(rivals.CrayMPI),
-	}
-	imbComparison("Fig 10a — small messages", sc.Shaheen, coll.Bcast, systems, sc.Small)
-	imbComparison("Fig 10b — large messages", sc.Shaheen, coll.Bcast, systems, sc.Large)
+	header(sc, fmt.Sprintf("Fig 10 — MPI_Bcast on Shaheen II (%d processes)", sc.Shaheen.Ranks()))
+	imbFigure("Fig 10", sc, sc.Shaheen, coll.Bcast, shaheenSystems)
 	fmt.Println("\nExpected shape: HAN >> default OMPI everywhere; Cray slightly ahead for small,")
 	fmt.Println("HAN ahead for large (up to ~2x) thanks to ib/sb overlap.")
 }
 
 // Fig11 compares Netpipe P2P bandwidth between Open MPI and Cray MPI.
 func Fig11(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 11 — P2P performance on Shaheen II (Netpipe)")
+	header(sc, "Fig 11 — P2P performance on Shaheen II (Netpipe)")
 	spec := derive(sc.Shaheen, 2, sc.Shaheen.PPN)
 	sizes := []int{64, 512, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10, 2 << 20, 8 << 20, 32 << 20, 128 << 20}
 	ompi := bench.Netpipe(spec, mpi.OpenMPI(), sizes)
@@ -381,55 +367,31 @@ func Fig11(sc Scale) {
 
 // Fig12 compares MPI_Bcast on the Stampede2 machine.
 func Fig12(sc Scale) {
-	activeScale = sc.Name
-	header(fmt.Sprintf("Fig 12 — MPI_Bcast on Stampede2 (%d processes)", sc.Stampede.Ranks()))
-	systems := []bench.System{
-		bench.HANSystem(nil),
-		bench.RivalSystem(rivals.OpenMPIDefault),
-		bench.RivalSystem(rivals.IntelMPI),
-		bench.RivalSystem(rivals.MVAPICH2),
-	}
-	imbComparison("Fig 12a — small messages", sc.Stampede, coll.Bcast, systems, sc.Small)
-	imbComparison("Fig 12b — large messages", sc.Stampede, coll.Bcast, systems, sc.Large)
+	header(sc, fmt.Sprintf("Fig 12 — MPI_Bcast on Stampede2 (%d processes)", sc.Stampede.Ranks()))
+	imbFigure("Fig 12", sc, sc.Stampede, coll.Bcast, stampedeSystems)
 	fmt.Println("\nExpected shape: HAN fastest on both ranges (paper: up to 1.15x/2.28x/5.35x small,")
 	fmt.Println("1.39x/3.83x/1.73x large vs Intel/MVAPICH2/default OMPI).")
 }
 
 // Fig13 compares MPI_Allreduce on the Shaheen II machine.
 func Fig13(sc Scale) {
-	activeScale = sc.Name
-	header(fmt.Sprintf("Fig 13 — MPI_Allreduce on Shaheen II (%d processes)", sc.Shaheen.Ranks()))
-	systems := []bench.System{
-		bench.HANSystem(nil),
-		bench.RivalSystem(rivals.OpenMPIDefault),
-		bench.RivalSystem(rivals.CrayMPI),
-	}
-	imbComparison("Fig 13a — small messages", sc.Shaheen, coll.Allreduce, systems, sc.Small)
-	imbComparison("Fig 13b — large messages", sc.Shaheen, coll.Allreduce, systems, sc.Large)
+	header(sc, fmt.Sprintf("Fig 13 — MPI_Allreduce on Shaheen II (%d processes)", sc.Shaheen.Ranks()))
+	imbFigure("Fig 13", sc, sc.Shaheen, coll.Allreduce, shaheenSystems)
 	fmt.Println("\nExpected shape: Cray ahead for small (HAN's SM/libnbc lack AVX reductions);")
 	fmt.Println("HAN ahead beyond ~2MB (paper: up to 1.12x); default OMPI far behind.")
 }
 
 // Fig14 compares MPI_Allreduce on the Stampede2 machine.
 func Fig14(sc Scale) {
-	activeScale = sc.Name
-	header(fmt.Sprintf("Fig 14 — MPI_Allreduce on Stampede2 (%d processes)", sc.Stampede.Ranks()))
-	systems := []bench.System{
-		bench.HANSystem(nil),
-		bench.RivalSystem(rivals.OpenMPIDefault),
-		bench.RivalSystem(rivals.IntelMPI),
-		bench.RivalSystem(rivals.MVAPICH2),
-	}
-	imbComparison("Fig 14a — small messages", sc.Stampede, coll.Allreduce, systems, sc.Small)
-	imbComparison("Fig 14b — large messages", sc.Stampede, coll.Allreduce, systems, sc.Large)
+	header(sc, fmt.Sprintf("Fig 14 — MPI_Allreduce on Stampede2 (%d processes)", sc.Stampede.Ranks()))
+	imbFigure("Fig 14", sc, sc.Stampede, coll.Allreduce, stampedeSystems)
 	fmt.Println("\nExpected shape: HAN fastest 4-64MB; MVAPICH2 (multi-leader ring) converges with")
 	fmt.Println("HAN at the largest sizes, both well ahead of Intel and default OMPI.")
 }
 
 // Tab3 reproduces the ASP application comparison.
 func Tab3(sc Scale) {
-	activeScale = sc.Name
-	header(fmt.Sprintf("Table III — ASP, %d processes, 1M matrix rows", sc.Stampede.Ranks()))
+	header(sc, fmt.Sprintf("Table III — ASP, %d processes, 1M matrix rows", sc.Stampede.Ranks()))
 	prm := apps.DefaultASPParams(sc.Stampede.Ranks())
 	prm.Iters = sc.ASPIters
 	systems := []bench.System{
@@ -457,8 +419,7 @@ func Tab3(sc Scale) {
 
 // Fig15 reproduces the Horovod scaling study.
 func Fig15(sc Scale) {
-	activeScale = sc.Name
-	header("Fig 15 — Horovod/AlexNet on Stampede2 (images/s, higher is better)")
+	header(sc, "Fig 15 — Horovod/AlexNet on Stampede2 (images/s, higher is better)")
 	prm := apps.DefaultHorovodParams()
 	systems := []bench.System{
 		bench.HANSystem(nil),
@@ -489,17 +450,16 @@ func Fig15(sc Scale) {
 // pipelining turns ib+sb into ~max(ib, sb) — so the ablation sweeps the
 // processes-per-node axis, which controls that balance.
 func AblatePipeline(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — pipelining (fs = tuned vs fs = m), across ppn")
+	header(sc, "Ablation — pipelining (fs = tuned vs fs = m), across ppn")
 	for _, ppn := range []int{4, 8, 32} {
 		spec := derive(sc.Shaheen, sc.Shaheen.Nodes, ppn)
 		fmt.Printf("ppn=%d:\n", ppn)
 		fmt.Printf("  %-10s%16s%16s%10s\n", "size", "pipelined µs", "monolithic µs", "gain")
 		for _, m := range sc.Large {
-			piped := measureHANBcast(spec, m, han.Config{})
+			piped := bench.Once(spec, coll.Bcast, m, han.Config{})
 			cfg := han.DefaultDecision(coll.Bcast, m)
 			cfg.FS = m
-			mono := measureHANBcast(spec, m, cfg)
+			mono := bench.Once(spec, coll.Bcast, m, cfg)
 			fmt.Printf("  %-10s%16.1f%16.1f%9.2fx\n", han.SizeString(m), piped*1e6, mono*1e6, mono/piped)
 		}
 	}
@@ -512,114 +472,58 @@ func AblatePipeline(sc Scale) {
 	fmt.Println("benefit clearly (see the split ablation).")
 }
 
-func measureHANBcast(spec cluster.Spec, m int, cfg han.Config) float64 {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	var end sim.Time
-	w.Start(func(p *mpi.Proc) {
-		h.Bcast(p, mpi.Phantom(m), 0, cfg)
-		if p.Now() > end {
-			end = p.Now()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return float64(end)
-}
-
 // AblateSplit compares HAN's split ir+ib inter-node stage against a fused
 // inter-node allreduce (the design of SALaR and the multi-leader work the
 // paper argues against in section III-B1).
 func AblateSplit(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — split ir+ib vs fused inter-node allreduce")
+	header(sc, "Ablation — split ir+ib vs fused inter-node allreduce")
 	spec := sc.Shaheen
 	fmt.Printf("%-10s%16s%16s%10s\n", "size", "split µs", "fused µs", "gain")
 	for _, m := range sc.Large {
-		split := measureHANAllreduce(spec, m, han.Config{})
-		fused := measureFusedAllreduce(spec, m)
+		split := bench.Once(spec, coll.Allreduce, m, han.Config{})
+		fused := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) { fusedAllreduce(h, p, m) })
 		fmt.Printf("%-10s%16.1f%16.1f%9.2fx\n", han.SizeString(m), split*1e6, fused*1e6, fused/split)
 	}
 	fmt.Println("\nExpected shape: splitting the inter-node allreduce into explicit ir + ib")
 	fmt.Println("pipelines better and wins for large messages.")
 }
 
-func measureHANAllreduce(spec cluster.Spec, m int, cfg han.Config) float64 {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	var end sim.Time
-	w.Start(func(p *mpi.Proc) {
-		h.Allreduce(p, mpi.Phantom(m), mpi.Phantom(m), mpi.OpSum, mpi.Float64, cfg)
-		if p.Now() > end {
-			end = p.Now()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		panic(err)
+// fusedAllreduce is one rank's allreduce of m bytes with sr per segment, a
+// fused leader-level allreduce per segment (no ir/ib split, so no duplex
+// overlap between reduction and broadcast traffic), then sb.
+func fusedAllreduce(h *han.HAN, p *mpi.Proc, m int) {
+	w, cfg := h.W, han.DefaultDecision(coll.Allreduce, m)
+	node, leaders := w.NodeComm(p.Node()), w.LeaderComm()
+	buf := mpi.Phantom(m)
+	u := (m + cfg.FS - 1) / cfg.FS
+	segOf := func(i int) mpi.Buf {
+		return buf.Slice(i*cfg.FS, min((i+1)*cfg.FS, m))
 	}
-	return float64(end)
-}
-
-// measureFusedAllreduce: sr per segment, a fused leader-level allreduce per
-// segment (no ir/ib split, so no duplex overlap between reduction and
-// broadcast traffic), then sb.
-func measureFusedAllreduce(spec cluster.Spec, m int) float64 {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	cfg := han.DefaultDecision(coll.Allreduce, m)
-	var end sim.Time
-	w.Start(func(p *mpi.Proc) {
-		node := w.NodeComm(p.Node())
-		leaders := w.LeaderComm()
-		buf := mpi.Phantom(m)
-		iAmLeader := w.Mach.IsNodeLeader(p.Rank)
-		u := (m + cfg.FS - 1) / cfg.FS
-		segOf := func(i int) mpi.Buf {
-			lo := i * cfg.FS
-			hi := lo + cfg.FS
-			if hi > m {
-				hi = m
-			}
-			return buf.Slice(lo, hi)
-		}
-		inter, err := h.Mods.Inter(cfg.IMod)
-		if err != nil {
-			panic(err) // the experiment table only names known submodules
-		}
-		// Three-stage pipeline: sr(t), fused-allreduce(t-1), sb(t-2).
-		for t := 0; t < u+2; t++ {
-			var reqs []*mpi.Request
-			if t < u {
-				reqs = append(reqs, h.SR(p, node, segOf(t), segOf(t), mpi.OpSum, mpi.Float64, cfg))
-			}
-			if j := t - 1; j >= 0 && j < u && iAmLeader {
-				s := segOf(j)
-				reqs = append(reqs, inter.Iallreduce(p, leaders, s, s, mpi.OpSum, mpi.Float64, coll.Params{Alg: cfg.IRAlg, Seg: cfg.IRS}))
-			}
-			if j := t - 2; j >= 0 && j < u {
-				reqs = append(reqs, h.SB(p, node, segOf(j), cfg))
-			}
-			p.Wait(reqs...)
-		}
-		if p.Now() > end {
-			end = p.Now()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		panic(err)
+	inter, err := h.Mods.Inter(cfg.IMod)
+	if err != nil {
+		panic(err) // the experiment table only names known submodules
 	}
-	return float64(end)
+	// Three-stage pipeline: sr(t), fused-allreduce(t-1), sb(t-2).
+	for t := 0; t < u+2; t++ {
+		var reqs []*mpi.Request
+		if t < u {
+			reqs = append(reqs, h.SR(p, node, segOf(t), segOf(t), mpi.OpSum, mpi.Float64, cfg))
+		}
+		if j := t - 1; j >= 0 && j < u && w.Mach.IsNodeLeader(p.Rank) {
+			s := segOf(j)
+			reqs = append(reqs, inter.Iallreduce(p, leaders, s, s, mpi.OpSum, mpi.Float64, coll.Params{Alg: cfg.IRAlg, Seg: cfg.IRS}))
+		}
+		if j := t - 2; j >= 0 && j < u {
+			reqs = append(reqs, h.SB(p, node, segOf(j), cfg))
+		}
+		p.Wait(reqs...)
+	}
 }
 
 // AblateOverlap compares the cost model's measured-task estimate against
 // the perfect-overlap and no-overlap assumptions of prior models.
 func AblateOverlap(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — cost model overlap assumptions (Bcast, 4MB)")
+	header(sc, "Ablation — cost model overlap assumptions (Bcast, 4MB)")
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
 	meter := &autotune.Meter{}
 	m := 4 << 20
@@ -658,8 +562,7 @@ func AblateOverlap(sc Scale) {
 
 // AblateHeuristics quantifies the accuracy the heuristics give up.
 func AblateHeuristics(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — heuristics accuracy trade-off")
+	header(sc, "Ablation — heuristics accuracy trade-off")
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
 	kinds := []coll.Kind{coll.Bcast}
 	ex := autotune.RunSearch(env, sc.Space, kinds, autotune.Exhaustive, autotune.SearchOpts{Iters: 2, Workers: expWorkers})
@@ -685,8 +588,7 @@ func AblateHeuristics(sc Scale) {
 // (socket-aware) one the paper lists as future work, on a dual-socket
 // machine whose UPI link is a bottleneck.
 func AblateLevels(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — two-level vs three-level hierarchy (dual-socket NUMA)")
+	header(sc, "Ablation — two-level vs three-level hierarchy (dual-socket NUMA)")
 	spec := sc.Shaheen
 	spec.SocketsPerNode = 2
 	spec.SocketBusBandwidth = spec.MemBusBandwidth * 0.6
@@ -694,33 +596,12 @@ func AblateLevels(sc Scale) {
 	fmt.Printf("%-10s%16s%16s%10s\n", "size", "two-level µs", "three-level µs", "gain")
 	for _, m := range sc.Large {
 		cfg := han.DefaultDecision(coll.Bcast, m)
-		two := measureLevels(spec, m, cfg, false)
-		three := measureLevels(spec, m, cfg, true)
+		two := bench.Once(spec, coll.Bcast, m, cfg)
+		three := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) { h.Bcast3(p, mpi.Phantom(m), 0, cfg) })
 		fmt.Printf("%-10s%16.1f%16.1f%9.2fx\n", han.SizeString(m), two*1e6, three*1e6, two/three)
 	}
 	fmt.Println("\nExpected shape: the socket-aware hierarchy wins once payloads saturate the")
 	fmt.Println("cross-socket link (it crosses UPI once per node instead of once per remote rank).")
-}
-
-func measureLevels(spec cluster.Spec, m int, cfg han.Config, three bool) float64 {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	var end sim.Time
-	w.Start(func(p *mpi.Proc) {
-		if three {
-			h.Bcast3(p, mpi.Phantom(m), 0, cfg)
-		} else {
-			h.Bcast(p, mpi.Phantom(m), 0, cfg)
-		}
-		if p.Now() > end {
-			end = p.Now()
-		}
-	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return float64(end)
 }
 
 // AblateOnline compares HAN's offline tuning against STAR-MPI-style online
@@ -729,8 +610,7 @@ func measureLevels(spec cluster.Spec, m int, cfg han.Config, three bool) float64
 // tuning needs no installation-time benchmarking but pays a convergence
 // period and per-call bookkeeping inside the application.
 func AblateOnline(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — offline (HAN) vs online (STAR-MPI-style) tuning")
+	header(sc, "Ablation — offline (HAN) vs online (STAR-MPI-style) tuning")
 	spec := sc.Tuning
 	m := 4 << 20
 	const calls = 80
@@ -738,13 +618,13 @@ func AblateOnline(sc Scale) {
 	// Offline: tune first (cost accounted separately), then run.
 	env := autotune.NewEnv(spec, mpi.OpenMPI())
 	res := autotune.RunSearch(env, sc.Space, []coll.Kind{coll.Bcast}, autotune.Combined, autotune.SearchOpts{Workers: expWorkers})
-	offlinePer := runCallSeq(spec, m, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
+	offlinePer := runCallSeq(spec, sc.Space, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
 		h.Bcast(p, mpi.Phantom(m), 0, res.Table.Decide(coll.Bcast, m))
 	})
-	onlinePer := runCallSeq(spec, m, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
+	onlinePer := runCallSeq(spec, sc.Space, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
 		tuner.Bcast(p, mpi.Phantom(m), 0)
 	})
-	defaultPer := runCallSeq(spec, m, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
+	defaultPer := runCallSeq(spec, sc.Space, calls, func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc) {
 		h.Bcast(p, mpi.Phantom(m), 0, han.Config{})
 	})
 
@@ -772,12 +652,13 @@ func AblateOnline(sc Scale) {
 }
 
 // runCallSeq runs `calls` collective calls and returns per-call max-rank
-// durations.
-func runCallSeq(spec cluster.Spec, m, calls int, body func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc)) []float64 {
+// durations. Its ranks are goroutines: the online tuner decides inside each
+// call, in blocking code that has no step form.
+func runCallSeq(spec cluster.Spec, space autotune.Space, calls int, body func(h *han.HAN, tuner *autotune.OnlineTuner, p *mpi.Proc)) []float64 {
 	eng := sim.New()
 	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
 	h := han.New(w)
-	tuner := autotune.NewOnlineTuner(h, scales[activeScale].Space)
+	tuner := autotune.NewOnlineTuner(h, space)
 	durs := make([]float64, calls)
 	w.Start(func(p *mpi.Proc) {
 		c := w.World()
@@ -799,8 +680,7 @@ func runCallSeq(spec cluster.Spec, m, calls int, body func(h *han.HAN, tuner *au
 // AblateGPU evaluates the GPU-level future work: HAN's pipelined GPU-aware
 // broadcast against the naive stage-everything-then-broadcast approach.
 func AblateGPU(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — GPU-aware pipelined bcast vs naive staging")
+	header(sc, "Ablation — GPU-aware pipelined bcast vs naive staging")
 	spec := sc.Shaheen
 	spec.GPUsPerNode = 4
 	spec.GPUMemBandwidth = 700e9
@@ -809,10 +689,10 @@ func AblateGPU(sc Scale) {
 	fmt.Printf("%-10s%18s%18s%10s\n", "size", "pipelined µs", "naive staging µs", "gain")
 	for _, m := range sc.Large {
 		cfg := han.DefaultDecision(coll.Bcast, m)
-		piped := runGPUWorld(spec, func(h *han.HAN, p *mpi.Proc) {
+		piped := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) {
 			h.BcastGPU(p, mpi.Phantom(m), 0, cfg)
 		})
-		naive := runGPUWorld(spec, func(h *han.HAN, p *mpi.Proc) {
+		naive := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) {
 			cuda := h.Mods.CUDA
 			node := h.W.NodeComm(p.Node())
 			if p.Rank == 0 {
@@ -830,16 +710,20 @@ func AblateGPU(sc Scale) {
 	fmt.Println("PCIe stagings behind the inter-node transfers; the naive approach serialises them.")
 }
 
-func runGPUWorld(spec cluster.Spec, fn func(h *han.HAN, p *mpi.Proc)) float64 {
+// onGoroutines runs body on every rank of a new world of spec on Open MPI's
+// P2P layer, each rank a goroutine (mpi.World.Start), and returns when the
+// last rank came out of it. It is for the rank programs that have no step
+// form: Bcast3, BcastGPU, and the hand-written waits of the fused allreduce
+// and of the naive GPU staging. A two-level collective on the world takes
+// bench.Once's routines instead.
+func onGoroutines(spec cluster.Spec, body func(h *han.HAN, p *mpi.Proc)) float64 {
 	eng := sim.New()
 	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
 	h := han.New(w)
 	var end sim.Time
 	w.Start(func(p *mpi.Proc) {
-		fn(h, p)
-		if p.Now() > end {
-			end = p.Now()
-		}
+		body(h, p)
+		end = max(end, p.Now())
 	})
 	if err := eng.Run(); err != nil {
 		panic(err)
@@ -851,8 +735,7 @@ func runGPUWorld(spec cluster.Spec, fn func(h *han.HAN, p *mpi.Proc)) float64 {
 // and the flat default degrade — hierarchical, pipelined collectives absorb
 // per-message noise better than long flat dependency chains.
 func AblateNoise(sc Scale) {
-	activeScale = sc.Name
-	header("Ablation — robustness to system noise (latency jitter)")
+	header(sc, "Ablation — robustness to system noise (latency jitter)")
 	spec := sc.Shaheen
 	// A latency-bound size: noise perturbs per-message latencies, so long
 	// dependency chains feel it most.
@@ -874,6 +757,8 @@ func AblateNoise(sc Scale) {
 	fmt.Println("every noise level, so the tuning decisions remain valid on noisy systems.")
 }
 
+// noisyBcast returns the worst of three timed Bcasts after a warm-up, each
+// after a barrier. It keeps its own loop because IMBWith reports the mean.
 func noisyBcast(spec cluster.Spec, sys bench.System, m int, jitter float64) float64 {
 	pers := sys.Pers
 	pers.Jitter = jitter

@@ -9,7 +9,7 @@
 //	hanexp -all                 # everything, at the selected scale
 //	hanexp -fig 10              # one figure (2,3,4,6,7,8,9,10,11,12,13,14,15)
 //	hanexp -tab 3               # Table III (ASP)
-//	hanexp -ablate pipeline     # ablations (pipeline, split, overlap, heuristics, levels)
+//	hanexp -ablate pipeline     # one ablation: pipeline, split, overlap, heuristics, levels, online, gpu, noise
 //	hanexp -scale small|mid|paper
 //
 // The paper scale (4096/1536 processes, full sweeps) reproduces the
@@ -21,13 +21,39 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 )
+
+// ablations are the -ablate experiments, in the order -all runs them.
+var ablations = []struct {
+	name string
+	run  func(Scale)
+}{
+	{"pipeline", AblatePipeline},
+	{"split", AblateSplit},
+	{"overlap", AblateOverlap},
+	{"heuristics", AblateHeuristics},
+	{"levels", AblateLevels},
+	{"online", AblateOnline},
+	{"gpu", AblateGPU},
+	{"noise", AblateNoise},
+}
+
+// ablationNames lists the ablations for the help text and the
+// unknown-name error.
+func ablationNames() string {
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return strings.Join(names, ", ")
+}
 
 func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (2,3,4,6,7,8,9,10,11,12,13,14,15)")
 	tab := flag.Int("tab", 0, "table number to regenerate (3)")
 	all := flag.Bool("all", false, "run every experiment")
-	ablate := flag.String("ablate", "", "ablation to run: pipeline, split, overlap, heuristics")
+	ablate := flag.String("ablate", "", "ablation to run: "+ablationNames())
 	scale := flag.String("scale", "small", "experiment scale: small, mid, or paper")
 	workers := flag.Int("workers", 0, "concurrent measurement workers (0 = GOMAXPROCS); output is identical for any value")
 	flag.Parse()
@@ -45,8 +71,8 @@ func main() {
 			runFig(f, sc)
 		}
 		runTab(3, sc)
-		for _, a := range []string{"pipeline", "split", "overlap", "heuristics", "levels", "online", "gpu", "noise"} {
-			runAblation(a, sc)
+		for _, a := range ablations {
+			a.run(sc)
 		}
 	case *fig != 0:
 		runFig(*fig, sc)
@@ -103,25 +129,12 @@ func runTab(t int, sc Scale) {
 }
 
 func runAblation(name string, sc Scale) {
-	switch name {
-	case "pipeline":
-		AblatePipeline(sc)
-	case "split":
-		AblateSplit(sc)
-	case "overlap":
-		AblateOverlap(sc)
-	case "heuristics":
-		AblateHeuristics(sc)
-	case "levels":
-		AblateLevels(sc)
-	case "online":
-		AblateOnline(sc)
-	case "gpu":
-		AblateGPU(sc)
-	case "noise":
-		AblateNoise(sc)
-	default:
-		fmt.Fprintf(os.Stderr, "hanexp: unknown ablation %q\n", name)
-		os.Exit(2)
+	for _, a := range ablations {
+		if a.name == name {
+			a.run(sc)
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "hanexp: unknown ablation %q (want one of %s)\n", name, ablationNames())
+	os.Exit(2)
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/hanrepro/han/internal/coll"
@@ -76,6 +79,22 @@ func TestTaskConfigsCoverSubmodulesAndAlgs(t *testing.T) {
 	for _, a := range []coll.Alg{coll.AlgBinomial, coll.AlgBinary, coll.AlgChain} {
 		if !seenAlgs[a] {
 			t.Errorf("task configs missing algorithm %v", a)
+		}
+	}
+}
+
+// The ablations are one list: -all runs it, and the -ablate help string and
+// the unknown-name error print it. The package comment and README's
+// command-line reference, which cannot, must name it as it stands.
+func TestAblationListIsTheDocumentedOne(t *testing.T) {
+	names := ablationNames()
+	for _, file := range []string{"main.go", filepath.Join("..", "..", "README.md")} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(src), names) {
+			t.Errorf("%s does not list the ablations as %q", file, names)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 	}{
 		{"bcast timers", func() world {
 			lone := rows(3, nodes)
-			return world{func(h *han.HAN) { timers(h, cfg, lone) }, func(h *han.HAN, p *mpi.Proc) {
+			return world{func(h *han.HAN) { timers(h, cfg, bcastTimers, lone) }, func(h *han.HAN, p *mpi.Proc) {
 				if d := timed(h.TimeTasks(p, mpi.OpSum, mpi.Byte, cfg, han.TaskIB)); d > 0 {
 					lone[0][p.Node()] = float64(d)
 				}
@@ -104,6 +104,17 @@ func TestSweepRunsRanksWithoutGoroutines(t *testing.T) {
 					lone[2][p.Node()] = float64(d)
 				}
 			}, func() any { return lone }}
+		}},
+		{"overlap timers", func() world { // hanexp's Fig 6
+			sets := []TaskSet{{mpi.Byte, []han.Task{han.TaskIB}}, {mpi.Float64, []han.Task{han.TaskIR}}, {mpi.Float64, []han.Task{han.TaskIB, han.TaskIR}}}
+			costs := rows(len(sets), nodes)
+			return world{func(h *han.HAN) { timers(h, cfg, sets, costs) }, func(h *han.HAN, p *mpi.Proc) {
+				for i, s := range sets {
+					if d := timed(h.TimeTasks(p, mpi.OpSum, s.DT, cfg, s.Tasks...)); d > 0 {
+						costs[i][p.Node()] = float64(d)
+					}
+				}
+			}, func() any { return costs }}
 		}},
 		{"bcast series", series(coll.Bcast)},
 		{"allreduce series", series(coll.Allreduce)},

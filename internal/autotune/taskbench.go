@@ -95,8 +95,8 @@ func (tt TableTasks) Stable(l int) float64 {
 // (the simulation is noise-free); the series runs inside a real
 // SBIBSeriesLen-segment pipeline, so that the staggered leader start times
 // and warm-up effects are captured, as section III-A2 prescribes. A Bcast
-// takes two worlds: its lone and naive concurrent tasks share one, the
-// series has the other.
+// takes two worlds: its lone and naive concurrent tasks share one
+// (TimeTasks), the series has the other.
 func (e Env) MeasureTasks(kind coll.Kind, cfg han.Config, meter *Meter) TableTasks {
 	if kind != coll.Bcast && kind != coll.Allreduce {
 		panic("autotune: no task model for collective kind " + kind.String())
@@ -104,8 +104,7 @@ func (e Env) MeasureTasks(kind coll.Kind, cfg han.Config, meter *Meter) TableTas
 	tt := TableTasks{Cfg: cfg}
 	var lone [][]float64 // Bcast's lone ib, lone sb and concurrent sb+ib
 	if kind == coll.Bcast {
-		lone = rows(3, e.Spec.Nodes)
-		meter.add(e.runWorld(func(h *han.HAN) { timers(h, cfg, lone) }))
+		lone = e.TimeTasks(cfg, bcastTimers, meter)
 	}
 	meter.add(e.runWorld(func(h *han.HAN) { tt.series(h, kind, e.Spec.Nodes) }))
 	if lone != nil {
@@ -128,13 +127,34 @@ func rows(n, nodes int) [][]float64 {
 	return out
 }
 
-// timers puts the lone ib, the lone sb and the naive concurrent sb+ib on h's
-// world, one after the other on every rank, into costs[0..2]. Only leaders
-// take part in the first, and all three report on them alone.
-func timers(h *han.HAN, cfg han.Config, costs [][]float64) {
-	tasks := [][]han.Task{{han.TaskIB}, {han.TaskSB}, {han.TaskIB, han.TaskSB}}
-	startTimed(h, len(tasks), func(p *mpi.Proc, i int) *han.Timed {
-		return h.StartTasks(p, mpi.OpSum, mpi.Byte, cfg, tasks[i]...)
+// TaskSet is one timer: two-level tasks issued together on one segment of
+// the configuration's fs, with no task history, moving values of DT.
+type TaskSet struct {
+	DT    mpi.Datatype
+	Tasks []han.Task
+}
+
+// bcastTimers are a Bcast's lone ib, lone sb and naive concurrent sb+ib.
+var bcastTimers = []TaskSet{
+	{mpi.Byte, []han.Task{han.TaskIB}},
+	{mpi.Byte, []han.Task{han.TaskSB}},
+	{mpi.Byte, []han.Task{han.TaskIB, han.TaskSB}},
+}
+
+// TimeTasks times the task sets under cfg on the environment's machine, one
+// after the other on every rank of one world, and returns costs[i][l]: set
+// i's duration on the leader of node l.
+func (e Env) TimeTasks(cfg han.Config, sets []TaskSet, meter *Meter) [][]float64 {
+	costs := rows(len(sets), e.Spec.Nodes)
+	meter.add(e.runWorld(func(h *han.HAN) { timers(h, cfg, sets, costs) }))
+	return costs
+}
+
+// timers puts the task sets on h's world into costs. A set's tasks on the
+// inter-node level take only leaders; every set reports on leaders alone.
+func timers(h *han.HAN, cfg han.Config, sets []TaskSet, costs [][]float64) {
+	startTimed(h, len(sets), func(p *mpi.Proc, i int) *han.Timed {
+		return h.StartTasks(p, mpi.OpSum, sets[i].DT, cfg, sets[i].Tasks...)
 	}, func(p *mpi.Proc, i int, steps []sim.Time) {
 		if steps != nil && p.W.Mach.IsNodeLeader(p.Rank) {
 			costs[i][p.Node()] = float64(steps[0])

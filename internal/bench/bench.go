@@ -230,12 +230,10 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 	loop := mpi.NewIMBLoop(world, iters, func(p *mpi.Proc, i int) sim.Stepper {
 		return ops.start(p, kind, sizes[i])
 	})
-	if ops.Start != nil && !w.CrashArmed() {
+	if ops.Start != nil {
 		loop.StartSteps()
 	} else {
-		// A system that only blocks, or a rank that dies mid-run — still a
-		// goroutine's business: the blocking forms are what the crash suites
-		// pin.
+		// A system that only blocks is still a goroutine's business.
 		w.Start(func(p *mpi.Proc) {
 			for i, size := range sizes {
 				for it := 0; it <= iters[i]; it++ {

@@ -108,7 +108,11 @@ func TestGoldenIMBBits(t *testing.T) {
 // parks nothing but for helpers (the composed intra-node allreduce of a
 // single-node world still has some), and it reports the points and records
 // the trace stream, byte for byte, of the same run with the step form
-// withheld — every rank a goroutine on World.Start.
+// withheld — every rank a goroutine on World.Start. The single-call run
+// (runOnce, behind Once) is held the same way, at each size under the
+// decision the system takes: the latest finish and the clock of the
+// blocking entry point on World.Start, and no goroutine on the multi-node
+// world.
 func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 	rounds := uint64(0) // barrier and collective pairs of one rank
 	for _, size := range harnessSizes {
@@ -118,11 +122,12 @@ func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 		ranks := uint64(spec.Ranks())
 		for _, imod := range han.InterNames() {
 			for _, smod := range han.IntraNames() {
-				sys := HANSystem(func(kind coll.Kind, n int) han.Config {
+				decide := func(kind coll.Kind, n int) han.Config {
 					cfg := han.DefaultDecision(kind, n)
 					cfg.IMod, cfg.SMod, cfg.IBAlg, cfg.IRAlg = imod, smod, coll.AlgDefault, coll.AlgDefault
 					return cfg
-				})
+				}
+				sys := HANSystem(decide)
 				blocking := sys
 				blocking.Setup = func(w *mpi.World) Ops {
 					ops := sys.Setup(w)
@@ -143,16 +148,54 @@ func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 						t.Errorf("%s: %d goroutines and %d parks with the ranks routines, %d and %d with the %d ranks goroutines",
 							name, eng.Goroutines(), eng.Parks(), goEng.Goroutines(), goEng.Parks(), ranks)
 					}
+					for _, size := range harnessSizes {
+						cfg := decide(kind, size)
+						end, clock, eng := onceRow(t, spec, kind, size, cfg, true)
+						wantEnd, wantClock, _ := onceRow(t, spec, kind, size, cfg, false)
+						if end != wantEnd || clock != wantClock {
+							t.Errorf("%s once %d: routines end %#x by %#x, goroutines %#x by %#x", name, size, end, clock, wantEnd, wantClock)
+						}
+						if spec.Nodes > 1 && eng.Goroutines() != 0 {
+							t.Errorf("%s once %d: %d goroutines", name, size, eng.Goroutines())
+						}
+					}
 				}
 			}
 		}
 	}
-	// An armed crash plan keeps the ranks goroutines: nobody dies here (the
-	// crash is due long after the run), but somebody could.
+	// An armed crash plan does not change the form: a killed rank unwinds
+	// through its loop's Unwind. Nobody dies here (the crash is due long after
+	// the run), but somebody could.
 	late := fault.Plan{Crashes: []fault.CrashSpec{{Rank: 1, At: 10}}}
-	if _, eng := imbRow(t, cluster.Mini(2, 2), HANSystem(nil), coll.Bcast, []int{4 << 10}, IMBOpts{Faults: &late}); eng.Goroutines() != 4 {
-		t.Errorf("under a crash plan the run started %d goroutines, want the 4 ranks'", eng.Goroutines())
+	if _, eng := imbRow(t, cluster.Mini(2, 2), HANSystem(nil), coll.Bcast, []int{4 << 10}, IMBOpts{Faults: &late}); eng.Goroutines() != 0 {
+		t.Errorf("under a crash plan the run started %d goroutines, want none", eng.Goroutines())
 	}
+}
+
+// onceRow runs one collective of kind under cfg on a new world of spec, on
+// runOnce's routines or with every rank a goroutine blocking in HAN's entry
+// point, and returns the latest finish, the clock and the engine.
+func onceRow(t *testing.T, spec cluster.Spec, kind coll.Kind, size int, cfg han.Config, routines bool) (end, clock uint64, eng *sim.Engine) {
+	t.Helper()
+	w := mpi.NewWorld(cluster.NewMachine(sim.New(), spec), mpi.OpenMPI())
+	var last sim.Time
+	if routines {
+		o, err := runOnce(w, kind, size, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = o.end
+	} else {
+		ops := hanOps(han.New(w), cfg, func(error) {}) // runOnce reports what it rejects
+		w.Start(func(p *mpi.Proc) {
+			ops.run(p, kind, size)
+			last = max(last, p.Now())
+		})
+		if err := w.Eng().Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return math.Float64bits(float64(last)), math.Float64bits(float64(w.Eng().Now())), w.Eng()
 }
 
 // The scale tier's run at 64 x 32 ranks: no barrier, no warm-up, one
@@ -162,7 +205,7 @@ func TestGoldenScaleBits(t *testing.T) {
 	w.Seed(1)
 	rec := trace.New()
 	w.Tracer = rec
-	tier, err := scaleRun(w, 256<<10)
+	tier, err := runOnce(w, coll.Bcast, 256<<10, han.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	rtmetrics "runtime/metrics"
@@ -18,7 +19,9 @@ import (
 // phantom buffers carry only a length — so the only real limits are event
 // churn and per-rank bookkeeping, which the arena allocators keep flat.
 // The tier exists to pin that memory budget in BENCH_allocator.json and to
-// catch regressions that only show up super-linearly with rank count.
+// catch regressions that only show up super-linearly with rank count. Its
+// one call on every rank (runOnce) is also the single-call measurement
+// hanexp's ablations take of any kind under a fixed configuration (Once).
 
 // ScaleResult is the outcome of one phantom scale run, including the
 // process-footprint accounting the scale tier's memory budget is stated
@@ -86,7 +89,7 @@ func ScaleBcast(spec cluster.Spec, size int, seed int64) (ScaleResult, error) {
 	if seed != 0 {
 		w.Seed(seed)
 	}
-	tier, err := scaleRun(w, size)
+	tier, err := runOnce(w, coll.Bcast, size, han.Config{})
 	if err != nil {
 		return ScaleResult{}, err
 	}
@@ -120,51 +123,67 @@ func stackBytes() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// scaleTier is one run of the tier: what its ranks report into.
-type scaleTier struct {
-	end    sim.Time // when the last rank came out of the broadcast
+// once is one single-call run: what its ranks report into.
+type once struct {
+	end    sim.Time // when the last rank came out of the collective
 	stacks uint64   // stackBytes when the first did
 }
 
-// scaleRank is one rank of the tier: the broadcast, and a note of when it
-// was through. A rank whose broadcast returns an error stops the run, as
-// mpi.World.StartE has it.
-type scaleRank struct {
-	tier *scaleTier
+// onceRank is one rank of a single-call run: the collective, and a note of
+// when it was through. A rank whose collective returns an error stops the
+// run, as mpi.World.StartE has it, unless the error is a *han.FallbackError:
+// that collective completed, on the path the note names.
+type onceRank struct {
+	run  *once
 	p    *mpi.Proc
 	call *han.Call
 }
 
-func (r *scaleRank) Step(sp *sim.Proc) bool {
+func (r *onceRank) Step(sp *sim.Proc) bool {
 	if !r.call.Step(sp) {
 		return false
 	}
-	t := r.tier
-	if t.stacks == 0 {
-		t.stacks = stackBytes()
+	o := r.run
+	if o.stacks == 0 {
+		o.stacks = stackBytes()
 	}
-	if err := r.call.Err(); err != nil {
+	if err := r.call.Err(); err != nil && !errors.As(err, new(*han.FallbackError)) {
 		sp.Engine().Stop(&mpi.RankError{Rank: r.p.Rank, Err: err})
-	} else if now := sp.Now(); now > t.end {
-		t.end = now
+	} else if now := sp.Now(); now > o.end {
+		o.end = now
 	}
 	return true
 }
 
-func (r *scaleRank) Unwind(sp *sim.Proc) { r.call.Unwind(sp) }
+func (r *onceRank) Unwind(sp *sim.Proc) { r.call.Unwind(sp) }
 
-// scaleRun runs the tier's one broadcast on every rank of w, each a routine.
-func scaleRun(w *mpi.World, size int) (*scaleTier, error) {
+// runOnce runs one collective of kind under cfg on every rank of w, each a
+// routine started at time zero: phantom buffers with IMB's meaning of size,
+// rooted at rank 0, no barrier and no warm-up.
+func runOnce(w *mpi.World, kind coll.Kind, size int, cfg han.Config) (*once, error) {
 	h := han.New(w)
-	tier := new(scaleTier)
-	ranks := make([]scaleRank, w.Size())
+	o := new(once)
+	ranks := make([]onceRank, w.Size())
+	sbuf, rbuf := phantoms(kind, size, w.Size())
 	w.StartSteps(func(p *mpi.Proc) sim.Stepper {
 		r := &ranks[p.Rank]
-		*r = scaleRank{tier, p, h.Start(p, coll.Bcast, mpi.Buf{}, mpi.Phantom(size), mpi.OpSum, mpi.Byte, 0, han.Config{})}
+		*r = onceRank{o, p, h.Start(p, kind, sbuf, rbuf, mpi.OpSum, mpi.Float64, 0, cfg)}
 		return r
 	})
 	if err := w.Eng().Run(); err != nil {
-		return nil, fmt.Errorf("bench: scale run failed: %w", err)
+		return nil, fmt.Errorf("bench: single-call run failed: %w", err)
 	}
-	return tier, nil
+	return o, nil
+}
+
+// Once runs one HAN collective of kind under cfg on a new world of spec on
+// Open MPI's P2P layer, as runOnce has it, and returns the simulated time at
+// which the last rank came out of it: the single-call measurement of the
+// ablations. A HAN configuration error panics, as IMB's run failures do.
+func Once(spec cluster.Spec, kind coll.Kind, size int, cfg han.Config) float64 {
+	o, err := runOnce(mpi.NewWorld(cluster.NewMachine(sim.New(), spec), mpi.OpenMPI()), kind, size, cfg)
+	if err != nil {
+		panic(err.Error())
+	}
+	return float64(o.end)
 }
