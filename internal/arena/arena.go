@@ -33,8 +33,8 @@ type Options[T any] struct {
 	// ChunkSize is the largest number of slots carved per slab (default
 	// 256). A pool's first slabs are smaller: see grow.
 	ChunkSize int
-	// Init runs exactly once per slot, when its slab is carved. Create the
-	// slot's persistent closures here.
+	// Init runs exactly once per slot, when its slab is carved: wire the
+	// slot to its owner here.
 	Init func(*T)
 	// Reset runs on every Put and must clear per-use state in place.
 	Reset func(*T)

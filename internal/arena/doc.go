@@ -4,11 +4,12 @@
 //
 // A Pool[T] owns slabs of T and hands out slot pointers with Get/Put. Slots
 // are initialised exactly once, when their slab is carved — the Init hook
-// is where owners create the slot's persistent closures, capturing the
-// stable slot pointer so reuse never re-allocates capture records. The
-// Reset hook runs on every Put and must return the slot to its
-// ready-for-reuse state (truncate slices in place, clear references so the
-// slab does not pin dead objects).
+// wires the slot to its owner and builds no closure: a slot's callbacks are
+// its own methods, reached through the engine's one callback form
+// (sim.Handler), so a slab costs one allocation however many steps its
+// records drive. The Reset hook runs on every Put and must return the slot
+// to its ready-for-reuse state (truncate slices in place, clear references
+// so the slab does not pin dead objects).
 //
 // Ownership and lifecycle rules are deliberately strict (DESIGN.md §11):
 // a pool, like the engine it serves, belongs to one goroutine-group; no

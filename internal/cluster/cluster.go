@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/hanrepro/han/internal/flow"
@@ -198,13 +199,14 @@ type Machine struct {
 	Eng  *sim.Engine
 	Net  *flow.Network
 
-	nicIn   []*flow.Resource
-	nicOut  []*flow.Resource
-	memBus  []*flow.Resource
-	cpu     []*flow.Resource
-	cpuPath [][]*flow.Resource // [r] = {cpu[r]}, reused by CPUWork
-	// intraPath holds what IntraPath returns, built once: [node] on a
-	// single-socket machine, [(node*S+srcSocket)*S+dstSocket] in NUMA mode.
+	nicIn  []*flow.Resource
+	nicOut []*flow.Resource
+	// memBus and cpu are also the one-hop paths IntraPath and CPUWork hand
+	// out: memBus[n:n+1] is a copy's path on node n, cpu[r:r+1] rank r's work.
+	memBus []*flow.Resource
+	cpu    []*flow.Resource
+	// intraPath holds what IntraPath returns in NUMA mode, built once:
+	// [(node*S+srcSocket)*S+dstSocket].
 	intraPath [][]*flow.Resource
 
 	// NUMA-level resources, only populated when Spec.MultiSocket().
@@ -220,28 +222,38 @@ type Machine struct {
 // HasGPUs reports whether the spec models accelerators.
 func (s Spec) HasGPUs() bool { return s.GPUsPerNode > 0 }
 
-// NewMachine builds the resource graph for spec on engine e.
+// NewMachine builds the resource graph for spec on engine e. What it
+// allocates grows by chunk, not by rank: the network carves the resource
+// records, every name is cut from one string (names), and each list of
+// resources is one array.
 func NewMachine(e *sim.Engine, spec Spec) *Machine {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
 	net := flow.NewNetwork(e)
 	m := &Machine{Spec: spec, Eng: e, Net: net}
-	for n := 0; n < spec.Nodes; n++ {
-		m.nicIn = append(m.nicIn, net.NewResource(fmt.Sprintf("node%d.nicIn", n), spec.NICBandwidth))
-		m.nicOut = append(m.nicOut, net.NewResource(fmt.Sprintf("node%d.nicOut", n), spec.NICBandwidth))
-		m.memBus = append(m.memBus, net.NewResource(fmt.Sprintf("node%d.memBus", n), spec.MemBusBandwidth))
+	nodes, ranks := spec.Nodes, spec.Ranks()
+	count := 3*nodes + ranks
+	if spec.HasGPUs() {
+		count += nodes * (2*spec.GPUsPerNode + 1)
 	}
-	for r := 0; r < spec.Ranks(); r++ {
+	if spec.MultiSocket() {
+		count += nodes * (spec.SocketsPerNode + 1)
+	}
+	ns := names{net: net, buf: make([]byte, 0, 16*count), made: make([]named, 0, count)}
+	m.nicIn = make([]*flow.Resource, nodes)
+	m.nicOut = make([]*flow.Resource, nodes)
+	m.memBus = make([]*flow.Resource, nodes)
+	for n := range nodes {
+		m.nicIn[n] = ns.add(spec.NICBandwidth, "node#.nicIn", n)
+		m.nicOut[n] = ns.add(spec.NICBandwidth, "node#.nicOut", n)
+		m.memBus[n] = ns.add(spec.MemBusBandwidth, "node#.memBus", n)
+	}
+	m.cpu = make([]*flow.Resource, ranks)
+	for r := range ranks {
 		// CPU progress engines have capacity 1.0 "work-second per second";
 		// flows through them carry work expressed in seconds.
-		m.cpu = append(m.cpu, net.NewResource(fmt.Sprintf("rank%d.cpu", r), 1.0))
-	}
-	// One persistent single-hop path per rank, so CPUWork (the single
-	// hottest Start call site) never rebuilds a variadic slice.
-	m.cpuPath = make([][]*flow.Resource, len(m.cpu))
-	for r, c := range m.cpu {
-		m.cpuPath[r] = []*flow.Resource{c}
+		m.cpu[r] = ns.add(1.0, "rank#.cpu", r)
 	}
 	if spec.HasGPUs() {
 		hbm := spec.GPUMemBandwidth
@@ -256,15 +268,15 @@ func NewMachine(e *sim.Engine, spec Spec) *Machine {
 		if pcie <= 0 {
 			pcie = 12e9
 		}
-		for n := 0; n < spec.Nodes; n++ {
-			var mems, links []*flow.Resource
-			for g := 0; g < spec.GPUsPerNode; g++ {
-				mems = append(mems, net.NewResource(fmt.Sprintf("node%d.gpu%d.hbm", n, g), hbm))
-				links = append(links, net.NewResource(fmt.Sprintf("node%d.gpu%d.pcie", n, g), pcie))
+		g := spec.GPUsPerNode
+		m.gpuMem, m.gpuPCIe = rows(nodes, g), rows(nodes, g)
+		m.nvlink = make([]*flow.Resource, nodes)
+		for n := range nodes {
+			for i := range g {
+				m.gpuMem[n][i] = ns.add(hbm, "node#.gpu#.hbm", n, i)
+				m.gpuPCIe[n][i] = ns.add(pcie, "node#.gpu#.pcie", n, i)
 			}
-			m.gpuMem = append(m.gpuMem, mems)
-			m.gpuPCIe = append(m.gpuPCIe, links)
-			m.nvlink = append(m.nvlink, net.NewResource(fmt.Sprintf("node%d.nvlink", n), nvl))
+			m.nvlink[n] = ns.add(nvl, "node#.nvlink", n)
 		}
 	}
 	if spec.MultiSocket() {
@@ -276,33 +288,85 @@ func NewMachine(e *sim.Engine, spec Spec) *Machine {
 		if upiBW <= 0 {
 			upiBW = spec.MemBusBandwidth / 2
 		}
-		for n := 0; n < spec.Nodes; n++ {
-			var buses []*flow.Resource
-			for s := 0; s < spec.SocketsPerNode; s++ {
-				buses = append(buses, net.NewResource(fmt.Sprintf("node%d.sock%d.bus", n, s), sockBW))
+		s := spec.SocketsPerNode
+		m.sockBus = rows(nodes, s)
+		m.upi = make([]*flow.Resource, nodes)
+		for n := range nodes {
+			for i := range s {
+				m.sockBus[n][i] = ns.add(sockBW, "node#.sock#.bus", n, i)
 			}
-			m.sockBus = append(m.sockBus, buses)
-			m.upi = append(m.upi, net.NewResource(fmt.Sprintf("node%d.upi", n), upiBW))
+			m.upi[n] = ns.add(upiBW, "node#.upi", n)
 		}
-	}
-	// Like cpuPath: a copy between two ranks of a node is started once per
-	// shared-memory fragment per rank, and must not build its path each time.
-	for n := 0; n < spec.Nodes; n++ {
-		if !spec.MultiSocket() {
-			m.intraPath = append(m.intraPath, []*flow.Resource{m.memBus[n]})
-			continue
-		}
-		for ss, sb := range m.sockBus[n] {
-			for ds, db := range m.sockBus[n] {
-				if ss == ds {
-					m.intraPath = append(m.intraPath, []*flow.Resource{sb})
-				} else {
-					m.intraPath = append(m.intraPath, []*flow.Resource{sb, m.upi[n], db})
+		// A copy between two ranks of a node is started once per
+		// shared-memory fragment per rank, and must not build its path each
+		// time.
+		m.intraPath = make([][]*flow.Resource, 0, nodes*s*s)
+		for n := range nodes {
+			for ss, sb := range m.sockBus[n] {
+				for ds, db := range m.sockBus[n] {
+					if ss == ds {
+						m.intraPath = append(m.intraPath, m.sockBus[n][ss:ss+1:ss+1])
+					} else {
+						m.intraPath = append(m.intraPath, []*flow.Resource{sb, m.upi[n], db})
+					}
 				}
 			}
 		}
 	}
+	ns.cut()
 	return m
+}
+
+// rows returns an n×k table of resources cut from one array.
+func rows(n, k int) [][]*flow.Resource {
+	all := make([]*flow.Resource, n*k)
+	t := make([][]*flow.Resource, n)
+	for i := range t {
+		t[i] = all[i*k : (i+1)*k : (i+1)*k]
+	}
+	return t
+}
+
+// names creates a machine's resources and names them. Each name is written
+// into one buffer as its resource is created; cut then hands the names out
+// as pieces of one string, so naming thousands of resources costs a few
+// allocations in all.
+type names struct {
+	net  *flow.Network
+	buf  []byte
+	made []named
+}
+
+// named is a resource created by names.add and where its name ends in buf.
+type named struct {
+	r   *flow.Resource
+	end int
+}
+
+// add creates a resource of the given capacity whose name is pattern with
+// each '#' replaced by the next of nums in decimal. Until cut the resource
+// is named by the pattern itself, which is what a capacity panic prints.
+func (ns *names) add(capacity float64, pattern string, nums ...int) *flow.Resource {
+	r := ns.net.NewResource(pattern, capacity)
+	for i := 0; i < len(pattern); i++ {
+		if pattern[i] == '#' {
+			ns.buf = strconv.AppendInt(ns.buf, int64(nums[0]), 10)
+			nums = nums[1:]
+			continue
+		}
+		ns.buf = append(ns.buf, pattern[i])
+	}
+	ns.made = append(ns.made, named{r, len(ns.buf)})
+	return r
+}
+
+// cut gives every resource add created its name.
+func (ns *names) cut() {
+	all, start := string(ns.buf), 0
+	for _, x := range ns.made {
+		x.r.Name = all[start:x.end]
+		start = x.end
+	}
 }
 
 // SocketOf returns the socket index of world rank r within its node (0 when
@@ -336,7 +400,7 @@ func (m *Machine) UPI(node int) *flow.Resource { return m.upi[node] }
 func (m *Machine) IntraPath(src, dst int) []*flow.Resource {
 	n := m.NodeOf(src)
 	if !m.Spec.MultiSocket() {
-		return m.intraPath[n]
+		return m.memBus[n : n+1 : n+1]
 	}
 	s := m.Spec.SocketsPerNode
 	return m.intraPath[(n*s+m.SocketOf(src))*s+m.SocketOf(dst)]
@@ -397,5 +461,5 @@ func (m *Machine) NVLink(node int) *flow.Resource { return m.nvlink[node] }
 // simulation reproduces the paper's observation that ib and sb "share the
 // same CPU resource to progress" in single-threaded MPI.
 func (m *Machine) CPUWork(r int, seconds float64) *flow.Flow {
-	return m.Net.StartOn(seconds, m.cpuPath[r])
+	return m.Net.StartOn(seconds, m.cpu[r:r+1])
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,48 @@ func TestIntraPathPrebuilt(t *testing.T) {
 		_ = split.IntraPath(7, 11)
 	}); n != 0 {
 		t.Errorf("IntraPath allocates %v times per call pair, want 0", n)
+	}
+}
+
+// A machine's build grows by chunk, not by rank: the network carves the
+// resource records, the names are cut from one string and the per-rank
+// lists are one array each. Every resource keeps the name it always had.
+func TestMachineAllocatesPerChunk(t *testing.T) {
+	build := func(nodes int) float64 {
+		return testing.AllocsPerRun(5, func() { NewMachine(sim.New(), Mini(nodes, 32)) })
+	}
+	small, large := build(16), build(32)
+	per := (large - small) / 512
+	t.Logf("512 ranks: %v objects; 1024 ranks: %v; %.3f per extra rank", small, large, per)
+	if per >= 0.05 {
+		t.Errorf("%.3f objects per extra rank, want < 0.05", per)
+	}
+
+	spec := Mini(2, 6)
+	spec.GPUsPerNode, spec.SocketsPerNode = 2, 3
+	m := NewMachine(sim.New(), spec)
+	named := func(r *flow.Resource, format string, args ...any) {
+		t.Helper()
+		if want := fmt.Sprintf(format, args...); r.Name != want {
+			t.Errorf("resource named %q, want %q", r.Name, want)
+		}
+	}
+	for n := range spec.Nodes {
+		named(m.NICIn(n), "node%d.nicIn", n)
+		named(m.NICOut(n), "node%d.nicOut", n)
+		named(m.MemBus(n), "node%d.memBus", n)
+		named(m.NVLink(n), "node%d.nvlink", n)
+		named(m.UPI(n), "node%d.upi", n)
+		for g := range spec.GPUsPerNode {
+			named(m.GPUMem(n, g), "node%d.gpu%d.hbm", n, g)
+			named(m.GPUPCIe(n, g), "node%d.gpu%d.pcie", n, g)
+		}
+		for s := range spec.SocketsPerNode {
+			named(m.SocketBus(n, s), "node%d.sock%d.bus", n, s)
+		}
+	}
+	for r := range spec.Ranks() {
+		named(m.CPU(r), "rank%d.cpu", r)
 	}
 }
 

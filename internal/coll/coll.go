@@ -149,6 +149,8 @@ type Module interface {
 type Base struct {
 	ModName string
 	runs    *arena.Pool[seqRun]
+	// stepFree is the rest of the chunk newSeq carves step arrays from.
+	stepFree []seqStep
 }
 
 func (b Base) unsupported(k Kind) string {

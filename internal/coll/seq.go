@@ -109,7 +109,25 @@ func (b *Base) newSeq(c *mpi.Comm, st *shmOp, n int) *seqRun {
 	}
 	s := b.runs.Get()
 	s.pool, s.comm, s.st = b.runs, c, st
-	s.steps = slices.Grow(s.steps, n)
+	if cap(s.steps) < n {
+		s.steps = b.carveSteps(n)
+	}
+	return s
+}
+
+// stepChunk is how many steps a module carves step arrays from at once.
+const stepChunk = 1024
+
+// carveSteps returns an empty step array with room for n steps, cut from the
+// module's current chunk: a slot's first program costs a share of a chunk,
+// not an array of its own. A chunk never moves, and a slot keeps its array
+// across reuse.
+func (b *Base) carveSteps(n int) []seqStep {
+	if len(b.stepFree) < n {
+		b.stepFree = make([]seqStep, max(n, stepChunk))
+	}
+	s := b.stepFree[:0:n]
+	b.stepFree = b.stepFree[n:]
 	return s
 }
 

@@ -252,11 +252,11 @@ func TestProcStorageIsReusedOnlyAfterTheEngineIsDone(t *testing.T) {
 		first := issue(p)
 		var second *mpi.Request
 		if p.Rank == 0 {
-			first.Done().OnFire(func() {
+			first.Done().OnFire(sim.Func(func() {
 				outInCallback = runs.Live()
 				second = issue(p)
 				carvedInCallback = runs.Total()
-			})
+			}), 0)
 		}
 		p.Wait(first)
 		if p.Rank != 0 {

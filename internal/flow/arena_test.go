@@ -92,7 +92,7 @@ func TestFlowPoolRecycles(t *testing.T) {
 			return
 		}
 		f := n.Start(50, r)
-		f.Done().OnFire(func() { done(i + 1) })
+		f.Done().OnFire(sim.Func(func() { done(i + 1) }), 0)
 	}
 	done(0)
 	if err := e.Run(); err != nil {
@@ -141,7 +141,7 @@ func TestResourceRemoveClearsVacatedSlot(t *testing.T) {
 	n.SetPooling(false) // keep completed flows alive so staleness is observable
 	r := n.NewResource("link", 100)
 	for i := 0; i < 6; i++ {
-		n.Start(float64(10 * (i + 1)), r)
+		n.Start(float64(10*(i+1)), r)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -32,7 +32,14 @@
 // its component leaves behind is rebalanced and armed afresh. The event that
 // fires is the one a timer per flow would have fired, with the same place
 // among the engine's other events (DESIGN.md §4 has the argument;
-// golden_test.go and arming_test.go hold it).
+// golden_test.go and arming_test.go hold it). The armed event calls the flow
+// itself back (Flow is a sim.Handler), so a flow, pooled or not, carries no
+// closure.
+//
+// Nothing a network holds is allocated per record: flows come from an arena
+// pool, resources are carved from network-owned chunks that never move, and
+// a resource's list of flows starts on two slots inside it, so a cold
+// machine of thousands of resources allocates per chunk.
 //
 // This model is what makes the HAN reproduction honest: overlap between
 // inter-node and intra-node traffic emerges from resource sharing (memory

@@ -29,7 +29,10 @@ type Resource struct {
 	Capacity float64
 	initial  float64 // the capacity it was created with, for Network.Reset
 
-	flows []*Flow // active flows crossing this resource, insertion order
+	// flows lists the active flows crossing this resource, in insertion
+	// order; it starts on flows0, so the first two cost no allocation.
+	flows  []*Flow
+	flows0 [2]*Flow
 
 	// Rebalance scratch, resident on the resource so a rebalance never
 	// allocates a map. Valid only while gen equals the network's visitGen;
@@ -78,7 +81,6 @@ type Flow struct {
 	timer     sim.Timer // armed while the flow leads its component (rebalance)
 	doneSig   sim.Signal
 	finished  bool
-	onDone    func() // cached completion callback, one closure per flow
 	pooled    bool
 	slot      arena.Slot
 
@@ -95,6 +97,11 @@ type Flow struct {
 // Done returns the signal fired when the flow's last byte has been
 // delivered.
 func (f *Flow) Done() *sim.Signal { return &f.doneSig }
+
+// Handle is the flow's completion, which its network arms on the engine
+// (sim.Handler): the flow has one callback, so the op is unused. It is not
+// for callers.
+func (f *Flow) Handle(int) { f.net.complete(f) }
 
 // Rate returns the currently allocated rate in bytes per second.
 func (f *Flow) Rate() float64 { return f.rate }
@@ -130,6 +137,8 @@ type Network struct {
 	// called (all monitor hooks are nil-guarded and observation-only).
 	resources []*Resource
 	mon       *Monitor
+	// resFree is the rest of the chunk NewResource carves records from.
+	resFree []Resource
 }
 
 // NewNetwork returns a flow network bound to the given engine, on the
@@ -141,7 +150,6 @@ func NewNetwork(e *sim.Engine) *Network {
 		Init: func(f *Flow) {
 			f.net = n
 			f.pooled = true
-			f.onDone = func() { n.complete(f) }
 		},
 		Reset: resetFlow,
 		Slot:  func(f *Flow) *arena.Slot { return &f.slot },
@@ -150,7 +158,7 @@ func NewNetwork(e *sim.Engine) *Network {
 }
 
 // resetFlow clears a flow's per-use state in place. The identity fields
-// (net, pooled, onDone) persist, and so does the timer handle. In flight, a
+// (net, pooled) persist, and so does the timer handle. In flight, a
 // flow's timer is armed (it leads its component), zero or fired (it never
 // led, or handed its event over), or a cancelled event still queued, which
 // AtInto revives where it sits if the flow comes to lead. A flow finishes
@@ -184,7 +192,16 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		panic(fmt.Sprintf("flow: resource %q capacity must be positive and finite, got %v", name, capacity))
 	}
-	r := &Resource{Name: name, Capacity: capacity, initial: capacity}
+	if len(n.resFree) == 0 {
+		// As many records as the network holds, between 16 and 256: a chunk
+		// never moves, so a resource keeps its address (and flows its
+		// inline slots) for the network's lifetime.
+		n.resFree = make([]Resource, min(max(len(n.resources), 16), 256))
+	}
+	r := &n.resFree[0]
+	n.resFree = n.resFree[1:]
+	*r = Resource{Name: name, Capacity: capacity, initial: capacity}
+	r.flows = r.flows0[:0]
 	n.resources = append(n.resources, r)
 	if n.mon != nil {
 		n.mon.track(r, n.e.Now())
@@ -265,9 +282,6 @@ func (n *Network) StartOn(bytes float64, path []*Resource) *Flow {
 	}
 	if len(path) == 0 {
 		panic("flow: positive-size flow needs a non-empty path")
-	}
-	if f.onDone == nil {
-		f.onDone = func() { n.complete(f) }
 	}
 	for _, r := range f.path {
 		r.flows = append(r.flows, f)
@@ -399,7 +413,7 @@ func (n *Network) rebalance(seed *Flow) {
 		// cancelled event it may yet revive, or nothing live.
 		lead.timer, armed.timer = armed.timer, lead.timer
 	}
-	n.e.AtInto(&lead.timer, at, lead.onDone)
+	n.e.AtInto(&lead.timer, at, lead, 0)
 }
 
 // fillIncremental runs progressive filling over n.comp using the resources'

@@ -59,12 +59,12 @@ func (g *goldenRun) note(id int) {
 // fires. The callback form keeps the recorder off the flow once it is done,
 // as the pooled lifecycle requires.
 func (g *goldenRun) start(id int, bytes float64, path ...*Resource) {
-	g.n.Start(bytes, path...).Done().OnFire(func() {
+	g.n.Start(bytes, path...).Done().OnFire(sim.Func(func() {
 		g.note(id)
 		if g.check != nil {
 			g.e.Schedule(0, g.check)
 		}
-	})
+	}), 0)
 	g.checked()
 }
 

@@ -115,7 +115,7 @@ func sampleCapScenario(t *testing.T, cap, flows int) *ResourceStats {
 			return
 		}
 		f := n.Start(100, a)
-		f.Done().OnFire(func() { next(i + 1) })
+		f.Done().OnFire(sim.Func(func() { next(i + 1) }), 0)
 	}
 	next(0)
 	if err := e.Run(); err != nil {

@@ -79,6 +79,7 @@ import (
 
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/mpi"
+	"github.com/hanrepro/han/internal/sim"
 	"github.com/hanrepro/han/internal/trace"
 )
 
@@ -353,12 +354,12 @@ func (h *HAN) traced(p *mpi.Proc, op stageOp, kind levelKind, size int, req *mpi
 	}
 	eng := h.W.Eng()
 	rank := p.Rank
-	req.Done().OnFire(func() {
+	req.Done().OnFire(sim.Func(func() {
 		if rec != nil {
 			rec.Record(trace.Event{T: float64(eng.Now()), Rank: rank, Kind: trace.KindTaskEnd, Name: name, Size: size, Peer: -1})
 		}
 		hist.Observe(float64(eng.Now() - begin))
-	})
+	}), 0)
 	return req
 }
 

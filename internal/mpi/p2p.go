@@ -17,13 +17,15 @@ import (
 // receiver, and moves its payload through the pair's wire FIFO (one payload
 // on the wire at a time, as on a real per-peer connection) either right
 // away (eager) or after a clear-to-send (rendezvous). Under a drop or crash
-// plan an eager payload is retransmitted until acknowledged (retx). The
-// protocol steps are persistent closures created once per pool slot, so the
-// steady state allocates nothing; golden_test.go pins the resulting timing
-// bit for bit, with and without fault plans. A cold world's first growth
-// is bounded the same way: a pair's state is carved from world-owned chunks
-// and an endpoint's queues and a pair's FIFOs start on one inline slot each,
-// so a new pair or endpoint allocates nothing of its own.
+// plan an eager payload is retransmitted until acknowledged (retx). Each
+// record is its own engine callback (sim.Handler): a protocol step is the
+// record and the step's op, and Handle switches over the steps, so neither
+// a pool slot nor a send builds a closure and the steady state allocates
+// nothing; golden_test.go pins the resulting timing bit for bit, with and
+// without fault plans. A cold world's first growth is bounded the same way:
+// a pair's state is carved from world-owned chunks and an endpoint's queues
+// and a pair's FIFOs start on one inline slot each, so a new pair or
+// endpoint allocates nothing of its own.
 
 // Wildcards for Irecv.
 const (
@@ -42,20 +44,52 @@ type message struct {
 	op    *sendOp // owning record
 }
 
-// recvReq is a posted receive awaiting a matching message. It carries
-// persistent completion closures and is recycled once the payload has been
-// copied out.
+// recvReq is a posted receive awaiting a matching message. It is recycled
+// once the payload has been copied out.
 type recvReq struct {
+	w        *World
 	src, tag int
 	buf      Buf
 	req      *Request
 	comm     *Comm
 	dstWorld int
 
-	m        *message // matched message
-	onData   func()   // payload arrived: start receive-side overhead
-	onOvDone func()   // overhead done: copy out and complete
-	slot     arena.Slot
+	m    *message // matched message
+	slot arena.Slot
+}
+
+// A receive's steps, its ops as a sim.Handler.
+const (
+	recvData   = iota // payload arrived: start receive-side overhead
+	recvOvDone        // overhead done: copy out and complete
+)
+
+func (r *recvReq) Handle(step int) {
+	w := r.w
+	switch step {
+	case recvData:
+		ro := w.Pers.RecvOverhead
+		if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
+			ro *= s
+		}
+		w.Mach.CPUWork(r.dstWorld, ro).Done().OnFire(r, recvOvDone)
+	case recvOvDone:
+		eng := w.Eng()
+		m := r.m
+		r.buf.Slice(0, m.size).CopyFrom(m.data)
+		w.Tracer.Record(trace.Event{
+			T: float64(eng.Now()), Rank: r.dstWorld, Kind: trace.KindDeliver,
+			Name: "deliver", Size: m.size, Peer: r.comm.ranks[m.src],
+		})
+		w.m.delivered.Inc()
+		w.m.deliveredBytes.Add(float64(m.size))
+		r.req.Complete(eng)
+		// r is dead from here on: nothing holds it (it left the posted list
+		// at match time) and its request has fired.
+		op := m.op
+		w.recvPool.Put(r)
+		w.decref(op)
+	}
 }
 
 // endpoint is the matching state of one rank on one communicator. Its
@@ -110,7 +144,7 @@ func removeMsgAt(s []*message, i int) []*message {
 }
 
 // sendOp is the per-send record: the message, the wire/envelope queue
-// linkage, and the persistent closures that drive the protocol. It is
+// linkage, and, as a sim.Handler, the steps that drive the protocol. It is
 // created by Isend and released once the sender's side (payload drained,
 // send request completed), the receive side (payload copied out) and, under
 // retransmission, every attempt still queued for the wire are done with it
@@ -134,14 +168,32 @@ type sendOp struct {
 	// out under a drop or crash plan; nil otherwise.
 	rel *retx
 
-	// Persistent closures, created once in the pool's Init hook.
-	onSendOvDone func() // send-side progression work finished
-	onEnvLat     func() // envelope latency elapsed
-	onMatch      func() // rendezvous matched: issue the clear-to-send
-	onCTS        func() // clear-to-send arrived back at the sender
-	onWireDone   func() // payload drained from the wire
-
 	slot arena.Slot
+}
+
+// A send's steps, its ops as a sim.Handler.
+const (
+	sendOvDone   = iota // send-side progression work finished
+	sendEnvLat          // envelope latency elapsed
+	sendCTS             // clear-to-send arrived back at the sender
+	sendWireDone        // payload drained from the wire
+)
+
+func (op *sendOp) Handle(step int) {
+	w := op.w
+	switch step {
+	case sendOvDone:
+		// Envelope latency (and its jitter, if any) is sampled when the
+		// send-side progression work finishes.
+		w.Eng().Call(sim.Time(w.latency(op.srcW, op.dstW)), op, sendEnvLat)
+	case sendEnvLat:
+		op.envReady = true
+		w.drainEnv(op.pair)
+	case sendCTS:
+		op.pair.startData(w, op)
+	case sendWireDone:
+		w.wireDrained(op)
+	}
 }
 
 // opQueue is a FIFO of sendOps with O(1) push/pop and a reusable backing
@@ -219,7 +271,6 @@ func (ps *pairState) setPath(m *cluster.Machine, srcWorld, dstWorld int) {
 }
 
 func (w *World) initPools() {
-	eng := w.Eng()
 	w.pairs = make(map[uint64]*pairState)
 	w.reqPool = arena.NewPool(arena.Options[Request]{
 		Name: "mpi.request",
@@ -236,21 +287,6 @@ func (w *World) initPools() {
 		Init: func(op *sendOp) {
 			op.w = w
 			op.msg.op = op
-			op.onSendOvDone = func() {
-				// Envelope latency (and its jitter, if any) is sampled when
-				// the send-side progression work finishes.
-				eng.Schedule(sim.Time(w.latency(op.srcW, op.dstW)), op.onEnvLat)
-			}
-			op.onEnvLat = func() {
-				op.envReady = true
-				w.drainEnv(op.pair)
-			}
-			op.onMatch = func() {
-				// Clear-to-send travels back, then the payload moves.
-				eng.Schedule(sim.Time(w.latency(op.dstW, op.srcW)), op.onCTS)
-			}
-			op.onCTS = func() { op.pair.startData(w, op) }
-			op.onWireDone = func() { w.wireDrained(op) }
 		},
 		Reset: func(op *sendOp) {
 			op.msg.src, op.msg.tag, op.msg.size = 0, 0, 0
@@ -269,32 +305,7 @@ func (w *World) initPools() {
 	})
 	w.recvPool = arena.NewPool(arena.Options[recvReq]{
 		Name: "mpi.recvReq",
-		Init: func(r *recvReq) {
-			r.onData = func() {
-				ro := w.Pers.RecvOverhead
-				if s := w.faults.OverheadScale(r.dstWorld); s != 1 {
-					ro *= s
-				}
-				ov := w.Mach.CPUWork(r.dstWorld, ro)
-				ov.Done().OnFire(r.onOvDone)
-			}
-			r.onOvDone = func() {
-				m := r.m
-				r.buf.Slice(0, m.size).CopyFrom(m.data)
-				w.Tracer.Record(trace.Event{
-					T: float64(eng.Now()), Rank: r.dstWorld, Kind: trace.KindDeliver,
-					Name: "deliver", Size: m.size, Peer: r.comm.ranks[m.src],
-				})
-				w.m.delivered.Inc()
-				w.m.deliveredBytes.Add(float64(m.size))
-				r.req.Complete(eng)
-				// r is dead from here on: nothing holds it (it left the
-				// posted list at match time) and its request has fired.
-				op := m.op
-				w.recvPool.Put(r)
-				w.decref(op)
-			}
-		},
+		Init: func(r *recvReq) { r.w = w },
 		Reset: func(r *recvReq) {
 			r.src, r.tag = 0, 0
 			r.buf = Buf{}
@@ -390,8 +401,7 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	if s := w.faults.OverheadScale(srcW); s != 1 {
 		so *= s
 	}
-	ov := w.Mach.CPUWork(srcW, so)
-	ov.Done().OnFire(op.onSendOvDone)
+	w.Mach.CPUWork(srcW, so).Done().OnFire(op, sendOvDone)
 	return req
 }
 
@@ -446,22 +456,29 @@ type retx struct {
 	acked   bool
 	rto     sim.Timer
 	dropped []bool // outcome of each attempt on or queued for the wire, oldest first
+}
 
-	onRTO func() // retransmission timeout expired
-	onAck func() // ack arrived back at the sender
+// A retransmission's steps, its ops as a sim.Handler.
+const (
+	retxRTO = iota // retransmission timeout expired
+	retxAck        // ack arrived back at the sender
+)
+
+func (r *retx) Handle(step int) {
+	switch step {
+	case retxRTO:
+		if !r.acked {
+			r.try()
+		}
+	case retxAck:
+		op := r.op
+		op.req.Complete(op.w.Eng())
+		op.w.decref(op) // the sender's own ref; the attempts released theirs as they drained
+	}
 }
 
 func (w *World) startReliable(op *sendOp) {
 	r := &retx{op: op}
-	r.onRTO = func() {
-		if !r.acked {
-			r.try()
-		}
-	}
-	r.onAck = func() {
-		op.req.Complete(w.Eng())
-		w.decref(op) // the sender's own ref; the attempts released theirs as they drained
-	}
 	op.rel = r
 	r.try()
 }
@@ -515,7 +532,7 @@ func (r *retx) try() {
 	// an intact payload drained, resend. A retransmit issued while an
 	// earlier intact attempt is still queued is spurious but harmless: the
 	// late duplicate sees acked and is ignored.
-	eng.AfterInto(&r.rto, sim.Time(w.faults.RTO(a)), r.onRTO)
+	eng.AfterInto(&r.rto, sim.Time(w.faults.RTO(a)), r, retxRTO)
 }
 
 // drained retires the oldest attempt on the wire: the first one to arrive
@@ -533,7 +550,7 @@ func (r *retx) drained() {
 	op.dataSig.Fire(w.Eng())
 	// The ack travels back one envelope latency; only then may the sender
 	// retire the message.
-	w.Eng().Schedule(sim.Time(w.latency(op.dstW, op.srcW)), r.onAck)
+	w.Eng().Call(sim.Time(w.latency(op.dstW, op.srcW)), r, retxAck)
 }
 
 // startData engages the pair's wire for op's payload, or queues it FIFO
@@ -551,8 +568,7 @@ func (ps *pairState) startData(w *World, op *sendOp) {
 }
 
 func (w *World) runWire(op *sendOp) {
-	f := w.Mach.Net.StartOn(op.bytes, op.pair.path)
-	f.Done().OnFire(op.onWireDone)
+	w.Mach.Net.StartOn(op.bytes, op.pair.path).Done().OnFire(op, sendWireDone)
 }
 
 // wireDrained retires a drained payload: start the next queued payload
@@ -648,18 +664,20 @@ func (w *World) deliver(op *sendOp) {
 	}
 }
 
-// match binds a posted receive to a message; the receive's persistent
-// closures finish it once the payload has arrived and the receive-side
-// progression work is done.
+// match binds a posted receive to a message; the receive's steps finish it
+// once the payload has arrived and the receive-side progression work is
+// done.
 func (w *World) match(r *recvReq, m *message) {
 	if m.size > r.buf.N {
 		panic(fmt.Sprintf("mpi: message of %d bytes overflows %d-byte receive buffer (src=%d tag=%d)", m.size, r.buf.N, m.src, m.tag))
 	}
 	if !m.eager {
-		m.op.onMatch()
+		// Rendezvous: the clear-to-send travels back, then the payload moves.
+		op := m.op
+		w.Eng().Call(sim.Time(w.latency(op.dstW, op.srcW)), op, sendCTS)
 	}
 	r.m = m
-	m.op.dataSig.OnFire(r.onData)
+	m.op.dataSig.OnFire(r, recvData)
 }
 
 // release returns a pooled request once its completion has been

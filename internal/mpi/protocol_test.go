@@ -53,7 +53,7 @@ func TestPairFIFOOrdering(t *testing.T) {
 			for i := 0; i < k; i++ {
 				i := i
 				reqs[i] = c.Irecv(p, Phantom(100<<10), 0, i)
-				reqs[i].Done().OnFire(func() { order = append(order, i) })
+				reqs[i].Done().OnFire(sim.Func(func() { order = append(order, i) }), 0)
 			}
 			p.Wait(reqs...)
 		}

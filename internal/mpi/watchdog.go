@@ -123,7 +123,7 @@ func (w *World) CollBegin(rank int, c *Comm, op string) (end func()) {
 		w.collWatch[key] = cw
 		w.m.watchdogArmed.Inc()
 		timeout := w.collTimeout
-		w.Eng().AfterInto(&cw.timer, timeout, func() {
+		w.Eng().AfterInto(&cw.timer, timeout, sim.Func(func() {
 			w.m.watchdogFired.Inc()
 			w.Eng().Stop(&CollTimeoutError{
 				Op: op, Ctx: c.ctx, Timeout: timeout,
@@ -131,7 +131,7 @@ func (w *World) CollBegin(rank int, c *Comm, op string) (end func()) {
 				Blocked: w.Eng().ParkedSites(),
 				Dead:    w.DeadReports(),
 			})
-		})
+		}), 0)
 	}
 	cw.entered++
 	return func() {

@@ -11,10 +11,18 @@
 //
 // Processes block with Proc.Sleep and Proc.Wait (a Stepper with
 // Proc.StepSleep and Proc.StepWait); other code wakes them by firing
-// Signals or scheduling callbacks with Engine.At / Engine.After. A process
-// spawned as a Stepper has no goroutine to park, and the parking calls on it
-// (Sleep, Wait, WaitArmed, WaitAny, RunSteps) panic naming it instead of
-// blocking the engine goroutine.
+// Signals or scheduling callbacks. A process spawned as a Stepper has no
+// goroutine to park, and the parking calls on it (Sleep, Wait, WaitArmed,
+// WaitAny, RunSteps) panic naming it instead of blocking the engine
+// goroutine.
+//
+// A callback has one form, a Handler: the record it belongs to, called back
+// with the op it was registered under (Engine.Call, Engine.AtInto,
+// Signal.OnFire). A record that drives a protocol registers each of its
+// steps as itself and an op and switches over them in Handle, so it builds
+// no closure per instance; a closure registers as a Func, and At, After,
+// Schedule and Subscribe take one directly. Storing either form allocates
+// nothing.
 //
 // Routines compose. A goroutine process lends its Proc to one for the length
 // of a blocking call (RunSteps); a process that is a Stepper runs another
@@ -41,8 +49,9 @@
 //     a kept optimisation needs nine in ten (EXPERIMENTS.md "A same-instant
 //     FIFO"). Keys inline in a 4-ary heap measured slower: the heap is ~3 k
 //     entries and sits in L2.
-//   - Callbacks (At, After, Schedule) and process starts run only on the
-//     engine goroutine — the one inside Run or RunUntil.
+//   - Scheduled callbacks (At, After, Schedule, Call, AtInto) and process
+//     starts run only on the engine goroutine — the one inside Run or
+//     RunUntil.
 //   - A process that parks or exits may dispatch the next event itself
 //     when, and only when, it is a resume the run in progress would
 //     dispatch next: inside the RunUntil limit and the MaxEvents budget,
@@ -80,12 +89,13 @@
 //
 // Event records are pooled: large simulations (the 4096-rank HAN runs
 // schedule tens of millions of events) recycle event structs instead of
-// churning the garbage collector. Timer handles stay safe across recycling
-// through a generation counter. A Signal holds its first waiting process and
-// its first OnFire callback in fields, the rest in slices that keep their
-// capacity across Fire and Reset, so the signal of a pooled record — which
-// most often has one of each — registers without allocating even the first
-// time.
+// churning the garbage collector, and carve new ones in chunks, so an engine
+// whose queue grows to thousands of events allocates per chunk, not per
+// event. Timer handles stay safe across recycling through a generation
+// counter. A Signal holds its first waiting process and its first OnFire
+// callback in fields, the rest in slices that keep their capacity across
+// Fire and Reset, so the signal of a pooled record — which most often has
+// one of each — registers without allocating even the first time.
 //
 // # Processes, their list and their storage
 //

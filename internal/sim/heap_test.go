@@ -144,7 +144,7 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 			shots = append(shots, oneShot{tm, ev})
 		case r < 60: // rearm a long-lived timer: retarget in place if still queued
 			i, at := rng.Intn(rearmable), when()
-			e.AtInto(&timers[i], at, fns[i])
+			e.AtInto(&timers[i], at, Func(fns[i]), 0)
 			if ev := mirrors[i]; ev != nil && ev.idx >= 0 {
 				ev.t, ev.seq, ev.cancelled = at, seq, false
 				heap.Fix(&oracle, ev.idx)

@@ -117,8 +117,8 @@ func TestAfterIntoRearm(t *testing.T) {
 	e := New()
 	var tm Timer
 	old, new_ := 0, 0
-	e.AfterInto(&tm, 5, func() { old++ })
-	e.At(1, func() { e.AfterInto(&tm, 1, func() { new_++ }) }) // fires at 2
+	e.AfterInto(&tm, 5, Func(func() { old++ }), 0)
+	e.At(1, func() { e.AfterInto(&tm, 1, Func(func() { new_++ }), 0) }) // fires at 2
 	e.At(10, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestAfterIntoRearm(t *testing.T) {
 	e2 := New()
 	var tm2 Timer
 	fired := 0
-	e2.AfterInto(&tm2, 1, func() { fired++ })
-	e2.AfterInto(&tm2, 2, func() { fired++ })
+	e2.AfterInto(&tm2, 1, Func(func() { fired++ }), 0)
+	e2.AfterInto(&tm2, 2, Func(func() { fired++ }), 0)
 	tm2.Cancel()
 	e2.At(5, func() {})
 	if err := e2.Run(); err != nil {
@@ -154,15 +154,15 @@ func TestRearmKeepsTieOrder(t *testing.T) {
 		e := New()
 		var order []int
 		var tm Timer
-		e.AfterInto(&tm, 10, func() { order = append(order, 0) })
+		e.AfterInto(&tm, 10, Func(func() { order = append(order, 0) }), 0)
 		e.At(1, func() {
 			e.At(2, func() { order = append(order, 1) })
 			if rearm {
-				e.AtInto(&tm, 2, func() { order = append(order, 0) })
+				e.AtInto(&tm, 2, Func(func() { order = append(order, 0) }), 0)
 			} else {
 				tm.Cancel()
 				var fresh Timer
-				e.AtInto(&fresh, 2, func() { order = append(order, 0) })
+				e.AtInto(&fresh, 2, Func(func() { order = append(order, 0) }), 0)
 			}
 			e.At(2, func() { order = append(order, 2) })
 		})
@@ -193,21 +193,21 @@ func TestTimerHandOverAndRevive(t *testing.T) {
 	e := New()
 	var a, b Timer
 	var fired []string
-	e.AtInto(&a, 5, func() { fired = append(fired, "a") })
+	e.AtInto(&a, 5, Func(func() { fired = append(fired, "a") }), 0)
 	b, a = a, Timer{} // b now holds the pending event
 	if a.Active() || !b.Active() {
 		t.Fatalf("after hand-over: a active %v, b active %v", a.Active(), b.Active())
 	}
-	e.AtInto(&b, 3, func() { fired = append(fired, "b") }) // retargets a's old event
+	e.AtInto(&b, 3, Func(func() { fired = append(fired, "b") }), 0) // retargets a's old event
 	if got := e.Rearms(); got != 1 {
 		t.Fatalf("Rearms = %d after one retarget, want 1", got)
 	}
-	e.AtInto(&a, 4, func() { fired = append(fired, "a2") }) // nothing queued on a: fresh event
+	e.AtInto(&a, 4, Func(func() { fired = append(fired, "a2") }), 0) // nothing queued on a: fresh event
 	a.Cancel()
 	if a.Active() {
 		t.Fatal("cancelled timer reports active")
 	}
-	e.AtInto(&a, 6, func() { fired = append(fired, "a3") }) // revives the cancelled event
+	e.AtInto(&a, 6, Func(func() { fired = append(fired, "a3") }), 0) // revives the cancelled event
 	if got := e.Rearms(); got != 2 || !a.Active() {
 		t.Fatalf("Rearms = %d, a active %v after reviving a cancelled event; want 2 and true", got, a.Active())
 	}
@@ -222,8 +222,8 @@ func TestTimerHandOverAndRevive(t *testing.T) {
 	}
 }
 
-// The event pool must actually recycle: a long run should keep a bounded
-// free list rather than allocating one struct per event.
+// The event pool must actually recycle: a long run should carve one small
+// chunk of records rather than allocating one struct per event.
 func TestEventPoolRecycles(t *testing.T) {
 	e := New()
 	n := 0
@@ -238,8 +238,8 @@ func TestEventPoolRecycles(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.free) > 8 {
-		t.Fatalf("free list holds %d events after a serial run, want a handful", len(e.free))
+	if e.carved > 16 || len(e.free) != e.carved {
+		t.Fatalf("%d events carved, %d free after a serial run, want one chunk of 16, all free", e.carved, len(e.free))
 	}
 	if n != 10000 {
 		t.Fatalf("ran %d ticks", n)
@@ -254,7 +254,7 @@ func TestSignalFirstCallbackInline(t *testing.T) {
 	s := NewSignal()
 	var order []int
 	for i := 0; i < 3; i++ {
-		s.OnFire(func() { order = append(order, i) })
+		s.OnFire(Func(func() { order = append(order, i) }), 0)
 	}
 	if n := s.pending(); n != 3 {
 		t.Fatalf("pending = %d with three callbacks, want 3", n)
@@ -265,7 +265,7 @@ func TestSignalFirstCallbackInline(t *testing.T) {
 	}
 
 	s.Reset()
-	s.OnFire(func() { t.Error("a callback registered before Reset ran") })
+	s.OnFire(Func(func() { t.Error("a callback registered before Reset ran") }), 0)
 	s.Reset()
 	if n := s.pending(); n != 0 {
 		t.Fatalf("pending = %d after Reset, want 0", n)
@@ -275,11 +275,48 @@ func TestSignalFirstCallbackInline(t *testing.T) {
 	cb := func() {}
 	if allocs := testing.AllocsPerRun(100, func() {
 		var fresh Signal
-		fresh.OnFire(cb)
+		fresh.OnFire(Func(cb), 0)
 		fresh.Fire(e)
 		fresh.Reset()
 	}); allocs != 0 {
 		t.Fatalf("OnFire + Fire + Reset on a new signal allocates %v times, want 0", allocs)
+	}
+}
+
+// tally is a record with three callbacks, told apart by op.
+type tally [3]int
+
+func (c *tally) Handle(op int) { c[op]++ }
+
+// A record registers its callbacks as itself and an op, and a closure as a
+// Func: scheduled through Schedule, Call and AtInto or registered through
+// OnFire, and fired, neither form allocates once the engine's event records
+// are carved.
+func TestCallbackFormsAllocateNothing(t *testing.T) {
+	e := New()
+	var c tally
+	closure := 0
+	fn := func() { closure++ }
+	var tm, tf Timer
+	var s Signal
+	round := func() {
+		e.Schedule(1, fn)
+		e.Call(1, &c, 0)
+		e.AtInto(&tm, e.Now()+2, &c, 1)
+		e.AtInto(&tf, e.Now()+2, Func(fn), 0)
+		s.OnFire(&c, 2)
+		s.OnFire(Func(fn), 0)
+		s.Fire(e)
+		s.Reset()
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a round of callbacks allocates %v times, want 0", allocs)
+	}
+	if runs := 101; c != (tally{runs, runs, runs}) || closure != 3*runs {
+		t.Fatalf("callbacks ran %v times by op and the closure %d times, want %d each and %d", c, closure, runs, 3*runs)
 	}
 }
 
@@ -296,11 +333,11 @@ func TestSubscribeCancelCompacts(t *testing.T) {
 	if n := s.pending(); n != 1 {
 		t.Fatalf("pending = %d, want 1", n)
 	}
-	if len(s.subs) > 4 {
-		t.Fatalf("subs slice holds %d entries after cancellation, want compacted", len(s.subs))
+	if len(s.subs.list) > 4 {
+		t.Fatalf("subs slice holds %d entries after cancellation, want compacted", len(s.subs.list))
 	}
 	fired := 0
-	s.subs[0].cb = func() { fired++ } // the surviving sub
+	s.subs.list[0].cb = callback{Func(func() { fired++ }), 0} // the surviving sub
 	s.Fire(e)
 	if fired != 1 {
 		t.Fatalf("surviving subscription ran %d times", fired)

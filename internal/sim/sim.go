@@ -16,11 +16,37 @@ const (
 	evResume          // hand the baton to a parked process, or run its next Step
 )
 
+// Handler is the engine's one callback form: the record a callback belongs
+// to, called back with the op it was registered under. Events and Signal
+// callbacks hold a Handler and an op, so a record that drives a protocol — a
+// flow, a send, a receive — registers each of its steps as itself and a
+// small integer, and a pool of such records builds no closure per slot.
+// Func adapts a closure; At, After, Schedule and Subscribe take one and hold
+// it as a Func, which allocates nothing beyond the closure.
+type Handler interface {
+	Handle(op int)
+}
+
+// Func is a closure as a Handler: Handle calls it and ignores the op.
+type Func func()
+
+// Handle calls f.
+func (f Func) Handle(int) { f() }
+
+// callback is a registered Handler and the op it is called back with; a
+// zero callback is none.
+type callback struct {
+	h  Handler
+	op int
+}
+
+func (c callback) run() { c.h.Handle(c.op) }
+
 type event struct {
 	t         Time
 	seq       uint64
 	kind      int
-	fn        func()
+	cb        callback
 	p         *Proc
 	body      func(*Proc)
 	cancelled bool
@@ -169,6 +195,7 @@ type Engine struct {
 	head, tail *Proc
 	yield      chan struct{} // baton: process -> engine
 	free       []*event      // recycled event structs
+	carved     int           // event records carved so far (carve)
 	// panicVal carries a panic out of a process goroutine so that Run can
 	// re-panic in the caller's goroutine with useful context.
 	panicVal interface{}
@@ -277,18 +304,36 @@ func (e *Engine) ParkedSites() []ParkedProc {
 }
 
 func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	n := len(e.free)
+	if n == 0 {
+		e.carve()
+		n = len(e.free)
 	}
-	return &event{}
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	return ev
+}
+
+// eventChunk is the most event records the engine carves at once.
+const eventChunk = 256
+
+// carve adds a chunk of new event records to the free list, as many as the
+// engine has carved so far, between 16 and eventChunk: an engine that stays
+// small carves little, and one whose queue grows to thousands of events
+// allocates per chunk, not per event. A chunk never moves, so a record's
+// address is stable for as long as the engine lives.
+func (e *Engine) carve() {
+	chunk := make([]event, min(max(e.carved, 16), eventChunk))
+	e.carved += len(chunk)
+	for i := len(chunk) - 1; i >= 0; i-- {
+		e.free = append(e.free, &chunk[i])
+	}
 }
 
 // release returns a dispatched or cancelled event to the pool.
 func (e *Engine) release(ev *event) {
-	ev.fn = nil
+	ev.cb = callback{}
 	ev.p = nil
 	ev.body = nil
 	ev.cancelled = false
@@ -302,14 +347,14 @@ func (e *Engine) push(ev *event) {
 	e.events.push(ev)
 }
 
-func (e *Engine) schedule(t Time, fn func()) *event {
+func (e *Engine) schedule(t Time, cb callback) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
 	}
 	ev := e.alloc()
 	ev.t = t
 	ev.kind = evCallback
-	ev.fn = fn
+	ev.cb = cb
 	e.push(ev)
 	return ev
 }
@@ -317,32 +362,31 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 // At schedules fn to run at virtual time t (which must not be in the past)
 // and returns a cancellable Timer.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	ev := e.schedule(t, fn)
+	ev := e.schedule(t, callback{Func(fn), 0})
 	return &Timer{ev: ev, gen: ev.gen, at: t}
 }
 
 // After schedules fn to run d seconds from now.
 func (e *Engine) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
 
-// AtInto schedules fn at virtual time t, rearming tm in place. It is the
-// allocation-free form of At for callers that keep a Timer embedded in a
-// long-lived struct (e.g. the completion timer of the flow a component
-// finishes next, retargeted when a rebalance moves that time). A callback
-// still pending on tm is replaced, not left behind: the queued event is
-// retargeted where it sits (same fresh sequence number a new event would
-// get, so dispatch order is unchanged) instead of tombstoning the heap with
-// a cancelled entry — and that holds for a pending event that was cancelled,
-// which is revived with the new time and callback. A Timer is a value: a
-// caller may move one between its records (the flow layer hands a pending
-// event from one flow to another that way) as long as each handle lives in
-// one place.
-func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
+// AtInto schedules h.Handle(op) at virtual time t, rearming tm in place. It
+// is the allocation-free form of At for records that keep a Timer embedded
+// (e.g. the completion timer of the flow a component finishes next,
+// retargeted when a rebalance moves that time). A callback still pending on
+// tm is replaced, not left behind: the queued event is retargeted where it
+// sits (same fresh sequence number a new event would get, so dispatch order
+// is unchanged) instead of tombstoning the heap with a cancelled entry — and
+// that holds for a pending event that was cancelled, which is revived with
+// the new time and callback. A Timer is a value: a caller may move one
+// between its records (the flow layer hands a pending event from one flow to
+// another that way) as long as each handle lives in one place.
+func (e *Engine) AtInto(tm *Timer, t Time, h Handler, op int) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
 	}
 	if ev := tm.ev; ev != nil && ev.gen == tm.gen && ev.idx >= 0 {
 		ev.t = t
-		ev.fn = fn
+		ev.cb = callback{h, op}
 		ev.cancelled = false
 		ev.seq = e.seq
 		e.seq++
@@ -351,19 +395,23 @@ func (e *Engine) AtInto(tm *Timer, t Time, fn func()) {
 		tm.at = t
 		return
 	}
-	ev := e.schedule(t, fn)
+	ev := e.schedule(t, callback{h, op})
 	tm.ev = ev
 	tm.gen = ev.gen
 	tm.at = t
 }
 
-// AfterInto is the allocation-free form of After; see AtInto.
-func (e *Engine) AfterInto(tm *Timer, d Time, fn func()) { e.AtInto(tm, e.now+d, fn) }
+// AfterInto is AtInto d seconds from now.
+func (e *Engine) AfterInto(tm *Timer, d Time, h Handler, op int) { e.AtInto(tm, e.now+d, h, op) }
 
 // Schedule runs fn d seconds from now with no cancellation handle. It is
-// the cheapest way to schedule fire-and-forget work (latency expiries,
-// protocol continuations).
-func (e *Engine) Schedule(d Time, fn func()) { e.schedule(e.now+d, fn) }
+// the cheapest way to schedule fire-and-forget work.
+func (e *Engine) Schedule(d Time, fn func()) { e.schedule(e.now+d, callback{Func(fn), 0}) }
+
+// Call is Schedule for a Handler: h.Handle(op) runs d seconds from now. It
+// is how a record schedules its own protocol continuations (latency
+// expiries, acknowledgements) without a closure.
+func (e *Engine) Call(d Time, h Handler, op int) { e.schedule(e.now+d, callback{h, op}) }
 
 // Proc is a simulated process. It runs either in its own goroutine (Spawn)
 // or as a Stepper the engine calls in place (SpawnStep); either way it
@@ -846,7 +894,14 @@ func (p *Proc) WaitAny(sigs ...*Signal) int {
 }
 
 // sub is a cancellable callback registration on a Signal.
-type sub struct{ cb func() }
+type sub struct{ cb callback }
+
+// subList is a signal's cancellable registrations and how many of them are
+// cancelled entries still in the list.
+type subList struct {
+	list []*sub
+	dead int
+}
 
 // Signal is a one-shot broadcast condition. Once fired it stays fired;
 // waiting on a fired signal returns immediately.
@@ -858,10 +913,12 @@ type Signal struct {
 	// one-element slice does.
 	first   *Proc
 	waiters []*Proc
-	cb      func()
-	cbs     []func()
-	subs    []*sub // cancellable registrations (Subscribe)
-	dead    int    // cancelled entries still occupying subs
+	cb      callback
+	cbs     []callback
+	// subs holds the cancellable registrations (Subscribe), which only
+	// WaitAny makes: behind a pointer, so the signals embedded in every
+	// pooled record do not carry its slice.
+	subs *subList
 }
 
 // NewSignal returns an unfired Signal.
@@ -877,7 +934,7 @@ func (s *Signal) Fired() bool { return s.fired }
 // The registration slices are detached before their callbacks run, then
 // zeroed element-wise and restored truncated: a fired signal keeps its
 // capacity (so a Reset signal embedded in a pooled record re-registers
-// without allocating) but never pins dead closures or processes in the
+// without allocating) but never pins dead records or processes in the
 // capacity tail.
 func (s *Signal) Fire(e *Engine) {
 	if s.fired {
@@ -885,32 +942,29 @@ func (s *Signal) Fire(e *Engine) {
 	}
 	s.fired = true
 	cb0, cbs := s.cb, s.cbs
-	s.cb, s.cbs = nil, nil
-	if cb0 != nil {
-		cb0()
+	s.cb, s.cbs = callback{}, nil
+	if cb0.h != nil {
+		cb0.run()
 	}
 	for _, cb := range cbs {
-		cb()
+		cb.run()
 	}
-	for i := range cbs {
-		cbs[i] = nil
-	}
+	clear(cbs)
 	if s.cbs == nil {
 		s.cbs = cbs[:0]
 	}
-	subs := s.subs
-	s.subs = nil
-	s.dead = 0
-	for _, u := range subs {
-		if u.cb != nil {
-			u.cb()
+	if l := s.subs; l != nil {
+		subs := l.list
+		l.list, l.dead = nil, 0
+		for _, u := range subs {
+			if u.cb.h != nil {
+				u.cb.run()
+			}
 		}
-	}
-	for i := range subs {
-		subs[i] = nil
-	}
-	if s.subs == nil {
-		s.subs = subs[:0]
+		clear(subs)
+		if l.list == nil {
+			l.list = subs[:0]
+		}
 	}
 	first, waiters := s.first, s.waiters
 	s.first, s.waiters = nil, nil
@@ -950,92 +1004,88 @@ func (p *Proc) countDown(e *Engine) {
 // Reset on a fired signal is allocation-free.
 func (s *Signal) Reset() {
 	s.fired = false
-	s.cb = nil
-	for i := range s.cbs {
-		s.cbs[i] = nil
-	}
+	s.cb = callback{}
+	clear(s.cbs)
 	s.cbs = s.cbs[:0]
-	for i := range s.subs {
-		s.subs[i] = nil
+	if l := s.subs; l != nil {
+		clear(l.list)
+		l.list, l.dead = l.list[:0], 0
 	}
-	s.subs = s.subs[:0]
 	s.first = nil
-	for i := range s.waiters {
-		s.waiters[i] = nil
-	}
+	clear(s.waiters)
 	s.waiters = s.waiters[:0]
-	s.dead = 0
 }
 
-// onFire registers cb to run when the signal fires; if already fired, cb
-// runs immediately.
-func (s *Signal) onFire(cb func()) {
+// OnFire registers h.Handle(op) to run (in engine context, at fire time)
+// when the signal fires. If the signal already fired, it runs immediately.
+// A closure registers as Func(fn).
+func (s *Signal) OnFire(h Handler, op int) {
 	if s.fired {
-		cb()
+		h.Handle(op)
 		return
 	}
-	if s.cb == nil {
-		s.cb = cb
+	if s.cb.h == nil {
+		s.cb = callback{h, op}
 		return
 	}
-	s.cbs = append(s.cbs, cb)
+	s.cbs = append(s.cbs, callback{h, op})
 }
 
-// OnFire registers cb to run (in engine context, at fire time) when the
-// signal fires. If the signal already fired, cb runs immediately.
-func (s *Signal) OnFire(cb func()) { s.onFire(cb) }
-
-// Subscribe registers cb like OnFire but returns a deregistration func.
+// Subscribe registers fn like OnFire but returns a deregistration func.
 // Cancelled registrations are compacted away, so transient listeners (e.g.
 // WaitAny) leave no trace on long-lived signals. If the signal already
-// fired, cb runs immediately and the returned cancel is a no-op.
-func (s *Signal) Subscribe(cb func()) (cancel func()) {
+// fired, fn runs immediately and the returned cancel is a no-op.
+func (s *Signal) Subscribe(fn func()) (cancel func()) {
 	if s.fired {
-		cb()
+		fn()
 		return func() {}
 	}
-	u := &sub{cb: cb}
-	s.subs = append(s.subs, u)
+	if s.subs == nil {
+		s.subs = new(subList)
+	}
+	l := s.subs
+	u := &sub{cb: callback{Func(fn), 0}}
+	l.list = append(l.list, u)
 	return func() {
-		if u.cb == nil {
+		if u.cb.h == nil {
 			return
 		}
-		u.cb = nil
+		u.cb = callback{}
 		if s.fired {
 			return
 		}
-		s.dead++
-		if s.dead*2 > len(s.subs) {
-			s.compactSubs()
+		l.dead++
+		if l.dead*2 > len(l.list) {
+			l.compact()
 		}
 	}
 }
 
-func (s *Signal) compactSubs() {
+func (l *subList) compact() {
 	w := 0
-	for _, u := range s.subs {
-		if u.cb != nil {
-			s.subs[w] = u
+	for _, u := range l.list {
+		if u.cb.h != nil {
+			l.list[w] = u
 			w++
 		}
 	}
-	for i := w; i < len(s.subs); i++ {
-		s.subs[i] = nil
-	}
-	s.subs = s.subs[:w]
-	s.dead = 0
+	clear(l.list[w:])
+	l.list = l.list[:w]
+	l.dead = 0
 }
 
 // pending reports how many registered callbacks (live, of either kind) the
 // signal holds. Used by tests to assert bounded growth.
 func (s *Signal) pending() int {
 	n := len(s.cbs)
-	if s.cb != nil {
+	if s.cb.h != nil {
 		n++
 	}
-	for _, u := range s.subs {
-		if u.cb != nil {
-			n++
+	if s.subs != nil {
+		for _, u := range s.subs.list {
+			if u.cb.h != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -1209,9 +1259,9 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		e.now = ev.t
 		switch ev.kind {
 		case evCallback:
-			fn := ev.fn
+			cb := ev.cb
 			e.release(ev)
-			fn()
+			cb.run()
 		case evStart:
 			p, body := ev.p, ev.body
 			e.release(ev)

@@ -343,7 +343,7 @@ func TestStepDifferentialKill(t *testing.T) {
 			w.spawn("unborn", []diffInstr{{op: dFire, a: 4}})
 			w.e.Kill(w.procs[len(w.procs)-1])
 		})
-		w.sigs[2].OnFire(func() { w.e.Kill(w.procs[0]) })
+		w.sigs[2].OnFire(Func(func() { w.e.Kill(w.procs[0]) }), 0)
 	}, runAll, nil)
 }
 
