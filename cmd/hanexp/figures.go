@@ -474,50 +474,22 @@ func AblatePipeline(sc Scale) {
 
 // AblateSplit compares HAN's split ir+ib inter-node stage against a fused
 // inter-node allreduce (the design of SALaR and the multi-leader work the
-// paper argues against in section III-B1).
+// paper argues against in section III-B1): the same decision with a fused
+// top, whose table is sr, ia, sb — no ir/ib split, so no duplex overlap
+// between reduction and broadcast traffic.
 func AblateSplit(sc Scale) {
 	header(sc, "Ablation — split ir+ib vs fused inter-node allreduce")
 	spec := sc.Shaheen
 	fmt.Printf("%-10s%16s%16s%10s\n", "size", "split µs", "fused µs", "gain")
 	for _, m := range sc.Large {
 		split := bench.Once(spec, coll.Allreduce, m, han.Config{})
-		fused := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) { fusedAllreduce(h, p, m) })
+		cfg := han.DefaultDecision(coll.Allreduce, m)
+		cfg.Top = han.TopFused
+		fused := bench.Once(spec, coll.Allreduce, m, cfg)
 		fmt.Printf("%-10s%16.1f%16.1f%9.2fx\n", han.SizeString(m), split*1e6, fused*1e6, fused/split)
 	}
 	fmt.Println("\nExpected shape: splitting the inter-node allreduce into explicit ir + ib")
 	fmt.Println("pipelines better and wins for large messages.")
-}
-
-// fusedAllreduce is one rank's allreduce of m bytes with sr per segment, a
-// fused leader-level allreduce per segment (no ir/ib split, so no duplex
-// overlap between reduction and broadcast traffic), then sb.
-func fusedAllreduce(h *han.HAN, p *mpi.Proc, m int) {
-	w, cfg := h.W, han.DefaultDecision(coll.Allreduce, m)
-	node, leaders := w.NodeComm(p.Node()), w.LeaderComm()
-	buf := mpi.Phantom(m)
-	u := (m + cfg.FS - 1) / cfg.FS
-	segOf := func(i int) mpi.Buf {
-		return buf.Slice(i*cfg.FS, min((i+1)*cfg.FS, m))
-	}
-	inter, err := h.Mods.Inter(cfg.IMod)
-	if err != nil {
-		panic(err) // the experiment table only names known submodules
-	}
-	// Three-stage pipeline: sr(t), fused-allreduce(t-1), sb(t-2).
-	for t := 0; t < u+2; t++ {
-		var reqs []*mpi.Request
-		if t < u {
-			reqs = append(reqs, h.SR(p, node, segOf(t), segOf(t), mpi.OpSum, mpi.Float64, cfg))
-		}
-		if j := t - 1; j >= 0 && j < u && w.Mach.IsNodeLeader(p.Rank) {
-			s := segOf(j)
-			reqs = append(reqs, inter.Iallreduce(p, leaders, s, s, mpi.OpSum, mpi.Float64, coll.Params{Alg: cfg.IRAlg, Seg: cfg.IRS}))
-		}
-		if j := t - 2; j >= 0 && j < u {
-			reqs = append(reqs, h.SB(p, node, segOf(j), cfg))
-		}
-		p.Wait(reqs...)
-	}
 }
 
 // AblateOverlap compares the cost model's measured-task estimate against
@@ -713,9 +685,9 @@ func AblateGPU(sc Scale) {
 // onGoroutines runs body on every rank of a new world of spec on Open MPI's
 // P2P layer, each rank a goroutine (mpi.World.Start), and returns when the
 // last rank came out of it. It is for the rank programs that have no step
-// form: Bcast3, BcastGPU, and the hand-written waits of the fused allreduce
-// and of the naive GPU staging. A two-level collective on the world takes
-// bench.Once's routines instead.
+// form: Bcast3, BcastGPU and the hand-written waits of the naive GPU
+// staging. A two-level collective on the world takes bench.Once's routines
+// instead.
 func onGoroutines(spec cluster.Spec, body func(h *han.HAN, p *mpi.Proc)) float64 {
 	eng := sim.New()
 	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())

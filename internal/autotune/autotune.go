@@ -486,6 +486,14 @@ func Load(path string) (*Table, error) {
 	if err := json.Unmarshal(b, &t); err != nil {
 		return nil, fmt.Errorf("autotune: parse table %s: %w", path, err)
 	}
+	for _, e := range t.Entries {
+		if c := e.Cfg; c.Top != "" || c.SBMod != "" {
+			// Outside Table II: no search sets them, and hand's wire frame
+			// cannot carry them, so it would serve the split stages instead.
+			return nil, fmt.Errorf("autotune: table %s, entry %v: %w", path, e.In, &han.ConfigError{
+				Op: "Load", Param: "top/sbmod", Value: fmt.Sprintf("%q/%q (only the rivals set them)", c.Top, c.SBMod)})
+		}
+	}
 	sort.SliceStable(t.Entries, func(i, j int) bool { return t.Entries[i].In.M < t.Entries[j].In.M })
 	t.BuildIndex()
 	return &t, nil

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -242,6 +243,17 @@ func TestTableSaveLoadDecide(t *testing.T) {
 	fb := got.Decide(coll.Allreduce, 1<<20)
 	if fb.IMod == "" {
 		t.Error("fallback decision empty")
+	}
+	// The fields outside Table II do not load: hand could not serve them.
+	for _, cfg := range []han.Config{{FS: 4 << 10, Top: han.TopFused}, {FS: 4 << 10, SBMod: "sm"}} {
+		table.Entries[0].Cfg = cfg
+		if err := table.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		var ce *han.ConfigError
+		if _, err := Load(path); !errors.As(err, &ce) {
+			t.Errorf("Load of %+v: err = %v, want a wrapped *han.ConfigError", cfg, err)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ func FuzzLoadTable(f *testing.F) {
 	f.Add(b)
 	f.Add([]byte(`{"Entries":[{"In":{"M":0,"T":2}},{"In":{"M":-5,"T":99}},{"In":{"M":3,"T":2},"Cfg":{"FS":9}}]}`))
 	f.Add([]byte(`{"Entries":null}`))
+	f.Add([]byte(`{"Entries":[{"In":{"M":4096,"T":2},"Cfg":{"FS":4096,"IMod":"libnbc","SMod":"solo","Top":"fused","SBMod":"sm"}}]}`))
 	f.Add([]byte(`[`))
 
 	kinds := []coll.Kind{coll.Bcast, coll.Reduce, coll.Allreduce, coll.Gather, coll.Allgather, coll.Scatter}

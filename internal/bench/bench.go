@@ -115,38 +115,33 @@ type System struct {
 // (the default decision) or an autotuned table's decision function. The
 // harnesses it serves time collectives; what one returns is dropped.
 func HANSystem(decide han.DecisionFunc) System {
+	return hanSystem("HAN", mpi.OpenMPI(), decide, false)
+}
+
+// RivalSystem returns one of the comparison libraries: HAN under the
+// library's decision, over modules with its AVX flag, on its P2P layer.
+func RivalSystem(l rivals.Lib) System {
+	return hanSystem(l.String(), l.Personality(), l.Decide, l.AVX())
+}
+
+// hanSystem is HAN on pers under decide, over modules with the AVX flag avx.
+func hanSystem(name string, pers *mpi.Personality, decide han.DecisionFunc, avx bool) System {
 	return System{
-		Name: "HAN",
-		Pers: mpi.OpenMPI(),
+		Name: name,
+		Pers: pers,
 		Setup: func(w *mpi.World) Ops {
 			h := han.New(w)
 			if decide != nil {
 				h.Decide = decide
+			}
+			if m := h.Mods; avx {
+				m.Tuned.AVX, m.Libnbc.AVX, m.SM.AVX = true, true, true
 			}
 			ops := hanOps(h, han.Config{}, func(error) {})
 			ops.Start = func(p *mpi.Proc, kind coll.Kind, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int) sim.Stepper {
 				return h.Start(p, kind, sbuf, rbuf, op, dt, root, han.Config{})
 			}
 			return ops
-		},
-	}
-}
-
-// RivalSystem returns one of the comparison libraries.
-func RivalSystem(l rivals.Lib) System {
-	return System{
-		Name: l.String(),
-		Pers: l.Personality(),
-		Setup: func(w *mpi.World) Ops {
-			rt := rivals.NewRuntime(l, w)
-			return Ops{
-				Bcast:     rt.Bcast,
-				Allreduce: rt.Allreduce,
-				Reduce:    rt.Reduce,
-				Gather:    rt.Gather,
-				Allgather: rt.Allgather,
-				Scatter:   rt.Scatter,
-			}
 		},
 	}
 }
@@ -233,7 +228,8 @@ func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOp
 	if ops.Start != nil {
 		loop.StartSteps()
 	} else {
-		// A system that only blocks is still a goroutine's business.
+		// A system that only blocks is still a goroutine's business: the
+		// tests' reference, every system with its Start withheld.
 		w.Start(func(p *mpi.Proc) {
 			for i, size := range sizes {
 				for it := 0; it <= iters[i]; it++ {

@@ -153,12 +153,7 @@ func (c *Call) Step(sp *sim.Proc) bool {
 		}
 	case callFlat:
 		if pl.in == 0 {
-			cl, tuned := &c.cl, pl.h.Mods.Tuned
-			if cl.kind == coll.Bcast {
-				pl.reqs[0] = tuned.Ibcast(p, cl.comm, cl.dst, cl.root, coll.Params{})
-			} else {
-				pl.reqs[0] = tuned.Iallreduce(p, cl.comm, cl.src, cl.dst, cl.op, cl.dt, coll.Params{})
-			}
+			pl.reqs[0] = c.cl.flat(p, pl.h.Mods.Tuned)
 		}
 		if pl.wait(sp, pl.reqs[:1], inCall) {
 			return false
@@ -295,6 +290,24 @@ func (cl *call) share(p *mpi.Proc) (n int, err error) {
 	return n, nil
 }
 
+// flat issues the whole call on the flat module m.
+func (cl *call) flat(p *mpi.Proc, m coll.Module) *mpi.Request {
+	c, pr := cl.comm, coll.Params{}
+	switch cl.kind {
+	case coll.Bcast:
+		return m.Ibcast(p, c, cl.dst, cl.root, pr)
+	case coll.Reduce:
+		return m.Ireduce(p, c, cl.src, cl.dst, cl.op, cl.dt, cl.root, pr)
+	case coll.Allreduce:
+		return m.Iallreduce(p, c, cl.src, cl.dst, cl.op, cl.dt, pr)
+	case coll.Gather:
+		return m.Igather(p, c, cl.src, cl.dst, cl.root, pr)
+	case coll.Allgather:
+		return m.Iallgather(p, c, cl.src, cl.dst, pr)
+	}
+	return m.Iscatter(p, c, cl.src, cl.dst, cl.root, pr)
+}
+
 // trivial completes a call on a single-rank communicator, where there is
 // nothing to move but the rank's own contribution.
 func (cl *call) trivial() bool {
@@ -355,6 +368,9 @@ func (cl *call) shrink(sc *mpi.Comm) bool {
 // libnbc, which has them all, takes the level.
 func (h *HAN) twoLevels(pl *pipeline, hr *hier, kind coll.Kind, cfg *Config) {
 	pl.lv[0] = level{kind: lvIntra, comm: hr.node, mod: h.Mods.intraMod(cfg.SMod)}
+	if cfg.SBMod != "" {
+		pl.lv[0].down = h.Mods.intraMod(cfg.SBMod)
+	}
 	pl.lv[1] = level{kind: lvInter, mod: h.Mods.interMod(cfg.IMod)}
 	if !pl.lv[1].mod.Supports(kind) {
 		pl.lv[1].mod = h.Mods.Libnbc
@@ -381,10 +397,15 @@ var flat = [...][]stage{
 // and says where its Step goes on. When the hierarchy is unusable it records
 // the degraded path taken and why: a single-node world gets a one-level
 // table, and a communicator with no regular placement leaves the table empty
-// for the flat module to serve. hop asks for the final hop of a reduction or
+// for the flat module to serve. A flat top asks for the flat module, so
+// takes it without a note. hop asks for the final hop of a reduction or
 // gather to a non-leader root.
 func (h *HAN) hierarchy(p *mpi.Proc, c *Call) {
 	cl, pl, cfg := &c.cl, &c.pl, &c.cfg
+	if cfg.Top == TopFlat {
+		c.state = callFlat
+		return
+	}
 	c.state = callTable
 	w, mach := h.W, h.W.Mach
 	name := cl.name()
@@ -469,7 +490,7 @@ func (h *HAN) hierarchy(p *mpi.Proc, c *Call) {
 	if f.blocks && hr.isLeader {
 		pl.mid = scratch(pl.src, pl.src.N*hr.node.Size())
 	}
-	pl.derive(p, cl.kind)
+	pl.derive(p, cl.kind, formOf(cl.kind, cfg))
 }
 
 // scratch returns a working buffer of n bytes, real when like is.

@@ -41,6 +41,8 @@ func TestBcastCorrectAcrossConfigs(t *testing.T) {
 		{FS: 1 << 10, IMod: "libnbc", SMod: "sm", IBAlg: coll.AlgBinomial},
 		{FS: 2 << 10, IMod: "adapt", SMod: "solo", IBAlg: coll.AlgChain, IBS: 512},
 		{FS: 1 << 20, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IBS: 4 << 10},
+		{FS: 1 << 10, IMod: "libnbc", SMod: "sm", SBMod: "solo"},
+		{Top: TopFlat},
 	}
 	for ci, cfg := range configs {
 		for _, root := range []int{0, 1, 5, 11} { // leader and non-leader roots
@@ -86,6 +88,9 @@ func TestAllreduceCorrect(t *testing.T) {
 		{},
 		{FS: 512, IMod: "libnbc", SMod: "sm"},
 		{FS: 2 << 10, IMod: "adapt", SMod: "solo", IBAlg: coll.AlgBinary, IBS: 1 << 10, IRS: 1 << 10},
+		{FS: 512, IMod: "libnbc", SMod: "solo", SBMod: "sm", IRAlg: coll.AlgRing, Top: TopFused},
+		{FS: 2 << 10, IMod: "adapt", SMod: "sm", Top: TopFused},
+		{Top: TopFlat},
 	}
 	for ci, cfg := range configs {
 		for _, elems := range []int{1, 10, 700} {

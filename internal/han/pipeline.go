@@ -40,7 +40,8 @@ var levelLabels = [numLevelKinds]string{"intra", "socket", "node", "gpu", "inter
 type level struct {
 	comm *mpi.Comm // nil when this rank is not a member
 	mod  coll.Module
-	root int // root within comm, for both directions
+	down coll.Module // the broadcast side's module when it is not mod (Config.SBMod)
+	root int         // root within comm, for both directions
 	kind levelKind
 }
 
@@ -50,7 +51,7 @@ type stageOp uint8
 const (
 	opDown    stageOp = iota // broadcast on the level from its root (sb, nb, gb, ib)
 	opUp                     // reduce on the level to its root (sr, nr, gr, ir)
-	opAll                    // allreduce on the level (flat single-node path)
+	opAll                    // allreduce on the level (sa on a single node, ia as a fused top)
 	opD2H                    // stage the segment device -> host over PCIe
 	opH2D                    // stage the segment host -> device over PCIe
 	opH2DDown                // opH2D then opDown, chained so they complete as one task
@@ -68,7 +69,7 @@ const (
 var taskNames = [numStageOps][numLevelKinds]string{
 	opDown: {lvIntra: "sb", lvSocket: "sb", lvNode: "nb", lvGPU: "gb", lvInter: "ib"},
 	opUp:   {lvIntra: "sr", lvSocket: "sr", lvNode: "nr", lvGPU: "gr", lvInter: "ir"},
-	opAll:  {lvIntra: "sa"},
+	opAll:  {lvIntra: "sa", lvInter: "ia"},
 	opD2H:  {lvPCIe: "d2h"},
 	opH2D:  {lvPCIe: "h2d"},
 
@@ -190,33 +191,45 @@ func (pl *pipeline) isRoot(p *mpi.Proc, lv int) bool {
 
 // form describes a collective kind to the prologue and to derive: the stage
 // op of the sweep up the levels and of the sweep down them (noOp: no sweep
-// that way), and whether the stages move blocks, one per rank, instead of
-// segments of one message.
+// that way), the op the sweeps meet in on the outermost level in place of
+// both (noOp: they do not meet), and whether the stages move blocks, one
+// per rank, instead of segments of one message.
 type form struct {
-	up, down stageOp
-	blocks   bool
+	up, down, meet stageOp
+	blocks         bool
 }
 
 // rooted: data moves one way only, to or from a root.
 func (f form) rooted() bool { return f.up == noOp || f.down == noOp }
 
 var forms = [...]form{
-	coll.Bcast:     {noOp, opDown, false},
-	coll.Reduce:    {opUp, noOp, false},
-	coll.Allreduce: {opUp, opDown, false},
-	coll.Gather:    {opGather, noOp, true},
-	coll.Allgather: {opGather, opDown, true},
-	coll.Scatter:   {noOp, opScatter, true},
+	coll.Bcast:     {noOp, opDown, noOp, false},
+	coll.Reduce:    {opUp, noOp, noOp, false},
+	coll.Allreduce: {opUp, opDown, noOp, false},
+	coll.Gather:    {opGather, noOp, noOp, true},
+	coll.Allgather: {opGather, opDown, opAllgather, true},
+	coll.Scatter:   {noOp, opScatter, noOp, true},
 }
 
-// derive builds the stage table of a collective from the level list: a
-// sweep up the levels from the innermost (the reduces of a Reduce or
+// formOf is kind's form under cfg: an Allreduce with a fused top meets in
+// an allreduce.
+func formOf(kind coll.Kind, cfg *Config) form {
+	f := forms[kind]
+	if kind == coll.Allreduce && cfg.Top == TopFused {
+		f.meet = opAll
+	}
+	return f
+}
+
+// derive builds the stage table of a collective of form f from the level
+// list: a sweep up the levels from the innermost (the reduces of a Reduce or
 // Allreduce, the gathers of a Gather or Allgather), then a sweep down them
 // from the outermost (the broadcasts of a Bcast, Allreduce or Allgather,
-// the scatters of a Scatter), one step offset per stage. An Allgather's
-// sweeps meet in an allgather on the outermost level, in place of a gather
-// and a broadcast there. Where a sweep crosses from a device-resident level
-// (lvGPU) to the level above it, a PCIe staging is inserted as a stage of
+// the scatters of a Scatter), one step offset per stage. Where the sweeps
+// meet (an Allgather, a fused Allreduce), the outermost level has one
+// stage, f.meet, in place of the two. Where a sweep crosses from a
+// device-resident level (lvGPU) to the level above it, a PCIe staging is
+// inserted as a stage of
 // the upper level's members: a reduction stages every partial down and
 // every result up (d2h, h2d); a broadcast only has the root stage down, and
 // folds the upload into the receiving leaders' device broadcast
@@ -227,8 +240,8 @@ var forms = [...]form{
 // The sweeps list stages in offset order except for leafFirst, the order
 // of the original two-level Bcast (Fig 1's sbib issues sb(i-1), then
 // ib(i)), which its sim bits are recorded with.
-func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
-	top, f := pl.nlv-1, forms[kind]
+func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind, f form) {
+	top := pl.nlv - 1
 	pl.nst, pl.depth = 0, 0
 	if f.up != noOp {
 		for l := 0; l <= top; l++ {
@@ -236,8 +249,8 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 				pl.add(opD2H, l)
 			}
 			op := f.up
-			if l == top && kind == coll.Allgather {
-				op = opAllgather
+			if l == top && f.meet != noOp {
+				op = f.meet
 			}
 			pl.add(op, l)
 		}
@@ -249,12 +262,12 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind) {
 		}
 	}
 	if f.down != noOp {
-		if kind == coll.Allgather {
-			top-- // the allgather was that level's broadcast too
+		if f.meet != noOp {
+			top-- // the meet was that level's down stage too
 		}
 		for l := top; l >= 0; l-- {
 			op := f.down
-			if l < top && pl.lv[l].kind == lvGPU {
+			if l+1 < pl.nlv && pl.lv[l].kind == lvGPU {
 				if kind != coll.Bcast {
 					pl.add(opH2D, l+1)
 				} else if pl.lv[l+1].comm != nil && !pl.isRoot(p, l+1) {
@@ -343,7 +356,11 @@ func (h *HAN) issue(p *mpi.Proc, pl *pipeline, st stage, j int) *mpi.Request {
 	var req *mpi.Request
 	switch op {
 	case opDown:
-		req = lv.mod.Ibcast(p, lv.comm, dst, lv.root, down)
+		mod := lv.mod
+		if lv.down != nil {
+			mod = lv.down
+		}
+		req = mod.Ibcast(p, lv.comm, dst, lv.root, down)
 	case opUp:
 		req = lv.mod.Ireduce(p, lv.comm, src, dst, pl.op, pl.dt, lv.root, up)
 	case opAll:

@@ -90,7 +90,7 @@ func (t *Timed) enter() (done bool) {
 
 	reports := true
 	if table, n := pl.st, pl.nst; n == 0 {
-		pl.derive(p, kind)
+		pl.derive(p, kind, formOf(kind, &c.cfg))
 		reports = hr.isLeader // the schedules report the leaders' view
 	} else {
 		pl.nst = 0
