@@ -9,8 +9,8 @@ import (
 	"github.com/hanrepro/han/internal/sim"
 )
 
-func cudaSpec(ppn int) cluster.Spec {
-	s := cluster.Mini(1, ppn)
+func cudaSpec(nodes, ppn int) cluster.Spec {
+	s := cluster.Mini(nodes, ppn)
 	s.GPUsPerNode = 4
 	s.GPUMemBandwidth = 200e9
 	s.NVLinkBandwidth = 20e9
@@ -19,7 +19,7 @@ func cudaSpec(ppn int) cluster.Spec {
 }
 
 func TestCUDABcastDelivers(t *testing.T) {
-	spec := cudaSpec(6)
+	spec := cudaSpec(1, 6)
 	mod := NewCUDA()
 	want := pattern(5000, 4)
 	_, err := mpi.Run(spec, mpi.OpenMPI(), func(p *mpi.Proc) {
@@ -39,7 +39,7 @@ func TestCUDABcastDelivers(t *testing.T) {
 }
 
 func TestCUDAReduceAndAllreduce(t *testing.T) {
-	spec := cudaSpec(5)
+	spec := cudaSpec(1, 5)
 	ranks := spec.Ranks()
 	mod := NewCUDA()
 	_, err := mpi.Run(spec, mpi.OpenMPI(), func(p *mpi.Proc) {
@@ -73,7 +73,7 @@ func TestCUDAReduceAndAllreduce(t *testing.T) {
 // payloads despite the kernel-launch latency — the premise of the GPU
 // submodule.
 func TestCUDAReduceBeatsSMForLargePayloads(t *testing.T) {
-	spec := cudaSpec(8)
+	spec := cudaSpec(1, 8)
 	timeOf := func(mod Module, n int) sim.Time {
 		var end sim.Time
 		_, err := mpi.Run(spec, mpi.OpenMPI(), func(p *mpi.Proc) {

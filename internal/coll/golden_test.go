@@ -15,8 +15,8 @@ import (
 )
 
 // This file pins the simulated timing of every shared-memory operation (SM
-// and SOLO, the three composed ones included) and of Comm.Barrier bit for
-// bit. The values were recorded while each operation's helper was a
+// and SOLO, the three composed ones included; CUDA's, and its PCIe
+// stagings) and of Comm.Barrier bit for bit. The values were recorded while each operation's helper was a
 // goroutine whose straight-line body parked once per modelled cost, and the
 // barrier a loop of twelve blocking waits; they are the contract the
 // step-driven forms keep. Each row holds math.Float64bits of the completion
@@ -106,12 +106,27 @@ var shmCases = []shmCase{
 	}},
 }
 
-var goldenShmSpecs = []struct {
+type goldenSpec struct {
 	name string
 	spec cluster.Spec
-}{
+}
+
+var goldenShmSpecs = []goldenSpec{
 	{"mini", cluster.Mini(4, 4)},
 	{"numa", goldenNuma(4, 8)},
+}
+
+// goldenShmMods are the modules the table covers, each on its machines and,
+// for a rooted operation, from the node leader and from a non-leader (on the
+// GPU machine, one on another GPU than the leader's).
+var goldenShmMods = []struct {
+	mk    func() Module
+	specs []goldenSpec
+	roots []int
+}{
+	{func() Module { return NewSM() }, goldenShmSpecs, []int{0, 2}},
+	{func() Module { return NewSOLO() }, goldenShmSpecs, []int{0, 2}},
+	{func() Module { return NewCUDA() }, []goldenSpec{{"gpu", cudaSpec(2, 8)}}, []int{0, 3}},
 }
 
 var goldenShmSizes = []int{1 << 10, 256 << 10, 2 << 20}
@@ -159,22 +174,32 @@ var goldenShm = map[string][3]shmBits{
 	"solo/scatter/0/numa":   {{0x3ee64c5e944be8cd, 0xc4f08706cfc65ead, 0x0f5c4a994ae8807d}, {0x3f47283c202db3d9, 0x0260742d393c643d, 0x53cad06737550089}, {0x3f76f01568330628, 0x8ac481fe99ba43e5, 0x22faca08a6e7de31}},
 	"solo/scatter/2/mini":   {{0x3eda07a44a5dd85e, 0x69d0a84dd146480d, 0xa87319afe3c6a3a5}, {0x3f2a6b2a0957b15d, 0x94e0078475dfdbdd, 0xc0b7aec21e5c8035}, {0x3f59d9d4e1ddefcf, 0xec2ba88803e12d45, 0x885e7f612e8e3e51}},
 	"solo/scatter/2/numa":   {{0x3ee64c5e944be8cd, 0x4fec1a4a8ddb7495, 0xde42e419261e3ca5}, {0x3f47283c202db3d9, 0x216741c584d1cffd, 0x460a8331d97a126d}, {0x3f76f01568330628, 0xa8e7bec90c3c88fd, 0xe86170e8b0cd4fc9}},
+	"cuda/bcast/0/gpu":      {{0x3ef04e7e539d29ff, 0x44acad99dd736689, 0xcbf29ce484222325}, {0x3f171b30a53ccf8f, 0x9ab279cbc3804251, 0xcbf29ce484222325}, {0x3f44ed58fb9d2e73, 0x0a1387e76e349095, 0xcbf29ce484222325}},
+	"cuda/bcast/3/gpu":      {{0x3ef0421fbbae55b6, 0x4eda44649437ff29, 0xcbf29ce484222325}, {0x3f17a16862427efc, 0x8ce0514108970cc1, 0xcbf29ce484222325}, {0x3f44fe1ff33de462, 0xd10473b2d30dccbd, 0xcbf29ce484222325}},
+	"cuda/reduce/0/gpu":     {{0x3ef16e2b9d8dd30e, 0x45cc60cea6317065, 0xcbf29ce484222325}, {0x3f1844a0930fec20, 0x44f098c294e14545, 0xcbf29ce484222325}, {0x3f46c701b3c0ab90, 0x552a99f49ff958b5, 0xcbf29ce484222325}},
+	"cuda/reduce/3/gpu":     {{0x3ef16e2b9d8dd30e, 0xa7c9e555ff7ca425, 0xcbf29ce484222325}, {0x3f192eb5ca6afac0, 0x72f0c5993cf288ad, 0xcbf29ce484222325}, {0x3f46d6f1ebcc8b98, 0x7fde95e4593f9509, 0xcbf29ce484222325}},
+	"cuda/d2h/gpu":          {{0x3ede6f1217c0cd20, 0xe49758a7bc47b79d, 0xcbf29ce484222325}, {0x3f412e0be826d694, 0x39895d09575f7abd, 0xcbf29ce484222325}, {0x3f712e0be826d695, 0x9c88a105384edf51, 0xcbf29ce484222325}},
+	"cuda/h2d/gpu":          {{0x3ede6f1217c0cd20, 0xe49758a7bc47b79d, 0xcbf29ce484222325}, {0x3f412e0be826d694, 0x39895d09575f7abd, 0xcbf29ce484222325}, {0x3f712e0be826d695, 0x9c88a105384edf51, 0xcbf29ce484222325}},
 }
 
 func TestGoldenShmBits(t *testing.T) {
 	seen := 0
-	for _, mk := range []func() Module{func() Module { return NewSM() }, func() Module { return NewSOLO() }} {
+	for _, gm := range goldenShmMods {
+		mk := gm.mk
 		for _, oc := range shmCases {
 			kind, _ := KindByName(oc.name)
 			if !mk().Supports(kind) {
 				continue
 			}
+			if _, gpu := mk().(*CUDA); gpu && kind == Allreduce {
+				continue // no caller issues it
+			}
 			roots := []int{0}
 			if oc.rooted {
-				roots = []int{0, 2}
+				roots = gm.roots
 			}
 			for _, root := range roots {
-				for _, sp := range goldenShmSpecs {
+				for _, sp := range gm.specs {
 					var got [3]shmBits
 					var name string
 					for i, n := range goldenShmSizes {
@@ -192,6 +217,27 @@ func TestGoldenShmBits(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	// The PCIe stagings, every rank at once: the contention of a node's ranks
+	// on their GPUs' links and on the node bus.
+	for _, dir := range []string{"d2h", "h2d"} {
+		var got [3]shmBits
+		name := "cuda/" + dir + "/gpu"
+		for i, n := range goldenShmSizes {
+			mod := NewCUDA()
+			got[i] = goldenBits(t, cudaSpec(2, 8), func(p *mpi.Proc) {
+				p.Sim.Sleep(sim.Time(p.W.NodeComm(p.Node()).Rank(p)) * 1e-6)
+				if dir == "d2h" {
+					mod.D2H(p, n)
+				} else {
+					mod.H2D(p, n)
+				}
+			})
+		}
+		seen++
+		if want, ok := goldenShm[name]; !ok || got != want {
+			t.Errorf("%s changed bits; row is now\n\t%q: {%v, %v, %v},", name, name, got[0], got[1], got[2])
 		}
 	}
 	if seen != len(goldenShm) {

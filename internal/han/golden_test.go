@@ -11,11 +11,13 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/hanrepro/han/internal/autotune"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
+	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/sim"
@@ -705,3 +707,91 @@ var goldenVectors = map[string][]uint64{
 }
 
 const goldenSearchSHA = "2c0f1f4436a3490def253d798383b2bfd719cce78f9cb0dd0ca01da6cda21d45"
+
+// gpuCrashRow is one crash run: the clock bits at its end and, per call, the
+// error types of the ranks that returned from it with their counts.
+type gpuCrashRow struct {
+	end   uint64
+	calls [3]string
+}
+
+// goldenGPUCrash pins the GPU collectives, whose PCIe stagings run in helpers
+// of their own, while ranks die: three calls of 4 segments of 256 KiB on
+// GPUSpec(3,4), rank 5 dying alone (crash-rank) or with its node (crash-node:
+// rank 4's, leader included) 50µs in, under either failure policy.
+var goldenGPUCrash = map[string]gpuCrashRow{
+	"BcastGPU/crash-rank/abort":      {0x3f707547c38ea9b3, [3]string{"*han.RankFailedError×11", "*han.RankFailedError×11", "*han.RankFailedError×11"}},
+	"BcastGPU/crash-rank/shrink":     {0x3f88dc402f2a84ea, [3]string{"*han.RankFailedError×11", "*han.FallbackError×11", "*han.FallbackError×11"}},
+	"BcastGPU/crash-node/abort":      {0x3f614dcdf7b2d817, [3]string{"*han.RankFailedError×8", "*han.RankFailedError×8", "*han.RankFailedError×8"}},
+	"BcastGPU/crash-node/shrink":     {0x3f7b9c2a8437407d, [3]string{"*han.RankFailedError×8", "*han.FallbackError×8", "*han.FallbackError×8"}},
+	"AllreduceGPU/crash-rank/abort":  {0x3f77b1d731696c4b, [3]string{"*han.RankFailedError×11", "*han.RankFailedError×11", "*han.RankFailedError×11"}},
+	"AllreduceGPU/crash-rank/shrink": {0x3f960327e868cc43, [3]string{"*han.RankFailedError×11", "*han.FallbackError×11", "*han.FallbackError×11"}},
+	"AllreduceGPU/crash-node/abort":  {0x3f6d8342a604015c, [3]string{"*han.RankFailedError×8", "*han.RankFailedError×8", "*han.RankFailedError×8"}},
+	"AllreduceGPU/crash-node/shrink": {0x3f90e9848bb95802, [3]string{"*han.RankFailedError×8", "*han.FallbackError×8", "*han.FallbackError×8"}},
+}
+
+func TestGoldenGPUCrashBits(t *testing.T) {
+	const segs = 4
+	cfg := goldenCfg(segs)
+	cfg.FS = 256 << 10
+	n := segs * cfg.FS
+	calls := map[string]func(h *han.HAN, p *mpi.Proc) error{
+		"BcastGPU": func(h *han.HAN, p *mpi.Proc) error { return h.BcastGPU(p, mpi.Phantom(n), 0, cfg) },
+		"AllreduceGPU": func(h *han.HAN, p *mpi.Proc) error {
+			return h.AllreduceGPU(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, cfg)
+		},
+	}
+	spec := han.GPUSpec(3, 4)
+	ran := 0
+	for _, call := range []string{"BcastGPU", "AllreduceGPU"} {
+		for _, planName := range []string{"crash-rank", "crash-node"} {
+			for _, policy := range []han.FailPolicy{han.Abort, han.Shrink} {
+				name := fmt.Sprintf("%s/%s/%v", call, planName, policy)
+				ran++
+				t.Run(name, func(t *testing.T) {
+					plan, err := fault.Builtin(planName)
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng := sim.New()
+					w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+					w.Seed(1)
+					w.AttachFaults(plan)
+					h := han.New(w)
+					h.OnFailure = policy
+					errs := make([][3]string, spec.Ranks())
+					w.Start(func(p *mpi.Proc) {
+						for i := range errs[p.Rank] {
+							errs[p.Rank][i] = fmt.Sprintf("%T", calls[call](h, p))
+						}
+					})
+					if err := eng.Run(); err != nil {
+						t.Fatal(err)
+					}
+					got := gpuCrashRow{end: math.Float64bits(float64(eng.Now()))}
+					for i := range got.calls {
+						count := map[string]int{}
+						for _, e := range errs {
+							if e[i] != "" {
+								count[e[i]]++
+							}
+						}
+						var types []string
+						for typ, k := range count {
+							types = append(types, fmt.Sprintf("%s×%d", typ, k))
+						}
+						sort.Strings(types)
+						got.calls[i] = strings.Join(types, " ")
+					}
+					if want, ok := goldenGPUCrash[name]; !ok || got != want {
+						t.Errorf("sim bits moved (have golden: %v):\n\t%q: {%#x, [3]string{%q, %q, %q}},",
+							ok, name, got.end, got.calls[0], got.calls[1], got.calls[2])
+					}
+				})
+			}
+		}
+	}
+	if ran != len(goldenGPUCrash) {
+		t.Errorf("ran %d rows, table holds %d", ran, len(goldenGPUCrash))
+	}
+}
