@@ -668,11 +668,11 @@ func AblateGPU(sc Scale) {
 			cuda := h.Mods.CUDA
 			node := h.W.NodeComm(p.Node())
 			if p.Rank == 0 {
-				cuda.D2H(p, m)
+				p.Wait(cuda.D2H(p, m))
 			}
 			h.Bcast(p, mpi.Phantom(m), 0, cfg)
 			if h.W.Mach.IsNodeLeader(p.Rank) {
-				cuda.H2D(p, m)
+				p.Wait(cuda.H2D(p, m))
 			}
 			p.Wait(cuda.Ibcast(p, node, mpi.Phantom(m), 0, coll.Params{}))
 		})
@@ -686,8 +686,9 @@ func AblateGPU(sc Scale) {
 // P2P layer, each rank a goroutine (mpi.World.Start), and returns when the
 // last rank came out of it. It is for the rank programs that have no step
 // form: Bcast3, BcastGPU and the hand-written waits of the naive GPU
-// staging. A two-level collective on the world takes bench.Once's routines
-// instead.
+// staging. Only the ranks are goroutines: every helper they issue, the
+// stagings' included, is a step program. A two-level collective on the
+// world takes bench.Once's routines instead.
 func onGoroutines(spec cluster.Spec, body func(h *han.HAN, p *mpi.Proc)) float64 {
 	eng := sim.New()
 	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())

@@ -55,11 +55,11 @@ func main() {
 		naive := timeRun(spec, func(h *han.HAN, p *mpi.Proc) {
 			cuda := h.Mods.CUDA
 			if p.Rank == 0 {
-				cuda.D2H(p, m)
+				p.Wait(cuda.D2H(p, m))
 			}
 			h.Bcast(p, mpi.Phantom(m), 0, cfg)
 			if h.W.Mach.IsNodeLeader(p.Rank) {
-				cuda.H2D(p, m)
+				p.Wait(cuda.H2D(p, m))
 			}
 			p.Wait(cuda.Ibcast(p, h.W.NodeComm(p.Node()), mpi.Phantom(m), 0, coll.Params{}))
 		})

@@ -15,13 +15,12 @@
 // All modules expose non-blocking operations returning *mpi.Request; HAN
 // overlaps tasks by issuing these concurrently. Each operation is progressed
 // by a helper process of the calling rank. No helper branches on what it
-// learns while running, so the tree and ring algorithms over point-to-point
-// messages (algos.go) and the shared-memory operations of sm and solo are
-// all flat sequences of blocking primitives built at issue time and walked
-// by one interpreter on the engine goroutine (seq.go) — no goroutine per
-// task, and the sequences are recycled per module instance. What is left as
-// straight-line goroutine code is cuda and the two-stage compositions
-// (sm/solo/cuda Iallreduce, sm Iallgather).
+// learns while running, so every helper — the tree and ring algorithms over
+// point-to-point messages (algos.go), the shared-memory operations of sm and
+// solo, cuda's operations and PCIe stagings, and the composed sm/solo
+// Iallreduce — is a flat sequence of blocking primitives built at issue time
+// and walked by one interpreter on the engine goroutine (seq.go): no
+// goroutine per task, and the sequences are recycled per module instance.
 package coll
 
 import (
@@ -121,9 +120,9 @@ type Params struct {
 // Module is a collective communication component. Operations are
 // non-blocking: they return immediately with a request that completes when
 // the collective has finished on the calling rank. Modules progress their
-// operations with helper processes (step-driven but for the few named in the
-// package comment) that share the rank's CPU resource, so concurrent
-// collectives contend for progression exactly as in single-threaded MPI.
+// operations with step-driven helper processes that share the rank's CPU
+// resource, so concurrent collectives contend for progression exactly as in
+// single-threaded MPI.
 // The request is the caller's to wait for, once: that Wait returns it to
 // the world's pool. A module instance keeps per-world state — the helper
 // records it recycles, sm's and solo's rendezvous tables — so it serves one
@@ -195,25 +194,14 @@ func (b Base) Iscatter(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf, int, Params) *mpi
 
 // --- shared helpers used by the concrete modules ---
 
-// async runs fn in a goroutine helper process of p's rank and returns a
-// request that completes when fn returns: what is left of straight-line
-// helper bodies, the GPU operations and thenBcast.
-func async(p *mpi.Proc, name string, fn func(hp *mpi.Proc)) *mpi.Request {
-	req := mpi.NewRequest()
-	p.SpawnHelper(name, func(hp *mpi.Proc) {
-		fn(hp)
-		req.Complete(hp.W.Eng())
-	})
-	return req
-}
-
-// thenBcast is the second stage of the composed operations: once first has
-// left its result in rank 0's rbuf, mod broadcasts it.
-func thenBcast(p *mpi.Proc, name string, first *mpi.Request, mod Module, c *mpi.Comm, rbuf mpi.Buf) *mpi.Request {
-	return async(p, name, func(hp *mpi.Proc) {
-		hp.Wait(first)
-		hp.Wait(mod.Ibcast(hp, c, rbuf, 0, Params{}))
-	})
+// thenBcast is the second stage of the composed operations: a helper that
+// waits for first to leave its result in rank 0's rbuf, then issues mod's
+// broadcast of it and waits for that.
+func (b *Base) thenBcast(p *mpi.Proc, name string, first *mpi.Request, mod Module, c *mpi.Comm, rbuf mpi.Buf) *mpi.Request {
+	s := b.newSeq(c, nil, 3)
+	s.after(first)
+	s.wait(s.ibcast(mod, rbuf, 0), 1)
+	return s.start(p, name)
 }
 
 // allocLike returns a scratch buffer matching b's size and realness.

@@ -3,6 +3,7 @@ package coll
 import (
 	"fmt"
 
+	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/mpi"
 )
@@ -15,8 +16,9 @@ import (
 // reductions run on the GPU at device-memory bandwidth — far above any CPU
 // loop, at the price of a kernel-launch latency per operation.
 //
-// The module also provides the host staging primitives (D2H/H2D over PCIe)
-// HAN's GPU-aware collectives pipeline against the inter-node stages.
+// The module also provides the host staging primitives (D2H/H2D over PCIe,
+// and H2DBcast, an upload chained to the broadcast) HAN's GPU-aware
+// collectives pipeline against the inter-node stages.
 //
 // Like the other shared-memory modules, one instance must be shared by all
 // ranks of a world, and communicators must be single-node.
@@ -42,7 +44,7 @@ func (m *CUDA) Name() string { return "cuda" }
 // Supports reports the collectives the GPU module implements.
 func (m *CUDA) Supports(k Kind) bool {
 	switch k {
-	case Bcast, Reduce, Allreduce:
+	case Bcast, Reduce:
 		return true
 	}
 	return false
@@ -56,22 +58,10 @@ func (m *CUDA) Algs(k Kind) []Alg {
 	return nil
 }
 
-// cpuWait charges `seconds` of work to p's CPU progress resource and blocks
-// until it has been absorbed (sharing the engine with any concurrent work
-// on the same rank).
-func cpuWait(p *mpi.Proc, seconds float64) {
-	if seconds <= 0 {
-		return
-	}
-	f := p.W.Mach.CPUWork(p.Rank, seconds)
-	p.Sim.Wait(f.Done())
-}
-
 // nvPath returns the resources a device-to-device copy between the GPUs of
 // two ranks crosses (src HBM, the shared NVLink fabric, dst HBM). Ranks on
 // the same GPU copy within one HBM.
-func nvPath(p *mpi.Proc, srcWorld, dstWorld int) []*flow.Resource {
-	mach := p.W.Mach
+func nvPath(mach *cluster.Machine, srcWorld, dstWorld int) []*flow.Resource {
 	node := mach.NodeOf(dstWorld)
 	sg, dg := mach.GPUOf(srcWorld), mach.GPUOf(dstWorld)
 	if sg == dg {
@@ -80,30 +70,28 @@ func nvPath(p *mpi.Proc, srcWorld, dstWorld int) []*flow.Resource {
 	return []*flow.Resource{mach.GPUMem(node, sg), mach.NVLink(node), mach.GPUMem(node, dg)}
 }
 
-// devCopy models an n-byte device-to-device copy and blocks until done.
-func devCopy(p *mpi.Proc, n, srcWorld, dstWorld int) {
-	if n <= 0 {
-		return
-	}
-	f := p.W.Mach.Net.Start(float64(n), nvPath(p, srcWorld, dstWorld)...)
-	p.Sim.Wait(f.Done())
+// D2H stages n bytes from p's GPU to host memory (PCIe plus the host bus) in
+// a helper of p's rank, and returns the request that completes when they
+// have landed. H2D is the way back, over the same path.
+func (m *CUDA) D2H(p *mpi.Proc, n int) *mpi.Request { return m.stage(p, n, "d2h") }
+
+func (m *CUDA) H2D(p *mpi.Proc, n int) *mpi.Request { return m.stage(p, n, "h2d") }
+
+func (m *CUDA) stage(p *mpi.Proc, n int, name string) *mpi.Request {
+	s := m.newSeq(nil, nil, 1)
+	s.pcie(n)
+	return s.start(p, name)
 }
 
-// D2H stages n bytes from p's GPU to host memory (PCIe plus the host bus)
-// and blocks until done.
-func (m *CUDA) D2H(p *mpi.Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	mach := p.W.Mach
-	node := mach.NodeOf(p.Rank)
-	g := mach.GPUOf(p.Rank)
-	f := mach.Net.Start(float64(n), mach.GPUPCIe(node, g), mach.InboundBus(p.Rank))
-	p.Sim.Wait(f.Done())
+// H2DBcast stages buf from host memory to p's GPU, then broadcasts it over c
+// from root as Ibcast does, in one helper: the request completes when both
+// have.
+func (m *CUDA) H2DBcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int) *mpi.Request {
+	s := m.newSeq(c, nil, 3)
+	s.pcie(buf.N)
+	s.wait(s.ibcast(m, buf, root), 1)
+	return s.start(p, "h2d-gb")
 }
-
-// H2D stages n bytes from host memory to p's GPU.
-func (m *CUDA) H2D(p *mpi.Proc, n int) { m.D2H(p, n) } // symmetric path
 
 // Ibcast: the root GPU exposes its buffer; every peer GPU copies it over
 // NVLink (concurrent, fabric-shared).
@@ -111,25 +99,18 @@ func (m *CUDA) Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params
 	checkSingleNode("cuda.Ibcast", p, c)
 	requireGPUs(p)
 	st := m.ops.get(c, c.NextSeq(p), 1, false)
-	me := c.Rank(p)
-	if me == root {
+	s := m.newSeq(c, st, 5)
+	s.cpu(cudaLaunch)
+	if c.Rank(p) == root {
 		st.contribs[root] = snapshot(buf)
+		s.fire(st.ready(0))
+	} else {
+		s.waitFlag(st.ready(0))
+		s.cpu(cudaPerPeer)
+		s.devCopy(buf.N, c.WorldRank(root))
+		s.payload(buf, root)
 	}
-	rootWorld := c.WorldRank(root)
-	return async(p, "cuda-ibcast", func(hp *mpi.Proc) {
-		defer st.release()
-		cpuWait(hp, cudaLaunch)
-		if me == root {
-			st.sig(st.ready(0)).Fire(hp.W.Eng())
-			return
-		}
-		hp.Sim.Wait(st.sig(st.ready(0)))
-		cpuWait(hp, cudaPerPeer)
-		devCopy(hp, buf.N, rootWorld, hp.Rank)
-		if buf.Real() && st.contribs[root].Real() {
-			buf.CopyFrom(st.contribs[root])
-		}
-	})
+	return s.start(p, "cuda-ibcast")
 }
 
 // Ireduce: a binomial tree over the node's GPUs; folding runs at HBM
@@ -143,46 +124,27 @@ func (m *CUDA) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 		rounds++
 	}
 	st := m.ops.get(c, c.NextSeq(p), n*(rounds+1), false)
-	me := c.Rank(p)
-	v := vrank(me, root, n)
+	v := vrank(c.Rank(p), root, n)
 	part := snapshot(sbuf)
-	return async(p, "cuda-ireduce", func(hp *mpi.Proc) {
-		defer st.release()
-		cpuWait(hp, cudaLaunch)
-		st.contribs[v] = part
-		st.sig(st.ready(v * (rounds + 1))).Fire(hp.W.Eng())
-		for k := 0; k < rounds; k++ {
-			if v&(1<<k) != 0 {
-				return // partial consumed in round k
-			}
-			peer := v | 1<<k
-			if peer < n {
-				hp.Sim.Wait(st.sig(st.ready(peer*(rounds+1) + k)))
-				cpuWait(hp, cudaPerPeer)
-				peerWorld := c.WorldRank(unvrank(peer, root, n))
-				devCopy(hp, sbuf.N, peerWorld, hp.Rank)
-				// GPU fold at HBM speed, contending with concurrent copies
-				// through the same device memory.
-				f := hp.W.Mach.Net.Start(float64(sbuf.N), hp.W.Mach.GPUMem(hp.Node(), hp.W.Mach.GPUOf(hp.Rank)))
-				hp.Sim.Wait(f.Done())
-				if part.Real() {
-					if pb := st.contribs[peer]; pb.Real() {
-						mpi.ReduceBuf(op, dt, part, pb)
-					}
-				}
-			}
-			st.contribs[v] = part
-			st.sig(st.ready(v*(rounds+1) + k + 1)).Fire(hp.W.Eng())
+	st.contribs[v] = part
+	s := m.newSeq(c, st, 3+6*rounds)
+	s.cpu(cudaLaunch)
+	s.fire(st.ready(v * (rounds + 1)))
+	// A partial consumed in round k (v's lowest set bit) ends the program.
+	for k := 0; k < rounds && v&(1<<k) == 0; k++ {
+		if peer := v | 1<<k; peer < n {
+			s.waitFlag(st.ready(peer*(rounds+1) + k))
+			s.cpu(cudaPerPeer)
+			s.devCopy(sbuf.N, c.WorldRank(unvrank(peer, root, n)))
+			s.hbm(sbuf.N)
+			s.fold(op, dt, part, peer)
 		}
-		if rbuf.N == sbuf.N {
-			rbuf.CopyFrom(part)
-		}
-	})
-}
-
-// Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
-func (m *CUDA) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	return thenBcast(p, "cuda-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
+		s.fire(st.ready(v*(rounds+1) + k + 1))
+	}
+	if v == 0 && rbuf.N == sbuf.N {
+		s.copy(rbuf, part)
+	}
+	return s.start(p, "cuda-ireduce")
 }
 
 func requireGPUs(p *mpi.Proc) {

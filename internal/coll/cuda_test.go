@@ -38,7 +38,7 @@ func TestCUDABcastDelivers(t *testing.T) {
 	}
 }
 
-func TestCUDAReduceAndAllreduce(t *testing.T) {
+func TestCUDAReduceDelivers(t *testing.T) {
 	spec := cudaSpec(1, 5)
 	ranks := spec.Ranks()
 	mod := NewCUDA()
@@ -55,13 +55,6 @@ func TestCUDAReduceAndAllreduce(t *testing.T) {
 			if got[0] != want || got[1] != 2*want {
 				t.Errorf("reduce got %v", got)
 			}
-		}
-		rbuf2 := mpi.Bytes(make([]byte, sbuf.N))
-		p.Wait(mod.Iallreduce(p, c, sbuf, rbuf2, mpi.OpSum, mpi.Float64, Params{}))
-		got := mpi.DecodeFloat64s(rbuf2.B)
-		want := float64(ranks*(ranks-1)) / 2
-		if got[0] != want {
-			t.Errorf("rank %d allreduce got %v want %v", me, got[0], want)
 		}
 	})
 	if err != nil {

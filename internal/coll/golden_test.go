@@ -15,11 +15,11 @@ import (
 )
 
 // This file pins the simulated timing of every shared-memory operation (SM
-// and SOLO, the three composed ones included; CUDA's, and its PCIe
-// stagings) and of Comm.Barrier bit for bit. The values were recorded while each operation's helper was a
-// goroutine whose straight-line body parked once per modelled cost, and the
-// barrier a loop of twelve blocking waits; they are the contract the
-// step-driven forms keep. Each row holds math.Float64bits of the completion
+// and SOLO, their composed allreduce included; CUDA and its PCIe stagings)
+// and of Comm.Barrier bit for bit. The values were recorded while each
+// operation's helper was a goroutine whose straight-line body parked once
+// per modelled cost, and the barrier a loop of twelve blocking waits; they
+// are the contract the step-driven forms keep. Each row holds math.Float64bits of the completion
 // time, an FNV-1a hash over every rank's own return time in rank order, and
 // an FNV-1a hash over the trace event stream (the "copy" send/deliver pairs
 // of the cross-rank copies) in record order. CI runs the file a second time
@@ -98,9 +98,6 @@ var shmCases = []shmCase{
 	{"gather", true, func(mod Module, p *mpi.Proc, c *mpi.Comm, n, root int) *mpi.Request {
 		return mod.Igather(p, c, mpi.Phantom(n), mpi.Phantom(n*c.Size()), root, Params{})
 	}},
-	{"allgather", false, func(mod Module, p *mpi.Proc, c *mpi.Comm, n, root int) *mpi.Request {
-		return mod.Iallgather(p, c, mpi.Phantom(n), mpi.Phantom(n*c.Size()), Params{})
-	}},
 	{"scatter", true, func(mod Module, p *mpi.Proc, c *mpi.Comm, n, root int) *mpi.Request {
 		return mod.Iscatter(p, c, mpi.Phantom(n*c.Size()), mpi.Phantom(n), root, Params{})
 	}},
@@ -131,8 +128,8 @@ var goldenShmMods = []struct {
 
 var goldenShmSizes = []int{1 << 10, 256 << 10, 2 << 20}
 
-// goldenShm maps "module/op/root/spec" to the bits at each of
-// goldenShmSizes. Every rank runs the operation on its node communicator,
+// goldenShm maps "module/op/root/spec" — "cuda/d2h/gpu" and "cuda/h2d/gpu"
+// for the stagings — to the bits at each of goldenShmSizes. Every rank runs the operation on its node communicator,
 // ranks entering a microsecond apart in local-rank order, so all four nodes
 // run it side by side.
 var goldenShm = map[string][3]shmBits{
@@ -150,8 +147,6 @@ var goldenShm = map[string][3]shmBits{
 	"sm/gather/0/numa":      {{0x3ee95dfd94c958d5, 0x409cefc3000048f5, 0xca60d787939d6dd5}, {0x3f54286a15868e0d, 0xd34176f366c01f35, 0x891b600266eecbed}, {0x3f840eb96a58777a, 0x51dc38d193593b25, 0xb2298afe5aa75ee1}},
 	"sm/gather/2/mini":      {{0x3ed7904814ca4511, 0x572a8e363e99145d, 0x5ceefacfdeb5c075}, {0x3f39f0b0c675b47c, 0x66167fc4dcc8ca5d, 0x9b7a48f1da5ecf91}, {0x3f69ca85b981b032, 0x289ac9fffed2afdd, 0x5163d5ecad96d71d}},
 	"sm/gather/2/numa":      {{0x3ee92cf4d2cd69fb, 0xb7997e4aa388704d, 0x7bd015a0b30472cd}, {0x3f542438579e6092, 0x341fd0b24a196265, 0xff34fc1eeb110c51}, {0x3f840e33329b71ca, 0x9b036e9ebf25c7f5, 0x95e23416a8819181}},
-	"sm/allgather/0/mini":   {{0x3ee80de8cbdbe111, 0xe1e68919279739ad, 0x6576bb83c63e0421}, {0x3f57d5d703ffb652, 0xcfd6d7bfa5b24925, 0x05fa60b6ddb63335}, {0x3f87d6cf5183cda7, 0x6ac9234de81cf855, 0x82f7793334df0d91}},
-	"sm/allgather/0/numa":   {{0x3f0424e9de196a23, 0x30055a379872af95, 0x7792e8dc25527879}, {0x3f7c7d80754740ca, 0x5d092f54b55718ed, 0xcbd84385668127b1}, {0x3fac74f810895110, 0xf4c3d80da590073d, 0xcf5affd44c755ed5}},
 	"sm/scatter/0/mini":     {{0x3ed27ae80ed8c712, 0x9637f77da175b1a5, 0x628c47655d6a98e5}, {0x3f39ee2c87b732cb, 0x0b673609fb1b2e85, 0x273284ea671b3681}, {0x3f69ca3531a9dffa, 0xfea392d1d8072655, 0x51f6a5413324adb1}},
 	"sm/scatter/0/numa":     {{0x3ee2860076896027, 0x12a965caf6117c9d, 0x6207a559a12db6d5}, {0x3f5589b4ca21a1bb, 0xa49eef3b2589c725, 0x916a7dfea3abec01}, {0x3f857b939f2eaeea, 0xaa2a9230c1802d85, 0x1c606af2d10f0281}},
 	"sm/scatter/2/mini":     {{0x3ed91b6b26a5c259, 0x7942d2364e4f6325, 0x8702cec877020899}, {0x3f3a0fba76f89ea6, 0x1eb600c1d5707e05, 0x22f44a0ef4cb2d41}, {0x3f69ce66ef920d76, 0x3beda6e0b8525165, 0x801946eff45b34e9}},
@@ -191,9 +186,6 @@ func TestGoldenShmBits(t *testing.T) {
 			if !mk().Supports(kind) {
 				continue
 			}
-			if _, gpu := mk().(*CUDA); gpu && kind == Allreduce {
-				continue // no caller issues it
-			}
 			roots := []int{0}
 			if oc.rooted {
 				roots = gm.roots
@@ -229,9 +221,9 @@ func TestGoldenShmBits(t *testing.T) {
 			got[i] = goldenBits(t, cudaSpec(2, 8), func(p *mpi.Proc) {
 				p.Sim.Sleep(sim.Time(p.W.NodeComm(p.Node()).Rank(p)) * 1e-6)
 				if dir == "d2h" {
-					mod.D2H(p, n)
+					p.Wait(mod.D2H(p, n))
 				} else {
-					mod.H2D(p, n)
+					p.Wait(mod.H2D(p, n))
 				}
 			})
 		}

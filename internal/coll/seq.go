@@ -11,15 +11,18 @@ import (
 
 // No helper branches on what it learns while running: the costs it pays,
 // the flags it polls and raises, the messages it sends, receives and waits
-// for, and their order, are fixed when the operation is issued. So every
-// module describes a helper as a seq — a flat list of steps built at issue
-// time — and one interpreter (seqRun.Step) executes them all as step-driven
-// processes (sim.Stepper): no goroutine, and a blocking step costs a heap
-// event, not a goroutine switch. Each blocking step queues the event a
-// goroutine body's Wait or Sleep would queue at the same point, so the
-// simulated bits are those of the straight-line bodies the seqs replaced
-// (golden_test.go) — which is why a wait for two requests is one step arming
-// both: two waits in a row would queue a resume the body never did.
+// for, the operations it issues, and their order, are fixed when the
+// operation is issued. So every module describes a helper as a seq — a flat
+// list of steps built at issue time — and one interpreter (seqRun.Step)
+// executes them all as step-driven processes (sim.Stepper): no goroutine,
+// and a blocking step costs a heap event, not a goroutine switch. That
+// covers the GPU module's copies, folds and PCIe stagings, and the composed
+// operations, whose helper waits for the first stage and then issues the
+// second. Each blocking step queues the event a goroutine body's Wait or
+// Sleep would queue at the same point, so the simulated bits are those of
+// the straight-line bodies the seqs replaced (golden_test.go) — which is why
+// a wait for two requests is one step arming both: two waits in a row would
+// queue a resume the body never did.
 //
 // Program, process and the process's storage (hp's sim.Proc) are one record,
 // a seqRun, recycled through a pool of the module instance (so of one world).
@@ -46,6 +49,10 @@ const (
 	seqRecv                    // post a receive
 	seqWaitReq                 // wait for the n requests from arg on (no event if all are complete)
 	seqWaitAll                 // wait for every request not waited for yet: a tree's sends
+	seqIssue                   // issue mod's broadcast of an operand
+	seqDevCopy                 // copy from another rank's GPU into the rank's, wait
+	seqHBM                     // pass over the rank's own device memory (a GPU fold), wait
+	seqPCIe                    // stage between the rank's GPU and host memory, wait
 )
 
 // seqStep is one step, packed and pointer-free: a rank's helpers hold a few
@@ -53,12 +60,13 @@ const (
 type seqStep struct {
 	kind seqKind
 	n    uint8   // seqWaitReq: how many requests
-	arg  int32   // seqCopyFrom: the world rank whose buffer is read; seqWait, seqFire: the flag; seqDo: the closure; seqSend, seqRecv, seqWaitReq: the operand
-	amt  float64 // seconds (seqCPU, seqSleep) or bytes (seqCopy, seqCopyFrom)
+	arg  int32   // seqCopyFrom, seqDevCopy: the world rank whose buffer is read; seqWait, seqFire: the flag; seqDo: the closure; seqSend, seqRecv, seqWaitReq, seqIssue: the operand
+	amt  float64 // seconds (seqCPU, seqSleep) or bytes (the copies, seqHBM, seqPCIe)
 }
 
-// p2pArg is the operand of a send or a receive. The request it starts takes
-// the operand's index, which is how a wait names it.
+// p2pArg is the operand of a send, a receive or a broadcast (peer is its
+// root). The request it starts takes the operand's index, which is how a
+// wait names it.
 type p2pArg struct {
 	buf       mpi.Buf
 	peer, tag int32
@@ -66,7 +74,8 @@ type p2pArg struct {
 
 // seqRun is a helper: its program, under construction until start, and the
 // process that executes it on behalf of a rank. The cost steps drop
-// themselves when the cost is zero, as a goroutine body's cpuWait does.
+// themselves when the cost is zero, but for hbm: a GPU fold starts its flow
+// whatever the size, and the network's monitor counts it.
 type seqRun struct {
 	hp    mpi.Proc
 	steps []seqStep
@@ -82,6 +91,7 @@ type seqRun struct {
 	// from its start to its wait, waiting the ones armed by the step the
 	// helper is blocked in, retired when it runs again.
 	comm          *mpi.Comm
+	mod           Module // the module an issue step issues on
 	reqs, waiting []*mpi.Request
 	kids          []int // scratch a tree shape lists a rank's children in
 	req           *mpi.Request
@@ -157,9 +167,32 @@ func (s *seqRun) copyFrom(n, src int) {
 	}
 }
 
+// devCopy models an n-byte copy into the rank's GPU from the one of world
+// rank src, over NVLink.
+func (s *seqRun) devCopy(n, src int) {
+	if n > 0 {
+		s.add(seqStep{kind: seqDevCopy, amt: float64(n), arg: int32(src)})
+	}
+}
+
+// hbm models a pass over n bytes of the rank's own device memory: a fold on
+// its GPU, contending with the copies through the same memory.
+func (s *seqRun) hbm(n int) { s.add(seqStep{kind: seqHBM, amt: float64(n)}) }
+
+// pcie models an n-byte staging between the rank's GPU and host memory, in
+// either direction: over the GPU's PCIe link and the rank's memory bus.
+func (s *seqRun) pcie(n int) {
+	if n > 0 {
+		s.add(seqStep{kind: seqPCIe, amt: float64(n)})
+	}
+}
+
+// waitFlag waits for a flag.
+func (s *seqRun) waitFlag(f flag) { s.add(seqStep{kind: seqWait, arg: int32(f)}) }
+
 // poll waits for a flag, then pays the latency of its propagation.
 func (s *seqRun) poll(f flag, lat sim.Time) {
-	s.add(seqStep{kind: seqWait, arg: int32(f)})
+	s.waitFlag(f)
 	s.add(seqStep{kind: seqSleep, amt: float64(lat)})
 }
 
@@ -181,6 +214,24 @@ func (s *seqRun) p2p(kind seqKind, buf mpi.Buf, peer, tag int) int {
 	s.args = append(s.args, p2pArg{buf, int32(peer), int32(tag)})
 	s.add(seqStep{kind: kind, arg: int32(i)})
 	return i
+}
+
+// ibcast issues mod's broadcast of buf from root on the helper's
+// communicator, and returns the index wait names its request by.
+func (s *seqRun) ibcast(mod Module, buf mpi.Buf, root int) int {
+	i := len(s.args)
+	s.args = append(s.args, p2pArg{buf: buf, peer: int32(root)})
+	s.mod = mod
+	s.add(seqStep{kind: seqIssue, arg: int32(i)})
+	return i
+}
+
+// after makes req, a request started before the helper, its first operand,
+// and waits for it: it must come before any other.
+func (s *seqRun) after(req *mpi.Request) {
+	s.args = append(s.args, p2pArg{})
+	s.reqs = append(s.reqs, req)
+	s.wait(0, 1)
 }
 
 // wait blocks until requests i to i+n-1 are all complete, in one park.
@@ -279,6 +330,10 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 			a := &r.args[st.arg]
 			r.reqs[st.arg] = r.comm.Irecv(hp, a.buf, int(a.peer), int(a.tag))
 			continue
+		case seqIssue:
+			a := &r.args[st.arg]
+			r.reqs[st.arg] = r.mod.Ibcast(hp, r.comm, a.buf, int(a.peer), Params{})
+			continue
 		case seqWaitReq:
 			r.waiting = r.reqs[st.arg : st.arg+int32(st.n)]
 			hp.Arm(r.waiting)
@@ -304,6 +359,12 @@ func (r *seqRun) Step(sp *sim.Proc) bool {
 			})
 			sp.Arm(mach.Net.Start(st.amt, mach.IntraPath(src, hp.Rank)...).Done(), nil)
 			r.copying = st
+		case seqDevCopy:
+			sp.Arm(mach.Net.Start(st.amt, nvPath(mach, int(st.arg), hp.Rank)...).Done(), nil)
+		case seqHBM:
+			sp.Arm(mach.Net.Start(st.amt, mach.GPUMem(hp.Node(), mach.GPUOf(hp.Rank))).Done(), nil)
+		case seqPCIe:
+			sp.Arm(mach.Net.Start(st.amt, mach.GPUPCIe(hp.Node(), mach.GPUOf(hp.Rank)), mach.InboundBus(hp.Rank)).Done(), nil)
 		}
 		if sp.StepWait() {
 			return false

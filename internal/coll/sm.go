@@ -168,7 +168,7 @@ func (m *SM) Name() string { return "sm" }
 // Supports reports the collectives SM implements.
 func (m *SM) Supports(k Kind) bool {
 	switch k {
-	case Bcast, Reduce, Allreduce, Gather, Scatter, Allgather:
+	case Bcast, Reduce, Allreduce, Gather, Scatter:
 		return true
 	}
 	return false
@@ -254,7 +254,7 @@ func (m *SM) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
 func (m *SM) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	return thenBcast(p, "sm-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
+	return m.thenBcast(p, "sm-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
 }
 
 // Igather: each rank copies its block in; the root copies all blocks out.
@@ -323,9 +323,4 @@ func (m *SM) Iscatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, root int, pr
 		s.fire(st.ready(r))
 	}
 	return s.start(p, "sm-iscatter")
-}
-
-// Iallgather composes Igather to rank 0 with Ibcast of the result.
-func (m *SM) Iallgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, pr Params) *mpi.Request {
-	return thenBcast(p, "sm-iallgather", m.Igather(p, c, sbuf, rbuf, 0, pr), m, c, rbuf)
 }

@@ -121,7 +121,7 @@ func (m *SOLO) Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, 
 
 // Iallreduce composes Ireduce to rank 0 with Ibcast of the result.
 func (m *SOLO) Iallreduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, pr Params) *mpi.Request {
-	return thenBcast(p, "solo-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
+	return m.thenBcast(p, "solo-iallreduce", m.Ireduce(p, c, sbuf, rbuf, op, dt, 0, pr), m, c, rbuf)
 }
 
 // Igather: contributors expose their blocks; the root reads them all.

@@ -106,10 +106,6 @@ func (f *Flow) Handle(int) { f.net.complete(f) }
 // Rate returns the currently allocated rate in bytes per second.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Remaining returns the bytes left as of the last rate change. It is mainly
-// useful in tests.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
 // Network tracks active flows over a set of resources.
 type Network struct {
 	e    *sim.Engine

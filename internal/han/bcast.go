@@ -58,9 +58,6 @@ func (h *HAN) Bcast3(p *mpi.Proc, buf mpi.Buf, root int, cfg Config) error {
 	return h.collective(p, &call{span: "han.Bcast3", kind: coll.Bcast, shape: threeLevel, comm: h.W.World(), dst: buf, root: root}, &cfg)
 }
 
-// GPUAware reports whether the world's machine models GPUs.
-func (h *HAN) GPUAware() bool { return h.W.Mach.Spec.HasGPUs() }
-
 // BcastGPU is the GPU half of the paper's future work: it broadcasts a
 // GPU-resident buffer from the node-leader world rank root by combining
 // the intra-node GPU submodule (coll.CUDA) with the inter-node ones.

@@ -104,11 +104,11 @@ func TestBcastGPUBeatsNaiveStaging(t *testing.T) {
 		// Whole-message D2H at the root, host broadcast, whole-message H2D
 		// at every leader, NVLink fan-out.
 		if p.Rank == 0 {
-			cuda.D2H(p, n)
+			p.Wait(cuda.D2H(p, n))
 		}
 		h.Bcast(p, mpi.Phantom(n), 0, cfg)
 		if h.W.Mach.IsNodeLeader(p.Rank) {
-			cuda.H2D(p, n)
+			p.Wait(cuda.H2D(p, n))
 		}
 		p.Wait(cuda.Ibcast(p, node, mpi.Phantom(n), 0, coll.Params{}))
 	})

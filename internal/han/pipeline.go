@@ -365,11 +365,13 @@ func (h *HAN) issue(p *mpi.Proc, pl *pipeline, st stage, j int) *mpi.Request {
 		req = lv.mod.Ireduce(p, lv.comm, src, dst, pl.op, pl.dt, lv.root, up)
 	case opAll:
 		req = lv.mod.Iallreduce(p, lv.comm, src, dst, pl.op, pl.dt, up)
-	case opD2H, opH2D:
-		req, kind = h.pcie(p, op, lv, dst), lvPCIe
+	case opD2H:
+		req, kind = h.Mods.CUDA.D2H(p, dst.N), lvPCIe
+	case opH2D:
+		req, kind = h.Mods.CUDA.H2D(p, dst.N), lvPCIe
 	case opH2DDown:
 		// Counted as the level's broadcast; its duration includes the upload.
-		req, op = h.pcie(p, op, lv, dst), opDown
+		req, op = h.Mods.CUDA.H2DBcast(p, lv.comm, dst, lv.root), opDown
 	case opGather: // the block operations take their module's defaults
 		req = lv.mod.Igather(p, lv.comm, src, dst, lv.root, coll.Params{})
 	case opScatter:
@@ -394,26 +396,4 @@ func (pl *pipeline) blocks(l uint8) (lo, hi mpi.Buf) {
 		hi = pl.mid
 	}
 	return lo, hi
-}
-
-// pcie runs a PCIe staging of seg in a helper process — so it overlaps the
-// step's other tasks — followed, for opH2DDown, by lv's broadcast of the
-// uploaded segment.
-func (h *HAN) pcie(p *mpi.Proc, op stageOp, lv *level, seg mpi.Buf) *mpi.Request {
-	req := mpi.NewRequest()
-	cuda := h.Mods.CUDA
-	name := [...]string{opD2H: "d2h", opH2D: "h2d", opH2DDown: "h2d-gb"}[op]
-	comm, mod, root := lv.comm, lv.mod, lv.root
-	p.SpawnHelper(name, func(hp *mpi.Proc) {
-		if op == opD2H {
-			cuda.D2H(hp, seg.N)
-		} else {
-			cuda.H2D(hp, seg.N)
-		}
-		if op == opH2DDown {
-			hp.Wait(mod.Ibcast(hp, comm, seg, root, coll.Params{}))
-		}
-		req.Complete(hp.W.Eng())
-	})
-	return req
 }

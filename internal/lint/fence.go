@@ -74,7 +74,7 @@ var fenceRows = []fenceRow{
 			"(sim.Engine.Now / mpi.Proc.Now, blocking via Proc.Sleep)"},
 	{"go", hostPkgs, goStmt,
 		"raw go statement bypasses the engine's baton-passing protocol; " +
-			"spawn simulated processes with sim.Engine.Spawn (or mpi.Proc.SpawnHelper)"},
+			"spawn simulated processes with sim.Engine.Spawn (or SpawnStep)"},
 	// Every draw flows from the world's seeded RNG (mpi.World.Seed). Only
 	// that plumbing and tests, which seed with literals, build RNGs.
 	{"global rand", nil, callTo(detflow.GlobalRandFuncs, randPkgs...),

@@ -37,8 +37,8 @@ func goodPtrVar(reqs []*mpi.Request) *mpi.Request {
 }
 
 // The owning constructors are the sanctioned sources.
-func goodConstructor() *mpi.Request {
-	return mpi.NewRequest()
+func goodConstructor(w *mpi.World) *mpi.Request {
+	return w.NewRequest()
 }
 
 // The escape hatch is a reviewed debt marker, not an off switch.

@@ -258,7 +258,7 @@ func crashWithHelpers(t *testing.T, seed int64) (*World, sim.Time) {
 		spawn(0, "stuck", 1, 0)
 		p.Sim.Sleep(2e-6)
 		spawn(1, "stuck", 2, 0)
-		p.SpawnHelper("goroutine", func(hp *Proc) {
+		spawnGoroutine(p, "goroutine", func(hp *Proc) {
 			defer unwound(hp, "goroutine")
 			c.Recv(hp, Phantom(8), 0, 3)
 		})

@@ -274,7 +274,6 @@ func (w *World) initPools() {
 	w.pairs = make(map[uint64]*pairState)
 	w.reqPool = arena.NewPool(arena.Options[Request]{
 		Name: "mpi.request",
-		Init: func(r *Request) { r.pooled = true },
 		Reset: func(r *Request) {
 			r.doneSig.Reset()
 			r.site = WaitSite{}
@@ -680,13 +679,12 @@ func (w *World) match(r *recvReq, m *message) {
 	m.op.dataSig.OnFire(r, recvData)
 }
 
-// release returns a pooled request once its completion has been
-// observed by Proc.Wait. Heap requests (NewRequest) pass through
-// untouched, and while a crash plan is armed so does everything else: the
-// watch registry holds requests until their peer is declared dead, and
-// callers read Err after Wait returns.
+// release returns a request to the pool once its completion has been
+// observed by Proc.Wait, except while a crash plan is armed: the watch
+// registry holds requests until their peer is declared dead, and callers
+// read Err after Wait returns.
 func (w *World) release(r *Request) {
-	if r.pooled && w.crash == nil {
+	if w.crash == nil {
 		w.reqPool.Put(r)
 	}
 }

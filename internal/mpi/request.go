@@ -28,12 +28,11 @@ func (s *WaitSite) String() string {
 // Request is the handle of a non-blocking operation (point-to-point or
 // collective). It completes exactly once.
 //
-// Requests handed out by Isend, Irecv and World.NewRequest are recycled
+// Requests are handed out by Isend, Irecv and World.NewRequest, and recycled
 // through the world's arena the moment Proc.Wait observes their completion:
 // a waited request must not be touched again (the wait-once discipline
 // hanlint's reqwait pass enforces), except to read Err under a crash plan
-// (see there). Requests from the package-level NewRequest are heap-allocated
-// and never recycled.
+// (see there).
 type Request struct {
 	doneSig sim.Signal
 	site    WaitSite
@@ -42,13 +41,8 @@ type Request struct {
 	// the operation did not happen; Err exposes the verdict.
 	err error
 
-	pooled bool
-	slot   arena.Slot
+	slot arena.Slot
 }
-
-// NewRequest returns an incomplete heap request, for a completion handle
-// whose holder may look at it again after waiting.
-func NewRequest() *Request { return &Request{} }
 
 // NewRequest returns an incomplete request from the world's pool. Collective
 // modules hand these out as the completion handles of operations they
@@ -82,12 +76,4 @@ func (r *Request) fail(e *sim.Engine, err error) {
 	}
 	r.err = err
 	r.doneSig.Fire(e)
-}
-
-// CompletedRequest returns an already-complete request, useful for
-// zero-work fast paths (empty buffers, single-rank communicators).
-func CompletedRequest(e *sim.Engine) *Request {
-	r := NewRequest()
-	r.doneSig.Fire(e)
-	return r
 }

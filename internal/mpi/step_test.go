@@ -55,12 +55,22 @@ func TestKillRankInsideBarrier(t *testing.T) {
 	}
 }
 
+// spawnGoroutine starts a helper process of p's rank whose body fn runs on a
+// goroutine of its own, blocking as a rank's body does. No module spawns one:
+// the tests that hold the crash and deadlock machinery to both forms of
+// helper do.
+func spawnGoroutine(p *Proc, name string, fn func(*Proc)) {
+	hp := &Proc{W: p.W, Rank: p.Rank, helper: name}
+	hp.Sim = p.Sim.Engine().Spawn("", func(*sim.Proc) { fn(hp) })
+	hp.register()
+}
+
 // A rank stuck in a barrier is reported at the request a blocking loop would
 // be parked on, and a stuck helper under its composed name.
 func TestDeadlockNamesBarrierRoundAndHelper(t *testing.T) {
 	_, err := Run(cluster.Mini(1, 2), OpenMPI(), func(p *Proc) {
 		if p.Rank == 0 {
-			p.SpawnHelper("stuck", func(hp *Proc) { hp.Wait(NewRequest()) })
+			spawnGoroutine(p, "stuck", func(hp *Proc) { hp.Wait(p.W.NewRequest()) })
 			p.W.World().Barrier(p)
 		}
 	})
@@ -91,7 +101,7 @@ func TestFinishedHelpersArePruned(t *testing.T) {
 			steps[i].unwound = unwound
 		}
 		for i := 0; i < short; i++ {
-			p.SpawnHelper("short", func(hp *Proc) {
+			spawnGoroutine(p, "short", func(hp *Proc) {
 				defer func() {
 					if hp.Sim.Dying() {
 						unwound["short goroutine"]++
@@ -102,13 +112,13 @@ func TestFinishedHelpersArePruned(t *testing.T) {
 			p.SpawnSteps(&steps[i].hp, "short", &steps[i])
 			p.Sim.Sleep(2e-6)
 		}
-		p.SpawnHelper("stuck", func(hp *Proc) {
+		spawnGoroutine(p, "stuck", func(hp *Proc) {
 			defer func() { unwound["stuck goroutine"]++ }()
-			hp.Wait(NewRequest())
+			hp.Wait(p.W.NewRequest())
 		})
 		steps[short].nap = 1 // past the crash
 		p.SpawnSteps(&steps[short].hp, "stuck", &steps[short])
-		p.Wait(NewRequest())
+		p.Wait(p.W.NewRequest())
 	})
 	want := map[string]int{"main": 1, "stuck goroutine": 1, "stuck": 1}
 	if !reflect.DeepEqual(unwound, want) {

@@ -270,15 +270,6 @@ func (p *Proc) Release(reqs []*Request) {
 	}
 }
 
-// SpawnHelper starts a helper process acting for the same rank (e.g. the
-// progress engine of a non-blocking collective). The helper shares the
-// rank's CPU resource with every other process of the rank.
-func (p *Proc) SpawnHelper(name string, fn func(*Proc)) {
-	hp := &Proc{W: p.W, Rank: p.Rank, helper: name}
-	hp.Sim = p.Sim.Engine().Spawn("", func(*sim.Proc) { fn(hp) })
-	hp.register()
-}
-
 // SpawnSteps starts a helper process that has no goroutine: the engine
 // advances s in place (sim.Stepper), and the process itself lives in hp,
 // which becomes the helper's execution context for s to act through. The

@@ -782,10 +782,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield suspends the process until all other events scheduled for the
-// current instant have run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Wait blocks the process until the signal fires. It returns immediately if
 // the signal has already fired.
 func (p *Proc) Wait(s *Signal) { p.WaitAt(s, nil) }
