@@ -169,14 +169,13 @@ func TestGoldenRivalIMBBits(t *testing.T) {
 
 // IMBWith drives the ranks of a system that offers the step form as routines:
 // for every kind, every submodule pair and every rival library the run
-// starts no goroutine and parks nothing but for helpers (the composed
-// intra-node allreduce of a single-node world still has some), and it
+// starts no goroutine and parks nothing, on a single node too, and it
 // reports the points and records the trace stream, byte for byte, of the
 // same run with the step form withheld — every rank a goroutine on
 // World.Start. The single-call run (runOnce, behind Once) is held the same
 // way, at each size under the decision a submodule pair takes: the latest
 // finish and the clock of the blocking entry point on World.Start, and no
-// goroutine on the multi-node world.
+// goroutine.
 func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 	rounds := uint64(0) // barrier and collective pairs of one rank
 	for _, size := range rivalSizes {
@@ -220,7 +219,7 @@ func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 				}
 				// A goroutine rank parks once per barrier and once per collective.
 				if eng.Goroutines() != goEng.Goroutines()-ranks || eng.Parks() != goEng.Parks()-2*rounds*ranks ||
-					spec.Nodes > 1 && eng.Goroutines()+eng.Parks() != 0 {
+					eng.Goroutines()+eng.Parks() != 0 {
 					t.Errorf("%s: %d goroutines and %d parks with the ranks routines, %d and %d with the %d ranks goroutines",
 						name, eng.Goroutines(), eng.Parks(), goEng.Goroutines(), goEng.Parks(), ranks)
 				}
@@ -234,7 +233,7 @@ func TestIMBRunsRanksWithoutGoroutines(t *testing.T) {
 					if end != wantEnd || clock != wantClock {
 						t.Errorf("%s once %d: routines end %#x by %#x, goroutines %#x by %#x", name, size, end, clock, wantEnd, wantClock)
 					}
-					if spec.Nodes > 1 && eng.Goroutines() != 0 {
+					if eng.Goroutines() != 0 {
 						t.Errorf("%s once %d: %d goroutines", name, size, eng.Goroutines())
 					}
 				}

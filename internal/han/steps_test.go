@@ -195,39 +195,70 @@ func TestIbIrOverlapOnDuplexFabric(t *testing.T) {
 }
 
 // A HAN collective's host cost is one park per rank and no goroutine: every
-// task of every submodule is a step-driven helper, and the segment pipeline
-// is a routine the rank lends its process to, as the barrier is.
+// task of every submodule is a step-driven helper — the GPU level's and the
+// PCIe stagings, and a single-node world's composed allreduce, too — and
+// the segment pipeline is a routine the rank lends its process to, as the
+// barrier is.
 func TestCollectivesParkOncePerRankAndStartNoGoroutine(t *testing.T) {
 	const segs = 4
-	spec := cluster.Mini(4, 4)
+	type call func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error
+	barrier := func(h *HAN, p *mpi.Proc, _ mpi.Buf, _ Config) error { h.W.World().Barrier(p); return nil }
+	bcast := func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error { return h.Bcast(p, buf, 0, cfg) }
+	allreduce := func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
+		return h.Allreduce(p, buf, buf, mpi.OpSum, mpi.Float64, cfg)
+	}
+	type row struct {
+		name  string
+		spec  cluster.Spec
+		cfg   Config
+		calls []call // a rank parks once in each
+	}
+	var rows []row
 	for _, imod := range InterNames() {
 		for _, smod := range IntraNames() {
 			cfg := stepCfg()
 			cfg.IMod, cfg.SMod, cfg.IBAlg, cfg.IRAlg = imod, smod, coll.AlgBinomial, coll.AlgBinomial
-			eng := sim.New()
-			w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-			h := New(w)
-			w.Start(func(p *mpi.Proc) {
-				buf := mpi.Phantom(segs * cfg.FS)
-				w.World().Barrier(p)
-				if err := h.Bcast(p, buf, 0, cfg); err != nil {
-					t.Errorf("rank %d: %v", p.Rank, err)
+			rows = append(rows, row{imod + "/" + smod, cluster.Mini(4, 4), cfg, []call{barrier, bcast, barrier, allreduce}})
+		}
+	}
+	rows = append(rows,
+		row{"BcastGPU", gpuSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
+			return h.BcastGPU(p, buf, 0, cfg)
+		}}},
+		row{"AllreduceGPU", gpuSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
+			return h.AllreduceGPU(p, buf, buf, mpi.OpSum, mpi.Float64, cfg)
+		}}},
+		row{"Allreduce3", numaSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
+			return h.Allreduce3(p, buf, buf, mpi.OpSum, mpi.Float64, cfg)
+		}}},
+	)
+	for _, smod := range IntraNames() {
+		cfg := stepCfg()
+		cfg.SMod = smod
+		rows = append(rows, row{"single-node/" + smod, cluster.Mini(1, 8), cfg, []call{allreduce}})
+	}
+	for _, r := range rows {
+		eng := sim.New()
+		w := mpi.NewWorld(cluster.NewMachine(eng, r.spec), mpi.OpenMPI())
+		h := New(w)
+		w.Start(func(p *mpi.Proc) {
+			buf := mpi.Phantom(segs * r.cfg.FS)
+			for _, c := range r.calls {
+				var fb *FallbackError
+				if err := c(h, p, buf, r.cfg); err != nil && !errors.As(err, &fb) {
+					t.Errorf("%s: rank %d: %v", r.name, p.Rank, err)
 				}
-				w.World().Barrier(p)
-				if err := h.Allreduce(p, buf, buf, mpi.OpSum, mpi.Float64, cfg); err != nil {
-					t.Errorf("rank %d: %v", p.Rank, err)
-				}
-			})
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
 			}
-			ranks := uint64(spec.Ranks())
-			if got := eng.Goroutines(); got != ranks {
-				t.Errorf("%s/%s: %d goroutines started, want the %d ranks'", imod, smod, got, ranks)
-			}
-			if got := eng.Parks(); got != 4*ranks {
-				t.Errorf("%s/%s: %d parks, want %d: one per rank per barrier and per collective", imod, smod, got, 4*ranks)
-			}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ranks := uint64(r.spec.Ranks())
+		if got := eng.Goroutines(); got != ranks {
+			t.Errorf("%s: %d goroutines started, want the %d ranks'", r.name, got, ranks)
+		}
+		if got, want := eng.Parks(), uint64(len(r.calls))*ranks; got != want {
+			t.Errorf("%s: %d parks, want %d: one per rank per barrier and per collective", r.name, got, want)
 		}
 	}
 }
