@@ -37,9 +37,9 @@ race:
 	$(GO) test -race ./...
 
 ci: build lint race
-	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
+	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
-	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/coll/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI
