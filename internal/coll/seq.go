@@ -187,7 +187,8 @@ func (s *seqRun) pcie(n int) {
 	}
 }
 
-// waitFlag waits for a flag.
+// waitFlag is poll without the propagation latency, which the GPU module
+// does not model.
 func (s *seqRun) waitFlag(f flag) { s.add(seqStep{kind: seqWait, arg: int32(f)}) }
 
 // poll waits for a flag, then pays the latency of its propagation.
