@@ -19,12 +19,12 @@ import (
 // and of Comm.Barrier bit for bit. The values were recorded while each
 // operation's helper was a goroutine whose straight-line body parked once
 // per modelled cost, and the barrier a loop of twelve blocking waits; they
-// are the contract the step-driven forms keep. Each row holds math.Float64bits of the completion
-// time, an FNV-1a hash over every rank's own return time in rank order, and
-// an FNV-1a hash over the trace event stream (the "copy" send/deliver pairs
-// of the cross-rank copies) in record order. CI runs the file a second time
-// under HAN_ARENA_DEBUG=1. On a mismatch the failure prints the row in table
-// syntax.
+// are the contract the step-driven forms keep. Each row holds
+// math.Float64bits of the completion time, an FNV-1a hash over every rank's
+// own return time in rank order, and an FNV-1a hash over the trace event
+// stream (the "copy" send/deliver pairs of the cross-rank copies) in record
+// order. CI runs the file a second time under HAN_ARENA_DEBUG=1. On a
+// mismatch the failure prints the row in table syntax.
 
 type shmBits struct{ end, ranks, trace uint64 }
 
@@ -129,9 +129,9 @@ var goldenShmMods = []struct {
 var goldenShmSizes = []int{1 << 10, 256 << 10, 2 << 20}
 
 // goldenShm maps "module/op/root/spec" — "cuda/d2h/gpu" and "cuda/h2d/gpu"
-// for the stagings — to the bits at each of goldenShmSizes. Every rank runs the operation on its node communicator,
-// ranks entering a microsecond apart in local-rank order, so all four nodes
-// run it side by side.
+// for the stagings — to the bits at each of goldenShmSizes. Every rank runs
+// the operation on its node communicator, ranks entering a microsecond apart
+// in local-rank order, so all nodes run it side by side.
 var goldenShm = map[string][3]shmBits{
 	"sm/bcast/0/mini":       {{0x3ed27ae80ed8c712, 0xbb6a7ccd920d5345, 0x628c47655d6a98e5}, {0x3f315579147a1bb6, 0x17a673fda620fcb5, 0x240432ef44ed3511}, {0x3f6159aad2624931, 0x20257859748792e5, 0x61e6ba8278c46901}},
 	"sm/bcast/0/numa":       {{0x3ee2860076896027, 0x7178cdd4670d74d5, 0x7334d2980229b08d}, {0x3f478447bf78edf1, 0xac56104ecc631a6d, 0xcfcd54c9ee51cd01}, {0x3f777365efe59d46, 0xd22a9e28085b7ef5, 0xa1ba7d2ec3d85bd9}},
