@@ -196,10 +196,13 @@ func (b Base) Iscatter(*mpi.Proc, *mpi.Comm, mpi.Buf, mpi.Buf, int, Params) *mpi
 
 // thenBcast is the second stage of the composed operations: a helper that
 // waits for first to leave its result in rank 0's rbuf, then issues mod's
-// broadcast of it and waits for that.
+// broadcast of it and waits for that. first, which the rank started, is the
+// helper's operand 0, so it is placed before any step adds an operand.
 func (b *Base) thenBcast(p *mpi.Proc, name string, first *mpi.Request, mod Module, c *mpi.Comm, rbuf mpi.Buf) *mpi.Request {
 	s := b.newSeq(c, nil, 3)
-	s.after(first)
+	s.args = append(s.args, p2pArg{})
+	s.reqs = append(s.reqs, first)
+	s.wait(0, 1)
 	s.wait(s.ibcast(mod, rbuf, 0), 1)
 	return s.start(p, name)
 }

@@ -227,14 +227,6 @@ func (s *seqRun) ibcast(mod Module, buf mpi.Buf, root int) int {
 	return i
 }
 
-// after makes req, a request started before the helper, its first operand,
-// and waits for it: it must come before any other.
-func (s *seqRun) after(req *mpi.Request) {
-	s.args = append(s.args, p2pArg{})
-	s.reqs = append(s.reqs, req)
-	s.wait(0, 1)
-}
-
 // wait blocks until requests i to i+n-1 are all complete, in one park.
 func (s *seqRun) wait(i, n int) { s.add(seqStep{kind: seqWaitReq, arg: int32(i), n: uint8(n)}) }
 
