@@ -85,7 +85,8 @@ fuzz:
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the
 # checked-in critical-path report, the small-scale paper figures
-# EXPERIMENTS.md quotes, and the markdown link checker. Regenerate goldens
+# EXPERIMENTS.md quotes, the examples that check their own results (each
+# exits non-zero on a wrong one), and the markdown link checker. Regenerate goldens
 # with `go test ./internal/bench -run Goldens -update`, and the figures with
 # `make results`. The mid-scale figures (about 105 s on 2 vCPUs) are diffed
 # by CI's push-only `results-mid` job.
@@ -97,6 +98,7 @@ docs:
 	$(GO) run ./cmd/hantrace critpath -op bcast -size 4194304 -machine mini -nodes 4 -ppn 4 -fs 524288 -seed 1 > bin/fig2.txt
 	tail -n +2 results/critpath-fig2.txt | diff - bin/fig2.txt
 	$(GO) run ./cmd/hanexp -all -scale small | diff - results/hanexp-small.txt
+	for ex in gpu quickstart recovery tuning; do $(GO) run ./examples/$$ex > /dev/null || exit 1; done
 	$(GO) test -count=1 ./internal/docs/
 
 # The paper figures at the two reduced scales, as EXPERIMENTS.md quotes them.

@@ -569,7 +569,8 @@ func AblateLevels(sc Scale) {
 	for _, m := range sc.Large {
 		cfg := han.DefaultDecision(coll.Bcast, m)
 		two := bench.Once(spec, coll.Bcast, m, cfg)
-		three := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) { h.Bcast3(p, mpi.Phantom(m), 0, cfg) })
+		cfg.Levels = han.LevelsSocket
+		three := bench.Once(spec, coll.Bcast, m, cfg)
 		fmt.Printf("%-10s%16.1f%16.1f%9.2fx\n", han.SizeString(m), two*1e6, three*1e6, two/three)
 	}
 	fmt.Println("\nExpected shape: the socket-aware hierarchy wins once payloads saturate the")
@@ -661,12 +662,19 @@ func AblateGPU(sc Scale) {
 	fmt.Printf("%-10s%18s%18s%10s\n", "size", "pipelined µs", "naive staging µs", "gain")
 	for _, m := range sc.Large {
 		cfg := han.DefaultDecision(coll.Bcast, m)
-		piped := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) {
-			h.BcastGPU(p, mpi.Phantom(m), 0, cfg)
-		})
-		naive := onGoroutines(spec, func(h *han.HAN, p *mpi.Proc) {
+		// The naive column is the one rank program of the ablations whose
+		// ranks are goroutines (mpi.World.Start): its hand-written waits —
+		// the whole message down over PCIe at the root, a host Bcast, the
+		// whole message up at every leader, an NVLink broadcast per node —
+		// are not a stage table, and expressing them as one moves the
+		// column's bits, which waits for ROADMAP item 1's checks. Every
+		// helper it issues, the stagings' included, is a step program.
+		eng := sim.New()
+		w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
+		h := han.New(w)
+		var end sim.Time
+		w.Start(func(p *mpi.Proc) {
 			cuda := h.Mods.CUDA
-			node := h.W.NodeComm(p.Node())
 			if p.Rank == 0 {
 				p.Wait(cuda.D2H(p, m))
 			}
@@ -674,34 +682,19 @@ func AblateGPU(sc Scale) {
 			if h.W.Mach.IsNodeLeader(p.Rank) {
 				p.Wait(cuda.H2D(p, m))
 			}
-			p.Wait(cuda.Ibcast(p, node, mpi.Phantom(m), 0, coll.Params{}))
+			p.Wait(cuda.Ibcast(p, h.W.NodeComm(p.Node()), mpi.Phantom(m), 0, coll.Params{}))
+			end = max(end, p.Now())
 		})
+		if err := eng.Run(); err != nil {
+			panic(err)
+		}
+		naive := float64(end)
+		cfg.Levels = han.LevelsGPU
+		piped := bench.Once(spec, coll.Bcast, m, cfg)
 		fmt.Printf("%-10s%18.1f%18.1f%9.2fx\n", han.SizeString(m), piped*1e6, naive*1e6, naive/piped)
 	}
 	fmt.Println("\nExpected shape: integrating the GPU level into the task pipeline hides the")
 	fmt.Println("PCIe stagings behind the inter-node transfers; the naive approach serialises them.")
-}
-
-// onGoroutines runs body on every rank of a new world of spec on Open MPI's
-// P2P layer, each rank a goroutine (mpi.World.Start), and returns when the
-// last rank came out of it. It is for the rank programs that have no step
-// form: Bcast3, BcastGPU and the hand-written waits of the naive GPU
-// staging. Only the ranks are goroutines: every helper they issue, the
-// stagings' included, is a step program. A two-level collective on the
-// world takes bench.Once's routines instead.
-func onGoroutines(spec cluster.Spec, body func(h *han.HAN, p *mpi.Proc)) float64 {
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	var end sim.Time
-	w.Start(func(p *mpi.Proc) {
-		body(h, p)
-		end = max(end, p.Now())
-	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return float64(end)
 }
 
 // AblateNoise injects latency jitter (system noise) and compares how HAN

@@ -34,7 +34,7 @@ func main() {
 		vals := []float64{float64(p.Rank), 1}
 		sbuf := mpi.Bytes(mpi.EncodeFloat64s(vals))
 		rbuf := mpi.Bytes(make([]byte, sbuf.N))
-		h.AllreduceGPU(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, han.Config{FS: 8})
+		h.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, han.Config{FS: 8, Levels: han.LevelsGPU})
 		got := mpi.DecodeFloat64s(rbuf.B)
 		if got[0] != float64(ranks*(ranks-1))/2 || got[1] != float64(ranks) {
 			log.Fatalf("rank %d: wrong allreduce result %v", p.Rank, got)
@@ -49,8 +49,10 @@ func main() {
 	fmt.Printf("%-8s%18s%20s%8s\n", "size", "HAN BcastGPU µs", "naive staging µs", "gain")
 	for _, m := range []int{1 << 20, 16 << 20, 64 << 20} {
 		cfg := han.DefaultDecision(coll.Bcast, m)
+		gpu := cfg
+		gpu.Levels = han.LevelsGPU
 		piped := timeRun(spec, func(h *han.HAN, p *mpi.Proc) {
-			h.BcastGPU(p, mpi.Phantom(m), 0, cfg)
+			h.Bcast(p, mpi.Phantom(m), 0, gpu)
 		})
 		naive := timeRun(spec, func(h *han.HAN, p *mpi.Proc) {
 			cuda := h.Mods.CUDA

@@ -487,11 +487,11 @@ func Load(path string) (*Table, error) {
 		return nil, fmt.Errorf("autotune: parse table %s: %w", path, err)
 	}
 	for _, e := range t.Entries {
-		if c := e.Cfg; c.Top != "" || c.SBMod != "" {
+		if c := e.Cfg; c.Top != "" || c.SBMod != "" || c.Levels != "" {
 			// Outside Table II: no search sets them, and hand's wire frame
-			// cannot carry them, so it would serve the split stages instead.
+			// cannot carry them, so it would serve two split levels instead.
 			return nil, fmt.Errorf("autotune: table %s, entry %v: %w", path, e.In, &han.ConfigError{
-				Op: "Load", Param: "top/sbmod", Value: fmt.Sprintf("%q/%q (only the rivals set them)", c.Top, c.SBMod)})
+				Op: "Load", Param: "top/sbmod/levels", Value: fmt.Sprintf("%q/%q/%q (no search sets them)", c.Top, c.SBMod, c.Levels)})
 		}
 	}
 	sort.SliceStable(t.Entries, func(i, j int) bool { return t.Entries[i].In.M < t.Entries[j].In.M })

@@ -245,7 +245,7 @@ func TestTableSaveLoadDecide(t *testing.T) {
 		t.Error("fallback decision empty")
 	}
 	// The fields outside Table II do not load: hand could not serve them.
-	for _, cfg := range []han.Config{{FS: 4 << 10, Top: han.TopFused}, {FS: 4 << 10, SBMod: "sm"}} {
+	for _, cfg := range []han.Config{{FS: 4 << 10, Top: han.TopFused}, {FS: 4 << 10, SBMod: "sm"}, {FS: 4 << 10, Levels: han.LevelsGPU}} {
 		table.Entries[0].Cfg = cfg
 		if err := table.Save(path); err != nil {
 			t.Fatal(err)

@@ -24,6 +24,21 @@ import (
 // and on the other ranks sr(0..2), sbsr(3..u-1), sb(u-3..u-1). On a
 // single-node world the segments go through the intra-node allreduce
 // alone, with a note.
+//
+// cfg.Levels widens the hierarchy as it does Bcast's. LevelsSocket runs a
+// six-stage pipeline over socket, node and inter-node:
+//
+//	step t:  sr(t), nr(t-1), ir(t-2), ib(t-3), nb(t-4), sb(t-5)
+//
+// and is Allreduce on a single-socket machine. LevelsGPU reduces
+// GPU-resident buffers: an NVLink reduction per node, host staging on the
+// leaders, the split ir/ib inter-node exchange, and an NVLink broadcast —
+// six pipelined stages per segment:
+//
+//	step t:  gr(t), d2h(t-1), ir(t-2), ib(t-3), h2d(t-4), gb(t-5)
+//
+// On a machine without GPUs it runs Allreduce and returns a *FallbackError
+// note.
 func (h *HAN) Allreduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
 	return h.collective(p, &call{span: "han.Allreduce", kind: coll.Allreduce, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
 }
@@ -49,27 +64,4 @@ func (h *HAN) AllreduceComm(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi
 		return h.Allreduce(p, sbuf, rbuf, op, dt, cfg)
 	}
 	return h.collective(p, &call{span: "han.AllreduceComm", kind: coll.Allreduce, comm: c, src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
-}
-
-// Allreduce3 is the three-level allreduce (socket, node, inter-node; see
-// Bcast3) with a six-stage pipeline:
-//
-//	step t:  sr(t), nr(t-1), ir(t-2), ib(t-3), nb(t-4), sb(t-5)
-//
-// On a single-socket machine it is Allreduce.
-func (h *HAN) Allreduce3(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
-	return h.collective(p, &call{span: "han.Allreduce3", kind: coll.Allreduce, shape: threeLevel, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
-}
-
-// AllreduceGPU reduces GPU-resident buffers across the whole world (see
-// BcastGPU): an NVLink reduction per node, host staging on the leaders,
-// the split ir/ib inter-node exchange, and an NVLink broadcast — six
-// pipelined stages per segment:
-//
-//	step t:  gr(t), d2h(t-1), ir(t-2), ib(t-3), h2d(t-4), gb(t-5)
-//
-// On a machine without GPUs it degrades to Allreduce and returns a
-// *FallbackError note.
-func (h *HAN) AllreduceGPU(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
-	return h.collective(p, &call{span: "han.AllreduceGPU", kind: coll.Allreduce, shape: gpuLevel, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt}, &cfg)
 }

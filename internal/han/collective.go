@@ -12,7 +12,7 @@ import (
 // call and applies the failure policy, the level-list builder, and the
 // degradations taken when the hierarchy is unusable.
 
-// shape selects the hierarchy a collective asks for.
+// shape selects the hierarchy a collective asks for (Config.Levels).
 type shape uint8
 
 const (
@@ -20,6 +20,20 @@ const (
 	threeLevel              // socket, node, inter-node
 	gpuLevel                // GPUs over NVLink, inter-node, PCIe between them
 )
+
+// shapeOf returns the hierarchy a Config.Levels value asks for, and false
+// for a value that names none.
+func shapeOf(levels string) (shape, bool) {
+	switch levels {
+	case "":
+		return twoLevel, true
+	case LevelsSocket:
+		return threeLevel, true
+	case LevelsGPU:
+		return gpuLevel, true
+	}
+	return twoLevel, false
+}
 
 // call is one collective invocation as the shared prologue sees it.
 type call struct {
@@ -43,16 +57,17 @@ type call struct {
 func (cl *call) name() string { return cl.span[len("han."):] }
 
 // Call is one collective call on one rank, as a routine (sim.Stepper): the
-// prologue on its first Step — buffer validation, the no-op cases,
-// degradation of a three-level or GPU request the machine or root cannot
-// serve, the failure policy at entry, configuration, the trace span and
-// watchdog registration, the level list and stage table — then the waits the
-// call blocks in, one Step each time one completes, and on its last Step the
-// epilogue that closes what the prologue opened. It lives in the calling
-// rank's slot of the HAN instance, so a call allocates nothing and a rank
-// needs no stack to be inside one: a rank that is itself a routine
-// (mpi.World.StartSteps) runs the Call as a phase, a goroutine rank lends it
-// its process (collective). Err holds what the entry point returns.
+// prologue on its first Step — the hierarchy cfg.Levels asks for, buffer
+// validation, the no-op cases, degradation of a three-level or GPU request
+// the machine or root cannot serve, the failure policy at entry,
+// configuration, the trace span and watchdog registration, the level list
+// and stage table — then the waits the call blocks in, one Step each time
+// one completes, and on its last Step the epilogue that closes what the
+// prologue opened. It lives in the calling rank's slot of the HAN instance,
+// so a call allocates nothing and a rank needs no stack to be inside one: a
+// rank that is itself a routine (mpi.World.StartSteps) runs the Call as a
+// phase, a goroutine rank lends it its process (collective). Err holds what
+// the entry point returns.
 type Call struct {
 	cl  call
 	cfg Config
@@ -89,25 +104,31 @@ const (
 	callTable                    // the stage table, and what follows it
 )
 
-// spans names the world collective of each kind.
-var spans = [...]string{
-	coll.Bcast:     "han.Bcast",
-	coll.Reduce:    "han.Reduce",
-	coll.Allreduce: "han.Allreduce",
-	coll.Gather:    "han.Gather",
-	coll.Allgather: "han.Allgather",
-	coll.Scatter:   "han.Scatter",
+// spans names the world collective of each kind over each hierarchy; a
+// kind a wider hierarchy has no name for runs over two levels only.
+var spans = [...][coll.Scatter + 1]string{
+	twoLevel: {
+		coll.Bcast:     "han.Bcast",
+		coll.Reduce:    "han.Reduce",
+		coll.Allreduce: "han.Allreduce",
+		coll.Gather:    "han.Gather",
+		coll.Allgather: "han.Allgather",
+		coll.Scatter:   "han.Scatter",
+	},
+	threeLevel: {coll.Bcast: "han.Bcast3", coll.Allreduce: "han.Allreduce3"},
+	gpuLevel:   {coll.Bcast: "han.BcastGPU", coll.Allreduce: "han.AllreduceGPU"},
 }
 
-// Start begins the two-level world collective of the given kind on rank p —
-// what Bcast, Reduce, Allreduce, Gather, Allgather and Scatter run, with
-// their buffers (a Bcast's in rbuf) and their notes and errors in Err — and
-// returns it as a routine for a rank without a goroutine to run as a phase:
-// it calls Step from its own Step until that reports done, and Unwind from
-// its own if it is killed before. Nothing is simulated before the first
-// Step. The Call is the rank's slot: it is good until the rank's next call.
+// Start begins the world collective of the given kind on rank p — what
+// Bcast, Reduce, Allreduce, Gather, Allgather and Scatter run, over the
+// hierarchy cfg.Levels names, with their buffers (a Bcast's in rbuf) and
+// their notes and errors in Err — and returns it as a routine for a rank
+// without a goroutine to run as a phase: it calls Step from its own Step
+// until that reports done, and Unwind from its own if it is killed before.
+// Nothing is simulated before the first Step. The Call is the rank's slot:
+// it is good until the rank's next call.
 func (h *HAN) Start(p *mpi.Proc, kind coll.Kind, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, cfg Config) *Call {
-	return h.start(p, &call{span: spans[kind], kind: kind, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt, root: root}, &cfg)
+	return h.start(p, &call{span: spans[twoLevel][kind], kind: kind, comm: h.W.World(), src: sbuf, dst: rbuf, op: op, dt: dt, root: root}, &cfg)
 }
 
 // start puts a call into the rank's slot.
@@ -189,6 +210,9 @@ func (c *Call) Step(sp *sim.Proc) bool {
 func (c *Call) enter() (done bool) {
 	cl, pl := &c.cl, &c.pl
 	h, p := pl.h, pl.p
+	if err := cl.widen(c.cfg.Levels, h.W); err != nil {
+		return c.finish(err)
+	}
 	n, err := cl.share(p)
 	if err != nil {
 		return c.finish(err)
@@ -320,6 +344,22 @@ func (cl *call) trivial() bool {
 	return true
 }
 
+// widen takes the hierarchy levels names: a world broadcast or allreduce
+// asked for a wider one runs under that hierarchy's name. Asking any other
+// call for more levels is a *ConfigError, as it would otherwise run two;
+// resolve rejects a value that names no hierarchy.
+func (cl *call) widen(levels string, w *mpi.World) error {
+	s, _ := shapeOf(levels)
+	if s == twoLevel {
+		return nil
+	}
+	if spans[s][cl.kind] == "" || cl.comm != w.World() {
+		return &ConfigError{Op: cl.name(), Param: "levels", Value: fmt.Sprintf("%q (%s runs two levels)", levels, cl.name())}
+	}
+	cl.shape, cl.span = s, spans[s][cl.kind]
+	return nil
+}
+
 // degrade rewrites a call for a wider hierarchy the machine or the root
 // cannot serve into the two-level collective, under that collective's
 // name. It returns the entry point that was asked for and, when the caller
@@ -340,10 +380,7 @@ func (cl *call) degrade(w *mpi.World) (asked, reason string) {
 		return "", ""
 	}
 	asked = cl.name()
-	cl.shape, cl.span = twoLevel, "han.Bcast"
-	if cl.kind == coll.Allreduce {
-		cl.span = "han.Allreduce"
-	}
+	cl.shape, cl.span = twoLevel, spans[twoLevel][cl.kind]
 	return asked, reason
 }
 

@@ -313,7 +313,7 @@ func TestEveryEntryPointAppliesFailurePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := numaSpec(3, 4) // Bcast3/Allreduce3 run three levels here
+	spec := numaSpec(3, 4) // the LevelsSocket rows run three levels here
 	for _, policy := range []FailPolicy{Abort, Shrink} {
 		for _, ep := range entryPoints {
 			t.Run(policy.String()+"/"+ep.name, func(t *testing.T) {

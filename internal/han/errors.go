@@ -40,7 +40,7 @@ func (e *BufferSizeError) Error() string {
 // diagnosable error instead of killing the simulation.
 type ConfigError struct {
 	Op    string // the entry point that rejected the configuration
-	Param string // the offending Config field ("imod", "smod", "sbmod", "top", "fs")
+	Param string // the offending Config field ("imod", "smod", "sbmod", "top", "levels", "fs")
 	Value string // the rejected value, already formatted
 }
 

@@ -66,6 +66,12 @@ func goldenRun(t *testing.T, spec cluster.Spec, body func(h *han.HAN, p *mpi.Pro
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return goldenBits(eng, done)
+}
+
+// goldenBits is the row of a run that has ended: the clock bits, and the
+// hash of every rank's return time in rank order.
+func goldenBits(eng *sim.Engine, done []sim.Time) goldenRow {
 	hash := fnv.New64a()
 	var b [8]byte
 	for _, d := range done {
@@ -96,111 +102,240 @@ func inSub(r int) bool {
 	return false
 }
 
+// goldenCall is one collective call of a golden row, on every rank: kind,
+// configuration and root, over n bytes — a block collective's n is the
+// rank's block — on the world, or with sub on the sub-communicator of
+// subMembers (BcastComm, AllreduceComm), which the other ranks skip.
+type goldenCall struct {
+	kind coll.Kind
+	cfg  han.Config
+	root int
+	n    int
+	sub  bool
+}
+
 type goldenCase struct {
-	name string
-	spec cluster.Spec
-	body func(h *han.HAN, p *mpi.Proc)
+	name  string
+	spec  cluster.Spec
+	calls []goldenCall
+}
+
+// real reports whether the call carries real bytes: the block rows of up to
+// 1 KiB do, and every block is checked where it lands; the others are
+// phantom, as IMB passes them.
+func (gc *goldenCall) real() bool {
+	return gc.kind >= coll.Gather && gc.n <= 1<<10
+}
+
+// buffers returns rank p's send and receive buffers. A real call passes
+// empty the buffers MPI calls insignificant: a non-root's rbuf in Gather,
+// its sbuf in Scatter.
+func (gc *goldenCall) buffers(p *mpi.Proc, size int) (sbuf, rbuf mpi.Buf) {
+	n := gc.n
+	switch k := gc.kind; {
+	case k == coll.Bcast:
+		return mpi.Buf{}, mpi.Phantom(n)
+	case !gc.real():
+		sbuf, rbuf = mpi.Phantom(n), mpi.Phantom(n)
+		if k == coll.Scatter {
+			sbuf.N *= size
+		} else if k != coll.Reduce && k != coll.Allreduce {
+			rbuf.N *= size
+		}
+		return sbuf, rbuf
+	case k == coll.Scatter:
+		if p.Rank == gc.root {
+			var all []byte
+			for r := 0; r < size; r++ {
+				all = append(all, rankBlock(n, r)...)
+			}
+			sbuf = mpi.Bytes(all)
+		}
+		return sbuf, mpi.Bytes(make([]byte, n))
+	case k == coll.Gather && p.Rank != gc.root:
+		return mpi.Bytes(rankBlock(n, p.Rank)), mpi.Buf{}
+	}
+	return mpi.Bytes(rankBlock(n, p.Rank)), mpi.Bytes(make([]byte, size*n))
+}
+
+// check fails the test on a real block that did not land where it belongs.
+func (gc *goldenCall) check(t *testing.T, p *mpi.Proc, rbuf mpi.Buf) {
+	if !gc.real() {
+		return
+	}
+	n := gc.n
+	if gc.kind == coll.Scatter {
+		if !bytes.Equal(rbuf.B, rankBlock(n, p.Rank)) {
+			t.Errorf("Scatter from %d: rank %d got the wrong block", gc.root, p.Rank)
+		}
+		return
+	}
+	if gc.kind == coll.Gather && p.Rank != gc.root {
+		return
+	}
+	for r := 0; r < len(rbuf.B)/n; r++ {
+		if !bytes.Equal(rbuf.B[r*n:(r+1)*n], rankBlock(n, r)) {
+			t.Errorf("%v: block %d wrong on rank %d", gc.kind, r, p.Rank)
+		}
+	}
+}
+
+// sub returns the row's sub-communicator.
+func sub(h *han.HAN) *mpi.Comm { return h.W.World().Sub("golden:sub", subMembers) }
+
+// call runs the call through its blocking entry point.
+func (gc *goldenCall) call(h *han.HAN, p *mpi.Proc, sbuf, rbuf mpi.Buf) error {
+	switch {
+	case gc.sub && gc.kind == coll.Bcast:
+		return h.BcastComm(p, sub(h), rbuf, gc.root, gc.cfg)
+	case gc.sub:
+		return h.AllreduceComm(p, sub(h), sbuf, rbuf, mpi.OpSum, mpi.Float64, gc.cfg)
+	}
+	switch gc.kind {
+	case coll.Bcast:
+		return h.Bcast(p, rbuf, gc.root, gc.cfg)
+	case coll.Reduce:
+		return h.Reduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, gc.root, gc.cfg)
+	case coll.Allreduce:
+		return h.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, gc.cfg)
+	case coll.Gather:
+		return h.Gather(p, sbuf, rbuf, gc.root, gc.cfg)
+	case coll.Scatter:
+		return h.Scatter(p, sbuf, rbuf, gc.root, gc.cfg)
+	}
+	return h.Allgather(p, sbuf, rbuf, gc.cfg)
+}
+
+// start begins the call as a routine (han.HAN.Start).
+func (gc *goldenCall) start(h *han.HAN, p *mpi.Proc, sbuf, rbuf mpi.Buf) *han.Call {
+	if gc.sub {
+		return h.StartComm(p, sub(h), gc.kind, sbuf, rbuf, gc.root, gc.cfg)
+	}
+	return h.Start(p, gc.kind, sbuf, rbuf, mpi.OpSum, mpi.Float64, gc.root, gc.cfg)
+}
+
+// onGoroutine runs the row's calls on goroutine rank p, one after the other.
+func (c *goldenCase) onGoroutine(t *testing.T, h *han.HAN, p *mpi.Proc) {
+	for i := range c.calls {
+		gc := &c.calls[i]
+		if gc.sub && !inSub(p.Rank) {
+			continue
+		}
+		sbuf, rbuf := gc.buffers(p, h.W.Size())
+		note(t, p, gc.call(h, p, sbuf, rbuf))
+		gc.check(t, p, rbuf)
+	}
+}
+
+// goldenSteps is a rank of a golden row that is a routine
+// (mpi.World.StartSteps): the row's calls one after the other, each a phase.
+type goldenSteps struct {
+	t          *testing.T
+	h          *han.HAN
+	p          *mpi.Proc
+	calls      []goldenCall
+	i          int
+	call       *han.Call
+	sbuf, rbuf mpi.Buf
+	done       *sim.Time
+}
+
+func (r *goldenSteps) Step(sp *sim.Proc) bool {
+	for ; r.i < len(r.calls); r.i++ {
+		gc := &r.calls[r.i]
+		if gc.sub && !inSub(r.p.Rank) {
+			continue
+		}
+		if r.call == nil {
+			r.sbuf, r.rbuf = gc.buffers(r.p, r.h.W.Size())
+			r.call = gc.start(r.h, r.p, r.sbuf, r.rbuf)
+		}
+		if !r.call.Step(sp) {
+			return false
+		}
+		note(r.t, r.p, r.call.Err())
+		gc.check(r.t, r.p, r.rbuf)
+		r.call = nil
+	}
+	*r.done = sp.Now()
+	return true
+}
+
+func (r *goldenSteps) Unwind(sp *sim.Proc) {
+	if r.call != nil {
+		r.call.Unwind(sp)
+	}
+}
+
+// levels returns cfg over the hierarchy l.
+func levels(cfg han.Config, l string) han.Config {
+	cfg.Levels = l
+	return cfg
 }
 
 // goldenCases enumerates entry point x {1, 8 segments} x roots. Rooted
 // operations run from rank 0, from a node leader that is not rank 0, and
-// from a non-leader (where the three-level and GPU forms degrade).
-func goldenCases(t *testing.T) []goldenCase {
+// from a non-leader (where the three-level and GPU forms degrade). A row's
+// name keeps the entry point it was recorded through: Bcast3 and Allreduce3
+// are LevelsSocket, BcastGPU and AllreduceGPU LevelsGPU.
+func goldenCases() []goldenCase {
 	mini, numa, gpu := cluster.Mini(4, 4), han.NumaSpec(4, 8), han.GPUSpec(4, 8)
-	ph := func() mpi.Buf { return mpi.Phantom(goldenBytes) }
 	var cases []goldenCase
-	add := func(name string, spec cluster.Spec, body func(h *han.HAN, p *mpi.Proc)) {
-		cases = append(cases, goldenCase{name, spec, body})
+	add := func(name string, spec cluster.Spec, calls ...goldenCall) {
+		cases = append(cases, goldenCase{name, spec, calls})
 	}
 	for _, segs := range []int{1, 8} {
 		cfg := goldenCfg(segs)
-		for _, spec := range []struct {
+		for _, row := range []struct {
 			op   string
 			spec cluster.Spec
-			fn   func(h *han.HAN, p *mpi.Proc, root int) error
+			kind coll.Kind
+			cfg  han.Config
 		}{
-			{"Bcast", mini, func(h *han.HAN, p *mpi.Proc, root int) error { return h.Bcast(p, ph(), root, cfg) }},
-			{"Bcast3", numa, func(h *han.HAN, p *mpi.Proc, root int) error { return h.Bcast3(p, ph(), root, cfg) }},
-			{"BcastGPU", gpu, func(h *han.HAN, p *mpi.Proc, root int) error { return h.BcastGPU(p, ph(), root, cfg) }},
-			{"Reduce", mini, func(h *han.HAN, p *mpi.Proc, root int) error {
-				return h.Reduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, root, cfg)
-			}},
+			{"Bcast", mini, coll.Bcast, cfg},
+			{"Bcast3", numa, coll.Bcast, levels(cfg, han.LevelsSocket)},
+			{"BcastGPU", gpu, coll.Bcast, levels(cfg, han.LevelsGPU)},
+			{"Reduce", mini, coll.Reduce, cfg},
 		} {
-			spec := spec
-			ppn := spec.spec.PPN
+			ppn := row.spec.PPN
 			for _, root := range []int{0, 2 * ppn, ppn + 1} {
-				root := root
-				add(fmt.Sprintf("%s/seg%d/root%d", spec.op, segs, root), spec.spec, func(h *han.HAN, p *mpi.Proc) {
-					note(t, p, spec.fn(h, p, root))
-				})
+				add(fmt.Sprintf("%s/seg%d/root%d", row.op, segs, root), row.spec, goldenCall{row.kind, row.cfg, root, goldenBytes, false})
 			}
 		}
 		// Comm roots are comm ranks: 0 and 2 lead their node groups, 3
 		// does not (flat tuned fallback).
 		for _, root := range []int{0, 2, 3} {
-			root := root
-			add(fmt.Sprintf("BcastComm/seg%d/root%d", segs, root), mini, func(h *han.HAN, p *mpi.Proc) {
-				if !inSub(p.Rank) {
-					return
-				}
-				c := h.W.World().Sub("golden:sub", subMembers)
-				note(t, p, h.BcastComm(p, c, ph(), root, cfg))
-			})
+			add(fmt.Sprintf("BcastComm/seg%d/root%d", segs, root), mini, goldenCall{coll.Bcast, cfg, root, goldenBytes, true})
 		}
-		add(fmt.Sprintf("Allreduce/seg%d", segs), mini, func(h *han.HAN, p *mpi.Proc) {
-			note(t, p, h.Allreduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, cfg))
-		})
-		add(fmt.Sprintf("AllreduceComm/seg%d", segs), mini, func(h *han.HAN, p *mpi.Proc) {
-			if !inSub(p.Rank) {
-				return
-			}
-			c := h.W.World().Sub("golden:sub", subMembers)
-			note(t, p, h.AllreduceComm(p, c, ph(), ph(), mpi.OpSum, mpi.Float64, cfg))
-		})
-		add(fmt.Sprintf("Allreduce3/seg%d", segs), numa, func(h *han.HAN, p *mpi.Proc) {
-			note(t, p, h.Allreduce3(p, ph(), ph(), mpi.OpSum, mpi.Float64, cfg))
-		})
-		add(fmt.Sprintf("AllreduceGPU/seg%d", segs), gpu, func(h *han.HAN, p *mpi.Proc) {
-			note(t, p, h.AllreduceGPU(p, ph(), ph(), mpi.OpSum, mpi.Float64, cfg))
-		})
+		add(fmt.Sprintf("Allreduce/seg%d", segs), mini, goldenCall{coll.Allreduce, cfg, 0, goldenBytes, false})
+		add(fmt.Sprintf("AllreduceComm/seg%d", segs), mini, goldenCall{coll.Allreduce, cfg, 0, goldenBytes, true})
+		add(fmt.Sprintf("Allreduce3/seg%d", segs), numa, goldenCall{coll.Allreduce, levels(cfg, han.LevelsSocket), 0, goldenBytes, false})
+		add(fmt.Sprintf("AllreduceGPU/seg%d", segs), gpu, goldenCall{coll.Allreduce, levels(cfg, han.LevelsGPU), 0, goldenBytes, false})
 	}
 	// Two collectives back to back on the default decision, so state a
 	// call leaves behind (sequence numbers, module rendezvous) is covered.
-	add("Default/BcastThenAllreduce", mini, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.Bcast(p, mpi.Phantom(3<<20), 5, han.Config{}))
-		note(t, p, h.Allreduce(p, mpi.Phantom(3<<20), mpi.Phantom(3<<20), mpi.OpSum, mpi.Float64, han.Config{}))
-	})
+	add("Default/BcastThenAllreduce", mini,
+		goldenCall{coll.Bcast, han.Config{}, 5, 3 << 20, false},
+		goldenCall{coll.Allreduce, han.Config{}, 0, 3 << 20, false})
 	// The other submodule pair, libnbc over solo, through the paths a step
 	// routine has to get right: the feed wait of a non-leader root inside a
-	// step, the final hop of a reduction, a three-level and a GPU call (whose
-	// PCIe helpers are goroutines beside the rank).
+	// step, the final hop of a reduction, a three-level and a GPU call.
 	nbc := goldenCfg(8)
 	nbc.IMod, nbc.SMod, nbc.IBAlg, nbc.IRAlg = "libnbc", "solo", coll.AlgBinomial, coll.AlgBinomial
-	add("Bcast/libnbc-solo/seg8/root0", mini, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.Bcast(p, ph(), 0, nbc)) })
-	add("Bcast/libnbc-solo/seg8/root5", mini, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.Bcast(p, ph(), 5, nbc)) })
-	add("Reduce/libnbc-solo/seg8/root5", mini, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.Reduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, 5, nbc))
-	})
-	add("Allreduce/libnbc-solo/seg8", mini, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.Allreduce(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
-	})
-	add("Allreduce3/libnbc-solo/seg8", numa, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.Allreduce3(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
-	})
-	add("BcastGPU/libnbc/seg8/root16", gpu, func(h *han.HAN, p *mpi.Proc) { note(t, p, h.BcastGPU(p, ph(), 16, nbc)) })
-	add("AllreduceGPU/libnbc/seg8", gpu, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.AllreduceGPU(p, ph(), ph(), mpi.OpSum, mpi.Float64, nbc))
-	})
+	add("Bcast/libnbc-solo/seg8/root0", mini, goldenCall{coll.Bcast, nbc, 0, goldenBytes, false})
+	add("Bcast/libnbc-solo/seg8/root5", mini, goldenCall{coll.Bcast, nbc, 5, goldenBytes, false})
+	add("Reduce/libnbc-solo/seg8/root5", mini, goldenCall{coll.Reduce, nbc, 5, goldenBytes, false})
+	add("Allreduce/libnbc-solo/seg8", mini, goldenCall{coll.Allreduce, nbc, 0, goldenBytes, false})
+	add("Allreduce3/libnbc-solo/seg8", numa, goldenCall{coll.Allreduce, levels(nbc, han.LevelsSocket), 0, goldenBytes, false})
+	add("BcastGPU/libnbc/seg8/root16", gpu, goldenCall{coll.Bcast, levels(nbc, han.LevelsGPU), 16, goldenBytes, false})
+	add("AllreduceGPU/libnbc/seg8", gpu, goldenCall{coll.Allreduce, levels(nbc, han.LevelsGPU), 0, goldenBytes, false})
 	// An intra-node latency above the cost of an ib makes a non-leader
 	// root's feed the bottleneck: the leader then waits for segment i's
 	// feed with sb(i-1) already in flight, which pins sbib's issue order.
 	slowFeed := mini
 	slowFeed.IntraLatency = 300e-6
-	add("Bcast/slowfeed/seg8/root5", slowFeed, func(h *han.HAN, p *mpi.Proc) {
-		note(t, p, h.Bcast(p, ph(), 5, goldenCfg(8)))
-	})
-	cases = append(cases, blockCases(t)...)
-	return cases
+	add("Bcast/slowfeed/seg8/root5", slowFeed, goldenCall{coll.Bcast, goldenCfg(8), 5, goldenBytes, false})
+	return append(cases, blockCases()...)
 }
 
 // rankBlock is the block world rank r contributes in the payload rows.
@@ -212,83 +347,21 @@ func rankBlock(blk, r int) []byte {
 	return b
 }
 
-// The block collectives move a block per rank. The 1 KiB rows carry real
-// bytes — every block is checked where it lands, and the buffers MPI calls
-// insignificant (a non-root's rbuf in Gather, its sbuf in Scatter) are
-// passed empty — the 256 KiB rows are phantom, as IMB passes them.
-func gatherBody(t *testing.T, blk, root int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
-	return func(h *han.HAN, p *mpi.Proc) {
-		n := h.W.Size()
-		if blk > 1<<10 {
-			note(t, p, h.Gather(p, mpi.Phantom(blk), mpi.Phantom(n*blk), root, cfg))
-			return
-		}
-		var rbuf mpi.Buf
-		if p.Rank == root {
-			rbuf = mpi.Bytes(make([]byte, n*blk))
-		}
-		note(t, p, h.Gather(p, mpi.Bytes(rankBlock(blk, p.Rank)), rbuf, root, cfg))
-		for r := 0; r < n && p.Rank == root; r++ {
-			if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], rankBlock(blk, r)) {
-				t.Errorf("Gather: block %d wrong at root %d", r, root)
-			}
-		}
-	}
-}
-
-func scatterBody(t *testing.T, blk, root int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
-	return func(h *han.HAN, p *mpi.Proc) {
-		n := h.W.Size()
-		if blk > 1<<10 {
-			note(t, p, h.Scatter(p, mpi.Phantom(n*blk), mpi.Phantom(blk), root, cfg))
-			return
-		}
-		var sbuf mpi.Buf
-		if p.Rank == root {
-			for r := 0; r < n; r++ {
-				sbuf.B = append(sbuf.B, rankBlock(blk, r)...)
-			}
-			sbuf.N = len(sbuf.B)
-		}
-		rbuf := mpi.Bytes(make([]byte, blk))
-		note(t, p, h.Scatter(p, sbuf, rbuf, root, cfg))
-		if !bytes.Equal(rbuf.B, rankBlock(blk, p.Rank)) {
-			t.Errorf("Scatter from %d: rank %d got the wrong block", root, p.Rank)
-		}
-	}
-}
-
-func allgatherBody(t *testing.T, blk int, cfg han.Config) func(h *han.HAN, p *mpi.Proc) {
-	return func(h *han.HAN, p *mpi.Proc) {
-		n := h.W.Size()
-		if blk > 1<<10 {
-			note(t, p, h.Allgather(p, mpi.Phantom(blk), mpi.Phantom(n*blk), cfg))
-			return
-		}
-		rbuf := mpi.Bytes(make([]byte, n*blk))
-		note(t, p, h.Allgather(p, mpi.Bytes(rankBlock(blk, p.Rank)), rbuf, cfg))
-		for r := 0; r < n; r++ {
-			if !bytes.Equal(rbuf.B[r*blk:(r+1)*blk], rankBlock(blk, r)) {
-				t.Errorf("Allgather: block %d wrong on rank %d", r, p.Rank)
-			}
-		}
-	}
-}
-
 // blockCases enumerates Gather, Scatter and Allgather over block size x
 // submodule pair x root on Mini(4,4) — adapt has no block collectives, so
 // its rows run the libnbc fallback — then the single-node world, the
-// one-rank world, and the three back to back on the default decision.
-func blockCases(t *testing.T) []goldenCase {
+// one-rank world, and the three back to back on the default decision. The
+// 1 KiB rows carry real bytes, the 256 KiB rows are phantom.
+func blockCases() []goldenCase {
 	mini := cluster.Mini(4, 4)
 	var cases []goldenCase
 	rooted := func(prefix string, spec cluster.Spec, blk int, roots []int, cfg han.Config) {
 		for _, root := range roots {
 			cases = append(cases,
-				goldenCase{fmt.Sprintf("Gather/%s/root%d", prefix, root), spec, gatherBody(t, blk, root, cfg)},
-				goldenCase{fmt.Sprintf("Scatter/%s/root%d", prefix, root), spec, scatterBody(t, blk, root, cfg)})
+				goldenCase{fmt.Sprintf("Gather/%s/root%d", prefix, root), spec, []goldenCall{{coll.Gather, cfg, root, blk, false}}},
+				goldenCase{fmt.Sprintf("Scatter/%s/root%d", prefix, root), spec, []goldenCall{{coll.Scatter, cfg, root, blk, false}}})
 		}
-		cases = append(cases, goldenCase{"Allgather/" + prefix, spec, allgatherBody(t, blk, cfg)})
+		cases = append(cases, goldenCase{"Allgather/" + prefix, spec, []goldenCall{{coll.Allgather, cfg, 0, blk, false}}})
 	}
 	for _, blk := range []int{1 << 10, 256 << 10} {
 		for _, imod := range han.InterNames() {
@@ -302,21 +375,49 @@ func blockCases(t *testing.T) []goldenCase {
 		rooted("onenode/"+smod, cluster.Mini(1, 4), 1<<10, []int{0, 2}, han.Config{SMod: smod})
 	}
 	rooted("onerank", cluster.Mini(1, 1), 1<<10, []int{0}, han.Config{})
-	cases = append(cases, goldenCase{"Default/GatherScatterAllgather", mini, func(h *han.HAN, p *mpi.Proc) {
-		gatherBody(t, 64<<10, 5, han.Config{})(h, p)
-		scatterBody(t, 64<<10, 9, han.Config{})(h, p)
-		allgatherBody(t, 64<<10, han.Config{})(h, p)
+	return append(cases, goldenCase{"Default/GatherScatterAllgather", mini, []goldenCall{
+		{coll.Gather, han.Config{}, 5, 64 << 10, false},
+		{coll.Scatter, han.Config{}, 9, 64 << 10, false},
+		{coll.Allgather, han.Config{}, 0, 64 << 10, false},
 	}})
-	return cases
 }
 
 func TestGoldenCollectiveBits(t *testing.T) {
-	for _, c := range goldenCases(t) {
-		c := c
+	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			got := goldenRun(t, c.spec, c.body)
+			got := goldenRun(t, c.spec, func(h *han.HAN, p *mpi.Proc) { c.onGoroutine(t, h, p) })
 			if want, ok := goldenCollectives[c.name]; !ok || got != want {
 				t.Errorf("sim bits moved (have golden: %v):\n\t%q: {%#x, %#x},", ok, c.name, got.end, got.ranks)
+			}
+		})
+	}
+}
+
+// The same rows on ranks that are routines (mpi.World.StartSteps), each call
+// a phase begun by han.HAN.Start, must hit the same bits: the wider
+// hierarchies and their degradations reach the step form through
+// Config.Levels.
+func TestGoldenCollectiveBitsOnStepRanks(t *testing.T) {
+	for _, c := range goldenCases() {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.New()
+			w := mpi.NewWorld(cluster.NewMachine(eng, c.spec), mpi.OpenMPI())
+			h := han.New(w)
+			done := make([]sim.Time, c.spec.Ranks())
+			ranks := make([]goldenSteps, c.spec.Ranks())
+			w.StartSteps(func(p *mpi.Proc) sim.Stepper {
+				ranks[p.Rank] = goldenSteps{t: t, h: h, p: p, calls: c.calls, done: &done[p.Rank]}
+				return &ranks[p.Rank]
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if eng.Goroutines() != 0 {
+				t.Errorf("%d goroutines started; the ranks were to have none", eng.Goroutines())
+			}
+			got := goldenBits(eng, done)
+			if want, ok := goldenCollectives[c.name]; !ok || got != want {
+				t.Errorf("sim bits moved on step ranks (have golden: %v):\n\t%q: {%#x, %#x},", ok, c.name, got.end, got.ranks)
 			}
 		})
 	}
@@ -330,7 +431,7 @@ func TestGoldenCollectiveBits(t *testing.T) {
 // the end of its span included, is part of what replays.
 func TestGoldenTraceBits(t *testing.T) {
 	ran := 0
-	for _, c := range goldenCases(t) {
+	for _, c := range goldenCases() {
 		want, ok := goldenTraces[c.name]
 		if !ok {
 			continue
@@ -342,7 +443,7 @@ func TestGoldenTraceBits(t *testing.T) {
 			rec := trace.New()
 			w.Tracer = rec
 			h := han.New(w)
-			w.Start(func(p *mpi.Proc) { c.body(h, p) })
+			w.Start(func(p *mpi.Proc) { c.onGoroutine(t, h, p) })
 			if err := eng.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -735,10 +836,11 @@ func TestGoldenGPUCrashBits(t *testing.T) {
 	cfg := goldenCfg(segs)
 	cfg.FS = 256 << 10
 	n := segs * cfg.FS
+	cfg.Levels = han.LevelsGPU
 	calls := map[string]func(h *han.HAN, p *mpi.Proc) error{
-		"BcastGPU": func(h *han.HAN, p *mpi.Proc) error { return h.BcastGPU(p, mpi.Phantom(n), 0, cfg) },
+		"BcastGPU": func(h *han.HAN, p *mpi.Proc) error { return h.Bcast(p, mpi.Phantom(n), 0, cfg) },
 		"AllreduceGPU": func(h *han.HAN, p *mpi.Proc) error {
-			return h.AllreduceGPU(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, cfg)
+			return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, cfg)
 		},
 	}
 	spec := han.GPUSpec(3, 4)

@@ -39,9 +39,9 @@ func TestBcastGPUCorrect(t *testing.T) {
 		if p.Rank == 0 {
 			copy(buf, want)
 		}
-		h.BcastGPU(p, mpi.Bytes(buf), 0, Config{FS: 2 << 10})
+		h.Bcast(p, mpi.Bytes(buf), 0, Config{FS: 2 << 10, Levels: LevelsGPU})
 		if !bytes.Equal(buf, want) {
-			t.Errorf("rank %d: wrong payload after BcastGPU", p.Rank)
+			t.Errorf("rank %d: wrong payload after the GPU Bcast", p.Rank)
 		}
 	})
 }
@@ -57,7 +57,7 @@ func TestAllreduceGPUCorrect(t *testing.T) {
 		}
 		sbuf := mpi.Bytes(mpi.EncodeFloat64s(vals))
 		rbuf := mpi.Bytes(make([]byte, sbuf.N))
-		h.AllreduceGPU(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, Config{FS: 512})
+		h.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, Config{FS: 512, Levels: LevelsGPU})
 		got := mpi.DecodeFloat64s(rbuf.B)
 		for i := range got {
 			want := 3*float64(ranks*(ranks-1))/2 + float64(i*ranks)
@@ -74,7 +74,7 @@ func TestAllreduceGPUCorrect(t *testing.T) {
 func TestGPUOnGPUlessMachineFallsBack(t *testing.T) {
 	spec := cluster.Mini(2, 2)
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		err := h.BcastGPU(p, mpi.Phantom(100), 0, Config{FS: 100})
+		err := h.Bcast(p, mpi.Phantom(100), 0, Config{FS: 100, Levels: LevelsGPU})
 		var fb *FallbackError
 		if !errors.As(err, &fb) {
 			t.Errorf("rank %d: err = %v, want *FallbackError", p.Rank, err)
@@ -95,8 +95,10 @@ func TestBcastGPUBeatsNaiveStaging(t *testing.T) {
 	spec := gpuSpec(4, 8)
 	n := 16 << 20
 	cfg := DefaultDecision(coll.Bcast, n)
+	gpu := cfg
+	gpu.Levels = LevelsGPU
 	piped := runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		h.BcastGPU(p, mpi.Phantom(n), 0, cfg)
+		h.Bcast(p, mpi.Phantom(n), 0, gpu)
 	})
 	naive := runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
 		cuda := h.Mods.CUDA

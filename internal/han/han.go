@@ -33,12 +33,12 @@
 // holds the rows of the levels it is a member of):
 //
 //	Bcast, BcastComm            sb@1  ib@0
-//	Bcast3                      ib@0  nb@1  sb@2
-//	BcastGPU                    d2h@0 (root)  ib@1  gb@2 (h2d first on the other leaders)
+//	Bcast, Levels socket        ib@0  nb@1  sb@2
+//	Bcast, Levels gpu           d2h@0 (root)  ib@1  gb@2 (h2d first on the other leaders)
 //	Reduce                      sr@0  ir@1
 //	Allreduce, AllreduceComm    sr@0  ir@1  ib@2  sb@3
-//	Allreduce3                  sr@0  nr@1  ir@2  ib@3  nb@4  sb@5
-//	AllreduceGPU                gr@0  d2h@1  ir@2  ib@3  h2d@4  gb@5
+//	Allreduce, Levels socket    sr@0  nr@1  ir@2  ib@3  nb@4  sb@5
+//	Allreduce, Levels gpu       gr@0  d2h@1  ir@2  ib@3  h2d@4  gb@5
 //	Gather                      sg@0  ig@1
 //	Scatter                     is@0  ss@1
 //	Allgather                   sg@0  iag@1  sb@2
@@ -66,21 +66,23 @@
 // the leader's ib issue, not through a stage of its own, so sb(i-1) is in
 // flight while the leader waits for segment i. golden_test.go pins both.
 //
-// The entry points differ in what they decompose (the world or a
-// communicator, host or device buffers, two levels or three), not in how
-// they pipeline: each names its hierarchy and runs as one routine (Call,
-// collective.go) — the prologue, the waits of the table and around it, the
-// epilogue — which a goroutine rank lends its process to for the length of
-// the blocking call, and which a rank that is itself a routine
-// (mpi.World.StartSteps) runs as a phase (Start). The autotuner's
-// measurements (steps.go) run the same loop: a Series is a derived table
-// with step timing on, and a TimeTasks timer is a one-segment table with every offset 0, synchronised on the communicator
-// its stages span.
+// There is one entry point per kind, and one per communicator form. What a
+// call decomposes differs — the world or a communicator, and through
+// Config.Levels two levels or three, host or device buffers — not how it
+// pipelines: each call runs as one routine (Call, collective.go) — the
+// prologue, the waits of the table and around it, the epilogue — which a
+// goroutine rank lends its process to for the length of the blocking call,
+// and which a rank that is itself a routine (mpi.World.StartSteps) runs as
+// a phase (Start). The autotuner's measurements (steps.go) run the same
+// loop: a Series is a derived table with step timing on, and a TimeTasks
+// timer is a one-segment table with every offset 0, synchronised on the
+// communicator its stages span.
 //
 // The task structure is what the autotuning component (package autotune)
 // benchmarks and what its cost model composes. The Config type is the
-// output schema of Table II plus two fields outside it, the top and the
-// broadcast side's intra-node module, which only the rivals set.
+// output schema of Table II plus three fields outside it: the top and the
+// broadcast side's intra-node module, which only the rivals set, and the
+// hierarchy's levels.
 package han
 
 import (
@@ -112,14 +114,18 @@ type Config struct {
 	IBS int
 	// IRS is the inter-node reduce internal segment size (irs).
 	IRS int
-	// Top and SBMod are outside Table II: no search sets them, only the
-	// rival libraries' decisions do. Top is what the outermost level runs:
-	// "" Table II's split stages, TopFused an Allreduce's one inter-node
-	// allreduce (task ia) in place of ir and ib, TopFlat the whole
-	// collective on the flat tuned module. SBMod names the intra-node
-	// module of the broadcast side (sb) when it is not SMod.
-	Top   string `json:",omitempty"`
-	SBMod string `json:",omitempty"`
+	// Top, SBMod and Levels are outside Table II: no search sets them.
+	// Top is what the outermost level runs: "" Table II's split stages,
+	// TopFused an Allreduce's one inter-node allreduce (task ia) in place
+	// of ir and ib, TopFlat the whole collective on the flat tuned module.
+	// SBMod names the intra-node module of the broadcast side (sb) when it
+	// is not SMod. Only the rival libraries' decisions set those two.
+	// Levels is the hierarchy a world Bcast or Allreduce runs over: "" the
+	// two levels of Figs 1 and 5, LevelsSocket a socket level below the
+	// node, LevelsGPU the node's GPUs with PCIe stagings.
+	Top    string `json:",omitempty"`
+	SBMod  string `json:",omitempty"`
+	Levels string `json:",omitempty"`
 }
 
 // The values of Config.Top besides the split default.
@@ -128,8 +134,16 @@ const (
 	TopFlat  = "flat"
 )
 
-// String formats the configuration compactly for reports. Top and SBMod
-// appear only when set, so a Table II configuration prints as it always has.
+// The values of Config.Levels besides the two-level default: the paper's
+// future work, "an increased number of hardware levels" and a GPU level.
+const (
+	LevelsSocket = "socket"
+	LevelsGPU    = "gpu"
+)
+
+// String formats the configuration compactly for reports. Top, SBMod and
+// Levels appear only when set, so a Table II configuration prints as it
+// always has.
 func (c Config) String() string {
 	s := fmt.Sprintf("fs=%s imod=%s smod=%s ibalg=%v iralg=%v ibs=%s irs=%s",
 		SizeString(c.FS), c.IMod, c.SMod, c.IBAlg, c.IRAlg, SizeString(c.IBS), SizeString(c.IRS))
@@ -138,6 +152,9 @@ func (c Config) String() string {
 	}
 	if c.SBMod != "" {
 		s += " sbmod=" + c.SBMod
+	}
+	if c.Levels != "" {
+		s += " levels=" + c.Levels
 	}
 	return s
 }
@@ -287,8 +304,8 @@ func DefaultDecision(kind coll.Kind, msgBytes int) Config {
 type HAN struct {
 	W    *mpi.World
 	Mods *Modules
-	// Decide supplies per-call configurations when the caller passes the
-	// zero Config; defaults to DefaultDecision.
+	// Decide supplies per-call configurations when the caller passes a
+	// Config that sets nothing but Levels; defaults to DefaultDecision.
 	Decide DecisionFunc
 	// OnFailure selects how collectives respond to ranks the failure
 	// detector declared dead: Abort (the default) fails fast with a
@@ -327,18 +344,20 @@ func (h *HAN) Reset() {
 	clear(h.slots)
 }
 
-// resolve fills a zero Config from the decision function, applies
-// defaults to a partially-specified one, and validates the submodule
-// names, in place. Every public entry point calls it before issuing tasks,
-// so a bad tuning table or caller typo surfaces as a returned *ConfigError
-// instead of a panic deep inside the pipeline.
+// resolve fills a Config that sets nothing but Levels from the decision
+// function, keeping Levels, applies defaults to a partially-specified one,
+// and validates the submodule names, the top and the levels, in place.
+// Every public entry point calls it before issuing tasks, so a bad tuning
+// table or caller typo surfaces as a returned *ConfigError instead of a
+// panic deep inside the pipeline.
 func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg *Config) error {
-	if *cfg == (Config{}) {
+	if levels := cfg.Levels; *cfg == (Config{Levels: levels}) {
 		d := h.Decide
 		if d == nil {
 			d = DefaultDecision
 		}
 		*cfg = d(kind, msgBytes)
+		cfg.Levels = levels
 	}
 	if cfg.FS <= 0 {
 		cfg.FS = msgBytes
@@ -364,6 +383,9 @@ func (h *HAN) resolve(kind coll.Kind, msgBytes int, cfg *Config) error {
 	case "", TopFused, TopFlat:
 	default:
 		return &ConfigError{Op: "Top", Param: "top", Value: fmt.Sprintf("%q (want fused or flat)", cfg.Top)}
+	}
+	if _, ok := shapeOf(cfg.Levels); !ok {
+		return &ConfigError{Op: "Levels", Param: "levels", Value: fmt.Sprintf("%q (want socket or gpu)", cfg.Levels)}
 	}
 	if cfg.IBAlg == coll.AlgDefault {
 		if cfg.IMod == "adapt" {

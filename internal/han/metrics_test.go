@@ -145,15 +145,15 @@ func TestMetricsCountEveryLevelsTasks(t *testing.T) {
 	}{
 		// 2 nodes x 2 sockets x 2 ranks.
 		{"Allreduce3", numaSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
-			return h.Allreduce3(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
+			return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs, Levels: LevelsSocket})
 		}, map[string]int{"socket,sr": 16, "node,nr": 8, "inter,ir": 4, "inter,ib": 4, "node,nb": 8, "socket,sb": 16}},
 		{"AllreduceGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
-			return h.AllreduceGPU(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})
+			return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs, Levels: LevelsGPU})
 		}, map[string]int{"gpu,gr": 16, "pcie,d2h": 4, "inter,ir": 4, "inter,ib": 4, "pcie,h2d": 4, "gpu,gb": 16}},
 		// Only the root stages down; the other leader's upload is the
 		// first half of its gb.
 		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) error {
-			return h.BcastGPU(p, mpi.Phantom(n), 0, Config{FS: fs})
+			return h.Bcast(p, mpi.Phantom(n), 0, Config{FS: fs, Levels: LevelsGPU})
 		}, map[string]int{"pcie,d2h": 2, "inter,ib": 4, "gpu,gb": 16}},
 		// The block collectives on 2 nodes x 2 ranks: one task per stage per
 		// member rank, whatever the root.

@@ -24,8 +24,12 @@ var entryPoints = []struct {
 	{"BcastComm", func(h *HAN, p *mpi.Proc, n, root int) error {
 		return h.BcastComm(p, everyone(h), mpi.Phantom(n), root, Config{})
 	}},
-	{"Bcast3", func(h *HAN, p *mpi.Proc, n, root int) error { return h.Bcast3(p, mpi.Phantom(n), root, Config{}) }},
-	{"BcastGPU", func(h *HAN, p *mpi.Proc, n, root int) error { return h.BcastGPU(p, mpi.Phantom(n), root, Config{}) }},
+	{"Bcast3", func(h *HAN, p *mpi.Proc, n, root int) error {
+		return h.Bcast(p, mpi.Phantom(n), root, Config{Levels: LevelsSocket})
+	}},
+	{"BcastGPU", func(h *HAN, p *mpi.Proc, n, root int) error {
+		return h.Bcast(p, mpi.Phantom(n), root, Config{Levels: LevelsGPU})
+	}},
 	{"Allreduce", func(h *HAN, p *mpi.Proc, n, root int) error {
 		return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{})
 	}},
@@ -33,10 +37,10 @@ var entryPoints = []struct {
 		return h.AllreduceComm(p, everyone(h), mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{})
 	}},
 	{"Allreduce3", func(h *HAN, p *mpi.Proc, n, root int) error {
-		return h.Allreduce3(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{})
+		return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{Levels: LevelsSocket})
 	}},
 	{"AllreduceGPU", func(h *HAN, p *mpi.Proc, n, root int) error {
-		return h.AllreduceGPU(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{})
+		return h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{Levels: LevelsGPU})
 	}},
 	{"Reduce", func(h *HAN, p *mpi.Proc, n, root int) error {
 		return h.Reduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, root, Config{})
@@ -70,7 +74,7 @@ func everyone(h *HAN) *mpi.Comm {
 
 // A call that moves nothing returns nil before any degradation is
 // considered: an empty broadcast from a non-leader root on a machine with
-// neither sockets nor GPUs used to come back from Bcast3/BcastGPU as a
+// neither sockets nor GPUs used to come back from a socket or GPU Bcast as a
 // *FallbackError and count a fallback, and so did a one-rank world.
 func TestNoOpCallsReturnNilWithoutFallback(t *testing.T) {
 	for _, world := range []struct {

@@ -81,6 +81,10 @@ func (t *Timed) enter() (done bool) {
 		return t.finish(nil, &ConfigError{Op: who, Param: "fs",
 			Value: fmt.Sprintf("%d (steps need an explicit segment size)", c.cfg.FS)})
 	}
+	if c.cfg.Levels != "" {
+		return t.finish(nil, &ConfigError{Op: who, Param: "levels",
+			Value: fmt.Sprintf("%q (measurements run two levels)", c.cfg.Levels)})
+	}
 	if err := h.resolve(kind, pl.n, &c.cfg); err != nil {
 		return t.finish(nil, err)
 	}
@@ -135,8 +139,8 @@ func (t *Timed) Unwind(sp *sim.Proc) { (*Call)(t).Unwind(sp) }
 // Non-leaders take part in the intra-node tasks and return nil. The middle
 // steps exhibit the pipeline warm-up and stabilisation of Fig 3. A Bcast
 // moves bytes, an Allreduce sums float64s. A configuration without an
-// explicit segment size (or with an unknown submodule name) is rejected with
-// a *ConfigError.
+// explicit segment size, with an unknown submodule name or with Levels set
+// is rejected with a *ConfigError.
 func (h *HAN) Series(p *mpi.Proc, kind coll.Kind, u int, cfg Config) ([]sim.Time, error) {
 	return h.timed(p, "Series", kind, u, mpi.OpSum, seriesType(kind), cfg, nil)
 }
@@ -177,8 +181,8 @@ func (h *HAN) StartTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, ta
 // rank, or 0 on a rank that takes no part. With TaskIB alone it is a lone
 // ib, with TaskIB and TaskSB the naive concurrent sb+ib of Fig 2, with
 // TaskIB and TaskIR the full-duplex overlap of Fig 6. A configuration
-// without an explicit segment size (or with an unknown submodule name) is
-// rejected with a *ConfigError.
+// without an explicit segment size, with an unknown submodule name or with
+// Levels set is rejected with a *ConfigError.
 func (h *HAN) TimeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) (sim.Time, error) {
 	steps, err := h.timed(p, "TimeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
 	if steps == nil {

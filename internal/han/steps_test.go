@@ -126,17 +126,40 @@ func TestBadSubmoduleNameRejected(t *testing.T) {
 		if !errors.As(err, &ce) || ce.Param != "sbmod" {
 			t.Errorf("rank %d: Allreduce with bad sbmod: err = %v, want *ConfigError on sbmod", p.Rank, err)
 		}
+		// Levels: a value that names no hierarchy, and the paths that run
+		// two levels only, which must say so rather than run them.
+		buf := mpi.Phantom(1 << 10)
+		for _, c := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Bcast with unknown levels", func() error { return h.Bcast(p, buf, 0, Config{FS: 1 << 10, Levels: "numa"}) }},
+			{"Reduce with levels", func() error {
+				return h.Reduce(p, buf, buf, mpi.OpSum, mpi.Float64, 0, Config{FS: 1 << 10, Levels: LevelsSocket})
+			}},
+			{"Gather with levels", func() error {
+				return h.Gather(p, buf, mpi.Phantom(buf.N*h.W.Size()), 0, Config{Levels: LevelsGPU})
+			}},
+			{"Series with levels", func() error {
+				_, err := h.Series(p, coll.Bcast, 2, Config{FS: 1 << 10, Levels: LevelsSocket})
+				return err
+			}},
+		} {
+			if err := c.run(); !errors.As(err, &ce) || ce.Param != "levels" {
+				t.Errorf("rank %d: %s: err = %v, want *ConfigError on levels", p.Rank, c.name, err)
+			}
+		}
 	})
 }
 
 func TestConfigStringNamesTopAndSBMod(t *testing.T) {
 	cfg := stepCfg()
 	plain := cfg.String()
-	if strings.Contains(plain, "top=") || strings.Contains(plain, "sbmod=") {
-		t.Errorf("split config prints %q, want no top or sbmod", plain)
+	if strings.Contains(plain, "top=") || strings.Contains(plain, "sbmod=") || strings.Contains(plain, "levels=") {
+		t.Errorf("split config prints %q, want no top, sbmod or levels", plain)
 	}
-	cfg.Top, cfg.SBMod = TopFused, "sm"
-	if got, want := cfg.String(), plain+" top=fused sbmod=sm"; got != want {
+	cfg.Top, cfg.SBMod, cfg.Levels = TopFused, "sm", LevelsSocket
+	if got, want := cfg.String(), plain+" top=fused sbmod=sm levels=socket"; got != want {
 		t.Errorf("fused config prints %q, want %q", got, want)
 	}
 }
@@ -216,6 +239,11 @@ func TestCollectivesParkOncePerRankAndStartNoGoroutine(t *testing.T) {
 		// intra-node degradation and returns its *FallbackError.
 		fallback bool
 	}
+	levels := func(l string) Config {
+		cfg := stepCfg()
+		cfg.Levels = l
+		return cfg
+	}
 	var rows []row
 	for _, imod := range InterNames() {
 		for _, smod := range IntraNames() {
@@ -225,15 +253,9 @@ func TestCollectivesParkOncePerRankAndStartNoGoroutine(t *testing.T) {
 		}
 	}
 	rows = append(rows,
-		row{"BcastGPU", gpuSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
-			return h.BcastGPU(p, buf, 0, cfg)
-		}}, false},
-		row{"AllreduceGPU", gpuSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
-			return h.AllreduceGPU(p, buf, buf, mpi.OpSum, mpi.Float64, cfg)
-		}}, false},
-		row{"Allreduce3", numaSpec(4, 8), stepCfg(), []call{func(h *HAN, p *mpi.Proc, buf mpi.Buf, cfg Config) error {
-			return h.Allreduce3(p, buf, buf, mpi.OpSum, mpi.Float64, cfg)
-		}}, false},
+		row{"BcastGPU", gpuSpec(4, 8), levels(LevelsGPU), []call{bcast}, false},
+		row{"AllreduceGPU", gpuSpec(4, 8), levels(LevelsGPU), []call{allreduce}, false},
+		row{"Allreduce3", numaSpec(4, 8), levels(LevelsSocket), []call{allreduce}, false},
 	)
 	for _, smod := range IntraNames() {
 		cfg := stepCfg()

@@ -76,7 +76,7 @@ func TestBcast3Correct(t *testing.T) {
 				if p.Rank == 0 {
 					copy(buf, want)
 				}
-				h.Bcast3(p, mpi.Bytes(buf), 0, Config{FS: 2 << 10})
+				h.Bcast(p, mpi.Bytes(buf), 0, Config{FS: 2 << 10, Levels: LevelsSocket})
 				if !bytes.Equal(buf, want) {
 					t.Errorf("rank %d wrong payload", p.Rank)
 				}
@@ -96,7 +96,7 @@ func TestAllreduce3Correct(t *testing.T) {
 		}
 		sbuf := mpi.Bytes(mpi.EncodeFloat64s(vals))
 		rbuf := mpi.Bytes(make([]byte, sbuf.N))
-		h.Allreduce3(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, Config{FS: 512})
+		h.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64, Config{FS: 512, Levels: LevelsSocket})
 		got := mpi.DecodeFloat64s(rbuf.B)
 		for i := range got {
 			want := float64(ranks*i) + float64(ranks*(ranks-1))/2
@@ -112,14 +112,14 @@ func TestThreeLevelFallsBackOnSingleSocket(t *testing.T) {
 	spec := cluster.Mini(2, 4)
 	want := pattern(500, 2)
 	runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		if h.ThreeLevel() {
+		if h.W.Mach.Spec.MultiSocket() {
 			t.Error("single-socket machine reported three-level")
 		}
 		buf := make([]byte, len(want))
 		if p.Rank == 0 {
 			copy(buf, want)
 		}
-		h.Bcast3(p, mpi.Bytes(buf), 0, Config{FS: 128})
+		h.Bcast(p, mpi.Bytes(buf), 0, Config{FS: 128, Levels: LevelsSocket})
 		if !bytes.Equal(buf, want) {
 			t.Errorf("rank %d wrong payload", p.Rank)
 		}
@@ -136,8 +136,9 @@ func TestThreeLevelBeatsTwoLevelOnNUMA(t *testing.T) {
 	two := runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
 		h.Bcast(p, mpi.Phantom(n), 0, cfg)
 	})
+	cfg.Levels = LevelsSocket
 	three := runWorld(t, spec, func(h *HAN, p *mpi.Proc) {
-		h.Bcast3(p, mpi.Phantom(n), 0, cfg)
+		h.Bcast(p, mpi.Phantom(n), 0, cfg)
 	})
 	if three >= two {
 		t.Errorf("three-level (%v) should beat two-level (%v) on a UPI-bound machine", three, two)

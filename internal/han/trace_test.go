@@ -104,9 +104,9 @@ func TestIssueOrderIsTableOrder(t *testing.T) {
 	}{
 		{"Bcast", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) { h.Bcast(p, mpi.Phantom(n), 0, Config{FS: fs}) },
 			"ib sb ib sb ib sb ib sb"},
-		{"Bcast3", numaSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.Bcast3(p, mpi.Phantom(n), 0, Config{FS: fs}) },
+		{"Bcast3", numaSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.Bcast(p, mpi.Phantom(n), 0, Config{FS: fs, Levels: LevelsSocket}) },
 			"ib ib nb ib nb sb ib nb sb nb sb sb"},
-		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.BcastGPU(p, mpi.Phantom(n), 0, Config{FS: fs}) },
+		{"BcastGPU", gpuSpec(2, 4), func(h *HAN, p *mpi.Proc) { h.Bcast(p, mpi.Phantom(n), 0, Config{FS: fs, Levels: LevelsGPU}) },
 			"d2h d2h ib d2h ib gb d2h ib gb ib gb gb"},
 		{"Allreduce", cluster.Mini(2, 2), func(h *HAN, p *mpi.Proc) {
 			h.Allreduce(p, mpi.Phantom(n), mpi.Phantom(n), mpi.OpSum, mpi.Float64, Config{FS: fs})

@@ -32,7 +32,7 @@ import (
 // boundaries to shrink or abort. All of it is gated on w.crash != nil: a
 // plan without crashes leaves every hot path bit-identical to main.
 
-// Failure-detection defaults; override with SetMaxSendAttempts and
+// Failure-detection defaults; override the heartbeat with
 // SetFailureDetection.
 const (
 	// DefaultMaxSendAttempts caps eager transmission attempts per message
@@ -287,23 +287,6 @@ func (w *World) detection() (period, suspicion float64) {
 	}
 	return w.hbPeriod, w.hbSuspicion
 }
-
-// sendAttemptCap resolves the eager attempt bound (SetMaxSendAttempts).
-func (w *World) sendAttemptCap() int {
-	if w.maxSendAttempts > 0 {
-		return w.maxSendAttempts
-	}
-	return DefaultMaxSendAttempts
-}
-
-// SetMaxSendAttempts bounds how many times an eager payload is transmitted
-// before the sender fails the request with a *PeerUnreachableError and
-// escalates to a peer-dead verdict. The bound is enforced only when the
-// attached fault plan contains crashes (pure drop plans keep their original
-// forced-through semantics). Zero restores DefaultMaxSendAttempts. Keep the
-// cap above the drop plan's MaxPerMsg or lossy-but-alive peers can be
-// declared unreachable.
-func (w *World) SetMaxSendAttempts(n int) { w.maxSendAttempts = n }
 
 // SetFailureDetection configures the heartbeat sweep: a crashed rank is
 // declared dead at the first multiple of period at least suspicion seconds

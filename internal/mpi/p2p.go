@@ -498,7 +498,7 @@ func (r *retx) try() {
 	}
 	a := r.attempt
 	r.attempt++
-	if cs != nil && a >= w.sendAttemptCap() {
+	if cs != nil && a >= DefaultMaxSendAttempts {
 		// Retransmit escalation: every bounded attempt went unacked, so
 		// the sender renders its own peer-dead verdict (crash.go).
 		rtos := make([]float64, a)

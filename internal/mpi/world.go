@@ -65,10 +65,9 @@ type World struct {
 	// crash-free.
 	crash *crashState
 	// Failure-detection knobs; zero values mean the crash.go defaults.
-	maxSendAttempts int
-	hbPeriod        float64
-	hbSuspicion     float64
-	hbConfigured    bool
+	hbPeriod     float64
+	hbSuspicion  float64
+	hbConfigured bool
 
 	// Progress watchdog state (SetCollTimeout). Zero timeout disables it.
 	collTimeout sim.Time

@@ -1087,39 +1087,6 @@ func (s *Signal) pending() int {
 	return n
 }
 
-// Counter fires its Signal when Done has been called n times. It is the
-// simulation analogue of sync.WaitGroup.
-type Counter struct {
-	n   int
-	sig *Signal
-	e   *Engine
-}
-
-// NewCounter returns a Counter expecting n completions. A counter created
-// with n <= 0 fires immediately on first use of Signal's Wait (its signal is
-// pre-fired).
-func NewCounter(e *Engine, n int) *Counter {
-	c := &Counter{n: n, sig: NewSignal(), e: e}
-	if n <= 0 {
-		c.sig.Fire(e)
-	}
-	return c
-}
-
-// Done records one completion, firing the signal when the count reaches zero.
-func (c *Counter) Done() {
-	c.n--
-	if c.n == 0 {
-		c.sig.Fire(c.e)
-	}
-	if c.n < 0 {
-		panic("sim: Counter.Done called more times than expected")
-	}
-}
-
-// Signal returns the signal that fires when the counter reaches zero.
-func (c *Counter) Signal() *Signal { return c.sig }
-
 // DeadlockError is returned by Run when the event queue drains while
 // processes are still parked on signals that can never fire.
 type DeadlockError struct {

@@ -99,34 +99,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestCounterFiresAtZero(t *testing.T) {
-	e := New()
-	c := NewCounter(e, 3)
-	var fired Time = -1
-	e.Spawn("waiter", func(p *Proc) {
-		p.Wait(c.Signal())
-		fired = p.Now()
-	})
-	for i := 1; i <= 3; i++ {
-		d := Time(i)
-		e.At(d, func() { c.Done() })
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 3 {
-		t.Fatalf("counter fired at %v, want 3", fired)
-	}
-}
-
-func TestCounterZeroPrefired(t *testing.T) {
-	e := New()
-	c := NewCounter(e, 0)
-	if !c.Signal().Fired() {
-		t.Fatal("zero counter should be pre-fired")
-	}
-}
-
 func TestTimerCancel(t *testing.T) {
 	e := New()
 	ran := false
