@@ -297,7 +297,7 @@ func runServeBench(o serveBenchOpts) {
 	fmt.Printf("decision service load: %s, machine %s\n%s\n", transport, o.machine, rep)
 	if s != nil {
 		c := s.Counters()
-		fmt.Printf("server: %d decisions, server-side p99 %s\n", c.Decisions, c.LatencyP99)
+		fmt.Printf("server: %d decisions, server-side p99 %s of 1 in 16 sampled\n", c.Decisions, c.LatencyP99)
 	}
 
 	if o.metricsOut != "" && s != nil {

@@ -106,7 +106,7 @@ func main() {
 	stop()
 
 	c := s.Counters()
-	fmt.Printf("hand: served %d decisions (%d tunes, %d swaps, p99 %s)\n",
+	fmt.Printf("hand: served %d decisions (%d tunes, %d swaps, p99 %s of 1 in 16 sampled)\n",
 		c.Decisions, c.Tunes, c.Swaps, c.LatencyP99)
 	if *metricsOut != "" {
 		reg := metrics.New()

@@ -16,8 +16,8 @@ import (
 // connection and its buffers. Open one Client per querying goroutine
 // (cheap: local clients are a pointer wrap, socket clients one dial).
 type Client struct {
-	local *Server  // in-process path when non-nil
-	lat   *latHist // the server's stripe a local client's decisions are counted in
+	local  *Server // in-process path when non-nil
+	stripe *stripe // the server's stripe a local client's decisions are counted in
 
 	conn net.Conn
 	rbuf []byte
@@ -27,7 +27,7 @@ type Client struct {
 // NewLocalClient returns an in-process client: Decide calls the server
 // directly, no wire round trip. This is the loopback transport the
 // benchmark baseline uses.
-func NewLocalClient(s *Server) *Client { return &Client{local: s, lat: s.readerLat()} }
+func NewLocalClient(s *Server) *Client { return &Client{local: s, stripe: s.reader()} }
 
 // Dial connects a wire client to a server listening on network/addr
 // (e.g. "tcp", "127.0.0.1:7411" or "unix", "/tmp/hand.sock").
@@ -43,7 +43,7 @@ func Dial(network, addr string) (*Client, error) {
 // message size) query.
 func (c *Client) Decide(cluster string, kind coll.Kind, m int) (han.Config, error) {
 	if c.local != nil {
-		return c.local.decide(c.lat, cluster, kind, m)
+		return c.local.decide(c.stripe, cluster, kind, m)
 	}
 	c.wbuf = appendRequest(c.wbuf[:0], request{Cluster: cluster, Kind: kind, M: m})
 	if _, err := c.conn.Write(c.wbuf); err != nil {

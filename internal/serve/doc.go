@@ -31,10 +31,13 @@
 // snapshot-swap race test pins under -race.
 //
 // Instrumentation is exported as the hand_* metric families
-// (docs/OBSERVABILITY.md): counters accumulate in atomics, Decide's latency
-// histogram in one stripe per reader (a Client, a wire connection) so that
-// readers write no common cache line, and PublishMetrics folds both into an
-// internal/metrics registry at export time. The closed-loop load
+// (docs/OBSERVABILITY.md): counters accumulate in atomics, and each reader
+// (a Client, a wire connection) counts its decisions and frames in a
+// stripe of its own so that readers write no common cache line. A stripe
+// counts every decision and times one in sixteen into its latency
+// histogram: two clock reads cost more than the lookup they time.
+// PublishMetrics folds the stripes into an internal/metrics registry at
+// export time. The closed-loop load
 // harness (RunLoad, wired to hanbench -serve) measures end-to-end
 // QPS and latency percentiles against either an in-process client or a
 // real socket speaking the length-prefixed wire protocol (wire.go).

@@ -43,6 +43,8 @@ type LoadReport struct {
 	// Client-observed latency quantiles (includes the wire round trip on
 	// socket transports).
 	P50, P90, P99 time.Duration
+
+	lat *latHist // every request's latency, merged over the workers
 }
 
 func (r LoadReport) String() string {
@@ -164,6 +166,7 @@ func RunLoad(o LoadOpts) (LoadReport, error) {
 	if elapsed > 0 {
 		rep.QPS = float64(rep.Requests) / elapsed.Seconds()
 	}
+	rep.lat = merged
 	rep.P50 = merged.quantile(0.50)
 	rep.P90 = merged.quantile(0.90)
 	rep.P99 = merged.quantile(0.99)

@@ -21,14 +21,10 @@ var latBuckets = func() []float64 {
 }()
 
 // latHist is a fixed-bucket latency histogram safe for concurrent
-// observation: per-bucket atomic counters plus an atomic nanosecond sum
-// and count. Observing is three atomic adds and allocates nothing, so it
-// sits directly on the Decide hot path.
+// observation: one atomic counter per bucket, so its count is the sum of
+// its buckets. Observing is one atomic add and allocates nothing.
 type latHist struct {
 	counts [17]atomic.Uint64 // len(latBuckets) buckets + overflow
-	sumNs  atomic.Uint64
-	count  atomic.Uint64
-	_      [64]byte // neighbours in an array (counters.decideLat) share no cache line
 }
 
 func (h *latHist) observe(d time.Duration) {
@@ -37,24 +33,32 @@ func (h *latHist) observe(d time.Duration) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.sumNs.Add(uint64(d.Nanoseconds()))
-	h.count.Add(1)
 }
+
+// since observes the time since start.
+func (h *latHist) since(start time.Time) { h.observe(time.Since(start)) }
 
 // merge folds other into h: per-reader histograms into one for a report.
 func (h *latHist) merge(other *latHist) {
 	for i := range h.counts {
 		h.counts[i].Add(other.counts[i].Load())
 	}
-	h.sumNs.Add(other.sumNs.Load())
-	h.count.Add(other.count.Load())
+}
+
+// count returns the number of observations: the sum of the buckets.
+func (h *latHist) count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // quantile returns the upper bound of the bucket containing the q-th
 // quantile (0 < q <= 1) — the standard conservative histogram estimate.
 // The overflow bucket reports twice the last bound.
 func (h *latHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
+	total := h.count()
 	if total == 0 {
 		return 0
 	}
@@ -79,6 +83,25 @@ func (h *latHist) publish(reg *metrics.Registry, o metrics.Opts) {
 	mh.ObserveN(latBuckets[len(latBuckets)-1]*2, h.counts[len(latBuckets)].Load())
 }
 
+// latencySampleEvery is the rate at which a reader's decisions are timed:
+// the 1st, 17th, 33rd, … decision of each stripe. Two clock reads cost
+// more than the lookup they would time, so the histogram is a sample and
+// the decision count beside it is exact.
+const latencySampleEvery = 16
+
+// stripe is one reader's share of the hot-path counters. Each local Client
+// and wire connection counts into a stripe of its own (stripe 0 also counts
+// direct Server.Decide calls), so concurrent readers write no common cache
+// line: on shared counters two readers decide no faster than one, and how
+// much slower depends on how they interleave.
+type stripe struct {
+	decisions  atomic.Uint64 // every decision, exactly
+	wireReqs   atomic.Uint64 // frames decoded on the stripe's connections
+	wireErrors atomic.Uint64 // frames answered with an error status
+	lat        latHist       // decide latency, one decision in latencySampleEvery
+	_          [64]byte      // neighbours in counters.stripes share no cache line
+}
+
 // counters is the server's hot-path instrumentation: plain atomics,
 // folded into hand_* metric families by Server.PublishMetrics. The
 // internal/metrics registry itself is single-threaded by design, so the
@@ -90,25 +113,28 @@ type counters struct {
 	tuneErrors  atomic.Uint64 // on-demand tunes that failed
 	swaps       atomic.Uint64 // snapshots published (preload, on-demand, re-tune)
 	retunes     atomic.Uint64 // background re-tune rounds completed
-	wireReqs    atomic.Uint64 // frames decoded by the wire server
-	wireErrors  atomic.Uint64 // frames answered with an error status
 
-	// decideLat is Decide's wall latency, striped so that concurrent readers
-	// write no common cache line (on shared counters two readers decide no
-	// faster than one, and how much slower depends on how they interleave):
-	// stripe 0 for Server.Decide, readerLat's for a Client or connection.
-	// Every decision is observed once: the merged count is the decisions.
-	decideLat [16]latHist
-	readers   atomic.Uint64 // stripes handed out so far
+	stripes [16]stripe
+	readers atomic.Uint64 // stripes handed out so far
 }
 
-// decideLatency merges the stripes of decideLat.
-func (c *counters) decideLatency() *latHist {
-	merged := &latHist{}
-	for i := range c.decideLat {
-		merged.merge(&c.decideLat[i])
+// totals is the stripes' counters added up, for a report.
+type totals struct {
+	decisions, wireReqs, wireErrors uint64
+	lat                             latHist
+}
+
+// sum adds up the stripes.
+func (c *counters) sum() *totals {
+	t := &totals{}
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		t.decisions += st.decisions.Load()
+		t.wireReqs += st.wireReqs.Load()
+		t.wireErrors += st.wireErrors.Load()
+		t.lat.merge(&st.lat)
 	}
-	return merged
+	return t
 }
 
 // Counters is a plain-value snapshot of the server's instrumentation,
@@ -117,7 +143,9 @@ type Counters struct {
 	Decisions                                uint64
 	TableMisses, Flights, Tunes, TuneErrors  uint64
 	Swaps, Retunes, WireRequests, WireErrors uint64
-	LatencyP50, LatencyP99                   time.Duration
+	// LatencyP50 and LatencyP99 are read from the sampled histogram: one
+	// decision in latencySampleEvery per reader.
+	LatencyP50, LatencyP99 time.Duration
 
 	// The server has no decision cache. These four stay only because
 	// benchmark/serveload.go reads them and a change to the program may
@@ -131,21 +159,20 @@ type Counters struct {
 // Counters returns a snapshot of the server's hot-path counters.
 func (s *Server) Counters() Counters {
 	c := &s.c
-	lat := c.decideLatency()
-	decisions := lat.count.Load()
+	t := c.sum()
 	return Counters{
-		Decisions:    decisions,
-		CacheMisses:  decisions,
+		Decisions:    t.decisions,
+		CacheMisses:  t.decisions,
 		TableMisses:  c.tableMisses.Load(),
 		Flights:      c.flights.Load(),
 		Tunes:        c.tunes.Load(),
 		TuneErrors:   c.tuneErrors.Load(),
 		Swaps:        c.swaps.Load(),
 		Retunes:      c.retunes.Load(),
-		WireRequests: c.wireReqs.Load(),
-		WireErrors:   c.wireErrors.Load(),
-		LatencyP50:   lat.quantile(0.50),
-		LatencyP99:   lat.quantile(0.99),
+		WireRequests: t.wireReqs,
+		WireErrors:   t.wireErrors,
+		LatencyP50:   t.lat.quantile(0.50),
+		LatencyP99:   t.lat.quantile(0.99),
 	}
 }
 
@@ -159,20 +186,20 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 		return
 	}
 	c := &s.c
-	lat := c.decideLatency()
+	t := c.sum()
 	for _, row := range []struct {
 		name, help string
 		v          uint64
 	}{
-		{"hand_decisions", "decision queries answered by the serving layer", lat.count.Load()},
+		{"hand_decisions", "decision queries answered by the serving layer", t.decisions},
 		{"hand_table_misses", "queries naming a (cluster, collective) with no published snapshot", c.tableMisses.Load()},
 		{"hand_flights", "requesters collapsed onto another requester's in-flight tune", c.flights.Load()},
 		{"hand_tunes", "on-demand tunes triggered by table misses", c.tunes.Load()},
 		{"hand_tune_errors", "on-demand tunes that failed (entry forgotten for retry)", c.tuneErrors.Load()},
 		{"hand_snapshot_swaps", "table snapshots atomically published (preload, on-demand, re-tune)", c.swaps.Load()},
 		{"hand_retunes", "background re-tune rounds completed", c.retunes.Load()},
-		{"hand_wire_requests", "frames decoded by the wire server", c.wireReqs.Load()},
-		{"hand_wire_errors", "frames answered with an error status", c.wireErrors.Load()},
+		{"hand_wire_requests", "frames decoded by the wire server", t.wireReqs},
+		{"hand_wire_errors", "frames answered with an error status", t.wireErrors},
 	} {
 		reg.Counter(metrics.Opts{Name: row.name, Help: row.help}).Add(float64(row.v))
 	}
@@ -180,9 +207,9 @@ func (s *Server) PublishMetrics(reg *metrics.Registry) {
 		Name: "hand_tables",
 		Help: "table snapshots currently published",
 	}).Set(float64(s.TableCount()))
-	lat.publish(reg, metrics.Opts{
+	t.lat.publish(reg, metrics.Opts{
 		Name: "hand_decide_latency_seconds",
-		Help: "wall-clock latency of Server.Decide (p50/p99 come from these buckets)",
+		Help: "wall-clock latency of Server.Decide, one decision in 16 per reader (p50/p99 come from these buckets)",
 		Unit: "seconds",
 	})
 }

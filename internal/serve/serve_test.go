@@ -506,21 +506,73 @@ func TestServerPublishMetrics(t *testing.T) {
 	if v := reg.Gauge(metrics.Opts{Name: "hand_tables"}).Value(); v != 1 {
 		t.Fatalf("hand_tables = %v, want 1", v)
 	}
+	// Three decisions on stripe 0: the 1st is timed, the 2nd and 3rd only
+	// counted.
 	h := reg.Histogram(metrics.Opts{Name: "hand_decide_latency_seconds"}, latBuckets)
-	if h.Count() != 3 {
-		t.Fatalf("latency histogram count = %d, want 3", h.Count())
+	if h.Count() != 1 {
+		t.Fatalf("latency histogram count = %d, want 1 (one decision in %d of 3)", h.Count(), latencySampleEvery)
+	}
+}
+
+// sampled is how many of a stripe's first n decisions are timed.
+func sampled(n uint64) uint64 { return (n + latencySampleEvery - 1) / latencySampleEvery }
+
+// TestDecideLatencySampled: a stripe counts every decision and times the
+// 1st, 17th, 33rd, …, so its histogram holds ⌈n/16⌉ observations; two
+// goroutines on one stripe keep the count exact.
+func TestDecideLatencySampled(t *testing.T) {
+	for _, n := range []uint64{1, 15, 16, 17, 100} {
+		s := NewServer(Options{})
+		s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+		for i := uint64(0); i < n; i++ {
+			if _, err := s.Decide("mini", coll.Bcast, 4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := &s.c.stripes[0]
+		if got := s.Counters().Decisions; got != n {
+			t.Fatalf("n=%d: Decisions = %d", n, got)
+		}
+		if got := st.lat.count(); got != sampled(n) {
+			t.Fatalf("n=%d: histogram holds %d observations, want %d", n, got, sampled(n))
+		}
+	}
+
+	s := NewServer(Options{})
+	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	const per = 1000
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if _, err := s.Decide("mini", coll.Bcast, 4096); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c := s.Counters()
+	if c.Decisions != 2*per {
+		t.Fatalf("two readers on stripe 0: Decisions = %d, want %d", c.Decisions, 2*per)
+	}
+	if got := s.c.stripes[0].lat.count(); got != sampled(2*per) {
+		t.Fatalf("two readers on stripe 0: histogram holds %d observations, want %d", got, sampled(2*per))
 	}
 }
 
 // TestReadersCountApart: a local client or wire connection counts its
-// decisions in a stripe of its own, direct callers in stripe 0, and Counters
-// and PublishMetrics report the sum over all of them.
+// decisions and frames in a stripe of its own, direct callers in stripe 0,
+// and Counters and PublishMetrics report the sum over all of them.
 func TestReadersCountApart(t *testing.T) {
 	s, addr := startWireServer(t)
 	a, b := NewLocalClient(s), NewLocalClient(s)
-	direct := &s.c.decideLat[0]
-	if a.lat == b.lat || a.lat == direct || b.lat == direct {
-		t.Fatalf("local clients share a histogram: a %p, b %p, direct callers %p", a.lat, b.lat, direct)
+	direct := &s.c.stripes[0]
+	if a.stripe == b.stripe || a.stripe == direct || b.stripe == direct {
+		t.Fatalf("local clients share a stripe: a %p, b %p, direct callers %p", a.stripe, b.stripe, direct)
 	}
 	w, err := Dial("tcp", addr)
 	if err != nil {
@@ -537,27 +589,54 @@ func TestReadersCountApart(t *testing.T) {
 			}
 		}
 	}
-	if got := [3]uint64{a.lat.count.Load(), b.lat.count.Load(), direct.count.Load()}; got != [3]uint64{3, 2, 1} {
-		t.Fatalf("decisions counted by a, b and direct callers = %v, want [3 2 1]", got)
+	if _, err := w.Decide("nowhere", coll.Bcast, 4096); err == nil {
+		t.Fatal("a query for an unpublished cluster succeeded")
 	}
-	if c := s.Counters(); c.Decisions != 10 || c.LatencyP99 == 0 {
-		t.Fatalf("Counters: %d decisions, p99 %s; want 10 and a p99 from the merged histogram", c.Decisions, c.LatencyP99)
+	// The connection took the third stripe handed out, after a and b.
+	conn := &s.c.stripes[3]
+	if got := [4]uint64{a.stripe.decisions.Load(), b.stripe.decisions.Load(), conn.decisions.Load(), direct.decisions.Load()}; got != [4]uint64{3, 2, 5, 1} {
+		t.Fatalf("decisions counted by a, b, the connection and direct callers = %v, want [3 2 5 1]", got)
+	}
+	for i := range s.c.stripes {
+		st := &s.c.stripes[i]
+		want := [2]uint64{}
+		if st == conn {
+			want = [2]uint64{5, 1}
+		}
+		if got := [2]uint64{st.wireReqs.Load(), st.wireErrors.Load()}; got != want {
+			t.Fatalf("stripe %d counted %v wire requests and errors, want %v", i, got, want)
+		}
+	}
+	// Each reader's first decision is timed: four stripes, four observations.
+	c := s.Counters()
+	if c.Decisions != 11 || c.WireRequests != 5 || c.WireErrors != 1 || c.LatencyP99 == 0 {
+		t.Fatalf("Counters: %d decisions, %d wire requests, %d wire errors, p99 %s; want 11, 5, 1 and a p99 from the merged histogram",
+			c.Decisions, c.WireRequests, c.WireErrors, c.LatencyP99)
 	}
 	reg := metrics.New()
 	s.PublishMetrics(reg)
-	if v := reg.Counter(metrics.Opts{Name: "hand_decisions"}).Value(); v != 10 {
-		t.Fatalf("hand_decisions = %v, want 10", v)
+	for _, f := range []struct {
+		name string
+		want float64
+	}{{"hand_decisions", 11}, {"hand_wire_requests", 5}, {"hand_wire_errors", 1}} {
+		if v := reg.Counter(metrics.Opts{Name: f.name}).Value(); v != f.want {
+			t.Fatalf("%s = %v, want %v", f.name, v, f.want)
+		}
 	}
-	if h := reg.Histogram(metrics.Opts{Name: "hand_decide_latency_seconds"}, latBuckets); h.Count() != 10 {
-		t.Fatalf("latency histogram count = %d, want 10", h.Count())
+	var timed uint64
+	for _, n := range []uint64{3, 2, 5, 1} {
+		timed += sampled(n)
+	}
+	if h := reg.Histogram(metrics.Opts{Name: "hand_decide_latency_seconds"}, latBuckets); h.Count() != timed {
+		t.Fatalf("latency histogram count = %d, want %d (the sum over stripes of ⌈n/%d⌉)", h.Count(), timed, latencySampleEvery)
 	}
 	// More readers than stripes take them in turn.
-	stripes := uint64(len(s.c.decideLat))
+	stripes := uint64(len(s.c.stripes))
 	for s.c.readers.Load()+1 < stripes {
 		NewLocalClient(s)
 	}
-	if c := NewLocalClient(s); c.lat != direct {
-		t.Fatalf("reader %d was handed %p, want stripe 0 (%p)", stripes, c.lat, direct)
+	if c := NewLocalClient(s); c.stripe != direct {
+		t.Fatalf("reader %d was handed %p, want stripe 0 (%p)", stripes, c.stripe, direct)
 	}
 }
 
@@ -598,6 +677,10 @@ func TestRunLoadLoopback(t *testing.T) {
 	}
 	if rep.QPS <= 0 || rep.P99 <= 0 {
 		t.Fatalf("report not populated: %s", rep)
+	}
+	// The server samples its decisions; the client side times every one.
+	if got := rep.lat.count(); got != rep.Requests {
+		t.Fatalf("client histogram holds %d observations of %d requests", got, rep.Requests)
 	}
 }
 

@@ -196,29 +196,30 @@ func (s *Server) Generation() uint64 { return s.gen.Load() }
 // one map lookup and the snapshot's binary-search index — no lock, no
 // allocation. A missing table triggers the single-flight on-demand tuner.
 func (s *Server) Decide(cluster string, kind coll.Kind, m int) (han.Config, error) {
-	return s.decide(&s.c.decideLat[0], cluster, kind, m)
+	return s.decide(&s.c.stripes[0], cluster, kind, m)
 }
 
-// readerLat hands a new reader (a local Client, a wire connection) the
-// stripe of counters.decideLat its decisions are counted in.
-func (s *Server) readerLat() *latHist {
-	return &s.c.decideLat[s.c.readers.Add(1)%uint64(len(s.c.decideLat))]
+// reader hands a new reader (a local Client, a wire connection) the stripe
+// of counters its decisions are counted in.
+func (s *Server) reader() *stripe {
+	return &s.c.stripes[s.c.readers.Add(1)%uint64(len(s.c.stripes))]
 }
 
-// decide is Decide, counted in lat.
-func (s *Server) decide(lat *latHist, cluster string, kind coll.Kind, m int) (han.Config, error) {
-	start := time.Now()
+// decide is Decide, counted in st: every decision in st.decisions, and one
+// in latencySampleEvery timed into st.lat.
+func (s *Server) decide(st *stripe, cluster string, kind coll.Kind, m int) (han.Config, error) {
+	if (st.decisions.Add(1)-1)%latencySampleEvery == 0 {
+		defer st.lat.since(time.Now())
+	}
 	k := Key{Cluster: cluster, Kind: kind}
-	snap, err := s.snapshot(k), error(nil)
+	snap := s.snapshot(k)
 	if snap == nil {
-		snap, err = s.miss(k)
+		var err error
+		if snap, err = s.miss(k); err != nil {
+			return han.Config{}, err
+		}
 	}
-	var cfg han.Config
-	if err == nil {
-		cfg = snap.Table.Decide(kind, m)
-	}
-	lat.observe(time.Since(start))
-	return cfg, err
+	return snap.Table.Decide(kind, m), nil
 }
 
 // miss resolves a query for an unpublished key: the configured tuner runs

@@ -276,7 +276,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	defer s.conns.remove(conn)
 	defer conn.Close()
-	lat := s.readerLat()
+	st := s.reader()
 	var rbuf, wbuf []byte
 	for {
 		payload, nbuf, err := readFrame(conn, rbuf)
@@ -284,19 +284,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // EOF or broken stream: drop the connection
 		}
 		rbuf = nbuf
-		s.c.wireReqs.Add(1)
+		st.wireReqs.Add(1)
 		req, err := parseRequest(payload)
 		if err != nil {
 			// Protocol violation: answer once, then drop the connection —
 			// framing may be out of sync.
-			s.c.wireErrors.Add(1)
+			st.wireErrors.Add(1)
 			wbuf = appendErrResponse(wbuf[:0], err)
 			_, _ = conn.Write(wbuf)
 			return
 		}
-		cfg, err := s.decide(lat, req.Cluster, req.Kind, req.M)
+		cfg, err := s.decide(st, req.Cluster, req.Kind, req.M)
 		if err != nil {
-			s.c.wireErrors.Add(1)
+			st.wireErrors.Add(1)
 			wbuf = appendErrResponse(wbuf[:0], err)
 		} else {
 			wbuf = appendOKResponse(wbuf[:0], cfg)
