@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results
+.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results deadapi
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,31 @@ docs:
 	$(GO) run ./cmd/hanexp -all -scale small | diff - results/hanexp-small.txt
 	for ex in gpu quickstart recovery tuning; do $(GO) run ./examples/$$ex > /dev/null || exit 1; done
 	$(GO) test -count=1 ./internal/docs/
+	$(MAKE) -s deadapi | diff - results/deadapi.txt
+
+# The functions declared in non-test files under internal/ that no binary
+# the repo ships links, sorted: every cmd/*, examples/* and the benchmark
+# module, built with inlining off so that every called function keeps its
+# symbol, against the `func` lines of the source. Generic instantiations
+# are folded to their declared name (nm spells them with type arguments in
+# brackets). results/deadapi.txt is the checked-in list, which `make docs`
+# diffs: every entry's doc comment names the test or ROADMAP item it serves.
+deadapi:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in cmd/* examples/*; do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin/$$(echo $$d | tr / -)" ./$$d || exit 1; \
+	done && \
+	$(GO) build -C benchmark -gcflags=all=-l -o "$$tmp/bin/benchmark" . && \
+	for b in "$$tmp"/bin/*; do $(GO) tool nm "$$b" || exit 1; done \
+		| sed -n 's|^ *[0-9a-f]* [Tt] github\.com/hanrepro/han/||p' \
+		| sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' | sort -u > "$$tmp/linked" && \
+	find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | sort \
+		| xargs grep -H '^func ' \
+		| sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' \
+		| sed -n -e 's|^\(.*\)/[^/]*\.go:func (\([A-Za-z_0-9]* \)\{0,1\}\(\**\)\([A-Za-z_0-9]*\)) \([A-Za-z_0-9]*\).*|\1.(\3\4).\5|p' \
+			-e 's|^\(.*\)/[^/]*\.go:func \([A-Za-z_0-9]*\).*|\1.\2|p' \
+		| sed -e 's/\.(\([A-Za-z_0-9]*\))\./.\1./' | grep -v '\.init$$' | sort -u > "$$tmp/declared" && \
+	comm -23 "$$tmp/declared" "$$tmp/linked"
 
 # The paper figures at the two reduced scales, as EXPERIMENTS.md quotes them.
 results:

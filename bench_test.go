@@ -177,7 +177,7 @@ func BenchmarkFig09TuningAccuracy(b *testing.B) {
 }
 
 func imbPoint(spec cluster.Spec, sys bench.System, kind coll.Kind, size int) float64 {
-	return bench.IMB(spec, sys, kind, []int{size})[0].Seconds
+	return bench.IMBWith(spec, sys, kind, []int{size}, bench.IMBOpts{})[0].Seconds
 }
 
 // BenchmarkFig10BcastShaheen compares HAN, default OMPI and Cray MPI

@@ -6,25 +6,18 @@ import (
 )
 
 // Debug enables use-after-free checking: Put quarantines slots instead of
-// recycling them, so any stale pointer dereference hits a slot whose
-// generation has moved on and whose contents are reset. It defaults to the
-// HAN_ARENA_DEBUG environment variable and costs nothing when false.
+// recycling them, so a stale pointer reaches a slot that is reset and checked
+// in, never a reincarnation of it. It defaults to the HAN_ARENA_DEBUG
+// environment variable and costs nothing when false.
 var Debug = os.Getenv("HAN_ARENA_DEBUG") != ""
 
 // Slot is the embeddable per-object header that makes a pooled type
-// generation-checkable. Embedding it is optional; pools whose Options.Slot
-// accessor is nil skip the checks.
+// double-free-checkable: it records whether the object is checked out.
+// Embedding it is optional; pools whose Options.Slot accessor is nil skip
+// the check.
 type Slot struct {
-	gen  uint32
 	live bool
 }
-
-// Gen returns the slot's reuse generation: it increments on every Put, so
-// a Handle taken in one lifetime cannot silently alias the next.
-func (s *Slot) Gen() uint32 { return s.gen }
-
-// Live reports whether the slot is currently checked out of its pool.
-func (s *Slot) Live() bool { return s.live }
 
 // Options configures a Pool.
 type Options[T any] struct {
@@ -39,7 +32,7 @@ type Options[T any] struct {
 	// Reset runs on every Put and must clear per-use state in place.
 	Reset func(*T)
 	// Slot returns the object's embedded Slot header; nil disables
-	// generation/double-free checking for this pool.
+	// double-free checking for this pool.
 	Slot func(*T) *Slot
 }
 
@@ -101,8 +94,8 @@ func (p *Pool[T]) grow() {
 
 // Put returns a slot to the pool. The caller must hold the only remaining
 // reference. Double-Put panics when the pool has a Slot accessor. Under
-// Debug the slot is reset and generation-bumped but quarantined — never
-// reused — so stale pointers and Handles keep detecting their staleness.
+// Debug the slot is reset but quarantined — never reused — so a stale
+// pointer cannot alias a reincarnation.
 func (p *Pool[T]) Put(x *T) {
 	p.Retire(x)
 	if !Debug {
@@ -111,7 +104,7 @@ func (p *Pool[T]) Put(x *T) {
 }
 
 // Retire is Put for a slot somebody may still point to: it is checked in —
-// reset, generation-bumped, no longer counted live — and quarantined, as
+// reset, no longer counted live — and quarantined, as
 // every slot is under Debug: the slab keeps it, nothing reuses it.
 func (p *Pool[T]) Retire(x *T) {
 	if x == nil {
@@ -120,10 +113,9 @@ func (p *Pool[T]) Retire(x *T) {
 	if p.opt.Slot != nil {
 		s := p.opt.Slot(x)
 		if !s.live {
-			panic(fmt.Sprintf("arena: %s: double free (slot gen %d)", p.opt.Name, s.gen))
+			panic(fmt.Sprintf("arena: %s: double free", p.opt.Name))
 		}
 		s.live = false
-		s.gen++
 	}
 	if p.opt.Reset != nil {
 		p.opt.Reset(x)
@@ -135,42 +127,8 @@ func (p *Pool[T]) Retire(x *T) {
 func (p *Pool[T]) Live() int { return p.live }
 
 // Total returns the number of slots ever carved (live + free +
-// quarantined).
+// quarantined). No binary reads it: it is the test seam that bounds how
+// many slots a recycling pool carves (flow's TestFlowPoolRecycles, coll's
+// TestProcStorageIsReusedOnlyAfterTheEngineIsDone and
+// TestKilledHelperStorageIsNeverReused).
 func (p *Pool[T]) Total() int { return p.total }
-
-// Handle is a generation-tagged reference to a pooled object. Deref
-// panics once the object has been Put, catching use-after-free at the
-// first touch instead of corrupting a reincarnation.
-type Handle[T any] struct {
-	p   *T
-	s   *Slot
-	gen uint32
-}
-
-// Handle tags x with its current generation. The pool must have a Slot
-// accessor.
-func (p *Pool[T]) Handle(x *T) Handle[T] {
-	if p.opt.Slot == nil {
-		panic(fmt.Sprintf("arena: %s: Handle on a pool without a Slot accessor", p.opt.Name))
-	}
-	s := p.opt.Slot(x)
-	return Handle[T]{p: x, s: s, gen: s.gen}
-}
-
-// Deref returns the referenced object, panicking if it has been returned
-// to the pool since the handle was taken.
-func (h Handle[T]) Deref() *T {
-	if h.s == nil {
-		panic("arena: Deref of zero Handle")
-	}
-	if h.s.gen != h.gen || !h.s.live {
-		panic(fmt.Sprintf("arena: stale handle: object recycled (handle gen %d, slot gen %d, live %v)",
-			h.gen, h.s.gen, h.s.live))
-	}
-	return h.p
-}
-
-// Valid reports whether Deref would succeed.
-func (h Handle[T]) Valid() bool {
-	return h.s != nil && h.s.gen == h.gen && h.s.live
-}

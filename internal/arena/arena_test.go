@@ -1,6 +1,8 @@
 package arena
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -32,8 +34,14 @@ func TestPoolReusesSlotsWithoutReinit(t *testing.T) {
 	p, _ := newObjPool()
 	a := p.Get()
 	a.buf = append(a.buf, 1, 2, 3)
-	id, gen := a.id, a.slot.Gen()
+	id := a.id
+	if !a.slot.live {
+		t.Fatalf("a slot out of the pool is not marked live")
+	}
 	p.Put(a)
+	if a.slot.live {
+		t.Fatalf("a slot back in the pool is still marked live")
+	}
 	b := p.Get()
 	if b != a {
 		t.Fatalf("expected LIFO reuse of the slot")
@@ -47,8 +55,8 @@ func TestPoolReusesSlotsWithoutReinit(t *testing.T) {
 	if len(b.buf) != 0 || cap(b.buf) < 3 {
 		t.Fatalf("Reset should truncate in place: len=%d cap=%d", len(b.buf), cap(b.buf))
 	}
-	if b.slot.Gen() != gen+1 {
-		t.Fatalf("generation did not advance on Put: %d -> %d", gen, b.slot.Gen())
+	if !b.slot.live {
+		t.Fatalf("a reused slot is not marked live")
 	}
 }
 
@@ -98,30 +106,11 @@ func TestDoubleFreePanics(t *testing.T) {
 	o := p.Get()
 	p.Put(o)
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("double Put did not panic")
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "test.obj: double free") {
+			t.Fatalf("double Put panicked with %v, want the pool's double-free panic", r)
 		}
 	}()
 	p.Put(o)
-}
-
-func TestHandleCatchesUseAfterFree(t *testing.T) {
-	p, _ := newObjPool()
-	o := p.Get()
-	h := p.Handle(o)
-	if !h.Valid() || h.Deref() != o {
-		t.Fatalf("fresh handle should deref to its object")
-	}
-	p.Put(o)
-	if h.Valid() {
-		t.Fatalf("handle still valid after Put")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("stale Deref did not panic")
-		}
-	}()
-	h.Deref()
 }
 
 func TestDebugQuarantinesSlots(t *testing.T) {

@@ -15,10 +15,10 @@
 // a pool, like the engine it serves, belongs to one goroutine-group; no
 // locking anywhere. Objects are returned exactly once, by their owning
 // package, at a point where no live reference remains. Debug builds verify
-// both: every slot embedding a Slot header carries a generation counter
-// bumped on Put, double-Put panics, and with Debug set slots are
-// quarantined (never reused) so stale generation-tagged Handles keep
-// failing loudly instead of aliasing a reincarnation.
+// both: a slot embedding a Slot header records whether it is checked out,
+// so a double Put panics, and with Debug set slots are quarantined (never
+// reused) so a stale pointer reaches a reset slot instead of aliasing a
+// reincarnation.
 //
 // In a partitioned simulation (sim.Parallel, DESIGN.md §14) pools follow
 // their owners: each partition's flow network and mpi world create their

@@ -420,9 +420,9 @@ func bitLen(v int) int {
 }
 
 // decideScan is the reference decision rule: the linear entry scan the
-// binary-search index replaced. It is kept as the oracle for the
-// differential tests (the same pattern as flow's reference allocator and
-// arena's reference pools).
+// binary-search index replaced. No binary links it: it is the oracle of
+// TestDecideMatchesScan, TestDecideIndexRebuild and FuzzLoadTable (the same
+// pattern as flow's reference allocator).
 func (t *Table) decideScan(kind coll.Kind, m int) han.Config {
 	best := -1
 	bestDist := 0.0
@@ -450,21 +450,18 @@ func (t *Table) DecisionFunc() han.DecisionFunc {
 	return func(kind coll.Kind, m int) han.Config { return t.Decide(kind, m) }
 }
 
+// logDist is the distance decideScan ranks entries by, how many powers of
+// two apart a and b are, so it serves the same tests (TestDecideMatchesScan
+// and the rest).
 func logDist(a, b int) float64 {
 	if a <= 0 || b <= 0 {
 		return 1e18
 	}
-	la, lb := float64(0), float64(0)
-	for v := a; v > 1; v >>= 1 {
-		la++
+	d := bitLen(a) - bitLen(b)
+	if d < 0 {
+		d = -d
 	}
-	for v := b; v > 1; v >>= 1 {
-		lb++
-	}
-	if la > lb {
-		return la - lb
-	}
-	return lb - la
+	return float64(d)
 }
 
 // Save writes the table as JSON.

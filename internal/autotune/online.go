@@ -1,8 +1,6 @@
 package autotune
 
 import (
-	"fmt"
-
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
@@ -94,14 +92,17 @@ func (t *OnlineTuner) trialCalls(st *onlineState) int {
 }
 
 // Converged reports whether the size class of (kind, m) has locked in a
-// configuration.
+// configuration. No binary asks yet: TestOnlineTunerConvergesToGoodConfig
+// does, and ROADMAP item 10(c) keeps it only if -ablate online becomes a
+// checked shape.
 func (t *OnlineTuner) Converged(kind coll.Kind, m int) bool {
 	st := t.states[onlineKey{kind, log2(m)}]
 	return st != nil && st.done
 }
 
 // Chosen returns the locked-in configuration for a size class (zero Config
-// before convergence).
+// before convergence). Like Converged it serves
+// TestOnlineTunerConvergesToGoodConfig and waits on ROADMAP item 10(c).
 func (t *OnlineTuner) Chosen(kind coll.Kind, m int) han.Config {
 	st := t.states[onlineKey{kind, log2(m)}]
 	if st != nil && st.done {
@@ -161,25 +162,10 @@ func (t *OnlineTuner) Bcast(p *mpi.Proc, buf mpi.Buf, root int) {
 	t.record(p, st, idx, float64(p.Now()-t0))
 }
 
-// Allreduce runs a HAN allreduce under online tuning.
-func (t *OnlineTuner) Allreduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype) {
-	st := t.state(coll.Allreduce, sbuf.N)
-	cfg, idx := t.begin(p, st)
-	cpuWaitTuner(p, t.Overhead)
-	t0 := p.Now()
-	t.h.Allreduce(p, sbuf, rbuf, op, dt, cfg)
-	t.record(p, st, idx, float64(p.Now()-t0))
-}
-
 func cpuWaitTuner(p *mpi.Proc, seconds float64) {
 	if seconds <= 0 {
 		return
 	}
 	f := p.W.Mach.CPUWork(p.Rank, seconds)
 	p.Sim.Wait(f.Done())
-}
-
-// String summarises tracked state for debugging.
-func (t *OnlineTuner) String() string {
-	return fmt.Sprintf("online tuner: %d size classes tracked", len(t.states))
 }

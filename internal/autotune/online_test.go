@@ -111,29 +111,3 @@ func TestOnlineTunerDeliversDataDuringTrials(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestOnlineTunerAllreduce(t *testing.T) {
-	spec := cluster.Mini(2, 2)
-	ranks := spec.Ranks()
-	eng := sim.New()
-	w := mpi.NewWorld(cluster.NewMachine(eng, spec), mpi.OpenMPI())
-	h := han.New(w)
-	tuner := NewOnlineTuner(h, onlineSpace())
-	w.Start(func(p *mpi.Proc) {
-		for i := 0; i < 4; i++ {
-			vals := []float64{float64(p.Rank), float64(p.Rank * 2)}
-			sbuf := mpi.Bytes(mpi.EncodeFloat64s(vals))
-			rbuf := mpi.Bytes(make([]byte, sbuf.N))
-			tuner.Allreduce(p, sbuf, rbuf, mpi.OpSum, mpi.Float64)
-			got := mpi.DecodeFloat64s(rbuf.B)
-			want := float64(ranks*(ranks-1)) / 2
-			if got[0] != want || got[1] != 2*want {
-				t.Errorf("call %d rank %d: got %v", i, p.Rank, got)
-				return
-			}
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -194,13 +194,8 @@ type IMBOpts struct {
 	Metrics *metrics.Registry
 }
 
-// IMB runs the collective benchmark for one system over the given sizes on
-// spec, returning one point per size.
-func IMB(spec cluster.Spec, sys System, kind coll.Kind, sizes []int) []Point {
-	return IMBWith(spec, sys, kind, sizes, IMBOpts{})
-}
-
-// IMBWith is IMB with explicit run options.
+// IMBWith runs the collective benchmark for one system over the given sizes
+// on spec under the run options o, returning one point per size.
 func IMBWith(spec cluster.Spec, sys System, kind coll.Kind, sizes []int, o IMBOpts) []Point {
 	points := make([]Point, len(sizes))
 	eng := sim.New()

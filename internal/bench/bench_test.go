@@ -13,7 +13,7 @@ import (
 func TestIMBMonotoneInSize(t *testing.T) {
 	spec := cluster.Mini(2, 4)
 	sizes := []int{64, 4 << 10, 256 << 10, 4 << 20}
-	pts := IMB(spec, HANSystem(nil), coll.Bcast, sizes)
+	pts := IMBWith(spec, HANSystem(nil), coll.Bcast, sizes, IMBOpts{})
 	if len(pts) != len(sizes) {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -37,7 +37,7 @@ func TestIMBAllreduceAllSystems(t *testing.T) {
 		RivalSystem(rivals.IntelMPI),
 		RivalSystem(rivals.MVAPICH2),
 	} {
-		pts := IMB(spec, sys, coll.Allreduce, sizes)
+		pts := IMBWith(spec, sys, coll.Allreduce, sizes, IMBOpts{})
 		for _, p := range pts {
 			if p.Seconds <= 0 {
 				t.Errorf("%s: non-positive latency at %d", sys.Name, p.Size)
@@ -93,8 +93,8 @@ func TestFormatTable(t *testing.T) {
 func TestHANvsDefaultShapeHolds(t *testing.T) {
 	spec := cluster.Mini(4, 8)
 	sizes := []int{64 << 10, 8 << 20}
-	hanPts := IMB(spec, HANSystem(nil), coll.Bcast, sizes)
-	ompiPts := IMB(spec, RivalSystem(rivals.OpenMPIDefault), coll.Bcast, sizes)
+	hanPts := IMBWith(spec, HANSystem(nil), coll.Bcast, sizes, IMBOpts{})
+	ompiPts := IMBWith(spec, RivalSystem(rivals.OpenMPIDefault), coll.Bcast, sizes, IMBOpts{})
 	for i := range sizes {
 		if hanPts[i].Seconds >= ompiPts[i].Seconds {
 			t.Errorf("size %d: HAN %.3gs should beat default %.3gs",
@@ -108,7 +108,7 @@ func TestIMBExtensionCollectives(t *testing.T) {
 	sizes := []int{256, 64 << 10}
 	for _, sys := range []System{HANSystem(nil), RivalSystem(rivals.OpenMPIDefault), RivalSystem(rivals.CrayMPI)} {
 		for _, kind := range []coll.Kind{coll.Reduce, coll.Gather, coll.Allgather, coll.Scatter} {
-			pts := IMB(spec, sys, kind, sizes)
+			pts := IMBWith(spec, sys, kind, sizes, IMBOpts{})
 			for _, p := range pts {
 				if p.Seconds <= 0 {
 					t.Errorf("%s/%s: non-positive latency at %d", sys.Name, kind, p.Size)

@@ -31,7 +31,9 @@ type ReplayOpts struct {
 // world seeded with seed, and returns the full trace event stream
 // serialized as JSON. Two calls with identical arguments must return
 // byte-identical streams; any divergence means hidden state (wall clock,
-// global RNG, map iteration order) leaked into the simulation.
+// global RNG, map iteration order) leaked into the simulation. No binary
+// links it: TestReplayDeterminism, TestReplayDeterminismUnderFaults and
+// TestReplaySeedsMatter run it.
 func ReplayStream(spec cluster.Spec, sys System, kind coll.Kind, size int, seed int64, o ReplayOpts) ([]byte, error) {
 	eng := sim.New()
 	w := mpi.NewWorld(cluster.NewMachine(eng, spec), sys.Pers)
@@ -59,7 +61,8 @@ func ReplayStream(spec cluster.Spec, sys System, kind coll.Kind, size int, seed 
 // CheckReplay runs the collective twice for every seed and returns a
 // descriptive error on the first divergence between the two event streams
 // (or on a failed/vacuous run). A nil return certifies that, for these
-// seeds, the simulation replayed to byte-identical timelines.
+// seeds, the simulation replayed to byte-identical timelines. It is the
+// check of TestReplayDeterminism and TestReplayDeterminismUnderFaults.
 func CheckReplay(spec cluster.Spec, sys System, kind coll.Kind, size int, o ReplayOpts, seeds ...int64) error {
 	for _, seed := range seeds {
 		first, err := ReplayStream(spec, sys, kind, size, seed, o)
@@ -80,7 +83,8 @@ func CheckReplay(spec cluster.Spec, sys System, kind coll.Kind, size int, o Repl
 
 // firstDiff locates the first differing byte and renders the surrounding
 // line of each stream, so a failure message points at the offending event
-// rather than dumping two full timelines.
+// rather than dumping two full timelines, in the failures of CheckReplay's
+// tests (TestReplayDeterminism and its fault twin).
 func firstDiff(a, b []byte) string {
 	n := len(a)
 	if len(b) < n {
@@ -96,6 +100,8 @@ func firstDiff(a, b []byte) string {
 	return fmt.Sprintf("byte %d: %q vs %q", i, lineAround(a, i), lineAround(b, i))
 }
 
+// lineAround is the line of s holding byte i, for firstDiff (and so for
+// TestReplayDeterminism's failure message).
 func lineAround(s []byte, i int) string {
 	lo := bytes.LastIndexByte(s[:i], '\n') + 1
 	hi := i + bytes.IndexByte(s[i:], '\n')

@@ -389,9 +389,6 @@ func (m *Machine) IsSocketLeader(r int) bool {
 // SocketBus returns the per-socket memory bus (NUMA mode only).
 func (m *Machine) SocketBus(node, socket int) *flow.Resource { return m.sockBus[node][socket] }
 
-// UPI returns the cross-socket link of a node (NUMA mode only).
-func (m *Machine) UPI(node int) *flow.Resource { return m.upi[node] }
-
 // IntraPath returns the resources an intra-node copy between two world
 // ranks crosses: the shared memory bus on a single-socket node, or the
 // per-socket buses plus the UPI link when the copy crosses sockets. The
@@ -434,9 +431,6 @@ func (m *Machine) NICOut(n int) *flow.Resource { return m.nicOut[n] }
 
 // MemBus returns the memory-bus resource of node n.
 func (m *Machine) MemBus(n int) *flow.Resource { return m.memBus[n] }
-
-// CPU returns the progress-engine resource of world rank r.
-func (m *Machine) CPU(r int) *flow.Resource { return m.cpu[r] }
 
 // GPUOf returns the GPU index serving world rank r on its node (round-robin
 // over local ranks). Panics when the machine has no GPUs.

@@ -58,7 +58,7 @@ func TestMachineTopologyMapping(t *testing.T) {
 	if m.NICIn(0) == m.NICIn(1) || m.NICIn(0) == m.NICOut(0) || m.MemBus(0) == m.MemBus(1) {
 		t.Error("node resources not distinct")
 	}
-	if m.CPU(0) == m.CPU(1) {
+	if m.cpu[0] == m.cpu[1] {
 		t.Error("per-rank CPUs not distinct")
 	}
 }
@@ -84,7 +84,7 @@ func TestIntraPathPrebuilt(t *testing.T) {
 		n := split.NodeOf(src)
 		for dst := n * 6; dst < (n+1)*6; dst++ {
 			ss, ds := split.SocketOf(src), split.SocketOf(dst)
-			want := []*flow.Resource{split.SocketBus(n, ss), split.UPI(n), split.SocketBus(n, ds)}
+			want := []*flow.Resource{split.SocketBus(n, ss), split.upi[n], split.SocketBus(n, ds)}
 			if ss == ds {
 				want = want[:1]
 			}
@@ -129,7 +129,7 @@ func TestMachineAllocatesPerChunk(t *testing.T) {
 		named(m.NICOut(n), "node%d.nicOut", n)
 		named(m.MemBus(n), "node%d.memBus", n)
 		named(m.NVLink(n), "node%d.nvlink", n)
-		named(m.UPI(n), "node%d.upi", n)
+		named(m.upi[n], "node%d.upi", n)
 		for g := range spec.GPUsPerNode {
 			named(m.GPUMem(n, g), "node%d.gpu%d.hbm", n, g)
 			named(m.GPUPCIe(n, g), "node%d.gpu%d.pcie", n, g)
@@ -139,7 +139,7 @@ func TestMachineAllocatesPerChunk(t *testing.T) {
 		}
 	}
 	for r := range spec.Ranks() {
-		named(m.CPU(r), "rank%d.cpu", r)
+		named(m.cpu[r], "rank%d.cpu", r)
 	}
 }
 

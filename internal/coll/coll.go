@@ -77,7 +77,8 @@ func KindByName(name string) (Kind, error) {
 // Alg enumerates collective algorithms across all modules.
 type Alg int
 
-// Algorithms. Not every module supports every algorithm; see Module.Algs.
+// Algorithms. Not every module supports every algorithm: a module with a
+// choice lists its own with an Algs method.
 const (
 	AlgDefault Alg = iota
 	AlgLinear
@@ -131,8 +132,6 @@ type Module interface {
 	Name() string
 	// Supports reports whether the module implements the given collective.
 	Supports(k Kind) bool
-	// Algs lists the algorithms selectable for the given collective.
-	Algs(k Kind) []Alg
 
 	Ibcast(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, pr Params) *mpi.Request
 	Ireduce(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, root int, pr Params) *mpi.Request
@@ -158,9 +157,6 @@ func (b Base) unsupported(k Kind) string {
 
 // Supports defaults to false; modules override.
 func (b Base) Supports(Kind) bool { return false }
-
-// Algs defaults to empty; modules override.
-func (b Base) Algs(Kind) []Alg { return nil }
 
 // Ibcast panics; modules that support Bcast override it.
 func (b Base) Ibcast(*mpi.Proc, *mpi.Comm, mpi.Buf, int, Params) *mpi.Request {

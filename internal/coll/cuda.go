@@ -50,14 +50,6 @@ func (m *CUDA) Supports(k Kind) bool {
 	return false
 }
 
-// Algs returns the single (NVLink direct) algorithm per collective.
-func (m *CUDA) Algs(k Kind) []Alg {
-	if m.Supports(k) {
-		return []Alg{AlgLinear}
-	}
-	return nil
-}
-
 // nvPath returns the resources a device-to-device copy between the GPUs of
 // two ranks crosses (src HBM, the shared NVLink fabric, dst HBM). Ranks on
 // the same GPU copy within one HBM.

@@ -409,7 +409,7 @@ func treeRows(visit func(name string, mk func() Module, tc treeCase, sub bool, r
 			// others, Tuned's own decision (AlgDefault) is a row too.
 			algs := []Alg{AlgDefault}
 			if tc.segs {
-				if algs = mod.Algs(tc.kind); mod.Name() == "tuned" {
+				if algs = mod.(algModule).Algs(tc.kind); mod.Name() == "tuned" {
 					algs = append([]Alg{AlgDefault}, algs...)
 				}
 			}

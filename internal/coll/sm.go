@@ -174,7 +174,9 @@ func (m *SM) Supports(k Kind) bool {
 	return false
 }
 
-// Algs returns the single (flat CICO) algorithm per collective.
+// Algs returns the single (flat CICO) algorithm per collective. No binary
+// asks: TestBcastAllModulesAllAlgs and its Reduce and Allreduce siblings
+// enumerate it.
 func (m *SM) Algs(k Kind) []Alg {
 	if m.Supports(k) {
 		return []Alg{AlgLinear}

@@ -45,7 +45,9 @@ func (m *SOLO) Supports(k Kind) bool {
 	return false
 }
 
-// Algs returns the single (one-sided direct) algorithm per collective.
+// Algs returns the single (one-sided direct) algorithm per collective. No
+// binary asks: TestBcastAllModulesAllAlgs and its Reduce and Allreduce
+// siblings enumerate it.
 func (m *SOLO) Algs(k Kind) []Alg {
 	if m.Supports(k) {
 		return []Alg{AlgLinear}

@@ -44,7 +44,9 @@ func (m *Tuned) Supports(k Kind) bool {
 	return false
 }
 
-// Algs lists the algorithms the decision function chooses among.
+// Algs lists the algorithms the decision function chooses among. No binary
+// asks: TestBcastAllModulesAllAlgs, its Reduce and Allreduce siblings and
+// the tree goldens enumerate it.
 func (m *Tuned) Algs(k Kind) []Alg {
 	switch k {
 	case Bcast:

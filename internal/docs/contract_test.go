@@ -15,9 +15,10 @@ import (
 // contract: markdown link and anchor extraction (GitHub slugification),
 // DESIGN.md-style §N section cross-references, and the cmd/* flag
 // surface used by the README drift check. The functions are pure —
-// they take source text, not file paths — so the unit tests can feed
-// them synthetic broken documents; the repo-wide tests walk the real
-// tree and feed them every markdown file.
+// they take source text, not file paths — so the unit tests in
+// check_test.go can feed them synthetic broken documents; the repo-wide
+// tests in links_test.go walk the real tree and feed them every markdown
+// file. No binary uses them, so they live in a test file.
 
 // Link is one inline markdown link or image, split into its file target
 // and optional #fragment.

@@ -71,10 +71,14 @@ func NewPool(workers int) *Pool {
 // Workers returns the configured worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Rounds returns how many rounds have been run.
+// Rounds returns how many rounds have been run. No binary asks:
+// TestPoolRunsEveryIndexOncePerRound counts with it and Jobs, and ROADMAP
+// item 6 deletes Pool with sim.Parallel.
 func (p *Pool) Rounds() uint64 { return p.nrounds.Load() }
 
-// Jobs returns how many jobs have been executed across all rounds.
+// Jobs returns how many jobs have been executed across all rounds. Like
+// Rounds it serves TestPoolRunsEveryIndexOncePerRound and goes with
+// ROADMAP item 6.
 func (p *Pool) Jobs() uint64 { return p.jobs.Load() }
 
 // Run executes job(0..n-1) on the pool's workers and returns when every

@@ -199,9 +199,6 @@ func NewInjector(plan Plan, rand func() float64) *Injector {
 	return &Injector{plan: plan, rand: rand}
 }
 
-// Plan returns the bound plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // occurrences calls visit(start, end) for each occurrence of a repeating
 // window.
 func occurrences(at, duration, repeat float64, count int, visit func(start, end float64)) {

@@ -171,7 +171,7 @@ func TestRebalanceScratchDropsFlowReferences(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		n.Start(25, r1, r2)
 	}
-	e.After(10, func() { n.Start(5, r2) })
+	e.At(e.Now()+10, func() { n.Start(5, r2) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

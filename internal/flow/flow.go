@@ -46,9 +46,6 @@ type Resource struct {
 	stats *ResourceStats
 }
 
-// Load returns the number of flows currently crossing the resource.
-func (r *Resource) Load() int { return len(r.flows) }
-
 func (r *Resource) remove(f *Flow) {
 	for i, g := range r.flows {
 		if g == f {
@@ -103,7 +100,8 @@ func (f *Flow) Done() *sim.Signal { return &f.doneSig }
 // for callers.
 func (f *Flow) Handle(int) { f.net.complete(f) }
 
-// Rate returns the currently allocated rate in bytes per second.
+// Rate returns the currently allocated rate in bytes per second. No binary
+// asks: TestDifferentialRatesMidFlight compares the two allocators with it.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Network tracks active flows over a set of resources.
@@ -175,12 +173,15 @@ func resetFlow(f *Flow) {
 
 // SetAllocator selects the allocator implementation. Switching while flows
 // are in flight is allowed (both allocators read and write the same flow
-// state and produce identical results).
+// state and produce identical results). No binary switches: the allocator
+// differentials (TestAllocatorSwitchMidRun, TestAllocatorParityEndToEnd)
+// do, and ROADMAP item 4(e) moves it out with the reference filler.
 func (n *Network) SetAllocator(a Allocator) { n.mode = a }
 
 // SetPooling switches flow recycling on or off for subsequently started
-// flows. Like SetAllocator it exists for differential tests; flows already
-// in flight keep the lifecycle they were started with.
+// flows. Like SetAllocator it exists for differential tests
+// (TestDifferentialPooledVsHeapFlows) and goes with ROADMAP item 4(e);
+// flows already in flight keep the lifecycle they were started with.
 func (n *Network) SetPooling(on bool) { n.pooling = on }
 
 // NewResource creates a resource with the given capacity in bytes/s.

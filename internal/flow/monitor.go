@@ -167,7 +167,8 @@ func (n *Network) EnableMonitor() *Monitor {
 // at least as large as a run's raw series length records the identical
 // series; smaller caps decimate deterministically. Exact totals (Bytes,
 // BusySeconds, Peak, FlowTotals) are unaffected. Call before the run;
-// lowering the cap mid-series takes effect at the next sample.
+// lowering the cap mid-series takes effect at the next sample. No binary
+// sets a cap: the TestMonitorSampleCap* tests do.
 func (m *Monitor) SetSampleCap(cap int) {
 	if cap < 0 {
 		cap = 0
@@ -177,9 +178,6 @@ func (m *Monitor) SetSampleCap(cap int) {
 		s.cap = cap
 	}
 }
-
-// Monitor returns the attached monitor, nil when not enabled.
-func (n *Network) Monitor() *Monitor { return n.mon }
 
 func (m *Monitor) track(r *Resource, now sim.Time) {
 	r.stats = &ResourceStats{Res: r, lastT: now, cap: m.sampleCap, stride: 1}

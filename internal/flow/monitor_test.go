@@ -21,7 +21,7 @@ func monitorScenario(t *testing.T, enable bool) (*Monitor, sim.Time) {
 		mon = n.EnableMonitor()
 	}
 	n.Start(100, a)
-	e.After(0.5, func() { n.Start(100, a, b) })
+	e.At(e.Now()+0.5, func() { n.Start(100, a, b) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,9 @@ func (h *HAN) Reduce(p *mpi.Proc, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype
 
 // AllreduceComm allreduces over communicator c with Allreduce's pipeline
 // when c's member placement is regular, and the flat `tuned` allreduce —
-// with a *FallbackError note — when it is not.
+// with a *FallbackError note — when it is not. No binary calls it: the
+// AllreduceComm goldens (TestGoldenCollectiveBits) and
+// TestAllreduceCommRegularAndIrregular do.
 func (h *HAN) AllreduceComm(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf mpi.Buf, op mpi.Op, dt mpi.Datatype, cfg Config) error {
 	if c == h.W.World() {
 		return h.Allreduce(p, sbuf, rbuf, op, dt, cfg)

@@ -54,7 +54,8 @@ func (h *HAN) Bcast(p *mpi.Proc, buf mpi.Buf, root int, cfg Config) error {
 // BcastComm broadcasts buf from comm rank root over communicator c using
 // Bcast's two-level pipeline when c's member placement is regular and the
 // root leads its node group, and the flat `tuned` broadcast — with a
-// *FallbackError note — when not.
+// *FallbackError note — when not. No binary calls it: the BcastComm
+// goldens (TestGoldenCollectiveBits) and TestBcastCommRegularSubcomm do.
 func (h *HAN) BcastComm(p *mpi.Proc, c *mpi.Comm, buf mpi.Buf, root int, cfg Config) error {
 	if c == h.W.World() {
 		return h.Bcast(p, buf, root, cfg)

@@ -527,7 +527,8 @@ func (h *HAN) hierarchy(p *mpi.Proc, c *Call) {
 	if f.blocks && hr.isLeader {
 		pl.mid = scratch(pl.src, pl.src.N*hr.node.Size())
 	}
-	pl.derive(p, cl.kind, formOf(cl.kind, cfg))
+	pl.settle(p)
+	pl.derive(cl.kind, formOf(cl.kind, cfg))
 }
 
 // scratch returns a working buffer of n bytes, real when like is.

@@ -36,13 +36,16 @@ const (
 
 var levelLabels = [numLevelKinds]string{"intra", "socket", "node", "gpu", "inter", "pcie"}
 
-// level is one hierarchy level as the calling rank sees it.
+// level is one hierarchy level as the calling rank sees it. Of the rank's
+// place in it, derive reads only membership (comm != nil) and root-ness
+// (atRoot).
 type level struct {
-	comm *mpi.Comm // nil when this rank is not a member
-	mod  coll.Module
-	down coll.Module // the broadcast side's module when it is not mod (Config.SBMod)
-	root int         // root within comm, for both directions
-	kind levelKind
+	comm   *mpi.Comm // nil when this rank is not a member
+	mod    coll.Module
+	down   coll.Module // the broadcast side's module when it is not mod (Config.SBMod)
+	root   int         // root within comm, for both directions
+	atRoot bool        // this rank is root: set by settle once root is final
+	kind   levelKind
 }
 
 // stageOp is what a stage does with its segment.
@@ -183,10 +186,13 @@ func (pl *pipeline) add(op stageOp, lv int) {
 	pl.depth++
 }
 
-// isRoot reports whether this rank is the root of level lv.
-func (pl *pipeline) isRoot(p *mpi.Proc, lv int) bool {
-	l := &pl.lv[lv]
-	return l.comm != nil && l.comm.Rank(p) == l.root
+// settle records, once the level list's roots are final, which levels p
+// roots, so derive needs no process.
+func (pl *pipeline) settle(p *mpi.Proc) {
+	for i := range pl.nlv {
+		l := &pl.lv[i]
+		l.atRoot = l.comm != nil && l.comm.Rank(p) == l.root
+	}
 }
 
 // form describes a collective kind to the prologue and to derive: the stage
@@ -240,7 +246,7 @@ func formOf(kind coll.Kind, cfg *Config) form {
 // The sweeps list stages in offset order except for leafFirst, the order
 // of the original two-level Bcast (Fig 1's sbib issues sb(i-1), then
 // ib(i)), which its sim bits are recorded with.
-func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind, f form) {
+func (pl *pipeline) derive(kind coll.Kind, f form) {
 	top := pl.nlv - 1
 	pl.nst, pl.depth = 0, 0
 	if f.up != noOp {
@@ -255,7 +261,7 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind, f form) {
 			pl.add(op, l)
 		}
 	} else if top > 0 && pl.lv[top-1].kind == lvGPU {
-		if pl.isRoot(p, top) {
+		if pl.lv[top].atRoot {
 			pl.add(opD2H, top)
 		} else {
 			pl.depth++
@@ -270,7 +276,7 @@ func (pl *pipeline) derive(p *mpi.Proc, kind coll.Kind, f form) {
 			if l+1 < pl.nlv && pl.lv[l].kind == lvGPU {
 				if kind != coll.Bcast {
 					pl.add(opH2D, l+1)
-				} else if pl.lv[l+1].comm != nil && !pl.isRoot(p, l+1) {
+				} else if pl.lv[l+1].comm != nil && !pl.lv[l+1].atRoot {
 					op = opH2DDown
 				}
 			}

@@ -42,7 +42,9 @@ func (h *HAN) startTimed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.
 	return (*Timed)(c)
 }
 
-// timed runs a measurement on a goroutine rank, as collective runs a call.
+// timed runs a measurement on a goroutine rank, as collective runs a call:
+// the body of Series and TimeTasks, so it serves the same tests
+// (TestGoldenStepAndTimerBits and the rest).
 func (h *HAN) timed(p *mpi.Proc, who string, kind coll.Kind, u int, op mpi.Op, dt mpi.Datatype, cfg Config, table []stage) ([]sim.Time, error) {
 	t := h.startTimed(p, who, kind, u, op, dt, cfg, table)
 	defer t.Unwind(p.Sim) // finds nothing to do after a measurement that finished
@@ -94,7 +96,8 @@ func (t *Timed) enter() (done bool) {
 
 	reports := true
 	if table, n := pl.st, pl.nst; n == 0 {
-		pl.derive(p, kind, formOf(kind, &c.cfg))
+		pl.settle(p)
+		pl.derive(kind, formOf(kind, &c.cfg))
 		reports = hr.isLeader // the schedules report the leaders' view
 	} else {
 		pl.nst = 0
@@ -140,7 +143,9 @@ func (t *Timed) Unwind(sp *sim.Proc) { (*Call)(t).Unwind(sp) }
 // steps exhibit the pipeline warm-up and stabilisation of Fig 3. A Bcast
 // moves bytes, an Allreduce sums float64s. A configuration without an
 // explicit segment size, with an unknown submodule name or with Levels set
-// is rejected with a *ConfigError.
+// is rejected with a *ConfigError. No binary calls it: it is the
+// goroutine-rank reference TestGoldenStepAndTimerBits and
+// TestSweepRunsRanksWithoutGoroutines hold the step-rank Timed form to.
 func (h *HAN) Series(p *mpi.Proc, kind coll.Kind, u int, cfg Config) ([]sim.Time, error) {
 	return h.timed(p, "Series", kind, u, mpi.OpSum, seriesType(kind), cfg, nil)
 }
@@ -182,7 +187,9 @@ func (h *HAN) StartTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, ta
 // ib, with TaskIB and TaskSB the naive concurrent sb+ib of Fig 2, with
 // TaskIB and TaskIR the full-duplex overlap of Fig 6. A configuration
 // without an explicit segment size, with an unknown submodule name or with
-// Levels set is rejected with a *ConfigError.
+// Levels set is rejected with a *ConfigError. Like Series, it is the
+// goroutine-rank reference of TestGoldenStepAndTimerBits and
+// TestSweepRunsRanksWithoutGoroutines; no binary calls it.
 func (h *HAN) TimeTasks(p *mpi.Proc, op mpi.Op, dt mpi.Datatype, cfg Config, tasks ...Task) (sim.Time, error) {
 	steps, err := h.timed(p, "TimeTasks", coll.Bcast, 1, op, dt, cfg, tasks)
 	if steps == nil {

@@ -140,7 +140,9 @@ func ByName(name string) *Analyzer {
 // the //hanlint:allow annotations, and returns the surviving diagnostics
 // sorted by position. Stale or malformed annotations are returned as
 // diagnostics of the synthetic pass "allow". Interprocedural passes run
-// without dependency facts; use RunAnalyzersFacts to thread them.
+// without dependency facts; use RunAnalyzersFacts to thread them. No
+// binary calls it: the fence tests (TestEnginebound, TestServebound and
+// their Scope twins, through checkFence) do.
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	diags, _ := RunAnalyzersFacts(pkg, analyzers, nil)
 	return diags

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,6 +45,9 @@ type expectation struct {
 // main fixture may import them (the loader serves already-loaded
 // packages by import path). Their own // want comments, if any, are not
 // checked — only the main fixture's are.
+//
+// No binary links it: internal/lint's fixture tests (TestReqwait,
+// TestDetflow and one per analyzer) are its callers.
 func Run(t *testing.T, a *lint.Analyzer, fixture string, deps ...string) {
 	t.Helper()
 	loader := lint.NewLoader()
@@ -88,27 +92,16 @@ func Run(t *testing.T, a *lint.Analyzer, fixture string, deps ...string) {
 	}
 }
 
+// posKey is the file:line key Run matches diagnostics to expectations by,
+// for internal/lint's fixture tests (TestReqwait and the rest).
 func posKey(file string, line int) string {
-	return filepath.Base(file) + ":" + itoa(line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
+	return filepath.Base(file) + ":" + strconv.Itoa(line)
 }
 
 // collectWants re-parses the fixture files (the loaded AST is also
 // available, but a fresh parse keeps this package independent of loader
-// internals) and extracts // want expectations keyed by file:line.
+// internals) and extracts // want expectations keyed by file:line, for Run
+// and so for internal/lint's fixture tests (TestReqwait and the rest).
 func collectWants(t *testing.T, _ *token.FileSet, dir string) map[string][]*expectation {
 	t.Helper()
 	fset := token.NewFileSet()

@@ -11,10 +11,9 @@ import (
 // lostcancel: every *Request produced by an Isend/Irecv call must be
 // consumed — waited on, returned, stored, or passed along — before it is
 // dropped or overwritten. A lost request is a silent leak: its completion
-// callback stays registered and nobody observes the transfer finish (the
-// shape of the WaitAny callback leak fixed in PR 1). Deliberate
-// fire-and-forget must be spelled `_ = c.Isend(...)`, which documents the
-// intent at the call site.
+// callback stays registered and nobody observes the transfer finish.
+// Deliberate fire-and-forget must be spelled `_ = c.Isend(...)`, which
+// documents the intent at the call site.
 //
 // The analysis is intraprocedural and position-based, not a full CFG:
 // an assignment to a request variable is flagged when no other mention of
@@ -69,7 +68,7 @@ func checkRequests(pass *Pass, body *ast.BlockStmt) {
 			if call, ok := v.X.(*ast.CallExpr); ok && isRequestCall(info, call) {
 				op := call.Fun.(*ast.SelectorExpr).Sel.Name
 				pass.Reportf(call.Pos(),
-					"%s request dropped: Wait on it (or a WaitAll/WaitAny batch), or "+
+					"%s request dropped: Wait on it (alone or in one Wait with others), or "+
 						"discard it explicitly with `_ = ...%s(...)`", op, op)
 			}
 		case *ast.AssignStmt:

@@ -14,7 +14,6 @@ func TestNilHandlesAreSafe(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(2)
-	g.Add(-1)
 	h.Observe(0.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil handles must observe nothing")

@@ -55,7 +55,8 @@ func (c *Comm) Ctx() int { return c.ctx }
 
 // Dup returns a communicator with the same group but a fresh matching
 // context, so concurrent collectives on the two communicators cannot match
-// each other's traffic.
+// each other's traffic. No binary duplicates one: TestDupCreatesFreshContext
+// and TestAllreduceCommBufferMismatch do.
 func (c *Comm) Dup() *Comm { return c.w.NewComm(c.ranks) }
 
 // Size returns the number of ranks in the communicator.
@@ -83,12 +84,6 @@ func (c *Comm) RankOfWorld(worldRank int) int {
 		return r
 	}
 	return -1
-}
-
-// Contains reports whether world rank r belongs to the communicator.
-func (c *Comm) Contains(worldRank int) bool {
-	_, ok := c.rankOf[worldRank]
-	return ok
 }
 
 // Sub returns a cached communicator over the given comm-rank subset. The

@@ -292,6 +292,8 @@ func (w *World) detection() (period, suspicion float64) {
 // declared dead at the first multiple of period at least suspicion seconds
 // after the crash. period <= 0 disables the heartbeat path entirely,
 // leaving detection to retransmit escalation. Call before the engine runs.
+// No binary changes the defaults: TestWatchdogReportsDeadRank and
+// TestWatchdogNamesDeadRankUnderCrashPlan do.
 func (w *World) SetFailureDetection(period, suspicion float64) {
 	w.hbPeriod, w.hbSuspicion, w.hbConfigured = period, suspicion, true
 }

@@ -700,7 +700,8 @@ func (c *Comm) Recv(p *Proc, buf Buf, src, tag int) {
 }
 
 // SendRecv exchanges messages with possibly different peers, progressing
-// both directions concurrently.
+// both directions concurrently. No binary calls it: the P2P churn tests
+// (runP2PChurn) and TestWorldResetRefusesLiveRecords do.
 func (c *Comm) SendRecv(p *Proc, sbuf Buf, dst, stag int, rbuf Buf, src, rtag int) {
 	sreq := c.Isend(p, sbuf, dst, stag)
 	rreq := c.Irecv(p, rbuf, src, rtag)

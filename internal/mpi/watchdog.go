@@ -85,7 +85,8 @@ func (e *CollTimeoutError) Error() string {
 // Zero disables the watchdog (the default). The watchdog complements the
 // engine's whole-world deadlock detector: a fault plan can wedge a
 // collective while unrelated traffic keeps the event queue busy, which the
-// drain-based detector would never flag.
+// drain-based detector would never flag. No binary arms it yet: the
+// watchdog tests do, and ROADMAP item 17 has IMBWith arm it as a backstop.
 func (w *World) SetCollTimeout(d sim.Time) {
 	w.collTimeout = d
 	if d > 0 && w.collWatch == nil {

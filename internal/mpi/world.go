@@ -391,9 +391,6 @@ func (w *World) AttachFaults(plan fault.Plan) {
 	}
 }
 
-// Faults returns the attached fault injector, or nil.
-func (w *World) Faults() *fault.Injector { return w.faults }
-
 // Seed reseeds the world's noise generator, in place (only meaningful with
 // a personality that sets Jitter, or a fault plan that draws).
 func (w *World) Seed(seed int64) { w.rng.Seed(seed) }

@@ -48,12 +48,12 @@ func genTable(v uint64, kinds ...coll.Kind) *autotune.Table {
 func TestSnapshotSwapRace(t *testing.T) {
 	s := NewServer(Options{})
 
-	// published tracks the highest version whose Publish has started; a
+	// published tracks the highest version whose PublishTable has started; a
 	// reader may observe any v in [1, published] depending on timing, but
 	// never more.
 	var published atomic.Uint64
 	published.Store(1)
-	s.Publish("race", coll.Bcast, genTable(1))
+	s.PublishTable("race", genTable(1))
 
 	const (
 		readers   = 8
@@ -105,7 +105,7 @@ func TestSnapshotSwapRace(t *testing.T) {
 		// that races ahead of this goroutine never flags a fresh version
 		// as unpublished.
 		published.Store(v)
-		s.Publish("race", coll.Bcast, genTable(v))
+		s.PublishTable("race", genTable(v))
 		if v%16 == 0 {
 			time.Sleep(100 * time.Microsecond) // let readers in between bursts
 		}

@@ -37,9 +37,9 @@ func tinyTable(fs int, kinds ...coll.Kind) *autotune.Table {
 func TestServerPublishDecide(t *testing.T) {
 	s := NewServer(Options{})
 	table := tinyTable(1<<20, coll.Bcast)
-	gen := s.Publish("mini", coll.Bcast, table)
-	if gen == 0 {
-		t.Fatal("Publish returned generation 0")
+	s.PublishTable("mini", table)
+	if gen := s.Generation(); gen == 0 {
+		t.Fatal("PublishTable left generation 0")
 	}
 	for _, m := range []int{512, 1 << 10, 3 << 10, 1 << 19, 1 << 22} {
 		got, err := s.Decide("mini", coll.Bcast, m)
@@ -120,7 +120,7 @@ func TestServerDecideMatchesTable(t *testing.T) {
 			} else {
 				kind := kinds[r.Intn(2)]
 				table := randTable(r, kind)
-				s.Publish(cl, kind, table)
+				s.PublishTable(cl, table)
 				current[Key{cl, kind}] = table
 			}
 		}
@@ -154,12 +154,12 @@ func TestServerDecideMatchesTable(t *testing.T) {
 	}
 }
 
-// TestRepublishIsVisibleToNextDecide: a Decide that follows a Publish of
+// TestRepublishIsVisibleToNextDecide: a Decide that follows a PublishTable of
 // the same key is answered from the new table, at a size the old table has
 // already answered.
 func TestRepublishIsVisibleToNextDecide(t *testing.T) {
 	s := NewServer(Options{})
-	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast))
 
 	// Query above both tables' segment sizes so the FS clamp (fs = min(fs,
 	// m)) never masks which table answered.
@@ -169,14 +169,14 @@ func TestRepublishIsVisibleToNextDecide(t *testing.T) {
 			t.Fatalf("decision %d before republish: %+v, want FS %d", i, cfg, 1<<20)
 		}
 	}
-	gen := s.Publish("mini", coll.Bcast, tinyTable(1<<16, coll.Bcast))
+	s.PublishTable("mini", tinyTable(1<<16, coll.Bcast))
 	for i := 0; i < 2; i++ {
 		if cfg, _ := s.Decide("mini", coll.Bcast, m); cfg.FS != 1<<16 {
 			t.Fatalf("decision %d after republish: %+v, want FS %d", i, cfg, 1<<16)
 		}
 	}
-	if gen != s.Generation() || gen != 2 {
-		t.Fatalf("generation %d (server %d), want 2", gen, s.Generation())
+	if gen := s.Generation(); gen != 2 {
+		t.Fatalf("generation %d, want 2", gen)
 	}
 	if c := s.Counters(); c.Swaps != 2 || c.Decisions != 4 {
 		t.Fatalf("Swaps=%d Decisions=%d, want 2/4", c.Swaps, c.Decisions)
@@ -364,7 +364,7 @@ func TestServerRetuneErrorKeepsServing(t *testing.T) {
 		}
 		return tinyTable(1<<20, coll.Bcast), nil
 	}})
-	s.Publish("a", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	s.PublishTable("a", tinyTable(1<<20, coll.Bcast))
 	want, _ := s.Decide("a", coll.Bcast, 4096)
 
 	fail = true
@@ -398,7 +398,7 @@ func TestServerStartRetuner(t *testing.T) {
 		mu.Unlock()
 		return tinyTable(v<<16, coll.Bcast), nil
 	}})
-	s.Publish("a", coll.Bcast, tinyTable(1<<10, coll.Bcast))
+	s.PublishTable("a", tinyTable(1<<10, coll.Bcast))
 	stop := s.StartRetuner(2 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
 	for s.Counters().Retunes < 2 {
@@ -451,7 +451,7 @@ func TestServerDecideZeroAlloc(t *testing.T) {
 // publisher holds, so a stalled publisher delays no decision.
 func TestDecideDoesNotBlockOnPublisher(t *testing.T) {
 	s := NewServer(Options{})
-	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast))
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	done := make(chan error, 1) // one send, from the one reader
@@ -471,7 +471,7 @@ func TestDecideDoesNotBlockOnPublisher(t *testing.T) {
 
 func TestServerPublishMetrics(t *testing.T) {
 	s := NewServer(Options{})
-	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast))
 	s.Decide("mini", coll.Bcast, 4096)
 	s.Decide("mini", coll.Bcast, 4096)
 	s.Decide("nowhere", coll.Bcast, 4096) // UnknownTableError
@@ -523,7 +523,7 @@ func sampled(n uint64) uint64 { return (n + latencySampleEvery - 1) / latencySam
 func TestDecideLatencySampled(t *testing.T) {
 	for _, n := range []uint64{1, 15, 16, 17, 100} {
 		s := NewServer(Options{})
-		s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+		s.PublishTable("mini", tinyTable(1<<20, coll.Bcast))
 		for i := uint64(0); i < n; i++ {
 			if _, err := s.Decide("mini", coll.Bcast, 4096); err != nil {
 				t.Fatal(err)
@@ -539,7 +539,7 @@ func TestDecideLatencySampled(t *testing.T) {
 	}
 
 	s := NewServer(Options{})
-	s.Publish("mini", coll.Bcast, tinyTable(1<<20, coll.Bcast))
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast))
 	const per = 1000
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

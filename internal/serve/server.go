@@ -31,7 +31,7 @@ func compareKeys(a, b Key) int {
 }
 
 // Snapshot is one immutable published table generation. The Table must
-// never be mutated after Publish: readers access it concurrently without
+// never be mutated once published: readers access it concurrently without
 // locks, and its decision index is built exactly once, by install.
 type Snapshot struct {
 	Table *autotune.Table
@@ -112,13 +112,12 @@ func (s *Server) snapshot(k Key) *Snapshot { return (*s.tables.Load())[k] }
 
 // install is the one publication path: it makes table the snapshot of
 // every key in keys with a single store, so a reader sees all of a table's
-// kinds change together, and returns the generation of the last key. The
-// decision index is built here, under the publisher mutex and before the
-// table is visible under any key; EnsureIndex leaves a current index
-// alone, so installing a *Table that readers already decide against (the
+// kinds change together. The decision index is built here, under the
+// publisher mutex and before the table is visible under any key;
+// EnsureIndex leaves a current index alone, so installing a *Table that readers already decide against (the
 // same table again, or under one more key) writes nothing they read. The
 // new map is sized exactly: a republish of known keys adds none.
-func (s *Server) install(table *autotune.Table, keys ...Key) uint64 {
+func (s *Server) install(table *autotune.Table, keys ...Key) {
 	s.pubMu.Lock()
 	table.EnsureIndex()
 	old := *s.tables.Load()
@@ -132,22 +131,12 @@ func (s *Server) install(table *autotune.Table, keys ...Key) uint64 {
 	for k, snap := range old {
 		next[k] = snap
 	}
-	var gen uint64
 	for _, k := range keys {
-		gen = s.gen.Add(1)
-		next[k] = &Snapshot{Table: table, Gen: gen}
+		next[k] = &Snapshot{Table: table, Gen: s.gen.Add(1)}
 	}
 	s.tables.Store(&next)
 	s.pubMu.Unlock()
 	s.c.swaps.Add(uint64(len(keys)))
-	return gen
-}
-
-// Publish atomically installs table as the new snapshot for (cluster,
-// kind) and returns its generation. The table must not be mutated
-// afterwards: concurrent Decide calls read it without locks.
-func (s *Server) Publish(cluster string, kind coll.Kind, table *autotune.Table) uint64 {
-	return s.install(table, Key{Cluster: cluster, Kind: kind})
 }
 
 // tableKeys returns cluster's key for every collective kind table has
@@ -189,7 +178,9 @@ func (s *Server) Keys() []Key {
 // TableCount returns the number of published snapshots.
 func (s *Server) TableCount() int { return len(*s.tables.Load()) }
 
-// Generation returns the latest published generation number.
+// Generation returns the latest published generation number. No binary asks
+// yet: TestServerPublishDecide and TestServerRetune do, and ROADMAP item
+// 5(a) exports it as a gauge of a running hand.
 func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // Decide answers one decision query: one atomic load of the table map,

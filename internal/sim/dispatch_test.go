@@ -180,14 +180,23 @@ func TestCallbacksStayOnEngineGoroutine(t *testing.T) {
 	}
 }
 
-// WaitAll parks once: a process waiting on N signals costs one resume event,
-// pushed when the last of them fires.
+// waitAll arms p on every signal and parks once, as mpi.Proc.Wait does over
+// its requests.
+func waitAll(p *Proc, sigs ...*Signal) {
+	for _, s := range sigs {
+		p.Arm(s, nil)
+	}
+	p.WaitArmed()
+}
+
+// A wait on several signals parks once: a process waiting on N signals costs
+// one resume event, pushed when the last of them fires.
 func TestWaitAllParksOnce(t *testing.T) {
 	e := New()
 	sigs := []*Signal{NewSignal(), NewSignal(), NewSignal()}
 	var wokeAt Time
 	e.Spawn("w", func(p *Proc) {
-		p.WaitAll(sigs...)
+		waitAll(p, sigs...)
 		wokeAt = p.Now()
 	})
 	e.At(1, func() { sigs[2].Fire(e) })

@@ -13,16 +13,16 @@
 // Proc.StepSleep and Proc.StepWait); other code wakes them by firing
 // Signals or scheduling callbacks. A process spawned as a Stepper has no
 // goroutine to park, and the parking calls on it (Sleep, Wait, WaitArmed,
-// WaitAny, RunSteps) panic naming it instead of blocking the engine
-// goroutine.
+// RunSteps) panic naming it instead of blocking the engine goroutine.
 //
 // A callback has one form, a Handler: the record it belongs to, called back
 // with the op it was registered under (Engine.Call, Engine.AtInto,
 // Signal.OnFire). A record that drives a protocol registers each of its
 // steps as itself and an op and switches over them in Handle, so it builds
-// no closure per instance; a closure registers as a Func, and At, After,
-// Schedule and Subscribe take one directly. Storing either form allocates
-// nothing.
+// no closure per instance; a closure registers as a Func, and At and
+// Schedule take one directly. Storing either form allocates nothing. A
+// Signal's callbacks are permanent: OnFire has no way to take one back, and
+// Fire drops them all.
 //
 // Routines compose. A goroutine process lends its Proc to one for the length
 // of a blocking call (RunSteps); a process that is a Stepper runs another
@@ -49,7 +49,7 @@
 //     a kept optimisation needs nine in ten (EXPERIMENTS.md "A same-instant
 //     FIFO"). Keys inline in a 4-ary heap measured slower: the heap is ~3 k
 //     entries and sits in L2.
-//   - Scheduled callbacks (At, After, Schedule, Call, AtInto) and process
+//   - Scheduled callbacks (At, Schedule, Call, AtInto) and process
 //     starts run only on the engine goroutine — the one inside Run or
 //     RunUntil.
 //   - A process that parks or exits may dispatch the next event itself
@@ -60,11 +60,11 @@
 //     dispatches a callback; anything else goes back to the engine
 //     goroutine. A wake-up therefore costs one goroutine switch, not two,
 //     and process stacks never carry callback frames.
-//   - A blocking call parks once. WaitAll — and mpi.Proc.Wait over several
-//     requests — registers on every unfired signal (Arm), then parks
-//     (WaitArmed); each firing signal counts the process down and the last
-//     one schedules its single resume. Kill clears the count and pushes the
-//     one unwind resume; Signal.Fire skips dying waiters.
+//   - A blocking call parks once. A wait on several signals — mpi.Proc.Wait
+//     over several requests — registers on every unfired signal (Arm), then
+//     parks (WaitArmed); each firing signal counts the process down and the
+//     last one schedules its single resume. Kill clears the count and pushes
+//     the one unwind resume; Signal.Fire skips dying waiters.
 //   - A step-driven process is dispatched by the same events as a goroutine
 //     one. SpawnStep queues the start event Spawn queues; StepSleep queues
 //     the resume Sleep queues; Arm registers on the same signals and

@@ -169,12 +169,12 @@ func TestKillWhileArmedOnSeveralSignals(t *testing.T) {
 			var unwound, ranPastWait, survivorDone int
 			victim := e.Spawn("victim", func(p *Proc) {
 				defer func() { unwound++ }()
-				p.WaitAll(sigs...)
+				waitAll(p, sigs...)
 				ranPastWait++
 			})
 			// A bystander on the same signals must be unaffected.
 			e.Spawn("survivor", func(p *Proc) {
-				p.WaitAll(sigs...)
+				waitAll(p, sigs...)
 				survivorDone++
 			})
 			for i, s := range sigs {

@@ -97,18 +97,12 @@ func NewOracle(n int) *Parallel {
 }
 
 // Oracle reports whether this coordinator runs all partitions on one
-// shared serial engine.
+// shared serial engine. No binary asks: TestOracleModeIsSharedEngine checks
+// it, and ROADMAP item 6 deletes it with Parallel.
 func (p *Parallel) Oracle() bool { return p.oracle != nil }
-
-// Parts returns the number of partitions.
-func (p *Parallel) Parts() int { return len(p.parts) }
 
 // Part returns partition i.
 func (p *Parallel) Part(i int) *Partition { return p.parts[i] }
-
-// MinLookahead returns the smallest lookahead over all connected links:
-// the window width of the conservative synchronization protocol.
-func (p *Parallel) MinLookahead() Time { return p.minLook }
 
 // Connect creates a unidirectional Link from partition src to partition
 // dst with the given lookahead: every Send on the link must declare a
@@ -264,9 +258,6 @@ type Partition struct {
 // built on. In oracle mode every partition returns the one shared engine.
 func (pt *Partition) Engine() *Engine { return pt.eng }
 
-// Index returns the partition's index.
-func (pt *Partition) Index() int { return pt.idx }
-
 // advance runs one window: schedule drain events for every inbox arrival
 // inside the window, then dispatch local events up to the horizon.
 func (pt *Partition) advance(horizon Time) {
@@ -373,16 +364,9 @@ type Link struct {
 	sig      *Signal       // fires on delivery; replaced per batch
 }
 
-// ID returns the link's index in Connect order.
-func (l *Link) ID() int { return l.id }
-
-// Src returns the source partition index.
-func (l *Link) Src() int { return l.src }
-
-// Dst returns the destination partition index.
-func (l *Link) Dst() int { return l.dst }
-
-// Lookahead returns the link's minimum declared latency.
+// Lookahead returns the link's minimum declared latency. No binary asks:
+// TestParallelRingMatchesOracle's ring sends at it, and ROADMAP item 6
+// deletes it with Link.
 func (l *Link) Lookahead() Time { return l.look }
 
 // Send queues msg for delivery to the destination partition after delay
@@ -433,28 +417,12 @@ func (l *Link) Recv(p *Proc) interface{} {
 	for len(l.q) == 0 {
 		p.WaitAt(l.sig, linkSite{l})
 	}
-	return l.pop()
-}
-
-// TryRecv dequeues the oldest delivered message without blocking; ok is
-// false when nothing has been delivered.
-func (l *Link) TryRecv() (msg interface{}, ok bool) {
-	if len(l.q) == 0 {
-		return nil, false
-	}
-	return l.pop(), true
-}
-
-func (l *Link) pop() interface{} {
 	msg := l.q[0]
 	copy(l.q, l.q[1:])
 	l.q[len(l.q)-1] = nil
 	l.q = l.q[:len(l.q)-1]
 	return msg
 }
-
-// Pending reports how many delivered messages await Recv.
-func (l *Link) Pending() int { return len(l.q) }
 
 // PartitionError wraps the error that aborted a partition, identifying it.
 type PartitionError struct {

@@ -2,56 +2,6 @@ package sim
 
 import "testing"
 
-// Repeated WaitAny calls against the same long-lived unfired signals must
-// not accumulate callbacks (the progress-loop pattern in internal/mpi).
-func TestWaitAnyDoesNotLeakCallbacks(t *testing.T) {
-	e := New()
-	slow := NewSignal() // never fires until the very end
-	var peak int
-	e.Spawn("poller", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			tick := NewSignal()
-			e.At(p.Now()+1, func() { tick.Fire(e) })
-			if got := p.WaitAny(slow, tick); got != 1 {
-				t.Errorf("iteration %d: WaitAny = %d, want 1 (tick)", i, got)
-			}
-			if n := slow.pending(); n > peak {
-				peak = n
-			}
-		}
-	})
-	e.At(1000, func() { slow.Fire(e) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// One registration may be live inside a WaitAny; anything that grows
-	// with the iteration count is the leak this guards against.
-	if peak > 2 {
-		t.Fatalf("slow signal accumulated %d callbacks across WaitAny calls, want <= 2", peak)
-	}
-	if n := slow.pending(); n != 0 {
-		t.Fatalf("slow signal still holds %d callbacks after all WaitAny calls returned", n)
-	}
-}
-
-func TestWaitAnyStillReturnsFirstFired(t *testing.T) {
-	e := New()
-	a, b, c := NewSignal(), NewSignal(), NewSignal()
-	var idx int = -1
-	e.Spawn("w", func(p *Proc) { idx = p.WaitAny(a, b, c) })
-	e.At(1, func() {
-		// Fire two at the same instant: lowest index must win.
-		c.Fire(e)
-		b.Fire(e)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("WaitAny = %d, want 1", idx)
-	}
-}
-
 // Timer.When must be nil-safe: a nil handle or a never-armed zero Timer
 // (flow.Flow.timer before the first rebalance) reports 0 instead of
 // dereferencing a nil event.
@@ -263,6 +213,9 @@ func TestSignalFirstCallbackInline(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("callbacks ran in order %v, want [0 1 2]", order)
 	}
+	if n := s.pending(); n != 0 {
+		t.Fatalf("pending = %d after Fire, want 0: a fired signal holds no callbacks", n)
+	}
 
 	s.Reset()
 	s.OnFire(Func(func() { t.Error("a callback registered before Reset ran") }), 0)
@@ -317,29 +270,5 @@ func TestCallbackFormsAllocateNothing(t *testing.T) {
 	}
 	if runs := 101; c != (tally{runs, runs, runs}) || closure != 3*runs {
 		t.Fatalf("callbacks ran %v times by op and the closure %d times, want %d each and %d", c, closure, runs, 3*runs)
-	}
-}
-
-func TestSubscribeCancelCompacts(t *testing.T) {
-	e := New()
-	s := NewSignal()
-	cancels := make([]func(), 0, 1000)
-	for i := 0; i < 1000; i++ {
-		cancels = append(cancels, s.Subscribe(func() {}))
-	}
-	for _, c := range cancels[:999] {
-		c()
-	}
-	if n := s.pending(); n != 1 {
-		t.Fatalf("pending = %d, want 1", n)
-	}
-	if len(s.subs.list) > 4 {
-		t.Fatalf("subs slice holds %d entries after cancellation, want compacted", len(s.subs.list))
-	}
-	fired := 0
-	s.subs.list[0].cb = callback{Func(func() { fired++ }), 0} // the surviving sub
-	s.Fire(e)
-	if fired != 1 {
-		t.Fatalf("surviving subscription ran %d times", fired)
 	}
 }

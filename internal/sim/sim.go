@@ -21,8 +21,8 @@ const (
 // callbacks hold a Handler and an op, so a record that drives a protocol — a
 // flow, a send, a receive — registers each of its steps as itself and a
 // small integer, and a pool of such records builds no closure per slot.
-// Func adapts a closure; At, After, Schedule and Subscribe take one and hold
-// it as a Func, which allocates nothing beyond the closure.
+// Func adapts a closure; At and Schedule take one and hold it as a Func,
+// which allocates nothing beyond the closure.
 type Handler interface {
 	Handle(op int)
 }
@@ -167,7 +167,10 @@ func (t *Timer) Cancel() {
 }
 
 // When reports the virtual time the timer was most recently scheduled to
-// fire at. It is nil-safe: a nil or never-armed timer reports 0.
+// fire at. It is nil-safe: a nil or never-armed timer reports 0. No binary
+// asks: the flow arming walker (checkComponent in flow's arming_test.go)
+// checks each component's armed time with it, and TestTimerWhenNilSafe
+// pins it.
 func (t *Timer) When() Time {
 	if t == nil {
 		return 0
@@ -265,7 +268,9 @@ func (e *Engine) Parks() uint64 { return e.parks }
 // Rearms reports how many times AtInto found its timer still queued and
 // retargeted the event in place — a heap sift for an event that had not yet
 // fired. A caller that re-arms timers which could never have fired first
-// shows up here, not in the count of dispatched events.
+// shows up here, not in the count of dispatched events. No binary reads it:
+// TestTimerHandOverAndRevive, TestFanInRearmsAtMostTwicePerFlow and
+// TestBcastRearmsAtMostOncePerRebalance bound it.
 func (e *Engine) Rearms() uint64 { return e.rearms }
 
 // Stop requests that Run return err after the event currently being
@@ -365,9 +370,6 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	ev := e.schedule(t, callback{Func(fn), 0})
 	return &Timer{ev: ev, gen: ev.gen, at: t}
 }
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
 
 // AtInto schedules h.Handle(op) at virtual time t, rearming tm in place. It
 // is the allocation-free form of At for records that keep a Timer embedded
@@ -488,10 +490,6 @@ func (p *Proc) SetNamer(n fmt.Stringer) { p.namer = n }
 // Zero, the default, is no tag.
 func (p *Proc) SetTag(tag int) { p.tag = tag }
 
-// Finished reports whether the process has run to completion or finished
-// unwinding after a Kill.
-func (p *Proc) Finished() bool { return p.finished }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.e.now }
 
@@ -559,10 +557,10 @@ type Stepper interface {
 	// or finishes, and reports whether it finished. It blocks by calling
 	// p.StepSleep, or p.Arm followed by p.StepWait, and returning false right
 	// after; it must not call the parking forms (Sleep, Wait, WaitArmed,
-	// WaitAny, RunSteps), which panic on a process that has no goroutine to
-	// park. A routine runs another as one of its phases by calling the
-	// other's Step from its own until that reports done, and the other's
-	// Unwind from its own if it is unwound in that phase. Otherwise only the
+	// RunSteps), which panic on a process that has no goroutine to park. A
+	// routine runs another as one of its phases by calling the other's Step
+	// from its own until that reports done, and the other's Unwind from its
+	// own if it is unwound in that phase. Otherwise only the
 	// engine calls Step (and RunSteps, once, on the lending process's own
 	// goroutine).
 	Step(p *Proc) (done bool)
@@ -795,20 +793,11 @@ func (p *Proc) WaitAt(s *Signal, site fmt.Stringer) {
 	p.WaitArmed()
 }
 
-// WaitAll blocks until every given signal has fired. The process parks at
-// most once, whatever the number of signals.
-func (p *Proc) WaitAll(sigs ...*Signal) {
-	for _, s := range sigs {
-		p.Arm(s, nil)
-	}
-	p.WaitArmed()
-}
-
 // Arm registers the process on s for its next WaitArmed, labelled site for
 // deadlock/watchdog reports (nil for none). A signal that has already fired
-// is skipped. Arm and WaitArmed are WaitAll taken apart, for callers whose
-// signals sit inside other records (mpi.Proc.Wait over its requests): no
-// slice of signals has to be built.
+// is skipped. A process that waits on several signals arms each and parks
+// once (mpi.Proc.Wait over its requests); its signals sit inside other
+// records, so no slice of signals has to be built.
 func (p *Proc) Arm(s *Signal, site fmt.Stringer) {
 	if s.fired || p.dying {
 		return
@@ -858,47 +847,6 @@ func (p *Proc) parkSite() fmt.Stringer {
 	return nil
 }
 
-// WaitAny blocks until at least one of the given signals has fired and
-// returns the index of the first fired signal (lowest index wins when
-// several are already fired).
-//
-// Each call registers exactly one callback per unfired signal and
-// deregisters all of them before returning, so repeated WaitAny calls
-// against long-lived signals do not accumulate dead callbacks.
-func (p *Proc) WaitAny(sigs ...*Signal) int {
-	for i, s := range sigs {
-		if s.fired {
-			return i
-		}
-	}
-	any := NewSignal()
-	wake := func() { any.Fire(p.e) }
-	cancels := make([]func(), len(sigs))
-	for i, s := range sigs {
-		cancels[i] = s.Subscribe(wake)
-	}
-	p.Wait(any)
-	for _, c := range cancels {
-		c()
-	}
-	for i, s := range sigs {
-		if s.fired {
-			return i
-		}
-	}
-	panic("sim: WaitAny woke with no fired signal")
-}
-
-// sub is a cancellable callback registration on a Signal.
-type sub struct{ cb callback }
-
-// subList is a signal's cancellable registrations and how many of them are
-// cancelled entries still in the list.
-type subList struct {
-	list []*sub
-	dead int
-}
-
 // Signal is a one-shot broadcast condition. Once fired it stays fired;
 // waiting on a fired signal returns immediately.
 type Signal struct {
@@ -911,10 +859,6 @@ type Signal struct {
 	waiters []*Proc
 	cb      callback
 	cbs     []callback
-	// subs holds the cancellable registrations (Subscribe), which only
-	// WaitAny makes: behind a pointer, so the signals embedded in every
-	// pooled record do not carry its slice.
-	subs *subList
 }
 
 // NewSignal returns an unfired Signal.
@@ -924,8 +868,8 @@ func NewSignal() *Signal { return &Signal{} }
 func (s *Signal) Fired() bool { return s.fired }
 
 // Fire fires the signal at the engine's current time, waking all waiters and
-// running all registered callbacks. Firing twice is a no-op. Permanent
-// callbacks run before cancellable ones; both run in registration order.
+// running all registered callbacks. Firing twice is a no-op. Callbacks run
+// in registration order.
 //
 // The registration slices are detached before their callbacks run, then
 // zeroed element-wise and restored truncated: a fired signal keeps its
@@ -948,19 +892,6 @@ func (s *Signal) Fire(e *Engine) {
 	clear(cbs)
 	if s.cbs == nil {
 		s.cbs = cbs[:0]
-	}
-	if l := s.subs; l != nil {
-		subs := l.list
-		l.list, l.dead = nil, 0
-		for _, u := range subs {
-			if u.cb.h != nil {
-				u.cb.run()
-			}
-		}
-		clear(subs)
-		if l.list == nil {
-			l.list = subs[:0]
-		}
 	}
 	first, waiters := s.first, s.waiters
 	s.first, s.waiters = nil, nil
@@ -1003,10 +934,6 @@ func (s *Signal) Reset() {
 	s.cb = callback{}
 	clear(s.cbs)
 	s.cbs = s.cbs[:0]
-	if l := s.subs; l != nil {
-		clear(l.list)
-		l.list, l.dead = l.list[:0], 0
-	}
 	s.first = nil
 	clear(s.waiters)
 	s.waiters = s.waiters[:0]
@@ -1027,62 +954,13 @@ func (s *Signal) OnFire(h Handler, op int) {
 	s.cbs = append(s.cbs, callback{h, op})
 }
 
-// Subscribe registers fn like OnFire but returns a deregistration func.
-// Cancelled registrations are compacted away, so transient listeners (e.g.
-// WaitAny) leave no trace on long-lived signals. If the signal already
-// fired, fn runs immediately and the returned cancel is a no-op.
-func (s *Signal) Subscribe(fn func()) (cancel func()) {
-	if s.fired {
-		fn()
-		return func() {}
-	}
-	if s.subs == nil {
-		s.subs = new(subList)
-	}
-	l := s.subs
-	u := &sub{cb: callback{Func(fn), 0}}
-	l.list = append(l.list, u)
-	return func() {
-		if u.cb.h == nil {
-			return
-		}
-		u.cb = callback{}
-		if s.fired {
-			return
-		}
-		l.dead++
-		if l.dead*2 > len(l.list) {
-			l.compact()
-		}
-	}
-}
-
-func (l *subList) compact() {
-	w := 0
-	for _, u := range l.list {
-		if u.cb.h != nil {
-			l.list[w] = u
-			w++
-		}
-	}
-	clear(l.list[w:])
-	l.list = l.list[:w]
-	l.dead = 0
-}
-
-// pending reports how many registered callbacks (live, of either kind) the
-// signal holds. Used by tests to assert bounded growth.
+// pending reports how many OnFire callbacks the signal holds.
+// TestSignalFirstCallbackInline asserts with it that Fire and Reset drop
+// them all.
 func (s *Signal) pending() int {
 	n := len(s.cbs)
 	if s.cb.h != nil {
 		n++
-	}
-	if s.subs != nil {
-		for _, u := range s.subs.list {
-			if u.cb.h != nil {
-				n++
-			}
-		}
 	}
 	return n
 }

@@ -116,21 +116,6 @@ func TestTimerCancel(t *testing.T) {
 	}
 }
 
-func TestWaitAnyReturnsFirstFired(t *testing.T) {
-	e := New()
-	a, b := NewSignal(), NewSignal()
-	var idx int = -1
-	e.Spawn("w", func(p *Proc) { idx = p.WaitAny(a, b) })
-	e.At(1, func() { b.Fire(e) })
-	e.At(2, func() { a.Fire(e) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if idx != 1 {
-		t.Fatalf("WaitAny = %d, want 1", idx)
-	}
-}
-
 func TestSpawnAt(t *testing.T) {
 	e := New()
 	var started Time = -1
@@ -147,8 +132,8 @@ func TestEventBudget(t *testing.T) {
 	e := New()
 	e.MaxEvents = 10
 	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.After(1, tick)
+	tick = func() { e.At(e.Now()+1, tick) }
+	e.At(e.Now()+1, tick)
 	err := e.Run()
 	if _, ok := err.(*ErrEventBudget); !ok {
 		t.Fatalf("want ErrEventBudget, got %v", err)

@@ -98,7 +98,7 @@ func (w *diffWorld) spawn(name string, prog []diffInstr) {
 				case dWait:
 					p.Wait(w.sigs[in.a])
 				case dWaitAll:
-					p.WaitAll(w.sigs[in.a], w.sigs[in.b])
+					waitAll(p, w.sigs[in.a], w.sigs[in.b])
 				case dFire:
 					w.sigs[in.a].Fire(w.e)
 				case dSpawn:
@@ -453,8 +453,8 @@ func TestKillStepProc(t *testing.T) {
 	if parked.unwoundAt != 1 || sleeping.unwoundAt != 10 {
 		t.Errorf("unwound at %v and %v, want 1 and 10", parked.unwoundAt, sleeping.unwoundAt)
 	}
-	if !pp.Finished() || !sp.Finished() || e.LiveProcs() != 0 {
-		t.Errorf("finished %v %v, live %d", pp.Finished(), sp.Finished(), e.LiveProcs())
+	if !pp.finished || !sp.finished || e.LiveProcs() != 0 {
+		t.Errorf("finished %v %v, live %d", pp.finished, sp.finished, e.LiveProcs())
 	}
 	if e.Goroutines() != 0 || e.Parks() != 0 {
 		t.Errorf("step-driven processes cost %d goroutines and %d parks", e.Goroutines(), e.Parks())
@@ -531,7 +531,6 @@ func TestBlockingCallInsideStepPanics(t *testing.T) {
 		{"Sleep", func(p *Proc) { p.Sleep(1) }},
 		{"Wait", func(p *Proc) { p.Wait(unfired) }},
 		{"WaitArmed", func(p *Proc) { p.Arm(unfired, nil); p.WaitArmed() }},
-		{"WaitAny", func(p *Proc) { p.WaitAny(unfired, NewSignal()) }},
 		{"RunSteps", func(p *Proc) { p.RunSteps(&sleepSteps{left: 1, d: 1}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {

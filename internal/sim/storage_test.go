@@ -160,12 +160,12 @@ func TestSpawnStepGuardsItsStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := cap(rec.armed)
-	if !rec.Finished() || grown < len(sigs) {
-		t.Fatalf("finished %v with room for %d signals", rec.Finished(), grown)
+	if !rec.finished || grown < len(sigs) {
+		t.Fatalf("finished %v with room for %d signals", rec.finished, grown)
 	}
 	e.SpawnStep(&rec, stepFunc(func(*Proc) {}))
-	if rec.Finished() || cap(rec.armed) != grown || len(rec.armed) != 0 {
-		t.Errorf("respawned: finished %v, %d signals armed, room for %d; want a fresh process with room for %d", rec.Finished(), len(rec.armed), cap(rec.armed), grown)
+	if rec.finished || cap(rec.armed) != grown || len(rec.armed) != 0 {
+		t.Errorf("respawned: finished %v, %d signals armed, room for %d; want a fresh process with room for %d", rec.finished, len(rec.armed), cap(rec.armed), grown)
 	}
 
 	// A process killed while parked: it unwinds, and its record is spent.
@@ -184,8 +184,8 @@ func TestSpawnStepGuardsItsStorage(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if victim.steps != 1 || victim.unwinds != 1 || resumed != 0 || !spent.Finished() {
-		t.Errorf("victim: %d steps, %d unwinds, %d events queued by the late Fire, finished %v; want 1, 1, 0, true", victim.steps, victim.unwinds, resumed, spent.Finished())
+	if victim.steps != 1 || victim.unwinds != 1 || resumed != 0 || !spent.finished {
+		t.Errorf("victim: %d steps, %d unwinds, %d events queued by the late Fire, finished %v; want 1, 1, 0, true", victim.steps, victim.unwinds, resumed, spent.finished)
 	}
 	if len(listed(t, e)) != 0 {
 		t.Errorf("the engine still lists %d processes", len(listed(t, e)))

@@ -170,7 +170,8 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Filter returns the events of one kind.
+// Filter returns the events of one kind. No binary asks: TestRecordAndFilter,
+// TestTracedBcastTimeline and the observability tests select with it.
 func (r *Recorder) Filter(k Kind) []Event {
 	var out []Event
 	for _, e := range r.Events() {
@@ -182,7 +183,9 @@ func (r *Recorder) Filter(k Kind) []Event {
 }
 
 // WriteJSON writes the raw event list as a JSON array (counter samples
-// are not included; they are part of the Chrome export).
+// are not included; they are part of the Chrome export). No binary writes
+// it: the trace goldens (TestGoldenTraceBits, bench's traceHash) hash it
+// and bench.ReplayStream compares it.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
