@@ -72,15 +72,16 @@ chaos-soak:
 	done; done
 
 # Native fuzzing smoke: a few seconds per fuzz target (fault plans, table
-# files, wire requests), enough to catch validator/occurrence/loader/parser
-# regressions without a dedicated fleet. The table seed is a whole saved
-# sweep; minimizing each new input from it would otherwise use up the
-# smoke's time.
+# files, wire requests, frame streams), enough to catch validator,
+# occurrence, loader, parser and framing regressions without a dedicated
+# fleet. The table seed is a whole saved sweep; minimizing each new input
+# from it would otherwise use up the smoke's time.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzPlanValidate -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzOccurrences -fuzztime 5s ./internal/fault/
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime 5s -fuzzminimizetime 1s ./internal/autotune/
 	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzReadFrames -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
 
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the
@@ -153,7 +154,7 @@ bench-parallel:
 # harness. The numbers of record are `make bench`'s serve_wire and
 # serve_local_churn rows.
 bench-serve:
-	$(GO) test -run xxx -bench 'Decide|ClientLoopback|ClientWire' -benchmem ./internal/autotune/ ./internal/serve/
+	$(GO) test -run xxx -bench 'Decide|ClientLoopback|ClientWire|WirePipelined' -benchmem ./internal/autotune/ ./internal/serve/
 	$(GO) run ./cmd/hanbench -serve -clients 8 -duration 2s -machine mini
 
 # The repository's one performance yardstick (benchmark/BENCHMARK.md):

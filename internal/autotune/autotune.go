@@ -18,6 +18,7 @@ package autotune
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"os"
 	"sort"
 	"sync"
@@ -267,31 +268,24 @@ type Table struct {
 	Measurements int
 	Entries      []Entry
 
-	// idx is the per-kind decision index Decide binary-searches. Built
-	// lazily (and rebuilt when Entries grows); BuildIndex constructs it
-	// eagerly for callers that will Decide from multiple goroutines.
+	// idx is the per-kind decision table Decide indexes. Built lazily (and
+	// rebuilt when Entries grows); BuildIndex constructs it eagerly for
+	// callers that will Decide from multiple goroutines.
 	idx *decideIndex
 }
 
-// decideIndex precomputes, per collective kind, the sorted log2 boundaries
-// of the table's sampled message sizes, so Decide can binary-search the
-// nearest sample instead of scanning every entry. The index captures the
-// entry count it was built from; Decide rebuilds it when entries were
-// appended since.
+// decideIndex tabulates Decide for every collective kind. The scan ranks
+// an entry by how many powers of two its size lies from the query, so the
+// query size m matters only through bits.Len(m): every m of one bit length
+// has the same winner. The index captures the entry count it was built
+// from; Decide rebuilds it when entries were appended since.
 type decideIndex struct {
-	n     int
-	kinds map[coll.Kind]*kindIndex
-}
-
-// kindIndex indexes the entries of one collective kind. Distances in
-// Decide depend only on the bit length of the sampled size, so entries
-// collapse onto their bit-length class; firstAt keeps the lowest entry
-// index per class, which is exactly the entry the reference scan's
-// first-strict-winner rule would pick.
-type kindIndex struct {
-	bls      []int // sorted unique bit lengths of entries with M > 0
-	firstAt  []int // firstAt[i]: lowest entry index whose bit length is bls[i]
-	firstAny int   // lowest entry index of this kind (degenerate fallback)
+	n int
+	// at[kind][b] is the winning entry index for a query of that kind whose
+	// size m has bits.Len(m) == b, that is 2^(b-1) <= m < 2^b; at[kind][0]
+	// answers m <= 0 (the kind's first entry, as every distance is the same
+	// sentinel). at[kind] is nil for a kind with no entries.
+	at [coll.Scatter + 1]*[64]int
 }
 
 // BuildIndex constructs the decision index eagerly. A table is safe for
@@ -313,117 +307,76 @@ func (t *Table) EnsureIndex() {
 	}
 }
 
+// buildIndex fills every kind's slots with the scan's own answer for the
+// smallest size of the slot, so Decide equals decideScan by construction.
 func (t *Table) buildIndex() *decideIndex {
-	idx := &decideIndex{n: len(t.Entries), kinds: make(map[coll.Kind]*kindIndex)}
-	for i, e := range t.Entries {
-		ki := idx.kinds[e.In.T]
-		if ki == nil {
-			ki = &kindIndex{firstAny: i}
-			idx.kinds[e.In.T] = ki
+	idx := &decideIndex{n: len(t.Entries)}
+	for _, e := range t.Entries {
+		kind := e.In.T
+		if uint(kind) >= uint(len(idx.at)) || idx.at[kind] != nil {
+			continue
 		}
-		if e.In.M <= 0 {
-			continue // infinite distance to every query; firstAny covers it
+		at := new([64]int)
+		for b := range at {
+			m := 0
+			if b > 0 {
+				m = 1 << (b - 1)
+			}
+			at[b] = t.scan(kind, m)
 		}
-		bl := bitLen(e.In.M)
-		pos := sort.SearchInts(ki.bls, bl)
-		if pos < len(ki.bls) && ki.bls[pos] == bl {
-			continue // a lower entry index already owns this class
-		}
-		ki.bls = append(ki.bls, 0)
-		copy(ki.bls[pos+1:], ki.bls[pos:])
-		ki.bls[pos] = bl
-		ki.firstAt = append(ki.firstAt, 0)
-		copy(ki.firstAt[pos+1:], ki.firstAt[pos:])
-		ki.firstAt[pos] = i
+		idx.at[kind] = at
 	}
 	return idx
 }
 
 // Decide returns the best configuration for the given kind and message
 // size, choosing the entry whose sampled message size is nearest in
-// log-space (the paper's step-2 interpolation). The lookup binary-searches
-// a per-kind index of sampled-size boundaries and allocates nothing on the
-// hot path; it is byte-for-byte equivalent to the reference linear scan
-// (decideScan), which the differential tests pin.
+// log-space (the paper's step-2 interpolation). The lookup is one index
+// into the kind's tabulated winners and allocates nothing; it answers
+// exactly what the reference linear scan (decideScan) does, which the
+// differential tests pin. A kind outside coll's six has no slot and is
+// answered by the scan.
 func (t *Table) Decide(kind coll.Kind, m int) han.Config {
 	idx := t.idx
 	if idx == nil || idx.n != len(t.Entries) {
 		idx = t.buildIndex()
 		t.idx = idx
 	}
-	ki := idx.kinds[kind]
-	if ki == nil {
+	if uint(kind) >= uint(len(idx.at)) {
+		return t.decideScan(kind, m)
+	}
+	at := idx.at[kind]
+	if at == nil {
 		return han.DefaultDecision(kind, m)
 	}
-	best := ki.lookup(m)
-	cfg := t.Entries[best].Cfg
-	// Clamp the segment size to the actual message.
+	return t.clamped(at[bits.Len(uint(max(m, 0)))], m)
+}
+
+// clamped returns entry i's configuration with the segment size clamped to
+// the actual message.
+func (t *Table) clamped(i, m int) han.Config {
+	cfg := t.Entries[i].Cfg
 	if cfg.FS > m {
 		cfg.FS = m
 	}
 	return cfg
 }
 
-// lookup returns the winning entry index for a query of m bytes,
-// replicating the scan's selection rule: minimal |log2 m - log2 M|, ties
-// broken by the lowest entry index.
-func (ki *kindIndex) lookup(m int) int {
-	if m <= 0 || len(ki.bls) == 0 {
-		// Every distance is the same sentinel; the scan keeps the first
-		// entry of the kind.
-		return ki.firstAny
-	}
-	bl := bitLen(m)
-	// Hand-rolled lower bound: sort.SearchInts would pass a closure to
-	// sort.Search, and the hot path pins 0 allocs/op.
-	lo, hi := 0, len(ki.bls)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ki.bls[mid] < bl {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	pos := lo
-	if pos < len(ki.bls) && ki.bls[pos] == bl {
-		return ki.firstAt[pos] // exact class: distance 0, unbeatable
-	}
-	switch {
-	case pos == 0:
-		return ki.firstAt[0]
-	case pos == len(ki.bls):
-		return ki.firstAt[pos-1]
-	}
-	dlo := bl - ki.bls[pos-1]
-	dhi := ki.bls[pos] - bl
-	switch {
-	case dlo < dhi:
-		return ki.firstAt[pos-1]
-	case dhi < dlo:
-		return ki.firstAt[pos]
-	}
-	// Equidistant classes: the scan saw whichever entry came first.
-	if ki.firstAt[pos-1] < ki.firstAt[pos] {
-		return ki.firstAt[pos-1]
-	}
-	return ki.firstAt[pos]
-}
-
-// bitLen is floor(log2 v) for v >= 1 — the shift count logDist compares.
-func bitLen(v int) int {
-	n := 0
-	for ; v > 1; v >>= 1 {
-		n++
-	}
-	return n
-}
-
-// decideScan is the reference decision rule: the linear entry scan the
-// binary-search index replaced. No binary links it: it is the oracle of
-// TestDecideMatchesScan, TestDecideIndexRebuild and FuzzLoadTable (the same
-// pattern as flow's reference allocator).
+// decideScan is the reference decision rule: a linear scan of the entries.
+// Decide answers with it for a kind it has no slot for, and the index is
+// built from its rule (scan); TestDecideMatchesScan, TestDecideIndexRebuild
+// and FuzzLoadTable hold Decide to it.
 func (t *Table) decideScan(kind coll.Kind, m int) han.Config {
+	best := t.scan(kind, m)
+	if best == -1 {
+		return han.DefaultDecision(kind, m)
+	}
+	return t.clamped(best, m)
+}
+
+// scan returns the index of the entry of kind nearest m by logDist, ties
+// broken by the lowest entry index, or -1 when no entry has kind.
+func (t *Table) scan(kind coll.Kind, m int) int {
 	best := -1
 	bestDist := 0.0
 	for i, e := range t.Entries {
@@ -435,14 +388,7 @@ func (t *Table) decideScan(kind coll.Kind, m int) han.Config {
 			best, bestDist = i, d
 		}
 	}
-	if best == -1 {
-		return han.DefaultDecision(kind, m)
-	}
-	cfg := t.Entries[best].Cfg
-	if cfg.FS > m {
-		cfg.FS = m
-	}
-	return cfg
+	return best
 }
 
 // DecisionFunc adapts the table to han.DecisionFunc.
@@ -450,14 +396,14 @@ func (t *Table) DecisionFunc() han.DecisionFunc {
 	return func(kind coll.Kind, m int) han.Config { return t.Decide(kind, m) }
 }
 
-// logDist is the distance decideScan ranks entries by, how many powers of
-// two apart a and b are, so it serves the same tests (TestDecideMatchesScan
-// and the rest).
+// logDist is the distance the scan ranks entries by: how many powers of
+// two apart a and b are (the difference of their bit lengths), or a
+// sentinel larger than any such difference when either is not positive.
 func logDist(a, b int) float64 {
 	if a <= 0 || b <= 0 {
 		return 1e18
 	}
-	d := bitLen(a) - bitLen(b)
+	d := bits.Len(uint(a)) - bits.Len(uint(b))
 	if d < 0 {
 		d = -d
 	}

@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,8 +17,9 @@ import (
 // table produced by a real (tiny) search.
 func fixtureTables(t *testing.T) map[string]*Table {
 	t.Helper()
+	// IRS tells entries apart where Decide clamps FS to the query size.
 	cfgAt := func(i int) han.Config {
-		return han.Config{FS: (i + 1) << 10, IMod: "libnbc", SMod: "sm", IBAlg: coll.AlgBinomial, IRAlg: coll.AlgBinomial}
+		return han.Config{FS: (i + 1) << 10, IRS: i + 1, IMod: "libnbc", SMod: "sm", IBAlg: coll.AlgBinomial, IRAlg: coll.AlgBinomial}
 	}
 	entry := func(kind coll.Kind, m, i int) Entry {
 		return Entry{In: Input{N: 4, P: 4, M: m, T: kind}, Cfg: cfgAt(i), EstCost: float64(i)}
@@ -60,6 +62,38 @@ func fixtureTables(t *testing.T) map[string]*Table {
 	)
 	tables["degenerate"] = degenerate
 
+	// Equidistant classes: a query of bit length 6 lies two classes from
+	// 16 and from 256. The scan keeps whichever came first in entry order,
+	// so one kind lists the higher class first and the other the lower.
+	equidistant := &Table{Machine: "fixture", Method: "task"}
+	equidistant.Entries = append(equidistant.Entries,
+		entry(coll.Bcast, 256, 0),
+		entry(coll.Bcast, 16, 1),
+		entry(coll.Allreduce, 16, 2),
+		entry(coll.Allreduce, 256, 3),
+	)
+	tables["equidistant"] = equidistant
+
+	// A kind whose every entry has M <= 0 answers with its first entry
+	// at every size; another kind beside it is indexed as usual.
+	nonPositive := &Table{Machine: "fixture", Method: "task"}
+	nonPositive.Entries = append(nonPositive.Entries,
+		entry(coll.Gather, 4<<10, 0),
+		entry(coll.Scatter, -5, 1),
+		entry(coll.Scatter, 0, 2),
+		entry(coll.Scatter, math.MinInt, 3),
+	)
+	tables["non-positive"] = nonPositive
+
+	// Kinds outside coll's six have no slot in the index.
+	foreign := &Table{Machine: "fixture", Method: "task"}
+	foreign.Entries = append(foreign.Entries,
+		entry(coll.Kind(99), 1<<10, 0),
+		entry(coll.Kind(-1), 1<<20, 1),
+		entry(coll.Bcast, 64, 2),
+	)
+	tables["foreign-kinds"] = foreign
+
 	empty := &Table{Machine: "fixture", Method: "task"}
 	tables["empty"] = empty
 
@@ -78,21 +112,22 @@ func fixtureTables(t *testing.T) map[string]*Table {
 	return tables
 }
 
-// TestDecideMatchesScan is the differential gate for the binary-search
-// decision index: across every fixture table, every kind, and a dense +
-// randomized query-size axis, Decide must return exactly what the
-// reference linear scan returns.
+// TestDecideMatchesScan is the differential gate for the tabulated
+// decision index: across every fixture table and every kind, for sizes at
+// and around every bit length 0..62, non-positive sizes and random sizes,
+// Decide must return exactly what the reference linear scan returns.
 func TestDecideMatchesScan(t *testing.T) {
-	queries := []int{-1, 0, 1, 2, 3, 4, 5, 63, 64, 65, 511, 512, 1000, 1023, 1024, 1025}
-	for m := 1; m <= 8<<20; m <<= 1 {
-		queries = append(queries, m-1, m, m+1)
+	queries := []int{math.MinInt, -1 << 20, -1, 0, 1000, 1023, 1025, math.MaxInt}
+	for b := 0; b <= 62; b++ {
+		m := 1 << b
+		queries = append(queries, m-1, m, m+1, m+m/2, 2*m-1)
 	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
-		queries = append(queries, rng.Intn(16<<20))
+		queries = append(queries, rng.Intn(16<<20), int(rng.Int63()))
 	}
 
-	kinds := []coll.Kind{coll.Bcast, coll.Allreduce, coll.Reduce, coll.Gather}
+	kinds := []coll.Kind{coll.Bcast, coll.Reduce, coll.Allreduce, coll.Gather, coll.Allgather, coll.Scatter, coll.Kind(99), coll.Kind(-1)}
 	for name, table := range fixtureTables(t) {
 		for _, kind := range kinds {
 			for _, m := range queries {
@@ -172,7 +207,7 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkDecideScan is the pre-index reference scan, kept for the
+// BenchmarkDecideScan is the reference scan, kept for the
 // comparison with BenchmarkDecide.
 func BenchmarkDecideScan(b *testing.B) {
 	table := decideBenchTable()

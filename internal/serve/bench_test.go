@@ -85,3 +85,42 @@ func BenchmarkClientWire(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWirePipelined measures a client that pipelines: one write of 16
+// requests, then the 16 answers, over one socket. ns/op is per decision.
+func BenchmarkWirePipelined(b *testing.B) {
+	const depth = 16
+	s := benchServer(b)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	stop := s.Start(l)
+	defer stop()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	var batch []byte
+	for i := 0; i < depth; i++ {
+		batch = appendRequest(batch, "mini", coll.Bcast, 4096)
+	}
+	fr := newFrameReader(conn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += depth {
+		if _, err := conn.Write(batch); err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < depth; j++ {
+			p, err := fr.next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := parseResponse(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -20,7 +20,7 @@ type Client struct {
 	stripe *stripe // the server's stripe a local client's decisions are counted in
 
 	conn net.Conn
-	rbuf []byte
+	fr   *frameReader
 	wbuf []byte
 }
 
@@ -36,8 +36,11 @@ func Dial(network, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return newWireClient(conn), nil
 }
+
+// newWireClient returns a client speaking the wire protocol over conn.
+func newWireClient(conn net.Conn) *Client { return &Client{conn: conn, fr: newFrameReader(conn)} }
 
 // Decide returns the tuned configuration for one (cluster, collective,
 // message size) query.
@@ -45,15 +48,14 @@ func (c *Client) Decide(cluster string, kind coll.Kind, m int) (han.Config, erro
 	if c.local != nil {
 		return c.local.decide(c.stripe, cluster, kind, m)
 	}
-	c.wbuf = appendRequest(c.wbuf[:0], request{Cluster: cluster, Kind: kind, M: m})
+	c.wbuf = appendRequest(c.wbuf[:0], cluster, kind, m)
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return han.Config{}, err
 	}
-	payload, nbuf, err := readFrame(c.conn, c.rbuf)
+	payload, err := c.fr.next()
 	if err != nil {
 		return han.Config{}, err
 	}
-	c.rbuf = nbuf
 	return parseResponse(payload)
 }
 

@@ -6,8 +6,8 @@
 // The read path takes no lock. Every published table lives in one
 // immutable map keyed by (cluster, collective) behind an atomic.Pointer
 // that publishers swap RCU-style (install: copy the map, insert, store),
-// so a reader's Decide is a load, a map lookup and the snapshot's
-// binary-search index — it allocates nothing, never waits for a
+// so a reader's Decide is a load, a map lookup and one index into the
+// snapshot's tabulated decisions — it allocates nothing, never waits for a
 // publisher and never observes a half-published table. A table's kinds
 // are installed by one store, so they change together. Nothing caches
 // decisions: autotune.Table.Decide costs less than a cache probe would.
@@ -41,4 +41,11 @@
 // harness (RunLoad, wired to hanbench -serve) measures end-to-end
 // QPS and latency percentiles against either an in-process client or a
 // real socket speaking the length-prefixed wire protocol (wire.go).
+//
+// The wire path allocates nothing either. Each connection, and each wire
+// Client, reads its frames through one buffered reader, so a frame that
+// arrives whole costs one read and its payload is a view into the buffer.
+// The server looks the cluster name up in that view without copying it,
+// and the client maps known module names onto interned strings. Requests
+// that arrive together are answered with one write.
 package serve

@@ -102,6 +102,10 @@ type stripe struct {
 	_          [64]byte      // neighbours in counters.stripes share no cache line
 }
 
+// count counts one decision and reports whether to time it: the 1st,
+// 17th, 33rd, … of the stripe.
+func (st *stripe) count() bool { return (st.decisions.Add(1)-1)%latencySampleEvery == 0 }
+
 // counters is the server's hot-path instrumentation: plain atomics,
 // folded into hand_* metric families by Server.PublishMetrics. The
 // internal/metrics registry itself is single-threaded by design, so the

@@ -107,9 +107,6 @@ func NewServer(o Options) *Server {
 	return s
 }
 
-// snapshot returns the current snapshot for k, or nil.
-func (s *Server) snapshot(k Key) *Snapshot { return (*s.tables.Load())[k] }
-
 // install is the one publication path: it makes table the snapshot of
 // every key in keys with a single store, so a reader sees all of a table's
 // kinds change together. The decision index is built here, under the
@@ -184,8 +181,9 @@ func (s *Server) TableCount() int { return len(*s.tables.Load()) }
 func (s *Server) Generation() uint64 { return s.gen.Load() }
 
 // Decide answers one decision query: one atomic load of the table map,
-// one map lookup and the snapshot's binary-search index — no lock, no
-// allocation. A missing table triggers the single-flight on-demand tuner.
+// one map lookup and one index into the snapshot's tabulated decisions —
+// no lock, no allocation. A missing table triggers the single-flight
+// on-demand tuner.
 func (s *Server) Decide(cluster string, kind coll.Kind, m int) (han.Config, error) {
 	return s.decide(&s.c.stripes[0], cluster, kind, m)
 }
@@ -199,26 +197,35 @@ func (s *Server) reader() *stripe {
 // decide is Decide, counted in st: every decision in st.decisions, and one
 // in latencySampleEvery timed into st.lat.
 func (s *Server) decide(st *stripe, cluster string, kind coll.Kind, m int) (han.Config, error) {
-	if (st.decisions.Add(1)-1)%latencySampleEvery == 0 {
+	if st.count() {
 		defer st.lat.since(time.Now())
 	}
-	k := Key{Cluster: cluster, Kind: kind}
-	snap := s.snapshot(k)
-	if snap == nil {
-		var err error
-		if snap, err = s.miss(k); err != nil {
-			return han.Config{}, err
-		}
+	if snap := (*s.tables.Load())[Key{Cluster: cluster, Kind: kind}]; snap != nil {
+		return snap.Table.Decide(kind, m), nil
 	}
-	return snap.Table.Decide(kind, m), nil
+	return s.miss(Key{Cluster: cluster, Kind: kind}, m)
 }
 
-// miss resolves a query for an unpublished key: the configured tuner runs
-// under single-flight collapse, publishes on success, and is forgotten on
-// failure so a later request can retry. The tuned table publishes under
-// every kind it has entries for (a tune sweeps all collectives, so the
-// cluster's other kinds must not trigger a second full sweep).
-func (s *Server) miss(k Key) (*Snapshot, error) {
+// decideFrame is decide for a wire request, whose cluster name is a view
+// into the connection's read buffer: the map lookup converts it without a
+// copy, and only a miss copies it, for the tuner and the flight key.
+func (s *Server) decideFrame(st *stripe, req request) (han.Config, error) {
+	if st.count() {
+		defer st.lat.since(time.Now())
+	}
+	if snap := (*s.tables.Load())[Key{Cluster: string(req.Cluster), Kind: req.Kind}]; snap != nil {
+		return snap.Table.Decide(req.Kind, req.M), nil
+	}
+	return s.miss(Key{Cluster: string(req.Cluster), Kind: req.Kind}, req.M)
+}
+
+// miss answers a query of m bytes for an unpublished key: the configured
+// tuner runs under single-flight collapse, publishes on success, and is
+// forgotten on failure so a later request can retry. The tuned table
+// publishes under every kind it has entries for (a tune sweeps all
+// collectives, so the cluster's other kinds must not trigger a second full
+// sweep).
+func (s *Server) miss(k Key, m int) (han.Config, error) {
 	s.c.tableMisses.Add(1)
 	first := false
 	out := s.flight.Do(k, func() tuneOutcome {
@@ -240,7 +247,7 @@ func (s *Server) miss(k Key) (*Snapshot, error) {
 			keys = append(keys, k)
 		}
 		s.install(table, keys...)
-		return tuneOutcome{snap: s.snapshot(k)}
+		return tuneOutcome{snap: (*s.tables.Load())[k]}
 	})
 	if !first {
 		s.c.flights.Add(1)
@@ -248,7 +255,10 @@ func (s *Server) miss(k Key) (*Snapshot, error) {
 	// Either way the flight entry has served its purpose: on success the
 	// table map now answers directly; on failure the forget enables retry.
 	s.flight.Forget(k)
-	return out.snap, out.err
+	if out.err != nil {
+		return han.Config{}, out.err
+	}
+	return out.snap.Table.Decide(k.Kind, m), nil
 }
 
 // Retune rebuilds the table behind every published key through the

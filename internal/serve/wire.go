@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -46,22 +47,25 @@ const (
 
 // request is one decoded decide query.
 type request struct {
-	Cluster string
+	// Cluster is a view into the frame it was parsed from, valid until the
+	// connection's next read.
+	Cluster []byte
 	Kind    coll.Kind
 	M       int
 }
 
-// appendRequest encodes req as a frame appended to buf.
-func appendRequest(buf []byte, req request) []byte {
-	payload := 1 + 1 + 1 + 8 + 2 + len(req.Cluster)
+// appendRequest encodes a decide query as a frame appended to buf.
+func appendRequest(buf []byte, cluster string, kind coll.Kind, m int) []byte {
+	payload := 1 + 1 + 1 + 8 + 2 + len(cluster)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(payload))
-	buf = append(buf, wireVersion, opDecide, byte(req.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(req.M))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(req.Cluster)))
-	return append(buf, req.Cluster...)
+	buf = append(buf, wireVersion, opDecide, byte(kind))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(m))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(cluster)))
+	return append(buf, cluster...)
 }
 
-// parseRequest decodes one request payload.
+// parseRequest decodes one request payload. It copies nothing: the
+// request's cluster name is a view into p.
 func parseRequest(p []byte) (request, error) {
 	if len(p) < 13 {
 		return request{}, fmt.Errorf("serve: short request payload (%d bytes)", len(p))
@@ -87,7 +91,7 @@ func parseRequest(p []byte) (request, error) {
 	if len(p) != 13+clen {
 		return request{}, fmt.Errorf("serve: request length %d does not match cluster length %d", len(p), clen)
 	}
-	return request{Cluster: string(p[13:]), Kind: kind, M: int(m)}, nil
+	return request{Cluster: p[13:], Kind: kind, M: int(m)}, nil
 }
 
 // appendOKResponse encodes cfg as a success frame appended to buf.
@@ -148,42 +152,108 @@ func parseResponse(p []byte) (han.Config, error) {
 		if len(rest) < 1+ilen+1 {
 			return han.Config{}, fmt.Errorf("serve: truncated imod")
 		}
-		cfg.IMod = string(rest[1 : 1+ilen])
+		cfg.IMod = intern(rest[1:1+ilen], interNames)
 		rest = rest[1+ilen:]
 		slen := int(rest[0])
 		if len(rest) != 1+slen {
 			return han.Config{}, fmt.Errorf("serve: truncated smod")
 		}
-		cfg.SMod = string(rest[1:])
+		cfg.SMod = intern(rest[1:], intraNames)
 		return cfg, nil
 	default:
 		return han.Config{}, fmt.Errorf("serve: unknown response status %d", p[0])
 	}
 }
 
-// readFrame reads one length-prefixed frame into buf (grown as needed) and
-// returns the payload slice.
-func readFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, buf, err
+// The module names a decision can carry. A response's names are mapped
+// onto these, so decoding a known one allocates nothing.
+var interNames, intraNames = han.InterNames(), han.IntraNames()
+
+// intern returns b as a string: the equal element of known, or a copy.
+func intern(b []byte, known []string) string {
+	for _, s := range known {
+		if string(b) == s {
+			return s
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, buf, fmt.Errorf("serve: frame length %d out of range", n)
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, buf, err
-	}
-	return buf, buf, nil
+	return string(b)
 }
 
-// connSet tracks a server's open wire connections. serveConn parks in
-// readFrame until the peer sends or the connection closes, so a graceful
+// frameReader reads one connection's length-prefixed frames through one
+// bufio.Reader, so a frame that arrives whole costs one Read, header and
+// payload together. A payload is a view into the reader's buffer, valid
+// until the next call; only a frame larger than the buffer is copied, into
+// a scratch buffer that maxFrame caps.
+type frameReader struct {
+	r   *bufio.Reader
+	big []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader { return &frameReader{r: bufio.NewReader(r)} }
+
+// frameLen returns the payload length a frame header carries, or an error
+// when it is out of range.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n == 0 || n > maxFrame {
+		return 0, fmt.Errorf("serve: frame length %d out of range", n)
+	}
+	return int(n), nil
+}
+
+// next returns the next frame's payload. A stream that ends on a frame
+// boundary ends in io.EOF; one that ends inside a frame, in
+// io.ErrUnexpectedEOF.
+func (fr *frameReader) next() ([]byte, error) {
+	hdr, err := fr.r.Peek(4)
+	if err != nil {
+		return nil, inFrame(err, len(hdr) > 0)
+	}
+	n, err := frameLen(hdr)
+	if err != nil {
+		return nil, err
+	}
+	if 4+n <= fr.r.Size() {
+		p, err := fr.r.Peek(4 + n)
+		if err != nil {
+			return nil, inFrame(err, true)
+		}
+		_, _ = fr.r.Discard(4 + n) // Peek buffered 4+n bytes: Discard cannot fail
+		return p[4:], nil
+	}
+	_, _ = fr.r.Discard(4)
+	if cap(fr.big) < n {
+		fr.big = make([]byte, n)
+	}
+	p := fr.big[:n]
+	if _, err := io.ReadFull(fr.r, p); err != nil {
+		return nil, inFrame(err, true)
+	}
+	return p, nil
+}
+
+// inFrame turns io.EOF into io.ErrUnexpectedEOF when part of a frame was
+// read.
+func inFrame(err error, started bool) error {
+	if err == io.EOF && started {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// whole reports whether the reader already holds the next frame complete,
+// so that next returns it without reading the connection.
+func (fr *frameReader) whole() bool {
+	if fr.r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := fr.r.Peek(4) // buffered: Peek cannot fail or read
+	n, err := frameLen(hdr)
+	return err == nil && 4+n <= fr.r.Buffered()
+}
+
+// connSet tracks a server's open wire connections. serveConn parks in a
+// read until the peer sends or the connection closes, so a graceful
 // shutdown must actively disconnect idle clients — otherwise Serve's
 // wg.Wait() would block until every peer hangs up on its own.
 type connSet struct {
@@ -269,7 +339,10 @@ func (s *Server) Start(l net.Listener) (stop func()) {
 	}
 }
 
-// serveConn runs one connection's request loop.
+// serveConn runs one connection's request loop. Answers to requests that
+// arrived together go out together: while the reader already holds another
+// whole request, the answer is appended to wbuf, and wbuf is written before
+// any read that could block.
 func (s *Server) serveConn(conn net.Conn) {
 	if !s.conns.add(conn) {
 		return
@@ -277,32 +350,36 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.conns.remove(conn)
 	defer conn.Close()
 	st := s.reader()
-	var rbuf, wbuf []byte
+	fr := newFrameReader(conn)
+	var wbuf []byte
 	for {
-		payload, nbuf, err := readFrame(conn, rbuf)
+		payload, err := fr.next()
 		if err != nil {
 			return // EOF or broken stream: drop the connection
 		}
-		rbuf = nbuf
 		st.wireReqs.Add(1)
 		req, err := parseRequest(payload)
 		if err != nil {
 			// Protocol violation: answer once, then drop the connection —
 			// framing may be out of sync.
 			st.wireErrors.Add(1)
-			wbuf = appendErrResponse(wbuf[:0], err)
+			wbuf = appendErrResponse(wbuf, err)
 			_, _ = conn.Write(wbuf)
 			return
 		}
-		cfg, err := s.decide(st, req.Cluster, req.Kind, req.M)
+		cfg, err := s.decideFrame(st, req)
 		if err != nil {
 			st.wireErrors.Add(1)
-			wbuf = appendErrResponse(wbuf[:0], err)
+			wbuf = appendErrResponse(wbuf, err)
 		} else {
-			wbuf = appendOKResponse(wbuf[:0], cfg)
+			wbuf = appendOKResponse(wbuf, cfg)
+		}
+		if fr.whole() {
+			continue
 		}
 		if _, err := conn.Write(wbuf); err != nil {
 			return
 		}
+		wbuf = wbuf[:0]
 	}
 }

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,15 +18,20 @@ import (
 // roundTripRequests are the requests TestWireRequestRoundTrip encodes,
 // and seeds of FuzzParseRequest.
 var roundTripRequests = []request{
-	{Cluster: "mini", Kind: coll.Bcast, M: 4096},
-	{Cluster: "", Kind: coll.Allreduce, M: 0},
-	{Cluster: "a-very-long-cluster-name-with-dashes", Kind: coll.Scatter, M: 1 << 30},
+	{Cluster: []byte("mini"), Kind: coll.Bcast, M: 4096},
+	{Cluster: []byte(""), Kind: coll.Allreduce, M: 0},
+	{Cluster: []byte("a-very-long-cluster-name-with-dashes"), Kind: coll.Scatter, M: 1 << 30},
+}
+
+// requestFrame encodes req as a frame.
+func requestFrame(req request) []byte {
+	return appendRequest(nil, string(req.Cluster), req.Kind, req.M)
 }
 
 // corruptRequests are the malformed payloads parseRequest must reject, by
 // name, and seeds of FuzzParseRequest.
 func corruptRequests() map[string][]byte {
-	good := appendRequest(nil, request{Cluster: "mini", Kind: coll.Bcast, M: 1})[4:]
+	good := appendRequest(nil, "mini", coll.Bcast, 1)[4:]
 	return map[string][]byte{
 		"short":        good[:5],
 		"bad version":  append([]byte{99}, good[1:]...),
@@ -35,12 +43,11 @@ func corruptRequests() map[string][]byte {
 
 func TestWireRequestRoundTrip(t *testing.T) {
 	for _, req := range roundTripRequests {
-		frame := appendRequest(nil, req)
-		got, err := parseRequest(frame[4:])
+		got, err := parseRequest(requestFrame(req)[4:])
 		if err != nil {
 			t.Fatalf("parseRequest(%+v): %v", req, err)
 		}
-		if got != req {
+		if !bytes.Equal(got.Cluster, req.Cluster) || got.Kind != req.Kind || got.M != req.M {
 			t.Fatalf("round trip %+v -> %+v", req, got)
 		}
 	}
@@ -68,6 +75,24 @@ func TestWireResponseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireFrameBytes pins the protocol's bytes, so that clients and
+// servers of other versions keep talking to these.
+func TestWireFrameBytes(t *testing.T) {
+	cfg := han.Config{FS: 1 << 20, IMod: "adapt", SMod: "sm", IBAlg: coll.AlgBinary, IRAlg: coll.AlgChain, IBS: 4096, IRS: 8192}
+	for _, c := range []struct {
+		frame []byte
+		want  string
+	}{
+		{appendRequest(nil, "mini", coll.Allreduce, 4096), "00000011010102000000000000100000046d696e69"},
+		{appendOKResponse(nil, cfg), "0000002400000000000010000000000000000010000000000000002000030405616461707402736d"},
+		{appendErrResponse(nil, fmt.Errorf("no such table")), "0000001001000d6e6f2073756368207461626c65"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Fatalf("frame %s, want %s", got, c.want)
+		}
+	}
+}
+
 func TestWireParseRejectsCorruptFrames(t *testing.T) {
 	for name, payload := range corruptRequests() {
 		if _, err := parseRequest(payload); err == nil {
@@ -83,8 +108,7 @@ func TestWireParseRejectsCorruptFrames(t *testing.T) {
 }
 
 func TestWireParseRejectsOversizedM(t *testing.T) {
-	frame := appendRequest(nil, request{Cluster: "mini", Kind: coll.Bcast, M: 1})
-	payload := frame[4:]
+	payload := appendRequest(nil, "mini", coll.Bcast, 1)[4:]
 	// A size above MaxInt would wrap int(m) negative and flow a nonsense
 	// message size into Decide.
 	binary.BigEndian.PutUint64(payload[3:11], 1<<63)
@@ -98,7 +122,7 @@ func TestWireParseRejectsOversizedM(t *testing.T) {
 // appendRequest encodes back to exactly the payload.
 func FuzzParseRequest(f *testing.F) {
 	for _, req := range roundTripRequests {
-		f.Add(appendRequest(nil, req)[4:])
+		f.Add(requestFrame(req)[4:])
 	}
 	for _, payload := range corruptRequests() {
 		f.Add(payload)
@@ -114,7 +138,7 @@ func FuzzParseRequest(f *testing.F) {
 		if req.M < 0 {
 			t.Fatalf("parseRequest accepted M = %d", req.M)
 		}
-		if frame := appendRequest(nil, req); !bytes.Equal(frame[4:], payload) {
+		if frame := requestFrame(req); !bytes.Equal(frame[4:], payload) {
 			t.Fatalf("%+v re-encodes to %x, not %x", req, frame[4:], payload)
 		}
 	})
@@ -180,7 +204,8 @@ func TestWireServerDropsCorruptConnection(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	resp, _, err := readFrame(conn, nil)
+	fr := newFrameReader(conn)
+	resp, err := fr.next()
 	if err != nil {
 		t.Fatalf("no error frame before close: %v", err)
 	}
@@ -188,7 +213,7 @@ func TestWireServerDropsCorruptConnection(t *testing.T) {
 		t.Fatalf("response status %d, want error", resp[0])
 	}
 	// The connection is now closed server-side: the next read fails.
-	if _, _, err := readFrame(conn, nil); err == nil {
+	if _, err := fr.next(); err == nil {
 		t.Fatal("server kept a desynced connection open")
 	}
 }
@@ -272,4 +297,261 @@ func TestRunLoadOverWire(t *testing.T) {
 	if rep.Requests == 0 || rep.Errors != 0 {
 		t.Fatalf("wire load run: %s", rep)
 	}
+}
+
+// countConn counts the Reads on a conn that returned data, and its Writes.
+type countConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// pipeServer serves one end of a net.Pipe on s's connection loop and
+// returns the other end, a count of the server end's calls, and a wait for
+// the loop to return once the client end is closed.
+func pipeServer(t *testing.T, s *Server) (net.Conn, *countConn, func()) {
+	t.Helper()
+	client, server := net.Pipe()
+	counted := &countConn{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.serveConn(counted)
+	}()
+	if err := client.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	wait := func() {
+		client.Close()
+		<-done
+	}
+	t.Cleanup(wait)
+	return client, counted, wait
+}
+
+// pipeFrame appends the frame of pipeQuery(i) to buf.
+func pipeFrame(buf []byte, i int) []byte {
+	cluster, kind, m := pipeQuery(i)
+	return appendRequest(buf, cluster, kind, m)
+}
+
+// pipeQuery is the i-th query the pipe tests send: both published kinds,
+// a spread of sizes, and an unpublished cluster every seventh query.
+func pipeQuery(i int) (string, coll.Kind, int) {
+	cluster := "mini"
+	if i%7 == 6 {
+		cluster = "nowhere"
+	}
+	return cluster, []coll.Kind{coll.Bcast, coll.Allreduce}[i%2], 1024 << (i % 12)
+}
+
+// checkAnswer fails t unless payload is the server's answer to query i.
+func checkAnswer(t *testing.T, s *Server, i int, payload []byte) {
+	t.Helper()
+	cluster, kind, m := pipeQuery(i)
+	want, wantErr := s.Decide(cluster, kind, m)
+	got, err := parseResponse(payload)
+	if (err != nil) != (wantErr != nil) || got != want {
+		t.Fatalf("answer %d to Decide(%s, %v, %d) = %+v, %v; want %+v, %v", i, cluster, kind, m, got, err, want, wantErr)
+	}
+}
+
+// TestOneReadPerFrame pins the framing's syscall count: a frame that
+// arrives whole costs its reader one Read, header and payload together, on
+// the server's side and on the client's.
+func TestOneReadPerFrame(t *testing.T) {
+	s := NewServer(Options{})
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast, coll.Allreduce))
+	conn, server, wait := pipeServer(t, s)
+	client := &countConn{Conn: conn}
+	cl := newWireClient(client)
+	const n = 40
+	for i := 0; i < n; i++ {
+		cluster, kind, m := pipeQuery(i)
+		got, err := cl.Decide(cluster, kind, m)
+		want, wantErr := s.Decide(cluster, kind, m)
+		if (err != nil) != (wantErr != nil) || got != want {
+			t.Fatalf("Decide(%s, %v, %d) = %+v, %v; want %+v, %v", cluster, kind, m, got, err, want, wantErr)
+		}
+	}
+	wait()
+	if r, w := server.reads.Load(), server.writes.Load(); r != n || w != n {
+		t.Fatalf("server made %d reads and %d writes for %d requests, want one each", r, w, n)
+	}
+	if r := client.reads.Load(); r != n {
+		t.Fatalf("client made %d reads for %d answers, want one each", r, n)
+	}
+}
+
+// TestPipelinedRequestsGetOneWrite: requests that arrive together are
+// answered together, in order, with one Write.
+func TestPipelinedRequestsGetOneWrite(t *testing.T) {
+	s := NewServer(Options{})
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast, coll.Allreduce))
+	conn, server, wait := pipeServer(t, s)
+	const n = 32
+	var batch []byte
+	for i := 0; i < n; i++ {
+		batch = pipeFrame(batch, i)
+	}
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	fr := newFrameReader(conn)
+	for i := 0; i < n; i++ {
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+		checkAnswer(t, s, i, payload)
+	}
+	wait()
+	if r, w := server.reads.Load(), server.writes.Load(); r != 1 || w != 1 {
+		t.Fatalf("server made %d reads and %d writes for %d pipelined requests, want 1 and 1", r, w, n)
+	}
+}
+
+// TestHalfSentFrameDoesNotHoldBackAnswer: the server answers what it holds
+// before it waits for the rest of a frame.
+func TestHalfSentFrameDoesNotHoldBackAnswer(t *testing.T) {
+	s := NewServer(Options{})
+	s.PublishTable("mini", tinyTable(1<<20, coll.Bcast, coll.Allreduce))
+	conn, _, _ := pipeServer(t, s)
+	first, second := pipeFrame(nil, 0), pipeFrame(nil, 1)
+	fr := newFrameReader(conn)
+	for _, cut := range []int{2, 4, 9} {
+		if _, err := conn.Write(append(append([]byte{}, first...), second[:cut]...)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := fr.next()
+		if err != nil {
+			t.Fatalf("first answer held back by %d bytes of the next frame: %v", cut, err)
+		}
+		checkAnswer(t, s, 0, payload)
+		if _, err := conn.Write(second[cut:]); err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = fr.next(); err != nil {
+			t.Fatalf("second answer: %v", err)
+		}
+		checkAnswer(t, s, 1, payload)
+	}
+}
+
+// TestWireDecideZeroAlloc pins the wire round trip's allocation contract:
+// a warm Client.Decide over loopback TCP allocates nothing, on the client
+// or on the server in the same process.
+func TestWireDecideZeroAlloc(t *testing.T) {
+	_, addr := startWireServer(t)
+	cl, err := Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	var derr error
+	decide := func() {
+		if _, err := cl.Decide("mini", coll.Bcast, 4096); err != nil {
+			derr = err
+		}
+	}
+	decide()
+	allocs := testing.AllocsPerRun(1000, decide)
+	if derr != nil {
+		t.Fatal(derr)
+	}
+	if allocs != 0 {
+		t.Fatalf("wire Decide allocated %.2f objects per round trip, want 0", allocs)
+	}
+}
+
+// chunkReader returns at most k bytes of b per Read.
+type chunkReader struct {
+	b []byte
+	k int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.k)], r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// decodeFrames splits a whole stream into frame payloads at once. clean
+// reports whether it ends on a frame boundary with every length in range.
+func decodeFrames(b []byte) (frames [][]byte, clean bool) {
+	for len(b) > 0 {
+		if len(b) < 4 {
+			return frames, false
+		}
+		n := binary.BigEndian.Uint32(b)
+		if n == 0 || n > maxFrame || uint64(len(b)-4) < uint64(n) {
+			return frames, false
+		}
+		frames = append(frames, b[4:4+n])
+		b = b[4+n:]
+	}
+	return frames, true
+}
+
+// FuzzReadFrames feeds an arbitrary byte stream to a frameReader through a
+// reader that returns at most k bytes per Read, k taken from the input's
+// first byte. The frameReader must yield exactly the frames a one-shot
+// decode of the stream yields, then stop: at io.EOF if the stream ends
+// cleanly, at another error if not. No buffer grows past maxFrame.
+func FuzzReadFrames(f *testing.F) {
+	var stream []byte
+	for _, req := range roundTripRequests {
+		stream = append(stream, requestFrame(req)...)
+	}
+	stream = appendOKResponse(stream, han.Config{FS: 1 << 20, IMod: "adapt", SMod: "sm"})
+	big := binary.BigEndian.AppendUint32(nil, 6000)
+	big = append(big, bytes.Repeat([]byte{7}, 6000)...)
+	for _, k := range []byte{0, 3, 16, 255} {
+		f.Add(append([]byte{k}, stream...))
+		f.Add(append([]byte{k}, stream[:len(stream)-3]...))
+		f.Add(append(append([]byte{k}, big...), stream...))
+	}
+	f.Add([]byte{5, 0, 0, 0, 0})
+	f.Add([]byte{5, 0, 1, 0, 1, 9})
+	f.Add([]byte{5, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		want, clean := decodeFrames(data[1:])
+		fr := newFrameReader(&chunkReader{b: data[1:], k: int(data[0]) + 1})
+		for i := 0; ; i++ {
+			p, err := fr.next()
+			if cap(fr.big) > maxFrame || fr.r.Size() != 4096 {
+				t.Fatalf("buffers grew to %d and %d bytes", cap(fr.big), fr.r.Size())
+			}
+			if err != nil {
+				if i != len(want) {
+					t.Fatalf("stopped after %d of %d frames: %v", i, len(want), err)
+				}
+				if (err == io.EOF) != clean {
+					t.Fatalf("stream clean=%v ended in %v", clean, err)
+				}
+				return
+			}
+			if i >= len(want) || !bytes.Equal(p, want[i]) {
+				t.Fatalf("frame %d = %x, one-shot decode says otherwise", i, p)
+			}
+		}
+	})
 }
