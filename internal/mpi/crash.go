@@ -220,14 +220,8 @@ func (w *World) crashNow(rank int, node bool) {
 // are released (in endpoint creation order — deterministic, no map range).
 func (w *World) clearEndpoints(r int) {
 	for _, ep := range w.crash.eps[r] {
-		for i := range ep.posted {
-			ep.posted[i] = nil
-		}
-		ep.posted = ep.posted[:0]
-		for i := range ep.unexpected {
-			ep.unexpected[i] = nil
-		}
-		ep.unexpected = ep.unexpected[:0]
+		ep.posted = w.recvStash.restart(ep.posted, &ep.post1)
+		ep.unexpected = w.msgStash.restart(ep.unexpected, &ep.unexp1)
 	}
 }
 
@@ -259,7 +253,7 @@ func (w *World) declareDead(r int, via string) {
 		if en.rr != nil {
 			for i, pr := range en.ep.posted {
 				if pr == en.rr {
-					en.ep.posted = removeRecvAt(en.ep.posted, i)
+					en.ep.posted = w.recvStash.remove(en.ep.posted, i, &en.ep.post1)
 					break
 				}
 			}

@@ -22,10 +22,14 @@ import (
 // record and the step's op, and Handle switches over the steps, so neither
 // a pool slot nor a send builds a closure and the steady state allocates
 // nothing; golden_test.go pins the resulting timing bit for bit, with and
-// without fault plans. A cold world's first growth is bounded the same way:
-// a pair's state is carved from world-owned chunks and an endpoint's queues
-// and a pair's FIFOs start on one inline slot each, so a new pair or
-// endpoint allocates nothing of its own.
+// without fault plans. A cold world's first growth is bounded the same way,
+// and so is the state it keeps: a pair's state lives only while a send uses
+// it and then goes back to a world free list (chunks are carved only when
+// that is empty), and an endpoint's queues and a pair's FIFOs start on one
+// inline slot each and grow from, and give back to, world-owned stashes of
+// arrays, so a new pair or endpoint allocates nothing of its own and a
+// world holds state for the pairs in flight, not for every pair it has
+// used.
 
 // Wildcards for Irecv.
 const (
@@ -93,7 +97,9 @@ func (r *recvReq) Handle(step int) {
 }
 
 // endpoint is the matching state of one rank on one communicator. Its
-// queues start on the inline slots post1 and unexp1 (Comm.endpoint).
+// queues start on the inline slots post1 and unexp1 (Comm.endpoint), grow
+// from the world's stashes, and go back to their inline slot whenever they
+// drain (stash.remove).
 type endpoint struct {
 	posted     []*recvReq
 	unexpected []*message
@@ -124,23 +130,6 @@ func (c *Comm) endpoint(r int) *endpoint {
 
 func matches(r *recvReq, m *message) bool {
 	return (r.src == AnySource || r.src == m.src) && (r.tag == AnyTag || r.tag == m.tag)
-}
-
-// removeRecvAt and removeMsgAt shift-remove index i while nil-ing the
-// vacated capacity-tail slot — without that, the backing array pins the
-// removed (possibly pool-recycled) record until the slot is overwritten.
-func removeRecvAt(s []*recvReq, i int) []*recvReq {
-	last := len(s) - 1
-	copy(s[i:], s[i+1:])
-	s[last] = nil
-	return s[:last]
-}
-
-func removeMsgAt(s []*message, i int) []*message {
-	last := len(s) - 1
-	copy(s[i:], s[i+1:])
-	s[last] = nil
-	return s[:last]
 }
 
 // sendOp is the per-send record: the message, the wire/envelope queue
@@ -199,16 +188,24 @@ func (op *sendOp) Handle(step int) {
 // opQueue is a FIFO of sendOps with O(1) push/pop and a reusable backing
 // array: a head index avoids shifting, and the array rewinds once
 // drained, so a steady-state queue never reallocates or pins a released
-// op. The first backing array is the inline slot one (pair points q at it).
+// op. The first backing array is the inline slot one (pair points q at it);
+// a full queue moves to a larger array from the world's stash, and a
+// released pair gives it back (World.dropPair).
 type opQueue struct {
 	q    []*sendOp
 	head int
 	one  [1]*sendOp
 }
 
-func (q *opQueue) empty() bool    { return q.head == len(q.q) }
-func (q *opQueue) push(o *sendOp) { q.q = append(q.q, o) }
-func (q *opQueue) peek() *sendOp  { return q.q[q.head] }
+func (q *opQueue) empty() bool   { return q.head == len(q.q) }
+func (q *opQueue) peek() *sendOp { return q.q[q.head] }
+
+func (q *opQueue) push(st *stash[*sendOp], o *sendOp) {
+	if len(q.q) == cap(q.q) {
+		q.q, q.head = st.grow(q.q, q.head), 0
+	}
+	q.q = append(q.q, o)
+}
 
 func (q *opQueue) pop() *sendOp {
 	o := q.q[q.head]
@@ -221,37 +218,60 @@ func (q *opQueue) pop() *sendOp {
 	return o
 }
 
-// pairState is the persistent per-directed-pair state: the cached data
-// path, the wire FIFO (one payload on the wire at a time, program order),
-// and the envelope FIFO (MPI's non-overtaking guarantee).
+// pairState is the state of a directed pair while a send uses it: the
+// cached data path, the wire FIFO (one payload on the wire at a time,
+// program order), and the envelope FIFO (MPI's non-overtaking guarantee).
+// users counts the pair's sends not yet released; the last release gives
+// the record back to the world (World.dropPair), and an idle pair holds no
+// state that reaches a bit.
 type pairState struct {
 	path     []*flow.Resource  // the resources a src->dst payload crosses (setPath)
 	inter    [3]*flow.Resource // what path is made of, between nodes
 	wireBusy bool              // a payload is on the wire
 	wireQ    opQueue           // payloads waiting for the wire
 	envQ     opQueue           // sends in issue order, delivered FIFO
+	key      uint64            // src<<32 | dst, the pair's w.pairs key
+	users    int               // sends on the pair not yet released
+	next     *pairState        // the next released record, on the free list
 }
 
-// pairChunk is how many pairStates a world carves at once. A chunk never
-// moves, so a record stays where op.pair points for the world's lifetime,
-// across Reset too.
+// pairChunk is how many pairStates a world carves at once, when its free
+// list is empty. A chunk never moves, so a record stays where op.pair points
+// while the send lives.
 const pairChunk = 256
 
-// pair returns the state of the directed pair srcW -> dstW, carving it from
-// the world's current chunk the first time the pair is used.
+// pair returns the state of the directed pair srcW -> dstW for one more
+// send, taking a record from the world's free list, or carving one from its
+// current chunk, if no send uses the pair yet.
 func (w *World) pair(srcW, dstW int) *pairState {
 	k := uint64(srcW)<<32 | uint64(dstW)
 	ps := w.pairs[k]
 	if ps == nil {
-		if len(w.pairFree) == 0 {
-			w.pairFree = make([]pairState, pairChunk)
+		if ps = w.pairIdle; ps != nil {
+			w.pairIdle, ps.next = ps.next, nil
+		} else {
+			if len(w.pairCarve) == 0 {
+				w.pairCarve = make([]pairState, pairChunk)
+			}
+			ps, w.pairCarve = &w.pairCarve[0], w.pairCarve[1:]
+			ps.wireQ.q, ps.envQ.q = ps.wireQ.one[:0], ps.envQ.one[:0]
 		}
-		ps, w.pairFree = &w.pairFree[0], w.pairFree[1:]
-		ps.wireQ.q, ps.envQ.q = ps.wireQ.one[:0], ps.envQ.one[:0]
+		ps.key = k
 		ps.setPath(w.Mach, srcW, dstW)
 		w.pairs[k] = ps
 	}
+	ps.users++
 	return ps
+}
+
+// dropPair retires a pair whose last send has been released: its FIFOs are
+// empty and its wire idle, so it leaves the index, gives its FIFOs' arrays
+// back to the stash and goes on the free list for the next new pair.
+func (w *World) dropPair(ps *pairState) {
+	delete(w.pairs, ps.key)
+	ps.wireQ.q = w.opStash.restart(ps.wireQ.q, &ps.wireQ.one)
+	ps.envQ.q = w.opStash.restart(ps.envQ.q, &ps.envQ.one)
+	ps.next, w.pairIdle = w.pairIdle, ps
 }
 
 // setPath caches the resources an s->d payload crosses: the machine's own
@@ -324,10 +344,17 @@ func (w *World) LiveRecords() int {
 	return w.reqPool.Live() + w.sendPool.Live() + w.recvPool.Live()
 }
 
+// decref drops one of op's refs; the last one releases op, and with it op's
+// use of its pair. A send that never gets there — a dead letter under a crash
+// plan — keeps its pair live, as it keeps its pool slot.
 func (w *World) decref(op *sendOp) {
 	op.refs--
 	if op.refs == 0 {
+		ps := op.pair
 		w.sendPool.Put(op)
+		if ps.users--; ps.users == 0 {
+			w.dropPair(ps)
+		}
 	}
 }
 
@@ -394,7 +421,7 @@ func (c *Comm) Isend(p *Proc, buf Buf, dst, tag int) *Request {
 	// Enqueue in issue order now; the envelope is delivered by drainEnv
 	// once the send overhead + latency have elapsed AND every earlier
 	// envelope of the pair is out (non-overtaking).
-	op.pair.envQ.push(op)
+	op.pair.envQ.push(&w.opStash, op)
 
 	so := w.Pers.SendOverhead
 	if s := w.faults.OverheadScale(srcW); s != 1 {
@@ -559,7 +586,7 @@ func (r *retx) drained() {
 // simultaneously, which no MPI transport does.
 func (ps *pairState) startData(w *World, op *sendOp) {
 	if ps.wireBusy {
-		ps.wireQ.push(op)
+		ps.wireQ.push(&w.opStash, op)
 		return
 	}
 	ps.wireBusy = true
@@ -620,12 +647,12 @@ func (c *Comm) Irecv(p *Proc, buf Buf, src, tag int) *Request {
 	ep := c.endpoint(me)
 	for i, m := range ep.unexpected {
 		if matches(r, m) {
-			ep.unexpected = removeMsgAt(ep.unexpected, i)
+			ep.unexpected = w.msgStash.remove(ep.unexpected, i, &ep.unexp1)
 			w.match(r, m)
 			return r.req
 		}
 	}
-	ep.posted = append(ep.posted, r)
+	ep.posted = w.recvStash.push(ep.posted, r)
 	if cs := w.crash; cs != nil && src != AnySource {
 		if srcW := c.ranks[src]; cs.isTarget[srcW] {
 			cs.watch[srcW] = append(cs.watch[srcW], watchEntry{req: r.req, rr: r, ep: ep})
@@ -649,12 +676,12 @@ func (w *World) deliver(op *sendOp) {
 	ep := op.comm.endpoint(op.dst)
 	for i, r := range ep.posted {
 		if matches(r, m) {
-			ep.posted = removeRecvAt(ep.posted, i)
+			ep.posted = w.recvStash.remove(ep.posted, i, &ep.post1)
 			w.match(r, m)
 			return
 		}
 	}
-	ep.unexpected = append(ep.unexpected, m)
+	ep.unexpected = w.msgStash.push(ep.unexpected, m)
 	w.m.unexpected.Inc()
 	if !m.eager {
 		// The clear-to-send cannot go back until a receive is posted: the

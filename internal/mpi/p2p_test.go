@@ -15,6 +15,7 @@ import (
 	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/fault"
+	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/metrics"
 	"github.com/hanrepro/han/internal/sim"
 )
@@ -105,10 +106,11 @@ func runP2PChurn(t *testing.T, seedv int64, plan *fault.Plan, jitter float64) (*
 // in rank order, which moves when any rank finishes earlier or later.
 type churnBits struct{ end, ranks uint64 }
 
-// Every pooled record is returned exactly once: after a churn run nothing is
-// checked out. Under drops a retransmitted op sits in its pair's wire FIFO
-// once per attempt and goes back only after its last queued duplicate has
-// drained — a double Put panics, a missed one shows up here.
+// Every pooled record is returned exactly once, and every pair released with
+// its last send: after a churn run nothing is checked out and no pair is
+// live. Under drops a retransmitted op sits in its pair's wire FIFO once per
+// attempt and goes back only after its last queued duplicate has drained — a
+// double Put panics, a missed one shows up here.
 func TestChurnPoolAccounting(t *testing.T) {
 	drops, err := fault.Builtin("drops")
 	if err != nil {
@@ -122,6 +124,9 @@ func TestChurnPoolAccounting(t *testing.T) {
 		if req, send, recv := w.reqPool.Live(), w.sendPool.Live(), w.recvPool.Live(); req != 0 || send != 0 || recv != 0 {
 			t.Errorf("plan %v: records still checked out after the run: %d requests, %d sendOps, %d recvReqs",
 				plan != nil, req, send, recv)
+		}
+		if live := len(w.pairs); live != 0 {
+			t.Errorf("plan %v: %d pairs still live after the run", plan != nil, live)
 		}
 	}
 }
@@ -304,81 +309,172 @@ func TestWaitPairSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// A new pair costs its world a share of a chunk and nothing of its own. On a
-// world whose pools a barrier has grown, a barrier on a communicator whose
-// ranks run the other way round uses new pairs (one per rank and round, but
-// the last round's); what that run allocates beyond a repeat of it, whose
-// pairs exist, is the pairs' first growth. A pair's identity is its
-// direction, and a record keeps its place as later chunks are carved.
-func TestPairRecordsAllocatePerChunk(t *testing.T) {
+// peakPairs runs a rank's routine and notes the most pairs its world has
+// live at once. A pair goes live only in an Isend, from inside a Step, and is
+// released only from an engine callback, so the count after each Step is
+// the most it reached during it.
+type peakPairs struct {
+	sim.Stepper
+	w    *World
+	peak *int
+}
+
+func (s peakPairs) Step(p *sim.Proc) bool {
+	done := s.Stepper.Step(p)
+	*s.peak = max(*s.peak, len(s.w.pairs))
+	return done
+}
+
+// A world holds pair records only for the pairs a send is using. A 512- and
+// a 1024-rank barrier touch n·log2(n) directed pairs, but never hold more
+// than n live at once, and none once the run drains; a barrier repeated on
+// the reset world, over the other rank order so other pairs reuse the
+// records, allocates nothing. A record reused for a new pair takes that
+// pair's path, intra-node or inter-node, and queues that grow past their
+// inline slot on released pairs and endpoints take their arrays from the
+// world's stashes, not from the heap.
+func TestPairRecordsLiveOnlyInFlight(t *testing.T) {
 	for _, nodes := range []int{16, 32} { // 512 and 1024 ranks
 		eng := sim.New()
 		w := NewWorld(cluster.NewMachine(eng, cluster.Mini(nodes, 32)), OpenMPI())
 		n := w.Size()
+		peak := 0
+		w.StartSteps(func(p *Proc) sim.Stepper {
+			return peakPairs{w.World().BarrierSteps(p), w, &peak}
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d ranks: at most %d pairs live at once, of %d used", n, peak, n*bits.Len(uint(n-1)))
+		if peak == 0 || peak > n {
+			t.Errorf("%d ranks: %d pairs live at once, want 1..%d", n, peak, n)
+		}
+		if live := len(w.pairs); live != 0 {
+			t.Errorf("%d ranks: %d pairs still live after the run drained", n, live)
+		}
+		w.Reset()
+
 		rev := make([]int, n)
 		for i := range rev {
 			rev[i] = n - 1 - i
 		}
-		back := w.NewComm(rev)
-		barrier := func(c *Comm) uint64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			w.StartSteps(func(p *Proc) sim.Stepper { return c.BarrierSteps(p) })
-			if err := eng.Run(); err != nil {
-				t.Fatal(err)
+		comms := []*Comm{w.World(), w.NewComm(rev)}
+		procs := make([]Proc, n)
+		for r := range procs {
+			procs[r].W, procs[r].Rank = w, r
+		}
+		barriers := func() {
+			for _, c := range comms {
+				for r := range procs {
+					p := &procs[r]
+					p.spawnStep(c.BarrierSteps(p))
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				w.Reset()
 			}
-			runtime.ReadMemStats(&after)
-			w.Reset()
-			return after.Mallocs - before.Mallocs
 		}
-		barrier(w.World())
-		had := len(w.pairs)
-		cold := barrier(back)
-		added := len(w.pairs) - had
-		warm := barrier(back)
-		if rounds := bits.Len(uint(n - 1)); added < n*(rounds-1) {
-			t.Fatalf("%d ranks: the reversed barrier added %d pairs, want at least %d", n, added, n*(rounds-1))
-		}
-		per := (float64(cold) - float64(warm)) / float64(added)
-		t.Logf("%d ranks: %d new pairs, %d objects beyond a warm run's %d, %.3f per pair", n, added, cold-warm, warm, per)
-		if per >= 0.1 {
-			t.Errorf("%d ranks: %.2f objects per new pair, want < 0.1", n, per)
+		barriers()
+		if allocs := testing.AllocsPerRun(3, barriers); allocs != 0 && !arena.Debug { // quarantined slots are not reused
+			t.Errorf("%d ranks: a barrier each way on a reset world allocates %v objects, want 0", n, allocs)
 		}
 	}
 
-	w := NewWorld(cluster.NewMachine(sim.New(), cluster.Mini(2, 16)), OpenMPI())
-	type carvedPair struct {
-		s, d int
-		ps   *pairState
-	}
-	var carved []carvedPair
-	for s := 0; s < w.Size(); s++ {
-		for d := 0; d < w.Size(); d++ {
-			if s != d {
-				carved = append(carved, carvedPair{s, d, w.pair(s, d)})
+	// Ranks 0 and 1 share a node, ranks 0 and 2 do not. Rank 0 sends to 1,
+	// 2 and 1 again, and each peer answers with one byte; a send is released
+	// before the next one starts, so one record serves all six pairs, the
+	// intra- and the inter-node ones alike, each time with its pair's path.
+	eng := sim.New()
+	w := NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 2)), OpenMPI())
+	dsts := []int{1, 2, 1}
+	paths := make([][]*flow.Resource, len(dsts))
+	w.Start(func(p *Proc) {
+		c := p.W.World()
+		switch p.Rank {
+		case 0:
+			for i, d := range dsts {
+				req := c.Isend(p, Phantom(8), d, 0)
+				paths[i] = slices.Clone(w.pairs[uint64(d)].path) // the pair 0 -> d
+				p.Wait(req)
+				c.Recv(p, Phantom(1), d, 1)
+			}
+		default:
+			for _, d := range dsts {
+				if d == p.Rank {
+					c.Recv(p, Phantom(8), 0, 0)
+					c.Send(p, Phantom(1), 0, 1)
+				}
 			}
 		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if len(carved) <= pairChunk {
-		t.Fatalf("%d pairs fill no more than one chunk", len(carved))
-	}
-	seen := make(map[*pairState]bool)
-	for i, c := range carved {
+	for i, d := range dsts {
 		var want pairState
-		want.setPath(w.Mach, c.s, c.d)
-		if w.pair(c.s, c.d) != c.ps || seen[c.ps] || !slices.Equal(c.ps.path, want.path) {
-			t.Fatalf("pair(%d, %d): record %d is not its own, or lost its path", c.s, c.d, i)
+		want.setPath(w.Mach, 0, d)
+		if !slices.Equal(paths[i], want.path) {
+			t.Errorf("send %d, to rank %d: the record does not have its pair's path", i, d)
 		}
-		seen[c.ps] = true
 	}
-	// The last record of the first chunk and the first of the second each
-	// queue on their own inline slot.
-	a, b := carved[pairChunk-1].ps, carved[pairChunk].ps
-	opA, opB := new(sendOp), new(sendOp)
-	a.envQ.push(opA)
-	b.envQ.push(opB)
-	if a.envQ.pop() != opA || b.envQ.pop() != opB || !a.envQ.empty() || !b.envQ.empty() {
-		t.Error("records on either side of a chunk boundary share a queue")
+	if carved := pairChunk - len(w.pairCarve); carved != 1 {
+		t.Errorf("six sends, one at a time, carved %d pair records, want 1", carved)
+	}
+	if live := len(w.pairs); live != 0 {
+		t.Errorf("%d pairs still live after the run drained", live)
+	}
+
+	// A burst of sends fills its pair's envelope FIFO, and a receiver that
+	// posts the last tag first holds the rest unexpected: both queues grow
+	// past their inline slot. Each round's pairs take released records, and
+	// their queues take the arrays the last round gave back to the stash, so
+	// a round allocates nothing.
+	const burst, warmup, measured = 4, 20, 20
+	eng = sim.New()
+	w = NewWorld(cluster.NewMachine(eng, cluster.Mini(2, 1)), OpenMPI())
+	allocs, queued, held := -1.0, 0, 0
+	w.Start(func(p *Proc) {
+		c := p.W.World()
+		var reqs [burst]*Request
+		round := func() {
+			if p.Rank == 0 {
+				for i := range reqs {
+					reqs[i] = c.Isend(p, Phantom(1<<10), 1, i)
+				}
+				q := &w.pairs[1].envQ // the pair 0 -> 1
+				queued = len(q.q) - q.head
+				p.Wait(reqs[:]...)
+				c.Recv(p, Phantom(1), 1, burst)
+				return
+			}
+			for i := burst - 1; i >= 0; i-- {
+				c.Recv(p, Phantom(1<<10), 0, i)
+				if i == burst-1 {
+					held = len(c.endpoint(1).unexpected)
+				}
+			}
+			c.Send(p, Phantom(1), 0, burst)
+		}
+		if p.Rank == 1 {
+			for range warmup + 1 + measured {
+				round()
+			}
+			return
+		}
+		for range warmup {
+			round()
+		}
+		allocs = testing.AllocsPerRun(measured, round)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if queued != burst || held != burst-1 {
+		t.Fatalf("the burst queued %d envelopes and held %d messages unexpected, want %d and %d", queued, held, burst, burst-1)
+	}
+	if allocs != 0 && !arena.Debug { // quarantined slots are not reused
+		t.Errorf("a burst round on released pairs allocates %v objects, want 0", allocs)
 	}
 }
 

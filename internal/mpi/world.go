@@ -40,13 +40,19 @@ type World struct {
 	nextCtx int
 	rng     *rand.Rand
 
-	// P2P state (p2p.go): the per-pair FIFOs by src<<32|dst (never ranged),
-	// the rest of the chunk new ones are carved from, and the record pools.
-	pairs    map[uint64]*pairState
-	pairFree []pairState
-	reqPool  *arena.Pool[Request]
-	sendPool *arena.Pool[sendOp]
-	recvPool *arena.Pool[recvReq]
+	// P2P state (p2p.go): the live pairs by src<<32|dst (never ranged), the
+	// released pair records, the rest of the chunk new ones are carved from,
+	// the stashes the pairs' FIFOs and the endpoints' queues grow from, and
+	// the record pools.
+	pairs     map[uint64]*pairState
+	pairIdle  *pairState
+	pairCarve []pairState
+	opStash   stash[*sendOp]
+	msgStash  stash[*message]
+	recvStash stash[*recvReq]
+	reqPool   *arena.Pool[Request]
+	sendPool  *arena.Pool[sendOp]
+	recvPool  *arena.Pool[recvReq]
 
 	// m holds the metric handles installed by EnableMetrics; always
 	// non-nil (the zero value's nil handles no-op) so hot paths hook in
@@ -401,22 +407,27 @@ func (w *World) Seed(seed int64) { w.rng.Seed(seed) }
 // (sim.Engine.Reset, flow.Network.Reset), the noise generator reseeded in
 // place with NewWorld's seed, every communicator's collective sequence
 // counters at zero, the watchdog's instance maps empty. What the world grew
-// stays — communicators and their matching state, the chunks of per-pair
-// state and its cached paths, the record pools — and no bit depends on it.
+// stays — communicators and their endpoints, the chunks and free list of
+// pair records, the stashes of queue arrays, the record pools — and no bit
+// depends on it.
 //
 // It is valid only on a drained world without a fault plan, and panics
 // otherwise. Drained means no live process and no pending event (the
-// engine's condition) and no record out of the world's pools (LiveRecords):
-// a payload queued on a pair's wire or envelope FIFO and a message in a
-// matching queue each hold one. A fault plan disqualifies a world for good: a
-// crash leaves records out and processes unwound for the rest of the run, and
-// the plan's injector keeps state of its own.
+// engine's condition), no record out of the world's pools (LiveRecords) and
+// no live pair: a payload queued on a pair's wire or envelope FIFO and a
+// message in a matching queue each hold a record, and a send holds its pair
+// until it is released. A fault plan disqualifies a world for good: a crash
+// leaves records and pairs out and processes unwound for the rest of the
+// run, and the plan's injector keeps state of its own.
 func (w *World) Reset() {
 	if w.faults != nil {
 		panic("mpi: Reset of a world with a fault plan attached")
 	}
 	if n := w.LiveRecords(); n > 0 {
 		panic(fmt.Sprintf("mpi: Reset with %d record(s) out of the world's pools", n))
+	}
+	if n := len(w.pairs); n > 0 {
+		panic(fmt.Sprintf("mpi: Reset with %d pair(s) still live", n))
 	}
 	w.Eng().Reset()
 	w.Mach.Net.Reset()
