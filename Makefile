@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results deadapi
+.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results deadapi fma
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,9 @@ race:
 	$(GO) test -race ./...
 
 ci: build lint race
-	$(GO) test -race -count=1 -run 'Differential|Parity|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
+	$(GO) test -race -count=1 -run 'Differential|Certificate|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
-	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Certificate|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/coll/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI
@@ -87,10 +87,11 @@ fuzz:
 # docs-coverage contract, a block collective's task rows from the CLI, the
 # checked-in critical-path report, the small-scale paper figures
 # EXPERIMENTS.md quotes, the examples that check their own results (each
-# exits non-zero on a wrong one), and the markdown link checker. Regenerate goldens
-# with `go test ./internal/bench -run Goldens -update`, and the figures with
-# `make results`. The mid-scale figures (about 105 s on 2 vCPUs) are diffed
-# by CI's push-only `results-mid` job.
+# exits non-zero on a wrong one), the markdown link checker, the list of
+# functions no binary links and the fused multiply-add check. Regenerate
+# goldens with `go test ./internal/bench -run Goldens -update`, and the
+# figures with `make results`. The mid-scale figures (about 105 s on 2
+# vCPUs) are diffed by CI's push-only `results-mid` job.
 docs:
 	$(GO) test -count=1 -run 'ObserveGoldens|CritPathOverlap|ObservabilityDocCoverage' ./internal/bench/
 	@mkdir -p bin
@@ -102,6 +103,7 @@ docs:
 	for ex in gpu quickstart recovery tuning; do $(GO) run ./examples/$$ex > /dev/null || exit 1; done
 	$(GO) test -count=1 ./internal/docs/
 	$(MAKE) -s deadapi | diff - results/deadapi.txt
+	$(MAKE) -s fma
 
 # The functions declared in non-test files under internal/ that no binary
 # the repo ships links, sorted: every cmd/*, examples/* and the benchmark
@@ -127,13 +129,32 @@ deadapi:
 		| sed -e 's/\.(\([A-Za-z_0-9]*\))\./.\1./' | grep -v '\.init$$' | sort -u > "$$tmp/declared" && \
 	comm -23 "$$tmp/declared" "$$tmp/linked"
 
+# Fused multiply-adds in the packages that compute sim bits. On arm64,
+# riscv64, ppc64le and s390x the compiler may fuse x*y+z into one
+# instruction with one rounding, where amd64 rounds twice, so the bits
+# would depend on the host. An explicit float64(x*y) rounds the product and
+# forbids the fusion. This cross-compiles those packages for the four
+# architectures with their assembly listings (no download: the toolchain
+# cross-compiles pure Go itself) and fails on any fused instruction,
+# printing its source line.
+FMA_PKGS = ./internal/sim/ ./internal/flow/ ./internal/mpi/ ./internal/cluster/ ./internal/coll/ ./internal/han/ ./internal/autotune/ ./internal/fault/ ./internal/rivals/ ./internal/bench/ ./internal/apps/ ./internal/trace/
+fma:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && fused=0 && \
+	for arch in arm64 riscv64 ppc64le s390x; do \
+		GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) > "$$tmp" 2>&1 || { cat "$$tmp"; exit 1; }; \
+		sites=$$(grep -E '\)[[:space:]]+F(N)?M(ADD|SUB)[SD]?[[:space:]]' "$$tmp" \
+			| sed -e 's|^.*(\(.*\))[[:space:]]*\([A-Z]*\).*|\1 \2|' -e 's|^$(CURDIR)/||' | sort | uniq -c); \
+		if [ -n "$$sites" ]; then echo "$$arch:"; echo "$$sites"; fused=1; fi; \
+	done; \
+	if [ $$fused = 1 ]; then echo "fused multiply-adds above: wrap each product in float64(...)"; exit 1; fi
+
 # The paper figures at the two reduced scales, as EXPERIMENTS.md quotes them.
 results:
 	$(GO) run ./cmd/hanexp -all -scale small > results/hanexp-small.txt
 	$(GO) run ./cmd/hanexp -all -scale mid > results/hanexp-mid.txt
 
 # Allocator benchmarks, micro to macro: the flow-level rebalance
-# micro-benchmarks (incremental vs reference), the paper-scale 4096-rank
+# micro-benchmarks (one max-min filler, per shape), the paper-scale 4096-rank
 # wall-clock point, and the 98304-rank phantom scale tier with its memory
 # accounting. Compare against
 # BENCH_allocator.json; regenerate that baseline from this output.

@@ -14,7 +14,6 @@ package hanbench
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"github.com/hanrepro/han/internal/apps"
@@ -22,7 +21,6 @@ import (
 	"github.com/hanrepro/han/internal/bench"
 	"github.com/hanrepro/han/internal/cluster"
 	"github.com/hanrepro/han/internal/coll"
-	"github.com/hanrepro/han/internal/flow"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
 	"github.com/hanrepro/han/internal/rivals"
@@ -312,33 +310,6 @@ func TestScaleSmoke(t *testing.T) {
 	}
 	if got := (float64(r.SysBytes) - 16<<20) / float64(r.Ranks); got > perRank {
 		t.Errorf("the process holds %d bytes, %.0f a rank above its 16 MiB floor, want at most %.0f", r.SysBytes, got, perRank)
-	}
-}
-
-// TestAllocatorParityEndToEnd runs a full HAN broadcast through the whole
-// MPI stack on the incremental allocator and on the from-scratch reference
-// one (selected on the test's own machine) and requires bit-identical
-// virtual times — the end-to-end form of internal/flow's differential tests.
-func TestAllocatorParityEndToEnd(t *testing.T) {
-	measure := func(a flow.Allocator) uint64 {
-		eng := sim.New()
-		mach := cluster.NewMachine(eng, shaheenSmall())
-		mach.Net.SetAllocator(a)
-		w := mpi.NewWorld(mach, mpi.OpenMPI())
-		h := han.New(w)
-		w.Start(func(p *mpi.Proc) {
-			if err := h.Bcast(p, mpi.Phantom(4<<20), 0, han.Config{}); err != nil {
-				t.Errorf("rank %d: %v", p.Rank, err)
-			}
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return math.Float64bits(float64(eng.Now()))
-	}
-	inc, ref := measure(flow.Incremental), measure(flow.Reference)
-	if inc != ref {
-		t.Fatalf("allocators disagree end-to-end: incremental %016x vs reference %016x", inc, ref)
 	}
 }
 

@@ -36,7 +36,8 @@ func Estimate(tt TableTasks, m int) float64 {
 			c += row[l]
 		}
 		if u > d-1 {
-			c += float64(u-d+1) * tt.Stable(l)
+			// float64(...) rounds the product, so no architecture fuses it (make fma).
+			c += float64(float64(u-d+1) * tt.Stable(l))
 		}
 		if c > best {
 			best = c

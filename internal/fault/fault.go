@@ -207,7 +207,8 @@ func occurrences(at, duration, repeat float64, count int, visit func(start, end 
 		n = count
 	}
 	for i := 0; i < n; i++ {
-		start := at + float64(i)*repeat
+		// float64(...) rounds the product, so no architecture fuses it (make fma).
+		start := at + float64(float64(i)*repeat)
 		visit(start, start+duration)
 	}
 }

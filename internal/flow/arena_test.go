@@ -1,84 +1,16 @@
 package flow
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/hanrepro/han/internal/arena"
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// This file covers the arena-pooled flow lifecycle: recycling behaviour,
-// steady-state allocation pins, pooled-vs-heap differential identity, and
-// the stale-pointer retention regressions (Resource.remove and the
-// rebalance scratch slices).
-
-// runChurnPooling mirrors runChurn but toggles flow pooling instead of the
-// allocator.
-func runChurnPooling(t *testing.T, pooled bool, seedv int64) ([]churnEvent, uint64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seedv))
-	e := sim.New()
-	n := NewNetwork(e)
-	n.SetPooling(pooled)
-
-	nRes := 4 + rng.Intn(12)
-	res := make([]*Resource, nRes)
-	for i := range res {
-		res[i] = n.NewResource("r", 10+rng.Float64()*1000)
-	}
-
-	var trace []churnEvent
-	nFlows := 60 + rng.Intn(140)
-	for i := 0; i < nFlows; i++ {
-		i := i
-		pathLen := 1 + rng.Intn(3)
-		perm := rng.Perm(nRes)
-		path := make([]*Resource, pathLen)
-		for j := 0; j < pathLen; j++ {
-			path[j] = res[perm[j]]
-		}
-		bytes := 1 + rng.Float64()*5000
-		var start sim.Time
-		switch rng.Intn(3) {
-		case 0:
-			start = sim.Time(rng.Intn(4))
-		default:
-			start = sim.Time(rng.Float64() * 4)
-		}
-		e.SpawnAt(start, "f", func(p *sim.Proc) {
-			f := n.Start(bytes, path...)
-			p.Wait(f.Done())
-			trace = append(trace, churnEvent{flow: i, bits: math.Float64bits(float64(p.Now()))})
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("seed %d pooled %v: %v", seedv, pooled, err)
-	}
-	return trace, math.Float64bits(float64(e.Now()))
-}
-
-// Pooled flows must reproduce the heap-allocated path exactly: identical
-// completion bits, wake order, and final clock across randomized churn.
-func TestDifferentialPooledVsHeapFlows(t *testing.T) {
-	for seedv := int64(1); seedv <= 25; seedv++ {
-		pooled, pooledNow := runChurnPooling(t, true, seedv)
-		heap, heapNow := runChurnPooling(t, false, seedv)
-		if pooledNow != heapNow {
-			t.Fatalf("seed %d: final clock differs: pooled %016x vs heap %016x", seedv, pooledNow, heapNow)
-		}
-		if len(pooled) != len(heap) {
-			t.Fatalf("seed %d: %d pooled completions vs %d heap", seedv, len(pooled), len(heap))
-		}
-		for i := range heap {
-			if pooled[i] != heap[i] {
-				t.Fatalf("seed %d: completion %d differs: pooled flow %d @%016x vs heap flow %d @%016x",
-					seedv, i, pooled[i].flow, pooled[i].bits, heap[i].flow, heap[i].bits)
-			}
-		}
-	}
-}
+// This file covers the flow pool's lifecycle: recycling behaviour,
+// steady-state allocation pins, and the stale-pointer retention regressions
+// (Resource.remove and the rebalance scratch slices). TestFreshVsRecycledChurn
+// (churn_test.go) holds a run on recycled slots to a run on fresh ones.
 
 // Completed flows must actually return to the pool and be reused: a long
 // sequential chain should touch only a handful of slots.
@@ -106,8 +38,7 @@ func TestFlowPoolRecycles(t *testing.T) {
 	}
 }
 
-// Steady-state Start → rebalance → complete must not allocate on the
-// pooled path.
+// Steady-state Start → rebalance → complete must not allocate.
 func TestStartCompleteSteadyStateAllocs(t *testing.T) {
 	e := sim.New()
 	n := NewNetwork(e)
@@ -138,7 +69,6 @@ func TestStartCompleteSteadyStateAllocs(t *testing.T) {
 func TestResourceRemoveClearsVacatedSlot(t *testing.T) {
 	e := sim.New()
 	n := NewNetwork(e)
-	n.SetPooling(false) // keep completed flows alive so staleness is observable
 	r := n.NewResource("link", 100)
 	for i := 0; i < 6; i++ {
 		n.Start(float64(10*(i+1)), r)
@@ -163,7 +93,6 @@ func TestResourceRemoveClearsVacatedSlot(t *testing.T) {
 func TestRebalanceScratchDropsFlowReferences(t *testing.T) {
 	e := sim.New()
 	n := NewNetwork(e)
-	n.SetPooling(false)
 	r1 := n.NewResource("a", 100)
 	r2 := n.NewResource("b", 50)
 	// A large wave grows the scratch arrays, then a lone flow shrinks the

@@ -13,7 +13,8 @@ import (
 // a count of what that saves the event queue.
 
 // armingWalker re-derives the components from the resource lists, with none
-// of rebalance's scratch, and checks every one of them. It runs on whatever
+// of rebalance's scratch, and checks every one of them, and the rates of all
+// of them against the definition of max-min fairness (certify). It runs on whatever
 // goroutine the workload is on, so it keeps its first finding for the test
 // to report instead of failing it from there.
 type armingWalker struct {
@@ -37,6 +38,10 @@ func (w *armingWalker) check() {
 		return
 	}
 	w.checks++
+	if msg := certify(w.n); msg != "" {
+		w.failf("%s", msg)
+		return
+	}
 	live, walked := w.live, w.walked
 	clear(live)
 	clear(walked)
@@ -135,30 +140,28 @@ func (w *armingWalker) checkComponent(members []*Flow) {
 }
 
 // The walker runs after every Start, completion and SetCapacity of the
-// golden workloads, on both allocators, and the runs still produce the
-// golden bits.
+// golden workloads, and the runs still produce the golden bits.
 func TestArmingInvariantGoldenWorkloads(t *testing.T) {
 	for _, row := range flowGoldens {
-		for _, alloc := range []Allocator{Incremental, Reference} {
-			var w *armingWalker
-			got := runGolden(t, alloc, row.workload, func(n *Network) func() {
-				w = &armingWalker{n: n, live: make(map[*Flow]bool), walked: make(map[*Resource]bool)}
-				return w.check
-			})
-			if w.err != "" {
-				t.Fatalf("%s (allocator %d): %s", row.name, alloc, w.err)
-			}
-			if got != row.want {
-				t.Errorf("%s (allocator %d): bits moved under the walker: goldenBits{%#016x, %#016x, %d}",
-					row.name, alloc, got.stream, got.end, got.n)
-			}
-			if w.checks < got.n {
-				t.Errorf("%s: %d checks for %d records", row.name, w.checks, got.n)
-			}
-			if row.name == "sameInstant" && w.ties == 0 {
-				t.Errorf("%s: no tied component was ever checked", row.name)
-			}
+		var w *armingWalker
+		got := runGolden(t, row.workload, func(n *Network) func() {
+			w = &armingWalker{n: n, live: make(map[*Flow]bool), walked: make(map[*Resource]bool)}
+			return w.check
+		})
+		if w.err != "" {
+			t.Fatalf("%s: %s", row.name, w.err)
 		}
+		if got != row.want {
+			t.Errorf("%s: bits moved under the walker: goldenBits{%#016x, %#016x, %d}",
+				row.name, got.stream, got.end, got.n)
+		}
+		if w.checks < got.n {
+			t.Errorf("%s: %d checks for %d records", row.name, w.checks, got.n)
+		}
+		if row.name == "sameInstant" && w.ties == 0 {
+			t.Errorf("%s: no tied component was ever checked", row.name)
+		}
+		t.Logf("%s: %d checks", row.name, w.checks)
 	}
 }
 
@@ -169,19 +172,16 @@ func TestArmingInvariantGoldenWorkloads(t *testing.T) {
 // lead's is pushed fresh); a timer per flow made it k per rebalance.
 func TestFanInRearmsAtMostTwicePerFlow(t *testing.T) {
 	const k = 128
-	for _, alloc := range []Allocator{Incremental, Reference} {
-		e := sim.New()
-		n := NewNetwork(e)
-		n.SetAllocator(alloc)
-		r := n.NewResource("link", 1e9)
-		for j := 0; j < k; j++ {
-			e.At(sim.Time(j)*1e-6, func() { n.Start(1e6, r) })
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := e.Rearms(); got == 0 || got > 2*k {
-			t.Errorf("allocator %d: %d re-arms for %d flows, want between 1 and %d", alloc, got, k, 2*k)
-		}
+	e := sim.New()
+	n := NewNetwork(e)
+	r := n.NewResource("link", 1e9)
+	for j := 0; j < k; j++ {
+		e.At(sim.Time(j)*1e-6, func() { n.Start(1e6, r) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Rearms(); got == 0 || got > 2*k {
+		t.Errorf("%d re-arms for %d flows, want between 1 and %d", got, k, 2*k)
 	}
 }

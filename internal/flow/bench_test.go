@@ -7,18 +7,6 @@ import (
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// benchAllocators runs fn once per allocator as sub-benchmarks, so `go test
-// -bench Rebalance` always reports the incremental/reference pair
-// side-by-side.
-func benchAllocators(b *testing.B, fn func(b *testing.B, alloc Allocator)) {
-	for _, tc := range []struct {
-		name  string
-		alloc Allocator
-	}{{"incremental", Incremental}, {"reference", Reference}} {
-		b.Run(tc.name, func(b *testing.B) { fn(b, tc.alloc) })
-	}
-}
-
 // perFlow adds the cost per flow to a benchmark whose op is k flows, so
 // shapes of different k read side by side.
 func perFlow(b *testing.B, k int) {
@@ -31,25 +19,22 @@ func perFlow(b *testing.B, k int) {
 func BenchmarkRebalanceFanIn(b *testing.B) {
 	for _, k := range []int{16, 128} {
 		b.Run(fmt.Sprintf("flows=%d", k), func(b *testing.B) {
-			benchAllocators(b, func(b *testing.B, alloc Allocator) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					e := sim.New()
-					n := NewNetwork(e)
-					n.SetAllocator(alloc)
-					r := n.NewResource("link", 1e9)
-					for j := 0; j < k; j++ {
-						e.SpawnAt(sim.Time(j)*1e-6, "f", func(p *sim.Proc) {
-							f := n.Start(1e6, r)
-							p.Wait(f.Done())
-						})
-					}
-					if err := e.Run(); err != nil {
-						b.Fatal(err)
-					}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := sim.New()
+				n := NewNetwork(e)
+				r := n.NewResource("link", 1e9)
+				for j := 0; j < k; j++ {
+					e.SpawnAt(sim.Time(j)*1e-6, "f", func(p *sim.Proc) {
+						f := n.Start(1e6, r)
+						p.Wait(f.Done())
+					})
 				}
-				perFlow(b, k)
-			})
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perFlow(b, k)
 		})
 	}
 }
@@ -61,22 +46,19 @@ func BenchmarkRebalanceFanIn(b *testing.B) {
 // every completion time ties.
 func BenchmarkRebalanceSameInstant(b *testing.B) {
 	const k = 32
-	benchAllocators(b, func(b *testing.B, alloc Allocator) {
-		b.ReportAllocs()
-		e := sim.New()
-		n := NewNetwork(e)
-		n.SetAllocator(alloc)
-		bus := n.NewResource("bus", 12.5e9)
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < k; j++ {
-				n.Start(8192, bus)
-			}
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	e := sim.New()
+	n := NewNetwork(e)
+	bus := n.NewResource("bus", 12.5e9)
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < k; j++ {
+			n.Start(8192, bus)
 		}
-		perFlow(b, k)
-	})
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perFlow(b, k)
 }
 
 // BenchmarkRebalanceChain models the HAN data path shape: flows crossing
@@ -84,62 +66,53 @@ func BenchmarkRebalanceSameInstant(b *testing.B) {
 // components couple transitively like a pipelined collective.
 func BenchmarkRebalanceChain(b *testing.B) {
 	const segs = 64
-	benchAllocators(b, func(b *testing.B, alloc Allocator) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := sim.New()
-			n := NewNetwork(e)
-			n.SetAllocator(alloc)
-			res := make([]*Resource, segs+2)
-			for j := range res {
-				res[j] = n.NewResource("hop", 1e9)
-			}
-			for j := 0; j < segs; j++ {
-				j := j
-				e.SpawnAt(sim.Time(j)*1e-7, "f", func(p *sim.Proc) {
-					f := n.Start(5e5, res[j], res[j+1], res[j+2])
-					p.Wait(f.Done())
-				})
-			}
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.New()
+		n := NewNetwork(e)
+		res := make([]*Resource, segs+2)
+		for j := range res {
+			res[j] = n.NewResource("hop", 1e9)
 		}
-	})
+		for j := 0; j < segs; j++ {
+			e.SpawnAt(sim.Time(j)*1e-7, "f", func(p *sim.Proc) {
+				f := n.Start(5e5, res[j], res[j+1], res[j+2])
+				p.Wait(f.Done())
+			})
+		}
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRebalanceDisjoint measures the independent-component regime:
 // many singleton flows whose rebalances must stay O(1) each.
 func BenchmarkRebalanceDisjoint(b *testing.B) {
 	const k = 256
-	benchAllocators(b, func(b *testing.B, alloc Allocator) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := sim.New()
-			n := NewNetwork(e)
-			n.SetAllocator(alloc)
-			for j := 0; j < k; j++ {
-				r := n.NewResource("r", 1e9)
-				e.Spawn("f", func(p *sim.Proc) {
-					f := n.Start(1e6, r)
-					p.Wait(f.Done())
-				})
-			}
-			if err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.New()
+		n := NewNetwork(e)
+		for j := 0; j < k; j++ {
+			r := n.NewResource("r", 1e9)
+			e.Spawn("f", func(p *sim.Proc) {
+				f := n.Start(1e6, r)
+				p.Wait(f.Done())
+			})
 		}
-	})
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
-// BenchmarkRebalanceChurn is the differential harness's workload at
+// BenchmarkRebalanceChurn is the seeded churn of churn_test.go at
 // benchmark scale: randomized paths over a shared resource pool.
 func BenchmarkRebalanceChurn(b *testing.B) {
-	benchAllocators(b, func(b *testing.B, alloc Allocator) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tb := &testing.T{}
-			runChurn(tb, alloc, 7)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := sim.New()
+		runChurn(b, e, NewNetwork(e), 7, nil)
+	}
 }

@@ -13,14 +13,14 @@
 // only inside the affected connected component (flows transitively linked by
 // shared resources): exactly the set of flows whose bottleneck can change.
 //
-// Two allocator implementations exist. Incremental (the default) keeps the
-// filling scratch state resident on the resources themselves, validated by
-// an epoch counter, and compacts its scan lists as flows freeze — no maps,
-// no per-rebalance allocation. Reference is the original from-scratch
-// filler, kept as the behavioural oracle: the two are cross-checked
-// bit-for-bit by the differential tests in this package, and produce
-// byte-identical virtual times by construction (identical traversal order
-// and identical floating-point operations; see DESIGN.md §4).
+// The filler keeps its scratch state resident on the resources themselves,
+// validated by an epoch counter, and compacts its scan lists as flows
+// freeze — no maps, no per-rebalance allocation. Its oracle is the
+// definition of max-min fairness, not a second filler: after every
+// rebalance of the package's golden and churn workloads, certificate_test.go
+// checks that no resource carries more than its capacity and that every flow
+// crosses a saturated resource on which no flow has a higher rate (DESIGN.md
+// §4), and the golden rows pin the completion bits.
 //
 // A component has one completion armed on the engine, not one per flow.
 // Between two rebalances its membership and rates are fixed, so only its
@@ -33,8 +33,7 @@
 // fires is the one a timer per flow would have fired, with the same place
 // among the engine's other events (DESIGN.md §4 has the argument;
 // golden_test.go and arming_test.go hold it). The armed event calls the flow
-// itself back (Flow is a sim.Handler), so a flow, pooled or not, carries no
-// closure.
+// itself back (Flow is a sim.Handler), so a flow carries no closure.
 //
 // Nothing a network holds is allocated per record: flows come from an arena
 // pool, resources are carved from network-owned chunks that never move, and

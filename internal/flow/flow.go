@@ -8,19 +8,6 @@ import (
 	"github.com/hanrepro/han/internal/sim"
 )
 
-// Allocator selects a rate-allocation implementation.
-type Allocator int
-
-const (
-	// Incremental is the default allocator: resource-resident scratch state
-	// plus compacted progressive filling, allocation-free on the rebalance
-	// hot path.
-	Incremental Allocator = iota
-	// Reference is the original from-scratch progressive filler, kept as
-	// the oracle the differential tests select with Network.SetAllocator.
-	Reference
-)
-
 // Resource is a capacity-limited element of the platform.
 type Resource struct {
 	// Name identifies the resource in debug output.
@@ -63,10 +50,9 @@ func (r *Resource) remove(f *Flow) {
 }
 
 // Flow is an in-flight transfer. Flows are pool-managed by their Network
-// (hanlint fence): obtain them with Network.Start/StartOn only, and
-// never retain one past the firing of its Done signal unless it came from
-// a network with pooling disabled — pooled flows are recycled the moment
-// they complete.
+// (hanlint fence): obtain them with Network.Start/StartOn only, and never
+// retain one of positive size past the firing of its Done signal — it is
+// recycled the moment it completes.
 type Flow struct {
 	net       *Network
 	path      []*Resource
@@ -78,7 +64,6 @@ type Flow struct {
 	timer     sim.Timer // armed while the flow leads its component (rebalance)
 	doneSig   sim.Signal
 	finished  bool
-	pooled    bool
 	slot      arena.Slot
 
 	// pathBuf backs path for the common short paths (the longest built-in
@@ -86,9 +71,7 @@ type Flow struct {
 	// caller's path without allocating.
 	pathBuf [4]*Resource
 
-	// scratch fields for rate computation
-	frozen bool
-	visit  uint64 // epoch of the last rebalance that collected the flow
+	visit uint64 // epoch of the last rebalance that collected the flow
 }
 
 // Done returns the signal fired when the flow's last byte has been
@@ -100,22 +83,14 @@ func (f *Flow) Done() *sim.Signal { return &f.doneSig }
 // for callers.
 func (f *Flow) Handle(int) { f.net.complete(f) }
 
-// Rate returns the currently allocated rate in bytes per second. No binary
-// asks: TestDifferentialRatesMidFlight compares the two allocators with it.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Network tracks active flows over a set of resources.
 type Network struct {
-	e    *sim.Engine
-	mode Allocator
+	e *sim.Engine
 
-	// pooling recycles Flow structs through an arena pool: a flow is
-	// returned to the pool at the end of complete(), so callers must not
-	// touch a flow after its Done signal has fired. Disabled, every Start
-	// heap-allocates exactly as the original code did — the reference
-	// lifecycle oracle for the differential tests.
-	pooling bool
-	pool    *arena.Pool[Flow]
+	// pool recycles the flows of positive size: a flow is returned to it at
+	// the end of complete(), so callers must not touch one after its Done
+	// signal has fired.
+	pool *arena.Pool[Flow]
 
 	// Reusable scratch for rebalances, grown once and kept. comp holds the
 	// component of the most recent rebalance; visitGen is its epoch, stamped
@@ -135,28 +110,24 @@ type Network struct {
 	resFree []Resource
 }
 
-// NewNetwork returns a flow network bound to the given engine, on the
-// incremental allocator with flow recycling on.
+// NewNetwork returns a flow network bound to the given engine.
 func NewNetwork(e *sim.Engine) *Network {
-	n := &Network{e: e, mode: Incremental, pooling: true}
+	n := &Network{e: e}
 	n.pool = arena.NewPool(arena.Options[Flow]{
-		Name: "flow.Flow",
-		Init: func(f *Flow) {
-			f.net = n
-			f.pooled = true
-		},
+		Name:  "flow.Flow",
+		Init:  func(f *Flow) { f.net = n },
 		Reset: resetFlow,
 		Slot:  func(f *Flow) *arena.Slot { return &f.slot },
 	})
 	return n
 }
 
-// resetFlow clears a flow's per-use state in place. The identity fields
-// (net, pooled) persist, and so does the timer handle. In flight, a
-// flow's timer is armed (it leads its component), zero or fired (it never
-// led, or handed its event over), or a cancelled event still queued, which
-// AtInto revives where it sits if the flow comes to lead. A flow finishes
-// only through its own armed event, so a pooled slot's timer has fired: the
+// resetFlow clears a flow's per-use state in place. The identity field
+// (net) persists, and so does the timer handle. In flight, a flow's timer
+// is armed (it leads its component), zero or fired (it never led, or
+// handed its event over), or a cancelled event still queued, which AtInto
+// revives where it sits if the flow comes to lead. A flow finishes only
+// through its own armed event, so a returned slot's timer has fired: the
 // engine released that event, and AtInto on reuse schedules afresh.
 func resetFlow(f *Flow) {
 	for i := range f.pathBuf {
@@ -167,22 +138,8 @@ func resetFlow(f *Flow) {
 	f.start, f.last = 0, 0
 	f.doneSig.Reset()
 	f.finished = false
-	f.frozen = false
 	f.visit = 0
 }
-
-// SetAllocator selects the allocator implementation. Switching while flows
-// are in flight is allowed (both allocators read and write the same flow
-// state and produce identical results). No binary switches: the allocator
-// differentials (TestAllocatorSwitchMidRun, TestAllocatorParityEndToEnd)
-// do, and ROADMAP item 4(e) moves it out with the reference filler.
-func (n *Network) SetAllocator(a Allocator) { n.mode = a }
-
-// SetPooling switches flow recycling on or off for subsequently started
-// flows. Like SetAllocator it exists for differential tests
-// (TestDifferentialPooledVsHeapFlows) and goes with ROADMAP item 4(e);
-// flows already in flight keep the lifecycle they were started with.
-func (n *Network) SetPooling(on bool) { n.pooling = on }
 
 // NewResource creates a resource with the given capacity in bytes/s.
 func (n *Network) NewResource(name string, capacity float64) *Resource {
@@ -208,7 +165,7 @@ func (n *Network) NewResource(name string, capacity float64) *Resource {
 
 // Reset returns a network with no flow in flight to the state its resources
 // were created in: every resource back at the capacity NewResource gave it.
-// What the network grew stays — the resources, the pooled flows, the
+// What the network grew stays — the resources, the flow pool, the
 // rebalance scratch — none of which reaches a rate or an event. It panics if
 // a flow is still in flight.
 func (n *Network) Reset() {
@@ -251,13 +208,13 @@ func (n *Network) Start(bytes float64, path ...*Resource) *Flow {
 // allocation-free).
 func (n *Network) StartOn(bytes float64, path []*Resource) *Flow {
 	var f *Flow
-	if n.pooling && bytes > 0 {
+	if bytes > 0 {
 		// Positive-size flows complete through a scheduled event, so every
 		// caller has registered its interest before the done signal can
 		// fire; recycling at complete() is safe. Zero-size flows fire while
 		// the caller still holds the only reference and may legitimately be
 		// kept around (completed-request fast paths), so they stay on the
-		// heap in both modes.
+		// heap.
 		f = n.pool.Get()
 	} else {
 		f = &Flow{net: n}
@@ -290,8 +247,8 @@ func (n *Network) StartOn(bytes float64, path []*Resource) *Flow {
 // collectComponent gathers all flows transitively sharing a resource with
 // seed into n.comp, and every resource they cross into n.res, initialising
 // the resources' resident scratch (residual = capacity, count = crossing
-// flows). Traversal order is deterministic: DFS in path/insertion order,
-// identical for both allocators. A resource's flow list is walked once, the
+// flows). Traversal order is deterministic: DFS in path/insertion order. A
+// resource's flow list is walked once, the
 // first time a popped flow crosses it: after that walk the list holds no
 // unmarked flow, so later crossings would push nothing.
 func (n *Network) collectComponent(seed *Flow) {
@@ -310,9 +267,8 @@ func (n *Network) collectComponent(seed *Flow) {
 			if r.gen == vg {
 				continue
 			}
-			// First touch, in (component × path) order: exactly the order
-			// the reference filler builds its map in. Every flow on r is in
-			// the component, once per time its path names r.
+			// First touch, in (component × path) order. Every flow on r is
+			// in the component, once per time its path names r.
 			r.gen = vg
 			r.residual = r.Capacity
 			r.count = len(r.flows)
@@ -343,13 +299,13 @@ func (n *Network) advance(now sim.Time) {
 	for _, f := range n.comp {
 		elapsed := float64(now - f.last)
 		if elapsed > 0 && f.rate > 0 {
-			f.remaining -= f.rate * elapsed
+			// float64(...) rounds the product, so no architecture fuses it (make fma).
+			f.remaining -= float64(f.rate * elapsed)
 			if f.remaining < 0 {
 				f.remaining = 0
 			}
 		}
 		f.last = now
-		f.frozen = false
 	}
 }
 
@@ -368,16 +324,12 @@ func (n *Network) rebalance(seed *Flow) {
 	now := n.e.Now()
 	n.collectComponent(seed)
 	if n.mon != nil {
-		// The incremental filler compacts n.res in place; snapshot the
-		// component's resource list before it runs.
+		// The filler compacts n.res in place; snapshot the component's
+		// resource list before it runs.
 		n.mon.snapshot(n.res)
 	}
 	n.advance(now)
-	if n.mode == Reference {
-		n.fillReference()
-	} else {
-		n.fillIncremental()
-	}
+	n.fill()
 	if n.mon != nil {
 		n.mon.noteComponent(now)
 	}
@@ -413,11 +365,13 @@ func (n *Network) rebalance(seed *Flow) {
 	n.e.AtInto(&lead.timer, at, lead, 0)
 }
 
-// fillIncremental runs progressive filling over n.comp using the resources'
-// resident scratch. Scan lists are compacted in place (order-preserving, so
-// the float operations match fillReference exactly) as flows freeze and
-// resources drain.
-func (n *Network) fillIncremental() {
+// fill runs progressive filling over n.comp using the resources' resident
+// scratch. Scan lists are compacted in place, order-preserving, as flows
+// freeze and resources drain. The result is max-min fair: no resource
+// carries more than its capacity, and every flow crosses a saturated
+// resource on which no flow has a higher rate (certificate_test.go checks
+// both after every rebalance of the package's golden and churn workloads).
+func (n *Network) fill() {
 	if len(n.comp) == 1 {
 		// A lone flow takes the fair share of its tightest resource: the
 		// same min(residual/count) the general loop would compute, with
@@ -492,77 +446,6 @@ func (n *Network) fillIncremental() {
 	n.active = extent[:0]
 }
 
-// fillReference is the original from-scratch progressive filler, preserved
-// verbatim (per-rebalance map, full-component scans every round) as the
-// differential-testing oracle.
-func (n *Network) fillReference() {
-	comp := n.comp
-	type rstate struct {
-		residual float64
-		count    int
-	}
-	states := make(map[*Resource]*rstate)
-	resOrder := make([]*Resource, 0, 2*len(comp))
-	for _, f := range comp {
-		for _, r := range f.path {
-			st := states[r]
-			if st == nil {
-				st = &rstate{residual: r.Capacity}
-				states[r] = st
-				resOrder = append(resOrder, r)
-			}
-			st.count++
-		}
-	}
-	unfrozen := len(comp)
-	for unfrozen > 0 {
-		share := math.Inf(1)
-		for _, r := range resOrder {
-			st := states[r]
-			if st.count > 0 {
-				if s := st.residual / float64(st.count); s < share {
-					share = s
-				}
-			}
-		}
-		if math.IsInf(share, 1) {
-			panic("flow: unfrozen flows but no constraining resource")
-		}
-		progress := false
-		for _, f := range comp {
-			if f.frozen {
-				continue
-			}
-			bottled := false
-			for _, r := range f.path {
-				st := states[r]
-				if st.residual/float64(st.count) <= share*(1+1e-12) {
-					bottled = true
-					break
-				}
-			}
-			if !bottled {
-				continue
-			}
-			f.frozen = true
-			f.rate = share
-			progress = true
-			for _, r := range f.path {
-				st := states[r]
-				st.residual -= share
-				if st.residual < 0 {
-					st.residual = 0
-				}
-				st.count--
-			}
-			unfrozen--
-		}
-		if !progress {
-			panic("flow: max-min filling made no progress")
-		}
-	}
-}
-
 // complete finishes a flow: detaches it from its resources, fires its done
 // signal, and rebalances whatever it leaves behind.
 func (n *Network) complete(f *Flow) {
@@ -608,8 +491,7 @@ func (n *Network) complete(f *Flow) {
 	}
 	// Every external observer has been notified (done callbacks ran inside
 	// Fire, before the sweep) and the flow is off all resource lists:
-	// recycle the slot.
-	if f.pooled {
-		n.pool.Put(f)
-	}
+	// recycle the slot. Only a flow of positive size has an armed event to
+	// reach here by, and every such flow came from the pool.
+	n.pool.Put(f)
 }

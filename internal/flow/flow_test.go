@@ -412,35 +412,6 @@ func TestSetCapacityIdleResource(t *testing.T) {
 	}
 }
 
-// Capacity mutation must stay bit-identical across the two allocators.
-func TestSetCapacityDifferential(t *testing.T) {
-	run := func(a Allocator) []sim.Time {
-		e := sim.New()
-		n := NewNetwork(e)
-		n.SetAllocator(a)
-		r1 := n.NewResource("r1", 100)
-		r2 := n.NewResource("r2", 80)
-		ends := make([]sim.Time, 3)
-		e.Spawn("a", func(p *sim.Proc) { f := n.Start(100, r1); p.Wait(f.Done()); ends[0] = p.Now() })
-		e.Spawn("b", func(p *sim.Proc) { f := n.Start(150, r1, r2); p.Wait(f.Done()); ends[1] = p.Now() })
-		e.Spawn("c", func(p *sim.Proc) { f := n.Start(60, r2); p.Wait(f.Done()); ends[2] = p.Now() })
-		e.At(0.3, func() { n.SetCapacity(r1, 40) })
-		e.At(0.9, func() { n.SetCapacity(r2, 160) })
-		e.At(1.4, func() { n.SetCapacity(r1, 100) })
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return ends
-	}
-	inc := run(Incremental)
-	ref := run(Reference)
-	for i := range inc {
-		if inc[i] != ref[i] {
-			t.Fatalf("flow %d: incremental end %v != reference end %v", i, inc[i], ref[i])
-		}
-	}
-}
-
 // Rejecting bad capacities keeps the degenerate-rate invariant intact.
 func TestSetCapacityRejectsNonPositive(t *testing.T) {
 	e := sim.New()

@@ -18,9 +18,9 @@ import (
 // of the stream, so a completion that changed places with an unrelated event
 // of its own instant changes the hash. The values were recorded while every
 // flow of a component carried its own completion timer, re-armed at every
-// rebalance, and are the oracle for arming one completion per component:
-// both allocators must reproduce them, and CI runs them a second time under
-// HAN_ARENA_DEBUG=1, where no flow slot is ever reused. On a mismatch the
+// rebalance, and are the oracle for arming one completion per component;
+// CI runs them a second time under HAN_ARENA_DEBUG=1, where no flow slot is
+// ever reused. On a mismatch the
 // failure prints the row in table syntax.
 
 // goldenBits is what one workload leaves behind.
@@ -37,7 +37,7 @@ type goldenRun struct {
 	h   hash.Hash64
 	cnt int
 	// check, when set, runs after every Start, completion and SetCapacity
-	// (arming_test.go's invariant walker). A completion's check is queued
+	// (arming_test.go's invariant walker, with the max-min certificate). A completion's check is queued
 	// for the same instant rather than called from the done callback, which
 	// runs before complete has rebalanced what the flow leaves behind; the
 	// extra events change no recorded bit.
@@ -57,7 +57,7 @@ func (g *goldenRun) note(id int) {
 
 // start launches flow id and records its completion when the done signal
 // fires. The callback form keeps the recorder off the flow once it is done,
-// as the pooled lifecycle requires.
+// as flow recycling requires.
 func (g *goldenRun) start(id int, bytes float64, path ...*Resource) {
 	g.n.Start(bytes, path...).Done().OnFire(sim.Func(func() {
 		g.note(id)
@@ -99,17 +99,16 @@ func (g *goldenRun) mark(id int, t sim.Time) {
 // runGolden runs one workload to the end and returns what it left behind.
 // mkCheck, when not nil, builds the run's check hook over its network before
 // the workload starts.
-func runGolden(t *testing.T, alloc Allocator, workload func(g *goldenRun), mkCheck func(n *Network) func()) goldenBits {
+func runGolden(t *testing.T, workload func(g *goldenRun), mkCheck func(n *Network) func()) goldenBits {
 	t.Helper()
 	e := sim.New()
 	g := &goldenRun{e: e, n: NewNetwork(e), h: fnv.New64a()}
-	g.n.SetAllocator(alloc)
 	if mkCheck != nil {
 		g.check = mkCheck(g.n)
 	}
 	workload(g)
 	if err := e.Run(); err != nil {
-		t.Fatalf("alloc %v: %v", alloc, err)
+		t.Fatal(err)
 	}
 	return goldenBits{stream: g.h.Sum64(), end: math.Float64bits(float64(e.Now())), n: g.cnt}
 }
@@ -334,11 +333,9 @@ var flowGoldens = []struct {
 
 func TestGoldenFlowCompletionBits(t *testing.T) {
 	for _, row := range flowGoldens {
-		for _, alloc := range []Allocator{Incremental, Reference} {
-			if got := runGolden(t, alloc, row.workload, nil); got != row.want {
-				t.Errorf("%s (allocator %d) changed bits; row is now\n\tgoldenBits{%#016x, %#016x, %d}",
-					row.name, alloc, got.stream, got.end, got.n)
-			}
+		if got := runGolden(t, row.workload, nil); got != row.want {
+			t.Errorf("%s changed bits; row is now\n\tgoldenBits{%#016x, %#016x, %d}",
+				row.name, got.stream, got.end, got.n)
 		}
 	}
 }

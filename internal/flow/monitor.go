@@ -62,7 +62,8 @@ func (s *ResourceStats) note(t sim.Time, util float64) {
 // It is exact and independent of the sample cap.
 func (s *ResourceStats) accrue(t sim.Time, util float64) {
 	if dt := float64(t - s.lastT); dt > 0 {
-		s.Bytes += s.lastUtil * s.Res.Capacity * dt
+		// float64(...) rounds the product, so no architecture fuses it (make fma).
+		s.Bytes += float64(s.lastUtil * s.Res.Capacity * dt)
 		if s.lastUtil > 0 {
 			s.BusySeconds += dt
 		}

@@ -61,7 +61,8 @@ func (p *Personality) Eff(n int) float64 {
 	// Log-linear interpolation in size.
 	t := (math.Log(float64(n)) - math.Log(float64(lo.Size))) /
 		(math.Log(float64(hi.Size)) - math.Log(float64(lo.Size)))
-	return lo.Eff + t*(hi.Eff-lo.Eff)
+	// float64(...) rounds the product, so no architecture fuses it (make fma).
+	return lo.Eff + float64(t*(hi.Eff-lo.Eff))
 }
 
 // OpenMPI returns the personality of Open MPI 4.0.0's P2P layer, the base

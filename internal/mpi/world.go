@@ -449,7 +449,8 @@ func (w *World) latency(srcWorld, dstWorld int) float64 {
 	}
 	lat += w.Pers.SoftLatency
 	if j := w.Pers.Jitter; j > 0 {
-		lat *= 1 + j*w.rng.Float64()
+		// float64(...) rounds the product, so no architecture fuses it (make fma).
+		lat *= 1 + float64(j*w.rng.Float64())
 	}
 	return lat
 }

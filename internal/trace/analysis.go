@@ -431,7 +431,8 @@ func rankSteps(rank int, a, b float64, spans []Span) []CPStep {
 		if hi <= lo {
 			continue
 		}
-		mid := lo + (hi-lo)/2
+		// float64(...) rounds the product, so no architecture fuses it (make fma).
+		mid := lo + float64((hi-lo)/2)
 		var active []string
 		for _, s := range spans {
 			if s.Begin <= mid && mid < s.End {
