@@ -6,10 +6,13 @@ import "testing"
 // one event or one parked process per rank of the 4096-rank headline run.
 const benchDepth = 4096
 
-// BenchmarkEventDispatch measures the event heap under load: benchDepth
+// BenchmarkEventDispatch measures the event queue under load: benchDepth
 // callbacks stay pending and each dispatch schedules its successor at a
-// pseudo-random later time, so every iteration is one pop and one push
-// through a heap twelve levels deep.
+// pseudo-random later time. Those times are mostly distinct, so this is the
+// queue's worst case: nearly every instant holds one event, and every
+// iteration opens an instant and closes one in a heap twelve levels deep.
+// BenchmarkStepHandoff is the opposite case, seven instants shared by
+// benchDepth events.
 func BenchmarkEventDispatch(b *testing.B) {
 	e := New()
 	fired := 0

@@ -38,17 +38,21 @@
 // engine (bit-identical replay, the parallel engine's oracle) leans on
 // them:
 //
-//   - Dispatch order is (t, seq) and nothing else. The queue is a binary
-//     heap written out over []*event; sequence numbers are unique, so the
-//     order is total and independent of the heap's layout. Which goroutine
-//     pops an event never changes which event is popped. It is one heap on
-//     purpose: a FIFO beside it for events scheduled at the current instant
-//     (44 % of a 4096-rank Bcast's pushes; such events are in (t, seq) order
-//     as pushed) kept every golden and measured 5-14 % faster at the median,
-//     but won 8 of its ten alternated pairs (17 of 20 over two series) where
-//     a kept optimisation needs nine in ten (EXPERIMENTS.md "A same-instant
-//     FIFO"). Keys inline in a 4-ary heap measured slower: the heap is ~3 k
-//     entries and sits in L2.
+//   - Dispatch order is (t, seq) and nothing else. The queue holds events
+//     by instant (queue.go): a binary heap of the distinct times that have
+//     events queued, each a FIFO of its events linked through the event
+//     records. An event joins the newest instant opened for its time, found
+//     through a direct-mapped table; a miss opens a new instant, keyed by
+//     its time and the sequence number of its first event. Sequence numbers
+//     only grow, so each FIFO is in seq order and instants of one time never
+//     interleave: the order is (t, seq) by construction, independent of the
+//     heap's layout, and which goroutine pops an event never changes which
+//     event is popped. Nine in ten pushes of a 4096-rank Bcast land on a
+//     time already queued (~1 800 events over ~190 instants), so a push is
+//     mostly an append and a pop touches the heap only when its instant
+//     empties. A map from time to instant, in place of the table, measured
+//     30-50 % slower on a tuning sweep (EXPERIMENTS.md "Simulator wall
+//     clock").
 //   - Scheduled callbacks (At, Schedule, Call, AtInto) and process
 //     starts run only on the engine goroutine — the one inside Run or
 //     RunUntil.
@@ -89,10 +93,12 @@
 //
 // Event records are pooled: large simulations (the 4096-rank HAN runs
 // schedule tens of millions of events) recycle event structs instead of
-// churning the garbage collector, and carve new ones in chunks, so an engine
-// whose queue grows to thousands of events allocates per chunk, not per
-// event. Timer handles stay safe across recycling through a generation
-// counter. A Signal holds its first waiting process and its first OnFire
+// churning the garbage collector, and carve new ones in chunks, each event
+// record beside an instant record, so an engine whose queue grows to
+// thousands of events allocates per chunk, not per event or per instant. A
+// pending timer rearmed through AtInto is taken out of its instant and
+// queued again in the same record. Timer handles stay safe across recycling
+// through a generation counter. A Signal holds its first waiting process and its first OnFire
 // callback in fields, the rest in slices that keep their capacity across
 // Fire and Reset, so the signal of a pooled record — which most often has
 // one of each — registers without allocating even the first time.

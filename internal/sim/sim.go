@@ -45,107 +45,21 @@ func (c callback) run() { c.h.Handle(c.op) }
 type event struct {
 	t         Time
 	seq       uint64
-	kind      int
+	kind      uint8
+	cancelled bool
 	cb        callback
 	p         *Proc
 	body      func(*Proc)
-	cancelled bool
-	// idx is the event's position in the heap (-1 once popped), maintained
-	// so a pending timer can be rearmed in place with fix instead of
-	// leaving a lazily-cancelled tombstone behind.
-	idx int
+	// in is the instant the event is queued in (nil once it is not), and
+	// prev and next its neighbours there (queue.go): a pending timer is
+	// rearmed by taking it out and queueing it again, not by leaving a
+	// lazily-cancelled tombstone behind.
+	in         *instant
+	prev, next *event
 	// gen increments every time the struct is returned to the pool, so a
 	// stale Timer that outlived its event cannot cancel an unrelated
 	// reincarnation of the same struct.
 	gen uint64
-}
-
-// before is the dispatch order: virtual time, then scheduling sequence.
-// Sequence numbers are unique, so the order is total and the heap's pop
-// order does not depend on its internal layout.
-func (a *event) before(b *event) bool {
-	if a.t != b.t {
-		return a.t < b.t
-	}
-	return a.seq < b.seq
-}
-
-// eventHeap is a binary min-heap of events ordered by before, written out
-// over the concrete type because the dispatch loop spends its time here:
-// no interface calls, no boxing, and sifts that move a hole instead of
-// swapping. container/heap is the oracle it is tested against
-// (heap_test.go).
-type eventHeap []*event
-
-func (h *eventHeap) push(ev *event) {
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-	h.up(ev.idx)
-}
-
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	top := old[0]
-	last := old[n]
-	old[n] = nil
-	*h = old[:n]
-	if n > 0 {
-		old[0] = last
-		last.idx = 0
-		h.down(0)
-	}
-	top.idx = -1
-	return top
-}
-
-// fix restores heap order after the event at i changed its key.
-func (h eventHeap) fix(i int) {
-	if !h.down(i) {
-		h.up(i)
-	}
-}
-
-func (h eventHeap) up(i int) {
-	ev := h[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		pe := h[parent]
-		if !ev.before(pe) {
-			break
-		}
-		h[i] = pe
-		pe.idx = i
-		i = parent
-	}
-	h[i] = ev
-	ev.idx = i
-}
-
-// down sifts the event at i towards the leaves and reports whether it moved.
-func (h eventHeap) down(i int) bool {
-	ev := h[i]
-	start, n := i, len(h)
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		ce := h[child]
-		if r := child + 1; r < n && h[r].before(ce) {
-			child, ce = r, h[r]
-		}
-		if !ce.before(ev) {
-			break
-		}
-		h[i] = ce
-		ce.idx = i
-		i = child
-	}
-	h[i] = ev
-	ev.idx = i
-	return i > start
 }
 
 // Timer is a handle to a scheduled callback that can be cancelled before it
@@ -187,10 +101,15 @@ func (t *Timer) Active() bool {
 // Engine is a discrete-event simulation scheduler. The zero value is not
 // usable; create engines with New.
 type Engine struct {
-	now    Time
-	events eventHeap
-	seq    uint64
-	live   int // processes spawned and not yet finished
+	now Time
+	// instants is the event queue's heap of distinct times, newest its
+	// table of the instant last opened per slot, and spare the instant
+	// records not in use (queue.go).
+	instants []*instant
+	newest   [1 << newestBits]*instant
+	spare    *instant
+	seq      uint64
+	live     int // processes spawned and not yet finished
 	// head and tail are the ends of the list of those processes, in spawn
 	// order, linked through the processes themselves: a process is on it from
 	// its spawn to its finish, so reports and KillTagged walk what is alive
@@ -247,8 +166,8 @@ func (e *Engine) Reset() {
 		panic("sim: Reset of a running engine")
 	case e.live > 0:
 		panic(fmt.Sprintf("sim: Reset with %d live process(es)", e.live))
-	case len(e.events) > 0:
-		panic(fmt.Sprintf("sim: Reset with %d pending event(s)", len(e.events)))
+	case e.top() != nil:
+		panic("sim: Reset with pending events")
 	case e.stopErr != nil || e.panicVal != nil:
 		panic("sim: Reset of a stopped engine")
 	}
@@ -266,8 +185,8 @@ func (e *Engine) Goroutines() uint64 { return e.goroutines }
 func (e *Engine) Parks() uint64 { return e.parks }
 
 // Rearms reports how many times AtInto found its timer still queued and
-// retargeted the event in place — a heap sift for an event that had not yet
-// fired. A caller that re-arms timers which could never have fired first
+// retargeted the event — taken out of its instant and queued again, for an
+// event that had not yet fired. A caller that re-arms timers which could never have fired first
 // shows up here, not in the count of dispatched events. No binary reads it:
 // TestTimerHandOverAndRevive, TestFanInRearmsAtMostTwicePerFlow and
 // TestBcastRearmsAtMostOncePerRebalance bound it.
@@ -323,16 +242,25 @@ func (e *Engine) alloc() *event {
 // eventChunk is the most event records the engine carves at once.
 const eventChunk = 256
 
-// carve adds a chunk of new event records to the free list, as many as the
-// engine has carved so far, between 16 and eventChunk: an engine that stays
-// small carves little, and one whose queue grows to thousands of events
-// allocates per chunk, not per event. A chunk never moves, so a record's
-// address is stable for as long as the engine lives.
+// record is what carve allocates: an event record and an instant record side
+// by side, so the queue's instants cost no allocation of their own.
+type record struct {
+	ev event
+	in instant
+}
+
+// carve adds a chunk of new event and instant records to the free lists, as
+// many as the engine has carved so far, between 16 and eventChunk: an engine
+// that stays small carves little, and one whose queue grows to thousands of
+// events allocates per chunk, not per event. A chunk never moves, so a
+// record's address is stable for as long as the engine lives.
 func (e *Engine) carve() {
-	chunk := make([]event, min(max(e.carved, 16), eventChunk))
+	chunk := make([]record, min(max(e.carved, 16), eventChunk))
 	e.carved += len(chunk)
 	for i := len(chunk) - 1; i >= 0; i-- {
-		e.free = append(e.free, &chunk[i])
+		e.free = append(e.free, &chunk[i].ev)
+		chunk[i].in.next = e.spare
+		e.spare = &chunk[i].in
 	}
 }
 
@@ -344,12 +272,6 @@ func (e *Engine) release(ev *event) {
 	ev.cancelled = false
 	ev.gen++
 	e.free = append(e.free, ev)
-}
-
-func (e *Engine) push(ev *event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events.push(ev)
 }
 
 func (e *Engine) schedule(t Time, cb callback) *event {
@@ -376,24 +298,23 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 // (e.g. the completion timer of the flow a component finishes next,
 // retargeted when a rebalance moves that time). A callback still pending on
 // tm is replaced, not left behind: the queued event is retargeted where it
-// sits (same fresh sequence number a new event would get, so dispatch order
-// is unchanged) instead of tombstoning the heap with a cancelled entry — and
-// that holds for a pending event that was cancelled, which is revived with
-// the new time and callback. A Timer is a value: a caller may move one
+// sits: taken out of its instant and queued again at the fresh sequence
+// number a new event would get, so dispatch order is unchanged, instead of
+// tombstoning the queue with a cancelled entry — and that holds for a pending
+// event that was cancelled, which is revived with the new time and callback. A Timer is a value: a caller may move one
 // between its records (the flow layer hands a pending event from one flow to
 // another that way) as long as each handle lives in one place.
 func (e *Engine) AtInto(tm *Timer, t Time, h Handler, op int) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
 	}
-	if ev := tm.ev; ev != nil && ev.gen == tm.gen && ev.idx >= 0 {
+	if ev := tm.ev; ev != nil && ev.gen == tm.gen && ev.in != nil {
+		e.unlink(ev)
 		ev.t = t
 		ev.cb = callback{h, op}
 		ev.cancelled = false
-		ev.seq = e.seq
-		e.seq++
 		e.rearms++
-		e.events.fix(ev.idx)
+		e.push(ev)
 		tm.at = t
 		return
 	}
@@ -743,16 +664,16 @@ func (e *Engine) passBaton(from *Proc) {
 // engine goroutine, so a Step never runs on another process's stack. The
 // other conditions mirror the head of the loop in run.
 func (e *Engine) popResume() *Proc {
-	if len(e.events) == 0 || e.stopErr != nil || e.panicVal != nil {
+	if e.stopErr != nil || e.panicVal != nil {
 		return nil
 	}
-	top := e.events[0]
-	if top.kind != evResume || top.cancelled || top.p.step != nil ||
+	top := e.top()
+	if top == nil || top.kind != evResume || top.cancelled || top.p.step != nil ||
 		(e.bounded && top.t >= e.limit) ||
 		(e.MaxEvents != 0 && e.dispatched >= e.MaxEvents) {
 		return nil
 	}
-	e.events.pop()
+	e.unlink(top)
 	e.dispatched++
 	e.now = top.t
 	p := top.p
@@ -1034,16 +955,15 @@ func (e *Engine) RunUntil(limit Time) error {
 }
 
 // NextEventTime reports the time of the earliest pending event, lazily
-// discarding cancelled heap tops on the way. ok is false when no live event
-// is queued.
+// discarding cancelled events at the head of the queue on the way. ok is
+// false when no live event is queued.
 func (e *Engine) NextEventTime() (t Time, ok bool) {
-	for len(e.events) > 0 {
-		ev := e.events[0]
-		if ev.cancelled {
-			e.release(e.events.pop())
-			continue
+	for ev := e.top(); ev != nil; ev = e.top() {
+		if !ev.cancelled {
+			return ev.t, true
 		}
-		return ev.t, true
+		e.unlink(ev)
+		e.release(ev)
 	}
 	return 0, false
 }
@@ -1078,21 +998,22 @@ func (e *Engine) run(limit Time, bounded bool) error {
 	e.running = true
 	defer func() { e.running = false }()
 	e.limit, e.bounded = limit, bounded
-	for len(e.events) > 0 {
+	for ev := e.top(); ev != nil; ev = e.top() {
 		if e.MaxEvents != 0 && e.dispatched >= e.MaxEvents {
 			return &ErrEventBudget{Dispatched: e.dispatched}
 		}
 		// Peek before popping: an event at or past the window limit must keep
-		// its place in the heap untouched (a pop/re-push would assign a fresh
+		// its place in the queue untouched (a pop/re-push would assign a fresh
 		// sequence number and reorder it after same-instant peers it
 		// originally preceded, breaking replay identity).
-		if top := e.events[0]; top.cancelled {
-			e.release(e.events.pop())
+		if ev.cancelled {
+			e.unlink(ev)
+			e.release(ev)
 			continue
-		} else if e.bounded && top.t >= e.limit {
+		} else if e.bounded && ev.t >= e.limit {
 			return nil
 		}
-		ev := e.events.pop()
+		e.unlink(ev)
 		e.dispatched++
 		if e.dispatched%yieldEvery == 0 {
 			runtime.Gosched()
