@@ -47,12 +47,12 @@
 //     only grow, so each FIFO is in seq order and instants of one time never
 //     interleave: the order is (t, seq) by construction, independent of the
 //     heap's layout, and which goroutine pops an event never changes which
-//     event is popped. Nine in ten pushes of a 4096-rank Bcast land on a
-//     time already queued (~1 800 events over ~190 instants), so a push is
+//     event is popped. 88 % of a 4096-rank Bcast's pushes land on a time
+//     already queued (~1 800 events over ~180 instants), so a push is
 //     mostly an append and a pop touches the heap only when its instant
 //     empties. A map from time to instant, in place of the table, measured
-//     30-50 % slower on a tuning sweep (EXPERIMENTS.md "Simulator wall
-//     clock").
+//     29 % slower on a tuning sweep (EXPERIMENTS.md "Events queued by
+//     instant").
 //   - Scheduled callbacks (At, Schedule, Call, AtInto) and process
 //     starts run only on the engine goroutine — the one inside Run or
 //     RunUntil.

@@ -5,8 +5,8 @@ import "math"
 // The event queue holds events by instant: a binary min-heap of the distinct
 // times that have events queued, each time a FIFO of its events linked
 // through the event records. Most pushes land on an instant that already has
-// events queued (nine in ten in a 4096-rank Bcast, where ~1 800 queued events
-// share ~190 instants), so they append to a list, and a pop takes the head of
+// events queued (88 % in a 4096-rank Bcast, where ~1 800 queued events share
+// ~180 instants), so they append to a list, and a pop takes the head of
 // the top instant without touching the heap until that instant empties.
 //
 // The dispatch order is (t, seq) by construction. An event joins the newest
@@ -87,9 +87,9 @@ func (e *Engine) open(t Time, seq uint64) *instant {
 }
 
 // top returns the earliest queued event without taking it out, or nil if
-// none is queued. The only instant that may be empty is the heap's root — a
-// pop leaves it in place, so that events queued at the instant being
-// dispatched join it instead of opening another — and top closes it.
+// none is queued. The only instant that may be empty is the heap's root,
+// left there by pop so that events queued at the instant being dispatched
+// join it instead of opening another; top closes it.
 func (e *Engine) top() *event {
 	for len(e.instants) > 0 {
 		if ev := e.instants[0].head; ev != nil {
@@ -100,9 +100,20 @@ func (e *Engine) top() *event {
 	return nil
 }
 
-// unlink takes ev out of the queue: the head of the top instant when it is
-// dispatched, any event when AtInto retargets it. An instant it leaves empty
-// leaves the heap, unless it is the root (see top).
+// pop takes ev, the event top returned, out of the queue to dispatch or
+// discard it. Its instant stays on the heap even if emptied (see top).
+func (e *Engine) pop(ev *event) {
+	in := ev.in
+	if in.head = ev.next; in.head != nil {
+		in.head.prev = nil
+	} else {
+		in.tail = nil
+	}
+	ev.in, ev.next = nil, nil
+}
+
+// unlink takes a queued event out of the queue wherever it sits, for AtInto
+// to queue it again, and closes its instant if that leaves it empty.
 func (e *Engine) unlink(ev *event) {
 	in := ev.in
 	if ev.prev != nil {
@@ -116,7 +127,7 @@ func (e *Engine) unlink(ev *event) {
 		in.tail = ev.prev
 	}
 	ev.in, ev.prev, ev.next = nil, nil, nil
-	if in.head == nil && in.idx != 0 {
+	if in.head == nil {
 		e.close(in.idx)
 	}
 }
@@ -139,7 +150,7 @@ func (e *Engine) close(i int) {
 	if slot := &e.newest[newestSlot(in.t)]; *slot == in {
 		*slot = nil
 	}
-	in.tail, in.next = nil, e.spare
+	in.next = e.spare
 	e.spare = in
 }
 

@@ -285,6 +285,9 @@ func TestEventQueueMatchesSortOracle(t *testing.T) {
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 6, 0, 3, 5, 3, 1, 7, 0, 0, 2, 6, 6})
 	f.Add([]byte{3, 1, 3, 2, 3, 4, 0, 2, 0, 5, 6, 0, 3, 2, 4, 0, 5, 2, 7, 7})
+	// A rearm that empties the root instant, then an earlier instant that
+	// opens above it: the emptied instant must not sink into the heap.
+	f.Add([]byte("0070702B220"))
 	times := queueTimes{grid: 1e-3, colliding: collidingTimes(1e-3, 16)}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		const rearmable = 8

@@ -186,8 +186,9 @@ func (e *Engine) Parks() uint64 { return e.parks }
 
 // Rearms reports how many times AtInto found its timer still queued and
 // retargeted the event — taken out of its instant and queued again, for an
-// event that had not yet fired. A caller that re-arms timers which could never have fired first
-// shows up here, not in the count of dispatched events. No binary reads it:
+// event that had not yet fired. A caller that re-arms timers which could
+// never have fired first shows up here, not in the count of dispatched
+// events. No binary reads it:
 // TestTimerHandOverAndRevive, TestFanInRearmsAtMostTwicePerFlow and
 // TestBcastRearmsAtMostOncePerRebalance bound it.
 func (e *Engine) Rearms() uint64 { return e.rearms }
@@ -297,13 +298,14 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 // is the allocation-free form of At for records that keep a Timer embedded
 // (e.g. the completion timer of the flow a component finishes next,
 // retargeted when a rebalance moves that time). A callback still pending on
-// tm is replaced, not left behind: the queued event is retargeted where it
-// sits: taken out of its instant and queued again at the fresh sequence
-// number a new event would get, so dispatch order is unchanged, instead of
-// tombstoning the queue with a cancelled entry — and that holds for a pending
-// event that was cancelled, which is revived with the new time and callback. A Timer is a value: a caller may move one
-// between its records (the flow layer hands a pending event from one flow to
-// another that way) as long as each handle lives in one place.
+// tm is replaced, not left behind: the queued event is taken out of its
+// instant and queued again at the fresh sequence number a new event would
+// get, so dispatch order is unchanged, instead of tombstoning the queue with
+// a cancelled entry — and that holds for a pending event that was cancelled,
+// which is revived with the new time and callback. A Timer is a value: a
+// caller may move one between its records (the flow layer hands a pending
+// event from one flow to another that way) as long as each handle lives in
+// one place.
 func (e *Engine) AtInto(tm *Timer, t Time, h Handler, op int) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: At(%v) is in the past (now=%v)", t, e.now))
@@ -673,7 +675,7 @@ func (e *Engine) popResume() *Proc {
 		(e.MaxEvents != 0 && e.dispatched >= e.MaxEvents) {
 		return nil
 	}
-	e.unlink(top)
+	e.pop(top)
 	e.dispatched++
 	e.now = top.t
 	p := top.p
@@ -962,7 +964,7 @@ func (e *Engine) NextEventTime() (t Time, ok bool) {
 		if !ev.cancelled {
 			return ev.t, true
 		}
-		e.unlink(ev)
+		e.pop(ev)
 		e.release(ev)
 	}
 	return 0, false
@@ -1007,13 +1009,13 @@ func (e *Engine) run(limit Time, bounded bool) error {
 		// sequence number and reorder it after same-instant peers it
 		// originally preceded, breaking replay identity).
 		if ev.cancelled {
-			e.unlink(ev)
+			e.pop(ev)
 			e.release(ev)
 			continue
 		} else if e.bounded && ev.t >= e.limit {
 			return nil
 		}
-		e.unlink(ev)
+		e.pop(ev)
 		e.dispatched++
 		if e.dispatched%yieldEvery == 0 {
 			runtime.Gosched()
