@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint ci bench bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results deadapi fma
+.PHONY: build test race vet lint ci bench bench-guard bench-alloc bench-parallel bench-serve chaos chaos-soak fuzz docs results deadapi fma
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,9 @@ race:
 	$(GO) test -race ./...
 
 ci: build lint race
-	$(GO) test -race -count=1 -run 'Differential|Certificate|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
+	$(GO) test -race -count=1 -run 'Differential|Certificate|Deterministic|Golden|Rearms|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms|Queue|DispatchOrder' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/ .
 	$(GO) test -race -count=1 -run 'ScaleSmoke' .
-	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Certificate|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
+	HAN_ARENA_DEBUG=1 $(GO) test -count=1 -run 'Golden|Certificate|Churn|Crash|Fault|Chaos|Rearms|Kill|Tree|Allocs|IMB|StepRank|Routine|Unlinked|Storage|Goroutines|NoGoroutine|Budget|Recycled|Reset|SocketComm|PairRecords|ColdEndpoint|SignalFirstCallback|PerChunk|CallbackForms|Queue|DispatchOrder' ./internal/sim/ ./internal/flow/ ./internal/cluster/ ./internal/mpi/ ./internal/coll/ ./internal/han/ ./internal/bench/ ./internal/autotune/
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim/ ./internal/mpi/ ./internal/coll/ ./internal/flow/ ./internal/autotune/ ./internal/han/
 
 # Fault matrix: every builtin plan across three seeds (what the CI
@@ -72,8 +72,8 @@ chaos-soak:
 	done; done
 
 # Native fuzzing smoke: a few seconds per fuzz target (fault plans, table
-# files, wire requests, frame streams), enough to catch validator,
-# occurrence, loader, parser and framing regressions without a dedicated
+# files, wire requests, frame streams, the event queue), enough to catch validator,
+# occurrence, loader, parser, framing and dispatch-order regressions without a dedicated
 # fleet. The table seed is a whole saved sweep; minimizing each new input
 # from it would otherwise use up the smoke's time.
 fuzz:
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadTable -fuzztime 5s -fuzzminimizetime 1s ./internal/autotune/
 	$(GO) test -run xxx -fuzz FuzzParseRequest -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
 	$(GO) test -run xxx -fuzz FuzzReadFrames -fuzztime 5s -fuzzminimizetime 1s ./internal/serve/
+	$(GO) test -run xxx -fuzz FuzzEventQueue -fuzztime 5s -fuzzminimizetime 1s ./internal/sim/
 
 # Documentation gate (the CI `docs` job): observability goldens and the
 # docs-coverage contract, a block collective's task rows from the CLI, the
@@ -185,3 +186,49 @@ bench-serve:
 # bench-* targets above predate it and stay for now.
 bench:
 	$(GO) run -C benchmark . -runs 3
+
+# The yardstick on every change (CI's bench-guard job): a -short run of
+# every workload, three runs each plus the traced pass (about 4 s a side),
+# on the merge base of BASE and HEAD and on HEAD, each checked out in a
+# temporary git worktree, then -compare. At this size the timing rows are
+# noise, so they are printed and not gated. It fails on a changed exact row
+# (GUARD_EXACT) unless a line the change adds to CHANGES.md names its
+# workload and its metric, on an allocs_per_op row judged worse for a
+# workload in GUARD_ALLOCS, on more failed ops and on a missing workload.
+# tune_sweep is not in GUARD_ALLOCS: how many worlds its sweep builds
+# depends on which worker takes which job, and its median count moved 8 %
+# between identical runs. The target reads -compare's verdicts, not its
+# exit status, which counts the timing rows too.
+BASE ?= origin/main
+GUARD_EXACT = sim.sim_us_per_op mpi.messages flow.flows_started han.tasks autotune.measurements
+GUARD_ALLOCS = bcast4096_256k allreduce1024_16m serve_wire serve_local_churn
+bench-guard:
+	@tmp=$$(mktemp -d) && \
+	trap 'for s in base head; do git worktree remove --force "$$tmp/$$s" 2>/dev/null; done; rm -rf "$$tmp"' EXIT && \
+	base=$$(git merge-base $(BASE) HEAD) && \
+	git worktree add -q --detach "$$tmp/base" $$base && \
+	git worktree add -q --detach "$$tmp/head" HEAD && \
+	for s in base head; do \
+		echo "bench-guard: $$s $$(git -C "$$tmp/$$s" rev-parse --short HEAD)"; \
+		$(GO) run -C "$$tmp/$$s/benchmark" . -short -trace 1 -runs 3 -out "$$tmp/out-$$s" > "$$tmp/$$s.log" 2>&1 \
+			|| { cat "$$tmp/$$s.log"; exit 1; }; \
+	done && \
+	{ $(GO) run -C "$$tmp/head/benchmark" . -compare "$$tmp/out-base/results.json" "$$tmp/out-head/results.json" \
+		> "$$tmp/compare.txt" 2>&1 || true; } && \
+	git diff $$base HEAD -- CHANGES.md | sed -n 's/^+//p' > "$$tmp/added" && \
+	awk -v exact="$(GUARD_EXACT)" -v allocs="$(GUARD_ALLOCS)" -v added="$$tmp/added" ' \
+		BEGIN { split(exact, e, " "); for (i in e) gated[e[i]] = 1; \
+			split(allocs, a, " "); for (i in a) counted[a[i]] = 1; \
+			while ((getline l < added) > 0) notes[++n] = l } \
+		function named(w, m,   i) { for (i = 1; i <= n; i++) if (index(notes[i], w) && index(notes[i], m)) return 1; return 0 } \
+		NR <= 3 { print; next } \
+		{ v = $$NF } \
+		v == "missing" { print; bad++; next } \
+		$$2 == "allocs_per_op" && !counted[$$1] { print $$0 "  (not gated)"; next } \
+		$$2 == "allocs_per_op" || $$2 == "failed/attempted" { print; if (v == "worse") bad++; next } \
+		$$2 == "setup_s" || $$2 == "ops_per_s" || $$2 == "peak_rss_mb" { print $$0 "  (not gated)"; next } \
+		gated[$$2] { seen++ } \
+		gated[$$2] && v == "changed" { if (named($$1, $$2)) print $$0 "  (named in CHANGES.md)"; else { print; bad++ } } \
+		END { if (!seen) { print "bench-guard: -compare printed no exact row"; bad++ } \
+			printf "bench-guard: %d gated exact row(s), %d row(s) failing\n", seen, bad; exit bad > 0 }' \
+		"$$tmp/compare.txt"
