@@ -178,13 +178,12 @@ func Fig3(sc Scale) {
 // (measured) time over submodule/algorithm/segment-size combinations.
 func modelValidation(sc Scale, kind coll.Kind, m int) {
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
-	meter := &autotune.Meter{}
 	cands := sc.Space.Expand(kind, m, false, sc.Tuning.Nodes)
 	ests := make([]float64, len(cands))
 	acts := make([]float64, len(cands))
 	fanOut(len(cands), func(i int) {
-		ests[i] = autotune.Estimate(env.MeasureTasks(kind, cands[i].Cfg, meter), m)
-		acts[i] = env.MeasureCollective(kind, m, cands[i].Cfg, 2, meter)
+		ests[i] = autotune.Estimate(env.MeasureTasks(kind, cands[i].Cfg, nil), m)
+		acts[i] = env.MeasureCollective(kind, m, cands[i].Cfg, 2, nil)
 	})
 	fmt.Printf("%-52s%14s%14s\n", "configuration", "estimated µs", "actual µs")
 	bestEst, bestAct := -1.0, -1.0
@@ -204,7 +203,7 @@ func modelValidation(sc Scale, kind coll.Kind, m int) {
 	if cfgEst == cfgAct {
 		fmt.Println("=> identical (the paper finds the same at 4MB)")
 	} else {
-		chosen := env.MeasureCollective(kind, m, cfgEst, 2, meter)
+		chosen := env.MeasureCollective(kind, m, cfgEst, 2, nil)
 		fmt.Printf("=> different; model pick measures %.1fµs vs optimum %.1fµs (%.1f%% off)\n",
 			chosen*1e6, bestAct*1e6, 100*(chosen-bestAct)/bestAct)
 	}
@@ -250,7 +249,7 @@ func Fig7(sc Scale) {
 
 // Fig8and9 runs the four tuning methods and prints the Fig 8 cost bars and
 // the Fig 9 accuracy comparison from the same searches.
-func Fig8and9(sc Scale, costOnly bool) {
+func Fig8and9(sc Scale) {
 	header(sc, "Figs 8 & 9 — autotuning cost and accuracy (Bcast + Allreduce)")
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
 	kinds := []coll.Kind{coll.Bcast, coll.Allreduce}
@@ -270,21 +269,18 @@ func Fig8and9(sc Scale, costOnly bool) {
 		t := results[m].Table
 		fmt.Printf("%-18s%16d%12.2f%12.1f\n", t.Method, t.Measurements, t.TuningCost, 100*t.TuningCost/exCost)
 	}
-	if costOnly {
-		fmt.Println("\n(paper: heuristics 26.8%, task-based large cut, combined 4.3% of exhaustive)")
-	}
+	fmt.Println("\n(paper: heuristics 26.8%, task-based large cut, combined 4.3% of exhaustive)")
 
 	fmt.Println("\nFig 9 — time-to-completion of the selected configurations (µs):")
 	fmt.Printf("%-28s%12s%12s%12s%12s%12s%12s%12s\n",
 		"input", "exh.best", "exh.median", "exh.avg", "exh+heur", "task", "task+heur", "")
-	meter := &autotune.Meter{}
 	entries := results[autotune.Exhaustive].Table.Entries
 	picksFor := []autotune.Method{autotune.ExhaustiveHeuristics, autotune.TaskBased, autotune.Combined}
 	picks := make([]float64, len(entries)*len(picksFor))
 	fanOut(len(picks), func(j int) {
 		in := entries[j/len(picksFor)].In
 		cfg := results[picksFor[j%len(picksFor)]].Table.Decide(in.T, in.M)
-		picks[j] = env.MeasureCollective(in.T, in.M, cfg, 2, meter)
+		picks[j] = env.MeasureCollective(in.T, in.M, cfg, 2, nil)
 	})
 	for i, e := range entries {
 		in := e.In
@@ -497,14 +493,13 @@ func AblateSplit(sc Scale) {
 func AblateOverlap(sc Scale) {
 	header(sc, "Ablation — cost model overlap assumptions (Bcast, 4MB)")
 	env := autotune.NewEnv(sc.Tuning, mpi.OpenMPI())
-	meter := &autotune.Meter{}
 	m := 4 << 20
 	configs := taskConfigs(512 << 10)
 	overlapTTs := make([]autotune.TableTasks, len(configs))
 	overlapActs := make([]float64, len(configs))
 	fanOut(len(configs), func(i int) {
-		overlapTTs[i] = env.MeasureTasks(coll.Bcast, configs[i], meter)
-		overlapActs[i] = env.MeasureCollective(coll.Bcast, m, configs[i], 2, meter)
+		overlapTTs[i] = env.MeasureTasks(coll.Bcast, configs[i], nil)
+		overlapActs[i] = env.MeasureCollective(coll.Bcast, m, configs[i], 2, nil)
 	})
 	fmt.Printf("%-36s%12s%12s%12s%12s\n", "configuration", "actual µs", "HAN est", "perfect", "no-overlap")
 	for i, cfg := range configs {
@@ -541,11 +536,10 @@ func AblateHeuristics(sc Scale) {
 	eh := autotune.RunSearch(env, sc.Space, kinds, autotune.ExhaustiveHeuristics, autotune.SearchOpts{Iters: 2, Workers: expWorkers})
 	fmt.Printf("search cost: full %.2fs, heuristics %.2fs (%.1f%%)\n",
 		ex.Table.TuningCost, eh.Table.TuningCost, 100*eh.Table.TuningCost/ex.Table.TuningCost)
-	meter := &autotune.Meter{}
 	hMeas := make([]float64, len(ex.Table.Entries))
 	fanOut(len(hMeas), func(i int) {
 		in := ex.Table.Entries[i].In
-		hMeas[i] = env.MeasureCollective(in.T, in.M, eh.Table.Decide(in.T, in.M), 2, meter)
+		hMeas[i] = env.MeasureCollective(in.T, in.M, eh.Table.Decide(in.T, in.M), 2, nil)
 	})
 	fmt.Printf("%-28s%14s%18s%10s\n", "input", "full best µs", "heuristic pick µs", "loss")
 	for i, e := range ex.Table.Entries {

@@ -67,7 +67,8 @@ func main() {
 
 	switch {
 	case *all:
-		for _, f := range []int{2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15} {
+		// Figs 8 and 9 come from one set of searches: 8 prints both.
+		for _, f := range []int{2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 15} {
 			runFig(f, sc)
 		}
 		runTab(3, sc)
@@ -98,10 +99,8 @@ func runFig(f int, sc Scale) {
 		Fig6(sc)
 	case 7:
 		Fig7(sc)
-	case 8:
-		Fig8and9(sc, true)
-	case 9:
-		Fig8and9(sc, false)
+	case 8, 9:
+		Fig8and9(sc)
 	case 10:
 		Fig10(sc)
 	case 11:

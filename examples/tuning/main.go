@@ -52,11 +52,10 @@ func main() {
 	fmt.Printf("\nlookup table round-tripped through %s\n", path)
 
 	// 3. Compare tuned vs untuned decisions end to end.
-	meter := &autotune.Meter{}
 	fmt.Printf("\n%-10s%14s%14s%10s\n", "size", "default µs", "tuned µs", "gain")
 	for _, m := range []int{4 << 10, 256 << 10, 4 << 20, 16 << 20} {
-		def := env.MeasureCollective(coll.Bcast, m, han.DefaultDecision(coll.Bcast, m), 2, meter)
-		tuned := env.MeasureCollective(coll.Bcast, m, loaded.Decide(coll.Bcast, m), 2, meter)
+		def := env.MeasureCollective(coll.Bcast, m, han.DefaultDecision(coll.Bcast, m), 2, nil)
+		tuned := env.MeasureCollective(coll.Bcast, m, loaded.Decide(coll.Bcast, m), 2, nil)
 		fmt.Printf("%-10s%14.1f%14.1f%9.2fx\n", han.SizeString(m), def*1e6, tuned*1e6, def/tuned)
 	}
 }

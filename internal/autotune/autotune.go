@@ -289,8 +289,9 @@ type decideIndex struct {
 }
 
 // BuildIndex constructs the decision index eagerly. A table is safe for
-// concurrent Decide calls only after BuildIndex (Load calls it; the batch
-// paths that mutate Entries rely on Decide's lazy rebuild instead).
+// concurrent Decide calls only after BuildIndex (Load and RunSearch call
+// it; the batch paths that mutate Entries rely on Decide's lazy rebuild
+// instead).
 func (t *Table) BuildIndex() {
 	t.idx = t.buildIndex()
 }

@@ -89,32 +89,26 @@ type taskKey struct {
 	cfg  han.Config
 }
 
-// taskRun pairs a task-cost measurement with the meter that recorded it, so
-// the merge phase can account the measurement's cost exactly once, at the
-// configuration's first canonical encounter.
-type taskRun struct {
-	tasks TableTasks
-	meter *Meter
-}
-
 // RunSearch tunes the given collective kinds over the space with the given
 // method, returning the lookup table (step 1 of section III-C). The tuning
 // cost reported in the table is virtual machine time, directly comparable
 // across methods as in Fig 8.
 //
-// Measurements fan out across opts.Workers host workers (internal/exec).
-// Every (input, candidate) pair is an independent job that measures on a
-// world it holds alone, writes its cost into an index-addressed slot, and
-// records its benchmark cost in a private Meter; for task-based methods a
-// single-flight cache guarantees each distinct configuration is measured
-// exactly once, preserving the paper's T×S×N×P×A accounting. The worlds are
-// the sweep's own: a free list, for the length of the call, of worlds a job
+// The sweep is planned before anything is measured. An exhaustive method
+// measures every (input, candidate) pair; a task-based method measures the
+// task costs of each distinct (kind, configuration) once and estimates every
+// input it serves from them, which is the paper's T×S×N×P×A accounting.
+// The measurements fan out across opts.Workers host workers (internal/exec):
+// each job measures on a world it holds alone, writes into index-addressed
+// slots, and records its benchmark cost in its own Meter. The worlds are the
+// sweep's own: a free list, for the length of the call, of worlds a job
 // takes and puts back reset, so a sweep builds at most one per worker, not
 // one per measurement — except under a fault plan, where every world serves
 // one measurement. Everything order-sensitive — meter accumulation,
 // best-candidate tie-breaking, table append order — happens after the jobs
 // finish, in canonical enumeration order, so the result is byte-identical no
-// matter how many workers ran, or which world a job drew.
+// matter how many workers ran, or which world a job drew. The table comes
+// back indexed, as Load's does, so concurrent Decide calls on it are safe.
 func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts SearchOpts) Result {
 	if opts.Iters <= 0 {
 		opts.Iters = 2
@@ -125,9 +119,15 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 	x := exec.New(opts.Workers)
 
 	// Phase 1 — canonical enumeration. The flat job order fixed here is
-	// the one the merge phase replays.
+	// the one the merge phase replays. A kind's task costs under one
+	// configuration are shared across message sizes (one of the paper's
+	// three sources of savings), so a task-based method numbers the
+	// distinct configurations in first-encounter order: job j is estimated
+	// from keys[taskOf[j]].
 	var points []searchPoint
-	var jobPoint, jobCand []int
+	var jobPoint, jobCand, taskOf []int
+	var keys []taskKey
+	keyIndex := make(map[taskKey]int)
 	for _, kind := range kinds {
 		for _, m := range space.Msgs {
 			cands := space.Expand(kind, m, method.heuristics(), env.Spec.Nodes)
@@ -141,50 +141,58 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 				m:     m,
 				cands: cands,
 			})
-			for ci := range cands {
+			for ci, c := range cands {
 				jobPoint = append(jobPoint, pi)
 				jobCand = append(jobCand, ci)
+				if method.taskBased() {
+					key := taskKey{kind, c.Cfg}
+					k, ok := keyIndex[key]
+					if !ok {
+						k = len(keys)
+						keyIndex[key] = k
+						keys = append(keys, key)
+					}
+					taskOf = append(taskOf, k)
+				}
 			}
 		}
 	}
 
-	// Phase 2 — parallel measurement into index-addressed slots. A kind's
-	// task costs under one configuration are shared across message sizes
-	// (one of the paper's three sources of savings); the single-flight
-	// cache keeps that sharing under concurrency without re-measuring a
-	// (kind, configuration).
+	// Phase 2 — parallel measurement into index-addressed slots, one Meter
+	// per job: one job per distinct configuration for a task-based method,
+	// whose estimates are then made serially, and one job per (input,
+	// candidate) pair otherwise.
 	costs := make([]float64, len(jobPoint))
-	flight := exec.NewFlight[taskKey, taskRun](x.Stats())
-	var jobMeters []*Meter
+	var meters []Meter
 	if method.taskBased() {
-		x.Run(len(jobPoint), func(j int) {
-			p := points[jobPoint[j]]
-			key := taskKey{p.kind, p.cands[jobCand[j]].Cfg}
-			r := flight.Do(key, func() taskRun {
-				lm := &Meter{}
-				return taskRun{tasks: env.MeasureTasks(key.kind, key.cfg, lm), meter: lm}
-			})
-			costs[j] = Estimate(r.tasks, p.m)
+		meters = make([]Meter, len(keys))
+		tasks := make([]TableTasks, len(keys))
+		x.Run(len(keys), func(k int) {
+			tasks[k] = env.MeasureTasks(keys[k].kind, keys[k].cfg, &meters[k])
 		})
+		for j, k := range taskOf {
+			costs[j] = Estimate(tasks[k], points[jobPoint[j]].m)
+		}
 	} else {
-		jobMeters = make([]*Meter, len(jobPoint))
+		meters = make([]Meter, len(jobPoint))
 		x.Run(len(jobPoint), func(j int) {
 			p := points[jobPoint[j]]
-			lm := &Meter{}
-			costs[j] = env.MeasureCollective(p.kind, p.m, p.cands[jobCand[j]].Cfg, opts.Iters, lm)
-			jobMeters[j] = lm
+			costs[j] = env.MeasureCollective(p.kind, p.m, p.cands[jobCand[j]].Cfg, opts.Iters, &meters[j])
 		})
 	}
 
 	// Phase 3 — serial merge in canonical order. Float accumulation is not
 	// associative and best-candidate selection is order-sensitive (strict
 	// <, first winner kept), so both replay the enumeration order of phase
-	// 1; workers=1 takes the same path, which is why worker count cannot
-	// change a byte of the output.
-	meter := &Meter{}
+	// 1 (a task-based method's keys are numbered in it); workers=1 takes
+	// the same path, which is why worker count cannot change a byte of the
+	// output.
+	var meter Meter
+	for i := range meters {
+		meter.Merge(&meters[i])
+	}
 	table := &Table{Machine: env.Spec.Name, Method: method.String()}
 	stats := make(map[Input]ExhaustiveStats)
-	accounted := make(map[taskKey]bool)
 	j := 0
 	for _, p := range points {
 		bestCfg := p.cands[0].Cfg
@@ -192,15 +200,7 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 		var all []float64
 		for ci := range p.cands {
 			cost := costs[j]
-			if method.taskBased() {
-				if key := (taskKey{p.kind, p.cands[ci].Cfg}); !accounted[key] {
-					accounted[key] = true
-					if r, ok := flight.Get(key); ok {
-						meter.Merge(r.meter)
-					}
-				}
-			} else {
-				meter.Merge(jobMeters[j])
+			if !method.taskBased() {
 				all = append(all, cost)
 			}
 			if bestCost < 0 || cost < bestCost {
@@ -224,6 +224,7 @@ func RunSearch(env Env, space Space, kinds []coll.Kind, method Method, opts Sear
 	}
 	table.TuningCost = meter.Virtual
 	table.Measurements = meter.Runs
+	table.BuildIndex()
 	x.Stats().Publish(opts.Metrics, x.Workers())
 	return Result{Table: table, Stats: stats}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/fault"
 	"github.com/hanrepro/han/internal/han"
+	"github.com/hanrepro/han/internal/metrics"
 )
 
 // renderResult serialises a Result canonically: the table as indented JSON
@@ -114,12 +115,13 @@ func TestRunSearchDeterministicWithFaults(t *testing.T) {
 	}
 }
 
-// TestTaskCostCacheSingleFlight pins the paper's T×S×N×P×A accounting
-// under concurrency: a task-based search at workers=8 performs exactly the
-// same number of benchmark runs as the serial one — two per distinct
-// configuration (a Bcast's MeasureTasks runs two worlds), regardless of how
-// many message sizes request the same config concurrently.
-func TestTaskCostCacheSingleFlight(t *testing.T) {
+// TestTaskSweepMeasuresEachConfigOnce pins the paper's T×S×N×P×A
+// accounting under concurrency: a task-based search runs one executor job
+// per distinct configuration, and at workers=8 performs exactly the same
+// benchmark runs as the serial one — two per distinct configuration (a
+// Bcast's MeasureTasks runs two worlds), however many message sizes share
+// the configuration.
+func TestTaskSweepMeasuresEachConfigOnce(t *testing.T) {
 	env := testEnv()
 	space := tinySpace()
 	kinds := []coll.Kind{coll.Bcast}
@@ -131,17 +133,24 @@ func TestTaskCostCacheSingleFlight(t *testing.T) {
 		}
 	}
 	if len(distinct) >= len(space.Msgs)*len(space.Expand(coll.Bcast, 1<<20, false, env.Spec.Nodes)) {
-		t.Fatal("space has no config sharing across message sizes; the test would not exercise the cache")
+		t.Fatal("space has no config sharing across message sizes; the test would not exercise the sharing")
 	}
 	want := 2 * len(distinct)
 
-	serial := RunSearch(env, space, kinds, TaskBased, SearchOpts{Workers: 1})
-	parallel := RunSearch(env, space, kinds, TaskBased, SearchOpts{Workers: 8})
+	search := func(workers int) Result {
+		reg := metrics.New()
+		res := RunSearch(env, space, kinds, TaskBased, SearchOpts{Workers: workers, Metrics: reg})
+		if jobs := reg.Counter(metrics.Opts{Name: "exec_jobs"}).Value(); jobs != float64(len(distinct)) {
+			t.Errorf("workers=%d: %v executor jobs, want %d (one per distinct config)", workers, jobs, len(distinct))
+		}
+		return res
+	}
+	serial, parallel := search(1), search(8)
 	if serial.Table.Measurements != want {
 		t.Errorf("serial search ran %d measurements, want %d (2 per distinct config)", serial.Table.Measurements, want)
 	}
 	if parallel.Table.Measurements != want {
-		t.Errorf("parallel search ran %d measurements, want %d — the single-flight cache leaked extra runs",
+		t.Errorf("parallel search ran %d measurements, want %d — a config was measured twice",
 			parallel.Table.Measurements, want)
 	}
 	if serial.Table.TuningCost != parallel.Table.TuningCost {

@@ -1,8 +1,6 @@
 package autotune
 
 import (
-	"sync"
-
 	"github.com/hanrepro/han/internal/coll"
 	"github.com/hanrepro/han/internal/han"
 	"github.com/hanrepro/han/internal/mpi"
@@ -13,23 +11,19 @@ import (
 // time consumed and the number of individual benchmark runs. It is what
 // Fig 8 reports for each tuning method.
 //
-// Accumulation is safe under concurrent measurement jobs, but note that
-// float addition is not associative: a parallel sweep that wants
-// byte-identical totals across worker counts must give each job its own
-// Meter and Merge them in canonical order afterwards (RunSearch does).
-// Always pass Meters by pointer; the mutex makes copies invalid.
+// A Meter is written by one goroutine. Float addition is not associative,
+// so a parallel sweep that wants byte-identical totals across worker counts
+// gives each job its own Meter and Merges them in canonical order afterwards
+// (RunSearch does). A nil *Meter records nothing.
 type Meter struct {
-	mu      sync.Mutex
 	Virtual float64 // seconds of simulated machine time
 	Runs    int
 }
 
 func (m *Meter) add(t sim.Time) {
 	if m != nil {
-		m.mu.Lock()
 		m.Virtual += float64(t)
 		m.Runs++
-		m.mu.Unlock()
 	}
 }
 
@@ -40,13 +34,8 @@ func (m *Meter) Merge(d *Meter) {
 	if m == nil || d == nil {
 		return
 	}
-	d.mu.Lock()
-	v, r := d.Virtual, d.Runs
-	d.mu.Unlock()
-	m.mu.Lock()
-	m.Virtual += v
-	m.Runs += r
-	m.mu.Unlock()
+	m.Virtual += d.Virtual
+	m.Runs += d.Runs
 }
 
 // SBIBSeriesLen is how many pipeline iterations the task benchmark runs to

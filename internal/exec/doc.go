@@ -24,7 +24,7 @@
 // across workers, each worker pops from the tail of its own deque, and a
 // worker that runs dry steals the front half of the fullest remaining
 // deque. Measurement jobs have wildly uneven costs (a 4 MB exhaustive
-// run vs a cache hit), so stealing — not static partitioning — is what
+// run vs a 4 KB one), so stealing — not static partitioning — is what
 // keeps all cores busy through the tail of a sweep.
 //
 // Two executors serve two workload shapes. Executor (exec.go) is the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -113,7 +112,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 
 func TestFlightSingleComputation(t *testing.T) {
 	x := New(8)
-	f := NewFlight[int, int](x.Stats())
+	f := NewFlight[int, int]()
 	var computed atomic.Int32
 	const n, keys = 400, 7
 	out := make([]int, n)
@@ -132,37 +131,12 @@ func TestFlightSingleComputation(t *testing.T) {
 			t.Errorf("slot %d = %d, want %d", i, v, (i%keys)*10)
 		}
 	}
-	st := x.Stats()
-	if st.CacheMisses() != keys || st.CacheHits() != n-keys {
-		t.Errorf("cache stats hits=%d misses=%d, want %d/%d",
-			st.CacheHits(), st.CacheMisses(), n-keys, keys)
-	}
-	if f.Len() != keys {
-		t.Errorf("Len() = %d, want %d", f.Len(), keys)
-	}
-	if v, ok := f.Get(3); !ok || v != 30 {
-		t.Errorf("Get(3) = %d, %v", v, ok)
-	}
-	if _, ok := f.Get(999); ok {
-		t.Error("Get of unknown key reported ok")
-	}
-}
-
-func TestFlightNilStats(t *testing.T) {
-	f := NewFlight[string, int](nil)
-	if got := f.Do("a", func() int { return 4 }); got != 4 {
-		t.Fatalf("Do = %d", got)
-	}
-	if got := f.Do("a", func() int { t.Error("recomputed"); return 0 }); got != 4 {
-		t.Fatalf("cached Do = %d", got)
-	}
 }
 
 func TestFlightConcurrentSameKeyBlocksOnce(t *testing.T) {
 	// Two raw goroutines race on one key; the gate guarantees the second
 	// arrives while the first computation is still in flight.
-	x := New(2)
-	f := NewFlight[int, int](x.Stats())
+	f := NewFlight[int, int]()
 	inFlight := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -190,50 +164,14 @@ func TestFlightConcurrentSameKeyBlocksOnce(t *testing.T) {
 	if computed.Load() != 1 {
 		t.Errorf("computed %d times", computed.Load())
 	}
-	// The second Do is a hit whether or not the host scheduler let it reach
-	// the wait check before the first computation finished; the wait counter
-	// itself is pinned deterministically by TestFlightWaitDetection.
-	if x.Stats().CacheHits() != 1 {
-		t.Errorf("CacheHits = %d, want 1", x.Stats().CacheHits())
-	}
-}
-
-// TestFlightWaitDetection pins the wait counter without racing the host
-// scheduler: an in-flight entry is seeded by hand, and the requester's
-// wait is observable (CacheWaits counts before blocking) while the
-// computation is still open, so the release below cannot come too early.
-func TestFlightWaitDetection(t *testing.T) {
-	x := New(2)
-	f := NewFlight[int, int](x.Stats())
-	c := &flightCall[int]{done: make(chan struct{})}
-	f.mu.Lock()
-	f.calls[1] = c
-	f.mu.Unlock()
-
-	got := make(chan int, 1)
-	go func() {
-		got <- f.Do(1, func() int { t.Error("recomputed despite in-flight entry"); return -1 })
-	}()
-	for x.Stats().CacheWaits() == 0 {
-		runtime.Gosched()
-	}
-	c.val = 11
-	close(c.done)
-	if v := <-got; v != 11 {
-		t.Errorf("waiter got %d, want the in-flight entry's 11", v)
-	}
-	if hits, waits := x.Stats().CacheHits(), x.Stats().CacheWaits(); hits != 1 || waits != 1 {
-		t.Errorf("hits=%d waits=%d, want 1 and 1", hits, waits)
-	}
 }
 
 func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
 	s.noteRunning(1)
 	s.noteQueueDepth(5)
-	s.noteCache(true, true)
 	s.Publish(metrics.New(), 4)
-	if s.Jobs()+s.Steals()+s.Stolen()+s.CacheHits()+s.CacheMisses()+s.CacheWaits() != 0 {
+	if s.Jobs()+s.Steals()+s.Stolen() != 0 {
 		t.Error("nil Stats reported nonzero counters")
 	}
 	if s.PeakParallel() != 0 || s.PeakQueueDepth() != 0 {
@@ -270,17 +208,11 @@ func TestExecMetricsDocCoverage(t *testing.T) {
 
 func TestPublishCounts(t *testing.T) {
 	x := New(3)
-	f := NewFlight[int, struct{}](x.Stats())
-	x.Run(30, func(i int) { f.Do(i%5, func() struct{} { return struct{}{} }) })
+	x.Run(30, func(int) {})
 	reg := metrics.New()
 	x.Stats().Publish(reg, x.Workers())
 	if got := reg.Counter(metrics.Opts{Name: "exec_jobs"}).Value(); got != 30 {
 		t.Errorf("exec_jobs = %v, want 30", got)
-	}
-	hits := reg.Counter(metrics.Opts{Name: "exec_cache_hits"}).Value()
-	misses := reg.Counter(metrics.Opts{Name: "exec_cache_misses"}).Value()
-	if misses != 5 || hits != 25 {
-		t.Errorf("cache hits/misses = %v/%v, want 25/5", hits, misses)
 	}
 	if got := reg.Gauge(metrics.Opts{Name: "exec_workers"}).Value(); got != 3 {
 		t.Errorf("exec_workers = %v, want 3", got)

@@ -5,18 +5,16 @@ import (
 	"sync"
 )
 
-// Flight is a single-flight measurement cache: the first requester of a
-// key runs the measurement, concurrent requesters for the same key block
-// on its result instead of re-measuring, and later requesters get the
-// cached value immediately. autotune's task-cost caches are Flights keyed
-// by han.Config — under a parallel sweep each distinct configuration is
-// still measured exactly once, which is what preserves the paper's
-// T x S x N x P x A tuning-cost accounting (section III-C).
+// Flight is a single-flight cache: the first requester of a key runs the
+// computation, concurrent requesters for the same key block on its result
+// instead of running it again, and later requesters get the cached value
+// immediately. The decision service (internal/serve) collapses concurrent
+// on-demand tunes of one key through a Flight, and forgets a key whose
+// tune failed or was superseded.
 //
 // The zero Flight is not usable; create one with NewFlight. A Flight is
-// safe for concurrent use by executor jobs.
+// safe for concurrent use.
 type Flight[K comparable, V any] struct {
-	stats *Stats
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]
 }
@@ -27,10 +25,9 @@ type flightCall[V any] struct {
 	failed bool
 }
 
-// NewFlight returns an empty cache. stats may be nil; when set, cache
-// hits, misses, and waits are counted into it.
-func NewFlight[K comparable, V any](stats *Stats) *Flight[K, V] {
-	return &Flight[K, V]{stats: stats, calls: make(map[K]*flightCall[V])}
+// NewFlight returns an empty cache.
+func NewFlight[K comparable, V any]() *Flight[K, V] {
+	return &Flight[K, V]{calls: make(map[K]*flightCall[V])}
 }
 
 // Do returns the value for key, computing it with fn if this is the first
@@ -42,15 +39,6 @@ func (f *Flight[K, V]) Do(key K, fn func() V) V {
 	f.mu.Lock()
 	if c, ok := f.calls[key]; ok {
 		f.mu.Unlock()
-		waited := false
-		select {
-		case <-c.done:
-		default:
-			waited = true
-		}
-		// Count the hit before blocking so a wait is observable while it is
-		// still in progress.
-		f.stats.noteCache(true, waited)
 		<-c.done
 		if c.failed {
 			panic(fmt.Sprintf("exec: single-flight computation for %v panicked in another requester", key))
@@ -60,14 +48,13 @@ func (f *Flight[K, V]) Do(key K, fn func() V) V {
 	c := &flightCall[V]{done: make(chan struct{})}
 	f.calls[key] = c
 	f.mu.Unlock()
-	f.stats.noteCache(false, false)
 
 	completed := false
 	defer func() {
 		if !completed {
 			// fn panicked: release waiters with a poisoned entry so they
 			// fail loudly instead of deadlocking, and let the panic
-			// propagate to the executor's collector.
+			// propagate to the caller.
 			c.failed = true
 			close(c.done)
 		}
@@ -88,32 +75,4 @@ func (f *Flight[K, V]) Forget(key K) {
 	f.mu.Lock()
 	delete(f.calls, key)
 	f.mu.Unlock()
-}
-
-// Get returns the completed value for key, if any. It never blocks: a key
-// whose computation is still in flight reports false. Callers use it in
-// the serial merge phase, after every job has finished.
-func (f *Flight[K, V]) Get(key K) (V, bool) {
-	f.mu.Lock()
-	c, ok := f.calls[key]
-	f.mu.Unlock()
-	if !ok || c.failed {
-		var zero V
-		return zero, false
-	}
-	select {
-	case <-c.done:
-		return c.val, true
-	default:
-		var zero V
-		return zero, false
-	}
-}
-
-// Len returns the number of cached keys (every key requested and not
-// since forgotten).
-func (f *Flight[K, V]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.calls)
 }

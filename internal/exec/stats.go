@@ -6,20 +6,15 @@ import (
 	"github.com/hanrepro/han/internal/metrics"
 )
 
-// Stats collects an executor's scheduling and cache counters. All fields
+// Stats collects an executor's scheduling counters. All fields
 // are updated with atomics so workers never serialise on bookkeeping; the
 // accessors may be read at any time, but Publish must only run once the
 // executor is quiescent (the metrics registry is single-threaded by
-// design). All methods are no-ops / zero on a nil *Stats, so a Flight can
-// run uncounted.
+// design). All methods are no-ops / zero on a nil *Stats.
 type Stats struct {
 	jobs   atomic.Uint64
 	steals atomic.Uint64
 	stolen atomic.Uint64
-
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	cacheWaits  atomic.Uint64
 
 	running      atomic.Int64
 	peakParallel atomic.Int64
@@ -49,34 +44,6 @@ func (s *Stats) Stolen() uint64 {
 		return 0
 	}
 	return s.stolen.Load()
-}
-
-// CacheHits returns the single-flight requests served from an existing
-// measurement (completed or in flight); CacheMisses the requests that
-// performed the measurement; CacheWaits the subset of hits that blocked
-// on a measurement still in flight.
-func (s *Stats) CacheHits() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cacheHits.Load()
-}
-
-// CacheMisses returns the number of single-flight measurements performed.
-func (s *Stats) CacheMisses() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cacheMisses.Load()
-}
-
-// CacheWaits returns the number of requesters that blocked on another
-// worker's in-flight measurement.
-func (s *Stats) CacheWaits() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cacheWaits.Load()
 }
 
 // PeakParallel returns the most jobs ever running simultaneously.
@@ -113,20 +80,6 @@ func (s *Stats) noteQueueDepth(n int64) {
 	maxInto(&s.peakQueue, n)
 }
 
-func (s *Stats) noteCache(hit, waited bool) {
-	if s == nil {
-		return
-	}
-	if !hit {
-		s.cacheMisses.Add(1)
-		return
-	}
-	s.cacheHits.Add(1)
-	if waited {
-		s.cacheWaits.Add(1)
-	}
-}
-
 // maxInto lifts v into the atomic maximum a.
 func maxInto(a *atomic.Int64, v int64) {
 	for {
@@ -157,18 +110,6 @@ func (s *Stats) Publish(reg *metrics.Registry, workers int) {
 		Name: "exec_stolen_jobs",
 		Help: "jobs moved between worker deques by steals",
 	}).Add(float64(s.Stolen()))
-	reg.Counter(metrics.Opts{
-		Name: "exec_cache_hits",
-		Help: "single-flight task-cost cache requests served without a new measurement",
-	}).Add(float64(s.CacheHits()))
-	reg.Counter(metrics.Opts{
-		Name: "exec_cache_misses",
-		Help: "single-flight task-cost cache requests that performed the measurement",
-	}).Add(float64(s.CacheMisses()))
-	reg.Counter(metrics.Opts{
-		Name: "exec_cache_waits",
-		Help: "requesters that blocked on another worker's in-flight measurement",
-	}).Add(float64(s.CacheWaits()))
 	reg.Gauge(metrics.Opts{
 		Name: "exec_workers",
 		Help: "worker goroutines in the most recent executor pool",

@@ -101,7 +101,7 @@ type tuneOutcome struct {
 func NewServer(o Options) *Server {
 	s := &Server{
 		tuner:  o.Tuner,
-		flight: exec.NewFlight[Key, tuneOutcome](nil),
+		flight: exec.NewFlight[Key, tuneOutcome](),
 	}
 	s.tables.Store(&map[Key]*Snapshot{})
 	return s
